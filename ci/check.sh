@@ -8,7 +8,11 @@ cargo fmt --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline
 cargo build --release --offline --examples
-cargo test -q --offline
+# --workspace: the workspace has no default-members, so a bare
+# `cargo test` would run only the root package and skip every crate's
+# in-crate tests (the engine's kernel and row-sweep proptests, the ERRR
+# ring, the serving and fleet crates, the telemetry seqlock ring).
+cargo test -q --offline --workspace
 # The serving stack's integration tests exercise threads, sockets, and
 # shutdown paths — run them explicitly so a filtered test invocation can
 # never silently skip them. fleet_smoke adds the multi-model tier on
@@ -16,7 +20,6 @@ cargo test -q --offline
 # zero-drop hot-swap, and exact merged-telemetry accounting.
 cargo test -q --offline --test serve_smoke
 cargo test -q --offline --test fleet_smoke
-cargo test -q --offline -p tfe-fleet
 # The generalized-geometry grid (stride x dilation x groups x scheme)
 # pins engine-vs-reference bit-identity and counter exactness on
 # depthwise, grouped, and dilated stages — run the target explicitly so
@@ -28,10 +31,10 @@ cargo test -q --offline --test geometry_parity
 # telemetry sums) across scheme x stride x dilation x batch.
 cargo test -q --offline --test mode_parity
 # The telemetry crate's seqlock ring and exact-decomposition invariants
-# are load-bearing for every observability surface — build and test the
-# crate explicitly (its concurrent-writer tests included).
+# are load-bearing for every observability surface — build the crate
+# explicitly (its tests, concurrent writers included, run in the
+# workspace test line above).
 cargo build --release --offline -p tfe-telemetry
-cargo test -q --offline -p tfe-telemetry
 cargo test -q --offline --test telemetry
 # Compile every bench target (including telemetry_overhead, which pins
 # the enabled-sink cost at < 3 %) so bench code cannot rot between
@@ -55,7 +58,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # pinned >= 1.2x at 90 % sparsity; the 50/70 % and factorized cells are
 # recorded unpinned to chart the crossover. engine_speedup, engine_batch,
 # engine_modes, ppsr_row, and fleet_router write their min-of-reps cells
-# into BENCH_10.json at the repo root (the persistent perf trajectory;
+# into BENCH_12.json at the repo root (the persistent perf trajectory;
 # see README "Perf trajectory"), printed below so the numbers land in
 # the check output.
 if [ "${BENCH:-0}" = "1" ]; then
@@ -65,6 +68,6 @@ if [ "${BENCH:-0}" = "1" ]; then
     cargo bench --offline -p tfe-bench --bench ppsr_row
     cargo bench --offline -p tfe-bench --bench telemetry_overhead
     cargo bench --offline -p tfe-bench --bench fleet_router
-    echo "--- BENCH_10.json (perf trajectory) ---"
-    cat BENCH_10.json
+    echo "--- BENCH_12.json (perf trajectory) ---"
+    cat BENCH_12.json
 fi

@@ -9,23 +9,23 @@
 //! * **sequential** — `B` independent [`Engine::run`] calls, one per
 //!   image, the pre-batching execution model.
 //! * **batched** — one [`Engine::run_batched`] over the packed `[B, …]`
-//!   tensor: every stage pads the whole batch once, then sweeps each
-//!   quantized filter row across all images (dense stages via the
-//!   batch-interleaved padded layout and, when the conservative
-//!   `N·K·max|w|·max|input|` bound allows, the wrapping kernel fast
-//!   path).
+//!   tensor: every stage pads the whole batch once into the
+//!   batch-interleaved layout, then sweeps each quantized filter row —
+//!   dense row, DCNN meta row, SCNN base row — across all images in one
+//!   contiguous correlation (with the wrapping kernel fast path when the
+//!   conservative `N·K·max|w|·max|input|` bound allows).
 //!
 //! Both sides are reported in **images/second**. Pinned acceptance
 //! numbers (asserted, not just printed):
 //!
-//! * `batched/sequential ≥ 1.3` at batch 8 on every dense cell — the
-//!   filter-stationary sweep must actually pay, not just break even;
+//! * `batched/sequential ≥ 1.3` at batch 8 on every dense, DCNN, and
+//!   SCNN cell — the filter-stationary sweep must actually pay, not
+//!   just break even;
 //! * `batched/sequential ≥ 0.97` at batch 1 on every cell — the batched
 //!   entry point costs < 3 % on singleton runs (serving floods of
 //!   unbatchable traffic through the same code path);
 //! * `batched/sequential ≥ 0.97` on every remaining cell — no geometry
-//!   regresses past noise, including the image-major SCNN path whose
-//!   dataflow batching does not restructure.
+//!   regresses past noise.
 //!
 //! Cells land in the `BENCH_*.json` trajectory via
 //! [`tfe_bench::report`], one per (cell × batch size).
@@ -42,6 +42,7 @@ use tfe_tensor::shape::LayerShape;
 use tfe_tensor::tensor::Tensor4;
 use tfe_transfer::analysis::ReuseConfig;
 use tfe_transfer::layer::TransferredLayer;
+use tfe_transfer::mode::ModePolicy;
 use tfe_transfer::TransferScheme;
 
 fn det(seed: &mut u32) -> f32 {
@@ -88,9 +89,10 @@ fn dilated_net(n: usize, m: usize, hw: usize, k: usize, seed: u32) -> Functional
     .unwrap()
 }
 
-/// The fig15-style SCNN stack: image-major ring schedules, so batching
-/// shares only padding and dispatch — the no-regression control cell.
-fn scnn_net(seed: u32) -> FunctionalNetwork {
+/// The fig15-style two-stage transferred stack: batch-wide meta-row
+/// (DCNN) or base-row (SCNN) sweeps feeding batch-wide ERRR rings, so
+/// batching shares every row pass, not just padding and dispatch.
+fn transferred_net(scheme: TransferScheme, seed: u32) -> FunctionalNetwork {
     let mut s = seed;
     let shapes = vec![
         (
@@ -99,7 +101,7 @@ fn scnn_net(seed: u32) -> FunctionalNetwork {
         ),
         (LayerShape::conv("p2", 8, 8, 12, 12, 3, 1, 1).unwrap(), true),
     ];
-    FunctionalNetwork::random(&shapes, TransferScheme::Scnn, || det(&mut s)).unwrap()
+    FunctionalNetwork::random(&shapes, scheme, || det(&mut s)).unwrap()
 }
 
 struct Cell {
@@ -107,7 +109,7 @@ struct Cell {
     net: FunctionalNetwork,
     dims: [usize; 3],
     /// Whether the batch-8 cell carries the ≥ 1.3× speedup pin (the
-    /// dense interleaved-sweep cells).
+    /// dense and transferred interleaved-sweep cells).
     pinned_speedup: bool,
     seed: u32,
 }
@@ -146,16 +148,30 @@ fn bench_engine_batch(c: &mut Criterion) {
         },
         Cell {
             label: "scnn_fig15",
-            net: scnn_net(14),
+            net: transferred_net(TransferScheme::Scnn, 14),
             dims: [3, 12, 12],
-            pinned_speedup: false,
+            pinned_speedup: true,
             seed: 104,
+        },
+        Cell {
+            label: "dcnn4_fig15",
+            net: transferred_net(TransferScheme::DCNN4, 16),
+            dims: [3, 12, 12],
+            pinned_speedup: true,
+            seed: 106,
         },
     ];
 
     let mut report = BenchReport::load_or_new();
     for cell in &cells {
-        let engine = Engine::compile(&cell.net, ReuseConfig::FULL).unwrap();
+        // DENSE_ONLY keeps the dense cells on the interleaved dense sweep
+        // they measure: their random weights repeat enough that the
+        // default policy would compile them to the per-image factorized
+        // executor (DESIGN §5.15), which batching does not restructure.
+        // Transferred stages ignore the mode policy.
+        let engine =
+            Engine::compile_with_policy(&cell.net, ReuseConfig::FULL, &ModePolicy::DENSE_ONLY)
+                .unwrap();
         // One arena per timed side, so the interleaved closures can
         // borrow independently; both stay warm across batch sizes.
         let mut scratch = Scratch::new();

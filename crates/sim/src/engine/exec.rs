@@ -11,10 +11,10 @@
 //!
 //! Bit-identity discipline: each accumulated term is a complete
 //! `j`-summed correlation; window parts combine first-copied-then-added
-//! in `ky` order, via the shared `_acc` kernels in [`crate::ppsr`] and
-//! the [`RowRing`](crate::errr::RowRing) schedule. The batched sweep
-//! only reorders work **across** images, never within one image, so
-//! every image sees the exact saturating-addition order a sequential
+//! in `ky` order, via the shared row sweeps in [`crate::ppsr`] and the
+//! [`RowRing`](crate::errr::RowRing) schedule. The batched sweep only
+//! reorders work **across** images, never within one image, so every
+//! image sees the exact saturating-addition order a sequential
 //! single-image run performs — `tests/batched_parity.rs` pins this.
 //!
 //! Counters are data-independent: a unit's charges depend only on the
@@ -37,7 +37,7 @@ use crate::counters::Counters;
 use crate::functional::FunctionalOutput;
 use crate::network::NetworkOutput;
 use crate::ppsr::{
-    conventional_row_sweep_acc_with, dcnn_row_pass_acc_with, scnn_row_pass_acc_with,
+    conventional_row_sweep_acc_with, dcnn_row_sweep_acc_with, scnn_row_sweep_acc_with,
 };
 use crate::SimError;
 use std::time::Instant;
@@ -112,12 +112,12 @@ struct PartCtx<'a> {
     stage: &'a StageIr,
     geo: Geo,
     /// The whole run's batch size (padded-row stride for the
-    /// interleaved dense layout — parts see all images' rows).
+    /// interleaved layout — parts see all images' rows).
     batch: usize,
     /// Whether the stage's conservative bound proved every kernel
     /// intermediate stays inside `i32` — gates the wrapping
-    /// (vectorizer-friendly) kernel fast path for dense and sparse
-    /// sweeps.
+    /// (vectorizer-friendly) kernel fast path for the dense, DCNN,
+    /// SCNN, and sparse sweeps.
     saturation_free: bool,
     /// The effective execution mode of this run: the plan's chosen
     /// [`ExecMode`], downgraded to [`ExecMode::Dense`] when a
@@ -125,10 +125,10 @@ struct PartCtx<'a> {
     exec: ExecMode,
     reuse: ReuseConfig,
     sources: &'a [(usize, usize, bool); ORBIT],
-    /// The whole batch's padded input planes. Dense stages interleave
-    /// by row (`[N × PH × (B·PW)]`) so one contiguous correlation spans
-    /// the batch; DCNN/SCNN stages stay image-major
-    /// (`[B × N × PH × PW]`) for their per-image ring schedules.
+    /// The whole batch's padded input planes. Dense, DCNN, and SCNN
+    /// stages interleave by row (`[N × PH × (B·PW)]`) so one contiguous
+    /// correlation spans the batch; only the sparse and factorized
+    /// executors read image-major planes (`[B × N × PH × PW]`).
     padded: &'a [Fx16],
 }
 
@@ -337,20 +337,19 @@ impl Engine {
             ExecMode::Factorized if !window_saturation_free(stage, &geo, cur) => ExecMode::Dense,
             mode => mode,
         };
-        // Stages are scheme-homogeneous (one TransferredLayer each), so
-        // the padded layout is a per-stage choice: dense stages take the
-        // row-interleaved layout (one contiguous sweep spans the batch),
-        // DCNN/SCNN stages — and the alternate per-image executors —
-        // keep image-major planes.
-        let interleaved = matches!(stage.units.first(), Some(UnitIr::Dense { .. }))
-            && !matches!(exec, ExecMode::Sparse | ExecMode::Factorized);
-        fill_padded_batch(padded, cur, batch, &geo, interleaved);
+        // The padded layout is a per-stage choice: the dense, DCNN, and
+        // SCNN sweeps take the row-interleaved layout (one contiguous
+        // correlation spans the batch); only the alternate per-image
+        // executors keep image-major planes. Every executor but the
+        // factorized one (gated above, on its own window bound) reads
+        // the saturation-free flag.
+        let alternate = matches!(exec, ExecMode::Sparse | ExecMode::Factorized);
+        fill_padded_batch(padded, cur, batch, &geo, !alternate);
         let ctx = PartCtx {
             stage,
             geo,
             batch,
-            saturation_free: (interleaved || exec == ExecMode::Sparse)
-                && saturation_free(stage, &geo, padded),
+            saturation_free: exec != ExecMode::Factorized && saturation_free(stage, &geo, padded),
             exec,
             reuse: self.reuse,
             sources: &self.scnn_sources,
@@ -525,18 +524,23 @@ impl Engine {
     }
 }
 
-/// The conservative saturation-free gate for one dense stage: every
-/// parts-buffer slot accumulates `N/groups` passes, each a `K`-term
-/// product sum, so **all** kernel intermediates (j-prefix sums and
-/// running accumulator values alike) are bounded in magnitude by
-/// `(N/groups) · K · max|w| · max|input|`. When that bound stays strictly inside
-/// `i32`, no saturating addition can ever clamp, wrapping arithmetic is
-/// exact, and exact integer sums are associative — the wrapping kernel
-/// fast path is bit-identical to the saturating chain.
+/// The conservative saturation-free gate for one stage: every dense
+/// parts-buffer slot, DCNN offset lane, and SCNN forward or mirrored
+/// stream slot accumulates `N/groups` passes, each a `K`-term product
+/// sum (transferred stages are ungrouped, and a DCNN lane or mirrored
+/// stream correlates a `K`-tap slice or permutation of a stored row), so
+/// **all** kernel intermediates (j-prefix sums and running accumulator
+/// values alike) are bounded in magnitude by
+/// `(N/groups) · K · max|w| · max|input|`. When that bound stays strictly
+/// inside `i32`, no saturating addition can ever clamp, wrapping
+/// arithmetic is exact, and exact integer sums are associative — the
+/// wrapping kernel fast path is bit-identical to the saturating chain.
+/// (The `K`-part window combine stays saturating on every path.)
 ///
-/// The weight factor is folded at compile time ([`StageIr::w_abs_max`]);
-/// the input factor is one max-abs scan of the stage's padded batch,
-/// amortized over the `M × E` row passes that read it.
+/// The weight factor is folded at compile time ([`StageIr::w_abs_max`],
+/// over every stored row: dense rows, DCNN meta rows, all SCNN
+/// orientations); the input factor is one max-abs scan of the stage's
+/// padded batch, amortized over the row passes that read it.
 fn saturation_free(stage: &StageIr, geo: &Geo, padded: &[Fx16]) -> bool {
     let in_abs = padded
         .iter()
@@ -655,6 +659,10 @@ fn run_part(
     bufs: &mut KernelBufs,
     charges: &mut Counters,
 ) {
+    if part.images() == 0 {
+        // An empty batch: nothing to compute, and no image to charge.
+        return;
+    }
     let geo = &ctx.geo;
     let plane_len = geo.e * geo.f;
     let img_stride = geo.n * geo.ph * geo.pw;
@@ -662,8 +670,7 @@ fn run_part(
     for (ui, unit) in ctx.stage.units[part.u0..part.u1].iter().enumerate() {
         match unit {
             UnitIr::Dense { m, base } => {
-                if part.images() > 0 && matches!(ctx.exec, ExecMode::Sparse | ExecMode::Factorized)
-                {
+                if matches!(ctx.exec, ExecMode::Sparse | ExecMode::Factorized) {
                     // Alternate executors run per image over the
                     // image-major layout; charges replay the dense
                     // model once for the representative image (the
@@ -720,53 +727,30 @@ fn run_part(
                 z,
                 k,
                 base,
-            } => {
-                for bi in 0..part.images() {
-                    let image = &ctx.padded[(part.b0 + bi) * img_stride..][..img_stride];
-                    let out_img = &mut out_part[bi * slab..][..slab];
-                    let mut scrap = Counters::new();
-                    let counters = if bi == 0 { &mut *charges } else { &mut scrap };
-                    dcnn_unit(
-                        ctx.stage.kernel,
-                        &ctx.stage.rows[*base..],
-                        image,
-                        geo,
-                        (*g, *per_axis, *z, *k),
-                        ctx.reuse,
-                        part.plane0,
-                        out_img,
-                        bufs,
-                        counters,
-                    );
-                }
-            }
+            } => dcnn_unit(
+                ctx,
+                part,
+                &ctx.stage.rows[*base..],
+                (*g, *per_axis, *z, *k),
+                out_part,
+                bufs,
+                charges,
+            ),
             UnitIr::Scnn {
                 g,
                 base,
                 emitted,
                 computed,
-            } => {
-                for bi in 0..part.images() {
-                    let image = &ctx.padded[(part.b0 + bi) * img_stride..][..img_stride];
-                    let out_img = &mut out_part[bi * slab..][..slab];
-                    let mut scrap = Counters::new();
-                    let counters = if bi == 0 { &mut *charges } else { &mut scrap };
-                    scnn_unit(
-                        ctx.stage.kernel,
-                        &ctx.stage.rows[*base..],
-                        image,
-                        geo,
-                        (*g, *emitted),
-                        computed,
-                        ctx.sources,
-                        ctx.reuse,
-                        part.plane0,
-                        out_img,
-                        bufs,
-                        counters,
-                    );
-                }
-            }
+            } => scnn_unit(
+                ctx,
+                part,
+                &ctx.stage.rows[*base..],
+                (*g, *emitted),
+                computed,
+                out_part,
+                bufs,
+                charges,
+            ),
         }
     }
 }
@@ -777,11 +761,13 @@ fn run_part(
 ///
 /// Two layouts, chosen per stage:
 ///
-/// * `interleaved` (dense stages): `[N × PH × (B·PW)]` — each padded
-///   channel row stores all images' rows back to back, so one contiguous
-///   correlation of span `(B−1)·PW + full_w` covers the whole batch.
-/// * image-major (DCNN/SCNN stages): `[B × N × PH × PW]` — each image's
-///   planes are contiguous, matching the per-image ring schedules.
+/// * `interleaved` (dense, DCNN, and SCNN sweeps): `[N × PH × (B·PW)]`
+///   — each padded channel row stores all images' rows back to back, so
+///   one contiguous correlation of span `(B−1)·PW + full_w` covers the
+///   whole batch.
+/// * image-major (the sparse and factorized executors):
+///   `[B × N × PH × PW]` — each image's planes are contiguous, matching
+///   their per-image passes.
 fn fill_padded_batch(
     padded: &mut Vec<Fx16>,
     cur: &[Fx16],
@@ -831,6 +817,22 @@ pub(super) fn emit_row(out_img: &mut [Accum], window: &[Accum], m: usize, oy: us
     let orow = &mut out_img[(m * geo.e + oy) * geo.f..][..geo.f];
     for (ox, slot) in orow.iter_mut().enumerate() {
         *slot = window[ox * geo.s];
+    }
+}
+
+/// Emits output row `oy` of plane `m` for every image of a part from one
+/// batch-wide window: image `bi`'s lane starts at `bi·PW`, its output
+/// slab at `bi·slab`. The gap positions between lanes are never read.
+fn emit_rows(out_part: &mut [Accum], window: &[Accum], part: Part, m: usize, oy: usize, geo: &Geo) {
+    let slab = part.planes() * geo.e * geo.f;
+    for bi in 0..part.images() {
+        emit_row(
+            &mut out_part[bi * slab..][..slab],
+            &window[bi * geo.pw..],
+            m,
+            oy,
+            geo,
+        );
     }
 }
 
@@ -941,26 +943,53 @@ fn dense_unit_sweep(
     }
 }
 
-/// One DCNN meta group's planes for a single image (ERRR ring or
-/// per-`dy` recomputation). `plane_base` rebases emitted planes into the
-/// owning part's output slab.
-#[allow(clippy::too_many_arguments)]
+/// The ERRR ring depth for a transferred unit. At `d > 1` an output
+/// row's input taps are `d` apart, so consecutive output rows interleave
+/// their tap sets; a `K`-deep FIFO would evict rows that later windows
+/// still need and recompute every pass. Sizing the ring to the full
+/// effective input span keeps each input row's pass computed exactly
+/// once.
+fn ring_capacity(geo: &Geo) -> usize {
+    if geo.d == 1 {
+        geo.k
+    } else {
+        ((geo.e - 1) * geo.s + (geo.k - 1) * geo.d + 1).min(geo.ph)
+    }
+}
+
+/// One DCNN meta group's planes for every image of the part at once
+/// (ERRR ring or per-`dy` recomputation) — the filter-stationary
+/// counterpart of [`dense_unit_sweep`] over the same row-interleaved
+/// layout.
+///
+/// Each meta-row pass is one [`dcnn_row_sweep_acc_with`] per input
+/// channel spanning the part's images, so every stream — ring slot or
+/// `per_row` buffer — is batch-wide: `(images−1)·PW + full_w` long, with
+/// image `bi`'s lane at `bi·PW`. The window combine adds whole batch-wide
+/// streams (the inter-lane junk positions are combined too, but never
+/// emitted) and [`emit_rows`] slices each image's lane. Per image the
+/// values and saturating-addition order equal a one-image run's, and the
+/// ring schedule (which rows are computed, evicted, read) is the
+/// one-image schedule, shared by all images.
+///
+/// Charges are one image's, replicated per image by the caller: row
+/// passes charge one `PW`-sample row, ring traffic one `full_w`-word
+/// lane per stream (`take_ring`), combines `(K−1)·F` adds.
 fn dcnn_unit(
-    kernel: RowKernel,
+    ctx: PartCtx<'_>,
+    part: Part,
     rows: &[Fx16],
-    padded: &[Fx16],
-    geo: &Geo,
     (g, per_axis, z, k): (usize, usize, usize, usize),
-    reuse: ReuseConfig,
-    plane_base: usize,
-    out_img: &mut [Accum],
+    out_part: &mut [Accum],
     bufs: &mut KernelBufs,
-    counters: &mut Counters,
+    charges: &mut Counters,
 ) {
+    let geo = &ctx.geo;
     let Geo {
         n,
         m: m_count,
         e,
+        f,
         s,
         ph,
         pw,
@@ -968,20 +997,38 @@ fn dcnn_unit(
         kw,
         ..
     } = *geo;
+    let (reuse, kernel) = (ctx.reuse, ctx.stage.kernel);
     let zw = d * (z - 1) + 1;
     let full_w = pw - kw + 1;
+    let images = part.images();
+    let row_span = (images - 1) * pw + full_w;
+    let bw = ctx.batch * pw;
+    // One meta-row pass over input row `i` of every channel, into the
+    // per-offset streams of meta row `kr`.
+    let row_pass = |kr: usize, i: usize, per_dx: &mut [Vec<Accum>], charges: &mut Counters| {
+        for c in 0..n {
+            dcnn_row_sweep_acc_with(
+                kernel,
+                &rows[(c * z + kr) * zw..][..zw],
+                k,
+                d,
+                reuse.ppsr,
+                images,
+                &ctx.padded[(c * ph + i) * bw + part.b0 * pw..],
+                pw,
+                per_dx,
+                ctx.saturation_free,
+                charges,
+            );
+        }
+    };
     if reuse.errr {
-        // At d > 1 an output row's input taps are d apart, so
-        // consecutive output rows interleave their tap sets; a K-deep
-        // FIFO would evict rows that later windows still need and
-        // recompute every pass. Sizing the ring to the full effective
-        // input span keeps each input row's pass computed exactly once.
-        let capacity = if d == 1 {
-            k
-        } else {
-            ((e - 1) * s + (k - 1) * d + 1).min(ph)
-        };
-        let mut ring = take_ring(&mut bufs.ring_pool, &mut bufs.streams_pool, capacity);
+        let mut ring = take_ring(
+            &mut bufs.ring_pool,
+            &mut bufs.streams_pool,
+            ring_capacity(geo),
+            full_w,
+        );
         for oy in 0..e {
             for ky in 0..k {
                 let i = oy * s + ky * d;
@@ -989,17 +1036,11 @@ fn dcnn_unit(
                     continue;
                 }
                 let mut streams = bufs.streams_pool.pop().unwrap_or_default();
-                shape_streams(&mut streams, z, per_axis, full_w);
+                shape_streams(&mut streams, z, per_axis, row_span);
                 for (kr, per_dx) in streams.iter_mut().enumerate() {
-                    for c in 0..n {
-                        let meta_row = &rows[(c * z + kr) * zw..][..zw];
-                        let in_row = &padded[(c * ph + i) * pw..][..pw];
-                        dcnn_row_pass_acc_with(
-                            kernel, meta_row, in_row, k, d, reuse.ppsr, per_dx, counters,
-                        );
-                    }
+                    row_pass(kr, i, per_dx, charges);
                 }
-                if let Some(evicted) = ring.insert_recycling(i, streams, counters) {
+                if let Some(evicted) = ring.insert_recycling(i, streams, charges) {
                     bufs.streams_pool.push(evicted);
                 }
             }
@@ -1011,18 +1052,18 @@ fn dcnn_unit(
                     }
                     let window = &mut bufs.window;
                     for ky in 0..k {
-                        let part = ring
-                            .read(oy * s + ky * d, dy + ky, dx, counters)
+                        let stream = ring
+                            .read(oy * s + ky * d, dy + ky, dx, charges)
                             .expect("row still resident within the window");
                         if ky == 0 {
                             window.clear();
-                            window.extend_from_slice(part);
+                            window.extend_from_slice(stream);
                         } else {
-                            window_add(window, part);
+                            window_add(window, stream);
                         }
                     }
-                    counters.adds += (k.saturating_sub(1) * geo.f) as u64;
-                    emit_row(out_img, window, m - plane_base, oy, geo);
+                    charges.adds += (k.saturating_sub(1) * f) as u64;
+                    emit_rows(out_part, window, part, m - part.plane0, oy, geo);
                 }
             }
         }
@@ -1033,17 +1074,9 @@ fn dcnn_unit(
                 let KernelBufs {
                     window, per_row, ..
                 } = bufs;
-                shape_streams(per_row, k, per_axis, full_w);
+                shape_streams(per_row, k, per_axis, row_span);
                 for (ky, per_dx) in per_row.iter_mut().enumerate() {
-                    let kr = dy + ky;
-                    let i = oy * s + ky * d;
-                    for c in 0..n {
-                        let meta_row = &rows[(c * z + kr) * zw..][..zw];
-                        let in_row = &padded[(c * ph + i) * pw..][..pw];
-                        dcnn_row_pass_acc_with(
-                            kernel, meta_row, in_row, k, d, reuse.ppsr, per_dx, counters,
-                        );
-                    }
+                    row_pass(dy + ky, oy * s + ky * d, per_dx, charges);
                 }
                 for dx in 0..per_axis {
                     let m = g * per_axis * per_axis + dy * per_axis + dx;
@@ -1051,43 +1084,44 @@ fn dcnn_unit(
                         continue;
                     }
                     for (ky, streams) in per_row.iter().enumerate() {
-                        let part = streams[dx].as_slice();
+                        let stream = streams[dx].as_slice();
                         if ky == 0 {
                             window.clear();
-                            window.extend_from_slice(part);
+                            window.extend_from_slice(stream);
                         } else {
-                            window_add(window, part);
+                            window_add(window, stream);
                         }
                     }
-                    counters.adds += (k.saturating_sub(1) * geo.f) as u64;
-                    emit_row(out_img, window, m - plane_base, oy, geo);
+                    charges.adds += (k.saturating_sub(1) * f) as u64;
+                    emit_rows(out_part, window, part, m - part.plane0, oy, geo);
                 }
             }
         }
     }
 }
 
-/// One SCNN orbit group's planes for a single image (per-source rings,
-/// derived orientations read flipped/reversed streams). `plane_base`
-/// rebases emitted planes into the owning part's output slab.
+/// One SCNN orbit group's planes for every image of the part at once
+/// (per-source rings; derived orientations read flipped/reversed
+/// streams) — the SCNN counterpart of [`dcnn_unit`]: batch-wide streams
+/// from one [`scnn_row_sweep_acc_with`] per (orientation, row, channel),
+/// batch-wide window combines, per-image lanes sliced at emit, and
+/// one image's charges replicated per image by the caller.
 #[allow(clippy::too_many_arguments)]
 fn scnn_unit(
-    kernel: RowKernel,
+    ctx: PartCtx<'_>,
+    part: Part,
     rows: &[Fx16],
-    padded: &[Fx16],
-    geo: &Geo,
     (g, emitted): (usize, usize),
     computed: &[usize],
-    sources: &[(usize, usize, bool); ORBIT],
-    reuse: ReuseConfig,
-    plane_base: usize,
-    out_img: &mut [Accum],
+    out_part: &mut [Accum],
     bufs: &mut KernelBufs,
-    counters: &mut Counters,
+    charges: &mut Counters,
 ) {
+    let geo = &ctx.geo;
     let Geo {
         n,
         e,
+        f,
         k,
         s,
         ph,
@@ -1096,16 +1130,12 @@ fn scnn_unit(
         kw,
         ..
     } = *geo;
+    let (reuse, kernel) = (ctx.reuse, ctx.stage.kernel);
     let full_w = pw - kw + 1;
+    let images = part.images();
+    let row_span = (images - 1) * pw + full_w;
+    let bw = ctx.batch * pw;
     let variants = 1 + usize::from(reuse.ppsr);
-    // Same capacity rule as the DCNN ring: at d > 1 consecutive output
-    // rows interleave their d-strided tap sets, so the ring holds the
-    // full effective input span to keep each row's pass computed once.
-    let capacity = if d == 1 {
-        k
-    } else {
-        ((e - 1) * s + (k - 1) * d + 1).min(ph)
-    };
     {
         let KernelBufs {
             ring_table,
@@ -1116,7 +1146,12 @@ fn scnn_unit(
         ring_table.clear();
         ring_table.resize_with(ORBIT, || None);
         for &oi in computed {
-            ring_table[oi] = Some(take_ring(ring_pool, streams_pool, capacity));
+            ring_table[oi] = Some(take_ring(
+                ring_pool,
+                streams_pool,
+                ring_capacity(geo),
+                full_w,
+            ));
         }
     }
     for oy in 0..e {
@@ -1136,7 +1171,7 @@ fn scnn_unit(
                         continue;
                     }
                     let mut streams = streams_pool.pop().unwrap_or_default();
-                    shape_streams(&mut streams, k, variants, full_w);
+                    shape_streams(&mut streams, k, variants, row_span);
                     for (kr, per_kr) in streams.iter_mut().enumerate() {
                         let (fwd, rest) = per_kr
                             .split_first_mut()
@@ -1144,27 +1179,28 @@ fn scnn_unit(
                         let mut rev: Option<&mut [Accum]> =
                             rest.first_mut().map(|v| v.as_mut_slice());
                         for c in 0..n {
-                            let w_row = &rows[((oi * n + c) * k + kr) * kw..][..kw];
-                            let in_row = &padded[(c * ph + i) * pw..][..pw];
-                            scnn_row_pass_acc_with(
+                            scnn_row_sweep_acc_with(
                                 kernel,
-                                w_row,
-                                in_row,
+                                &rows[((oi * n + c) * k + kr) * kw..][..kw],
                                 k,
                                 reuse.ppsr,
+                                images,
+                                &ctx.padded[(c * ph + i) * bw + part.b0 * pw..],
+                                pw,
                                 fwd,
                                 rev.as_deref_mut(),
-                                counters,
+                                ctx.saturation_free,
+                                charges,
                             );
                         }
                     }
-                    if let Some(evicted) = ring.insert_recycling(i, streams, counters) {
+                    if let Some(evicted) = ring.insert_recycling(i, streams, charges) {
                         streams_pool.push(evicted);
                     }
                 }
             }
         }
-        for (local, &(src, direction, row_flip)) in sources.iter().enumerate().take(emitted) {
+        for (local, &(src, direction, row_flip)) in ctx.sources.iter().enumerate().take(emitted) {
             let KernelBufs {
                 ring_table, window, ..
             } = bufs;
@@ -1173,18 +1209,25 @@ fn scnn_unit(
                 .expect("source orientation is computed");
             for ky in 0..k {
                 let kr = if row_flip { k - 1 - ky } else { ky };
-                let part = ring
-                    .read(oy * s + ky * d, kr, direction, counters)
+                let stream = ring
+                    .read(oy * s + ky * d, kr, direction, charges)
                     .expect("row still resident within the window");
                 if ky == 0 {
                     window.clear();
-                    window.extend_from_slice(part);
+                    window.extend_from_slice(stream);
                 } else {
-                    window_add(window, part);
+                    window_add(window, stream);
                 }
             }
-            counters.adds += (k.saturating_sub(1) * geo.f) as u64;
-            emit_row(out_img, window, g * ORBIT + local - plane_base, oy, geo);
+            charges.adds += (k.saturating_sub(1) * f) as u64;
+            emit_rows(
+                out_part,
+                window,
+                part,
+                g * ORBIT + local - part.plane0,
+                oy,
+                geo,
+            );
         }
     }
     let KernelBufs {

@@ -23,6 +23,10 @@
 //! * the reversed (SCNN-mirrored) kernel multiplies `input[x + j]` by
 //!   `w[K − 1 − j]`, still in ascending `j` order.
 //!
+//! Both directions also come in a wrapping (`_unsaturated`) form for
+//! passes a stage-level bound has proven saturation-free — exact integer
+//! sums are associative, so there the addition order stops mattering.
+//!
 //! Every product is exact (`i16 × i16` fits `i32`), so the only
 //! saturation points are the running `j` sum and the final accumulate —
 //! exactly the two the scalar reference has. `tests/kernel_parity.rs`
@@ -80,7 +84,7 @@ impl RowKernel {
             RowKernel::K3 => correlate_add_core::<3>(&widen(weights), input, acc),
             RowKernel::K5 => correlate_add_core::<5>(&widen(weights), input, acc),
             RowKernel::K7 => correlate_add_core::<7>(&widen(weights), input, acc),
-            RowKernel::Generic => correlate_add_generic(weights, input, acc),
+            RowKernel::Generic => correlate_add_generic::<false, false>(weights, input, acc),
         }
     }
 
@@ -114,7 +118,7 @@ impl RowKernel {
             RowKernel::K3 => correlate_add_wrapping_core::<3>(&narrow(weights), input, acc),
             RowKernel::K5 => correlate_add_wrapping_core::<5>(&narrow(weights), input, acc),
             RowKernel::K7 => correlate_add_wrapping_core::<7>(&narrow(weights), input, acc),
-            RowKernel::Generic => correlate_add_wrapping_generic(weights, input, acc),
+            RowKernel::Generic => correlate_add_generic::<false, true>(weights, input, acc),
         }
     }
 
@@ -132,7 +136,32 @@ impl RowKernel {
             RowKernel::K3 => correlate_add_core::<3>(&widen_rev(weights), input, acc),
             RowKernel::K5 => correlate_add_core::<5>(&widen_rev(weights), input, acc),
             RowKernel::K7 => correlate_add_core::<7>(&widen_rev(weights), input, acc),
-            RowKernel::Generic => correlate_add_rev_generic(weights, input, acc),
+            RowKernel::Generic => correlate_add_generic::<true, false>(weights, input, acc),
+        }
+    }
+
+    /// [`RowKernel::correlate_add_rev`] under the same saturation-free
+    /// contract as [`RowKernel::correlate_add_unsaturated`]: the
+    /// mirrored SCNN stream with wrapping additions. Each mirrored
+    /// stream accumulates the same `N` `K`-term sums as the forward one
+    /// (the weights are a permutation of the same row), so the stage
+    /// bound that admits the forward wrapping pass admits this one too.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`RowKernel::correlate_add`].
+    pub(crate) fn correlate_add_rev_unsaturated(
+        self,
+        weights: &[Fx16],
+        input: &[Fx16],
+        acc: &mut [Accum],
+    ) {
+        match self {
+            RowKernel::K1 => correlate_add_wrapping_core::<1>(&narrow_rev(weights), input, acc),
+            RowKernel::K3 => correlate_add_wrapping_core::<3>(&narrow_rev(weights), input, acc),
+            RowKernel::K5 => correlate_add_wrapping_core::<5>(&narrow_rev(weights), input, acc),
+            RowKernel::K7 => correlate_add_wrapping_core::<7>(&narrow_rev(weights), input, acc),
+            RowKernel::Generic => correlate_add_generic::<true, true>(weights, input, acc),
         }
     }
 }
@@ -157,6 +186,13 @@ fn narrow<const K: usize>(weights: &[Fx16]) -> [i16; K] {
     for (slot, &v) in w.iter_mut().zip(weights) {
         *slot = v.to_bits();
     }
+    w
+}
+
+/// [`narrow`] with the weight row reversed (the mirrored SCNN stream).
+fn narrow_rev<const K: usize>(weights: &[Fx16]) -> [i16; K] {
+    let mut w = narrow::<K>(weights);
+    w.reverse();
     w
 }
 
@@ -227,8 +263,16 @@ fn correlate_add_wrapping_core<const K: usize>(w: &[i16; K], input: &[Fx16], acc
     }
 }
 
-/// The runtime-`K` saturation-free fallback.
-fn correlate_add_wrapping_generic(weights: &[Fx16], input: &[Fx16], acc: &mut [Accum]) {
+/// The runtime-`K` fallback behind all four kernel forms: the same
+/// output-position-major pass with the `j` loop bounded at run time.
+/// `REV` indexes the weight row in reverse (no reversed copy, so the
+/// fallback stays allocation-free); `WRAP` swaps the saturating chain
+/// for wrapping additions, exact only under the saturation-free bound.
+fn correlate_add_generic<const REV: bool, const WRAP: bool>(
+    weights: &[Fx16],
+    input: &[Fx16],
+    acc: &mut [Accum],
+) {
     let k = weights.len();
     let out_len = acc.len();
     if out_len == 0 {
@@ -236,53 +280,21 @@ fn correlate_add_wrapping_generic(weights: &[Fx16], input: &[Fx16], acc: &mut [A
     }
     assert!(k >= 1, "a correlation kernel needs at least one weight");
     let input = &input[..out_len + k - 1];
+    let add = |a: i32, b: i32| {
+        if WRAP {
+            a.wrapping_add(b)
+        } else {
+            a.saturating_add(b)
+        }
+    };
     for (x, slot) in acc.iter_mut().enumerate() {
         let win = &input[x..x + k];
         let mut s = 0i32;
         for (j, &iv) in win.iter().enumerate() {
-            s = s.wrapping_add(i32::from(iv.to_bits()) * i32::from(weights[j].to_bits()));
+            let w = if REV { weights[k - 1 - j] } else { weights[j] };
+            s = add(s, i32::from(iv.to_bits()) * i32::from(w.to_bits()));
         }
-        *slot = Accum::from_bits(slot.to_bits().wrapping_add(s));
-    }
-}
-
-/// The runtime-`K` fallback: the same chunked output-position-major
-/// pass with the `j` loop bounded at run time.
-fn correlate_add_generic(weights: &[Fx16], input: &[Fx16], acc: &mut [Accum]) {
-    let k = weights.len();
-    let out_len = acc.len();
-    if out_len == 0 {
-        return;
-    }
-    assert!(k >= 1, "a correlation kernel needs at least one weight");
-    let input = &input[..out_len + k - 1];
-    for (x, slot) in acc.iter_mut().enumerate() {
-        let win = &input[x..x + k];
-        let mut s = 0i32;
-        for (j, &iv) in win.iter().enumerate() {
-            s = s.saturating_add(i32::from(iv.to_bits()) * i32::from(weights[j].to_bits()));
-        }
-        *slot = Accum::from_bits(slot.to_bits().saturating_add(s));
-    }
-}
-
-/// [`correlate_add_generic`] with the weight row indexed in reverse —
-/// no reversed copy, so the fallback stays allocation-free too.
-fn correlate_add_rev_generic(weights: &[Fx16], input: &[Fx16], acc: &mut [Accum]) {
-    let k = weights.len();
-    let out_len = acc.len();
-    if out_len == 0 {
-        return;
-    }
-    assert!(k >= 1, "a correlation kernel needs at least one weight");
-    let input = &input[..out_len + k - 1];
-    for (x, slot) in acc.iter_mut().enumerate() {
-        let win = &input[x..x + k];
-        let mut s = 0i32;
-        for (j, &iv) in win.iter().enumerate() {
-            s = s.saturating_add(i32::from(iv.to_bits()) * i32::from(weights[k - 1 - j].to_bits()));
-        }
-        *slot = Accum::from_bits(slot.to_bits().saturating_add(s));
+        *slot = Accum::from_bits(add(slot.to_bits(), s));
     }
 }
 
@@ -384,12 +396,21 @@ mod tests {
                 .map(|_| Accum::from_bits(i32::from(next(8192))))
                 .collect();
 
-            let kernel = RowKernel::select(k);
-            let mut want = base.clone();
-            kernel.correlate_add(&weights, &input, &mut want);
-            let mut got = base;
-            kernel.correlate_add_unsaturated(&weights, &input, &mut got);
-            proptest::prop_assert_eq!(got, want);
+            // Every variant, the runtime-K fallback included, in both
+            // directions: the forward stream and the SCNN mirrored one.
+            for kernel in [RowKernel::select(k), RowKernel::Generic] {
+                let mut want = base.clone();
+                kernel.correlate_add(&weights, &input, &mut want);
+                let mut got = base.clone();
+                kernel.correlate_add_unsaturated(&weights, &input, &mut got);
+                proptest::prop_assert_eq!(&got, &want, "{:?} forward", kernel);
+
+                let mut want = base.clone();
+                kernel.correlate_add_rev(&weights, &input, &mut want);
+                let mut got = base.clone();
+                kernel.correlate_add_rev_unsaturated(&weights, &input, &mut got);
+                proptest::prop_assert_eq!(&got, &want, "{:?} mirrored", kernel);
+            }
         }
     }
 

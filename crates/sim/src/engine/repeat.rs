@@ -51,9 +51,20 @@ pub(crate) fn factorized_unit_image(
             fact_sum.clear();
             fact_sum.resize(f, 0i64);
             for &off in taps {
-                let base = off as usize + row_shift;
-                for (ox, sum) in fact_sum.iter_mut().enumerate() {
-                    *sum += i64::from(padded_image[base + ox * s].to_bits());
+                // One bounds check per tap (the row's `f` samples at
+                // stride `s`) and a contiguous loop the compiler
+                // vectorizes at stride 1: a per-element indexed gather
+                // here runs at a speed that follows where the linker
+                // places it (±15 % on the dense VGG trunk).
+                let src = &padded_image[off as usize + row_shift..][..(f - 1) * s + 1];
+                if s == 1 {
+                    for (sum, &x) in fact_sum.iter_mut().zip(src) {
+                        *sum += i64::from(x.to_bits());
+                    }
+                } else {
+                    for (sum, &x) in fact_sum.iter_mut().zip(src.iter().step_by(s)) {
+                        *sum += i64::from(x.to_bits());
+                    }
                 }
             }
             let wj = i64::from(w.to_bits());

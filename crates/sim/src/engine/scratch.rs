@@ -140,7 +140,8 @@ impl Scratch {
 /// Buffers used inside a single unit kernel.
 #[derive(Debug, Default)]
 pub(crate) struct KernelBufs {
-    /// Combined window sums for one output row.
+    /// Combined window sums for one output row (batch-wide for the
+    /// DCNN/SCNN sweeps).
     pub(crate) window: Vec<Accum>,
     /// Dense path: `K` channel-summed row parts, flat `[K × full_w]`.
     pub(crate) parts: Vec<Accum>,
@@ -149,7 +150,8 @@ pub(crate) struct KernelBufs {
     pub(crate) fact_acc: Vec<i64>,
     /// Factorized path: the current weight group's activation sums.
     pub(crate) fact_sum: Vec<i64>,
-    /// DCNN no-ERRR path: `per_row[ky][dx][x]` stream buffers.
+    /// DCNN no-ERRR path: `per_row[ky][dx][x]` batch-wide stream
+    /// buffers.
     pub(crate) per_row: Streams,
     /// Retired rings awaiting the next unit.
     pub(crate) ring_pool: Vec<RowRing>,
@@ -160,14 +162,17 @@ pub(crate) struct KernelBufs {
 }
 
 /// Takes a ring from the pool (or makes one) reset to `capacity`,
-/// recycling any stream buffers it still held.
+/// recycling any stream buffers it still held. Its streams are
+/// batch-wide, so every access is charged one image's `lane`-word row.
 pub(crate) fn take_ring(
     pool: &mut Vec<RowRing>,
     streams_pool: &mut Vec<Streams>,
     capacity: usize,
+    lane: usize,
 ) -> RowRing {
     let mut ring = pool.pop().unwrap_or_else(|| RowRing::new(capacity));
     ring.reset(capacity, streams_pool);
+    ring.set_lane_width(lane);
     ring
 }
 

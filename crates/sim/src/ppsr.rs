@@ -24,6 +24,12 @@
 //! Both families charge counters through the same helpers and produce
 //! bit-identical activations *and* counters; the saturating-addition
 //! order contract they share is documented in `engine/kernels.rs`.
+//!
+//! Each scheme has exactly one kernel-driven implementation, a
+//! crate-internal **row sweep** (`*_row_sweep_acc_with`): one weight row
+//! correlated over the same padded row of several images laid back to
+//! back — the compiled engine's row-interleaved batch layout (DESIGN
+//! §5.13). The public `_acc` entry points are its one-image case.
 
 use crate::counters::Counters;
 use crate::engine::kernels::RowKernel;
@@ -113,10 +119,11 @@ pub fn dcnn_row_pass(
 /// [`dcnn_row_pass`] accumulating into caller-owned offset buffers
 /// instead of allocating fresh ones: `acc[dx][x] += result[dx][x]`.
 ///
-/// The compiled engine ([`crate::engine`]) drives this per input
-/// channel so the per-offset channel sums build up directly in reusable
-/// scratch buffers. Counter accounting is identical to the allocating
-/// form, and each accumulated term is the complete (already `j`-summed)
+/// This is the one-image case of the batch row sweep the compiled
+/// engine ([`crate::engine`]) drives per input channel, so the
+/// per-offset channel sums build up directly in reusable scratch
+/// buffers. Counter accounting is identical to the allocating form, and
+/// each accumulated term is the complete (already `j`-summed)
 /// correlation value, so the saturating-addition order matches the
 /// allocating path's `row_sum[x] += res[x]` loop exactly.
 ///
@@ -132,21 +139,29 @@ pub fn dcnn_row_pass_acc(
     acc: &mut [Vec<Accum>],
     counters: &mut Counters,
 ) {
-    dcnn_row_pass_acc_with(
+    dcnn_row_sweep_acc_with(
         RowKernel::select(k),
         meta_row,
-        input,
         k,
         1,
         ppsr,
+        1,
+        input,
+        input.len(),
         acc,
+        false,
         counters,
     );
 }
 
-/// [`dcnn_row_pass_acc`] with the row kernel pre-selected (what the
-/// compiled engine threads through its units, avoiding per-pass
-/// re-dispatch on the row span) and an explicit dilation factor.
+/// One DCNN meta-row pass swept filter-stationary across `images`
+/// consecutive images of the row-interleaved batch layout — the DCNN
+/// counterpart of [`conventional_row_sweep_acc_with`], whose layout,
+/// junk-gap, and bit-identity argument it shares: `input` holds the
+/// same padded row of each image at `b·seg_stride`, and every offset
+/// lane `acc[dx]` receives one contiguous correlation of span
+/// `(images−1)·seg_stride + out_len` whose image-`b` lane sits at
+/// `b·seg_stride`.
 ///
 /// At `dilation > 1` the meta row arrives zero-stuffed to
 /// `ZW = d·(Z−1)+1` and each of the `Z−K+1` offset lanes correlates the
@@ -155,26 +170,41 @@ pub fn dcnn_row_pass_acc(
 /// tap accumulation (stuffed zeros are saturating-add identities).
 /// Charges stay in *logical* taps (`Z`/`K` multiplier activations): the
 /// stuffed zeros model clock-gated multiplier slots, not live work.
+///
+/// Counters are charged **once**, for one image's `seg_stride`-sample
+/// row; `saturation_free` selects the wrapping kernels (each lane
+/// accumulates the same `N` `K`-tap sums a dense row does, so the dense
+/// stage bound applies unchanged).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn dcnn_row_pass_acc_with(
+pub(crate) fn dcnn_row_sweep_acc_with(
     kernel: RowKernel,
     meta_row: &[Fx16],
-    input: &[Fx16],
     k: usize,
     dilation: usize,
     ppsr: bool,
+    images: usize,
+    input: &[Fx16],
+    seg_stride: usize,
     acc: &mut [Vec<Accum>],
-    counters: &mut Counters,
+    saturation_free: bool,
+    charges: &mut Counters,
 ) {
     let kw = dilation * (k - 1) + 1;
     let z = (meta_row.len() - 1) / dilation + 1;
-    let (offsets, out_len) = charge_dcnn_dilated(z, k, dilation, input.len(), ppsr, counters);
-    for dx in 0..offsets {
-        kernel.correlate_add(
-            &meta_row[dx * dilation..dx * dilation + kw],
-            input,
-            &mut acc[dx][..out_len],
-        );
+    let (offsets, out_len) = charge_dcnn_dilated(z, k, dilation, seg_stride, ppsr, charges);
+    let span = sweep_span(images, seg_stride, out_len);
+    if span == 0 {
+        return;
+    }
+    let input = &input[..span + kw - 1];
+    for (dx, lane) in acc[..offsets].iter_mut().enumerate() {
+        let weights = &meta_row[dx * dilation..][..kw];
+        let lane = &mut lane[..span];
+        if saturation_free {
+            kernel.correlate_add_unsaturated(weights, input, lane);
+        } else {
+            kernel.correlate_add(weights, input, lane);
+        }
     }
 }
 
@@ -280,10 +310,11 @@ pub fn scnn_row_pass(
 /// `fwd[x] += forward[x]` and, when `ppsr` is enabled,
 /// `rev[x] += mirrored[x]`.
 ///
-/// The compiled engine ([`crate::engine`]) drives this per input
-/// channel so the per-direction channel sums build up directly in
-/// reusable scratch buffers. Counter accounting is identical to the
-/// allocating form; `rev` must be `Some` exactly when `ppsr` is enabled.
+/// This is the one-image case of the batch row sweep the compiled
+/// engine ([`crate::engine`]) drives per input channel, so the
+/// per-direction channel sums build up directly in reusable scratch
+/// buffers. Counter accounting is identical to the allocating form;
+/// `rev` must be `Some` exactly when `ppsr` is enabled.
 ///
 /// # Panics
 ///
@@ -297,50 +328,79 @@ pub fn scnn_row_pass_acc(
     rev: Option<&mut [Accum]>,
     counters: &mut Counters,
 ) {
-    scnn_row_pass_acc_with(
+    scnn_row_sweep_acc_with(
         RowKernel::select(base_row.len()),
         base_row,
-        input,
         base_row.len(),
         ppsr,
+        1,
+        input,
+        input.len(),
         fwd,
         rev,
+        false,
         counters,
     );
 }
 
-/// [`scnn_row_pass_acc`] with the row kernel pre-selected (what the
-/// compiled engine threads through its units, avoiding per-pass
-/// re-dispatch on the row span) and the logical tap count made explicit:
-/// a dilated base row arrives zero-stuffed to `KW = d·(K−1)+1` but only
-/// `taps = K` multipliers fire per broadcast element — the stuffed
-/// zeros model clock-gated slots. The mirrored stream stays exact under
-/// stuffing because the reversed row's zero pattern is the mirror of the
-/// forward one (`kw−1−t ≡ 0 (mod d)` iff `t ≡ 0 (mod d)`).
+/// One SCNN base-row pass swept filter-stationary across `images`
+/// consecutive images of the row-interleaved batch layout (see
+/// [`conventional_row_sweep_acc_with`]): the forward stream and, with
+/// PPSR, the mirrored stream each receive one contiguous correlation
+/// whose image-`b` lane sits at `b·seg_stride`.
+///
+/// `taps` is the logical tap count: a dilated base row arrives
+/// zero-stuffed to `KW = d·(K−1)+1` but only `taps = K` multipliers fire
+/// per broadcast element — the stuffed zeros model clock-gated slots.
+/// The mirrored stream stays exact under stuffing because the reversed
+/// row's zero pattern is the mirror of the forward one
+/// (`kw−1−t ≡ 0 (mod d)` iff `t ≡ 0 (mod d)`).
+///
+/// Counters are charged **once**, for one image's `seg_stride`-sample
+/// row; `saturation_free` selects the wrapping kernels for both streams
+/// (each accumulates `N` `K`-tap sums, inside the dense stage bound).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn scnn_row_pass_acc_with(
+pub(crate) fn scnn_row_sweep_acc_with(
     kernel: RowKernel,
     base_row: &[Fx16],
-    input: &[Fx16],
     taps: usize,
     ppsr: bool,
+    images: usize,
+    input: &[Fx16],
+    seg_stride: usize,
     fwd: &mut [Accum],
     rev: Option<&mut [Accum]>,
-    counters: &mut Counters,
+    saturation_free: bool,
+    charges: &mut Counters,
 ) {
     let out_len = charge_scnn_forward(
         taps,
         base_row.len(),
-        input.len(),
+        seg_stride,
         ppsr,
         rev.is_some(),
-        counters,
+        charges,
     );
-    kernel.correlate_add(base_row, input, &mut fwd[..out_len]);
     if ppsr {
-        charge_scnn_mirrored(taps, input.len(), out_len, counters);
-        if let Some(rev) = rev {
-            kernel.correlate_add_rev(base_row, input, &mut rev[..out_len]);
+        charge_scnn_mirrored(taps, seg_stride, out_len, charges);
+    }
+    let span = sweep_span(images, seg_stride, out_len);
+    if span == 0 {
+        return;
+    }
+    let input = &input[..span + base_row.len() - 1];
+    let fwd = &mut fwd[..span];
+    if saturation_free {
+        kernel.correlate_add_unsaturated(base_row, input, fwd);
+    } else {
+        kernel.correlate_add(base_row, input, fwd);
+    }
+    if let Some(rev) = rev.filter(|_| ppsr) {
+        let rev = &mut rev[..span];
+        if saturation_free {
+            kernel.correlate_add_rev_unsaturated(base_row, input, rev);
+        } else {
+            kernel.correlate_add_rev(base_row, input, rev);
         }
     }
 }
@@ -426,10 +486,10 @@ pub fn conventional_row_pass(
 /// [`conventional_row_pass`] accumulating into a caller-owned buffer:
 /// `acc[x] += result[x]`.
 ///
-/// The compiled engine ([`crate::engine`]) drives this per input
-/// channel so the dense per-row channel sum builds up directly in a
-/// reusable scratch buffer. Counter accounting is identical to the
-/// allocating form.
+/// This is the one-image case of the batch row sweep the compiled
+/// engine ([`crate::engine`]) drives per input channel, so the dense
+/// per-row channel sum builds up directly in a reusable scratch buffer.
+/// Counter accounting is identical to the allocating form.
 ///
 /// # Panics
 ///
@@ -440,27 +500,17 @@ pub fn conventional_row_pass_acc(
     acc: &mut [Accum],
     counters: &mut Counters,
 ) {
-    conventional_row_pass_acc_with(
+    conventional_row_sweep_acc_with(
         RowKernel::select(filter_row.len()),
         filter_row,
+        filter_row.len(),
+        1,
         input,
+        input.len(),
         acc,
+        false,
         counters,
     );
-}
-
-/// [`conventional_row_pass_acc`] with the row kernel pre-selected (what
-/// the compiled engine threads through its units, avoiding per-pass
-/// re-dispatch on `K`).
-pub(crate) fn conventional_row_pass_acc_with(
-    kernel: RowKernel,
-    filter_row: &[Fx16],
-    input: &[Fx16],
-    acc: &mut [Accum],
-    counters: &mut Counters,
-) {
-    let out_len = charge_conventional(filter_row.len(), filter_row.len(), input.len(), counters);
-    kernel.correlate_add(filter_row, input, &mut acc[..out_len]);
 }
 
 /// One conventional row pass swept filter-stationary across a whole
@@ -479,7 +529,7 @@ pub(crate) fn conventional_row_pass_acc_with(
 /// inter-lane gap of `acc`, which no window combine ever reads.
 ///
 /// Per image the accumulation is **bit-identical** to
-/// [`conventional_row_pass_acc_with`] on that image's window: each
+/// [`conventional_row_pass_acc`] on that image's window: each
 /// valid position reads exactly that image's samples, products
 /// accumulate in the same ascending-`j` order, and positions advance in
 /// ascending order within each image. The sweep only concatenates
@@ -503,10 +553,10 @@ pub(crate) fn conventional_row_sweep_acc_with(
     charges: &mut Counters,
 ) {
     let out_len = charge_conventional(taps, filter_row.len(), seg_stride, charges);
-    if images == 0 {
+    let span = sweep_span(images, seg_stride, out_len);
+    if span == 0 {
         return;
     }
-    let span = (images - 1) * seg_stride + out_len;
     let input = &input[..span + filter_row.len() - 1];
     let acc = &mut acc[..span];
     if saturation_free {
@@ -516,6 +566,18 @@ pub(crate) fn conventional_row_sweep_acc_with(
         kernel.correlate_add_unsaturated(filter_row, input, acc);
     } else {
         kernel.correlate_add(filter_row, input, acc);
+    }
+}
+
+/// The contiguous output span of one row sweep over `images` interleaved
+/// segments `seg_stride` apart: every image's `out_len` valid positions
+/// plus the junk positions between consecutive lanes — zero when no
+/// position is valid.
+fn sweep_span(images: usize, seg_stride: usize, out_len: usize) -> usize {
+    if images == 0 || out_len == 0 {
+        0
+    } else {
+        (images - 1) * seg_stride + out_len
     }
 }
 
@@ -680,6 +742,113 @@ mod tests {
         let w = fx(&[1.0, 1.0, 1.0]);
         let input = fx(&[1.0, 2.0]);
         assert!(row_correlate(&w, &input).is_empty());
+    }
+
+    /// A deterministic stream of raw `i16` samples: uniform in
+    /// `±bound` (the gated-wrapping regime), or drawn only from the
+    /// extremes whose products clamp after a few terms (`bound == 0`,
+    /// the saturating regime).
+    fn samples(seed: &mut u64, len: usize, bound: i32) -> Vec<Fx16> {
+        const EXTREMES: [i16; 5] = [i16::MIN, i16::MAX, 0, 1, -1];
+        (0..len)
+            .map(|_| {
+                *seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = (*seed >> 33) as i32;
+                Fx16::from_bits(if bound == 0 {
+                    EXTREMES[r as usize % EXTREMES.len()]
+                } else {
+                    (r % (2 * bound + 1) - bound) as i16
+                })
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The batch row sweeps the engine runs: `images` images'
+        /// copies of a padded row laid `seg` samples apart, `channels`
+        /// passes accumulated into batch-wide streams, must equal
+        /// `images` independent one-image scalar passes on each image's
+        /// lane — and charge exactly one image's counters. Two regimes:
+        /// data inside the stage bound through the wrapping kernels, and
+        /// extreme data that clamps through the saturating ones (the
+        /// only anchor for clamping data: the dense-expansion oracle
+        /// regroups additions and matches only when nothing saturates).
+        #[test]
+        fn batch_sweeps_match_per_image_scalar_passes(
+            k in 1usize..8,
+            extra in 0usize..4,
+            images in 1usize..5,
+            slack in 0usize..20,
+            channels in 1usize..4,
+            ppsr in proptest::prelude::any::<bool>(),
+            clamping in proptest::prelude::any::<bool>(),
+            seed in 0u64..u64::MAX,
+        ) {
+            // |w|, |x| <= 1024 keeps channels·K·max|w|·max|x| far below
+            // 2³¹ — the bound that admits the wrapping kernels.
+            let bound = if clamping { 0 } else { 1024 };
+            let mut seed = seed;
+            let z = k + extra;
+            let seg = k - 1 + slack;
+            let out_len = (seg + 1).saturating_sub(k);
+            let span = (images - 1) * seg + out_len;
+            let kernel = RowKernel::select(k);
+            let rows: Vec<Vec<Fx16>> = (0..channels).map(|_| samples(&mut seed, z, bound)).collect();
+            let inputs: Vec<Vec<Fx16>> = (0..channels)
+                .map(|_| samples(&mut seed, images * seg, bound))
+                .collect();
+
+            // DCNN: every offset lane.
+            let offsets = z - k + 1;
+            let mut lanes = vec![vec![Accum::ZERO; span]; offsets];
+            let mut swept = Counters::new();
+            for (row, input) in rows.iter().zip(&inputs) {
+                dcnn_row_sweep_acc_with(
+                    kernel, row, k, 1, ppsr, images, input, seg, &mut lanes, !clamping, &mut swept,
+                );
+            }
+            for b in 0..images {
+                let mut want = vec![vec![Accum::ZERO; out_len]; offsets];
+                let mut one = Counters::new();
+                for (row, input) in rows.iter().zip(&inputs) {
+                    dcnn_row_pass_acc_scalar(row, &input[b * seg..][..seg], k, ppsr, &mut want, &mut one);
+                }
+                for (dx, lane) in lanes.iter().enumerate() {
+                    proptest::prop_assert_eq!(&lane[b * seg..][..out_len], &want[dx][..], "dcnn image {} lane {}", b, dx);
+                }
+                proptest::prop_assert_eq!(swept, one, "dcnn counters are one image's");
+            }
+
+            // SCNN: forward and (with PPSR) mirrored streams.
+            let base: Vec<&[Fx16]> = rows.iter().map(|r| &r[..k]).collect();
+            let mut fwd = vec![Accum::ZERO; span];
+            let mut rev = vec![Accum::ZERO; span];
+            let mut swept = Counters::new();
+            for (row, input) in base.iter().zip(&inputs) {
+                scnn_row_sweep_acc_with(
+                    kernel, row, k, ppsr, images, input, seg, &mut fwd,
+                    ppsr.then_some(rev.as_mut_slice()), !clamping, &mut swept,
+                );
+            }
+            for b in 0..images {
+                let mut want_fwd = vec![Accum::ZERO; out_len];
+                let mut want_rev = vec![Accum::ZERO; out_len];
+                let mut one = Counters::new();
+                for (row, input) in base.iter().zip(&inputs) {
+                    scnn_row_pass_acc_scalar(
+                        row, &input[b * seg..][..seg], ppsr, &mut want_fwd,
+                        ppsr.then_some(want_rev.as_mut_slice()), &mut one,
+                    );
+                }
+                proptest::prop_assert_eq!(&fwd[b * seg..][..out_len], &want_fwd[..], "scnn image {} forward", b);
+                proptest::prop_assert_eq!(&rev[b * seg..][..out_len], &want_rev[..], "scnn image {} mirrored", b);
+                proptest::prop_assert_eq!(swept, one, "scnn counters are one image's");
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! The batched sweep reorders work only **across** images (each
 //! quantized filter row sweeps the whole batch before the next row
 //! loads), never within one image, so every image sees the exact
-//! saturating-addition order of a single-image run. Both dense kernel
-//! paths are pinned: the wrapping fast path (the conservative
-//! `N·K·max|w|·max|input|` bound proves no intermediate can clamp) and
-//! the saturating fallback on data that genuinely clamps.
+//! saturating-addition order of a single-image run. Both kernel paths
+//! are pinned for dense, DCNN, and SCNN stages alike: the wrapping fast
+//! path (the conservative `N·K·max|w|·max|input|` bound proves no
+//! intermediate can clamp) and the saturating fallback on data that
+//! genuinely clamps.
 //!
 //! Also pinned here: the [`Scratch`] high-water shrink window — a
 //! one-off large batch keeps its arenas warm for `PEAK_WINDOW` further
@@ -93,6 +94,24 @@ fn dense_net(n: usize, m: usize, hw: usize, k: usize, amp: f32, seed: u32) -> Fu
         shape,
         weights,
         bias: vec![0.1; m],
+        output: OutputConfig::RELU_ONLY,
+    }])
+    .unwrap()
+}
+
+/// A single transferred stage (48 → 16 channels at 12×12, so DCNN4,
+/// DCNN6, and SCNN all tile it) with weights scaled by `amp` — the
+/// transferred counterpart of [`dense_net`]: small `amp` keeps every
+/// DCNN lane and SCNN stream inside the wrapping bound, large `amp`
+/// forces the saturating kernels on data that genuinely clamps.
+fn transferred_net(scheme: TransferScheme, amp: f32, seed: u32) -> FunctionalNetwork {
+    let mut s = seed;
+    let shape = LayerShape::conv("t", 48, 16, 12, 12, 3, 1, 1).unwrap();
+    let weights = TransferredLayer::random(&shape, scheme, || amp * det(&mut s)).unwrap();
+    FunctionalNetwork::new(vec![FunctionalStage {
+        shape,
+        weights,
+        bias: vec![0.1; 16],
         output: OutputConfig::RELU_ONLY,
     }])
     .unwrap()
@@ -234,6 +253,38 @@ fn dense_wrapping_and_saturating_paths_match_sequential() {
                     &batched,
                     &format!("dense/{label} batch={batch} workers={workers}"),
                 );
+            }
+        }
+    }
+}
+
+/// The same two regimes for the transferred sweeps — DCNN (Z = 4 and
+/// Z = 6) offset lanes and SCNN forward/mirrored streams, batch-wide in
+/// the row-interleaved layout — under every reuse ablation (ERRR rings
+/// vs per-`dy` recomputation, with and without the PPSR mirrored
+/// stream), at every batch size and worker count.
+#[test]
+fn transferred_wrapping_and_saturating_paths_match_sequential() {
+    for scheme in ALL_SCHEMES {
+        for (label, amp) in [("wrapping", 1.0f32), ("saturating", 100.0)] {
+            let net = transferred_net(scheme, amp, 0x7a11);
+            for reuse in ALL_REUSE {
+                let engine = Engine::compile(&net, reuse).unwrap();
+                let mut scratch = Scratch::new();
+                for &batch in &BATCHES {
+                    let input = stacked(batch, 48, 12, amp, 0xace ^ batch as u32);
+                    for workers in [1usize, 3, 9] {
+                        let batched = engine.run_batched(&input, &mut scratch, workers).unwrap();
+                        assert_batched_matches_sequential(
+                            &engine,
+                            &input,
+                            &batched,
+                            &format!(
+                                "{scheme:?}/{label} reuse={reuse:?} batch={batch} workers={workers}"
+                            ),
+                        );
+                    }
+                }
             }
         }
     }

@@ -6,6 +6,12 @@
 //! matching the analytic plan (`dense_macs` == [`LayerPlan::dense_macs`]
 //! == the [`NetworkPerf`] model's figure).
 //!
+//! Every cell runs at batch 1 and at batch 3: at batch 3 the engine
+//! sweeps each row pass across all three images of the row-interleaved
+//! layout (DESIGN §5.13), so the stride × dilation grid is also where
+//! the inter-image gap meets the ERRR ring-capacity rule, and the
+//! batch's counters must be exactly three single-image runs'.
+//!
 //! Transfer policy coherence is pinned alongside: grouped shapes resolve
 //! to an explicit dense weight bank ([`Policy::Dense`]) rather than a
 //! transferred representation, and pairing transferred weights with a
@@ -69,8 +75,8 @@ fn cell_shape(scheme: TransferScheme, stride: usize, dilation: usize, groups: us
         .unwrap()
 }
 
-fn random_input(shape: &LayerShape, seed: &mut u32) -> Tensor4<Fx16> {
-    Tensor4::from_fn([1, shape.n(), shape.h(), shape.w()], |_| {
+fn random_input(shape: &LayerShape, batch: usize, seed: &mut u32) -> Tensor4<Fx16> {
+    Tensor4::from_fn([batch, shape.n(), shape.h(), shape.w()], |_| {
         Fx16::from_f32(det(seed))
     })
 }
@@ -106,8 +112,10 @@ fn check_cell(
     }
 
     let mut iseed = seed ^ 0x9e37_79b9;
-    let input = random_input(shape, &mut iseed);
+    let input = random_input(shape, 1, &mut iseed);
     let expected = oracle(&input, &layer, shape);
+    let batch3 = random_input(shape, 3, &mut iseed);
+    let expected3 = oracle(&batch3, &layer, shape);
     for &reuse in reuse_configs {
         let got = run_layer(&input, &layer, shape, reuse).unwrap();
         assert_eq!(
@@ -120,6 +128,21 @@ fn check_cell(
             got.counters.dense_macs,
             shape.macs(),
             "{shape} {scheme:?} {reuse:?}: dense_macs"
+        );
+
+        // The multi-image sweep: bit-identical per image, and charged
+        // exactly as three single-image runs.
+        let got3 = run_layer(&batch3, &layer, shape, reuse).unwrap();
+        assert_eq!(
+            got3.output, expected3,
+            "{shape} {scheme:?} {reuse:?}: batch-3 engine diverges from conv2d_fx"
+        );
+        let mut three = got.counters;
+        three.merge(&got.counters);
+        three.merge(&got.counters);
+        assert_eq!(
+            got3.counters, three,
+            "{shape} {scheme:?} {reuse:?}: batch-3 counters must be 3x one image's"
         );
     }
 
@@ -215,7 +238,7 @@ fn transferred_weights_on_grouped_shape_are_typed_errors() {
     let mut wseed = 3;
     let layer = TransferredLayer::random(&plain, TransferScheme::Scnn, || det(&mut wseed)).unwrap();
     assert!(!matches!(layer, TransferredLayer::Dense { .. }));
-    let input = random_input(&grouped, &mut 55);
+    let input = random_input(&grouped, 1, &mut 55);
     match run_layer(&input, &layer, &grouped, ReuseConfig::FULL) {
         Err(SimError::UnsupportedGeometry { scheme, groups }) => {
             assert_eq!(scheme, "SCNN");
