@@ -25,10 +25,10 @@ cargo test -q --offline --test fleet_smoke
 # depthwise, grouped, and dilated stages — run the target explicitly so
 # geometry regressions cannot hide behind a filtered invocation.
 cargo test -q --offline --test geometry_parity
-# The execution-mode grid pins the weight plan's alternate executors —
-# the compressed-sparse and factorized paths — bit-identical to the
-# dense sweep (activations, per-image counter streams, per-layer
-# telemetry sums) across scheme x stride x dilation x batch.
+# The execution-mode grid pins the weight plan's alternate executor —
+# the compressed-sparse path — bit-identical to the dense sweep
+# (activations, per-image counter streams, per-layer telemetry sums)
+# across scheme x stride x dilation x batch.
 cargo test -q --offline --test mode_parity
 # The telemetry crate's seqlock ring and exact-decomposition invariants
 # are load-bearing for every observability surface — build the crate
@@ -47,20 +47,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # compile/run-split steady-state speedup (pinned >= 2x on the
 # compile-bound cell), the filter-stationary batched sweep (pinned
 # >= 1.3x images/sec at batch 8 on the dense cells, >= 0.97x at batch 1,
-# bit-identity asserted first), the monomorphized row kernels (pinned
+# bit-identity asserted first), the channel-stacked row kernel (pinned
 # >= 1.25x over the frozen scalar reference), the telemetry-sink
 # overhead pin, and the fleet router-dispatch overhead (pinned < 3 % vs
 # single-model serving). engine_speedup now carries a depthwise-separable
 # cell and engine_batch a dilated cell, so the generalized-geometry paths
 # are in the timed sweep too. engine_modes times the weight plan's
-# alternate executors against the dense sweep on the same network
-# (bit-identity asserted before timing) — the compressed-sparse path is
-# pinned >= 1.2x at 90 % sparsity; the 50/70 % and factorized cells are
-# recorded unpinned to chart the crossover. engine_speedup, engine_batch,
-# engine_modes, ppsr_row, and fleet_router write their min-of-reps cells
-# into BENCH_12.json at the repo root (the persistent perf trajectory;
-# see README "Perf trajectory"), printed below so the numbers land in
-# the check output.
+# compressed-sparse executor against the dense sweep on the same network
+# (bit-identity asserted before timing) — pinned >= 1.2x at 90 %
+# sparsity; the 50/60/70 % cells are recorded unpinned to chart the
+# crossover the default sparse threshold is set from. engine_speedup,
+# engine_batch, engine_modes, ppsr_row, and fleet_router write their
+# min-of-reps cells into BENCH_13.json at the repo root (the persistent
+# perf trajectory; see README "Perf trajectory"), printed below so the
+# numbers land in the check output.
 if [ "${BENCH:-0}" = "1" ]; then
     cargo bench --offline -p tfe-bench --bench engine_speedup
     cargo bench --offline -p tfe-bench --bench engine_batch
@@ -68,6 +68,6 @@ if [ "${BENCH:-0}" = "1" ]; then
     cargo bench --offline -p tfe-bench --bench ppsr_row
     cargo bench --offline -p tfe-bench --bench telemetry_overhead
     cargo bench --offline -p tfe-bench --bench fleet_router
-    echo "--- BENCH_12.json (perf trajectory) ---"
-    cat BENCH_12.json
+    echo "--- BENCH_13.json (perf trajectory) ---"
+    cat BENCH_13.json
 fi

@@ -42,7 +42,6 @@ use tfe_tensor::shape::LayerShape;
 use tfe_tensor::tensor::Tensor4;
 use tfe_transfer::analysis::ReuseConfig;
 use tfe_transfer::layer::TransferredLayer;
-use tfe_transfer::mode::ModePolicy;
 use tfe_transfer::TransferScheme;
 
 fn det(seed: &mut u32) -> f32 {
@@ -164,14 +163,7 @@ fn bench_engine_batch(c: &mut Criterion) {
 
     let mut report = BenchReport::load_or_new();
     for cell in &cells {
-        // DENSE_ONLY keeps the dense cells on the interleaved dense sweep
-        // they measure: their random weights repeat enough that the
-        // default policy would compile them to the per-image factorized
-        // executor (DESIGN §5.15), which batching does not restructure.
-        // Transferred stages ignore the mode policy.
-        let engine =
-            Engine::compile_with_policy(&cell.net, ReuseConfig::FULL, &ModePolicy::DENSE_ONLY)
-                .unwrap();
+        let engine = Engine::compile(&cell.net, ReuseConfig::FULL).unwrap();
         // One arena per timed side, so the interleaved closures can
         // borrow independently; both stay warm across batch sizes.
         let mut scratch = Scratch::new();

@@ -1,21 +1,18 @@
-//! `engine_modes`: the alternate dense-stage executors vs the dense
-//! sweep — the acceptance bench of the weight-plan subsystem (DESIGN
-//! §5.15).
+//! `engine_modes`: the compressed-sparse dense-stage executor vs the
+//! dense sweep — the acceptance bench of the weight-plan subsystem
+//! (DESIGN §5.15).
 //!
 //! Each cell compiles **one network twice** — once under
 //! [`ModePolicy::DENSE_ONLY`] (the baseline) and once under the forced
-//! alternate mode — and times single-image [`Engine::run`] on both,
+//! sparse mode — and times single-image [`Engine::run`] on both,
 //! interleaved min-of-reps, **bit-identity asserted before timing**
 //! (activations, counters, and a batched run on each side):
 //!
-//! * **sparse_p50 / p70 / p90** — a dense stage magnitude-pruned to the
-//!   exact sparsity through `tfe-baselines`'
+//! * **sparse_p50 / p60 / p65 / p70 / p90** — a dense stage magnitude-pruned
+//!   to the exact sparsity through `tfe-baselines`'
 //!   [`SparseFilterBank::prune`], executed by the compressed-sparse
-//!   path (`engine/sparse.rs`) against the dense sweep over the same
-//!   (mostly-zero) weights.
-//! * **factorized_palette4** — a dense stage whose weights come from a
-//!   four-value palette (repetition ≈ 0.99), executed by the UCNN-style
-//!   factorized path (`engine/repeat.rs`) against the dense sweep.
+//!   path (`engine/sparse.rs`) against the channel-stacked dense sweep
+//!   over the same (mostly-zero) weights.
 //!
 //! Pinned acceptance numbers (asserted, not just printed):
 //!
@@ -24,10 +21,11 @@
 //! * every cell's two sides are bit-identical — asserted on
 //!   activations and the full counter stream before any timing runs.
 //!
-//! The 50/70 % sparse cells and the factorized cell are recorded
-//! unpinned: they chart where the crossover lives in the trajectory
-//! (`BENCH_*.json` via [`tfe_bench::report`]) without promising a win
-//! the mode policy's thresholds don't rely on.
+//! The 50–70 % cells are recorded unpinned: they chart where the
+//! sparse/dense crossover lives in the trajectory (`BENCH_*.json` via
+//! [`tfe_bench::report`]) — the measurement the default
+//! `ModePolicy::sparse_threshold` is set from (the 60 % and 65 % cells
+//! bracket it).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -78,17 +76,6 @@ fn pruned_net(sparsity: f64, seed: u32) -> FunctionalNetwork {
     )
 }
 
-/// A dense stage drawn from a four-value palette: zero never occurs
-/// (sparsity 0), repetition ≈ 0.99 — the factorized path's best case.
-fn palette_net(seed: u32) -> FunctionalNetwork {
-    const PALETTE: [f32; 4] = [-0.5, -0.25, 0.25, 0.5];
-    let mut s = seed;
-    stage_net(Tensor4::from_fn([M, N, K, K], |_| {
-        det(&mut s);
-        PALETTE[(s >> 9) as usize % 4]
-    }))
-}
-
 struct Cell {
     label: &'static str,
     net: FunctionalNetwork,
@@ -108,6 +95,20 @@ fn bench_engine_modes(c: &mut Criterion) {
             seed: 201,
         },
         Cell {
+            label: "sparse_p60",
+            net: pruned_net(0.6, 25),
+            forced: (ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
+            pin: None,
+            seed: 205,
+        },
+        Cell {
+            label: "sparse_p65",
+            net: pruned_net(0.65, 26),
+            forced: (ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
+            pin: None,
+            seed: 206,
+        },
+        Cell {
             label: "sparse_p70",
             net: pruned_net(0.7, 22),
             forced: (ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
@@ -120,13 +121,6 @@ fn bench_engine_modes(c: &mut Criterion) {
             forced: (ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
             pin: Some(1.2),
             seed: 203,
-        },
-        Cell {
-            label: "factorized_palette4",
-            net: palette_net(24),
-            forced: (ModePolicy::FORCE_FACTORIZED, ExecMode::Factorized),
-            pin: None,
-            seed: 204,
         },
     ];
 

@@ -1,6 +1,6 @@
 //! Microbenchmark of the PPSR row engines (Figs. 6-7): the cost of one
 //! row pass with and without product reuse, plus the acceptance cells
-//! pinning the monomorphized row kernels (DESIGN §5.10) against the
+//! pinning the row kernel's one-row case (DESIGN §5.10) against the
 //! frozen scalar reference.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -40,7 +40,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// The PR index this trajectory file belongs to (names the file).
-pub const TRAJECTORY_PR: u64 = 12;
+pub const TRAJECTORY_PR: u64 = 13;
 
 /// The schema tag written into (and expected from) the report file.
 pub const SCHEMA: &str = "tfe-bench-trajectory/v1";

@@ -232,7 +232,7 @@ mod tests {
         use tfe_transfer::mode::ExecMode;
         let net = demo_model("alexnet-p90", 3).unwrap();
         // Both miniature stages compile to the compressed-sparse mode
-        // under the default policy (90% pruned ≫ the 0.4 threshold)…
+        // under the default policy (90% pruned ≫ the 0.65 threshold)…
         let engine = net.engine(ReuseConfig::FULL).unwrap();
         assert_eq!(engine.exec_modes(), vec![ExecMode::Sparse; 2]);
         // …and run bit-identically deterministic on the demo contract.

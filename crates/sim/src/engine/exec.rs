@@ -26,9 +26,8 @@
 //! trivially bit-identical to per-image charging.
 
 use super::ir::{Geo, StageIr, UnitIr};
-use super::kernels::RowKernel;
-use super::plan::{charge_dense_unit_image, AltUnit};
-use super::repeat::factorized_unit_image;
+use super::kernels::{Band, RowKernel};
+use super::plan::charge_dense_unit_image;
 use super::scratch::{return_ring, shape_streams, take_ring, ArenaPeak, KernelBufs, Scratch};
 use super::sparse::sparse_unit_image;
 use super::Engine;
@@ -119,16 +118,14 @@ struct PartCtx<'a> {
     /// (vectorizer-friendly) kernel fast path for the dense, DCNN,
     /// SCNN, and sparse sweeps.
     saturation_free: bool,
-    /// The effective execution mode of this run: the plan's chosen
-    /// [`ExecMode`], downgraded to [`ExecMode::Dense`] when a
-    /// factorized stage fails this run's window-saturation bound.
-    exec: ExecMode,
+    /// Whether the stage compiled to the compressed-sparse executor.
+    sparse: bool,
     reuse: ReuseConfig,
     sources: &'a [(usize, usize, bool); ORBIT],
     /// The whole batch's padded input planes. Dense, DCNN, and SCNN
     /// stages interleave by row (`[N × PH × (B·PW)]`) so one contiguous
-    /// correlation spans the batch; only the sparse and factorized
-    /// executors read image-major planes (`[B × N × PH × PW]`).
+    /// correlation spans the batch; only the sparse executor reads
+    /// image-major planes (`[B × N × PH × PW]`).
     padded: &'a [Fx16],
 }
 
@@ -223,12 +220,7 @@ impl Engine {
             match self.run_stage(stage, batch, dims, &mut cur, &mut next, scratch, workers) {
                 Ok(out_dims) => {
                     dims = out_dims;
-                    peak = peak.max(ArenaPeak {
-                        padded: scratch.padded.len(),
-                        out: scratch.out.len(),
-                        stage: cur.len().max(next.len()),
-                        parts: scratch.bufs.parts.len(),
-                    });
+                    peak = peak.max(scratch.peak(cur.len().max(next.len())));
                     if let Some((start, base)) = before {
                         self.sink.record(&LayerSample {
                             layer: layer as u32,
@@ -328,29 +320,18 @@ impl Engine {
         }
         out.clear();
         out.resize(batch * geo.m * plane_len, Accum::ZERO);
-        // The effective execution mode of this run: the compiled plan's
-        // choice, except that a factorized stage regroups additions and
-        // so is only admitted when this run's activations pass the
-        // window-level saturation bound — otherwise it downgrades to
-        // the (bit-identical by definition) dense sweep.
-        let exec = match stage.plan.mode() {
-            ExecMode::Factorized if !window_saturation_free(stage, &geo, cur) => ExecMode::Dense,
-            mode => mode,
-        };
         // The padded layout is a per-stage choice: the dense, DCNN, and
         // SCNN sweeps take the row-interleaved layout (one contiguous
-        // correlation spans the batch); only the alternate per-image
-        // executors keep image-major planes. Every executor but the
-        // factorized one (gated above, on its own window bound) reads
-        // the saturation-free flag.
-        let alternate = matches!(exec, ExecMode::Sparse | ExecMode::Factorized);
-        fill_padded_batch(padded, cur, batch, &geo, !alternate);
+        // correlation spans the batch); only the per-image sparse
+        // executor keeps image-major planes.
+        let sparse = stage.plan.mode() == ExecMode::Sparse;
+        fill_padded_batch(padded, cur, batch, &geo, !sparse);
         let ctx = PartCtx {
             stage,
             geo,
             batch,
-            saturation_free: exec != ExecMode::Factorized && saturation_free(stage, &geo, padded),
-            exec,
+            saturation_free: saturation_free(stage, &geo, padded),
+            sparse,
             reuse: self.reuse,
             sources: &self.scnn_sources,
             padded,
@@ -513,12 +494,7 @@ impl Engine {
             scratch.run_quantized_rows, 0,
             "the run phase must never quantize filter rows; all quantization happens in compile()"
         );
-        let peak = ArenaPeak {
-            padded: scratch.padded.len(),
-            out: scratch.out.len(),
-            stage: 0,
-            parts: scratch.bufs.parts.len(),
-        };
+        let peak = scratch.peak(0);
         scratch.retire_run(peak);
         Ok(FunctionalOutput { output, counters })
     }
@@ -551,31 +527,6 @@ fn saturation_free(stage: &StageIr, geo: &Geo, padded: &[Fx16]) -> bool {
     // K live taps per row — stuffed dilation zeros contribute nothing,
     // so the logical-tap bound stays valid for every geometry.
     (geo.cpg as i64)
-        .saturating_mul(geo.k as i64)
-        .saturating_mul(stage.w_abs_max)
-        .saturating_mul(in_abs)
-        < i64::from(i32::MAX)
-}
-
-/// The stricter, window-level saturation bound that admits the
-/// factorized executor for one run: the absolute sum of **all** of a
-/// window's products is bounded by `(N/groups) · K² · max|w| · max|in|`.
-/// Strictly inside `i32`, no partial sum of any regrouping of those
-/// products can saturate, so the dense saturating chain — row sums,
-/// accumulator updates, and the `K−1` window-combine additions alike —
-/// equals the exact integer total the factorized executor computes.
-///
-/// Scanned over the **pre-padding** stage activations (`cur`): padding
-/// only inserts exact zeros, so the max is unchanged and the layout
-/// decision can be made before the batch is padded.
-pub(super) fn window_saturation_free(stage: &StageIr, geo: &Geo, cur: &[Fx16]) -> bool {
-    let in_abs = cur
-        .iter()
-        .map(|v| i64::from(v.to_bits()).abs())
-        .max()
-        .unwrap_or(0);
-    (geo.cpg as i64)
-        .saturating_mul(geo.k as i64)
         .saturating_mul(geo.k as i64)
         .saturating_mul(stage.w_abs_max)
         .saturating_mul(in_abs)
@@ -670,37 +621,25 @@ fn run_part(
     for (ui, unit) in ctx.stage.units[part.u0..part.u1].iter().enumerate() {
         match unit {
             UnitIr::Dense { m, base } => {
-                if matches!(ctx.exec, ExecMode::Sparse | ExecMode::Factorized) {
-                    // Alternate executors run per image over the
+                if ctx.sparse {
+                    // The sparse executor runs per image over the
                     // image-major layout; charges replay the dense
                     // model once for the representative image (the
                     // caller replicates per image, exactly as the
                     // dense sweep's hoisted charges are).
                     charge_dense_unit_image(geo, charges);
-                    let alt = &ctx.stage.plan.units[part.u0 + ui];
+                    let table = &ctx.stage.plan.units[part.u0 + ui];
                     for bi in 0..part.images() {
-                        let image = &ctx.padded[(part.b0 + bi) * img_stride..][..img_stride];
-                        let out_img = &mut out_part[bi * slab..][..slab];
-                        match alt {
-                            AltUnit::Sparse(table) => sparse_unit_image(
-                                table,
-                                image,
-                                geo,
-                                *m,
-                                *m - part.plane0,
-                                ctx.saturation_free,
-                                out_img,
-                                bufs,
-                            ),
-                            AltUnit::Fact(table) => factorized_unit_image(
-                                table,
-                                image,
-                                geo,
-                                *m - part.plane0,
-                                out_img,
-                                bufs,
-                            ),
-                        }
+                        sparse_unit_image(
+                            table,
+                            &ctx.padded[(part.b0 + bi) * img_stride..][..img_stride],
+                            geo,
+                            *m,
+                            *m - part.plane0,
+                            ctx.saturation_free,
+                            &mut out_part[bi * slab..][..slab],
+                            bufs,
+                        );
                     }
                     continue;
                 }
@@ -765,9 +704,8 @@ fn run_part(
 ///   — each padded channel row stores all images' rows back to back, so
 ///   one contiguous correlation of span `(B−1)·PW + full_w` covers the
 ///   whole batch.
-/// * image-major (the sparse and factorized executors):
-///   `[B × N × PH × PW]` — each image's planes are contiguous, matching
-///   their per-image passes.
+/// * image-major (the sparse executor): `[B × N × PH × PW]` — each
+///   image's planes are contiguous, matching its per-image passes.
 fn fill_padded_batch(
     padded: &mut Vec<Fx16>,
     cur: &[Fx16],
@@ -837,10 +775,11 @@ fn emit_rows(out_part: &mut [Accum], window: &[Accum], part: Part, m: usize, oy:
 }
 
 /// One dense filter's plane for every image of the part at once: per
-/// output row, each of the `K × N/groups` quantized filter rows is
-/// loaded (dispatched + widened) **once** and correlated over one
-/// contiguous span of the row-interleaved padded buffer covering the
-/// whole image range — the filter-stationary inner loop.
+/// output row and `ky`, the filter's `N/groups` quantized rows run as
+/// **one** channel-stacked kernel call over one contiguous span of the
+/// row-interleaved padded buffer covering the whole image range — the
+/// filter-stationary inner loop, with each block of positions' channel
+/// sum held in registers and the parts row written once.
 ///
 /// Geometry generality: the filter reads only its own channel band
 /// (`cpg` padded channels starting at `(filter/mpg)·cpg`), vertical taps
@@ -899,30 +838,35 @@ fn dense_unit_sweep(
     let plane_len = e * f;
     let slab = slab_planes * plane_len;
     let c0 = (filter / mpg) * cpg;
+    // Channel ci's row ky sits at (ci·K + ky)·KW; its input row one
+    // padded plane (PH interleaved rows) after channel ci − 1's.
+    let band = Band {
+        channels: cpg,
+        width: kw,
+        w_stride: k * kw,
+        in_stride: ph * bw,
+    };
     let KernelBufs { window, parts, .. } = bufs;
     for oy in 0..e {
         parts.clear();
         parts.resize(k * row_span, Accum::ZERO);
         for ky in 0..k {
-            let acc = &mut parts[ky * row_span..][..row_span];
-            for ci in 0..cpg {
-                let w_row = &rows[(ci * k + ky) * kw..][..kw];
-                // Input span needed is row_span + KW − 1 = images·PW,
-                // which ends exactly at the next image range (or the
-                // row's end) — always in bounds of the interleaved row.
-                let in_base = ((c0 + ci) * ph + oy * s + ky * d) * bw + b0 * pw;
-                conventional_row_sweep_acc_with(
-                    kernel,
-                    w_row,
-                    k,
-                    images,
-                    &padded[in_base..],
-                    pw,
-                    acc,
-                    saturation_free,
-                    charges,
-                );
-            }
+            // Each channel's input span is row_span + KW − 1 = images·PW,
+            // which ends exactly at the next image range (or the row's
+            // end) — always in bounds of the interleaved row.
+            let in_base = (c0 * ph + oy * s + ky * d) * bw + b0 * pw;
+            conventional_row_sweep_acc_with(
+                kernel,
+                &rows[ky * kw..],
+                k,
+                band,
+                images,
+                &padded[in_base..],
+                pw,
+                &mut parts[ky * row_span..][..row_span],
+                saturation_free,
+                charges,
+            );
         }
         for bi in 0..images {
             window.clear();
@@ -962,9 +906,10 @@ fn ring_capacity(geo: &Geo) -> usize {
 /// counterpart of [`dense_unit_sweep`] over the same row-interleaved
 /// layout.
 ///
-/// Each meta-row pass is one [`dcnn_row_sweep_acc_with`] per input
-/// channel spanning the part's images, so every stream — ring slot or
-/// `per_row` buffer — is batch-wide: `(images−1)·PW + full_w` long, with
+/// Each meta-row pass is one [`dcnn_row_sweep_acc_with`] over the whole
+/// channel band spanning the part's images — one stacked kernel call
+/// per offset lane — so every stream — ring slot or `per_row` buffer —
+/// is batch-wide: `(images−1)·PW + full_w` long, with
 /// image `bi`'s lane at `bi·PW`. The window combine adds whole batch-wide
 /// streams (the inter-lane junk positions are combined too, but never
 /// emitted) and [`emit_rows`] slices each image's lane. Per image the
@@ -1003,24 +948,30 @@ fn dcnn_unit(
     let images = part.images();
     let row_span = (images - 1) * pw + full_w;
     let bw = ctx.batch * pw;
+    // Channel c's meta row kr sits at (c·Z + kr)·ZW.
+    let band = Band {
+        channels: n,
+        width: zw,
+        w_stride: z * zw,
+        in_stride: ph * bw,
+    };
     // One meta-row pass over input row `i` of every channel, into the
     // per-offset streams of meta row `kr`.
     let row_pass = |kr: usize, i: usize, per_dx: &mut [Vec<Accum>], charges: &mut Counters| {
-        for c in 0..n {
-            dcnn_row_sweep_acc_with(
-                kernel,
-                &rows[(c * z + kr) * zw..][..zw],
-                k,
-                d,
-                reuse.ppsr,
-                images,
-                &ctx.padded[(c * ph + i) * bw + part.b0 * pw..],
-                pw,
-                per_dx,
-                ctx.saturation_free,
-                charges,
-            );
-        }
+        dcnn_row_sweep_acc_with(
+            kernel,
+            &rows[kr * zw..],
+            k,
+            d,
+            reuse.ppsr,
+            band,
+            images,
+            &ctx.padded[i * bw + part.b0 * pw..],
+            pw,
+            per_dx,
+            ctx.saturation_free,
+            charges,
+        );
     };
     if reuse.errr {
         let mut ring = take_ring(
@@ -1103,9 +1054,10 @@ fn dcnn_unit(
 /// One SCNN orbit group's planes for every image of the part at once
 /// (per-source rings; derived orientations read flipped/reversed
 /// streams) — the SCNN counterpart of [`dcnn_unit`]: batch-wide streams
-/// from one [`scnn_row_sweep_acc_with`] per (orientation, row, channel),
-/// batch-wide window combines, per-image lanes sliced at emit, and
-/// one image's charges replicated per image by the caller.
+/// from one [`scnn_row_sweep_acc_with`] per (orientation, base row) over
+/// the whole channel band — one stacked kernel call per forward or
+/// mirrored stream — batch-wide window combines, per-image lanes sliced
+/// at emit, and one image's charges replicated per image by the caller.
 #[allow(clippy::too_many_arguments)]
 fn scnn_unit(
     ctx: PartCtx<'_>,
@@ -1136,6 +1088,14 @@ fn scnn_unit(
     let row_span = (images - 1) * pw + full_w;
     let bw = ctx.batch * pw;
     let variants = 1 + usize::from(reuse.ppsr);
+    // Channel c's base row kr of orientation oi sits at
+    // ((oi·N + c)·K + kr)·KW.
+    let band = Band {
+        channels: n,
+        width: kw,
+        w_stride: k * kw,
+        in_stride: ph * bw,
+    };
     {
         let KernelBufs {
             ring_table,
@@ -1176,23 +1136,20 @@ fn scnn_unit(
                         let (fwd, rest) = per_kr
                             .split_first_mut()
                             .expect("at least the forward stream");
-                        let mut rev: Option<&mut [Accum]> =
-                            rest.first_mut().map(|v| v.as_mut_slice());
-                        for c in 0..n {
-                            scnn_row_sweep_acc_with(
-                                kernel,
-                                &rows[((oi * n + c) * k + kr) * kw..][..kw],
-                                k,
-                                reuse.ppsr,
-                                images,
-                                &ctx.padded[(c * ph + i) * bw + part.b0 * pw..],
-                                pw,
-                                fwd,
-                                rev.as_deref_mut(),
-                                ctx.saturation_free,
-                                charges,
-                            );
-                        }
+                        scnn_row_sweep_acc_with(
+                            kernel,
+                            &rows[(oi * n * k + kr) * kw..],
+                            k,
+                            reuse.ppsr,
+                            band,
+                            images,
+                            &ctx.padded[i * bw + part.b0 * pw..],
+                            pw,
+                            fwd,
+                            rest.first_mut().map(|v| v.as_mut_slice()),
+                            ctx.saturation_free,
+                            charges,
+                        );
                     }
                     if let Some(evicted) = ring.insert_recycling(i, streams, charges) {
                         streams_pool.push(evicted);

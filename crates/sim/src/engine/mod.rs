@@ -26,14 +26,19 @@
 //!   [`Engine::layer_plans`], …).
 //! * `ir.rs` — the compiled stage tables: flat quantized row tables,
 //!   per-unit offsets, SCNN source schedules, [`PrepareStats`].
-//! * `kernels.rs` — the monomorphized inner correlation kernels: a
+//! * `kernels.rs` — the channel-stacked inner correlation kernel: a
 //!   `kernels::RowKernel` per stage, selected once at compile time
 //!   from the filter extent `K` (specialized K ∈ {1, 3, 5, 7} plus a
-//!   generic fallback), each restructured into flat chunked
-//!   `i16 → i32` passes the optimizer can autovectorize while
-//!   preserving the scalar reference's exact saturating addition order.
+//!   generic fallback), summing a whole channel band per call in
+//!   register-blocked `i16 → i32` passes the optimizer can
+//!   autovectorize while preserving the scalar reference's exact
+//!   saturating addition order.
+//! * `plan.rs` — the compile-time weight plan: per-stage sparsity and
+//!   the [`ExecMode`] it selects, plus the compressed-sparse tables.
 //! * `exec.rs` — the row-pass run phase ([`Engine::run`]): PPSR row
 //!   passes, ERRR rings, window combination, the output memory system.
+//! * `sparse.rs` — the compressed-sparse executor for pruned dense
+//!   stages.
 //! * `scratch.rs` — the run-phase arenas ([`Scratch`]) and the bounded
 //!   [`ScratchPool`] long-lived services check warm arenas out of.
 //!
@@ -60,7 +65,6 @@ mod exec;
 mod ir;
 pub(crate) mod kernels;
 mod plan;
-mod repeat;
 mod scratch;
 mod sparse;
 
@@ -273,20 +277,18 @@ impl Engine {
     }
 
     /// The [`ExecMode`] the weight plan chose for each stage, in stage
-    /// order — how dense stages actually execute (dense sweep,
-    /// compressed-sparse, or factorized; transferred stages report
+    /// order — how dense stages actually execute (dense sweep or
+    /// compressed-sparse; transferred stages report
     /// [`ExecMode::Transferred`]).
     #[must_use]
     pub fn exec_modes(&self) -> Vec<ExecMode> {
         self.stages.iter().map(|s| s.plan.mode()).collect()
     }
 
-    /// The weight statistics the plan measured for stage `index`:
-    /// `(sparsity, repetition)` over the stage's quantized logical taps.
+    /// The weight statistic the plan measured for stage `index`: the
+    /// zero fraction over the stage's quantized logical taps.
     #[must_use]
-    pub fn stage_weight_stats(&self, index: usize) -> Option<(f64, f64)> {
-        self.stages
-            .get(index)
-            .map(|s| (s.plan.sparsity, s.plan.repetition))
+    pub fn stage_sparsity(&self, index: usize) -> Option<f64> {
+        self.stages.get(index).map(|s| s.plan.sparsity)
     }
 }

@@ -1,14 +1,13 @@
 //! The compile-time weight plan: per-stage analysis of the quantized
-//! row tables and the alternate-execution tables it emits.
+//! row tables and the compressed-sparse tables it emits.
 //!
 //! TFE's core bet — reuse is a property of the **weights**, computable
 //! once at compile time — extends beyond the paper's own transfer
-//! structure to the two comparator families of Fig. 16 (PAPERS.md):
-//! UCNN's weight-repetition factorization and EIE's compressed-sparse
-//! execution of pruned models. [`plan_stage`] runs once per stage in
-//! `Engine::compile`, scans the already-quantized [`Fx16`] rows for
-//! cross-row repeated values and zero taps, and asks the
-//! [`ModePolicy`] for an [`ExecMode`]:
+//! structure to EIE's compressed-sparse execution of pruned models
+//! (Fig. 16's comparators, PAPERS.md). [`plan_stage`] runs once per
+//! stage in `Engine::compile`, counts the zero taps of the
+//! already-quantized [`Fx16`] rows, and asks the [`ModePolicy`] for an
+//! [`ExecMode`]:
 //!
 //! * [`ExecMode::Transferred`] — DCNN/SCNN stages; the transfer scheme
 //!   already fixed the execution structure, nothing to decide.
@@ -19,20 +18,14 @@
 //!   `Accum::saturating_add(0)` is an exact identity even at the clamp
 //!   rails, so skipping zero taps while preserving the dense
 //!   `(ky, ci, j)` chain order cannot change any value.
-//! * [`ExecMode::Factorized`] — dense stages past the repetition
-//!   threshold group taps by shared quantized weight value
-//!   ([`FactUnitIr`], executed by [`super::repeat`]): one multiply per
-//!   unique weight, adds shared. Regrouping additions is only exact
-//!   when no intermediate can saturate, so the run phase gates this
-//!   mode per run on the window-level bound
-//!   (`exec::window_saturation_free`) and falls back to the dense sweep
-//!   — still bit-identical, by construction — when the bound fails.
+//! * [`ExecMode::Dense`] — every other dense stage runs the
+//!   channel-stacked dense sweep.
 //!
 //! Counters are **not** re-modeled per mode: charges are
-//! data-independent (geometry + reuse only), so the alternate executors
-//! replay the dense charge model exactly ([`charge_dense_unit_image`]).
+//! data-independent (geometry + reuse only), so the sparse executor
+//! replays the dense charge model exactly ([`charge_dense_unit_image`]).
 //! That keeps PPSR/ERRR accounting, telemetry per-layer sums, and the
-//! `NetworkPerf` cross-checks closed; the modes' real savings show up
+//! `NetworkPerf` cross-checks closed; the mode's real savings show up
 //! as wall-clock in the `engine_modes` bench, not as counter deltas.
 
 use super::ir::{Geo, StageIr, UnitIr};
@@ -42,18 +35,16 @@ use tfe_tensor::fixed::Fx16;
 use tfe_transfer::mode::{ExecMode, ModePolicy};
 
 /// The compiled weight plan of one stage: the chosen mode, the weight
-/// statistics that chose it, and the per-unit alternate tables.
+/// statistic that chose it, and the per-unit sparse tables.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StagePlan {
     pub(crate) mode: Option<ExecMode>,
     /// Zero fraction over the stage's logical taps (stuffed dilation
     /// zeros are structural, not weights, and are excluded).
     pub(crate) sparsity: f64,
-    /// `1 − unique/nonzero` over the stage's quantized nonzero values.
-    pub(crate) repetition: f64,
-    /// One alternate table per [`UnitIr`], parallel to `stage.units` —
-    /// empty unless the mode is Sparse or Factorized.
-    pub(crate) units: Vec<AltUnit>,
+    /// One sparse table per [`UnitIr`], parallel to `stage.units` —
+    /// empty unless the mode is Sparse.
+    pub(crate) units: Vec<SparseUnitIr>,
 }
 
 impl StagePlan {
@@ -61,15 +52,6 @@ impl StagePlan {
     pub(crate) fn mode(&self) -> ExecMode {
         self.mode.unwrap_or(ExecMode::Dense)
     }
-}
-
-/// The alternate-execution table of one dense unit.
-#[derive(Debug, Clone)]
-pub(crate) enum AltUnit {
-    /// CSR-style stream for [`super::sparse`].
-    Sparse(SparseUnitIr),
-    /// Factorized dot-product table for [`super::repeat`].
-    Fact(FactUnitIr),
 }
 
 /// One dense filter in compressed-sparse form: per `(ci, ky)` row, the
@@ -86,21 +68,8 @@ pub(crate) struct SparseUnitIr {
     pub(crate) nonzeros: usize,
 }
 
-/// One dense filter as a UCNN-style factorized dot product: taps
-/// grouped by shared quantized weight value. Each tap is a precomputed
-/// offset into the stage's image-major padded input plane at
-/// `(oy, ox) = (0, 0)`; the executor adds `oy·s·PW + ox·s` per output
-/// position, sums each group's activations once, and multiplies the
-/// group sum by its weight — one multiply per unique value.
-#[derive(Debug, Clone)]
-pub(crate) struct FactUnitIr {
-    /// `(weight, taps)` groups in ascending raw-bits order (zero weight
-    /// excluded — its group contributes exactly nothing).
-    pub(crate) groups: Vec<(Fx16, Vec<u32>)>,
-}
-
 /// Plans one compiled stage: scans its quantized rows, asks the policy,
-/// and builds the alternate tables the chosen mode executes from.
+/// and builds the sparse tables when the policy chooses that mode.
 pub(crate) fn plan_stage(stage: &StageIr, policy: &ModePolicy) -> StagePlan {
     if !matches!(stage.units.first(), Some(UnitIr::Dense { .. })) {
         return StagePlan {
@@ -110,8 +79,7 @@ pub(crate) fn plan_stage(stage: &StageIr, policy: &ModePolicy) -> StagePlan {
     }
     let geo = Geo::of(&stage.shape);
     let (k, d, kw, cpg) = (geo.k, geo.d, geo.kw, geo.cpg);
-    // Cross-row statistics over the logical taps of every dense unit.
-    let mut values: Vec<i16> = Vec::new();
+    // Zero fraction over the logical taps of every dense unit.
     let mut zeros = 0usize;
     let mut total = 0usize;
     for unit in &stage.units {
@@ -121,50 +89,29 @@ pub(crate) fn plan_stage(stage: &StageIr, policy: &ModePolicy) -> StagePlan {
         for ci in 0..cpg {
             for ky in 0..k {
                 let row = &stage.rows[base + (ci * k + ky) * kw..][..kw];
-                for t in 0..k {
-                    let w = row[t * d];
-                    total += 1;
-                    if w.is_zero() {
-                        zeros += 1;
-                    } else {
-                        values.push(w.to_bits());
-                    }
-                }
+                total += k;
+                zeros += (0..k).filter(|&t| row[t * d].is_zero()).count();
             }
         }
     }
-    let nonzero = values.len();
-    values.sort_unstable();
-    values.dedup();
-    let unique = values.len();
     let sparsity = if total == 0 {
         0.0
     } else {
         zeros as f64 / total as f64
     };
-    let repetition = if nonzero == 0 {
-        0.0
+    let mode = policy.decide(sparsity);
+    let units = if mode == ExecMode::Sparse {
+        stage
+            .units
+            .iter()
+            .map(|u| sparse_unit(stage, &geo, u))
+            .collect()
     } else {
-        1.0 - unique as f64 / nonzero as f64
-    };
-    let mode = policy.decide(sparsity, repetition);
-    let units = match mode {
-        ExecMode::Sparse => stage
-            .units
-            .iter()
-            .map(|u| AltUnit::Sparse(sparse_unit(stage, &geo, u)))
-            .collect(),
-        ExecMode::Factorized => stage
-            .units
-            .iter()
-            .map(|u| AltUnit::Fact(fact_unit(stage, &geo, u)))
-            .collect(),
-        _ => Vec::new(),
+        Vec::new()
     };
     StagePlan {
         mode: Some(mode),
         sparsity,
-        repetition,
         units,
     }
 }
@@ -193,51 +140,14 @@ fn sparse_unit(stage: &StageIr, geo: &Geo, unit: &UnitIr) -> SparseUnitIr {
     SparseUnitIr { rows, nonzeros }
 }
 
-/// Builds the factorized dot-product table of one dense unit: taps
-/// grouped by raw quantized value, as offsets into the image-major
-/// padded plane at output position `(0, 0)`.
-fn fact_unit(stage: &StageIr, geo: &Geo, unit: &UnitIr) -> FactUnitIr {
-    let UnitIr::Dense { m, base } = unit else {
-        unreachable!("factorized tables are built for dense units only");
-    };
-    let Geo {
-        k,
-        d,
-        kw,
-        cpg,
-        mpg,
-        ph,
-        pw,
-        ..
-    } = *geo;
-    let c0 = (m / mpg) * cpg;
-    let mut groups: Vec<(Fx16, Vec<u32>)> = Vec::new();
-    for ci in 0..cpg {
-        for ky in 0..k {
-            let row = &stage.rows[base + (ci * k + ky) * kw..][..kw];
-            for (j, &w) in row.iter().enumerate() {
-                if w.is_zero() {
-                    continue;
-                }
-                let off = (((c0 + ci) * ph + ky * d) * pw + j) as u32;
-                match groups.binary_search_by_key(&w.to_bits(), |(gw, _)| gw.to_bits()) {
-                    Ok(i) => groups[i].1.push(off),
-                    Err(i) => groups.insert(i, (w, vec![off])),
-                }
-            }
-        }
-    }
-    FactUnitIr { groups }
-}
-
 /// Replays the dense charge model for one unit over one representative
 /// image — the exact u64 totals `dense_unit_sweep` charges: per output
-/// row, `K · N/groups` calls of [`charge_conventional`]`(K, KW, PW)`
-/// plus the `(K−1) · F` window-combine adds. Charges are
-/// data-independent, so replaying them is bit-identical to running the
-/// dense path; the alternate executors call this so every counter
-/// stream (per-image, telemetry sums, `NetworkPerf` cross-checks) stays
-/// closed.
+/// row, `K` band sweeps of `N/groups` rows, each
+/// [`charge_conventional`]`(K, KW, PW)`, plus the `(K−1) · F`
+/// window-combine adds. Charges are data-independent, so replaying them
+/// is bit-identical to running the dense path; the sparse executor
+/// calls this so every counter stream (per-image, telemetry sums,
+/// `NetworkPerf` cross-checks) stays closed.
 pub(crate) fn charge_dense_unit_image(geo: &Geo, charges: &mut Counters) {
     let Geo {
         e,
@@ -248,10 +158,7 @@ pub(crate) fn charge_dense_unit_image(geo: &Geo, charges: &mut Counters) {
         kw,
         ..
     } = *geo;
-    let mut row = Counters::new();
-    let _ = charge_conventional(k, kw, pw, &mut row);
-    charges.multiplies += (e * k * cpg) as u64 * row.multiplies;
-    charges.adds += (e * k * cpg) as u64 * row.adds;
+    let _ = charge_conventional(k, kw, pw, e * k * cpg, charges);
     charges.adds += (e * k.saturating_sub(1) * f) as u64;
 }
 
@@ -274,7 +181,7 @@ mod tests {
         for _oy in 0..geo.e {
             for _ky in 0..geo.k {
                 for _ci in 0..geo.cpg {
-                    let _ = charge_conventional(geo.k, geo.kw, geo.pw, &mut looped);
+                    let _ = charge_conventional(geo.k, geo.kw, geo.pw, 1, &mut looped);
                 }
             }
             looped.adds += (geo.k.saturating_sub(1) * geo.f) as u64;

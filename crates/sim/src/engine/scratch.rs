@@ -24,6 +24,10 @@ pub(crate) struct ArenaPeak {
     pub(crate) stage: usize,
     /// Peak dense row-parts length (`KernelBufs::parts`).
     pub(crate) parts: usize,
+    /// Peak length of one stream or window buffer
+    /// ([`KernelBufs::longest_stream`]) — batch-wide on transferred
+    /// stages.
+    pub(crate) stream: usize,
 }
 
 impl ArenaPeak {
@@ -34,6 +38,7 @@ impl ArenaPeak {
             out: self.out.max(other.out),
             stage: self.stage.max(other.stage),
             parts: self.parts.max(other.parts),
+            stream: self.stream.max(other.stream),
         }
     }
 }
@@ -97,6 +102,23 @@ impl Scratch {
         self.run_quantized_rows
     }
 
+    /// This run's current buffer lengths, folded into a run's peak after
+    /// every stage (`stage` is the longer of the two activation buffers
+    /// the caller holds while the stage runs).
+    pub(crate) fn peak(&self, stage: usize) -> ArenaPeak {
+        ArenaPeak {
+            padded: self.padded.len(),
+            out: self.out.len(),
+            stage,
+            parts: self.bufs.parts.len(),
+            stream: std::iter::once(&self.bufs)
+                .chain(&self.bufs_pool)
+                .map(KernelBufs::longest_stream)
+                .max()
+                .unwrap_or(0),
+        }
+    }
+
     /// Retires one run: records its high-water buffer lengths in the
     /// shrink window, then caps every batch-scaled arena's retained
     /// capacity at the window maximum. A one-off large batch keeps its
@@ -114,25 +136,29 @@ impl Scratch {
         self.stage_in.shrink_to(keep.stage);
         self.stage_next.clear();
         self.stage_next.shrink_to(keep.stage);
-        self.bufs.parts.clear();
-        self.bufs.parts.shrink_to(keep.parts);
-        for bufs in &mut self.bufs_pool {
+        for bufs in std::iter::once(&mut self.bufs).chain(&mut self.bufs_pool) {
             bufs.parts.clear();
             bufs.parts.shrink_to(keep.parts);
+            bufs.shrink_streams(keep.stream);
         }
     }
 
     /// The retained capacities of the batch-scaled arenas — what the
-    /// high-water shrink bounds (padded, out accumulators, the two
-    /// stage-activation buffers, dense row parts).
+    /// high-water shrink bounds, in order: padded planes, out
+    /// accumulators, the two stage-activation buffers, dense row parts,
+    /// the window buffer, and the words of every transferred stream
+    /// buffer (ERRR ring streams and the DCNN `per_row` streams) of the
+    /// caller-thread buffer set.
     #[must_use]
-    pub fn arena_capacities(&self) -> [usize; 5] {
+    pub fn arena_capacities(&self) -> [usize; 7] {
         [
             self.padded.capacity(),
             self.out.capacity(),
             self.stage_in.capacity(),
             self.stage_next.capacity(),
             self.bufs.parts.capacity(),
+            self.bufs.window.capacity(),
+            self.bufs.streams().map(Vec::capacity).sum(),
         ]
     }
 }
@@ -145,11 +171,6 @@ pub(crate) struct KernelBufs {
     pub(crate) window: Vec<Accum>,
     /// Dense path: `K` channel-summed row parts, flat `[K × full_w]`.
     pub(crate) parts: Vec<Accum>,
-    /// Factorized path: per-output-row weighted totals (`i64`, exact
-    /// under the admitting window bound).
-    pub(crate) fact_acc: Vec<i64>,
-    /// Factorized path: the current weight group's activation sums.
-    pub(crate) fact_sum: Vec<i64>,
     /// DCNN no-ERRR path: `per_row[ky][dx][x]` batch-wide stream
     /// buffers.
     pub(crate) per_row: Streams,
@@ -159,6 +180,45 @@ pub(crate) struct KernelBufs {
     pub(crate) ring_table: Vec<Option<RowRing>>,
     /// Retired stream buffers awaiting the next row pass.
     pub(crate) streams_pool: Vec<Streams>,
+}
+
+impl KernelBufs {
+    /// Every stream buffer the set holds between units: the pooled ring
+    /// streams (a unit returns its rings, draining their slots into
+    /// `streams_pool`) and the DCNN `per_row` streams.
+    fn streams(&self) -> impl Iterator<Item = &Vec<Accum>> {
+        self.streams_pool
+            .iter()
+            .chain(std::iter::once(&self.per_row))
+            .flatten()
+            .flatten()
+    }
+
+    /// The longest stream or window buffer in the set. Retiring a run
+    /// empties them all, so within a run this is the run's own peak.
+    fn longest_stream(&self) -> usize {
+        self.streams()
+            .map(Vec::len)
+            .chain(std::iter::once(self.window.len()))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Empties every stream and the window buffer (each pass re-shapes
+    /// them before use) and caps each one's capacity at `keep` words.
+    fn shrink_streams(&mut self, keep: usize) {
+        let pooled = self.streams_pool.iter_mut();
+        for stream in pooled
+            .chain(std::iter::once(&mut self.per_row))
+            .flatten()
+            .flatten()
+        {
+            stream.clear();
+            stream.shrink_to(keep);
+        }
+        self.window.clear();
+        self.window.shrink_to(keep);
+    }
 }
 
 /// Takes a ring from the pool (or makes one) reset to `capacity`,

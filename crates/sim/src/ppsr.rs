@@ -15,7 +15,7 @@
 //! Two implementations of every `_acc` row pass coexist (DESIGN §5.10):
 //!
 //! * the default entry points route the inner correlation loops through
-//!   the monomorphized [`RowKernel`](crate::engine) cores — flat chunked
+//!   the channel-stacked [`RowKernel`](crate::engine) — blocked
 //!   `i16 → i32` passes specialized per `K` at engine-compile time;
 //! * the `*_scalar` variants keep the original `correlate_at`-driven
 //!   loops, frozen as the bit-identity reference the kernel parity suite
@@ -26,13 +26,15 @@
 //! order contract they share is documented in `engine/kernels.rs`.
 //!
 //! Each scheme has exactly one kernel-driven implementation, a
-//! crate-internal **row sweep** (`*_row_sweep_acc_with`): one weight row
-//! correlated over the same padded row of several images laid back to
-//! back — the compiled engine's row-interleaved batch layout (DESIGN
-//! §5.13). The public `_acc` entry points are its one-image case.
+//! crate-internal **row sweep** (`*_row_sweep_acc_with`): a channel band
+//! of weight rows correlated over the same padded row of several images
+//! laid back to back — the compiled engine's row-interleaved batch
+//! layout (DESIGN §5.13) — with one stacked kernel call per result
+//! stream. The public `_acc` entry points are its one-image, one-channel
+//! case.
 
 use crate::counters::Counters;
-use crate::engine::kernels::RowKernel;
+use crate::engine::kernels::{Band, RowKernel};
 use tfe_tensor::fixed::{Accum, Fx16};
 
 /// One correlation output: `Σ_j input[x + j] · weights[j]`, summed in
@@ -119,8 +121,8 @@ pub fn dcnn_row_pass(
 /// [`dcnn_row_pass`] accumulating into caller-owned offset buffers
 /// instead of allocating fresh ones: `acc[dx][x] += result[dx][x]`.
 ///
-/// This is the one-image case of the batch row sweep the compiled
-/// engine ([`crate::engine`]) drives per input channel, so the
+/// This is the one-image, one-channel case of the batch row sweep the
+/// compiled engine ([`crate::engine`]) drives per channel band, so the
 /// per-offset channel sums build up directly in reusable scratch
 /// buffers. Counter accounting is identical to the allocating form, and
 /// each accumulated term is the complete (already `j`-summed)
@@ -145,6 +147,7 @@ pub fn dcnn_row_pass_acc(
         k,
         1,
         ppsr,
+        Band::row(meta_row.len()),
         1,
         input,
         input.len(),
@@ -154,14 +157,16 @@ pub fn dcnn_row_pass_acc(
     );
 }
 
-/// One DCNN meta-row pass swept filter-stationary across `images`
-/// consecutive images of the row-interleaved batch layout — the DCNN
-/// counterpart of [`conventional_row_sweep_acc_with`], whose layout,
-/// junk-gap, and bit-identity argument it shares: `input` holds the
-/// same padded row of each image at `b·seg_stride`, and every offset
-/// lane `acc[dx]` receives one contiguous correlation of span
+/// One DCNN meta-row pass over a channel band, swept filter-stationary
+/// across `images` consecutive images of the row-interleaved batch
+/// layout — the DCNN counterpart of [`conventional_row_sweep_acc_with`],
+/// whose band, layout, junk-gap, and bit-identity argument it shares:
+/// `meta_rows` holds the band's meta rows (`band.width = ZW` wide,
+/// `band.w_stride` apart), `input` the same padded row of each image at
+/// `b·seg_stride` for every channel, and every offset lane `acc[dx]`
+/// receives one stacked correlation of span
 /// `(images−1)·seg_stride + out_len` whose image-`b` lane sits at
-/// `b·seg_stride`.
+/// `b·seg_stride` — one kernel call per lane for the whole band.
 ///
 /// At `dilation > 1` the meta row arrives zero-stuffed to
 /// `ZW = d·(Z−1)+1` and each of the `Z−K+1` offset lanes correlates the
@@ -172,16 +177,18 @@ pub fn dcnn_row_pass_acc(
 /// stuffed zeros model clock-gated multiplier slots, not live work.
 ///
 /// Counters are charged **once**, for one image's `seg_stride`-sample
-/// row; `saturation_free` selects the wrapping kernels (each lane
+/// row per channel, in closed form (`band.channels` × one row's
+/// charge); `saturation_free` selects the wrapping kernel (each lane
 /// accumulates the same `N` `K`-tap sums a dense row does, so the dense
 /// stage bound applies unchanged).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dcnn_row_sweep_acc_with(
     kernel: RowKernel,
-    meta_row: &[Fx16],
+    meta_rows: &[Fx16],
     k: usize,
     dilation: usize,
     ppsr: bool,
+    band: Band,
     images: usize,
     input: &[Fx16],
     seg_stride: usize,
@@ -190,21 +197,24 @@ pub(crate) fn dcnn_row_sweep_acc_with(
     charges: &mut Counters,
 ) {
     let kw = dilation * (k - 1) + 1;
-    let z = (meta_row.len() - 1) / dilation + 1;
-    let (offsets, out_len) = charge_dcnn_dilated(z, k, dilation, seg_stride, ppsr, charges);
+    let z = (band.width - 1) / dilation + 1;
+    let (offsets, out_len) = charge_dcnn(z, k, dilation, seg_stride, band.channels, ppsr, charges);
     let span = sweep_span(images, seg_stride, out_len);
     if span == 0 {
         return;
     }
-    let input = &input[..span + kw - 1];
+    // Each lane correlates the KW-wide slice at `dx·d` of every meta
+    // row: the same band, narrowed and shifted.
+    let lane_band = Band { width: kw, ..band };
     for (dx, lane) in acc[..offsets].iter_mut().enumerate() {
-        let weights = &meta_row[dx * dilation..][..kw];
-        let lane = &mut lane[..span];
-        if saturation_free {
-            kernel.correlate_add_unsaturated(weights, input, lane);
-        } else {
-            kernel.correlate_add(weights, input, lane);
-        }
+        kernel.correlate_band(
+            &meta_rows[dx * dilation..],
+            input,
+            lane_band,
+            &mut lane[..span],
+            false,
+            saturation_free,
+        );
     }
 }
 
@@ -220,7 +230,7 @@ pub fn dcnn_row_pass_acc_scalar(
     acc: &mut [Vec<Accum>],
     counters: &mut Counters,
 ) {
-    let (offsets, out_len) = charge_dcnn(meta_row.len(), k, input.len(), ppsr, counters);
+    let (offsets, out_len) = charge_dcnn(meta_row.len(), k, 1, input.len(), 1, ppsr, counters);
     for dx in 0..offsets {
         let weights = &meta_row[dx..dx + k];
         let lane = &mut acc[dx][..out_len];
@@ -230,25 +240,17 @@ pub fn dcnn_row_pass_acc_scalar(
     }
 }
 
-/// The shared DCNN row-pass counter model; returns `(offsets, out_len)`.
+/// The shared DCNN row-pass counter model for `rows` meta-row passes of
+/// one `input_len`-sample row each; returns `(offsets, out_len)`. `Z`/`K`
+/// are the *logical* tap counts (what the multipliers execute), while
+/// the output length follows the stuffed span `KW = d·(K−1)+1` the
+/// lanes slide over.
 fn charge_dcnn(
-    z: usize,
-    k: usize,
-    input_len: usize,
-    ppsr: bool,
-    counters: &mut Counters,
-) -> (usize, usize) {
-    charge_dcnn_dilated(z, k, 1, input_len, ppsr, counters)
-}
-
-/// [`charge_dcnn`] for a dilated pass: `Z`/`K` are the *logical* tap
-/// counts (what the multipliers execute), while the output length
-/// follows the stuffed span `KW = d·(K−1)+1` the lanes slide over.
-fn charge_dcnn_dilated(
     z: usize,
     k: usize,
     dilation: usize,
     input_len: usize,
+    rows: usize,
     ppsr: bool,
     counters: &mut Counters,
 ) -> (usize, usize) {
@@ -263,17 +265,17 @@ fn charge_dcnn_dilated(
         // Every broadcast element activates all Z multipliers once and
         // ripples through the Z−1 stacked adders; the shared products are
         // staged in the SR group, one write per offset lane.
-        counters.multiplies += (z * input_len) as u64;
-        counters.adds += (z.saturating_sub(1) * input_len) as u64;
-        counters.sr_writes += (offsets * input_len) as u64;
+        counters.multiplies += (rows * z * input_len) as u64;
+        counters.adds += (rows * z.saturating_sub(1) * input_len) as u64;
+        counters.sr_writes += (rows * offsets * input_len) as u64;
     } else {
         // Reuse disabled (Fig. 5(a) ablation): each offset recomputes its
         // row independently in a plain PE. Products live in per-PE
         // pipeline registers, so no SR-group traffic is charged, and each
         // of the `out_len` outputs per offset costs K−1 adder
         // activations.
-        counters.multiplies += (offsets * k * input_len) as u64;
-        counters.adds += (offsets * k.saturating_sub(1) * out_len) as u64;
+        counters.multiplies += (rows * offsets * k * input_len) as u64;
+        counters.adds += (rows * offsets * k.saturating_sub(1) * out_len) as u64;
     }
     (offsets, out_len)
 }
@@ -310,8 +312,8 @@ pub fn scnn_row_pass(
 /// `fwd[x] += forward[x]` and, when `ppsr` is enabled,
 /// `rev[x] += mirrored[x]`.
 ///
-/// This is the one-image case of the batch row sweep the compiled
-/// engine ([`crate::engine`]) drives per input channel, so the
+/// This is the one-image, one-channel case of the batch row sweep the
+/// compiled engine ([`crate::engine`]) drives per channel band, so the
 /// per-direction channel sums build up directly in reusable scratch
 /// buffers. Counter accounting is identical to the allocating form;
 /// `rev` must be `Some` exactly when `ppsr` is enabled.
@@ -333,6 +335,7 @@ pub fn scnn_row_pass_acc(
         base_row,
         base_row.len(),
         ppsr,
+        Band::row(base_row.len()),
         1,
         input,
         input.len(),
@@ -343,11 +346,12 @@ pub fn scnn_row_pass_acc(
     );
 }
 
-/// One SCNN base-row pass swept filter-stationary across `images`
-/// consecutive images of the row-interleaved batch layout (see
-/// [`conventional_row_sweep_acc_with`]): the forward stream and, with
-/// PPSR, the mirrored stream each receive one contiguous correlation
-/// whose image-`b` lane sits at `b·seg_stride`.
+/// One SCNN base-row pass over a channel band, swept filter-stationary
+/// across `images` consecutive images of the row-interleaved batch
+/// layout (see [`conventional_row_sweep_acc_with`]): the forward stream
+/// and, with PPSR, the mirrored stream each receive one stacked
+/// correlation over the whole band whose image-`b` lane sits at
+/// `b·seg_stride`.
 ///
 /// `taps` is the logical tap count: a dilated base row arrives
 /// zero-stuffed to `KW = d·(K−1)+1` but only `taps = K` multipliers fire
@@ -357,14 +361,17 @@ pub fn scnn_row_pass_acc(
 /// (`kw−1−t ≡ 0 (mod d)` iff `t ≡ 0 (mod d)`).
 ///
 /// Counters are charged **once**, for one image's `seg_stride`-sample
-/// row; `saturation_free` selects the wrapping kernels for both streams
-/// (each accumulates `N` `K`-tap sums, inside the dense stage bound).
+/// row per channel, in closed form (`band.channels` × one row's
+/// charge); `saturation_free` selects the wrapping kernel for both
+/// streams (each accumulates `N` `K`-tap sums, inside the dense stage
+/// bound).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scnn_row_sweep_acc_with(
     kernel: RowKernel,
-    base_row: &[Fx16],
+    base_rows: &[Fx16],
     taps: usize,
     ppsr: bool,
+    band: Band,
     images: usize,
     input: &[Fx16],
     seg_stride: usize,
@@ -373,35 +380,40 @@ pub(crate) fn scnn_row_sweep_acc_with(
     saturation_free: bool,
     charges: &mut Counters,
 ) {
+    let rows = band.channels;
     let out_len = charge_scnn_forward(
         taps,
-        base_row.len(),
+        band.width,
         seg_stride,
+        rows,
         ppsr,
         rev.is_some(),
         charges,
     );
     if ppsr {
-        charge_scnn_mirrored(taps, seg_stride, out_len, charges);
+        charge_scnn_mirrored(taps, seg_stride, out_len, rows, charges);
     }
     let span = sweep_span(images, seg_stride, out_len);
     if span == 0 {
         return;
     }
-    let input = &input[..span + base_row.len() - 1];
-    let fwd = &mut fwd[..span];
-    if saturation_free {
-        kernel.correlate_add_unsaturated(base_row, input, fwd);
-    } else {
-        kernel.correlate_add(base_row, input, fwd);
-    }
+    kernel.correlate_band(
+        base_rows,
+        input,
+        band,
+        &mut fwd[..span],
+        false,
+        saturation_free,
+    );
     if let Some(rev) = rev.filter(|_| ppsr) {
-        let rev = &mut rev[..span];
-        if saturation_free {
-            kernel.correlate_add_rev_unsaturated(base_row, input, rev);
-        } else {
-            kernel.correlate_add_rev(base_row, input, rev);
-        }
+        kernel.correlate_band(
+            base_rows,
+            input,
+            band,
+            &mut rev[..span],
+            true,
+            saturation_free,
+        );
     }
 }
 
@@ -418,12 +430,12 @@ pub fn scnn_row_pass_acc_scalar(
     counters: &mut Counters,
 ) {
     let k = base_row.len();
-    let out_len = charge_scnn_forward(k, k, input.len(), ppsr, rev.is_some(), counters);
+    let out_len = charge_scnn_forward(k, k, input.len(), 1, ppsr, rev.is_some(), counters);
     for (x, slot) in fwd[..out_len].iter_mut().enumerate() {
         *slot += correlate_at(base_row, input, x);
     }
     if ppsr {
-        charge_scnn_mirrored(k, input.len(), out_len, counters);
+        charge_scnn_mirrored(k, input.len(), out_len, 1, counters);
         if let Some(rev) = rev {
             for (x, slot) in rev[..out_len].iter_mut().enumerate() {
                 *slot += (0..k)
@@ -434,14 +446,16 @@ pub fn scnn_row_pass_acc_scalar(
     }
 }
 
-/// The shared SCNN forward-stream counter model; returns `out_len`.
-/// `taps` is the logical tap count (multiplier activations per element);
-/// `span` the stored row width the stream slides over (`taps` unless the
-/// row is zero-stuffed for dilation).
+/// The shared SCNN forward-stream counter model for `rows` base-row
+/// passes of one `input_len`-sample row each; returns `out_len`. `taps`
+/// is the logical tap count (multiplier activations per element); `span`
+/// the stored row width the stream slides over (`taps` unless the row is
+/// zero-stuffed for dilation).
 fn charge_scnn_forward(
     taps: usize,
     span: usize,
     input_len: usize,
+    rows: usize,
     ppsr: bool,
     has_rev: bool,
     counters: &mut Counters,
@@ -451,22 +465,29 @@ fn charge_scnn_forward(
         "the mirrored stream exists exactly when PPSR is enabled"
     );
     let out_len = (input_len + 1).saturating_sub(span);
-    counters.multiplies += (taps * input_len) as u64;
+    counters.multiplies += (rows * taps * input_len) as u64;
     // Each result stream has `out_len` outputs, and combining K products
     // into one output costs K−1 adder activations. (The earlier model
     // charged (K−1)·input.len(), overcounting the K−1 edge positions
     // that produce no output.)
-    counters.adds += (taps.saturating_sub(1) * out_len) as u64;
+    counters.adds += (rows * taps.saturating_sub(1) * out_len) as u64;
     out_len
 }
 
-/// The shared SCNN mirrored-stream counter model (PPSR enabled only).
-fn charge_scnn_mirrored(k: usize, input_len: usize, out_len: usize, counters: &mut Counters) {
+/// The shared SCNN mirrored-stream counter model (PPSR enabled only),
+/// for `rows` base-row passes.
+fn charge_scnn_mirrored(
+    k: usize,
+    input_len: usize,
+    out_len: usize,
+    rows: usize,
+    counters: &mut Counters,
+) {
     // The products are staged in the SR pair so the mirrored stream
     // can consume them in reverse order: one SR write per product
     // stage per direction, plus the mirrored stream's own adds.
-    counters.sr_writes += 2 * input_len as u64;
-    counters.adds += (k.saturating_sub(1) * out_len) as u64;
+    counters.sr_writes += (2 * rows * input_len) as u64;
+    counters.adds += (rows * k.saturating_sub(1) * out_len) as u64;
 }
 
 /// One conventional row pass for a dense filter row (`K` multiplies per
@@ -486,9 +507,10 @@ pub fn conventional_row_pass(
 /// [`conventional_row_pass`] accumulating into a caller-owned buffer:
 /// `acc[x] += result[x]`.
 ///
-/// This is the one-image case of the batch row sweep the compiled
-/// engine ([`crate::engine`]) drives per input channel, so the dense
-/// per-row channel sum builds up directly in a reusable scratch buffer.
+/// This is the one-image, one-channel case of the batch row sweep the
+/// compiled engine ([`crate::engine`]) drives per channel band, so the
+/// dense per-row channel sum builds up directly in a reusable scratch
+/// buffer.
 /// Counter accounting is identical to the allocating form.
 ///
 /// # Panics
@@ -504,6 +526,7 @@ pub fn conventional_row_pass_acc(
         RowKernel::select(filter_row.len()),
         filter_row,
         filter_row.len(),
+        Band::row(filter_row.len()),
         1,
         input,
         input.len(),
@@ -513,38 +536,45 @@ pub fn conventional_row_pass_acc(
     );
 }
 
-/// One conventional row pass swept filter-stationary across a whole
-/// micro-batch laid out **batch-interleaved**: `input` holds the same
-/// padded row of `images` consecutive images back to back (image `b`'s
-/// row at `b·seg_stride`, `seg_stride` samples long), and `acc` the
-/// matching output lanes at the same stride. The weight row is loaded
-/// once and one **single contiguous** correlation covers every image —
-/// long enough to engage the kernels' chunked fast path even when one
-/// image's row alone is shorter than a chunk, which is where the
-/// batched sweep's throughput comes from.
+/// One conventional row pass over a channel band, swept
+/// filter-stationary across a whole micro-batch laid out
+/// **batch-interleaved**: for every channel of `band`, `input` holds the
+/// same padded row of `images` consecutive images back to back (image
+/// `b`'s row at `b·seg_stride`, `seg_stride` samples long; channel `c`'s
+/// rows `c·band.in_stride` further on), `rows` the band's weight rows
+/// (`band.width` taps, `band.w_stride` apart), and `acc` the matching
+/// output lanes at the same stride. One stacked kernel call sums the
+/// whole band: each block of output positions keeps its accumulators in
+/// registers across every channel and writes `acc` once — long enough
+/// to engage the blocked fast path even when one image's row alone is
+/// shorter than a block, which is where the batched sweep's throughput
+/// comes from.
 ///
 /// Positions between one image's valid output lane (`seg_stride − K +
 /// 1` wide) and the next image's segment mix two images' samples; they
 /// are computed (the price of the contiguous pass) but land in the
 /// inter-lane gap of `acc`, which no window combine ever reads.
 ///
-/// Per image the accumulation is **bit-identical** to
-/// [`conventional_row_pass_acc`] on that image's window: each
-/// valid position reads exactly that image's samples, products
-/// accumulate in the same ascending-`j` order, and positions advance in
-/// ascending order within each image. The sweep only concatenates
-/// images, it never reorders any image's saturating additions.
+/// Per image the accumulation is **bit-identical** to `band.channels`
+/// sequential [`conventional_row_pass_acc`] calls on that image's
+/// window: each valid position reads exactly that image's samples,
+/// products accumulate in the same ascending-`j` order, and the
+/// per-channel sums land in ascending channel order. The sweep only
+/// concatenates images and blocks positions, it never reorders any
+/// position's saturating additions.
 ///
-/// Counters are charged exactly **once** (one image's worth) into
-/// `charges`: the charge model is data-independent, so every image of a
-/// batched run accrues the identical delta and the engine replicates
-/// one representative image's charges per partition
-/// (`tests/batched_parity.rs` pins the exactness).
+/// Counters are charged exactly **once** (one image's worth, closed
+/// form: `band.channels` × one row's charge) into `charges`: the charge
+/// model is data-independent, so every image of a batched run accrues
+/// the identical delta and the engine replicates one representative
+/// image's charges per partition (`tests/batched_parity.rs` pins the
+/// exactness).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conventional_row_sweep_acc_with(
     kernel: RowKernel,
-    filter_row: &[Fx16],
+    rows: &[Fx16],
     taps: usize,
+    band: Band,
     images: usize,
     input: &[Fx16],
     seg_stride: usize,
@@ -552,21 +582,15 @@ pub(crate) fn conventional_row_sweep_acc_with(
     saturation_free: bool,
     charges: &mut Counters,
 ) {
-    let out_len = charge_conventional(taps, filter_row.len(), seg_stride, charges);
+    let out_len = charge_conventional(taps, band.width, seg_stride, band.channels, charges);
     let span = sweep_span(images, seg_stride, out_len);
     if span == 0 {
         return;
     }
-    let input = &input[..span + filter_row.len() - 1];
-    let acc = &mut acc[..span];
-    if saturation_free {
-        // The stage bound proved no intermediate can leave i32 range,
-        // so the wrapping core is exact — bit-identical and far cheaper
-        // to vectorize than the saturating chain.
-        kernel.correlate_add_unsaturated(filter_row, input, acc);
-    } else {
-        kernel.correlate_add(filter_row, input, acc);
-    }
+    // With the stage bound proving no intermediate can leave i32 range,
+    // the wrapping form is exact — bit-identical and far cheaper to
+    // vectorize than the saturating chain.
+    kernel.correlate_band(rows, input, band, &mut acc[..span], false, saturation_free);
 }
 
 /// The contiguous output span of one row sweep over `images` interleaved
@@ -591,26 +615,27 @@ pub fn conventional_row_pass_acc_scalar(
     acc: &mut [Accum],
     counters: &mut Counters,
 ) {
-    let out_len = charge_conventional(filter_row.len(), filter_row.len(), input.len(), counters);
+    let out_len = charge_conventional(filter_row.len(), filter_row.len(), input.len(), 1, counters);
     for (x, slot) in acc[..out_len].iter_mut().enumerate() {
         *slot += correlate_at(filter_row, input, x);
     }
 }
 
-/// The shared conventional row-pass counter model; returns `out_len`.
-/// `taps` is the logical tap count (live multiplier activations per
-/// element), `span` the stored row width (`taps` unless the row is
-/// zero-stuffed for dilation — stuffed zeros are clock-gated, not
-/// charged).
+/// The shared conventional row-pass counter model for `rows` passes of
+/// one `input_len`-sample row each; returns `out_len`. `taps` is the
+/// logical tap count (live multiplier activations per element), `span`
+/// the stored row width (`taps` unless the row is zero-stuffed for
+/// dilation — stuffed zeros are clock-gated, not charged).
 pub(crate) fn charge_conventional(
     taps: usize,
     span: usize,
     input_len: usize,
+    rows: usize,
     counters: &mut Counters,
 ) -> usize {
     let out_len = (input_len + 1).saturating_sub(span);
-    counters.multiplies += (taps * input_len) as u64;
-    counters.adds += (taps.saturating_sub(1) * out_len) as u64;
+    counters.multiplies += (rows * taps * input_len) as u64;
+    counters.adds += (rows * taps.saturating_sub(1) * out_len) as u64;
     out_len
 }
 
@@ -769,14 +794,16 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
         /// The batch row sweeps the engine runs: `images` images'
-        /// copies of a padded row laid `seg` samples apart, `channels`
-        /// passes accumulated into batch-wide streams, must equal
-        /// `images` independent one-image scalar passes on each image's
-        /// lane — and charge exactly one image's counters. Two regimes:
-        /// data inside the stage bound through the wrapping kernels, and
-        /// extreme data that clamps through the saturating ones (the
-        /// only anchor for clamping data: the dense-expansion oracle
-        /// regroups additions and matches only when nothing saturates).
+        /// copies of a padded row laid `seg` samples apart, for each of
+        /// `channels` channel rows `in_stride` apart, swept as one
+        /// channel band into batch-wide streams, must equal `images`
+        /// independent one-image scalar passes per channel on each
+        /// image's lane — and charge exactly one image's counters. Two
+        /// regimes: data inside the stage bound through the wrapping
+        /// kernel, and extreme data that clamps through the saturating
+        /// one (the only anchor for clamping data: the dense-expansion
+        /// oracle regroups additions and matches only when nothing
+        /// saturates).
         #[test]
         fn batch_sweeps_match_per_image_scalar_passes(
             k in 1usize..8,
@@ -784,12 +811,13 @@ mod tests {
             images in 1usize..5,
             slack in 0usize..20,
             channels in 1usize..4,
+            gap in 0usize..3,
             ppsr in proptest::prelude::any::<bool>(),
             clamping in proptest::prelude::any::<bool>(),
             seed in 0u64..u64::MAX,
         ) {
             // |w|, |x| <= 1024 keeps channels·K·max|w|·max|x| far below
-            // 2³¹ — the bound that admits the wrapping kernels.
+            // 2³¹ — the bound that admits the wrapping kernel.
             let bound = if clamping { 0 } else { 1024 };
             let mut seed = seed;
             let z = k + extra;
@@ -797,25 +825,25 @@ mod tests {
             let out_len = (seg + 1).saturating_sub(k);
             let span = (images - 1) * seg + out_len;
             let kernel = RowKernel::select(k);
-            let rows: Vec<Vec<Fx16>> = (0..channels).map(|_| samples(&mut seed, z, bound)).collect();
-            let inputs: Vec<Vec<Fx16>> = (0..channels)
-                .map(|_| samples(&mut seed, images * seg, bound))
-                .collect();
+            let in_stride = images * seg + gap;
+            let rows = samples(&mut seed, channels * (z + gap), bound);
+            let input = samples(&mut seed, channels * in_stride, bound);
+            let row = |c: usize, len: usize| &rows[c * (z + gap)..][..len];
+            let image_row = |c: usize, b: usize| &input[c * in_stride + b * seg..][..seg];
 
             // DCNN: every offset lane.
             let offsets = z - k + 1;
             let mut lanes = vec![vec![Accum::ZERO; span]; offsets];
             let mut swept = Counters::new();
-            for (row, input) in rows.iter().zip(&inputs) {
-                dcnn_row_sweep_acc_with(
-                    kernel, row, k, 1, ppsr, images, input, seg, &mut lanes, !clamping, &mut swept,
-                );
-            }
+            let band = Band { channels, width: z, w_stride: z + gap, in_stride };
+            dcnn_row_sweep_acc_with(
+                kernel, &rows, k, 1, ppsr, band, images, &input, seg, &mut lanes, !clamping, &mut swept,
+            );
             for b in 0..images {
                 let mut want = vec![vec![Accum::ZERO; out_len]; offsets];
                 let mut one = Counters::new();
-                for (row, input) in rows.iter().zip(&inputs) {
-                    dcnn_row_pass_acc_scalar(row, &input[b * seg..][..seg], k, ppsr, &mut want, &mut one);
+                for c in 0..channels {
+                    dcnn_row_pass_acc_scalar(row(c, z), image_row(c, b), k, ppsr, &mut want, &mut one);
                 }
                 for (dx, lane) in lanes.iter().enumerate() {
                     proptest::prop_assert_eq!(&lane[b * seg..][..out_len], &want[dx][..], "dcnn image {} lane {}", b, dx);
@@ -824,29 +852,43 @@ mod tests {
             }
 
             // SCNN: forward and (with PPSR) mirrored streams.
-            let base: Vec<&[Fx16]> = rows.iter().map(|r| &r[..k]).collect();
             let mut fwd = vec![Accum::ZERO; span];
             let mut rev = vec![Accum::ZERO; span];
             let mut swept = Counters::new();
-            for (row, input) in base.iter().zip(&inputs) {
-                scnn_row_sweep_acc_with(
-                    kernel, row, k, ppsr, images, input, seg, &mut fwd,
-                    ppsr.then_some(rev.as_mut_slice()), !clamping, &mut swept,
-                );
-            }
+            let band = Band { channels, width: k, w_stride: z + gap, in_stride };
+            scnn_row_sweep_acc_with(
+                kernel, &rows, k, ppsr, band, images, &input, seg, &mut fwd,
+                ppsr.then_some(rev.as_mut_slice()), !clamping, &mut swept,
+            );
             for b in 0..images {
                 let mut want_fwd = vec![Accum::ZERO; out_len];
                 let mut want_rev = vec![Accum::ZERO; out_len];
                 let mut one = Counters::new();
-                for (row, input) in base.iter().zip(&inputs) {
+                for c in 0..channels {
                     scnn_row_pass_acc_scalar(
-                        row, &input[b * seg..][..seg], ppsr, &mut want_fwd,
+                        row(c, k), image_row(c, b), ppsr, &mut want_fwd,
                         ppsr.then_some(want_rev.as_mut_slice()), &mut one,
                     );
                 }
                 proptest::prop_assert_eq!(&fwd[b * seg..][..out_len], &want_fwd[..], "scnn image {} forward", b);
                 proptest::prop_assert_eq!(&rev[b * seg..][..out_len], &want_rev[..], "scnn image {} mirrored", b);
                 proptest::prop_assert_eq!(swept, one, "scnn counters are one image's");
+            }
+
+            // Dense: one stream.
+            let mut acc = vec![Accum::ZERO; span];
+            let mut swept = Counters::new();
+            conventional_row_sweep_acc_with(
+                kernel, &rows, k, band, images, &input, seg, &mut acc, !clamping, &mut swept,
+            );
+            for b in 0..images {
+                let mut want = vec![Accum::ZERO; out_len];
+                let mut one = Counters::new();
+                for c in 0..channels {
+                    conventional_row_pass_acc_scalar(row(c, k), image_row(c, b), &mut want, &mut one);
+                }
+                proptest::prop_assert_eq!(&acc[b * seg..][..out_len], &want[..], "dense image {}", b);
+                proptest::prop_assert_eq!(swept, one, "dense counters are one image's");
             }
         }
     }

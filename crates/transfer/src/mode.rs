@@ -1,26 +1,25 @@
 //! Execution-mode policy: how a compiled engine chooses between its
-//! dense, transferred, weight-repetition (UCNN-style factorized), and
-//! compressed-sparse (EIE-style) run paths.
+//! dense, transferred, and compressed-sparse (EIE-style) run paths.
 //!
 //! The TFE premise — reuse is a property of the *weights*, computable
-//! once at compile time — also covers the two comparator families the
-//! paper measures against (PAPERS.md): UCNN's weight-repetition
-//! factorization and EIE's compressed-sparse execution of pruned
-//! models. [`ExecMode`] names the four executable paths and
+//! once at compile time — also covers EIE's compressed-sparse execution
+//! of pruned models, one of the comparator families the paper measures
+//! against (PAPERS.md). [`ExecMode`] names the executable paths and
 //! [`ModePolicy`] is the pure decision function the engine's compile
-//! pass (`tfe_sim::engine`'s `plan` module) evaluates per stage from
-//! two weight statistics:
+//! pass (`tfe_sim::engine`'s `plan` module) evaluates per stage from one
+//! weight statistic, **sparsity**: the fraction of logical filter taps
+//! that quantized to exactly zero (magnitude pruning feeds this path via
+//! `tfe_baselines::SparseFilterBank::prune`).
 //!
-//! * **sparsity** — the fraction of logical filter taps that quantized
-//!   to exactly zero (magnitude pruning feeds this path via
-//!   `tfe_baselines::SparseFilterBank::prune`);
-//! * **repetition** — `1 − unique/nonzero` over the stage's quantized
-//!   nonzero weight values: how much of the weight stream is repeated
-//!   values a factorized dot product can share one multiply across.
+//! UCNN-style weight-repetition factorization is not an execution mode:
+//! once the dense sweep sums a whole channel band per kernel call it
+//! beat the factorized executor on every measured cell, so that
+//! executor was removed (DESIGN §5.15). UCNN stays covered by the
+//! analytic baseline in `tfe-baselines`.
 //!
-//! Every alternate mode is **bit-identical** to the dense path by
+//! The sparse mode is **bit-identical** to the dense path by
 //! construction (see the engine's `plan` module for the exactness
-//! arguments), so the policy is purely a performance choice — any
+//! argument), so the policy is purely a performance choice — any
 //! threshold setting is correct, which is what lets tests force every
 //! mode everywhere.
 
@@ -35,9 +34,6 @@ pub enum ExecMode {
     /// the paper's own reuse structure, chosen by the transfer scheme
     /// rather than by this policy.
     Transferred,
-    /// UCNN-style factorized dot products: input activations grouped by
-    /// shared quantized weight value, one multiply per unique weight.
-    Factorized,
     /// EIE/CSR-style compressed-sparse row streams: only nonzero
     /// weights are stored (index + value) and swept.
     Sparse,
@@ -50,7 +46,6 @@ impl ExecMode {
         match self {
             ExecMode::Dense => "dense",
             ExecMode::Transferred => "transferred",
-            ExecMode::Factorized => "factorized",
             ExecMode::Sparse => "sparse",
         }
     }
@@ -62,23 +57,19 @@ impl fmt::Display for ExecMode {
     }
 }
 
-/// The per-stage mode decision function: thresholds over the two
-/// compile-time weight statistics.
+/// The per-stage mode decision function: a threshold over the
+/// compile-time sparsity statistic.
 ///
-/// Both statistics live in `[0, 1]`, so a threshold above `1.0`
-/// disables its mode entirely ([`ModePolicy::DENSE_ONLY`]) and a
-/// threshold of `0.0` forces it wherever structurally possible
-/// ([`ModePolicy::FORCE_SPARSE`] / [`ModePolicy::FORCE_FACTORIZED`] —
-/// safe because every mode is bit-identical).
+/// Sparsity lives in `[0, 1]`, so a threshold above `1.0` disables the
+/// sparse mode entirely ([`ModePolicy::DENSE_ONLY`]) and a threshold of
+/// `0.0` forces it wherever structurally possible
+/// ([`ModePolicy::FORCE_SPARSE`] — safe because every mode is
+/// bit-identical).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModePolicy {
     /// Minimum zero-tap fraction for a dense stage to compile to
-    /// [`ExecMode::Sparse`]. Checked first: skipping work beats sharing
-    /// multiplies.
+    /// [`ExecMode::Sparse`].
     pub sparse_threshold: f64,
-    /// Minimum repeated-value fraction (`1 − unique/nonzero`) for a
-    /// dense stage to compile to [`ExecMode::Factorized`].
-    pub factorize_threshold: f64,
 }
 
 impl ModePolicy {
@@ -86,30 +77,20 @@ impl ModePolicy {
     /// every mode-parity comparison and `engine_modes` bench cell.
     pub const DENSE_ONLY: ModePolicy = ModePolicy {
         sparse_threshold: 2.0,
-        factorize_threshold: 2.0,
     };
 
     /// Compiles every dense stage to the compressed-sparse path.
     pub const FORCE_SPARSE: ModePolicy = ModePolicy {
         sparse_threshold: 0.0,
-        factorize_threshold: 2.0,
-    };
-
-    /// Compiles every dense stage to the factorized path.
-    pub const FORCE_FACTORIZED: ModePolicy = ModePolicy {
-        sparse_threshold: 2.0,
-        factorize_threshold: 0.0,
     };
 
     /// Chooses the mode for a dense-weight stage from its compile-time
-    /// weight statistics. Transferred stages never reach this decision
+    /// zero-tap fraction. Transferred stages never reach this decision
     /// (their mode is fixed by the transfer scheme).
     #[must_use]
-    pub fn decide(&self, sparsity: f64, repetition: f64) -> ExecMode {
+    pub fn decide(&self, sparsity: f64) -> ExecMode {
         if sparsity >= self.sparse_threshold {
             ExecMode::Sparse
-        } else if repetition >= self.factorize_threshold {
-            ExecMode::Factorized
         } else {
             ExecMode::Dense
         }
@@ -117,14 +98,15 @@ impl ModePolicy {
 }
 
 impl Default for ModePolicy {
-    /// Sparse wins from 40% zero taps (half the bench's lightest
-    /// pruning level, with quantization-induced zeros on top);
-    /// factorization needs 75% repeated values (≥ 4 taps sharing each
-    /// multiply on average) before the gather overhead pays.
+    /// Sparse wins from 65 % zero taps: the measured crossover against
+    /// the channel-stacked dense sweep. On the `engine_modes` bench's
+    /// 48→32-channel 12×12 stage the compressed-sparse executor ran at
+    /// 0.65–0.97× dense at 50 % sparsity and 0.81–1.03× at 60 %, but
+    /// 0.99–1.12× at 65 %, 1.04–1.33× at 70 %, and 2.1–2.7× at 90 %
+    /// (2 vCPUs, interleaved min-of-reps, seven or eight runs).
     fn default() -> Self {
         ModePolicy {
-            sparse_threshold: 0.4,
-            factorize_threshold: 0.75,
+            sparse_threshold: 0.65,
         }
     }
 }
@@ -136,28 +118,18 @@ mod tests {
     #[test]
     fn default_policy_picks_each_mode() {
         let p = ModePolicy::default();
-        assert_eq!(p.decide(0.0, 0.0), ExecMode::Dense);
-        assert_eq!(p.decide(0.9, 0.0), ExecMode::Sparse);
-        assert_eq!(p.decide(0.0, 0.9), ExecMode::Factorized);
-        // Sparsity is checked first when both qualify.
-        assert_eq!(p.decide(0.9, 0.9), ExecMode::Sparse);
+        assert_eq!(p.decide(0.0), ExecMode::Dense);
+        assert_eq!(p.decide(0.6), ExecMode::Dense);
+        assert_eq!(p.decide(0.65), ExecMode::Sparse);
+        assert_eq!(p.decide(0.9), ExecMode::Sparse);
+        assert_eq!(p.decide(1.0), ExecMode::Sparse);
     }
 
     #[test]
     fn forcing_policies_cover_the_whole_statistic_range() {
-        for stats in [(0.0, 0.0), (1.0, 1.0), (0.3, 0.7)] {
-            assert_eq!(
-                ModePolicy::DENSE_ONLY.decide(stats.0, stats.1),
-                ExecMode::Dense
-            );
-            assert_eq!(
-                ModePolicy::FORCE_SPARSE.decide(stats.0, stats.1),
-                ExecMode::Sparse
-            );
-            assert_eq!(
-                ModePolicy::FORCE_FACTORIZED.decide(stats.0, stats.1),
-                ExecMode::Factorized
-            );
+        for sparsity in [0.0, 0.3, 1.0] {
+            assert_eq!(ModePolicy::DENSE_ONLY.decide(sparsity), ExecMode::Dense);
+            assert_eq!(ModePolicy::FORCE_SPARSE.decide(sparsity), ExecMode::Sparse);
         }
     }
 
@@ -165,7 +137,6 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(ExecMode::Dense.as_str(), "dense");
         assert_eq!(ExecMode::Transferred.to_string(), "transferred");
-        assert_eq!(ExecMode::Factorized.as_str(), "factorized");
         assert_eq!(ExecMode::Sparse.as_str(), "sparse");
     }
 }

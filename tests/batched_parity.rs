@@ -409,44 +409,85 @@ fn per_layer_telemetry_sums_match_sequential_engine() {
     }
 }
 
-/// The bounded high-water shrink: a one-off batch-8 run grows the
-/// batch-scaled arenas; they stay warm while the peak is inside the
-/// shrink window, and are released once `PEAK_WINDOW` (8) smaller runs
-/// age it out.
+/// The bounded high-water shrink, for a dense, a DCNN4, and an SCNN
+/// engine: a one-off batch-8 run grows the batch-scaled arenas — padded
+/// planes, accumulators, and stage buffers, plus the dense row parts or
+/// the transferred stages' batch-wide window and ERRR ring streams; they
+/// stay warm while the peak is inside the shrink window, and are
+/// released once `PEAK_WINDOW` (8) smaller runs age it out.
 #[test]
 fn scratch_arenas_shrink_after_peak_ages_out() {
-    let net = dense_net(8, 8, 12, 3, 1.0, 0x91);
-    let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
-    let mut scratch = Scratch::new();
+    // Indices into `Scratch::arena_capacities`: padded, out, stage_in,
+    // stage_next, dense parts, window, transferred stream words.
+    const SHARED: [usize; 4] = [0, 1, 2, 3];
+    const PARTS: usize = 4;
+    const WINDOW: usize = 5;
+    const STREAMS: usize = 6;
+    // The two stage-activation buffers swap roles every run, so they
+    // are compared as an unordered pair.
+    let caps = |scratch: &Scratch| {
+        let mut caps = scratch.arena_capacities();
+        if caps[2] > caps[3] {
+            caps.swap(2, 3);
+        }
+        caps
+    };
+    let cells = [
+        ("dense", dense_net(8, 8, 12, 3, 1.0, 0x91), 8, vec![PARTS]),
+        (
+            "dcnn4",
+            transferred_net(TransferScheme::DCNN4, 1.0, 0x92),
+            48,
+            vec![WINDOW, STREAMS],
+        ),
+        (
+            "scnn",
+            transferred_net(TransferScheme::Scnn, 1.0, 0x93),
+            48,
+            vec![WINDOW, STREAMS],
+        ),
+    ];
+    for (label, net, channels, own) in cells {
+        let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
+        let mut scratch = Scratch::new();
+        let big = stacked(8, channels, 12, 1.0, 0xb16);
+        let small = stacked(1, channels, 12, 1.0, 0x5a11);
+        engine.run_batched(&big, &mut scratch, 1).unwrap();
+        let peak_caps = caps(&scratch);
 
-    let big = stacked(8, 8, 12, 1.0, 0xb16);
-    let small = stacked(1, 8, 12, 1.0, 0x5a11);
-    engine.run_batched(&big, &mut scratch, 1).unwrap();
-    let peak_caps = scratch.arena_capacities();
-
-    // Inside the window the batch-8 peak still bounds every arena: the
-    // next small run must not release the warm capacity.
-    engine.run_batched(&small, &mut scratch, 1).unwrap();
-    assert_eq!(
-        scratch.arena_capacities(),
-        peak_caps,
-        "peak still inside the shrink window must keep arenas warm"
-    );
-
-    // Seven more small runs overwrite the last window slot holding the
-    // batch-8 peak; retiring the eighth shrinks to the small geometry.
-    for _ in 0..7 {
+        // Inside the window the batch-8 peak still bounds every arena:
+        // the next small run must not release the warm capacity.
         engine.run_batched(&small, &mut scratch, 1).unwrap();
-    }
-    let shrunk = scratch.arena_capacities();
-    for (i, (&after, &before)) in shrunk.iter().zip(&peak_caps).enumerate() {
-        assert!(
-            after < before,
-            "arena {i}: capacity {after} must shrink below the batch-8 peak {before}"
+        assert_eq!(
+            caps(&scratch),
+            peak_caps,
+            "{label}: peak still inside the shrink window must keep arenas warm"
         );
-    }
 
-    // And the shrunk arenas still produce exact results.
-    let batched = engine.run_batched(&big, &mut scratch, 1).unwrap();
-    assert_batched_matches_sequential(&engine, &big, &batched, "post-shrink");
+        // Seven more small runs overwrite the last window slot holding
+        // the batch-8 peak; retiring the eighth shrinks to the small
+        // geometry. Arenas this scheme scales with the batch must
+        // shrink; the rest must not grow.
+        for _ in 0..7 {
+            engine.run_batched(&small, &mut scratch, 1).unwrap();
+        }
+        let shrunk = caps(&scratch);
+        for (i, (&after, &before)) in shrunk.iter().zip(&peak_caps).enumerate() {
+            if SHARED.contains(&i) || own.contains(&i) {
+                assert!(
+                    after < before,
+                    "{label} arena {i}: capacity {after} must shrink below the batch-8 peak {before}"
+                );
+            } else {
+                assert!(
+                    after <= before,
+                    "{label} arena {i}: capacity {after} must not grow past {before}"
+                );
+            }
+        }
+
+        // And the shrunk arenas still produce exact results.
+        let batched = engine.run_batched(&big, &mut scratch, 1).unwrap();
+        assert_batched_matches_sequential(&engine, &big, &batched, &format!("{label} post-shrink"));
+    }
 }

@@ -1,4 +1,4 @@
-//! Kernel-level parity: the monomorphized row kernels
+//! Kernel-level parity: the channel-stacked row kernel
 //! (`engine/kernels.rs`, selected per `K` at engine-compile time) must
 //! be bit-identical — activations AND counters — to the frozen scalar
 //! reference (`ppsr::*_acc_scalar`, the pre-monomorphization
@@ -265,5 +265,53 @@ fn wide_dense_kernels_match_oracle() {
         let expected = conv2d_fx(&input, &weights.map(Fx16::from_f32), &shape).unwrap();
         let got = run_layer(&input, &layer, &shape, ReuseConfig::FULL).unwrap();
         assert_eq!(got.output, expected, "K = {k}");
+    }
+}
+
+/// The runtime-`K` kernel (`RowKernel::Generic`) through real engine
+/// passes: `K = 3` at dilation 4 stores 9-wide rows, which no
+/// monomorphized variant covers. Dense, DCNN4, and SCNN stages with a
+/// 3-channel band at batch 1 and 3, pinned bit-exactly to the
+/// dense-expansion oracle under every reuse ablation — on quiet data
+/// (the stage bound admits the wrapping form) and on data with one loud
+/// sample per image that fails the bound without any sum reaching the
+/// `i32` rails (the saturating form, where the oracle's different
+/// addition order still agrees).
+#[test]
+fn generic_kernel_matches_oracle_through_engine() {
+    let mut seed = 0x9e9e_u32;
+    for (scheme, m) in [
+        (None, 5usize),
+        (Some(TransferScheme::DCNN4), 4),
+        (Some(TransferScheme::Scnn), 8),
+    ] {
+        let shape = LayerShape::conv("generic", 3, m, 13, 13, 3, 1, 4)
+            .unwrap()
+            .with_dilation(4)
+            .unwrap();
+        for (regime, amp) in [("wrapping", 1.0f32), ("saturating", 16.0)] {
+            let mut weight = || amp * det(&mut seed);
+            let layer = match scheme {
+                None => TransferredLayer::Dense {
+                    weights: Tensor4::from_fn([m, 3, 3, 3], |_| weight()),
+                },
+                Some(scheme) => TransferredLayer::random(&shape, scheme, weight).unwrap(),
+            };
+            let dense = layer.expand_to_dense().unwrap().map(Fx16::from_f32);
+            for batch in [1usize, 3] {
+                let input = Tensor4::from_fn([batch, 3, 13, 13], |[_, c, y, x]| {
+                    let loud = amp > 1.0 && (c, y, x) == (1, 6, 6);
+                    Fx16::from_f32(if loud { 127.0 } else { det(&mut seed) })
+                });
+                let expected = conv2d_fx(&input, &dense, &shape).unwrap();
+                for reuse in ALL_REUSE {
+                    let got = run_layer(&input, &layer, &shape, reuse).unwrap();
+                    assert_eq!(
+                        got.output, expected,
+                        "{scheme:?} {regime} batch {batch} {reuse:?}"
+                    );
+                }
+            }
+        }
     }
 }

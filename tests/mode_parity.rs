@@ -1,19 +1,16 @@
-//! Execution-mode parity: the weight plan's alternate executors — the
-//! compressed-sparse path (`engine/sparse.rs`) and the UCNN-style
-//! factorized path (`engine/repeat.rs`) — must be **bit-identical** to
-//! the dense sweep in activations, per-image counter streams, and
-//! per-layer telemetry sums, across scheme × stride × dilation × batch,
-//! through both [`Engine::run`] and [`Engine::run_batched`].
+//! Execution-mode parity: the weight plan's alternate executor — the
+//! compressed-sparse path (`engine/sparse.rs`) — must be
+//! **bit-identical** to the dense sweep in activations, per-image
+//! counter streams, and per-layer telemetry sums, across scheme ×
+//! stride × dilation × batch, through both [`Engine::run`] and
+//! [`Engine::run_batched`].
 //!
 //! The [`ModePolicy`] force constants make this pinnable: compiling the
-//! same network under [`ModePolicy::DENSE_ONLY`],
-//! [`ModePolicy::FORCE_SPARSE`], and [`ModePolicy::FORCE_FACTORIZED`]
-//! yields three engines that must agree bit-exactly on everything
-//! except *how* dense stages execute. Also pinned: the default policy's
-//! natural thresholds (pruned weights select `Sparse`, small-palette
-//! weights select `Factorized`), and the factorized saturation
-//! fallback (weights that break the window-level no-clamp bound
-//! downgrade to the dense sweep per run, preserving bit-identity).
+//! same network under [`ModePolicy::DENSE_ONLY`] and
+//! [`ModePolicy::FORCE_SPARSE`] yields two engines that must agree
+//! bit-exactly on everything except *how* dense stages execute. Also
+//! pinned: the default policy's natural threshold (pruned weights
+//! select `Sparse`).
 
 use proptest::prelude::*;
 use tfe::sim::counters::Counters;
@@ -45,15 +42,10 @@ const STRIDES: [usize; 2] = [1, 2];
 const DILATIONS: [usize; 2] = [1, 2];
 const BATCHES: [usize; 3] = [1, 3, 5];
 
-/// The three policies under comparison; `DENSE_ONLY` is the oracle.
-const POLICIES: [(&str, ModePolicy, ExecMode); 3] = [
+/// The policies under comparison; `DENSE_ONLY` is the oracle.
+const POLICIES: [(&str, ModePolicy, ExecMode); 2] = [
     ("dense", ModePolicy::DENSE_ONLY, ExecMode::Dense),
     ("sparse", ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
-    (
-        "factorized",
-        ModePolicy::FORCE_FACTORIZED,
-        ExecMode::Factorized,
-    ),
 ];
 
 /// A transferred stem (per scheme) feeding a dense stage at the given
@@ -240,7 +232,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The full grid: scheme × stride × dilation × batch × worker count
-    /// × weight sparsity, each cell comparing the three policy engines
+    /// × weight sparsity, each cell comparing the policy engines
     /// bit-for-bit through `run` and `run_batched`.
     #[test]
     fn forced_modes_are_bit_identical_across_the_grid(
@@ -271,7 +263,7 @@ proptest! {
 
 /// A dense-only deep chain (no transferred stem) under every reuse
 /// ablation: the policy grid must stay bit-identical when ERRR/PPSR
-/// reuse is on, off, and mixed — alternate executors charge the same
+/// reuse is on, off, and mixed — the sparse executor charges the same
 /// counters the dense sweep does regardless of the reuse config.
 #[test]
 fn reuse_ablations_stay_bit_identical_under_forced_modes() {
@@ -317,11 +309,10 @@ fn reuse_ablations_stay_bit_identical_under_forced_modes() {
     }
 }
 
-/// The default policy's natural thresholds: a 90 %-pruned dense stage
-/// crosses the sparsity threshold and compiles to `Sparse`; a stage
-/// whose weights come from a four-value palette crosses the repetition
-/// threshold and compiles to `Factorized` — and both run bit-identical
-/// to a `DENSE_ONLY` compile of the same network.
+/// The default policy's natural threshold: a 90 %-pruned dense stage
+/// crosses the sparsity threshold and compiles to `Sparse`, while the
+/// same geometry with unpruned weights stays on the dense sweep — and
+/// both run bit-identical to a `DENSE_ONLY` compile of the same network.
 #[test]
 fn default_policy_thresholds_choose_modes_naturally() {
     let shape = || LayerShape::conv("nat", 6, 8, 12, 12, 3, 1, 1).unwrap();
@@ -331,7 +322,7 @@ fn default_policy_thresholds_choose_modes_naturally() {
         weights: TransferredLayer::Dense {
             weights: Tensor4::from_fn([8, 6, 3, 3], |_| {
                 let v = det(&mut s);
-                // ~90 % of taps zeroed: well past the 0.4 threshold.
+                // ~90 % of taps zeroed: well past the default threshold.
                 if (s >> 7) % 10 < 9 {
                     0.0
                 } else {
@@ -343,36 +334,25 @@ fn default_policy_thresholds_choose_modes_naturally() {
         output: OutputConfig::RELU_ONLY,
     }])
     .unwrap();
-    let palette = FunctionalNetwork::new(vec![FunctionalStage {
+    let unpruned = FunctionalNetwork::new(vec![FunctionalStage {
         shape: shape(),
         weights: TransferredLayer::Dense {
-            weights: Tensor4::from_fn([8, 6, 3, 3], |_| {
-                // A four-value palette: repetition = 1 - 4/432 ≈ 0.99,
-                // past the 0.75 threshold; zero never occurs, so the
-                // sparsity threshold cannot fire first.
-                const PALETTE: [f32; 4] = [-0.5, -0.25, 0.25, 0.5];
-                let v = det(&mut s);
-                PALETTE[(v.abs() * 16.0) as usize % 4]
-            }),
+            // Quarter-unit steps in ±1.875 never quantize to zero.
+            weights: Tensor4::from_fn([8, 6, 3, 3], |_| det(&mut s)),
         },
         bias: vec![0.0; 8],
         output: OutputConfig::RELU_ONLY,
     }])
     .unwrap();
 
-    for (net, expect) in [
-        (&pruned, ExecMode::Sparse),
-        (&palette, ExecMode::Factorized),
-    ] {
+    for (net, expect) in [(&pruned, ExecMode::Sparse), (&unpruned, ExecMode::Dense)] {
         let engine = Engine::compile(net, ReuseConfig::FULL).unwrap();
         assert_eq!(engine.exec_modes(), vec![expect], "{expect:?}");
-        let (sparsity, repetition) = engine.stage_weight_stats(0).unwrap();
+        let sparsity = engine.stage_sparsity(0).unwrap();
+        let threshold = ModePolicy::default().sparse_threshold;
         match expect {
-            ExecMode::Sparse => assert!(sparsity > 0.4, "sparsity {sparsity}"),
-            ExecMode::Factorized => {
-                assert!(sparsity < 0.4, "sparsity {sparsity}");
-                assert!(repetition > 0.75, "repetition {repetition}");
-            }
+            ExecMode::Sparse => assert!(sparsity >= threshold, "sparsity {sparsity}"),
+            ExecMode::Dense => assert!(sparsity < threshold, "sparsity {sparsity}"),
             _ => unreachable!(),
         }
         let input = stacked(2, 6, 12, 1.0, 0x77);
@@ -386,48 +366,9 @@ fn default_policy_thresholds_choose_modes_naturally() {
     }
 }
 
-/// The factorized saturation fallback: weights and inputs large enough
-/// to break the window-level no-clamp bound make the engine downgrade a
-/// `Factorized` stage to the dense sweep *per run* — the compiled mode
-/// still reports `Factorized`, and the run stays bit-identical to a
-/// `DENSE_ONLY` engine (which genuinely saturates on this data).
-#[test]
-fn factorized_saturation_fallback_stays_bit_identical() {
-    let mut s = 0xfadeu32;
-    let net = FunctionalNetwork::new(vec![FunctionalStage {
-        shape: LayerShape::conv("hot", 16, 8, 10, 10, 3, 1, 1).unwrap(),
-        weights: TransferredLayer::Dense {
-            weights: Tensor4::from_fn([8, 16, 3, 3], |_| 100.0 * det(&mut s)),
-        },
-        bias: vec![0.0; 8],
-        output: OutputConfig::RELU_ONLY,
-    }])
-    .unwrap();
-    let fact = Engine::compile_with_policy(&net, ReuseConfig::FULL, &ModePolicy::FORCE_FACTORIZED)
-        .unwrap();
-    assert_eq!(fact.exec_modes(), vec![ExecMode::Factorized]);
-    let dense =
-        Engine::compile_with_policy(&net, ReuseConfig::FULL, &ModePolicy::DENSE_ONLY).unwrap();
-
-    let mut scratch = Scratch::new();
-    let input = stacked(3, 16, 10, 100.0, 0xd00d);
-    let a = fact.run_batched(&input, &mut scratch, 2).unwrap();
-    let b = dense.run_batched(&input, &mut scratch, 2).unwrap();
-    assert_eq!(flat(&a.activations), flat(&b.activations));
-    assert_eq!(a.per_image, b.per_image);
-    assert_eq!(a.counters, b.counters);
-    // The saturating dense path really was needed: the same weights on
-    // tame inputs take the factorized path, and both agree there too.
-    let tame = stacked(3, 16, 10, 0.01, 0xd00d);
-    let a2 = fact.run_batched(&tame, &mut scratch, 2).unwrap();
-    let b2 = dense.run_batched(&tame, &mut scratch, 2).unwrap();
-    assert_eq!(flat(&a2.activations), flat(&b2.activations));
-    assert_eq!(a2.per_image, b2.per_image);
-}
-
 /// A fully-pruned (all-zero) dense stage: the sparse table is empty,
-/// the factorized table has no groups — both must still emit the exact
-/// dense result (bias + activation of zero sums) with exact counters.
+/// yet it must still emit the exact dense result (bias + activation of
+/// zero sums) with exact counters.
 #[test]
 fn all_zero_weights_stay_bit_identical_in_every_mode() {
     let net = FunctionalNetwork::new(vec![FunctionalStage {
@@ -444,5 +385,5 @@ fn all_zero_weights_stay_bit_identical_in_every_mode() {
     let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
     // Naturally chosen too: sparsity 1.0 ≫ threshold.
     assert_eq!(engine.exec_modes(), vec![ExecMode::Sparse]);
-    assert_eq!(engine.stage_weight_stats(0).unwrap().0, 1.0);
+    assert_eq!(engine.stage_sparsity(0).unwrap(), 1.0);
 }
