@@ -49,8 +49,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # >= 1.3x images/sec at batch 8 on the dense cells, >= 0.97x at batch 1,
 # bit-identity asserted first), the channel-stacked row kernel (pinned
 # >= 1.25x over the frozen scalar reference), the telemetry-sink
-# overhead pin, and the fleet router-dispatch overhead (pinned < 3 % vs
-# single-model serving). engine_speedup now carries a depthwise-separable
+# overhead pin, the fleet router-dispatch overhead (pinned < 3 % vs
+# single-model serving), and run_batch's image-chunk scaling
+# (sim_throughput's batch_vgg_prefix: median and quartile ms per round at
+# 1/2/4/8 threads, unpinned). engine_speedup now carries a depthwise-separable
 # cell and engine_batch a dilated cell, so the generalized-geometry paths
 # are in the timed sweep too. engine_modes times the weight plan's
 # compressed-sparse executor against the dense sweep on the same network
@@ -68,6 +70,7 @@ if [ "${BENCH:-0}" = "1" ]; then
     cargo bench --offline -p tfe-bench --bench ppsr_row
     cargo bench --offline -p tfe-bench --bench telemetry_overhead
     cargo bench --offline -p tfe-bench --bench fleet_router
+    cargo bench --offline -p tfe-bench --bench sim_throughput
     echo "--- BENCH_13.json (perf trajectory) ---"
     cat BENCH_13.json
 fi

@@ -39,8 +39,9 @@ fn bench_sim(c: &mut Criterion) {
     });
 }
 
-/// Batched-image throughput (images/sec) scaling against the thread
-/// count, on a VGG-16-style stack of functional stages. Whole ImageNet
+/// Batched-image throughput scaling against the thread count (median
+/// and quartile wall time per `run_batch` round, and images/sec at the
+/// median), on a VGG-16-style stack of functional stages. Whole ImageNet
 /// VGG-16 is too large for value-level simulation, so this uses a
 /// narrowed VGG prefix (same 3×3 conv + pool topology, reduced channel
 /// counts and resolution) — every image still walks multiple chained
@@ -72,26 +73,38 @@ fn bench_batch_scaling(c: &mut Criterion) {
     let vgg_plan = zoo::vgg16().plan(TransferScheme::Scnn);
     let cfg = PerfConfig::default();
 
-    let mut baseline_ips = None;
+    // Per-round wall times, reported as median and quartiles per thread
+    // count: one total over a few rounds swings too far on a shared host
+    // to compare two builds. The warm-up round compiles the engine.
+    const ROUNDS: usize = 60;
+    let run = |threads: usize| {
+        let out = run_batch(
+            black_box(&net),
+            black_box(&images),
+            ReuseConfig::FULL,
+            BatchOptions::with_threads(threads),
+        )
+        .unwrap();
+        black_box(out);
+    };
+    run(1);
     for threads in [1usize, 2, 4, 8] {
-        let start = Instant::now();
-        let rounds = 3u32;
-        for _ in 0..rounds {
-            let out = run_batch(
-                black_box(&net),
-                black_box(&images),
-                ReuseConfig::FULL,
-                BatchOptions::with_threads(threads),
-            )
-            .unwrap();
-            black_box(out);
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let ips = (images.len() as u32 * rounds) as f64 / elapsed;
-        let speedup = ips / *baseline_ips.get_or_insert(ips);
+        let mut ms: Vec<f64> = (0..ROUNDS)
+            .map(|_| {
+                let start = Instant::now();
+                run(threads);
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        let quantile = |q: f64| ms[((ms.len() - 1) as f64 * q).round() as usize];
+        let (q1, median, q3) = (quantile(0.25), quantile(0.5), quantile(0.75));
+        let ips = images.len() as f64 / (median / 1e3);
         println!(
-            "sim_throughput/batch_vgg_prefix threads={threads:<2} {ips:>9.1} images/sec \
-             (x{speedup:.2} vs 1 thread)"
+            "sim_throughput/batch_vgg_prefix threads={threads:<2} median {median:>7.3} ms \
+             [q1 {q1:.3}, q3 {q3:.3}] per {} images, {ips:>8.1} images/sec at the median \
+             ({ROUNDS} rounds)",
+            images.len()
         );
     }
 

@@ -9,23 +9,22 @@
 //! whose deadline expired while queued are dropped at formation time so
 //! they never waste a batch slot.
 //!
-//! **Executor** workers pull formed batches and pack each one into a
-//! single `[B, C, H, W]` tensor executed as **one filter-stationary
-//! batched sweep** ([`tfe_sim::engine::Engine::run_batched`]) against
-//! the service's compile-once engine, checking a warm scratch arena out
-//! of the shared pool. Outputs and per-image counters split back out
-//! per request — batching changes latency and throughput, never values
-//! or per-request counters (each request's reply is bit-identical to a
-//! lone [`tfe_sim::engine::Engine::run`], see `tests/serve_smoke.rs`).
+//! **Executor** workers pull formed batches and run each one through
+//! [`tfe_sim::engine::Engine::run_packed`] against the service's
+//! compile-once engine, checking a warm scratch arena out of the shared
+//! pool: the requests pack into a single `[B, C, H, W]` tensor executed
+//! as **one filter-stationary batched sweep**, and outputs and
+//! per-image counters split back out per request — batching changes
+//! latency and throughput, never values or per-request counters (each
+//! request's reply is bit-identical to a lone
+//! [`tfe_sim::engine::Engine::run`], see `tests/serve_smoke.rs`).
 //! [`ServeConfig::batch_threads`](crate::config::ServeConfig::batch_threads)
-//! is the intra-run worker budget of each sweep (ambient parallelism
-//! when unset).
+//! is the intra-run worker budget of each sweep (the ambient budget of
+//! [`tfe_sim::batch::BatchOptions::workers`] when unset).
 
 use crate::service::{InferenceReply, Pending, Rejected, Shared};
 use std::time::Instant;
 use tfe_sim::counters::Counters;
-use tfe_sim::engine::{Engine, Scratch};
-use tfe_sim::SimError;
 use tfe_tensor::fixed::Fx16;
 use tfe_tensor::tensor::Tensor4;
 
@@ -79,26 +78,26 @@ pub(crate) fn batcher_loop(shared: &Shared) {
 }
 
 /// Executes formed micro-batches until the batch queue is closed and
-/// drained: each batch runs as one packed filter-stationary sweep.
+/// drained: each batch runs as one packed filter-stationary sweep
+/// ([`Engine::run_packed`](tfe_sim::engine::Engine::run_packed)) on the
+/// configured worker budget.
 pub(crate) fn executor_loop(shared: &Shared) {
-    let workers = shared
-        .config
-        .batch_threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let workers = shared.config.batch_options().workers();
     while let Some(batch) = shared.batches.pop_blocking() {
+        let inputs: Vec<&Tensor4<Fx16>> = batch.requests.iter().map(|p| &p.input).collect();
         let mut scratch = shared.scratches.checkout();
-        let result = run_micro_batch(&shared.engine, &batch.requests, &mut scratch, workers);
+        let result = shared.engine.run_packed(&inputs, &mut scratch, workers);
         shared.scratches.restore(scratch);
         match result {
-            Ok(replies) => {
+            Ok(outputs) => {
                 let mut merged = Counters::new();
-                for (pending, (activations, counters)) in batch.requests.into_iter().zip(replies) {
-                    merged.merge(&counters);
+                for (pending, output) in batch.requests.into_iter().zip(outputs) {
+                    merged.merge(&output.counters);
                     let latency = pending.submitted.elapsed();
                     shared.metrics.record_completed(latency);
                     pending.complete(Ok(InferenceReply {
-                        activations,
-                        counters,
+                        activations: output.activations,
+                        counters: output.counters,
                         latency,
                     }));
                 }
@@ -115,65 +114,4 @@ pub(crate) fn executor_loop(shared: &Shared) {
             }
         }
     }
-}
-
-/// Packs a micro-batch's requests into one `[B, C, H, W]` tensor, runs a
-/// single batched sweep, and splits activations plus per-image counters
-/// back out per request, in request order.
-///
-/// A lone request skips the pack/split copies. Requests whose
-/// `(C, H, W)` differ cannot share a pack — admission control prevents
-/// that for live traffic, but the fallback keeps the executor total: it
-/// runs them sequentially (bit-identical either way).
-fn run_micro_batch(
-    engine: &Engine,
-    requests: &[Pending],
-    scratch: &mut Scratch,
-    workers: usize,
-) -> Result<Vec<(Tensor4<Fx16>, Counters)>, SimError> {
-    let Some(first) = requests.first() else {
-        return Ok(Vec::new());
-    };
-    let [_, c, h, w] = first.input.dims();
-    if requests.len() == 1 {
-        let out = engine.run(&first.input, scratch)?;
-        return Ok(vec![(out.activations, out.counters)]);
-    }
-    if requests.iter().any(|p| {
-        let [_, pc, ph, pw] = p.input.dims();
-        (pc, ph, pw) != (c, h, w)
-    }) {
-        return requests
-            .iter()
-            .map(|p| {
-                engine
-                    .run(&p.input, scratch)
-                    .map(|out| (out.activations, out.counters))
-            })
-            .collect();
-    }
-    let lens: Vec<usize> = requests.iter().map(|p| p.input.dims()[0]).collect();
-    let total: usize = lens.iter().sum();
-    let mut packed = Vec::with_capacity(total * c * h * w);
-    for pending in requests {
-        packed.extend_from_slice(pending.input.as_slice());
-    }
-    let packed = Tensor4::from_vec([total, c, h, w], packed)
-        .expect("packed micro-batch dims match the concatenated requests");
-    let run = engine.run_batched(&packed, scratch, workers)?;
-    let [_, oc, oh, ow] = run.activations.dims();
-    let mut replies = Vec::with_capacity(requests.len());
-    let mut b0 = 0usize;
-    for len in lens {
-        let activations = Tensor4::from_fn([len, oc, oh, ow], |[b, ci, y, x]| {
-            run.activations.get([b0 + b, ci, y, x])
-        });
-        let mut counters = Counters::new();
-        for image in &run.per_image[b0..b0 + len] {
-            counters.merge(image);
-        }
-        replies.push((activations, counters));
-        b0 += len;
-    }
-    Ok(replies)
 }

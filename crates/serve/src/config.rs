@@ -26,8 +26,9 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Number of executor workers pulling formed batches.
     pub executors: usize,
-    /// Worker-thread count handed to [`tfe_sim::batch::run_batch`] per
-    /// batch; `None` uses the ambient budget.
+    /// Intra-run worker budget of each micro-batch's packed sweep
+    /// ([`tfe_sim::engine::Engine::run_packed`]); `None` uses the
+    /// ambient budget ([`BatchOptions::workers`]).
     pub batch_threads: Option<usize>,
     /// Reuse configuration every request is evaluated under (fixed per
     /// service so whole batches share one datapath configuration).
@@ -94,7 +95,9 @@ impl ServeConfig {
         Ok(())
     }
 
-    /// The [`BatchOptions`] each executed micro-batch runs under.
+    /// The [`BatchOptions`] each executed micro-batch runs under; the
+    /// executors take their worker budget from
+    /// [`BatchOptions::workers`].
     #[must_use]
     pub fn batch_options(&self) -> BatchOptions {
         BatchOptions {

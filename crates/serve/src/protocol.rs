@@ -47,6 +47,10 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// corrupt length prefixes).
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
+/// Most bytes a frame read reserves before its payload arrives; the
+/// buffer grows with the bytes actually received beyond that.
+const FRAME_PREALLOC_BYTES: usize = 64 << 10;
+
 /// Protocol-level failure: transport or message shape.
 #[derive(Debug)]
 pub enum ProtocolError {
@@ -127,9 +131,14 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// polled TCP accept path reads one byte with a timeout, then finishes
 /// the frame without losing it).
 ///
+/// The payload buffer grows with the bytes that arrive, so a declared
+/// length reserves at most 64 KiB until its payload shows up.
+///
 /// # Errors
 ///
-/// Propagates stream errors; rejects oversized length prefixes.
+/// Propagates stream errors; rejects oversized length prefixes, and
+/// returns [`io::ErrorKind::UnexpectedEof`] when the stream ends inside
+/// the payload.
 pub fn read_frame_after(first: u8, reader: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut rest = [0u8; 3];
     reader.read_exact(&mut rest)?;
@@ -140,8 +149,14 @@ pub fn read_frame_after(first: u8, reader: &mut impl Read) -> io::Result<Vec<u8>
             "frame length exceeds MAX_FRAME_BYTES",
         ));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(FRAME_PREALLOC_BYTES));
+    reader.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream ended inside a frame",
+        ));
+    }
     Ok(payload)
 }
 
@@ -645,5 +660,38 @@ mod tests {
         buffer.truncate(buffer.len() - 2);
         let mut cursor = io::Cursor::new(buffer);
         assert!(read_frame(&mut cursor).is_err());
+    }
+
+    /// A stream that records the largest buffer any `read` was handed.
+    struct RecordingReader {
+        bytes: io::Cursor<Vec<u8>>,
+        largest_buf: usize,
+    }
+
+    impl Read for RecordingReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_buf = self.largest_buf.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn declared_length_does_not_allocate_before_bytes_arrive() {
+        let mut bytes = u32::try_from(MAX_FRAME_BYTES)
+            .unwrap()
+            .to_be_bytes()
+            .to_vec();
+        bytes.extend_from_slice(&[7u8; 10]);
+        let mut reader = RecordingReader {
+            bytes: io::Cursor::new(bytes),
+            largest_buf: 0,
+        };
+        let err = read_frame(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            reader.largest_buf < 1 << 20,
+            "a 10-byte stream was handed a {}-byte buffer",
+            reader.largest_buf
+        );
     }
 }

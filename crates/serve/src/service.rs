@@ -8,8 +8,8 @@
 //! 2. one **batcher** thread (the private `batcher` module) coalescing
 //!    queued requests into micro-batches (flush on size or delay) and
 //!    dropping expired work;
-//! 3. an **executor pool** running each micro-batch through
-//!    [`tfe_sim::batch::run_engine_batch`] against one
+//! 3. an **executor pool** running each micro-batch as one packed
+//!    sweep ([`Engine::run_packed`]) against one
 //!    [`Engine`] compiled **once** at
 //!    [`Service::start`] — all weight-side work is amortized across
 //!    every request the service ever handles, and executors reuse

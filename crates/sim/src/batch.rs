@@ -3,9 +3,10 @@
 //!
 //! [`run_engine_batch`] pushes a batch of independent input images
 //! through one compiled [`Engine`], dividing the images into contiguous
-//! per-worker chunks. Each chunk checks a [`Scratch`](crate::engine::Scratch)
-//! arena out of a [`ScratchPool`] and runs its images sequentially
-//! through [`Engine::run`]; outputs come back in input order and
+//! chunks, one per worker thread. Each chunk checks a
+//! [`Scratch`](crate::engine::Scratch) arena out of a [`ScratchPool`]
+//! and runs as one packed filter-stationary sweep through
+//! [`Engine::run_packed`]; outputs come back in input order and
 //! per-image [`Counters`] merge in input order via [`Counters::merge`] —
 //! so both the activation values and the merged totals are
 //! **bit-identical** to a sequential loop over the batch, for every
@@ -16,17 +17,20 @@
 //! [`FunctionalNetwork::engine`] and delegates to [`run_engine_batch`]
 //! with the network's internal scratch pool.
 //!
-//! Thread budget: [`BatchOptions::threads`] pins an explicit count;
-//! otherwise the runner uses the ambient budget (`RAYON_NUM_THREADS` /
-//! `TFE_THREADS` environment variables, defaulting to the machine's
-//! available parallelism). Parallelism is across images only — each
-//! image runs sequentially inside one engine pass.
+//! Thread budget: [`BatchOptions::workers`] resolves it — the pinned
+//! [`BatchOptions::threads`], else the ambient budget
+//! (`RAYON_NUM_THREADS` / `TFE_THREADS` environment variables,
+//! defaulting to the machine's available parallelism). Parallelism is
+//! across image chunks only: each chunk's sweep runs on one worker.
+//! Handing one sweep the whole budget instead (the stage partitioner's
+//! batch chunks) measured about 1.5× slower on small images
+//! (`sim_throughput`'s VGG prefix at 2 threads), where each stage's
+//! thread spawn and join outweigh its work.
 
 use crate::counters::Counters;
-use crate::engine::{Engine, ScratchPool};
+use crate::engine::{chunk_lengths, fan_out, Engine, ScratchPool};
 use crate::network::{FunctionalNetwork, NetworkOutput};
 use crate::SimError;
-use rayon::prelude::*;
 use tfe_tensor::fixed::Fx16;
 use tfe_tensor::tensor::Tensor4;
 use tfe_transfer::analysis::ReuseConfig;
@@ -46,6 +50,16 @@ impl BatchOptions {
         BatchOptions {
             threads: Some(threads),
         }
+    }
+
+    /// The worker count these options resolve to: the pinned
+    /// [`threads`](Self::threads), else the ambient budget
+    /// (`RAYON_NUM_THREADS`, then `TFE_THREADS`, then the machine's
+    /// available parallelism). The one rule [`run_engine_batch`] and the
+    /// `tfe-serve` executors share.
+    #[must_use]
+    pub fn workers(self) -> usize {
+        self.threads.unwrap_or_else(rayon::current_num_threads)
     }
 }
 
@@ -91,166 +105,59 @@ pub fn run_batch(
 }
 
 /// Evaluates a batch of independent input images through a compiled
-/// [`Engine`] — the execution core behind [`run_batch`] and the
-/// `tfe-serve` executors.
+/// [`Engine`] — the execution core behind [`run_batch`].
 ///
-/// Inputs are divided into at most `worker` contiguous chunks (never
-/// more chunks than inputs, so no worker receives empty work); each
-/// chunk checks a [`Scratch`](crate::engine::Scratch) arena out of
-/// `scratches`, **packs its inputs into one `[B, C, H, W]` tensor**,
-/// and executes them as a single filter-stationary
-/// [`Engine::run_batched`] sweep — each quantized filter row loads once
-/// per chunk instead of once per image. Outputs come back in input
-/// order, each input keeping its own per-image counters (split back out
-/// of [`crate::engine::BatchedRun::per_image`]), and the merged totals
-/// accumulate in input order — so results are bit-identical to a
-/// sequential loop at every thread count (`tests/parallel_parity.rs`
-/// and `tests/batched_parity.rs` assert this).
+/// Inputs are divided into at most [`BatchOptions::workers`] contiguous
+/// chunks (never more chunks than inputs, so no worker receives empty
+/// work), fanned out one chunk per thread. Each chunk checks a
+/// [`Scratch`](crate::engine::Scratch) arena out of `scratches` and runs
+/// through [`Engine::run_packed`] on one worker: its inputs pack into
+/// one `[B, C, H, W]` tensor executed as a single filter-stationary
+/// sweep, so each quantized filter row loads once per chunk instead of
+/// once per image. Outputs come back in input order, each input keeping
+/// its own per-image counters, and the merged totals accumulate in input
+/// order — so results are bit-identical to a sequential loop at every
+/// thread count (`tests/parallel_parity.rs` and
+/// `tests/batched_parity.rs` assert this).
 ///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] for `Some(0)` threads, otherwise
-/// the first per-image [`SimError`] in input order — the same contract
-/// as [`run_batch`]. Stage-0 geometry is validated upfront per input
-/// (channels, then height, then width — [`Engine::run`]'s order) so
-/// packing can never reorder which mismatch is reported first.
+/// the first error of the first failing chunk in input order. Each
+/// chunk checks its inputs' stage-0 geometry (channels, then height,
+/// then width — [`Engine::run`]'s order) in input order before packing,
+/// so packing never reorders which mismatch is reported first.
 pub fn run_engine_batch(
     engine: &Engine,
     inputs: &[Tensor4<Fx16>],
     options: BatchOptions,
     scratches: &ScratchPool,
 ) -> Result<BatchOutput, SimError> {
-    let evaluate = |workers: usize| -> Result<BatchOutput, SimError> {
-        if let Some(shape) = engine.stage_shape(0) {
-            for input in inputs {
-                let [_, c, h, w] = input.dims();
-                for (what, expected, actual) in [
-                    ("input channels", shape.n(), c),
-                    ("input height", shape.h(), h),
-                    ("input width", shape.w(), w),
-                ] {
-                    if expected != actual {
-                        return Err(SimError::OperandMismatch {
-                            what,
-                            expected,
-                            actual,
-                        });
-                    }
-                }
-            }
-        }
-        let lengths = chunk_lengths(inputs.len(), workers.max(1));
-        let mut chunks = Vec::with_capacity(lengths.len());
-        let mut start = 0;
-        for len in lengths {
-            chunks.push(&inputs[start..start + len]);
-            start += len;
-        }
-        let per_chunk: Vec<Result<Vec<NetworkOutput>, SimError>> = chunks
-            .par_iter()
-            .map(|chunk| {
-                let mut scratch = scratches.checkout();
-                let result = run_packed_chunk(engine, chunk, &mut scratch);
-                scratches.restore(scratch);
-                result
-            })
-            .collect();
-        let mut outputs = Vec::with_capacity(inputs.len());
-        for chunk in per_chunk {
-            outputs.extend(chunk?);
-        }
-        let mut counters = Counters::new();
-        for output in &outputs {
-            counters.merge(&output.counters);
-        }
-        Ok(BatchOutput { outputs, counters })
-    };
-    match options.threads {
-        Some(0) => Err(SimError::InvalidConfig {
+    if options.threads == Some(0) {
+        return Err(SimError::InvalidConfig {
             what: "batch thread count must be at least 1 (got Some(0))",
-        }),
-        Some(threads) => rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .map_err(|_| SimError::UnsupportedLayer {
-                reason: "failed to build the batch thread pool",
-            })?
-            .install(|| evaluate(threads)),
-        None => evaluate(rayon::current_num_threads()),
-    }
-}
-
-/// Runs one worker's chunk of inputs as a single packed batched sweep,
-/// then splits the result back into per-input [`NetworkOutput`]s.
-///
-/// A lone input skips the pack/split copies and runs directly. Inputs
-/// whose leading dim differs are fine (each keeps its own sub-range of
-/// the packed batch); differing `(C, H, W)` can only reach here through
-/// a stage-less engine, where packing would misattribute rows — that
-/// case falls back to sequential per-input runs.
-fn run_packed_chunk(
-    engine: &Engine,
-    chunk: &[Tensor4<Fx16>],
-    scratch: &mut crate::engine::Scratch,
-) -> Result<Vec<NetworkOutput>, SimError> {
-    let Some(first) = chunk.first() else {
-        return Ok(Vec::new());
-    };
-    let [_, c, h, w] = first.dims();
-    if chunk.len() == 1 {
-        return engine.run(first, scratch).map(|o| vec![o]);
-    }
-    if chunk.iter().any(|t| {
-        let [_, tc, th, tw] = t.dims();
-        (tc, th, tw) != (c, h, w)
-    }) {
-        return chunk
-            .iter()
-            .map(|input| engine.run(input, scratch))
-            .collect();
-    }
-    let lens: Vec<usize> = chunk.iter().map(|t| t.dims()[0]).collect();
-    let total: usize = lens.iter().sum();
-    let mut packed = Vec::with_capacity(total * c * h * w);
-    for t in chunk {
-        packed.extend_from_slice(t.as_slice());
-    }
-    let packed = Tensor4::from_vec([total, c, h, w], packed)
-        .expect("packed chunk dims match the concatenated inputs");
-    let run = engine.run_batched(&packed, scratch, 1)?;
-    let [_, oc, oh, ow] = run.activations.dims();
-    let mut outputs = Vec::with_capacity(chunk.len());
-    let mut b0 = 0usize;
-    for len in lens {
-        let activations = Tensor4::from_fn([len, oc, oh, ow], |[b, ci, y, x]| {
-            run.activations.get([b0 + b, ci, y, x])
         });
-        let mut counters = Counters::new();
-        for image in &run.per_image[b0..b0 + len] {
-            counters.merge(image);
-        }
-        outputs.push(NetworkOutput {
-            activations,
-            counters,
-        });
-        b0 += len;
     }
-    Ok(outputs)
-}
-
-/// Contiguous chunk sizes dividing `len` items into at most `chunks`
-/// non-empty pieces: `min(chunks, len)` chunks, sizes differing by at
-/// most one, larger chunks first. Shared with the intra-run partitioner
-/// (`engine/exec.rs`), so batch-level and stage-level splits follow the
-/// same rule.
-pub(crate) fn chunk_lengths(len: usize, chunks: usize) -> Vec<usize> {
-    let count = chunks.min(len);
-    if count == 0 {
-        return Vec::new();
+    let mut images = inputs.iter();
+    let chunks: Vec<Vec<&Tensor4<Fx16>>> = chunk_lengths(inputs.len(), options.workers())
+        .into_iter()
+        .map(|len| images.by_ref().take(len).collect())
+        .collect();
+    let per_chunk = fan_out(chunks, |chunk| {
+        let mut scratch = scratches.checkout();
+        let result = engine.run_packed(&chunk, &mut scratch, 1);
+        scratches.restore(scratch);
+        result
+    });
+    let mut outputs = Vec::with_capacity(inputs.len());
+    for chunk in per_chunk {
+        outputs.extend(chunk?);
     }
-    let base = len / count;
-    let extra = len % count;
-    (0..count).map(|i| base + usize::from(i < extra)).collect()
+    let mut counters = Counters::new();
+    for output in &outputs {
+        counters.merge(&output.counters);
+    }
+    Ok(BatchOutput { outputs, counters })
 }
 
 /// Splits a `[B, C, H, W]` tensor into `B` single-image `[1, C, H, W]`
@@ -260,29 +167,6 @@ pub fn split_batch(input: &Tensor4<Fx16>) -> Vec<Tensor4<Fx16>> {
     let [batch, c, h, w] = input.dims();
     (0..batch)
         .map(|b| Tensor4::from_fn([1, c, h, w], |[_, ci, y, x]| input.get([b, ci, y, x])))
-        .collect()
-}
-
-/// Splits a `[B, C, H, W]` tensor into at most `chunks` contiguous
-/// multi-image pieces for per-worker evaluation.
-///
-/// When `chunks > B` (more threads than images) this returns `B`
-/// singleton chunks rather than padding with empty `[0, C, H, W]`
-/// tensors — every returned chunk is non-empty, and concatenating the
-/// chunks in order reproduces the input batch exactly.
-#[must_use]
-pub fn split_batch_chunks(input: &Tensor4<Fx16>, chunks: usize) -> Vec<Tensor4<Fx16>> {
-    let [batch, c, h, w] = input.dims();
-    let mut start = 0;
-    chunk_lengths(batch, chunks)
-        .into_iter()
-        .map(|len| {
-            let piece = Tensor4::from_fn([len, c, h, w], |[b, ci, y, x]| {
-                input.get([start + b, ci, y, x])
-            });
-            start += len;
-            piece
-        })
         .collect()
 }
 
@@ -360,55 +244,6 @@ mod tests {
                     for x in 0..4 {
                         assert_eq!(img.get([0, c, y, x]), packed.get([b, c, y, x]));
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn split_batch_chunks_never_returns_empty_chunks() {
-        // Regression: more threads than images must yield fewer chunks,
-        // not empty [0, C, H, W] tensors.
-        let mut seed = 21;
-        let packed = Tensor4::from_fn([3, 2, 4, 4], |_| Fx16::from_f32(det(&mut seed)));
-        for chunks in [1usize, 2, 3, 4, 8, 64] {
-            let split = split_batch_chunks(&packed, chunks);
-            assert_eq!(split.len(), chunks.min(3), "chunks={chunks}");
-            let mut b = 0;
-            for piece in &split {
-                let [pb, c, h, w] = piece.dims();
-                assert!(pb > 0, "chunks={chunks} produced an empty chunk");
-                assert_eq!([c, h, w], [2, 4, 4]);
-                for pbi in 0..pb {
-                    for ci in 0..c {
-                        for y in 0..h {
-                            for x in 0..w {
-                                assert_eq!(
-                                    piece.get([pbi, ci, y, x]),
-                                    packed.get([b + pbi, ci, y, x])
-                                );
-                            }
-                        }
-                    }
-                }
-                b += pb;
-            }
-            assert_eq!(b, 3, "chunks={chunks} lost images");
-        }
-        assert!(split_batch_chunks(&packed, 0).is_empty());
-    }
-
-    #[test]
-    fn chunk_lengths_cover_exactly_without_empties() {
-        for len in 0..12usize {
-            for chunks in 1..16usize {
-                let lengths = chunk_lengths(len, chunks);
-                assert_eq!(lengths.iter().sum::<usize>(), len, "{len}/{chunks}");
-                assert_eq!(lengths.len(), chunks.min(len), "{len}/{chunks}");
-                assert!(lengths.iter().all(|&l| l > 0), "{len}/{chunks}");
-                // Balanced: sizes differ by at most one.
-                if let (Some(max), Some(min)) = (lengths.iter().max(), lengths.iter().min()) {
-                    assert!(max - min <= 1, "{len}/{chunks}");
                 }
             }
         }

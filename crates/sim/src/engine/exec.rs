@@ -31,7 +31,6 @@ use super::plan::charge_dense_unit_image;
 use super::scratch::{return_ring, shape_streams, take_ring, ArenaPeak, KernelBufs, Scratch};
 use super::sparse::sparse_unit_image;
 use super::Engine;
-use crate::batch::chunk_lengths;
 use crate::counters::Counters;
 use crate::functional::FunctionalOutput;
 use crate::network::NetworkOutput;
@@ -42,16 +41,16 @@ use crate::SimError;
 use std::time::Instant;
 use tfe_telemetry::{LayerSample, StageKind};
 use tfe_tensor::fixed::{Accum, Fx16};
+use tfe_tensor::shape::LayerShape;
 use tfe_tensor::tensor::Tensor4;
 use tfe_transfer::analysis::ReuseConfig;
 use tfe_transfer::mode::ExecMode;
 use tfe_transfer::scnn::ORBIT;
 
 /// Result of [`Engine::run_batched`]: the batch's activations plus both
-/// per-image and merged counter views, so consumers that split a packed
-/// micro-batch back into per-request responses (the `tfe-serve`
-/// executors, [`crate::batch::run_engine_batch`]) keep exact per-request
-/// accounting without re-running anything.
+/// per-image and merged counter views, so [`Engine::run_packed`] can
+/// split a packed batch back into per-input outputs with exact
+/// per-input accounting, without re-running anything.
 #[derive(Debug, Clone)]
 pub struct BatchedRun {
     /// The `[B, C, H, W]` output activations, bit-identical per image to
@@ -184,6 +183,73 @@ impl Engine {
         })
     }
 
+    /// Packs `inputs` into one `[ΣB, C, H, W]` batch, runs it as one
+    /// [`Engine::run_batched`] sweep on `workers`, and splits the
+    /// activations and per-image counters back out per input, in input
+    /// order — the pack → run → split behind
+    /// [`crate::batch::run_engine_batch`]'s image chunks and the
+    /// `tfe-serve` executors. Each output is bit-identical to
+    /// [`Engine::run`] on its input alone.
+    ///
+    /// Every input's `(C, H, W)` is checked against stage 0 in input
+    /// order before anything runs, so packing never changes which
+    /// mismatch is reported. A lone input skips the pack/split copies
+    /// and runs through [`Engine::run`]; an input with leading dim > 1
+    /// keeps its own sub-range of the pack; inputs whose `(C, H, W)`
+    /// differ (possible only on a stage-less engine) run one at a time.
+    ///
+    /// # Errors
+    ///
+    /// The first stage-0 [`SimError::OperandMismatch`] in input order,
+    /// otherwise the run's error.
+    pub fn run_packed(
+        &self,
+        inputs: &[&Tensor4<Fx16>],
+        scratch: &mut Scratch,
+        workers: usize,
+    ) -> Result<Vec<NetworkOutput>, SimError> {
+        let chw = |t: &Tensor4<Fx16>| {
+            let [_, c, h, w] = t.dims();
+            (c, h, w)
+        };
+        if let Some(stage) = self.stages.first() {
+            for input in inputs {
+                check_input(&stage.shape, chw(input))?;
+            }
+        }
+        if inputs.len() <= 1 || inputs.iter().any(|t| chw(t) != chw(inputs[0])) {
+            return inputs.iter().map(|t| self.run(t, scratch)).collect();
+        }
+        let (c, h, w) = chw(inputs[0]);
+        let total: usize = inputs.iter().map(|t| t.dims()[0]).sum();
+        let mut packed = Vec::with_capacity(total * c * h * w);
+        for t in inputs {
+            packed.extend_from_slice(t.as_slice());
+        }
+        let packed = Tensor4::from_vec([total, c, h, w], packed)
+            .expect("packed dims match the concatenated inputs");
+        let run = self.run_batched(&packed, scratch, workers)?;
+        let [_, oc, oh, ow] = run.activations.dims();
+        let image_len = oc * oh * ow;
+        let mut b0 = 0;
+        let outputs = inputs
+            .iter()
+            .map(|t| {
+                let b1 = b0 + t.dims()[0];
+                let activations =
+                    run.activations.as_slice()[b0 * image_len..b1 * image_len].to_vec();
+                let output = NetworkOutput {
+                    activations: Tensor4::from_vec([b1 - b0, oc, oh, ow], activations)
+                        .expect("split dims match the packed output"),
+                    counters: total_counters(&run.per_image[b0..b1]),
+                };
+                b0 = b1;
+                output
+            })
+            .collect();
+        Ok(outputs)
+    }
+
     /// The shared run loop: executes every stage, leaves per-image
     /// counters in `scratch.image_counters`, and retires the run's
     /// arena peak into the high-water shrink window.
@@ -289,19 +355,7 @@ impl Engine {
         workers: usize,
     ) -> Result<Geo, SimError> {
         let shape = &stage.shape;
-        for (what, expected, actual) in [
-            ("input channels", shape.n(), cc),
-            ("input height", shape.h(), ch),
-            ("input width", shape.w(), cw),
-        ] {
-            if expected != actual {
-                return Err(SimError::OperandMismatch {
-                    what,
-                    expected,
-                    actual,
-                });
-            }
-        }
+        check_input(shape, (cc, ch, cw))?;
         let geo = Geo::of(shape);
         let plane_len = geo.e * geo.f;
         let Scratch {
@@ -338,9 +392,9 @@ impl Engine {
         };
         let parts = partition(batch, &stage.units, geo.m, workers);
         if parts.len() == 1 {
-            // The common serve path (ambient budget 1): no thread spawn,
-            // no extra buffer checkout — straight through on the
-            // caller's thread with the warm primary buffers.
+            // One worker (`Engine::run`, `run_batch`'s image chunks): no
+            // thread spawn, no extra buffer checkout — straight through
+            // on the caller's thread with the warm primary buffers.
             let mut charges = Counters::new();
             run_part(ctx, parts[0], out, bufs, &mut charges);
             for image in image_counters.iter_mut() {
@@ -351,10 +405,19 @@ impl Engine {
         // Carve each part's disjoint, contiguous output slice. Parts
         // tile the output in ascending offset order (the plane_range
         // invariant), so successive split_at_mut covers it exactly.
-        let mut slices = Vec::with_capacity(parts.len());
+        // Part 0 keeps the warm primary buffers (fan_out runs it inline
+        // on the caller's thread); the others check buffers out of the
+        // pool.
+        let mut extra_bufs: Vec<KernelBufs> = (1..parts.len())
+            .map(|_| bufs_pool.pop().unwrap_or_default())
+            .collect();
+        let mut work = Vec::with_capacity(parts.len());
         let mut rest: &mut [Accum] = out;
         let mut cursor = 0usize;
-        for part in &parts {
+        for (&part, part_bufs) in parts
+            .iter()
+            .zip(std::iter::once(&mut *bufs).chain(&mut extra_bufs))
+        {
             debug_assert_eq!(
                 part.start(geo.m, plane_len),
                 cursor,
@@ -362,41 +425,15 @@ impl Engine {
             );
             let len = part.len(geo.m, plane_len);
             let (head, tail) = rest.split_at_mut(len);
-            slices.push(head);
+            work.push((part, head, part_bufs));
             rest = tail;
             cursor += len;
         }
         debug_assert!(rest.is_empty(), "parts must cover the whole output");
-        let mut extra_bufs: Vec<KernelBufs> = (1..parts.len())
-            .map(|_| bufs_pool.pop().unwrap_or_default())
-            .collect();
-        let charges: Vec<Counters> = std::thread::scope(|scope| {
-            let mut slice_iter = slices.into_iter();
-            let first = slice_iter.next().expect("at least one part");
-            let handles: Vec<_> = parts[1..]
-                .iter()
-                .zip(slice_iter)
-                .zip(extra_bufs.iter_mut())
-                .map(|((&part, slice), part_bufs)| {
-                    scope.spawn(move || {
-                        let mut charges = Counters::new();
-                        run_part(ctx, part, slice, part_bufs, &mut charges);
-                        charges
-                    })
-                })
-                .collect();
-            // Part 0 runs inline on the caller's thread with the warm
-            // primary buffers; join order is the deterministic part
-            // order (merge order doesn't matter for the u64 counters,
-            // but determinism keeps the whole path reproducible).
-            let mut all = Vec::with_capacity(parts.len());
-            let mut charges0 = Counters::new();
-            run_part(ctx, parts[0], first, bufs, &mut charges0);
-            all.push(charges0);
-            for handle in handles {
-                all.push(handle.join().expect("conv worker panicked"));
-            }
-            all
+        let charges = fan_out(work, |(part, slice, part_bufs)| {
+            let mut charges = Counters::new();
+            run_part(ctx, part, slice, part_bufs, &mut charges);
+            charges
         });
         for (part, part_charges) in parts.iter().zip(&charges) {
             for per_image in &mut image_counters[part.b0..part.b1] {
@@ -533,6 +570,49 @@ fn saturation_free(stage: &StageIr, geo: &Geo, padded: &[Fx16]) -> bool {
         < i64::from(i32::MAX)
 }
 
+/// Checks an activation's `(C, H, W)` against a stage's input
+/// geometry: channels, then height, then width.
+fn check_input(shape: &LayerShape, (c, h, w): (usize, usize, usize)) -> Result<(), SimError> {
+    for (what, expected, actual) in [
+        ("input channels", shape.n(), c),
+        ("input height", shape.h(), h),
+        ("input width", shape.w(), w),
+    ] {
+        if expected != actual {
+            return Err(SimError::OperandMismatch {
+                what,
+                expected,
+                actual,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Runs `f` on every item — item 0 inline on the caller's thread, the
+/// rest on scoped threads — and returns the results in item order: the
+/// one thread fan-out behind the stage partitioner ([`partition`]) and
+/// [`crate::batch::run_engine_batch`]'s image chunks. A worker's panic
+/// resumes on the caller's thread.
+pub(crate) fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items.map(|item| scope.spawn(move || f(item))).collect();
+        let first = f(first);
+        std::iter::once(first)
+            .chain(handles.into_iter().map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e))
+            }))
+            .collect()
+    })
+}
+
 /// Merges a run's per-image counters in batch order.
 fn total_counters(per_image: &[Counters]) -> Counters {
     let mut total = Counters::new();
@@ -540,6 +620,20 @@ fn total_counters(per_image: &[Counters]) -> Counters {
         total.merge(image);
     }
     total
+}
+
+/// Contiguous chunk sizes dividing `len` items into at most `chunks`
+/// non-empty pieces: `min(chunks, len)` chunks, sizes differing by at
+/// most one, larger chunks first. The one split rule of the stage
+/// partitioner and [`crate::batch::run_engine_batch`]'s image chunks.
+pub(crate) fn chunk_lengths(len: usize, chunks: usize) -> Vec<usize> {
+    let count = chunks.min(len);
+    if count == 0 {
+        return Vec::new();
+    }
+    let base = len / count;
+    let extra = len % count;
+    (0..count).map(|i| base + usize::from(i < extra)).collect()
 }
 
 /// Divides one stage's convolution work into at most `workers` parts.
@@ -1262,4 +1356,120 @@ fn process_channel(
         staged_rows, 0,
         "pooling tail must be empty; Engine::compile validates e % p == 0"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::network::FunctionalNetwork;
+    use tfe_transfer::TransferScheme;
+
+    fn det(seed: &mut u32) -> f32 {
+        *seed = seed.wrapping_mul(1664525).wrapping_add(1013904223);
+        (((*seed >> 20) & 0xf) as f32 - 7.5) / 8.0
+    }
+
+    fn image(dims: [usize; 4], seed: &mut u32) -> Tensor4<Fx16> {
+        Tensor4::from_fn(dims, |_| Fx16::from_f32(det(seed)))
+    }
+
+    fn small_engine(seed: &mut u32) -> Engine {
+        let shapes = vec![
+            (LayerShape::conv("p1", 1, 8, 8, 8, 3, 1, 1).unwrap(), true),
+            (LayerShape::conv("p2", 8, 8, 4, 4, 3, 1, 1).unwrap(), false),
+        ];
+        let net = FunctionalNetwork::random(&shapes, TransferScheme::Scnn, || det(seed)).unwrap();
+        Engine::compile(&net, ReuseConfig::FULL).unwrap()
+    }
+
+    /// `run_packed` at workers 1/2/4 against per-input `Engine::run`:
+    /// activations and counters, in input order.
+    fn assert_packed_matches_per_input_runs(engine: &Engine, inputs: &[Tensor4<Fx16>]) {
+        let mut scratch = Scratch::new();
+        let want: Vec<NetworkOutput> = inputs
+            .iter()
+            .map(|input| engine.run(input, &mut scratch).unwrap())
+            .collect();
+        let refs: Vec<&Tensor4<Fx16>> = inputs.iter().collect();
+        for workers in [1, 2, 4] {
+            let got = engine.run_packed(&refs, &mut scratch, workers).unwrap();
+            assert_eq!(got.len(), want.len(), "workers={workers}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.activations, w.activations, "workers={workers}");
+                assert_eq!(g.counters, w.counters, "workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_inputs_keep_their_leading_dim_sub_ranges() {
+        let mut seed = 29;
+        let engine = small_engine(&mut seed);
+        let inputs: Vec<_> = [2, 1, 3]
+            .into_iter()
+            .map(|b| image([b, 1, 8, 8], &mut seed))
+            .collect();
+        assert_packed_matches_per_input_runs(&engine, &inputs);
+    }
+
+    #[test]
+    fn stageless_engine_runs_mixed_geometries_one_at_a_time() {
+        let mut seed = 31;
+        let net = FunctionalNetwork::new(vec![]).unwrap();
+        let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
+        let inputs = vec![
+            image([1, 1, 8, 8], &mut seed),
+            image([2, 3, 4, 5], &mut seed),
+            image([1, 1, 8, 8], &mut seed),
+        ];
+        assert_packed_matches_per_input_runs(&engine, &inputs);
+    }
+
+    #[test]
+    fn lone_input_matches_run() {
+        let mut seed = 37;
+        let engine = small_engine(&mut seed);
+        assert_packed_matches_per_input_runs(&engine, &[image([1, 1, 8, 8], &mut seed)]);
+        assert!(engine
+            .run_packed(&[], &mut Scratch::new(), 2)
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn first_geometry_mismatch_in_input_order_is_reported() {
+        let mut seed = 41;
+        let engine = small_engine(&mut seed);
+        let inputs = [
+            image([1, 1, 8, 8], &mut seed),
+            image([1, 1, 8, 7], &mut seed),
+            image([1, 2, 8, 8], &mut seed),
+        ];
+        let refs: Vec<&Tensor4<Fx16>> = inputs.iter().collect();
+        let err = engine.run_packed(&refs, &mut Scratch::new(), 2);
+        assert!(matches!(
+            err,
+            Err(SimError::OperandMismatch {
+                what: "input width",
+                expected: 8,
+                actual: 7,
+            })
+        ));
+    }
+
+    #[test]
+    fn chunk_lengths_cover_exactly_without_empties() {
+        for len in 0..12usize {
+            for chunks in 1..16usize {
+                let lengths = chunk_lengths(len, chunks);
+                assert_eq!(lengths.iter().sum::<usize>(), len, "{len}/{chunks}");
+                assert_eq!(lengths.len(), chunks.min(len), "{len}/{chunks}");
+                assert!(lengths.iter().all(|&l| l > 0), "{len}/{chunks}");
+                // Balanced: sizes differ by at most one.
+                if let (Some(max), Some(min)) = (lengths.iter().max(), lengths.iter().min()) {
+                    assert!(max - min <= 1, "{len}/{chunks}");
+                }
+            }
+        }
+    }
 }

@@ -8,10 +8,11 @@
 //!   runs it.
 //! * [`crate::functional::run_layer`] — the single-layer reference API:
 //!   compiles a one-stage engine and runs only its convolution.
-//! * [`crate::batch::run_engine_batch`] — the batch runner: fans a
-//!   `&Engine` out across worker threads over a [`ScratchPool`].
+//! * [`crate::batch::run_engine_batch`] — the batch runner: one image
+//!   chunk per worker thread, each checking an arena out of a
+//!   [`ScratchPool`] and running as one [`Engine::run_packed`].
 //! * `tfe-serve` — the service compiles one engine at startup and every
-//!   executor runs against it.
+//!   executor runs each micro-batch through [`Engine::run_packed`].
 //!
 //! The paper's premise (shared with EIE's compile-then-execute split and
 //! UCNN/CoDR, see PAPERS.md) is that reuse structure is a property of
@@ -35,8 +36,11 @@
 //!   saturating addition order.
 //! * `plan.rs` — the compile-time weight plan: per-stage sparsity and
 //!   the [`ExecMode`] it selects, plus the compressed-sparse tables.
-//! * `exec.rs` — the row-pass run phase ([`Engine::run`]): PPSR row
-//!   passes, ERRR rings, window combination, the output memory system.
+//! * `exec.rs` — the row-pass run phase ([`Engine::run`],
+//!   [`Engine::run_batched`], and [`Engine::run_packed`], the one
+//!   pack → run → split): PPSR row passes, ERRR rings, window
+//!   combination, the output memory system, and the one scoped-thread
+//!   fan-out both the stage partitioner and the batch runner use.
 //! * `sparse.rs` — the compressed-sparse executor for pruned dense
 //!   stages.
 //! * `scratch.rs` — the run-phase arenas ([`Scratch`]) and the bounded
@@ -72,6 +76,7 @@ pub use exec::BatchedRun;
 pub use ir::PrepareStats;
 pub use scratch::{Scratch, ScratchPool};
 
+pub(crate) use exec::{chunk_lengths, fan_out};
 pub(crate) use ir::source_of;
 
 use crate::network::FunctionalNetwork;

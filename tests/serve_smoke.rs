@@ -14,6 +14,7 @@ use tfe::serve::protocol::{roundtrip, WireRequest, WireResponse};
 use tfe::serve::{Rejected, ServeConfig, Service, TcpServer};
 use tfe::sim::batch::{run_batch, BatchOptions};
 use tfe::sim::counters::Counters;
+use tfe::sim::engine::Scratch;
 use tfe::sim::network::FunctionalNetwork;
 use tfe::transfer::analysis::ReuseConfig;
 
@@ -277,18 +278,24 @@ proptest! {
 
     /// Any split of a request stream into micro-batches yields outputs
     /// and summed counters bit-identical to one-image-at-a-time
-    /// execution — the invariant the whole serving stack rests on.
+    /// execution — the invariant the whole serving stack rests on. Each
+    /// split runs through `run_batch` and through the executors' own
+    /// call, `Engine::run_packed` on `workers`.
     #[test]
     fn any_microbatch_split_is_bit_identical(
         count in 1usize..9,
         splits in prop::collection::vec(1usize..5, 8),
         seed in 0u32..500,
+        workers in 1usize..5,
     ) {
         let net = demo_network(seed);
         let images = demo_images(count, seed ^ 0x51ab);
         let expected = reference_outputs(&net, &images);
+        let engine = net.engine(ReuseConfig::FULL).expect("compile");
+        let mut scratch = Scratch::new();
 
         let mut outputs = Vec::new();
+        let mut packed = Vec::new();
         let mut merged = Counters::default();
         let mut start = 0;
         for (round, &size) in splits.iter().cycle().enumerate() {
@@ -306,14 +313,23 @@ proptest! {
             .expect("batched run");
             outputs.extend(batch.outputs);
             merged.merge(&batch.counters);
+            let split: Vec<_> = images[start..stop].iter().collect();
+            packed.extend(
+                engine
+                    .run_packed(&split, &mut scratch, workers)
+                    .expect("packed run"),
+            );
             start = stop;
         }
 
         prop_assert_eq!(outputs.len(), count);
+        prop_assert_eq!(packed.len(), count);
         let mut expected_total = Counters::default();
-        for (got, want) in outputs.iter().zip(&expected) {
+        for ((got, packed), want) in outputs.iter().zip(&packed).zip(&expected) {
             prop_assert_eq!(&got.activations, &want.activations);
             prop_assert_eq!(&got.counters, &want.counters);
+            prop_assert_eq!(&packed.activations, &want.activations);
+            prop_assert_eq!(&packed.counters, &want.counters);
             expected_total.merge(&want.counters);
         }
         prop_assert_eq!(merged, expected_total);
