@@ -25,10 +25,10 @@ cargo test -q --offline --test fleet_smoke
 # depthwise, grouped, and dilated stages — run the target explicitly so
 # geometry regressions cannot hide behind a filtered invocation.
 cargo test -q --offline --test geometry_parity
-# The execution-mode grid pins the weight plan's alternate executor —
-# the compressed-sparse path — bit-identical to the dense sweep
+# The execution-mode grid pins the weight plan's alternate row pass —
+# the compressed-sparse tap pass — bit-identical to the dense sweep
 # (activations, per-image counter streams, per-layer telemetry sums)
-# across scheme x stride x dilation x batch.
+# across scheme x stride x dilation x channel groups x batch x workers.
 cargo test -q --offline --test mode_parity
 # The telemetry crate's seqlock ring and exact-decomposition invariants
 # are load-bearing for every observability surface — build the crate
@@ -36,6 +36,12 @@ cargo test -q --offline --test mode_parity
 # workspace test line above).
 cargo build --release --offline -p tfe-telemetry
 cargo test -q --offline --test telemetry
+# The benchmark (perfbench/) is a workspace of its own, so nothing above
+# compiles it: build and test it explicitly, so a change to an API it
+# calls or to its crates' dependency set fails here rather than only
+# when the benchmark runs. --locked: its Cargo.lock must stay as is.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
 # Compile every bench target (including telemetry_overhead, which pins
 # the enabled-sink cost at < 3 %) so bench code cannot rot between
 # releases.

@@ -513,6 +513,31 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_dims_are_malformed_in_both_parsers() {
+        // 2^32 · 2^32 overflows a 64-bit usize: unchecked, the element
+        // count panics in debug builds and wraps to an empty tensor in
+        // release builds.
+        let dims = "[1,4294967296,4294967296,1]";
+        let request = format!(r#"{{"kind":"infer","dims":{dims},"bits":[]}}"#);
+        assert!(matches!(
+            WireRequest::from_json(&request),
+            Err(ProtocolError::Malformed(_))
+        ));
+        let response = WireResponse::Ok {
+            activations: Tensor4::from_vec([1, 0, 0, 1], Vec::new()).unwrap(),
+            counters: Counters::new(),
+            latency_us: 0,
+        }
+        .to_json()
+        .replace("[1,0,0,1]", dims);
+        assert!(response.contains(dims), "{response}");
+        assert!(matches!(
+            WireResponse::from_json(&response),
+            Err(ProtocolError::Malformed(_))
+        ));
+    }
+
+    #[test]
     fn stats_request_round_trips() {
         let text = WireRequest::Stats.to_json();
         assert_eq!(WireRequest::from_json(&text).unwrap(), WireRequest::Stats);
@@ -545,12 +570,11 @@ mod tests {
 
     #[test]
     fn stats_response_round_trips_with_telemetry() {
-        use tfe_telemetry::{LayerSample, Sink, StageKind, TelemetryRegistry};
+        use tfe_telemetry::{LayerSample, Sink, TelemetryRegistry};
         let sink = Sink::enabled(vec!["c1".into(), "c2".into()], 16);
         for (layer, wall_ns) in [(0u32, 2_500u64), (1, 40_000), (0, 3_000)] {
             sink.record(&LayerSample {
                 layer,
-                stage: StageKind::Full,
                 wall_ns,
                 images: 1,
                 counters: Counters {
@@ -587,11 +611,10 @@ mod tests {
 
     #[test]
     fn stats_response_round_trips_per_model_rows() {
-        use tfe_telemetry::{LayerSample, Sink, StageKind, TelemetryRegistry};
+        use tfe_telemetry::{LayerSample, Sink, TelemetryRegistry};
         let sink = Sink::enabled(vec!["conv1".into()], 8);
         sink.record(&LayerSample {
             layer: 0,
-            stage: StageKind::Full,
             wall_ns: 5_000,
             images: 1,
             counters: Counters {

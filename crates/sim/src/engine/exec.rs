@@ -9,6 +9,12 @@
 //! across all images of the batch before the next row is touched —
 //! instead of re-streaming the full row table per image.
 //!
+//! Every stage runs one datapath: one row-interleaved padded layout
+//! (`fill_padded_batch`), one executor per unit kind (a dense filter —
+//! compressed-sparse or not — DCNN meta group, or SCNN orbit group),
+//! one window combine (`combine`), one per-image emit (`emit_rows`), and
+//! one output memory system (`crate::output`'s `process_channel`).
+//!
 //! Bit-identity discipline: each accumulated term is a complete
 //! `j`-summed correlation; window parts combine first-copied-then-added
 //! in `ky` order, via the shared row sweeps in [`crate::ppsr`] and the
@@ -26,25 +32,26 @@
 //! trivially bit-identical to per-image charging.
 
 use super::ir::{Geo, StageIr, UnitIr};
-use super::kernels::{Band, RowKernel};
-use super::plan::charge_dense_unit_image;
+use super::kernels::Band;
+use super::plan::SparseUnitIr;
 use super::scratch::{return_ring, shape_streams, take_ring, ArenaPeak, KernelBufs, Scratch};
-use super::sparse::sparse_unit_image;
+use super::sparse::sparse_band_pass;
 use super::Engine;
 use crate::counters::Counters;
 use crate::functional::FunctionalOutput;
 use crate::network::NetworkOutput;
+use crate::output::process_channel;
 use crate::ppsr::{
-    conventional_row_sweep_acc_with, dcnn_row_sweep_acc_with, scnn_row_sweep_acc_with,
+    charge_conventional, conventional_row_sweep_acc_with, dcnn_row_sweep_acc_with,
+    scnn_row_sweep_acc_with,
 };
 use crate::SimError;
 use std::time::Instant;
-use tfe_telemetry::{LayerSample, StageKind};
+use tfe_telemetry::LayerSample;
 use tfe_tensor::fixed::{Accum, Fx16};
 use tfe_tensor::shape::LayerShape;
 use tfe_tensor::tensor::Tensor4;
 use tfe_transfer::analysis::ReuseConfig;
-use tfe_transfer::mode::ExecMode;
 use tfe_transfer::scnn::ORBIT;
 
 /// Result of [`Engine::run_batched`]: the batch's activations plus both
@@ -114,17 +121,13 @@ struct PartCtx<'a> {
     batch: usize,
     /// Whether the stage's conservative bound proved every kernel
     /// intermediate stays inside `i32` — gates the wrapping
-    /// (vectorizer-friendly) kernel fast path for the dense, DCNN,
-    /// SCNN, and sparse sweeps.
+    /// (vectorizer-friendly) fast path of every row pass: dense,
+    /// sparse, DCNN, and SCNN.
     saturation_free: bool,
-    /// Whether the stage compiled to the compressed-sparse executor.
-    sparse: bool,
     reuse: ReuseConfig,
     sources: &'a [(usize, usize, bool); ORBIT],
-    /// The whole batch's padded input planes. Dense, DCNN, and SCNN
-    /// stages interleave by row (`[N × PH × (B·PW)]`) so one contiguous
-    /// correlation spans the batch; only the sparse executor reads
-    /// image-major planes (`[B × N × PH × PW]`).
+    /// The whole batch's padded input planes, interleaved by row
+    /// (`[N × PH × (B·PW)]`) so one contiguous pass spans the batch.
     padded: &'a [Fx16],
 }
 
@@ -290,7 +293,6 @@ impl Engine {
                     if let Some((start, base)) = before {
                         self.sink.record(&LayerSample {
                             layer: layer as u32,
-                            stage: StageKind::Full,
                             wall_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
                             images: batch as u64,
                             counters: total_counters(&scratch.image_counters) - base,
@@ -374,18 +376,12 @@ impl Engine {
         }
         out.clear();
         out.resize(batch * geo.m * plane_len, Accum::ZERO);
-        // The padded layout is a per-stage choice: the dense, DCNN, and
-        // SCNN sweeps take the row-interleaved layout (one contiguous
-        // correlation spans the batch); only the per-image sparse
-        // executor keeps image-major planes.
-        let sparse = stage.plan.mode() == ExecMode::Sparse;
-        fill_padded_batch(padded, cur, batch, &geo, !sparse);
+        fill_padded_batch(padded, cur, batch, &geo);
         let ctx = PartCtx {
             stage,
             geo,
             batch,
             saturation_free: saturation_free(stage, &geo, padded),
-            sparse,
             reuse: self.reuse,
             sources: &self.scnn_sources,
             padded,
@@ -475,7 +471,7 @@ impl Engine {
                 let plane = &out[(b * geo.m + c) * plane_len..][..plane_len];
                 process_channel(
                     plane,
-                    geo,
+                    geo.f,
                     stage.bias[c],
                     stage.output,
                     act_row,
@@ -507,22 +503,8 @@ impl Engine {
         scratch.image_counters.clear();
         scratch.image_counters.resize(batch, Counters::new());
         let stage = &self.stages[0];
-        let start = if self.sink.is_enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
         let geo = self.conv_stage(stage, batch, (ic, ih, iw), input.as_slice(), scratch, 1)?;
         let counters = total_counters(&scratch.image_counters);
-        if let Some(start) = start {
-            self.sink.record(&LayerSample {
-                layer: 0,
-                stage: StageKind::ConvOnly,
-                wall_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                images: batch as u64,
-                counters,
-            });
-        }
         let out = &scratch.out;
         let output = Tensor4::from_fn([batch, geo.m, geo.e, geo.f], |[b, c, y, x]| {
             out[((b * geo.m + c) * geo.e + y) * geo.f + x]
@@ -708,52 +690,18 @@ fn run_part(
         // An empty batch: nothing to compute, and no image to charge.
         return;
     }
-    let geo = &ctx.geo;
-    let plane_len = geo.e * geo.f;
-    let img_stride = geo.n * geo.ph * geo.pw;
-    let slab = part.planes() * plane_len;
     for (ui, unit) in ctx.stage.units[part.u0..part.u1].iter().enumerate() {
         match unit {
-            UnitIr::Dense { m, base } => {
-                if ctx.sparse {
-                    // The sparse executor runs per image over the
-                    // image-major layout; charges replay the dense
-                    // model once for the representative image (the
-                    // caller replicates per image, exactly as the
-                    // dense sweep's hoisted charges are).
-                    charge_dense_unit_image(geo, charges);
-                    let table = &ctx.stage.plan.units[part.u0 + ui];
-                    for bi in 0..part.images() {
-                        sparse_unit_image(
-                            table,
-                            &ctx.padded[(part.b0 + bi) * img_stride..][..img_stride],
-                            geo,
-                            *m,
-                            *m - part.plane0,
-                            ctx.saturation_free,
-                            &mut out_part[bi * slab..][..slab],
-                            bufs,
-                        );
-                    }
-                    continue;
-                }
-                dense_unit_sweep(
-                    ctx.stage.kernel,
-                    &ctx.stage.rows[*base..],
-                    ctx.padded,
-                    geo,
-                    ctx.batch,
-                    ctx.saturation_free,
-                    part.b0,
-                    part.images(),
-                    *m,
-                    *m - part.plane0,
-                    part.planes(),
-                    out_part,
-                    bufs,
-                    charges,
-                )
-            }
+            UnitIr::Dense { m, base } => dense_unit_sweep(
+                ctx,
+                part,
+                &ctx.stage.rows[*base..],
+                ctx.stage.plan.units.get(part.u0 + ui),
+                *m,
+                out_part,
+                bufs,
+                charges,
+            ),
             UnitIr::Dcnn {
                 g,
                 per_axis,
@@ -792,21 +740,10 @@ fn run_part(
 /// buffer — the whole batch pads once per stage so the filter-stationary
 /// sweep can stride across images.
 ///
-/// Two layouts, chosen per stage:
-///
-/// * `interleaved` (dense, DCNN, and SCNN sweeps): `[N × PH × (B·PW)]`
-///   — each padded channel row stores all images' rows back to back, so
-///   one contiguous correlation of span `(B−1)·PW + full_w` covers the
-///   whole batch.
-/// * image-major (the sparse executor): `[B × N × PH × PW]` — each
-///   image's planes are contiguous, matching its per-image passes.
-fn fill_padded_batch(
-    padded: &mut Vec<Fx16>,
-    cur: &[Fx16],
-    batch: usize,
-    geo: &Geo,
-    interleaved: bool,
-) {
+/// The layout is `[N × PH × (B·PW)]`: each padded channel row stores all
+/// images' rows back to back, so one contiguous row pass of span
+/// `(B−1)·PW + full_w` covers the whole batch.
+fn fill_padded_batch(padded: &mut Vec<Fx16>, cur: &[Fx16], batch: usize, geo: &Geo) {
     let Geo {
         n,
         h,
@@ -823,57 +760,55 @@ fn fill_padded_batch(
         for c in 0..n {
             for y in 0..h {
                 let src = &cur[((b * n + c) * h + y) * w..][..w];
-                let dst = if interleaved {
-                    (c * ph + y + pad) * bw + b * pw + pad
-                } else {
-                    (b * n + c) * ph * pw + (y + pad) * pw + pad
-                };
+                let dst = (c * ph + y + pad) * bw + b * pw + pad;
                 padded[dst..dst + w].copy_from_slice(src);
             }
         }
     }
 }
 
-/// Adds a later window part into the running window sum, with the same
-/// alignment check as [`crate::errr::combine_rows`].
-pub(super) fn window_add(window: &mut [Accum], part: &[Accum]) {
-    assert_eq!(part.len(), window.len(), "window parts must align");
-    for (acc, &p) in window.iter_mut().zip(part.iter()) {
-        *acc += p;
+/// The adder trees' window combine, shared by every executor: the first
+/// part copied, each later part added in order (saturating), with the
+/// same alignment check as [`crate::errr::combine_rows`]. Callers pass
+/// the parts in `ky` order, so the chain matches a one-image run's.
+fn combine<'a>(window: &mut Vec<Accum>, parts: impl IntoIterator<Item = &'a [Accum]>) {
+    let mut parts = parts.into_iter();
+    window.clear();
+    window.extend_from_slice(parts.next().unwrap_or_default());
+    for part in parts {
+        assert_eq!(part.len(), window.len(), "window parts must align");
+        for (acc, &p) in window.iter_mut().zip(part) {
+            *acc += p;
+        }
     }
 }
 
-/// Subsamples the combined window into output row `oy` of plane `m`
-/// (already rebased to the owning part's plane range).
-pub(super) fn emit_row(out_img: &mut [Accum], window: &[Accum], m: usize, oy: usize, geo: &Geo) {
-    let orow = &mut out_img[(m * geo.e + oy) * geo.f..][..geo.f];
-    for (ox, slot) in orow.iter_mut().enumerate() {
-        *slot = window[ox * geo.s];
-    }
-}
-
-/// Emits output row `oy` of plane `m` for every image of a part from one
-/// batch-wide window: image `bi`'s lane starts at `bi·PW`, its output
-/// slab at `bi·slab`. The gap positions between lanes are never read.
+/// Emits output row `oy` of plane `m` (rebased to the part's plane
+/// range) for every image of a part from one batch-wide window: image
+/// `bi`'s lane starts at `bi·PW`, its output slab at `bi·slab`, and the
+/// row takes every `s`-th lane position. The gap positions between
+/// lanes are never read.
 fn emit_rows(out_part: &mut [Accum], window: &[Accum], part: Part, m: usize, oy: usize, geo: &Geo) {
     let slab = part.planes() * geo.e * geo.f;
     for bi in 0..part.images() {
-        emit_row(
-            &mut out_part[bi * slab..][..slab],
-            &window[bi * geo.pw..],
-            m,
-            oy,
-            geo,
-        );
+        let lane = &window[bi * geo.pw..];
+        let orow = &mut out_part[bi * slab + (m * geo.e + oy) * geo.f..][..geo.f];
+        for (ox, slot) in orow.iter_mut().enumerate() {
+            *slot = lane[ox * geo.s];
+        }
     }
 }
 
 /// One dense filter's plane for every image of the part at once: per
-/// output row and `ky`, the filter's `N/groups` quantized rows run as
-/// **one** channel-stacked kernel call over one contiguous span of the
-/// row-interleaved padded buffer covering the whole image range — the
-/// filter-stationary inner loop, with each block of positions' channel
-/// sum held in registers and the parts row written once.
+/// output row and `ky`, the filter's `N/groups` rows run as **one** band
+/// pass over one contiguous span of the row-interleaved padded buffer
+/// covering the whole image range — the filter-stationary inner loop.
+/// The pass is the channel-stacked kernel call (each block of positions'
+/// channel sum held in registers, the parts row written once) or, on a
+/// stage compiled to the compressed-sparse mode, the filter's CSR tap
+/// pass ([`sparse_band_pass`]) over the same span. Both are charged the
+/// same [`charge_conventional`] closed form: a skipped zero tap is a
+/// wall-clock saving, not a counter delta.
 ///
 /// Geometry generality: the filter reads only its own channel band
 /// (`cpg` padded channels starting at `(filter/mpg)·cpg`), vertical taps
@@ -886,30 +821,24 @@ fn emit_rows(out_part: &mut [Accum], window: &[Accum], part: Part, m: usize, oy:
 /// samples in ascending `j` order, so per-image values and saturating
 /// addition order are identical to a single-image pass. The `KW−1`
 /// positions between consecutive images' lanes mix two images' samples —
-/// junk the window combine never reads (it slices `[bi·PW .. bi·PW +
-/// full_w]` per image). The junk overhead is `(KW−1)/PW` extra positions
-/// per image; in exchange the whole batch runs through the chunked
-/// vectorizable kernel path instead of `B` short scalar tails.
+/// junk [`emit_rows`] never reads. The junk overhead is `(KW−1)/PW`
+/// extra positions per image; in exchange the whole batch runs as one
+/// long row instead of `B` short ones.
 ///
 /// The parts buffer is laid out `[K × row_span]` so one `ky`'s sweep is
 /// one contiguous accumulator run.
 #[allow(clippy::too_many_arguments)]
 fn dense_unit_sweep(
-    kernel: RowKernel,
+    ctx: PartCtx<'_>,
+    part: Part,
     rows: &[Fx16],
-    padded: &[Fx16],
-    geo: &Geo,
-    batch: usize,
-    saturation_free: bool,
-    b0: usize,
-    images: usize,
+    sparse: Option<&SparseUnitIr>,
     filter: usize,
-    plane: usize,
-    slab_planes: usize,
     out_part: &mut [Accum],
     bufs: &mut KernelBufs,
     charges: &mut Counters,
 ) {
+    let geo = &ctx.geo;
     let Geo {
         e,
         f,
@@ -923,14 +852,10 @@ fn dense_unit_sweep(
         kw,
         ..
     } = *geo;
-    if images == 0 {
-        return;
-    }
     let full_w = pw - kw + 1;
-    let bw = batch * pw;
+    let images = part.images();
     let row_span = (images - 1) * pw + full_w;
-    let plane_len = e * f;
-    let slab = slab_planes * plane_len;
+    let bw = ctx.batch * pw;
     let c0 = (filter / mpg) * cpg;
     // Channel ci's row ky sits at (ci·K + ky)·KW; its input row one
     // padded plane (PH interleaved rows) after channel ci − 1's.
@@ -944,40 +869,39 @@ fn dense_unit_sweep(
     for oy in 0..e {
         parts.clear();
         parts.resize(k * row_span, Accum::ZERO);
-        for ky in 0..k {
+        for (ky, acc) in parts.chunks_exact_mut(row_span).enumerate() {
             // Each channel's input span is row_span + KW − 1 = images·PW,
             // which ends exactly at the next image range (or the row's
             // end) — always in bounds of the interleaved row.
-            let in_base = (c0 * ph + oy * s + ky * d) * bw + b0 * pw;
-            conventional_row_sweep_acc_with(
-                kernel,
-                &rows[ky * kw..],
-                k,
-                band,
-                images,
-                &padded[in_base..],
-                pw,
-                &mut parts[ky * row_span..][..row_span],
-                saturation_free,
-                charges,
-            );
-        }
-        for bi in 0..images {
-            window.clear();
-            window.extend_from_slice(&parts[bi * pw..][..full_w]);
-            for ky in 1..k {
-                window_add(window, &parts[ky * row_span + bi * pw..][..full_w]);
+            let input = &ctx.padded[(c0 * ph + oy * s + ky * d) * bw + part.b0 * pw..];
+            match sparse {
+                None => conventional_row_sweep_acc_with(
+                    ctx.stage.kernel,
+                    &rows[ky * kw..],
+                    k,
+                    band,
+                    images,
+                    input,
+                    pw,
+                    acc,
+                    ctx.saturation_free,
+                    charges,
+                ),
+                Some(table) => {
+                    let _ = charge_conventional(k, kw, pw, cpg, charges);
+                    let rows = &table.rows[ky * cpg..][..cpg];
+                    sparse_band_pass(rows, input, band.in_stride, acc, ctx.saturation_free);
+                }
             }
-            // The adder trees combine K window parts only at the geo.f
-            // positions emit_row consumes — the analytic model
-            // (NetworkPerf: out_elems · (K−1)) and these counters must
-            // agree, pinned by tests/engine_counters.rs. Charged once
-            // per part (replicated per image by the caller).
-            if bi == 0 {
-                charges.adds += (k.saturating_sub(1) * f) as u64;
-            }
-            emit_row(&mut out_part[bi * slab..][..slab], window, plane, oy, geo);
         }
+        combine(window, parts.chunks_exact(row_span));
+        // The adder trees combine K window parts only at the F
+        // positions emit_rows consumes — the analytic model
+        // (NetworkPerf: out_elems · (K−1)) and these counters must
+        // agree, pinned by tests/engine_counters.rs. Charged once per
+        // part (replicated per image by the caller).
+        charges.adds += (k.saturating_sub(1) * f) as u64;
+        emit_rows(out_part, window, part, filter - part.plane0, oy, geo);
     }
 }
 
@@ -1095,20 +1019,15 @@ fn dcnn_unit(
                     if m >= m_count {
                         continue;
                     }
-                    let window = &mut bufs.window;
-                    for ky in 0..k {
-                        let stream = ring
-                            .read(oy * s + ky * d, dy + ky, dx, charges)
-                            .expect("row still resident within the window");
-                        if ky == 0 {
-                            window.clear();
-                            window.extend_from_slice(stream);
-                        } else {
-                            window_add(window, stream);
-                        }
-                    }
+                    combine(
+                        &mut bufs.window,
+                        (0..k).map(|ky| {
+                            ring.read(oy * s + ky * d, dy + ky, dx, charges)
+                                .expect("row still resident within the window")
+                        }),
+                    );
                     charges.adds += (k.saturating_sub(1) * f) as u64;
-                    emit_rows(out_part, window, part, m - part.plane0, oy, geo);
+                    emit_rows(out_part, &bufs.window, part, m - part.plane0, oy, geo);
                 }
             }
         }
@@ -1128,15 +1047,7 @@ fn dcnn_unit(
                     if m >= m_count {
                         continue;
                     }
-                    for (ky, streams) in per_row.iter().enumerate() {
-                        let stream = streams[dx].as_slice();
-                        if ky == 0 {
-                            window.clear();
-                            window.extend_from_slice(stream);
-                        } else {
-                            window_add(window, stream);
-                        }
-                    }
+                    combine(window, per_row.iter().map(|streams| streams[dx].as_slice()));
                     charges.adds += (k.saturating_sub(1) * f) as u64;
                     emit_rows(out_part, window, part, m - part.plane0, oy, geo);
                 }
@@ -1258,18 +1169,14 @@ fn scnn_unit(
             let ring = ring_table[src]
                 .as_ref()
                 .expect("source orientation is computed");
-            for ky in 0..k {
-                let kr = if row_flip { k - 1 - ky } else { ky };
-                let stream = ring
-                    .read(oy * s + ky * d, kr, direction, charges)
-                    .expect("row still resident within the window");
-                if ky == 0 {
-                    window.clear();
-                    window.extend_from_slice(stream);
-                } else {
-                    window_add(window, stream);
-                }
-            }
+            combine(
+                window,
+                (0..k).map(|ky| {
+                    let kr = if row_flip { k - 1 - ky } else { ky };
+                    ring.read(oy * s + ky * d, kr, direction, charges)
+                        .expect("row still resident within the window")
+                }),
+            );
             charges.adds += (k.saturating_sub(1) * f) as u64;
             emit_rows(
                 out_part,
@@ -1292,70 +1199,6 @@ fn scnn_unit(
             return_ring(ring_pool, streams_pool, ring);
         }
     }
-}
-
-/// Drives one ofmap channel plane through the output memory system
-/// (bias fold → ReLU → row-wise pooling), appending the re-quantized
-/// activations to `next` — the flat-buffer mirror of
-/// [`crate::output::OutputSystem`].
-#[allow(clippy::too_many_arguments)]
-fn process_channel(
-    plane: &[Accum],
-    geo: &Geo,
-    bias: Accum,
-    config: crate::output::OutputConfig,
-    act_row: &mut Vec<f32>,
-    pool_row: &mut Vec<f32>,
-    staged: &mut Vec<f32>,
-    next: &mut Vec<Fx16>,
-    counters: &mut Counters,
-) {
-    let (e, f) = (geo.e, geo.f);
-    staged.clear();
-    let mut staged_rows = 0usize;
-    for y in 0..e {
-        let row = &plane[y * f..][..f];
-        act_row.clear();
-        act_row.extend(row.iter().map(|&acc| {
-            let v = acc + bias;
-            let v = if config.relu { v.relu() } else { v };
-            v.to_sample().to_f32()
-        }));
-        let Some(p) = config.pool else {
-            next.extend(act_row.iter().map(|&v| Fx16::from_f32(v)));
-            continue;
-        };
-        counters.sr_writes += act_row.len() as u64;
-        counters.sr_reads += act_row.len() as u64;
-        pool_row.clear();
-        pool_row.extend(
-            act_row
-                .chunks_exact(p)
-                .map(|window| window.iter().copied().fold(f32::NEG_INFINITY, f32::max)),
-        );
-        counters.psum_mem_writes += pool_row.len() as u64;
-        let staged_width = pool_row.len();
-        staged.extend_from_slice(pool_row);
-        staged_rows += 1;
-        if staged_rows == p {
-            counters.psum_mem_reads += staged.len() as u64;
-            for x in 0..staged_width {
-                let best = (0..p)
-                    .map(|r| staged[r * staged_width + x])
-                    .fold(f32::NEG_INFINITY, f32::max);
-                next.push(Fx16::from_f32(best));
-            }
-            staged.clear();
-            staged_rows = 0;
-        }
-    }
-    // compile() rejects non-divisible pool geometry, so no staged rows
-    // may remain (a dropped tail would leave psum_mem_writes charged
-    // without matching psum_mem_reads).
-    debug_assert_eq!(
-        staged_rows, 0,
-        "pooling tail must be empty; Engine::compile validates e % p == 0"
-    );
 }
 
 #[cfg(test)]

@@ -38,11 +38,13 @@
 //!   the [`ExecMode`] it selects, plus the compressed-sparse tables.
 //! * `exec.rs` — the row-pass run phase ([`Engine::run`],
 //!   [`Engine::run_batched`], and [`Engine::run_packed`], the one
-//!   pack → run → split): PPSR row passes, ERRR rings, window
-//!   combination, the output memory system, and the one scoped-thread
-//!   fan-out both the stage partitioner and the batch runner use.
-//! * `sparse.rs` — the compressed-sparse executor for pruned dense
-//!   stages.
+//!   pack → run → split): one row-interleaved batch layout, PPSR row
+//!   passes, ERRR rings, the one window combine, each stage's hand-off
+//!   to the output memory system ([`crate::output`]), and the one
+//!   scoped-thread fan-out both the stage partitioner and the batch
+//!   runner use.
+//! * `sparse.rs` — the compressed-sparse row pass the dense sweep runs
+//!   on pruned dense stages.
 //! * `scratch.rs` — the run-phase arenas ([`Scratch`]) and the bounded
 //!   [`ScratchPool`] long-lived services check warm arenas out of.
 //!

@@ -13,24 +13,23 @@
 //!   already fixed the execution structure, nothing to decide.
 //! * [`ExecMode::Sparse`] — dense stages past the sparsity threshold
 //!   compile a CSR-style `(offset, value)` stream per filter row
-//!   ([`SparseUnitIr`], executed by [`super::sparse`]). Bit-identity is
-//!   **unconditional**: a zero weight's product is exactly zero and
-//!   `Accum::saturating_add(0)` is an exact identity even at the clamp
-//!   rails, so skipping zero taps while preserving the dense
-//!   `(ky, ci, j)` chain order cannot change any value.
+//!   ([`SparseUnitIr`]); the dense sweep runs [`super::sparse`]'s tap
+//!   pass over it in place of the channel-stacked kernel call.
+//!   Bit-identity is **unconditional**: a zero weight's product is
+//!   exactly zero and `Accum::saturating_add(0)` is an exact identity
+//!   even at the clamp rails, so skipping zero taps while preserving the
+//!   dense `(ky, ci, j)` chain order cannot change any value.
 //! * [`ExecMode::Dense`] — every other dense stage runs the
 //!   channel-stacked dense sweep.
 //!
 //! Counters are **not** re-modeled per mode: charges are
-//! data-independent (geometry + reuse only), so the sparse executor
-//! replays the dense charge model exactly ([`charge_dense_unit_image`]).
-//! That keeps PPSR/ERRR accounting, telemetry per-layer sums, and the
-//! `NetworkPerf` cross-checks closed; the mode's real savings show up
-//! as wall-clock in the `engine_modes` bench, not as counter deltas.
+//! data-independent (geometry + reuse only), so the sweep charges the
+//! same closed form whichever pass it runs. That keeps PPSR/ERRR
+//! accounting, telemetry per-layer sums, and the `NetworkPerf`
+//! cross-checks closed; the mode's real savings show up as wall-clock
+//! in the `engine_modes` bench, not as counter deltas.
 
 use super::ir::{Geo, StageIr, UnitIr};
-use crate::counters::Counters;
-use crate::ppsr::charge_conventional;
 use tfe_tensor::fixed::Fx16;
 use tfe_transfer::mode::{ExecMode, ModePolicy};
 
@@ -54,18 +53,17 @@ impl StagePlan {
     }
 }
 
-/// One dense filter in compressed-sparse form: per `(ci, ky)` row, the
+/// One dense filter in compressed-sparse form: per `(ky, ci)` row, the
 /// surviving `(stored-offset, value)` taps in ascending offset order —
 /// exactly the dense row with its zero positions elided, so the sparse
-/// executor can replay the dense chain structure over survivors only.
+/// pass can replay the dense chain structure over survivors only.
 #[derive(Debug, Clone)]
 pub(crate) struct SparseUnitIr {
-    /// `rows[ci · K + ky]` = ascending `(j, w)` survivors of the stored
-    /// `KW`-span row (dilation's stuffed zeros never appear).
+    /// `rows[ky · N/groups + ci]` = ascending `(j, w)` survivors of the
+    /// stored `KW`-span row (dilation's stuffed zeros never appear; the
+    /// pass skips empty rows) — `ky`-major, so one `ky`'s channel band
+    /// is one contiguous slice.
     pub(crate) rows: Vec<Vec<(u16, Fx16)>>,
-    /// Surviving taps across all rows (the executor skips empty rows
-    /// and, transitively, whole all-zero filters).
-    pub(crate) nonzeros: usize,
 }
 
 /// Plans one compiled stage: scans its quantized rows, asks the policy,
@@ -122,70 +120,15 @@ fn sparse_unit(stage: &StageIr, geo: &Geo, unit: &UnitIr) -> SparseUnitIr {
         unreachable!("sparse tables are built for dense units only");
     };
     let (k, kw, cpg) = (geo.k, geo.kw, geo.cpg);
-    let mut rows = Vec::with_capacity(cpg * k);
-    let mut nonzeros = 0usize;
-    for ci in 0..cpg {
-        for ky in 0..k {
-            let row = &stage.rows[base + (ci * k + ky) * kw..][..kw];
-            let survivors: Vec<(u16, Fx16)> = row
-                .iter()
+    let rows = (0..k)
+        .flat_map(|ky| (0..cpg).map(move |ci| &stage.rows[base + (ci * k + ky) * kw..][..kw]))
+        .map(|row| {
+            row.iter()
                 .enumerate()
                 .filter(|(_, w)| !w.is_zero())
                 .map(|(j, &w)| (j as u16, w))
-                .collect();
-            nonzeros += survivors.len();
-            rows.push(survivors);
-        }
-    }
-    SparseUnitIr { rows, nonzeros }
-}
-
-/// Replays the dense charge model for one unit over one representative
-/// image — the exact u64 totals `dense_unit_sweep` charges: per output
-/// row, `K` band sweeps of `N/groups` rows, each
-/// [`charge_conventional`]`(K, KW, PW)`, plus the `(K−1) · F`
-/// window-combine adds. Charges are data-independent, so replaying them
-/// is bit-identical to running the dense path; the sparse executor
-/// calls this so every counter stream (per-image, telemetry sums,
-/// `NetworkPerf` cross-checks) stays closed.
-pub(crate) fn charge_dense_unit_image(geo: &Geo, charges: &mut Counters) {
-    let Geo {
-        e,
-        f,
-        k,
-        cpg,
-        pw,
-        kw,
-        ..
-    } = *geo;
-    let _ = charge_conventional(k, kw, pw, e * k * cpg, charges);
-    charges.adds += (e * k.saturating_sub(1) * f) as u64;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dense_charge_replay_matches_the_loop() {
-        // The closed-form replay must equal literally looping the dense
-        // sweep's charge calls.
-        let shape = tfe_tensor::shape::LayerShape::conv("c", 3, 4, 10, 10, 3, 2, 1)
-            .unwrap()
-            .with_dilation(2)
-            .unwrap();
-        let geo = Geo::of(&shape);
-        let mut replay = Counters::new();
-        charge_dense_unit_image(&geo, &mut replay);
-        let mut looped = Counters::new();
-        for _oy in 0..geo.e {
-            for _ky in 0..geo.k {
-                for _ci in 0..geo.cpg {
-                    let _ = charge_conventional(geo.k, geo.kw, geo.pw, 1, &mut looped);
-                }
-            }
-            looped.adds += (geo.k.saturating_sub(1) * geo.f) as u64;
-        }
-        assert_eq!(replay, looped);
-    }
+                .collect()
+        })
+        .collect();
+    SparseUnitIr { rows }
 }

@@ -55,7 +55,8 @@ impl ArenaPeak {
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Flat padded input planes of the current stage, for the whole
-    /// batch: `[batch × channel × padded_h × padded_w]`, strided.
+    /// batch, interleaved by row: `[channel × padded_h × (batch ·
+    /// padded_w)]`.
     pub(crate) padded: Vec<Fx16>,
     /// Flat ofmap accumulators of the current stage,
     /// `[batch × M × E × F]`, strided.
@@ -166,10 +167,10 @@ impl Scratch {
 /// Buffers used inside a single unit kernel.
 #[derive(Debug, Default)]
 pub(crate) struct KernelBufs {
-    /// Combined window sums for one output row (batch-wide for the
-    /// DCNN/SCNN sweeps).
+    /// Combined window sums for one output row, batch-wide.
     pub(crate) window: Vec<Accum>,
-    /// Dense path: `K` channel-summed row parts, flat `[K × full_w]`.
+    /// Dense and sparse path: `K` channel-summed batch-wide row parts,
+    /// flat `[K × row_span]`.
     pub(crate) parts: Vec<Accum>,
     /// DCNN no-ERRR path: `per_row[ky][dx][x]` batch-wide stream
     /// buffers.

@@ -1,110 +1,70 @@
-//! Compressed-sparse execution of one dense unit (EIE-style; Fig. 16's
-//! pruned comparators made executable).
+//! The compressed-sparse row pass of one dense filter (EIE-style;
+//! Fig. 16's pruned comparators made executable).
 //!
-//! [`sparse_unit_image`] replays the dense sweep's structure — per
-//! output row, a `[K × full_w]` parts buffer filled in `(ky, ci)` order,
-//! then the first-copied-then-added window combine — but each `(ci, ky)`
-//! row touches only its surviving `(offset, value)` taps from the
-//! compiled [`SparseUnitIr`] stream. Bit-identity is **unconditional**
-//! (see [`super::plan`]): a zero weight's product is exactly `0` and
-//! `saturating_add(x, 0) == x` even at the clamp rails, so eliding zero
-//! taps while keeping the dense `(ky, ci, j)` chain order cannot change
-//! any accumulator value.
+//! A pruned dense stage runs the dense sweep (`exec::dense_unit_sweep`)
+//! unchanged — same row-interleaved batch layout, same batch-wide span,
+//! same window combine, emit, and charges — except that each
+//! `(output row, ky)` band pass is [`sparse_band_pass`] instead of the
+//! channel-stacked kernel call: each `(ky, ci)` row touches only its
+//! surviving `(offset, value)` taps from the compiled
+//! [`SparseUnitIr`](super::plan::SparseUnitIr) stream. Bit-identity is
+//! **unconditional** (see [`super::plan`]): a
+//! zero weight's product is exactly `0` and `saturating_add(x, 0) == x`
+//! even at the clamp rails, so eliding zero taps while keeping the dense
+//! `(ky, ci, j)` chain order cannot change any accumulator value.
 //!
 //! Two inner loops, selected by the stage's conservative
 //! saturation-free bound (`exec::saturation_free` — the same gate the
-//! dense sweep uses):
+//! dense kernel uses):
 //!
 //! * **wrapping fast path** (bound holds): tap-outer, position-inner —
 //!   one survivor's weight is loaded once and streamed across the whole
-//!   output row with wrapping arithmetic. Exact sums are associative,
-//!   so the reordering is bit-identical.
+//!   batch-wide span with wrapping arithmetic. Exact sums are
+//!   associative, so the reordering is bit-identical.
 //! * **exact fallback**: position-inner with a complete per-row
 //!   survivor sum per position, preserving the saturating chain
 //!   exactly.
-//!
-//! Counters are charged by the caller via
-//! [`super::plan::charge_dense_unit_image`] — the executor is pure
-//! compute.
 
-use super::ir::Geo;
-use super::plan::SparseUnitIr;
-use super::scratch::KernelBufs;
 use tfe_tensor::fixed::{Accum, Fx16};
 
-/// Executes one compressed-sparse dense unit over one image-major padded
-/// image, writing its ofmap plane (rebased to `plane`) into `out_img`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sparse_unit_image(
-    table: &SparseUnitIr,
-    padded_image: &[Fx16],
-    geo: &Geo,
-    filter: usize,
-    plane: usize,
-    saturation_free: bool,
-    out_img: &mut [Accum],
-    bufs: &mut KernelBufs,
+/// Accumulates one `ky` row of every channel of a compressed-sparse
+/// filter into `acc`, in ascending channel order: `rows[ci]` holds
+/// channel `ci`'s surviving taps (one `ky`'s band of
+/// [`SparseUnitIr::rows`](super::plan::SparseUnitIr::rows)), its input
+/// row starts at `ci · in_stride` in `input`, and position `x` reads
+/// sample `x + j` for each survivor `j`. `acc.len()` is the pass's span
+/// (batch-wide in the interleaved layout; the caller sizes it so every
+/// read stays inside the rows).
+pub(crate) fn sparse_band_pass(
+    rows: &[Vec<(u16, Fx16)>],
+    input: &[Fx16],
+    in_stride: usize,
+    acc: &mut [Accum],
+    wrapping: bool,
 ) {
-    let Geo {
-        e,
-        k,
-        s,
-        ph,
-        pw,
-        d,
-        cpg,
-        mpg,
-        kw,
-        ..
-    } = *geo;
-    if table.nonzeros == 0 {
-        // A fully-pruned filter's plane is exactly zero, and the output
-        // arena is pre-zeroed per stage — nothing to compute or write.
-        return;
-    }
-    let full_w = pw - kw + 1;
-    let c0 = (filter / mpg) * cpg;
-    let KernelBufs { window, parts, .. } = bufs;
-    for oy in 0..e {
-        parts.clear();
-        parts.resize(k * full_w, Accum::ZERO);
-        for ky in 0..k {
-            let acc = &mut parts[ky * full_w..][..full_w];
-            for ci in 0..cpg {
-                let taps = &table.rows[ci * k + ky];
-                if taps.is_empty() {
-                    continue;
-                }
-                let in_row = &padded_image[((c0 + ci) * ph + oy * s + ky * d) * pw..][..pw];
-                if saturation_free {
-                    for &(j, w) in taps {
-                        let wj = i32::from(w.to_bits());
-                        let seg = &in_row[j as usize..][..full_w];
-                        for (slot, &x) in acc.iter_mut().zip(seg) {
-                            let prod = i32::from(x.to_bits()).wrapping_mul(wj);
-                            *slot = Accum::from_bits(slot.to_bits().wrapping_add(prod));
-                        }
-                    }
-                } else {
-                    for (x, slot) in acc.iter_mut().enumerate() {
-                        let mut sum = Accum::ZERO;
-                        for &(j, w) in taps {
-                            sum += in_row[x + j as usize].widening_mul(w);
-                        }
-                        *slot += sum;
-                    }
+    let span = acc.len();
+    for (ci, taps) in rows.iter().enumerate() {
+        if taps.is_empty() {
+            continue;
+        }
+        let in_row = &input[ci * in_stride..];
+        if wrapping {
+            for &(j, w) in taps {
+                let wj = i32::from(w.to_bits());
+                let seg = &in_row[j as usize..][..span];
+                for (slot, &x) in acc.iter_mut().zip(seg) {
+                    let prod = i32::from(x.to_bits()).wrapping_mul(wj);
+                    *slot = Accum::from_bits(slot.to_bits().wrapping_add(prod));
                 }
             }
-        }
-        for ky in 0..k {
-            let part = &parts[ky * full_w..][..full_w];
-            if ky == 0 {
-                window.clear();
-                window.extend_from_slice(part);
-            } else {
-                super::exec::window_add(window, part);
+        } else {
+            for (x, slot) in acc.iter_mut().enumerate() {
+                let mut sum = Accum::ZERO;
+                for &(j, w) in taps {
+                    sum += in_row[x + j as usize].widening_mul(w);
+                }
+                *slot += sum;
             }
         }
-        super::exec::emit_row(out_img, window, plane, oy, geo);
     }
 }

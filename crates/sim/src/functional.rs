@@ -10,6 +10,11 @@
 //! *expanded* transferred filters: the reuse machinery must be a pure
 //! optimization.
 //!
+//! [`run_layer`] stops at the raw accumulators. The output memory system
+//! (Fig. 13: bias, ReLU, row-wise pooling — [`crate::output`]) runs only
+//! inside full engine stages, so a layer's complete path is a one-stage
+//! [`crate::network::FunctionalNetwork`].
+//!
 //! Scope: arbitrary stride, dilation, channel grouping (including
 //! depth-wise), arbitrary square filters, zero padding, multi-channel,
 //! batched inputs.
@@ -22,9 +27,6 @@ use tfe_tensor::shape::LayerShape;
 use tfe_tensor::tensor::Tensor4;
 use tfe_transfer::analysis::ReuseConfig;
 use tfe_transfer::layer::TransferredLayer;
-
-/// Final activations of a layer, indexed `[batch][channel][row][col]`.
-pub type ActivationPlanes = Vec<Vec<Vec<Vec<f32>>>>;
 
 /// Result of a functional layer execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,47 +73,6 @@ pub fn run_layer(
     }
     let engine = Engine::compile_single(shape, layer, reuse)?;
     engine.run_conv_only(input, &mut Scratch::new())
-}
-
-/// Executes one layer and drives its ofmaps through the output memory
-/// system (adder trees → ReLU → row-wise pooling), returning the final
-/// activation planes as `[batch][channel][row][col]` `f32` values plus
-/// the merged counters.
-///
-/// This is the complete Fig. 10 path for one layer: PE array + SR group
-/// (PPSR), PSum memories (ERRR), then Fig. 13's output stage.
-///
-/// # Errors
-///
-/// Same conditions as [`run_layer`].
-pub fn run_layer_with_output(
-    input: &Tensor4<Fx16>,
-    layer: &TransferredLayer,
-    shape: &LayerShape,
-    reuse: ReuseConfig,
-    output_config: crate::output::OutputConfig,
-) -> Result<(ActivationPlanes, Counters), SimError> {
-    let FunctionalOutput {
-        output,
-        mut counters,
-    } = run_layer(input, layer, shape, reuse)?;
-    let [batch, channels, e, f] = output.dims();
-    let mut activations = Vec::with_capacity(batch);
-    for b in 0..batch {
-        let mut per_channel = Vec::with_capacity(channels);
-        for c in 0..channels {
-            let rows: Vec<Vec<Accum>> = (0..e)
-                .map(|y| (0..f).map(|x| output.get([b, c, y, x])).collect())
-                .collect();
-            per_channel.push(crate::output::process_plane(
-                &rows,
-                output_config,
-                &mut counters,
-            ));
-        }
-        activations.push(per_channel);
-    }
-    Ok((activations, counters))
 }
 
 #[cfg(test)]
@@ -392,6 +353,7 @@ mod tests {
 
     #[test]
     fn layer_with_output_matches_conv_relu_pool_reference() {
+        use crate::network::{FunctionalNetwork, FunctionalStage};
         use crate::output::OutputConfig;
         use tfe_tensor::pool::{pool2d, PoolKind, PoolSpec};
 
@@ -401,23 +363,25 @@ mod tests {
         let layer = TransferredLayer::random(&shape, TransferScheme::Scnn, || det(s2)).unwrap();
         let input = random_input(&shape, &mut 17);
 
-        let (activations, _) = run_layer_with_output(
-            &input,
-            &layer,
-            &shape,
-            ReuseConfig::FULL,
-            OutputConfig::RELU_POOL2,
-        )
+        // The full Fig. 10 path of one layer: a one-stage network whose
+        // stage ends in the output memory system.
+        let net = FunctionalNetwork::new(vec![FunctionalStage {
+            shape: shape.clone(),
+            weights: layer.clone(),
+            bias: Vec::new(),
+            output: OutputConfig::RELU_POOL2,
+        }])
         .unwrap();
+        let activations = net.run(&input, ReuseConfig::FULL).unwrap().activations;
 
         // Reference: oracle conv -> quantized relu -> 2x2 tile pool.
         let expected_acc = oracle(&input, &layer, &shape);
         let quantized = expected_acc.map(|a| a.relu().to_sample().to_f32());
         let spec = PoolSpec::non_overlapping(PoolKind::Max, 2).unwrap();
         let pooled = pool2d(&quantized, spec).unwrap();
+        assert_eq!(activations.dims(), pooled.dims());
         for (idx, v) in pooled.indexed_iter() {
-            let [b, c, y, x] = idx;
-            assert_eq!(activations[b][c][y][x], v, "at {idx:?}");
+            assert_eq!(activations.get(idx).to_f32(), v, "at {idx:?}");
         }
     }
 

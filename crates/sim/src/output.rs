@@ -3,15 +3,17 @@
 //! alignment memory (DAM).
 //!
 //! The TFE produces ofmap activations *row by row*, so pooling cannot see
-//! a whole tile: a `2 × 2` pool first reduces each fresh row horizontally
-//! (`1 × 2`, staging one activation in `Pool_Reg`), stores the result in
-//! an `O_Memory` bank, and completes the window when the next row's
-//! horizontal reduction arrives. [`OutputSystem`] implements that
-//! machinery with access counting; tests pin its results to the
-//! tile-at-once reference in [`tfe_tensor::pool`].
+//! a whole tile: a `p × p` pool first reduces each fresh row horizontally
+//! (`1 × p`, staging each activation in `Pool_Reg`), stores the result
+//! in an `O_Memory` bank, and completes the window when the `p`-th row's
+//! horizontal reduction arrives. `process_channel` implements that
+//! machinery with access counting for one ofmap channel — the one output
+//! stage every compiled engine stage drives its accumulator planes
+//! through; tests pin its results to the tile-at-once reference in
+//! [`tfe_tensor::pool`].
 
 use crate::counters::Counters;
-use tfe_tensor::fixed::Accum;
+use tfe_tensor::fixed::{Accum, Fx16};
 
 /// Configuration of the output stage for one layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,92 +39,73 @@ impl OutputConfig {
     };
 }
 
-/// The row-wise output stage of one ofmap channel.
+/// Drives one ofmap channel plane (`width`-long accumulator rows, in
+/// order) through the output memory system — bias fold → ReLU →
+/// row-wise pooling — appending the re-quantized activations to `next`
+/// row by row. `act_row`, `pool_row`, and `staged` (the `O_Memory`
+/// contents, flat) are caller-owned scratch.
 ///
-/// Push finished accumulator rows in order with
-/// [`OutputSystem::push_row`]; pooled (or plain activated) rows come back
-/// as they complete. [`OutputSystem::finish`] flushes nothing extra for
-/// non-overlapping pools — partial windows are discarded, as the
-/// hardware does.
-#[derive(Debug, Clone)]
-pub struct OutputSystem {
+/// Each pooled activation is staged through `Pool_Reg` once (a register
+/// write and read per element); each horizontally reduced row is one
+/// `O_Memory` write, read back when its window's last row arrives.
+/// Engine compilation rejects pool extents that do not divide the plane,
+/// so every staged row completes a window.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn process_channel(
+    plane: &[Accum],
+    width: usize,
+    bias: Accum,
     config: OutputConfig,
-    /// Horizontally reduced rows awaiting their vertical partners
-    /// (the `O_Memory` contents).
-    o_memory: Vec<Vec<f32>>,
-    rows_seen: usize,
-}
-
-impl OutputSystem {
-    /// Creates the stage for one channel.
-    #[must_use]
-    pub fn new(config: OutputConfig) -> Self {
-        OutputSystem {
-            config,
-            o_memory: Vec::new(),
-            rows_seen: 0,
-        }
-    }
-
-    /// Applies ReLU (if configured) and quantizes one accumulator row to
-    /// activation values.
-    fn activate(&self, row: &[Accum]) -> Vec<f32> {
-        row.iter()
-            .map(|&acc| {
-                let v = if self.config.relu { acc.relu() } else { acc };
-                v.to_sample().to_f32()
-            })
-            .collect()
-    }
-
-    /// Horizontal (`1 × p`) reduction of one activated row via
-    /// `Pool_Reg`.
-    fn horizontal(&self, row: &[f32], p: usize, counters: &mut Counters) -> Vec<f32> {
-        // Each activation is staged through Pool_Reg once (a register
-        // write + read per element).
-        counters.sr_writes += row.len() as u64;
-        counters.sr_reads += row.len() as u64;
-        row.chunks_exact(p)
-            .map(|window| window.iter().copied().fold(f32::NEG_INFINITY, f32::max))
-            .collect()
-    }
-
-    /// Feeds one finished ofmap row. Returns the completed output row, if
-    /// this row completed one.
-    pub fn push_row(&mut self, row: &[Accum], counters: &mut Counters) -> Option<Vec<f32>> {
-        self.rows_seen += 1;
-        let activated = self.activate(row);
-        let Some(p) = self.config.pool else {
-            return Some(activated);
+    act_row: &mut Vec<f32>,
+    pool_row: &mut Vec<f32>,
+    staged: &mut Vec<f32>,
+    next: &mut Vec<Fx16>,
+    counters: &mut Counters,
+) {
+    staged.clear();
+    let mut staged_rows = 0usize;
+    for row in plane.chunks_exact(width) {
+        act_row.clear();
+        act_row.extend(row.iter().map(|&acc| {
+            let v = acc + bias;
+            let v = if config.relu { v.relu() } else { v };
+            v.to_sample().to_f32()
+        }));
+        let Some(p) = config.pool else {
+            next.extend(act_row.iter().map(|&v| Fx16::from_f32(v)));
+            continue;
         };
-        let horizontal = self.horizontal(&activated, p, counters);
-        counters.psum_mem_writes += horizontal.len() as u64; // O_Memory write
-        self.o_memory.push(horizontal);
-        if self.o_memory.len() == p {
-            // Read back the staged rows and reduce vertically.
-            let staged: Vec<Vec<f32>> = std::mem::take(&mut self.o_memory);
-            counters.psum_mem_reads += staged.iter().map(Vec::len).sum::<usize>() as u64;
-            let width = staged[0].len();
-            let pooled = (0..width)
-                .map(|x| {
-                    staged
-                        .iter()
-                        .map(|r| r[x])
-                        .fold(f32::NEG_INFINITY, f32::max)
-                })
-                .collect();
-            Some(pooled)
-        } else {
-            None
+        counters.sr_writes += act_row.len() as u64;
+        counters.sr_reads += act_row.len() as u64;
+        pool_row.clear();
+        pool_row.extend(
+            act_row
+                .chunks_exact(p)
+                .map(|window| window.iter().copied().fold(f32::NEG_INFINITY, f32::max)),
+        );
+        counters.psum_mem_writes += pool_row.len() as u64;
+        let staged_width = pool_row.len();
+        staged.extend_from_slice(pool_row);
+        staged_rows += 1;
+        if staged_rows == p {
+            counters.psum_mem_reads += staged.len() as u64;
+            for x in 0..staged_width {
+                let best = (0..p)
+                    .map(|r| staged[r * staged_width + x])
+                    .fold(f32::NEG_INFINITY, f32::max);
+                next.push(Fx16::from_f32(best));
+            }
+            staged.clear();
+            staged_rows = 0;
         }
     }
-
-    /// Ends the channel; reports how many trailing rows were discarded as
-    /// a partial window.
-    #[must_use]
-    pub fn finish(self) -> usize {
-        self.o_memory.len()
-    }
+    // compile() rejects non-divisible pool geometry, so no staged rows
+    // may remain (a dropped tail would leave psum_mem_writes charged
+    // without matching psum_mem_reads).
+    debug_assert_eq!(
+        staged_rows, 0,
+        "pooling tail must be empty; Engine::compile validates e % p == 0"
+    );
 }
 
 /// The data alignment memory: buffers pooled rows until a whole channel
@@ -180,28 +163,9 @@ impl AlignmentMemory {
     }
 }
 
-/// Convenience: runs a whole accumulator plane (`E` rows of `F`) through
-/// the output stage, returning the pooled plane row-major.
-#[must_use]
-pub fn process_plane(
-    rows: &[Vec<Accum>],
-    config: OutputConfig,
-    counters: &mut Counters,
-) -> Vec<Vec<f32>> {
-    let mut system = OutputSystem::new(config);
-    let mut out = Vec::new();
-    for row in rows {
-        if let Some(done) = system.push_row(row, counters) {
-            out.push(done);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfe_tensor::fixed::Fx16;
     use tfe_tensor::pool::{pool2d, PoolKind, PoolSpec};
     use tfe_tensor::tensor::Tensor4;
 
@@ -209,18 +173,40 @@ mod tests {
         Fx16::from_f32(v).widening_mul(Fx16::ONE)
     }
 
-    fn plane(values: &[&[f32]]) -> Vec<Vec<Accum>> {
-        values
+    /// Runs one plane of rows through [`process_channel`] (zero bias)
+    /// and returns its output rows as `f32`.
+    fn run(rows: &[&[f32]], config: OutputConfig, counters: &mut Counters) -> Vec<Vec<f32>> {
+        let width = rows[0].len();
+        let plane: Vec<Accum> = rows
             .iter()
-            .map(|row| row.iter().map(|&v| acc(v)).collect())
+            .flat_map(|r| r.iter().map(|&v| acc(v)))
+            .collect();
+        let mut next = Vec::new();
+        process_channel(
+            &plane,
+            width,
+            Accum::ZERO,
+            config,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut next,
+            counters,
+        );
+        let out_width = config.pool.map_or(width, |p| width / p);
+        next.chunks(out_width)
+            .map(|row| row.iter().map(|v| v.to_f32()).collect())
             .collect()
     }
 
     #[test]
     fn relu_only_passes_rows_through() {
         let mut counters = Counters::new();
-        let rows = plane(&[&[1.0, -2.0], &[-0.5, 3.0]]);
-        let out = process_plane(&rows, OutputConfig::RELU_ONLY, &mut counters);
+        let out = run(
+            &[&[1.0, -2.0], &[-0.5, 3.0]],
+            OutputConfig::RELU_ONLY,
+            &mut counters,
+        );
         assert_eq!(out, vec![vec![1.0, 0.0], vec![0.0, 3.0]]);
     }
 
@@ -228,16 +214,14 @@ mod tests {
     fn row_wise_pooling_matches_tile_reference() {
         let mut counters = Counters::new();
         let data: Vec<f32> = (0..36).map(|i| ((i * 7) % 13) as f32 - 6.0).collect();
-        let rows: Vec<Vec<Accum>> = data
-            .chunks(6)
-            .map(|r| r.iter().map(|&v| acc(v)).collect())
-            .collect();
-        let out = process_plane(&rows, OutputConfig::RELU_POOL2, &mut counters);
+        let rows: Vec<&[f32]> = data.chunks(6).collect();
+        let out = run(&rows, OutputConfig::RELU_POOL2, &mut counters);
 
         // Reference: relu then 2x2 max pool on the whole tile.
         let tile = Tensor4::from_fn([1, 1, 6, 6], |[_, _, y, x]| data[y * 6 + x].max(0.0));
         let spec = PoolSpec::non_overlapping(PoolKind::Max, 2).unwrap();
         let reference = pool2d(&tile, spec).unwrap();
+        assert_eq!(out.len(), 3);
         for (y, row) in out.iter().enumerate() {
             for (x, &v) in row.iter().enumerate() {
                 assert_eq!(v, reference.get([0, 0, y, x]), "({y},{x})");
@@ -246,25 +230,13 @@ mod tests {
     }
 
     #[test]
-    fn odd_row_counts_discard_partial_windows() {
-        let mut counters = Counters::new();
-        let rows = plane(&[&[1.0, 2.0], &[3.0, 4.0], &[9.0, 9.0]]);
-        let mut system = OutputSystem::new(OutputConfig::RELU_POOL2);
-        let mut produced = 0;
-        for row in &rows {
-            if system.push_row(row, &mut counters).is_some() {
-                produced += 1;
-            }
-        }
-        assert_eq!(produced, 1);
-        assert_eq!(system.finish(), 1, "one staged row discarded");
-    }
-
-    #[test]
     fn pooling_counts_o_memory_traffic() {
         let mut counters = Counters::new();
-        let rows = plane(&[&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0]]);
-        let _ = process_plane(&rows, OutputConfig::RELU_POOL2, &mut counters);
+        let _ = run(
+            &[&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0]],
+            OutputConfig::RELU_POOL2,
+            &mut counters,
+        );
         // Two horizontal rows of 2 written, both read back.
         assert_eq!(counters.psum_mem_writes, 4);
         assert_eq!(counters.psum_mem_reads, 4);
@@ -297,15 +269,11 @@ mod tests {
     #[test]
     fn no_relu_keeps_negative_activations() {
         let mut counters = Counters::new();
-        let rows = plane(&[&[-1.5, 0.5]]);
-        let out = process_plane(
-            &rows,
-            OutputConfig {
-                relu: false,
-                pool: None,
-            },
-            &mut counters,
-        );
+        let config = OutputConfig {
+            relu: false,
+            pool: None,
+        };
+        let out = run(&[&[-1.5, 0.5]], config, &mut counters);
         assert_eq!(out, vec![vec![-1.5, 0.5]]);
     }
 }

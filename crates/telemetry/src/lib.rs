@@ -47,5 +47,5 @@ pub mod sink;
 pub use counters::Counters;
 pub use histogram::LatencyHistogram;
 pub use registry::{LayerStats, LayerTelemetry, TelemetryRegistry, TelemetrySnapshot};
-pub use sample::{LayerSample, StageKind};
+pub use sample::LayerSample;
 pub use sink::Sink;

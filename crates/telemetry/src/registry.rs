@@ -222,12 +222,11 @@ pub struct TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample::{LayerSample, StageKind};
+    use crate::sample::LayerSample;
 
     fn sample(layer: u32, wall_ns: u64, multiplies: u64) -> LayerSample {
         LayerSample {
             layer,
-            stage: StageKind::Full,
             wall_ns,
             images: 1,
             counters: Counters {

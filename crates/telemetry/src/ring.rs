@@ -119,12 +119,10 @@ impl Ring {
 mod tests {
     use super::*;
     use crate::counters::Counters;
-    use crate::sample::StageKind;
 
     fn sample(layer: u32, wall_ns: u64) -> LayerSample {
         LayerSample {
             layer,
-            stage: StageKind::Full,
             wall_ns,
             images: 1,
             counters: Counters {
@@ -187,7 +185,6 @@ mod tests {
                         // checked below.
                         ring.push(&LayerSample {
                             layer: t,
-                            stage: StageKind::Full,
                             wall_ns: t as u64 * 1_000_000 + i,
                             images: 1,
                             counters: Counters {

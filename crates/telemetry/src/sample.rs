@@ -3,47 +3,10 @@
 
 use crate::counters::Counters;
 
-/// Which portion of a compiled stage one sample covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageKind {
-    /// A full stage: convolution plus the output memory system
-    /// (`Engine::run`).
-    Full,
-    /// Convolution only — the single-layer reference path
-    /// (`run_layer` / `run_conv_only`), which owns its own output stage.
-    ConvOnly,
-}
-
-impl StageKind {
-    /// Stable short identifier used in printed tables.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StageKind::Full => "full",
-            StageKind::ConvOnly => "conv",
-        }
-    }
-
-    fn code(self) -> u64 {
-        match self {
-            StageKind::Full => 0,
-            StageKind::ConvOnly => 1,
-        }
-    }
-
-    fn from_code(code: u64) -> StageKind {
-        if code & 1 == 1 {
-            StageKind::ConvOnly
-        } else {
-            StageKind::Full
-        }
-    }
-}
-
 /// One per-stage execution record emitted by the engine's
-/// instrumentation: the stage index, the portion executed, the wall
-/// time, how many images the execution covered, and exactly the
-/// [`Counters`] delta that stage contributed to the run's total.
+/// instrumentation: the stage index, the wall time, how many images the
+/// execution covered, and exactly the [`Counters`] delta that stage
+/// contributed to the run's total.
 ///
 /// A batched run (`Engine::run` on a `[B, …]` tensor) emits **one**
 /// sample per stage covering all `B` images — `images` keeps the
@@ -53,8 +16,6 @@ impl StageKind {
 pub struct LayerSample {
     /// Compiled stage index (0-based, in network order).
     pub layer: u32,
-    /// Which portion of the stage this sample covers.
-    pub stage: StageKind,
     /// Wall-clock time of the stage, nanoseconds.
     pub wall_ns: u64,
     /// Number of images this stage execution processed (the run's batch
@@ -67,8 +28,8 @@ pub struct LayerSample {
 
 impl LayerSample {
     /// Number of `u64` words one encoded sample occupies in the ring:
-    /// one packed `layer`/`stage` word, `wall_ns`, `images`, and the 11
-    /// counter fields.
+    /// the `layer` tag word, `wall_ns`, `images`, and the 11 counter
+    /// fields.
     pub(crate) const WORDS: usize = 14;
 
     /// Packs the sample into fixed-width words for the atomic ring.
@@ -89,7 +50,7 @@ impl LayerSample {
             cycles,
         } = self.counters;
         [
-            (u64::from(self.layer) << 8) | self.stage.code(),
+            u64::from(self.layer),
             self.wall_ns,
             self.images,
             dense_macs,
@@ -111,8 +72,7 @@ impl LayerSample {
         let [tag, wall_ns, images, dense_macs, multiplies, adds, sr_reads, sr_writes, psum_mem_reads, psum_mem_writes, input_mem_reads, weight_reads, dram_bits, cycles] =
             words;
         LayerSample {
-            layer: (tag >> 8) as u32,
-            stage: StageKind::from_code(tag & 0xff),
+            layer: tag as u32,
             wall_ns,
             images,
             counters: Counters {
@@ -140,7 +100,6 @@ mod tests {
     fn samples_round_trip_through_word_encoding() {
         let sample = LayerSample {
             layer: 0x00ab_cdef,
-            stage: StageKind::ConvOnly,
             wall_ns: u64::MAX - 7,
             images: 42,
             counters: Counters {
@@ -158,10 +117,5 @@ mod tests {
             },
         };
         assert_eq!(LayerSample::decode(sample.encode()), sample);
-        let full = LayerSample {
-            stage: StageKind::Full,
-            ..sample
-        };
-        assert_eq!(LayerSample::decode(full.encode()), full);
     }
 }

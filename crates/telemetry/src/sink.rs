@@ -239,12 +239,10 @@ impl Sink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample::StageKind;
 
     fn sample(layer: u32, wall_ns: u64, multiplies: u64) -> LayerSample {
         LayerSample {
             layer,
-            stage: StageKind::Full,
             wall_ns,
             images: 1,
             counters: Counters {

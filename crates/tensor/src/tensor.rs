@@ -47,10 +47,16 @@ impl<T: Copy> Tensor4<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if `data.len()` does not equal
-    /// the product of `dims`.
+    /// Returns [`TensorError::InvalidDimension`] if the product of `dims`
+    /// overflows `usize`, and [`TensorError::ShapeMismatch`] if
+    /// `data.len()` does not equal it.
     pub fn from_vec(dims: [usize; 4], data: Vec<T>) -> Result<Self, TensorError> {
-        let expected: usize = dims.iter().product();
+        let expected = dims.iter().try_fold(1usize, |len, &d| {
+            len.checked_mul(d).ok_or(TensorError::InvalidDimension {
+                what: "dimension (element count overflows usize)",
+                value: d,
+            })
+        })?;
         if data.len() != expected {
             return Err(TensorError::ShapeMismatch {
                 what: "flat data length",
@@ -202,6 +208,18 @@ impl Tensor4<f32> {
 mod tests {
     use super::*;
     use crate::fixed::Fx16;
+
+    #[test]
+    fn from_vec_rejects_dims_whose_product_overflows() {
+        let huge = 1usize << (usize::BITS / 2);
+        assert_eq!(
+            Tensor4::<f32>::from_vec([1, huge, huge, 1], Vec::new()),
+            Err(TensorError::InvalidDimension {
+                what: "dimension (element count overflows usize)",
+                value: huge,
+            })
+        );
+    }
 
     #[test]
     fn zeros_and_len() {

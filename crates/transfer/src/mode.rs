@@ -98,12 +98,15 @@ impl ModePolicy {
 }
 
 impl Default for ModePolicy {
-    /// Sparse wins from 65 % zero taps: the measured crossover against
-    /// the channel-stacked dense sweep. On the `engine_modes` bench's
-    /// 48→32-channel 12×12 stage the compressed-sparse executor ran at
+    /// Sparse from 65 % zero taps: the crossover the per-image sparse
+    /// executor measured against the channel-stacked dense sweep. On
+    /// the `engine_modes` bench's 48→32-channel 12×12 stage it ran at
     /// 0.65–0.97× dense at 50 % sparsity and 0.81–1.03× at 60 %, but
     /// 0.99–1.12× at 65 %, 1.04–1.33× at 70 %, and 2.1–2.7× at 90 %
-    /// (2 vCPUs, interleaved min-of-reps, seven or eight runs).
+    /// (2 vCPUs, interleaved min-of-reps, seven or eight runs). The tap
+    /// pass that replaced it inside the dense sweep crosses over
+    /// between 50 and 60 % (medians 0.84× and 1.05×, 16 runs), so this
+    /// threshold is conservative.
     fn default() -> Self {
         ModePolicy {
             sparse_threshold: 0.65,

@@ -41,6 +41,8 @@ const ALL_SCHEMES: [TransferScheme; 3] = [
 const STRIDES: [usize; 2] = [1, 2];
 const DILATIONS: [usize; 2] = [1, 2];
 const BATCHES: [usize; 3] = [1, 3, 5];
+/// Body-stage channel groups: 8 is depth-wise on the 8-channel stems.
+const GROUPS: [usize; 3] = [1, 2, 8];
 
 /// The policies under comparison; `DENSE_ONLY` is the oracle.
 const POLICIES: [(&str, ModePolicy, ExecMode); 2] = [
@@ -49,13 +51,16 @@ const POLICIES: [(&str, ModePolicy, ExecMode); 2] = [
 ];
 
 /// A transferred stem (per scheme) feeding a dense stage at the given
-/// stride/dilation, with a deterministic fraction of the dense weights
-/// zeroed — so forced policies exercise sparse tables with real holes
-/// while the stem pins that transferred stages ignore the policy.
+/// stride/dilation/channel groups, with a deterministic fraction of the
+/// dense weights zeroed — so forced policies exercise sparse tables with
+/// real holes (and, grouped, filters reading a channel band at an
+/// offset) while the stem pins that transferred stages ignore the
+/// policy.
 fn mixed_net(
     scheme: TransferScheme,
     stride: usize,
     dilation: usize,
+    groups: usize,
     sparsity_steps: u32,
     seed: u32,
 ) -> FunctionalNetwork {
@@ -69,9 +74,11 @@ fn mixed_net(
     let body = LayerShape::conv("body", m, 8, 13, 13, 3, stride, 1)
         .unwrap()
         .with_dilation(dilation)
+        .unwrap()
+        .with_groups(groups)
         .unwrap();
     let body_weights = TransferredLayer::Dense {
-        weights: Tensor4::from_fn([8, m, 3, 3], |_| {
+        weights: Tensor4::from_fn([8, m / groups, 3, 3], |_| {
             let v = det(&mut s);
             // `sparsity_steps`/8 of the taps become exact zeros.
             if (s >> 8) & 0x7 < sparsity_steps {
@@ -231,14 +238,15 @@ fn assert_mode_parity(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The full grid: scheme × stride × dilation × batch × worker count
-    /// × weight sparsity, each cell comparing the policy engines
-    /// bit-for-bit through `run` and `run_batched`.
+    /// The full grid: scheme × stride × dilation × channel groups ×
+    /// batch × worker count × weight sparsity, each cell comparing the
+    /// policy engines bit-for-bit through `run` and `run_batched`.
     #[test]
     fn forced_modes_are_bit_identical_across_the_grid(
         scheme_idx in 0usize..3,
         stride_idx in 0usize..2,
         dil_idx in 0usize..2,
+        groups_idx in 0usize..3,
         batch_idx in 0usize..3,
         workers in 1usize..5,
         sparsity_steps in 0u32..8,
@@ -249,13 +257,14 @@ proptest! {
             scheme,
             STRIDES[stride_idx],
             DILATIONS[dil_idx],
+            GROUPS[groups_idx],
             sparsity_steps,
             seed,
         );
         let input = stacked(BATCHES[batch_idx], 3, 13, 1.0, seed ^ 0xbead);
         let label = format!(
-            "{scheme:?} stride={} dil={} batch={} workers={workers} zeros={sparsity_steps}/8",
-            STRIDES[stride_idx], DILATIONS[dil_idx], BATCHES[batch_idx]
+            "{scheme:?} stride={} dil={} groups={} batch={} workers={workers} zeros={sparsity_steps}/8",
+            STRIDES[stride_idx], DILATIONS[dil_idx], GROUPS[groups_idx], BATCHES[batch_idx]
         );
         assert_mode_parity(&net, ReuseConfig::FULL, &input, workers, &label);
     }

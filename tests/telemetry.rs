@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use tfe::sim::counters::Counters;
 use tfe::sim::engine::{Engine, Scratch};
 use tfe::sim::network::FunctionalNetwork;
-use tfe::telemetry::{LayerSample, Sink, StageKind, TelemetryRegistry, TelemetrySnapshot};
+use tfe::telemetry::{LayerSample, Sink, TelemetryRegistry, TelemetrySnapshot};
 use tfe::tensor::fixed::Fx16;
 use tfe::tensor::shape::LayerShape;
 use tfe::tensor::tensor::Tensor4;
@@ -199,7 +199,6 @@ fn shard_registry(layer_count: usize, ring: usize, count: usize, seed: u32) -> T
         let multiplies = 1 + next(100);
         sink.record(&LayerSample {
             layer: next(layer_count as u64) as u32,
-            stage: StageKind::Full,
             wall_ns: 1 + next(20_000),
             images: 1,
             counters: Counters {
