@@ -49,6 +49,10 @@ cargo bench --offline --no-run
 # Rustdoc is part of the public surface: broken intra-doc links or
 # malformed docs fail the gate just like clippy warnings do.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+# The engine's executors, row kernel and row sweep are crate-private, so
+# the line above never renders their docs: check tfe-sim's private items
+# too.
+RUSTDOCFLAGS="-D warnings" cargo doc -p tfe-sim --no-deps --offline --document-private-items
 # BENCH=1 additionally runs the timing acceptance benches — the
 # compile/run-split steady-state speedup (pinned >= 2x on the
 # compile-bound cell), the filter-stationary batched sweep (pinned

@@ -9,9 +9,8 @@ use tfe_bench::report::{BenchCell, BenchReport};
 use tfe_bench::timing::best_pair_ips;
 use tfe_sim::counters::Counters;
 use tfe_sim::ppsr::{
-    conventional_row_pass_acc, conventional_row_pass_acc_scalar, dcnn_row_pass, dcnn_row_pass_acc,
-    dcnn_row_pass_acc_scalar, row_correlate, row_correlate_rev, scnn_row_pass, scnn_row_pass_acc,
-    scnn_row_pass_acc_scalar,
+    conventional_row_pass_acc, conventional_row_pass_acc_scalar, dcnn_row_pass_acc,
+    dcnn_row_pass_acc_scalar, scnn_row_pass_acc, scnn_row_pass_acc_scalar,
 };
 use tfe_tensor::fixed::{Accum, Fx16};
 
@@ -22,63 +21,42 @@ fn bench_ppsr(c: &mut Criterion) {
     let input: Vec<Fx16> = (0..226)
         .map(|i| Fx16::from_f32(((i % 13) as f32 - 6.0) / 8.0))
         .collect();
-    c.bench_function("dcnn_row_pass z6 k3 w226 (PPSR on)", |b| {
-        b.iter(|| {
-            let mut counters = Counters::new();
-            dcnn_row_pass(
-                black_box(&meta_row),
-                black_box(&input),
-                3,
-                true,
-                &mut counters,
-            )
-        })
-    });
-    c.bench_function("dcnn_row_pass z6 k3 w226 (PPSR off)", |b| {
-        b.iter(|| {
-            let mut counters = Counters::new();
-            dcnn_row_pass(
-                black_box(&meta_row),
-                black_box(&input),
-                3,
-                false,
-                &mut counters,
-            )
-        })
-    });
+    let out_len = input.len() + 1 - 3;
+    let mut lanes = vec![vec![Accum::ZERO; out_len]; meta_row.len() - 3 + 1];
+    for (ppsr, label) in [(true, "on"), (false, "off")] {
+        c.bench_function(
+            &format!("dcnn_row_pass_acc z6 k3 w226 (PPSR {label})"),
+            |b| {
+                b.iter(|| {
+                    let mut counters = Counters::new();
+                    dcnn_row_pass_acc(
+                        black_box(&meta_row),
+                        black_box(&input),
+                        3,
+                        ppsr,
+                        &mut lanes,
+                        &mut counters,
+                    );
+                })
+            },
+        );
+    }
     let base_row: Vec<Fx16> = (0..3).map(|i| Fx16::from_f32(i as f32 - 1.0)).collect();
-    c.bench_function("scnn_row_pass k3 w226", |b| {
+    let mut fwd = vec![Accum::ZERO; out_len];
+    let mut rev = vec![Accum::ZERO; out_len];
+    c.bench_function("scnn_row_pass_acc k3 w226", |b| {
         b.iter(|| {
             let mut counters = Counters::new();
-            scnn_row_pass(black_box(&base_row), black_box(&input), true, &mut counters)
+            scnn_row_pass_acc(
+                black_box(&base_row),
+                black_box(&input),
+                true,
+                &mut fwd,
+                Some(rev.as_mut_slice()),
+                &mut counters,
+            );
         })
     });
-}
-
-/// Compares the allocation-free reversed correlation against the old
-/// allocate-a-reversed-copy formulation it replaced, with the forward
-/// correlation as the floor.
-fn bench_row_correlate_rev(c: &mut Criterion) {
-    let weights: Vec<Fx16> = (0..7)
-        .map(|i| Fx16::from_f32(i as f32 * 0.125 - 0.375))
-        .collect();
-    let input: Vec<Fx16> = (0..226)
-        .map(|i| Fx16::from_f32(((i % 13) as f32 - 6.0) / 8.0))
-        .collect();
-    let mut group = c.benchmark_group("row_correlate_rev");
-    group.bench_function("forward (floor)", |b| {
-        b.iter(|| row_correlate(black_box(&weights), black_box(&input)))
-    });
-    group.bench_function("reverse-indexed (current)", |b| {
-        b.iter(|| row_correlate_rev(black_box(&weights), black_box(&input)))
-    });
-    group.bench_function("allocate-reversed-copy (old)", |b| {
-        b.iter(|| -> Vec<Accum> {
-            let rev: Vec<Fx16> = black_box(&weights).iter().rev().copied().collect();
-            row_correlate(&rev, black_box(&input))
-        })
-    });
-    group.finish();
 }
 
 /// Records one monomorphized-vs-scalar cell in the perf trajectory and,
@@ -320,10 +298,5 @@ fn bench_monomorphized_kernels(c: &mut Criterion) {
     );
 }
 
-criterion_group!(
-    benches,
-    bench_ppsr,
-    bench_row_correlate_rev,
-    bench_monomorphized_kernels
-);
+criterion_group!(benches, bench_ppsr, bench_monomorphized_kernels);
 criterion_main!(benches);

@@ -538,6 +538,29 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_frames_are_malformed_in_both_parsers() {
+        // The JSON parser recurses once per nesting level. Run on a
+        // spawned thread — the default stack every TCP connection gets —
+        // where an unbounded parse of 10,000 `[` overflows the stack and
+        // aborts the process.
+        std::thread::spawn(|| {
+            for depth in [10_000, 100_000] {
+                let frame = format!(r#"{{"kind":"infer","dims":{}"#, "[".repeat(depth));
+                assert!(matches!(
+                    WireRequest::from_json(&frame),
+                    Err(ProtocolError::Malformed(_))
+                ));
+                assert!(matches!(
+                    WireResponse::from_json(&frame),
+                    Err(ProtocolError::Malformed(_))
+                ));
+            }
+        })
+        .join()
+        .expect("nested frames are rejected without overflowing the stack");
+    }
+
+    #[test]
     fn stats_request_round_trips() {
         let text = WireRequest::Stats.to_json();
         assert_eq!(WireRequest::from_json(&text).unwrap(), WireRequest::Stats);

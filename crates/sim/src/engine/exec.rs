@@ -3,7 +3,7 @@
 //!
 //! Every kernel here reads only the compiled tables in
 //! [`ir`](super::ir) and mutates only a caller-owned
-//! [`Scratch`](super::Scratch) arena. The loop order is
+//! [`Scratch`] arena. The loop order is
 //! **filter-stationary** (DESIGN §5.13): each stage pads the whole
 //! batch once, then every quantized filter row is loaded once and swept
 //! across all images of the batch before the next row is touched —
@@ -12,16 +12,20 @@
 //! Every stage runs one datapath: one row-interleaved padded layout
 //! (`fill_padded_batch`), one executor per unit kind (a dense filter —
 //! compressed-sparse or not — DCNN meta group, or SCNN orbit group),
-//! one window combine (`combine`), one per-image emit (`emit_rows`), and
-//! one output memory system (`crate::output`'s `process_channel`).
+//! one forward row sweep for every kernel pass ([`row_sweep`]), one
+//! ERRR ring fill for the transferred units ([`RowPass`]), one window
+//! combine (`combine`), one per-image emit (`emit_rows`), and one output
+//! memory system (`crate::output`'s `process_channel`). SCNN's mirrored
+//! stream is the forward pass over the FlipH partner orientation's
+//! stored rows, which compile lays down reversed.
 //!
 //! Bit-identity discipline: each accumulated term is a complete
 //! `j`-summed correlation; window parts combine first-copied-then-added
-//! in `ky` order, via the shared row sweeps in [`crate::ppsr`] and the
-//! [`RowRing`](crate::errr::RowRing) schedule. The batched sweep only
-//! reorders work **across** images, never within one image, so every
-//! image sees the exact saturating-addition order a sequential
-//! single-image run performs — `tests/batched_parity.rs` pins this.
+//! in `ky` order, via the one row sweep and the [`RowRing`] schedule.
+//! The batched sweep only reorders work **across** images, never within
+//! one image, so every image sees the exact saturating-addition order a
+//! sequential single-image run performs — `tests/batched_parity.rs`
+//! pins this.
 //!
 //! Counters are data-independent: a unit's charges depend only on the
 //! compiled geometry and reuse configuration, never on activation
@@ -38,13 +42,11 @@ use super::scratch::{return_ring, shape_streams, take_ring, ArenaPeak, KernelBuf
 use super::sparse::sparse_band_pass;
 use super::Engine;
 use crate::counters::Counters;
+use crate::errr::{RowRing, Streams};
 use crate::functional::FunctionalOutput;
 use crate::network::NetworkOutput;
 use crate::output::process_channel;
-use crate::ppsr::{
-    charge_conventional, conventional_row_sweep_acc_with, dcnn_row_sweep_acc_with,
-    scnn_row_sweep_acc_with,
-};
+use crate::ppsr::{charge_conventional, charge_dcnn, charge_scnn, row_sweep};
 use crate::SimError;
 use std::time::Instant;
 use tfe_telemetry::LayerSample;
@@ -129,6 +131,15 @@ struct PartCtx<'a> {
     /// The whole batch's padded input planes, interleaved by row
     /// (`[N × PH × (B·PW)]`) so one contiguous pass spans the batch.
     padded: &'a [Fx16],
+}
+
+impl PartCtx<'_> {
+    /// The span of one batch-wide row pass over `part`'s images:
+    /// `(images−1)·PW + full_w`, image `bi`'s lane at `bi·PW`.
+    fn row_span(&self, part: Part) -> usize {
+        let Geo { pw, kw, .. } = self.geo;
+        (part.images() - 1) * pw + pw - kw + 1
+    }
 }
 
 impl Engine {
@@ -803,12 +814,13 @@ fn emit_rows(out_part: &mut [Accum], window: &[Accum], part: Part, m: usize, oy:
 /// output row and `ky`, the filter's `N/groups` rows run as **one** band
 /// pass over one contiguous span of the row-interleaved padded buffer
 /// covering the whole image range — the filter-stationary inner loop.
-/// The pass is the channel-stacked kernel call (each block of positions'
-/// channel sum held in registers, the parts row written once) or, on a
-/// stage compiled to the compressed-sparse mode, the filter's CSR tap
-/// pass ([`sparse_band_pass`]) over the same span. Both are charged the
-/// same [`charge_conventional`] closed form: a skipped zero tap is a
-/// wall-clock saving, not a counter delta.
+/// The pass is the channel-stacked kernel call through [`row_sweep`]
+/// (each block of positions' channel sum held in registers, the parts
+/// row written once) or, on a stage compiled to the compressed-sparse
+/// mode, the filter's CSR tap pass ([`sparse_band_pass`]) over the same
+/// span. Each pass is charged the one [`charge_conventional`] closed
+/// form before either runs: a skipped zero tap is a wall-clock saving,
+/// not a counter delta.
 ///
 /// Geometry generality: the filter reads only its own channel band
 /// (`cpg` padded channels starting at `(filter/mpg)·cpg`), vertical taps
@@ -852,9 +864,8 @@ fn dense_unit_sweep(
         kw,
         ..
     } = *geo;
-    let full_w = pw - kw + 1;
     let images = part.images();
-    let row_span = (images - 1) * pw + full_w;
+    let row_span = ctx.row_span(part);
     let bw = ctx.batch * pw;
     let c0 = (filter / mpg) * cpg;
     // Channel ci's row ky sits at (ci·K + ky)·KW; its input row one
@@ -874,21 +885,18 @@ fn dense_unit_sweep(
             // which ends exactly at the next image range (or the row's
             // end) — always in bounds of the interleaved row.
             let input = &ctx.padded[(c0 * ph + oy * s + ky * d) * bw + part.b0 * pw..];
+            let _ = charge_conventional(k, kw, pw, cpg, charges);
             match sparse {
-                None => conventional_row_sweep_acc_with(
+                None => row_sweep(
                     ctx.stage.kernel,
-                    &rows[ky * kw..],
-                    k,
                     band,
                     images,
                     input,
                     pw,
-                    acc,
+                    [(&rows[ky * kw..], acc)],
                     ctx.saturation_free,
-                    charges,
                 ),
                 Some(table) => {
-                    let _ = charge_conventional(k, kw, pw, cpg, charges);
                     let rows = &table.rows[ky * cpg..][..cpg];
                     sparse_band_pass(rows, input, band.in_stride, acc, ctx.saturation_free);
                 }
@@ -919,21 +927,98 @@ fn ring_capacity(geo: &Geo) -> usize {
     }
 }
 
+/// A transferred unit's row pass over one padded input row: `rows ×
+/// variants` weight sets of one channel band, set `(r, v)` starting at
+/// `weights(r, v)`, each swept forward into its own batch-wide stream.
+/// For a DCNN meta group, `r` is the meta row and `v` the offset lane
+/// (the meta row's slice at `v·d`). For an SCNN orientation `oi`, `r` is
+/// the base row and `v` reads orientation `oi ^ v`: variant 1 is the
+/// horizontally flipped partner, whose stored rows are `oi`'s reversed,
+/// so its forward stream is PPSR's mirrored stream. `charge` is one
+/// row's closed-form charge (`charge_dcnn` / `charge_scnn`).
+struct RowPass<W> {
+    band: Band,
+    rows: usize,
+    variants: usize,
+    weights: W,
+    charge: Counters,
+}
+
+impl<'w, W: Fn(usize, usize) -> &'w [Fx16]> RowPass<W> {
+    /// Sweeps weight row `r`'s variants over padded input row `i` of
+    /// every image of the part, into `streams[v]`, as one [`row_sweep`];
+    /// charges one row.
+    fn sweep(
+        &self,
+        ctx: PartCtx<'_>,
+        part: Part,
+        r: usize,
+        i: usize,
+        streams: &mut [Vec<Accum>],
+        charges: &mut Counters,
+    ) {
+        let pw = ctx.geo.pw;
+        row_sweep(
+            ctx.stage.kernel,
+            self.band,
+            part.images(),
+            &ctx.padded[i * ctx.batch * pw + part.b0 * pw..],
+            pw,
+            streams
+                .iter_mut()
+                .enumerate()
+                .map(|(v, stream)| ((self.weights)(r, v), stream.as_mut_slice())),
+            ctx.saturation_free,
+        );
+        *charges += self.charge;
+    }
+
+    /// The one ERRR ring fill: computes every input row that output row
+    /// `oy`'s window reads and `ring` lacks — all `rows × variants`
+    /// streams into one recycled stream set — and inserts it, recycling
+    /// the evicted slot's buffers.
+    fn fill_ring(
+        &self,
+        ctx: PartCtx<'_>,
+        part: Part,
+        oy: usize,
+        ring: &mut RowRing,
+        streams_pool: &mut Vec<Streams>,
+        charges: &mut Counters,
+    ) {
+        let Geo { k, s, d, .. } = ctx.geo;
+        for tap in 0..k {
+            let i = oy * s + tap * d;
+            if ring.contains(i) {
+                continue;
+            }
+            let mut streams = streams_pool.pop().unwrap_or_default();
+            shape_streams(&mut streams, self.rows, self.variants, ctx.row_span(part));
+            for (r, per_row) in streams.iter_mut().enumerate() {
+                self.sweep(ctx, part, r, i, per_row, charges);
+            }
+            if let Some(evicted) = ring.insert_recycling(i, streams, charges) {
+                streams_pool.push(evicted);
+            }
+        }
+    }
+}
+
 /// One DCNN meta group's planes for every image of the part at once
 /// (ERRR ring or per-`dy` recomputation) — the filter-stationary
 /// counterpart of [`dense_unit_sweep`] over the same row-interleaved
 /// layout.
 ///
-/// Each meta-row pass is one [`dcnn_row_sweep_acc_with`] over the whole
-/// channel band spanning the part's images — one stacked kernel call
-/// per offset lane — so every stream — ring slot or `per_row` buffer —
-/// is batch-wide: `(images−1)·PW + full_w` long, with
-/// image `bi`'s lane at `bi·PW`. The window combine adds whole batch-wide
-/// streams (the inter-lane junk positions are combined too, but never
-/// emitted) and [`emit_rows`] slices each image's lane. Per image the
-/// values and saturating-addition order equal a one-image run's, and the
-/// ring schedule (which rows are computed, evicted, read) is the
-/// one-image schedule, shared by all images.
+/// Each meta-row pass is one [`RowPass::sweep`] over the whole channel band
+/// spanning the part's images — one stacked kernel call per offset lane
+/// — so every stream — ring slot or `per_row` buffer — is batch-wide:
+/// `(images−1)·PW + full_w` long, with image `bi`'s lane at `bi·PW`. The
+/// window combine adds whole batch-wide streams (the inter-lane junk
+/// positions are combined too, but never emitted) and [`emit_rows`]
+/// slices each image's lane. Per image the values and saturating-addition
+/// order equal a one-image run's, and the ring schedule (which rows are
+/// computed, evicted, read) is the one-image schedule, shared by all
+/// images.
 ///
 /// Charges are one image's, replicated per image by the caller: row
 /// passes charge one `PW`-sample row, ring traffic one `full_w`-word
@@ -960,59 +1045,33 @@ fn dcnn_unit(
         kw,
         ..
     } = *geo;
-    let (reuse, kernel) = (ctx.reuse, ctx.stage.kernel);
     let zw = d * (z - 1) + 1;
-    let full_w = pw - kw + 1;
-    let images = part.images();
-    let row_span = (images - 1) * pw + full_w;
-    let bw = ctx.batch * pw;
-    // Channel c's meta row kr sits at (c·Z + kr)·ZW.
-    let band = Band {
-        channels: n,
-        width: zw,
-        w_stride: z * zw,
-        in_stride: ph * bw,
+    let row_span = ctx.row_span(part);
+    let mut charge = Counters::new();
+    let _ = charge_dcnn(z, k, d, pw, n, ctx.reuse.ppsr, &mut charge);
+    // Channel c's meta row kr sits at (c·Z + kr)·ZW; offset lane dx
+    // correlates its KW-wide slice at dx·d.
+    let pass = RowPass {
+        band: Band {
+            channels: n,
+            width: kw,
+            w_stride: z * zw,
+            in_stride: ph * ctx.batch * pw,
+        },
+        rows: z,
+        variants: per_axis,
+        weights: |kr: usize, dx: usize| &rows[kr * zw + dx * d..],
+        charge,
     };
-    // One meta-row pass over input row `i` of every channel, into the
-    // per-offset streams of meta row `kr`.
-    let row_pass = |kr: usize, i: usize, per_dx: &mut [Vec<Accum>], charges: &mut Counters| {
-        dcnn_row_sweep_acc_with(
-            kernel,
-            &rows[kr * zw..],
-            k,
-            d,
-            reuse.ppsr,
-            band,
-            images,
-            &ctx.padded[i * bw + part.b0 * pw..],
-            pw,
-            per_dx,
-            ctx.saturation_free,
-            charges,
-        );
-    };
-    if reuse.errr {
+    if ctx.reuse.errr {
         let mut ring = take_ring(
             &mut bufs.ring_pool,
             &mut bufs.streams_pool,
             ring_capacity(geo),
-            full_w,
+            pw - kw + 1,
         );
         for oy in 0..e {
-            for ky in 0..k {
-                let i = oy * s + ky * d;
-                if ring.contains(i) {
-                    continue;
-                }
-                let mut streams = bufs.streams_pool.pop().unwrap_or_default();
-                shape_streams(&mut streams, z, per_axis, row_span);
-                for (kr, per_dx) in streams.iter_mut().enumerate() {
-                    row_pass(kr, i, per_dx, charges);
-                }
-                if let Some(evicted) = ring.insert_recycling(i, streams, charges) {
-                    bufs.streams_pool.push(evicted);
-                }
-            }
+            pass.fill_ring(ctx, part, oy, &mut ring, &mut bufs.streams_pool, charges);
             for dy in 0..per_axis {
                 for dx in 0..per_axis {
                     let m = g * per_axis * per_axis + dy * per_axis + dx;
@@ -1040,7 +1099,7 @@ fn dcnn_unit(
                 } = bufs;
                 shape_streams(per_row, k, per_axis, row_span);
                 for (ky, per_dx) in per_row.iter_mut().enumerate() {
-                    row_pass(dy + ky, oy * s + ky * d, per_dx, charges);
+                    pass.sweep(ctx, part, dy + ky, oy * s + ky * d, per_dx, charges);
                 }
                 for dx in 0..per_axis {
                     let m = g * per_axis * per_axis + dy * per_axis + dx;
@@ -1057,11 +1116,12 @@ fn dcnn_unit(
 }
 
 /// One SCNN orbit group's planes for every image of the part at once
-/// (per-source rings; derived orientations read flipped/reversed
-/// streams) — the SCNN counterpart of [`dcnn_unit`]: batch-wide streams
-/// from one [`scnn_row_sweep_acc_with`] per (orientation, base row) over
-/// the whole channel band — one stacked kernel call per forward or
-/// mirrored stream — batch-wide window combines, per-image lanes sliced
+/// (per-source rings; derived orientations read the flipped streams and
+/// rows) — the SCNN counterpart of [`dcnn_unit`]: batch-wide streams
+/// from one [`RowPass`] per (computed orientation, input row) over the
+/// whole channel band — one stacked kernel call per base row and
+/// stream, the mirrored stream being the forward pass over the FlipH
+/// partner's rows — batch-wide window combines, per-image lanes sliced
 /// at emit, and one image's charges replicated per image by the caller.
 #[allow(clippy::too_many_arguments)]
 fn scnn_unit(
@@ -1087,85 +1147,48 @@ fn scnn_unit(
         kw,
         ..
     } = *geo;
-    let (reuse, kernel) = (ctx.reuse, ctx.stage.kernel);
-    let full_w = pw - kw + 1;
-    let images = part.images();
-    let row_span = (images - 1) * pw + full_w;
-    let bw = ctx.batch * pw;
-    let variants = 1 + usize::from(reuse.ppsr);
+    let mut charge = Counters::new();
+    let _ = charge_scnn(k, kw, pw, n, ctx.reuse.ppsr, &mut charge);
     // Channel c's base row kr of orientation oi sits at
     // ((oi·N + c)·K + kr)·KW.
     let band = Band {
         channels: n,
         width: kw,
         w_stride: k * kw,
-        in_stride: ph * bw,
+        in_stride: ph * ctx.batch * pw,
     };
-    {
-        let KernelBufs {
-            ring_table,
+    let pass = |oi: usize| RowPass {
+        band,
+        rows: k,
+        variants: 1 + usize::from(ctx.reuse.ppsr),
+        weights: move |kr: usize, v: usize| &rows[((oi ^ v) * n * k + kr) * kw..],
+        charge,
+    };
+    let KernelBufs {
+        ring_table,
+        ring_pool,
+        streams_pool,
+        window,
+        ..
+    } = bufs;
+    ring_table.clear();
+    ring_table.resize_with(ORBIT, || None);
+    for &oi in computed {
+        ring_table[oi] = Some(take_ring(
             ring_pool,
             streams_pool,
-            ..
-        } = bufs;
-        ring_table.clear();
-        ring_table.resize_with(ORBIT, || None);
-        for &oi in computed {
-            ring_table[oi] = Some(take_ring(
-                ring_pool,
-                streams_pool,
-                ring_capacity(geo),
-                full_w,
-            ));
-        }
+            ring_capacity(geo),
+            pw - kw + 1,
+        ));
     }
     for oy in 0..e {
-        {
-            let KernelBufs {
-                ring_table,
-                streams_pool,
-                ..
-            } = bufs;
-            for &oi in computed {
-                let ring = ring_table[oi]
-                    .as_mut()
-                    .expect("computed orientation has a ring");
-                for tap in 0..k {
-                    let i = oy * s + tap * d;
-                    if ring.contains(i) {
-                        continue;
-                    }
-                    let mut streams = streams_pool.pop().unwrap_or_default();
-                    shape_streams(&mut streams, k, variants, row_span);
-                    for (kr, per_kr) in streams.iter_mut().enumerate() {
-                        let (fwd, rest) = per_kr
-                            .split_first_mut()
-                            .expect("at least the forward stream");
-                        scnn_row_sweep_acc_with(
-                            kernel,
-                            &rows[(oi * n * k + kr) * kw..],
-                            k,
-                            reuse.ppsr,
-                            band,
-                            images,
-                            &ctx.padded[i * bw + part.b0 * pw..],
-                            pw,
-                            fwd,
-                            rest.first_mut().map(|v| v.as_mut_slice()),
-                            ctx.saturation_free,
-                            charges,
-                        );
-                    }
-                    if let Some(evicted) = ring.insert_recycling(i, streams, charges) {
-                        streams_pool.push(evicted);
-                    }
-                }
-            }
+        for &oi in computed {
+            let ring = ring_table[oi]
+                .as_mut()
+                .expect("computed orientation has a ring");
+            pass(oi).fill_ring(ctx, part, oy, ring, streams_pool, charges);
         }
         for (local, &(src, direction, row_flip)) in ctx.sources.iter().enumerate().take(emitted) {
-            let KernelBufs {
-                ring_table, window, ..
-            } = bufs;
             let ring = ring_table[src]
                 .as_ref()
                 .expect("source orientation is computed");
@@ -1188,12 +1211,6 @@ fn scnn_unit(
             );
         }
     }
-    let KernelBufs {
-        ring_table,
-        ring_pool,
-        streams_pool,
-        ..
-    } = bufs;
     for slot in ring_table.iter_mut() {
         if let Some(ring) = slot.take() {
             return_ring(ring_pool, streams_pool, ring);

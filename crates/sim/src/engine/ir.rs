@@ -6,7 +6,9 @@
 //! all eight SCNN orientations — is quantized into one flat contiguous
 //! [`Fx16`] table, per-unit row-table offsets are recorded, and biases
 //! are pre-folded to accumulator precision. The run phase
-//! (`engine::exec`) only ever reads these tables.
+//! (`engine::exec`) only ever reads these tables, and only forward:
+//! the SCNN mirrored stream reads the stored FlipH partner's rows,
+//! never a row reversed at run time.
 
 use crate::engine::kernels::RowKernel;
 use crate::engine::plan::{plan_stage, StagePlan};
@@ -62,7 +64,10 @@ pub(crate) enum UnitIr {
         base: usize,
     },
     /// One SCNN orbit group: rows of orientation `oi` at
-    /// `base + ((oi·N + c)·K + kr)·KW`, each `KW` long. `emitted` is how
+    /// `base + ((oi·N + c)·K + kr)·KW`, each `KW` long. All eight
+    /// orientations are stored, so orientation `oi ^ 1` (its FlipH
+    /// partner) holds `oi`'s rows reversed: the run phase's mirrored
+    /// stream is a forward pass over them. `emitted` is how
     /// many orbit members this (possibly partial) group emits and
     /// `computed` the sorted, deduplicated source orientations that must
     /// run their own row passes under the compiled [`ReuseConfig`].
@@ -399,4 +404,68 @@ pub(crate) fn compile_stage(
     stage.plan = plan_stage(&stage, policy);
     stats.modes.push(stage.plan.mode());
     Ok(stage)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tfe_transfer::TransferScheme;
+
+    /// The SCNN executor's mirrored stream is the forward pass over the
+    /// FlipH partner's stored rows (`exec::RowPass`), so compile must
+    /// store orientation `oi ^ 1`'s rows as exactly `oi`'s rows
+    /// reversed — zero-stuffing included — in every group, the partial
+    /// last one too.
+    #[test]
+    fn flip_h_partner_rows_are_the_rows_reversed() {
+        let mut seed = 7u32;
+        let mut next = || {
+            seed = seed.wrapping_mul(1664525).wrapping_add(1013904223);
+            ((seed >> 16) as f32 / 65536.0) - 0.5
+        };
+        for dilation in [1, 2] {
+            // 12 filters: one full orbit group and a partial one of 4.
+            let shape = LayerShape::conv("flip", 3, 12, 9, 9, 3, 1, 2)
+                .unwrap()
+                .with_dilation(dilation)
+                .unwrap();
+            let weights =
+                TransferredLayer::random(&shape, TransferScheme::Scnn, &mut next).unwrap();
+            let stage = compile_stage(
+                &shape,
+                &weights,
+                &[],
+                OutputConfig::RELU_ONLY,
+                ReuseConfig::FULL,
+                &mut PrepareStats::default(),
+                &ModePolicy::default(),
+            )
+            .unwrap();
+            let (n, k, kw) = (3, 3, dilation * 2 + 1);
+            let mut groups = 0;
+            for unit in &stage.units {
+                let UnitIr::Scnn { base, .. } = unit else {
+                    panic!("an SCNN stage compiles to orbit groups");
+                };
+                groups += 1;
+                let row = |oi: usize, c: usize, kr: usize| {
+                    &stage.rows[base + ((oi * n + c) * k + kr) * kw..][..kw]
+                };
+                for oi in 0..ORBIT {
+                    for c in 0..n {
+                        for kr in 0..k {
+                            let mut reversed = row(oi, c, kr).to_vec();
+                            reversed.reverse();
+                            assert_eq!(
+                                row(oi ^ 1, c, kr),
+                                reversed,
+                                "d={dilation} oi={oi} c={c} kr={kr}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert_eq!(groups, 2, "d={dilation}");
+        }
+    }
 }

@@ -9,7 +9,11 @@
 //! acc[x] += Σ_c Σ_j input[c·in_stride + x + j] · w[c·w_stride + j]
 //! ```
 //!
-//! with the mirrored (SCNN-derived) form reading `w[c·w_stride + K−1−j]`.
+//! There is one weight order: every pass is a forward correlation of
+//! stored rows. SCNN's PPSR-derived stream (the horizontally flipped
+//! filter's row results) is the forward pass over the flipped
+//! orientation's rows, which compile stores as the exact reverse of the
+//! base rows (`engine/ir.rs`).
 //! This is the software analogue of the paper's SAFM: the hardware adds
 //! up the partial sums of every PE that feeds one output map inside its
 //! sub-array before anything reaches the SR group, and the kernel keeps
@@ -142,9 +146,7 @@ impl RowKernel {
 
     /// `acc[x] += Σ_c Σ_j input[c·in_stride + x + j] · w_c[j]` for
     /// `x ∈ 0..acc.len()`, where `w_c` is the band's channel-`c` weight
-    /// row (`weights[c·w_stride ..][.. width]`), or that row reversed
-    /// when `mirrored` — the SCNN PPSR-derived stream, product order
-    /// still ascending `j`.
+    /// row (`weights[c·w_stride ..][.. width]`).
     ///
     /// With `wrapping` false the additions follow the reference order
     /// (module docs). `wrapping` is for bands a caller-side bound has
@@ -168,18 +170,16 @@ impl RowKernel {
         input: &[Fx16],
         band: Band,
         acc: &mut [Accum],
-        mirrored: bool,
         wrapping: bool,
     ) {
-        match (mirrored, wrapping) {
-            (false, false) => self.dispatch::<false, false>(weights, input, band, acc),
-            (false, true) => self.dispatch::<false, true>(weights, input, band, acc),
-            (true, false) => self.dispatch::<true, false>(weights, input, band, acc),
-            (true, true) => self.dispatch::<true, true>(weights, input, band, acc),
+        if wrapping {
+            self.dispatch::<true>(weights, input, band, acc);
+        } else {
+            self.dispatch::<false>(weights, input, band, acc);
         }
     }
 
-    fn dispatch<const REV: bool, const WRAP: bool>(
+    fn dispatch<const WRAP: bool>(
         self,
         weights: &[Fx16],
         input: &[Fx16],
@@ -194,20 +194,20 @@ impl RowKernel {
         let (w, i, b) = (weights, input, band);
         if span < NARROW {
             return match self {
-                RowKernel::K1 => band_core::<1, TINY, REV, WRAP>(w, i, b, acc),
-                RowKernel::K3 => band_core::<3, TINY, REV, WRAP>(w, i, b, acc),
-                RowKernel::K5 => band_core::<5, TINY, REV, WRAP>(w, i, b, acc),
-                RowKernel::K7 => band_core::<7, TINY, REV, WRAP>(w, i, b, acc),
-                RowKernel::Generic => band_core::<0, TINY, REV, WRAP>(w, i, b, acc),
+                RowKernel::K1 => band_core::<1, TINY, WRAP>(w, i, b, acc),
+                RowKernel::K3 => band_core::<3, TINY, WRAP>(w, i, b, acc),
+                RowKernel::K5 => band_core::<5, TINY, WRAP>(w, i, b, acc),
+                RowKernel::K7 => band_core::<7, TINY, WRAP>(w, i, b, acc),
+                RowKernel::Generic => band_core::<0, TINY, WRAP>(w, i, b, acc),
             };
         }
         match (self, span >= WIDE) {
-            (RowKernel::K1, true) => band_core::<1, WIDE, REV, WRAP>(w, i, b, acc),
-            (RowKernel::K1, false) => band_core::<1, NARROW, REV, WRAP>(w, i, b, acc),
-            (RowKernel::K3, _) => band_core::<3, NARROW, REV, WRAP>(w, i, b, acc),
-            (RowKernel::K5, true) => band_core::<5, WIDE, REV, WRAP>(w, i, b, acc),
-            (RowKernel::K7, true) => band_core::<7, WIDE, REV, WRAP>(w, i, b, acc),
-            _ => band_core::<0, NARROW, REV, WRAP>(w, i, b, acc),
+            (RowKernel::K1, true) => band_core::<1, WIDE, WRAP>(w, i, b, acc),
+            (RowKernel::K1, false) => band_core::<1, NARROW, WRAP>(w, i, b, acc),
+            (RowKernel::K3, _) => band_core::<3, NARROW, WRAP>(w, i, b, acc),
+            (RowKernel::K5, true) => band_core::<5, WIDE, WRAP>(w, i, b, acc),
+            (RowKernel::K7, true) => band_core::<7, WIDE, WRAP>(w, i, b, acc),
+            _ => band_core::<0, NARROW, WRAP>(w, i, b, acc),
         }
     }
 }
@@ -220,7 +220,7 @@ impl RowKernel {
 /// function, and the 5-tap band measured a third of its out-of-line
 /// speed there.
 #[inline(never)]
-fn band_core<const K: usize, const L: usize, const REV: bool, const WRAP: bool>(
+fn band_core<const K: usize, const L: usize, const WRAP: bool>(
     weights: &[Fx16],
     input: &[Fx16],
     band: Band,
@@ -246,7 +246,7 @@ fn band_core<const K: usize, const L: usize, const REV: bool, const WRAP: bool>(
     let input = &input[..(channels - 1) * in_stride + span + k - 1];
     let mut x0 = 0;
     while x0 + L <= span {
-        fold_block::<L, REV, WRAP>(weights, input, band, k, x0, &mut acc[x0..x0 + L], 0);
+        fold_block::<L, WRAP>(weights, input, band, k, x0, &mut acc[x0..x0 + L], 0);
         x0 += L;
     }
     let rem = span - x0;
@@ -258,7 +258,7 @@ fn band_core<const K: usize, const L: usize, const REV: bool, const WRAP: bool>(
         // already final, so it recomputes them but stores only the rem
         // new ones.
         let x0 = span - L;
-        fold_block::<L, REV, WRAP>(weights, input, band, k, x0, &mut acc[x0..], L - rem);
+        fold_block::<L, WRAP>(weights, input, band, k, x0, &mut acc[x0..], L - rem);
     } else {
         // A row shorter than one block: each tap's samples are read into
         // a zero-extended block, so the lanes past `span` compute junk
@@ -268,7 +268,7 @@ fn band_core<const K: usize, const L: usize, const REV: bool, const WRAP: bool>(
         for c in 0..channels {
             let w = &weights[c * w_stride..][..k];
             let row = &input[c * in_stride..][..len];
-            fold_channel::<L, REV, WRAP, _>(&mut r, w, |j| {
+            fold_channel::<L, WRAP, _>(&mut r, w, |j| {
                 let mut lanes = [Fx16::ZERO; L];
                 for (x, lane) in lanes.iter_mut().enumerate() {
                     if j + x < len {
@@ -286,7 +286,7 @@ fn band_core<const K: usize, const L: usize, const REV: bool, const WRAP: bool>(
 /// folds every channel of the band into them, and stores lanes `fresh..`
 /// back (all of them except on the overlapped last block).
 #[inline(always)]
-fn fold_block<const L: usize, const REV: bool, const WRAP: bool>(
+fn fold_block<const L: usize, const WRAP: bool>(
     weights: &[Fx16],
     input: &[Fx16],
     band: Band,
@@ -300,7 +300,7 @@ fn fold_block<const L: usize, const REV: bool, const WRAP: bool>(
     for c in 0..band.channels {
         let w = &weights[c * band.w_stride..][..k];
         let win = &input[c * band.in_stride + x0..][..L + k - 1];
-        fold_channel::<L, REV, WRAP, _>(&mut r, w, |j| {
+        fold_channel::<L, WRAP, _>(&mut r, w, |j| {
             <&[Fx16; L]>::try_from(&win[j..j + L]).expect("a block window holds L samples per tap")
         });
     }
@@ -333,16 +333,14 @@ fn store(block: &mut [Accum], r: &[i32]) {
 /// Wrapping: every product folds straight into `r` (exact under the
 /// caller's bound, so the grouping is free).
 #[inline(always)]
-fn fold_channel<const L: usize, const REV: bool, const WRAP: bool, X: Borrow<[Fx16; L]>>(
+fn fold_channel<const L: usize, const WRAP: bool, X: Borrow<[Fx16; L]>>(
     r: &mut [i32; L],
     w: &[Fx16],
     lanes: impl Fn(usize) -> X,
 ) {
-    let k = w.len();
-    let tap = |j: usize| i32::from(w[if REV { k - 1 - j } else { j }].to_bits());
     if WRAP {
-        for j in 0..k {
-            let (wj, x) = (tap(j), lanes(j));
+        for (j, wj) in w.iter().enumerate() {
+            let (wj, x) = (i32::from(wj.to_bits()), lanes(j));
             let x = x.borrow();
             for i in 0..L {
                 r[i] = r[i].wrapping_add(i32::from(x[i].to_bits()) * wj);
@@ -350,8 +348,8 @@ fn fold_channel<const L: usize, const REV: bool, const WRAP: bool, X: Borrow<[Fx
         }
     } else {
         let mut s = [0i32; L];
-        for j in 0..k {
-            let (wj, x) = (tap(j), lanes(j));
+        for (j, wj) in w.iter().enumerate() {
+            let (wj, x) = (i32::from(wj.to_bits()), lanes(j));
             let x = x.borrow();
             for i in 0..L {
                 s[i] = s[i].saturating_add(i32::from(x[i].to_bits()) * wj);
@@ -375,15 +373,13 @@ mod tests {
     /// each forming every position's `Σ_j` saturating from zero, then
     /// one saturating accumulate (what `crate::ppsr::correlate_at` +
     /// `+=` perform in the `*_acc_scalar` oracles).
-    fn reference(weights: &[Fx16], input: &[Fx16], band: Band, acc: &mut [Accum], rev: bool) {
+    fn reference(weights: &[Fx16], input: &[Fx16], band: Band, acc: &mut [Accum]) {
         let k = band.width;
         for c in 0..band.channels {
             let w = &weights[c * band.w_stride..][..k];
             let row = &input[c * band.in_stride..];
             for (x, slot) in acc.iter_mut().enumerate() {
-                let corr: Accum = (0..k)
-                    .map(|j| row[x + j].widening_mul(w[if rev { k - 1 - j } else { j }]))
-                    .sum();
+                let corr: Accum = (0..k).map(|j| row[x + j].widening_mul(w[j])).sum();
                 *slot += corr;
             }
         }
@@ -410,13 +406,11 @@ mod tests {
     }
 
     fn check(kernel: RowKernel, weights: &[Fx16], input: &[Fx16], band: Band, base: &[Accum]) {
-        for rev in [false, true] {
-            let mut want = base.to_vec();
-            reference(weights, input, band, &mut want, rev);
-            let mut got = base.to_vec();
-            kernel.correlate_band(weights, input, band, &mut got, rev, false);
-            assert_eq!(got, want, "kernel {kernel:?} rev={rev} band={band:?}");
-        }
+        let mut want = base.to_vec();
+        reference(weights, input, band, &mut want);
+        let mut got = base.to_vec();
+        kernel.correlate_band(weights, input, band, &mut got, false);
+        assert_eq!(got, want, "kernel {kernel:?} band={band:?}");
     }
 
     #[test]
@@ -488,8 +482,7 @@ mod tests {
 
         /// The stacked forms must equal `channels` sequential one-row
         /// passes in the `*_acc_scalar` order, for every variant (the
-        /// runtime-`K` fallback included), both directions, both
-        /// addition forms: the saturating form on clamping extreme data
+        /// runtime-`K` fallback included), both addition forms: the saturating form on clamping extreme data
         /// (and on gated data), the wrapping form on data satisfying
         /// the saturation-free gate. Inputs are sliced to exactly the
         /// band's extent, so any read past the pass's span panics.
@@ -527,17 +520,15 @@ mod tests {
                     .collect()
             };
             for kernel in [RowKernel::select(k), RowKernel::Generic] {
-                for rev in [false, true] {
-                    let mut want = base.clone();
-                    reference(&weights, &input, band, &mut want, rev);
+                let mut want = base.clone();
+                reference(&weights, &input, band, &mut want);
+                let mut got = base.clone();
+                kernel.correlate_band(&weights, &input, band, &mut got, false);
+                proptest::prop_assert_eq!(&got, &want, "{:?} saturating", kernel);
+                if !clamping {
                     let mut got = base.clone();
-                    kernel.correlate_band(&weights, &input, band, &mut got, rev, false);
-                    proptest::prop_assert_eq!(&got, &want, "{:?} rev={} saturating", kernel, rev);
-                    if !clamping {
-                        let mut got = base.clone();
-                        kernel.correlate_band(&weights, &input, band, &mut got, rev, true);
-                        proptest::prop_assert_eq!(&got, &want, "{:?} rev={} wrapping", kernel, rev);
-                    }
+                    kernel.correlate_band(&weights, &input, band, &mut got, true);
+                    proptest::prop_assert_eq!(&got, &want, "{:?} wrapping", kernel);
                 }
             }
         }
@@ -549,7 +540,7 @@ mod tests {
         let weights = fx(&[1, 2]);
         let input = fx(&[0; 8]);
         let mut acc = vec![Accum::ZERO; 4];
-        RowKernel::K3.correlate_band(&weights, &input, Band::row(2), &mut acc, false, false);
+        RowKernel::K3.correlate_band(&weights, &input, Band::row(2), &mut acc, false);
     }
 
     #[test]
@@ -565,6 +556,6 @@ mod tests {
             in_stride: 6,
         };
         let mut acc = vec![Accum::ZERO; 4];
-        RowKernel::K3.correlate_band(&weights, &input, band, &mut acc, false, true);
+        RowKernel::K3.correlate_band(&weights, &input, band, &mut acc, true);
     }
 }

@@ -33,13 +33,14 @@
 //!   generic fallback), summing a whole channel band per call in
 //!   register-blocked `i16 → i32` passes the optimizer can
 //!   autovectorize while preserving the scalar reference's exact
-//!   saturating addition order.
+//!   saturating addition order. It has one (forward) weight order.
 //! * `plan.rs` — the compile-time weight plan: per-stage sparsity and
 //!   the [`ExecMode`] it selects, plus the compressed-sparse tables.
 //! * `exec.rs` — the row-pass run phase ([`Engine::run`],
 //!   [`Engine::run_batched`], and [`Engine::run_packed`], the one
 //!   pack → run → split): one row-interleaved batch layout, PPSR row
-//!   passes, ERRR rings, the one window combine, each stage's hand-off
+//!   passes through `crate::ppsr`'s one row sweep, the one ERRR ring
+//!   fill, the one window combine, each stage's hand-off
 //!   to the output memory system ([`crate::output`]), and the one
 //!   scoped-thread fan-out both the stage partitioner and the batch
 //!   runner use.

@@ -21,17 +21,21 @@
 //!   loops, frozen as the bit-identity reference the kernel parity suite
 //!   (`tests/kernel_parity.rs`) and the `ppsr_row` bench compare against.
 //!
-//! Both families charge counters through the same helpers and produce
-//! bit-identical activations *and* counters; the saturating-addition
-//! order contract they share is documented in `engine/kernels.rs`.
+//! Both families charge counters through the same closed-form
+//! `charge_*` models and produce bit-identical activations *and*
+//! counters; the saturating-addition order contract they share is
+//! documented in `engine/kernels.rs`.
 //!
-//! Each scheme has exactly one kernel-driven implementation, a
-//! crate-internal **row sweep** (`*_row_sweep_acc_with`): a channel band
-//! of weight rows correlated over the same padded row of several images
-//! laid back to back — the compiled engine's row-interleaved batch
-//! layout (DESIGN §5.13) — with one stacked kernel call per result
-//! stream. The public `_acc` entry points are its one-image, one-channel
-//! case.
+//! The kernel-driven family has exactly one implementation, the
+//! crate-internal **row sweep** (`row_sweep`): a channel band of weight
+//! rows correlated over the same padded row of several images laid back
+//! to back — the compiled engine's row-interleaved batch layout (DESIGN
+//! §5.13) — as one stacked kernel call per `(weight rows, stream)` pair.
+//! Every scheme's row pass is such a pair list over one input row: a
+//! dense row one pair, a DCNN meta row its `Z−K+1` offset lanes, an SCNN
+//! base row its forward stream plus, with PPSR, the mirrored stream —
+//! the forward pass over the reversed rows. The public `_acc` entry
+//! points are its one-image, one-channel case.
 
 use crate::counters::Counters;
 use crate::engine::kernels::{Band, RowKernel};
@@ -40,10 +44,9 @@ use tfe_tensor::fixed::{Accum, Fx16};
 /// One correlation output: `Σ_j input[x + j] · weights[j]`, summed in
 /// ascending `j` order from [`Accum::ZERO`].
 ///
-/// Both the allocating row passes and the `_acc` accumulate-into
-/// variants route through this helper, so the two families produce the
-/// exact same saturating-addition order (and therefore bit-identical
-/// values).
+/// [`row_correlate`] and the `*_acc_scalar` oracles route through this
+/// helper, so they share the exact saturating-addition order (and
+/// therefore bit-identical values).
 #[inline]
 fn correlate_at(weights: &[Fx16], input: &[Fx16], x: usize) -> Accum {
     weights
@@ -77,10 +80,6 @@ pub fn row_correlate_rev(weights: &[Fx16], input: &[Fx16]) -> Vec<Accum> {
     if input.len() < k {
         return Vec::new();
     }
-    // Index the weight row in reverse instead of materialising a
-    // reversed copy: this runs once per (row, input row) pair in the hot
-    // SCNN path, so the per-call allocation is measurable (see
-    // benches/ppsr_row.rs, `row_correlate_rev/*`).
     let out_len = input.len() - k + 1;
     (0..out_len)
         .map(|x| {
@@ -91,43 +90,19 @@ pub fn row_correlate_rev(weights: &[Fx16], input: &[Fx16]) -> Vec<Accum> {
         .collect()
 }
 
-/// One DCNN PPSR row pass: a meta row of `Z` weights against one input
-/// row, producing the row results of all `Z−K+1` transferred offsets.
+/// One DCNN PPSR row pass, accumulated into caller-owned offset buffers:
+/// a meta row of `Z` weights against one input row adds the row results
+/// of all `Z−K+1` transferred offsets, `acc[dx][x] += result[dx][x]`.
 ///
-/// Returns `results[dx][x]` for `dx ∈ 0..Z−K+1`. With `ppsr` enabled the
-/// pass costs `Z × input.len()` multiplies (every product computed once
-/// and reused through the SRs); disabled, each offset runs independently
-/// at `K × input.len()` (Fig. 5(a)'s recomputation).
+/// With `ppsr` enabled the pass costs `Z × input.len()` multiplies
+/// (every product computed once and reused through the SRs); disabled,
+/// each offset runs independently at `K × input.len()` (Fig. 5(a)'s
+/// recomputation). The values are the same either way.
 ///
-/// # Panics
-///
-/// Panics if `k` is zero or exceeds the meta row length.
-#[must_use]
-pub fn dcnn_row_pass(
-    meta_row: &[Fx16],
-    input: &[Fx16],
-    k: usize,
-    ppsr: bool,
-    counters: &mut Counters,
-) -> Vec<Vec<Accum>> {
-    let z = meta_row.len();
-    let offsets = z.saturating_sub(k) + 1;
-    let out_len = (input.len() + 1).saturating_sub(k);
-    let mut out: Vec<Vec<Accum>> = (0..offsets).map(|_| vec![Accum::ZERO; out_len]).collect();
-    dcnn_row_pass_acc(meta_row, input, k, ppsr, &mut out, counters);
-    out
-}
-
-/// [`dcnn_row_pass`] accumulating into caller-owned offset buffers
-/// instead of allocating fresh ones: `acc[dx][x] += result[dx][x]`.
-///
-/// This is the one-image, one-channel case of the batch row sweep the
-/// compiled engine ([`crate::engine`]) drives per channel band, so the
-/// per-offset channel sums build up directly in reusable scratch
-/// buffers. Counter accounting is identical to the allocating form, and
-/// each accumulated term is the complete (already `j`-summed)
-/// correlation value, so the saturating-addition order matches the
-/// allocating path's `row_sum[x] += res[x]` loop exactly.
+/// This is the one-image, one-channel case of the row sweep the
+/// compiled engine ([`crate::engine`]) drives per channel band. Each
+/// accumulated term is the complete (already `j`-summed) correlation
+/// value, so per-channel sums build up in the reference order.
 ///
 /// # Panics
 ///
@@ -141,81 +116,19 @@ pub fn dcnn_row_pass_acc(
     acc: &mut [Vec<Accum>],
     counters: &mut Counters,
 ) {
-    dcnn_row_sweep_acc_with(
+    let (offsets, _) = charge_dcnn(meta_row.len(), k, 1, input.len(), 1, ppsr, counters);
+    row_sweep(
         RowKernel::select(k),
-        meta_row,
-        k,
-        1,
-        ppsr,
-        Band::row(meta_row.len()),
+        Band::row(k),
         1,
         input,
         input.len(),
-        acc,
+        acc[..offsets]
+            .iter_mut()
+            .enumerate()
+            .map(|(dx, lane)| (&meta_row[dx..], lane.as_mut_slice())),
         false,
-        counters,
     );
-}
-
-/// One DCNN meta-row pass over a channel band, swept filter-stationary
-/// across `images` consecutive images of the row-interleaved batch
-/// layout — the DCNN counterpart of [`conventional_row_sweep_acc_with`],
-/// whose band, layout, junk-gap, and bit-identity argument it shares:
-/// `meta_rows` holds the band's meta rows (`band.width = ZW` wide,
-/// `band.w_stride` apart), `input` the same padded row of each image at
-/// `b·seg_stride` for every channel, and every offset lane `acc[dx]`
-/// receives one stacked correlation of span
-/// `(images−1)·seg_stride + out_len` whose image-`b` lane sits at
-/// `b·seg_stride` — one kernel call per lane for the whole band.
-///
-/// At `dilation > 1` the meta row arrives zero-stuffed to
-/// `ZW = d·(Z−1)+1` and each of the `Z−K+1` offset lanes correlates the
-/// `KW = d·(K−1)+1` slice starting at `dx·d` — itself a correctly
-/// stuffed K-tap row, so every lane is bit-identical to the d-strided
-/// tap accumulation (stuffed zeros are saturating-add identities).
-/// Charges stay in *logical* taps (`Z`/`K` multiplier activations): the
-/// stuffed zeros model clock-gated multiplier slots, not live work.
-///
-/// Counters are charged **once**, for one image's `seg_stride`-sample
-/// row per channel, in closed form (`band.channels` × one row's
-/// charge); `saturation_free` selects the wrapping kernel (each lane
-/// accumulates the same `N` `K`-tap sums a dense row does, so the dense
-/// stage bound applies unchanged).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dcnn_row_sweep_acc_with(
-    kernel: RowKernel,
-    meta_rows: &[Fx16],
-    k: usize,
-    dilation: usize,
-    ppsr: bool,
-    band: Band,
-    images: usize,
-    input: &[Fx16],
-    seg_stride: usize,
-    acc: &mut [Vec<Accum>],
-    saturation_free: bool,
-    charges: &mut Counters,
-) {
-    let kw = dilation * (k - 1) + 1;
-    let z = (band.width - 1) / dilation + 1;
-    let (offsets, out_len) = charge_dcnn(z, k, dilation, seg_stride, band.channels, ppsr, charges);
-    let span = sweep_span(images, seg_stride, out_len);
-    if span == 0 {
-        return;
-    }
-    // Each lane correlates the KW-wide slice at `dx·d` of every meta
-    // row: the same band, narrowed and shifted.
-    let lane_band = Band { width: kw, ..band };
-    for (dx, lane) in acc[..offsets].iter_mut().enumerate() {
-        kernel.correlate_band(
-            &meta_rows[dx * dilation..],
-            input,
-            lane_band,
-            &mut lane[..span],
-            false,
-            saturation_free,
-        );
-    }
 }
 
 /// The frozen scalar reference for [`dcnn_row_pass_acc`]: identical
@@ -244,8 +157,10 @@ pub fn dcnn_row_pass_acc_scalar(
 /// one `input_len`-sample row each; returns `(offsets, out_len)`. `Z`/`K`
 /// are the *logical* tap counts (what the multipliers execute), while
 /// the output length follows the stuffed span `KW = d·(K−1)+1` the
-/// lanes slide over.
-fn charge_dcnn(
+/// lanes slide over: at dilation `d` the meta row is stored zero-stuffed
+/// and the stuffed zeros model clock-gated multiplier slots, not live
+/// work.
+pub(crate) fn charge_dcnn(
     z: usize,
     k: usize,
     dilation: usize,
@@ -280,43 +195,17 @@ fn charge_dcnn(
     (offsets, out_len)
 }
 
-/// One SCNN PPSR row pass: a base row of `K` weights against one input
-/// row, producing the forward result and — when `ppsr` is enabled at no
-/// extra multiplies — the horizontally mirrored result (Fig. 7).
+/// One SCNN PPSR row pass, accumulated into caller-owned stream buffers:
+/// a base row of `K` weights against one input row adds the forward
+/// result, `fwd[x] += forward[x]`, and — when `ppsr` is enabled, at no
+/// extra multiplies — the horizontally mirrored result,
+/// `rev[x] += mirrored[x]` (Fig. 7). With `ppsr` disabled there is no
+/// mirrored stream (the caller must pay for its own pass).
 ///
-/// Returns `(forward, mirrored)`; `mirrored` is `None` when `ppsr` is
-/// disabled (the caller must pay for its own pass).
-#[must_use]
-pub fn scnn_row_pass(
-    base_row: &[Fx16],
-    input: &[Fx16],
-    ppsr: bool,
-    counters: &mut Counters,
-) -> (Vec<Accum>, Option<Vec<Accum>>) {
-    let k = base_row.len();
-    let out_len = (input.len() + 1).saturating_sub(k);
-    let mut fwd = vec![Accum::ZERO; out_len];
-    let mut rev = ppsr.then(|| vec![Accum::ZERO; out_len]);
-    scnn_row_pass_acc(
-        base_row,
-        input,
-        ppsr,
-        &mut fwd,
-        rev.as_deref_mut(),
-        counters,
-    );
-    (fwd, rev)
-}
-
-/// [`scnn_row_pass`] accumulating into caller-owned stream buffers:
-/// `fwd[x] += forward[x]` and, when `ppsr` is enabled,
-/// `rev[x] += mirrored[x]`.
-///
-/// This is the one-image, one-channel case of the batch row sweep the
-/// compiled engine ([`crate::engine`]) drives per channel band, so the
-/// per-direction channel sums build up directly in reusable scratch
-/// buffers. Counter accounting is identical to the allocating form;
-/// `rev` must be `Some` exactly when `ppsr` is enabled.
+/// The mirrored stream is the row sweep's forward pass over a reversed
+/// copy of `base_row`, built per call: this entry is the one-image,
+/// one-channel reference for the engine's SCNN pass, which reads the
+/// flipped orientation's stored rows instead.
 ///
 /// # Panics
 ///
@@ -330,91 +219,24 @@ pub fn scnn_row_pass_acc(
     rev: Option<&mut [Accum]>,
     counters: &mut Counters,
 ) {
-    scnn_row_sweep_acc_with(
-        RowKernel::select(base_row.len()),
-        base_row,
-        base_row.len(),
+    debug_assert_eq!(
         ppsr,
-        Band::row(base_row.len()),
+        rev.is_some(),
+        "the mirrored stream exists exactly when PPSR is enabled"
+    );
+    let k = base_row.len();
+    charge_scnn(k, k, input.len(), 1, ppsr, counters);
+    let mirrored: Vec<Fx16> = base_row.iter().rev().copied().collect();
+    let rev = rev.filter(|_| ppsr).map(|rev| (mirrored.as_slice(), rev));
+    row_sweep(
+        RowKernel::select(k),
+        Band::row(k),
         1,
         input,
         input.len(),
-        fwd,
-        rev,
+        std::iter::once((base_row, fwd)).chain(rev),
         false,
-        counters,
     );
-}
-
-/// One SCNN base-row pass over a channel band, swept filter-stationary
-/// across `images` consecutive images of the row-interleaved batch
-/// layout (see [`conventional_row_sweep_acc_with`]): the forward stream
-/// and, with PPSR, the mirrored stream each receive one stacked
-/// correlation over the whole band whose image-`b` lane sits at
-/// `b·seg_stride`.
-///
-/// `taps` is the logical tap count: a dilated base row arrives
-/// zero-stuffed to `KW = d·(K−1)+1` but only `taps = K` multipliers fire
-/// per broadcast element — the stuffed zeros model clock-gated slots.
-/// The mirrored stream stays exact under stuffing because the reversed
-/// row's zero pattern is the mirror of the forward one
-/// (`kw−1−t ≡ 0 (mod d)` iff `t ≡ 0 (mod d)`).
-///
-/// Counters are charged **once**, for one image's `seg_stride`-sample
-/// row per channel, in closed form (`band.channels` × one row's
-/// charge); `saturation_free` selects the wrapping kernel for both
-/// streams (each accumulates `N` `K`-tap sums, inside the dense stage
-/// bound).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scnn_row_sweep_acc_with(
-    kernel: RowKernel,
-    base_rows: &[Fx16],
-    taps: usize,
-    ppsr: bool,
-    band: Band,
-    images: usize,
-    input: &[Fx16],
-    seg_stride: usize,
-    fwd: &mut [Accum],
-    rev: Option<&mut [Accum]>,
-    saturation_free: bool,
-    charges: &mut Counters,
-) {
-    let rows = band.channels;
-    let out_len = charge_scnn_forward(
-        taps,
-        band.width,
-        seg_stride,
-        rows,
-        ppsr,
-        rev.is_some(),
-        charges,
-    );
-    if ppsr {
-        charge_scnn_mirrored(taps, seg_stride, out_len, rows, charges);
-    }
-    let span = sweep_span(images, seg_stride, out_len);
-    if span == 0 {
-        return;
-    }
-    kernel.correlate_band(
-        base_rows,
-        input,
-        band,
-        &mut fwd[..span],
-        false,
-        saturation_free,
-    );
-    if let Some(rev) = rev.filter(|_| ppsr) {
-        kernel.correlate_band(
-            base_rows,
-            input,
-            band,
-            &mut rev[..span],
-            true,
-            saturation_free,
-        );
-    }
 }
 
 /// The frozen scalar reference for [`scnn_row_pass_acc`]: identical
@@ -429,89 +251,61 @@ pub fn scnn_row_pass_acc_scalar(
     rev: Option<&mut [Accum]>,
     counters: &mut Counters,
 ) {
+    debug_assert_eq!(
+        ppsr,
+        rev.is_some(),
+        "the mirrored stream exists exactly when PPSR is enabled"
+    );
     let k = base_row.len();
-    let out_len = charge_scnn_forward(k, k, input.len(), 1, ppsr, rev.is_some(), counters);
+    let out_len = charge_scnn(k, k, input.len(), 1, ppsr, counters);
     for (x, slot) in fwd[..out_len].iter_mut().enumerate() {
         *slot += correlate_at(base_row, input, x);
     }
-    if ppsr {
-        charge_scnn_mirrored(k, input.len(), out_len, 1, counters);
-        if let Some(rev) = rev {
-            for (x, slot) in rev[..out_len].iter_mut().enumerate() {
-                *slot += (0..k)
-                    .map(|j| input[x + j].widening_mul(base_row[k - 1 - j]))
-                    .sum::<Accum>();
-            }
+    if let Some(rev) = rev.filter(|_| ppsr) {
+        for (x, slot) in rev[..out_len].iter_mut().enumerate() {
+            *slot += (0..k)
+                .map(|j| input[x + j].widening_mul(base_row[k - 1 - j]))
+                .sum::<Accum>();
         }
     }
 }
 
-/// The shared SCNN forward-stream counter model for `rows` base-row
-/// passes of one `input_len`-sample row each; returns `out_len`. `taps`
-/// is the logical tap count (multiplier activations per element); `span`
-/// the stored row width the stream slides over (`taps` unless the row is
+/// The shared SCNN row-pass counter model for `rows` base-row passes of
+/// one `input_len`-sample row each — the forward stream and, with
+/// `ppsr`, the mirrored one; returns `out_len`. `taps` is the logical
+/// tap count (multiplier activations per element); `span` the stored
+/// row width the streams slide over (`taps` unless the row is
 /// zero-stuffed for dilation).
-fn charge_scnn_forward(
+pub(crate) fn charge_scnn(
     taps: usize,
     span: usize,
     input_len: usize,
     rows: usize,
     ppsr: bool,
-    has_rev: bool,
     counters: &mut Counters,
 ) -> usize {
-    debug_assert_eq!(
-        ppsr, has_rev,
-        "the mirrored stream exists exactly when PPSR is enabled"
-    );
     let out_len = (input_len + 1).saturating_sub(span);
+    let streams = 1 + usize::from(ppsr);
     counters.multiplies += (rows * taps * input_len) as u64;
     // Each result stream has `out_len` outputs, and combining K products
-    // into one output costs K−1 adder activations. (The earlier model
-    // charged (K−1)·input.len(), overcounting the K−1 edge positions
-    // that produce no output.)
-    counters.adds += (rows * taps.saturating_sub(1) * out_len) as u64;
+    // into one output costs K−1 adder activations; the K−1 edge
+    // positions produce no output and cost no adds.
+    counters.adds += (streams * rows * taps.saturating_sub(1) * out_len) as u64;
+    if ppsr {
+        // The products are staged in the SR pair so the mirrored stream
+        // can consume them in reverse order: one SR write per product
+        // stage per direction.
+        counters.sr_writes += (2 * rows * input_len) as u64;
+    }
     out_len
 }
 
-/// The shared SCNN mirrored-stream counter model (PPSR enabled only),
-/// for `rows` base-row passes.
-fn charge_scnn_mirrored(
-    k: usize,
-    input_len: usize,
-    out_len: usize,
-    rows: usize,
-    counters: &mut Counters,
-) {
-    // The products are staged in the SR pair so the mirrored stream
-    // can consume them in reverse order: one SR write per product
-    // stage per direction, plus the mirrored stream's own adds.
-    counters.sr_writes += (2 * rows * input_len) as u64;
-    counters.adds += (rows * k.saturating_sub(1) * out_len) as u64;
-}
-
-/// One conventional row pass for a dense filter row (`K` multiplies per
-/// input element, one result stream).
-#[must_use]
-pub fn conventional_row_pass(
-    filter_row: &[Fx16],
-    input: &[Fx16],
-    counters: &mut Counters,
-) -> Vec<Accum> {
-    let out_len = (input.len() + 1).saturating_sub(filter_row.len());
-    let mut out = vec![Accum::ZERO; out_len];
-    conventional_row_pass_acc(filter_row, input, &mut out, counters);
-    out
-}
-
-/// [`conventional_row_pass`] accumulating into a caller-owned buffer:
-/// `acc[x] += result[x]`.
+/// One conventional row pass for a dense filter row, accumulated into a
+/// caller-owned buffer: `acc[x] += result[x]` (`K` multiplies per input
+/// element, one result stream).
 ///
-/// This is the one-image, one-channel case of the batch row sweep the
-/// compiled engine ([`crate::engine`]) drives per channel band, so the
-/// dense per-row channel sum builds up directly in a reusable scratch
-/// buffer.
-/// Counter accounting is identical to the allocating form.
+/// This is the one-image, one-channel case of the row sweep the
+/// compiled engine ([`crate::engine`]) drives per channel band.
 ///
 /// # Panics
 ///
@@ -522,87 +316,17 @@ pub fn conventional_row_pass_acc(
     acc: &mut [Accum],
     counters: &mut Counters,
 ) {
-    conventional_row_sweep_acc_with(
-        RowKernel::select(filter_row.len()),
-        filter_row,
-        filter_row.len(),
-        Band::row(filter_row.len()),
+    let k = filter_row.len();
+    charge_conventional(k, k, input.len(), 1, counters);
+    row_sweep(
+        RowKernel::select(k),
+        Band::row(k),
         1,
         input,
         input.len(),
-        acc,
+        [(filter_row, acc)],
         false,
-        counters,
     );
-}
-
-/// One conventional row pass over a channel band, swept
-/// filter-stationary across a whole micro-batch laid out
-/// **batch-interleaved**: for every channel of `band`, `input` holds the
-/// same padded row of `images` consecutive images back to back (image
-/// `b`'s row at `b·seg_stride`, `seg_stride` samples long; channel `c`'s
-/// rows `c·band.in_stride` further on), `rows` the band's weight rows
-/// (`band.width` taps, `band.w_stride` apart), and `acc` the matching
-/// output lanes at the same stride. One stacked kernel call sums the
-/// whole band: each block of output positions keeps its accumulators in
-/// registers across every channel and writes `acc` once — long enough
-/// to engage the blocked fast path even when one image's row alone is
-/// shorter than a block, which is where the batched sweep's throughput
-/// comes from.
-///
-/// Positions between one image's valid output lane (`seg_stride − K +
-/// 1` wide) and the next image's segment mix two images' samples; they
-/// are computed (the price of the contiguous pass) but land in the
-/// inter-lane gap of `acc`, which no window combine ever reads.
-///
-/// Per image the accumulation is **bit-identical** to `band.channels`
-/// sequential [`conventional_row_pass_acc`] calls on that image's
-/// window: each valid position reads exactly that image's samples,
-/// products accumulate in the same ascending-`j` order, and the
-/// per-channel sums land in ascending channel order. The sweep only
-/// concatenates images and blocks positions, it never reorders any
-/// position's saturating additions.
-///
-/// Counters are charged exactly **once** (one image's worth, closed
-/// form: `band.channels` × one row's charge) into `charges`: the charge
-/// model is data-independent, so every image of a batched run accrues
-/// the identical delta and the engine replicates one representative
-/// image's charges per partition (`tests/batched_parity.rs` pins the
-/// exactness).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn conventional_row_sweep_acc_with(
-    kernel: RowKernel,
-    rows: &[Fx16],
-    taps: usize,
-    band: Band,
-    images: usize,
-    input: &[Fx16],
-    seg_stride: usize,
-    acc: &mut [Accum],
-    saturation_free: bool,
-    charges: &mut Counters,
-) {
-    let out_len = charge_conventional(taps, band.width, seg_stride, band.channels, charges);
-    let span = sweep_span(images, seg_stride, out_len);
-    if span == 0 {
-        return;
-    }
-    // With the stage bound proving no intermediate can leave i32 range,
-    // the wrapping form is exact — bit-identical and far cheaper to
-    // vectorize than the saturating chain.
-    kernel.correlate_band(rows, input, band, &mut acc[..span], false, saturation_free);
-}
-
-/// The contiguous output span of one row sweep over `images` interleaved
-/// segments `seg_stride` apart: every image's `out_len` valid positions
-/// plus the junk positions between consecutive lanes — zero when no
-/// position is valid.
-fn sweep_span(images: usize, seg_stride: usize, out_len: usize) -> usize {
-    if images == 0 || out_len == 0 {
-        0
-    } else {
-        (images - 1) * seg_stride + out_len
-    }
 }
 
 /// The frozen scalar reference for [`conventional_row_pass_acc`]:
@@ -639,6 +363,69 @@ pub(crate) fn charge_conventional(
     out_len
 }
 
+/// The one row sweep: for every `(weights, acc)` pair, one stacked
+/// kernel call correlates the channel band's weight rows (`weights`,
+/// `band.width` taps each, `band.w_stride` apart) against one padded row
+/// of each channel and adds the result into `acc`.
+///
+/// **Layout.** The input is swept filter-stationary across a whole
+/// micro-batch laid out **batch-interleaved**: for every channel of
+/// `band`, `input` holds the same padded row of `images` consecutive
+/// images back to back (image `b`'s row at `b·seg_stride`, `seg_stride`
+/// samples long; channel `c`'s rows `c·band.in_stride` further on), and
+/// each stream's output lanes sit at the same stride. Every pair's pass
+/// spans `(images−1)·seg_stride + out_len` positions, where
+/// `out_len = seg_stride − width + 1`: long enough to engage the blocked
+/// fast path even when one image's row alone is shorter than a block,
+/// which is where the batched sweep's throughput comes from. Positions
+/// between one image's valid lane and the next image's segment mix two
+/// images' samples; they are computed (the price of the contiguous
+/// pass) but land in the inter-lane gap, which no window combine ever
+/// reads.
+///
+/// **Schemes.** A dense row pass is one pair. A DCNN meta-row pass is
+/// its `Z−K+1` offset lanes: lane `dx` correlates the `KW`-wide slice
+/// at `dx·d` of every meta row — itself a correctly stuffed `K`-tap row
+/// at dilation `d`, so each lane is bit-identical to the `d`-strided tap
+/// accumulation (stuffed zeros are saturating-add identities). An SCNN
+/// base-row pass is the forward stream plus, with PPSR, the mirrored
+/// stream over the reversed rows; a reversed zero-stuffed row is the
+/// stuffed reversed row (`KW−1−t ≡ 0 (mod d)` iff `t ≡ 0 (mod d)`).
+///
+/// **Bit-identity.** Per image the accumulation equals `band.channels`
+/// sequential one-row passes on that image's window: each valid position
+/// reads exactly that image's samples, products accumulate in ascending
+/// `j` order, and per-channel sums land in ascending channel order. The
+/// sweep only concatenates images and blocks positions; it never
+/// reorders any position's saturating additions. `saturation_free`
+/// selects the wrapping kernel, exact under the caller's stage bound:
+/// every stream accumulates `N/groups` `K`-tap sums.
+///
+/// **Counters.** The sweep charges nothing. Callers charge one image's
+/// row — `band.channels` rows of `seg_stride` samples — through the
+/// scheme's closed-form `charge_*` model: the model is data-independent,
+/// so every image of a batched run accrues the identical delta and the
+/// engine replicates one representative image's charges per partition
+/// (`tests/batched_parity.rs` pins the exactness).
+pub(crate) fn row_sweep<'w, 'a>(
+    kernel: RowKernel,
+    band: Band,
+    images: usize,
+    input: &[Fx16],
+    seg_stride: usize,
+    streams: impl IntoIterator<Item = (&'w [Fx16], &'a mut [Accum])>,
+    saturation_free: bool,
+) {
+    let out_len = (seg_stride + 1).saturating_sub(band.width);
+    if images == 0 || out_len == 0 {
+        return;
+    }
+    let span = (images - 1) * seg_stride + out_len;
+    for (weights, acc) in streams {
+        kernel.correlate_band(weights, input, band, &mut acc[..span], saturation_free);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,6 +436,28 @@ mod tests {
 
     fn as_f32(acc: &[Accum]) -> Vec<f32> {
         acc.iter().map(|a| a.to_f32()).collect()
+    }
+
+    /// [`dcnn_row_pass_acc`] into fresh zeroed offset lanes.
+    fn dcnn(meta: &[Fx16], input: &[Fx16], ppsr: bool, c: &mut Counters) -> Vec<Vec<Accum>> {
+        let mut lanes = vec![vec![Accum::ZERO; input.len() - 2]; meta.len() - 2];
+        dcnn_row_pass_acc(meta, input, 3, ppsr, &mut lanes, c);
+        lanes
+    }
+
+    /// [`scnn_row_pass_acc`] into fresh zeroed streams; the mirrored one
+    /// exists exactly with PPSR.
+    fn scnn(
+        base: &[Fx16],
+        input: &[Fx16],
+        ppsr: bool,
+        c: &mut Counters,
+    ) -> (Vec<Accum>, Option<Vec<Accum>>) {
+        let out_len = input.len() + 1 - base.len();
+        let mut fwd = vec![Accum::ZERO; out_len];
+        let mut rev = ppsr.then(|| vec![Accum::ZERO; out_len]);
+        scnn_row_pass_acc(base, input, ppsr, &mut fwd, rev.as_deref_mut(), c);
+        (fwd, rev)
     }
 
     #[test]
@@ -675,7 +484,7 @@ mod tests {
         let meta = fx(&[0.5, -1.0, 2.0, 1.5]);
         let input = fx(&[1.0, 2.0, -0.5, 0.25, 3.0, -2.0]);
         let mut c = Counters::new();
-        let results = dcnn_row_pass(&meta, &input, 3, true, &mut c);
+        let results = dcnn(&meta, &input, true, &mut c);
         assert_eq!(results.len(), 2);
         assert_eq!(
             as_f32(&results[0]),
@@ -695,8 +504,8 @@ mod tests {
         let input = fx(&[1.0; 12]);
         let mut with = Counters::new();
         let mut without = Counters::new();
-        let a = dcnn_row_pass(&meta, &input, 3, true, &mut with);
-        let b = dcnn_row_pass(&meta, &input, 3, false, &mut without);
+        let a = dcnn(&meta, &input, true, &mut with);
+        let b = dcnn(&meta, &input, false, &mut without);
         assert_eq!(a, b, "reuse must not change values");
         assert_eq!(with.multiplies * 6, without.multiplies * 4);
     }
@@ -708,9 +517,9 @@ mod tests {
         let base = fx(&[1.0, -2.0, 0.5]);
         let input = fx(&[0.5, 1.0, 1.5, -1.0, 2.0]);
         let mut with = Counters::new();
-        let (fwd, rev) = scnn_row_pass(&base, &input, true, &mut with);
+        let (fwd, rev) = scnn(&base, &input, true, &mut with);
         let mut without = Counters::new();
-        let (fwd2, none) = scnn_row_pass(&base, &input, false, &mut without);
+        let (fwd2, none) = scnn(&base, &input, false, &mut without);
         assert!(none.is_none());
         assert_eq!(fwd, fwd2);
         let rev = rev.unwrap();
@@ -728,8 +537,8 @@ mod tests {
         let input = fx(&[1.0; 12]);
         let mut with = Counters::new();
         let mut without = Counters::new();
-        let _ = dcnn_row_pass(&meta, &input, 3, true, &mut with);
-        let _ = dcnn_row_pass(&meta, &input, 3, false, &mut without);
+        let _ = dcnn(&meta, &input, true, &mut with);
+        let _ = dcnn(&meta, &input, false, &mut without);
         assert_eq!(without.sr_writes, 0);
         // With PPSR: one SR write per offset lane per broadcast element.
         assert_eq!(with.sr_writes, 2 * 12);
@@ -742,12 +551,12 @@ mod tests {
         let base = fx(&[1.0, -2.0, 0.5]);
         let input = fx(&[0.5, 1.0, 1.5, -1.0, 2.0]);
         let mut with = Counters::new();
-        let (_, rev) = scnn_row_pass(&base, &input, true, &mut with);
+        let (_, rev) = scnn(&base, &input, true, &mut with);
         assert!(rev.is_some());
         // Two streams with PPSR.
         assert_eq!(with.adds, 2 * 2 * 3);
         let mut without = Counters::new();
-        let _ = scnn_row_pass(&base, &input, false, &mut without);
+        let _ = scnn(&base, &input, false, &mut without);
         assert_eq!(without.adds, 2 * 3);
         assert_eq!(without.sr_writes, 0);
     }
@@ -757,8 +566,9 @@ mod tests {
         let w = fx(&[1.0, 1.0, 1.0]);
         let input = fx(&[1.0; 10]);
         let mut c = Counters::new();
-        let out = conventional_row_pass(&w, &input, &mut c);
-        assert_eq!(out.len(), 8);
+        let mut out = vec![Accum::ZERO; 8];
+        conventional_row_pass_acc(&w, &input, &mut out, &mut c);
+        assert_eq!(as_f32(&out), vec![3.0; 8]);
         assert_eq!(c.multiplies, 30);
     }
 
@@ -793,17 +603,20 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// The batch row sweeps the engine runs: `images` images'
-        /// copies of a padded row laid `seg` samples apart, for each of
+        /// The batch row sweep the engine runs: `images` images' copies
+        /// of a padded row laid `seg` samples apart, for each of
         /// `channels` channel rows `in_stride` apart, swept as one
         /// channel band into batch-wide streams, must equal `images`
         /// independent one-image scalar passes per channel on each
-        /// image's lane — and charge exactly one image's counters. Two
-        /// regimes: data inside the stage bound through the wrapping
-        /// kernel, and extreme data that clamps through the saturating
-        /// one (the only anchor for clamping data: the dense-expansion
-        /// oracle regroups additions and matches only when nothing
-        /// saturates).
+        /// image's lane — and the callers' closed-form charge must be
+        /// exactly one image's counters. Each scheme's pair list is the
+        /// engine's: DCNN offset lanes at `dx`, SCNN forward rows plus
+        /// (with PPSR) the reversed rows, checked against the scalar
+        /// oracle's reverse-indexed loop. Two regimes: data inside the
+        /// stage bound through the wrapping kernel, and extreme data that
+        /// clamps through the saturating one (the only anchor for
+        /// clamping data: the dense-expansion oracle regroups additions
+        /// and matches only when nothing saturates).
         #[test]
         fn batch_sweeps_match_per_image_scalar_passes(
             k in 1usize..8,
@@ -830,15 +643,15 @@ mod tests {
             let input = samples(&mut seed, channels * in_stride, bound);
             let row = |c: usize, len: usize| &rows[c * (z + gap)..][..len];
             let image_row = |c: usize, b: usize| &input[c * in_stride + b * seg..][..seg];
+            let band = Band { channels, width: k, w_stride: z + gap, in_stride };
 
             // DCNN: every offset lane.
             let offsets = z - k + 1;
             let mut lanes = vec![vec![Accum::ZERO; span]; offsets];
             let mut swept = Counters::new();
-            let band = Band { channels, width: z, w_stride: z + gap, in_stride };
-            dcnn_row_sweep_acc_with(
-                kernel, &rows, k, 1, ppsr, band, images, &input, seg, &mut lanes, !clamping, &mut swept,
-            );
+            let _ = charge_dcnn(z, k, 1, seg, channels, ppsr, &mut swept);
+            let pairs = lanes.iter_mut().enumerate().map(|(dx, lane)| (&rows[dx..], lane.as_mut_slice()));
+            row_sweep(kernel, band, images, &input, seg, pairs, !clamping);
             for b in 0..images {
                 let mut want = vec![vec![Accum::ZERO; out_len]; offsets];
                 let mut one = Counters::new();
@@ -851,15 +664,19 @@ mod tests {
                 proptest::prop_assert_eq!(swept, one, "dcnn counters are one image's");
             }
 
-            // SCNN: forward and (with PPSR) mirrored streams.
+            // SCNN: forward and (with PPSR) mirrored streams, the mirrored
+            // one over each channel's row reversed in place.
+            let mut reversed = rows.clone();
+            for c in 0..channels {
+                reversed[c * (z + gap)..][..k].reverse();
+            }
             let mut fwd = vec![Accum::ZERO; span];
             let mut rev = vec![Accum::ZERO; span];
             let mut swept = Counters::new();
-            let band = Band { channels, width: k, w_stride: z + gap, in_stride };
-            scnn_row_sweep_acc_with(
-                kernel, &rows, k, ppsr, band, images, &input, seg, &mut fwd,
-                ppsr.then_some(rev.as_mut_slice()), !clamping, &mut swept,
-            );
+            let _ = charge_scnn(k, k, seg, channels, ppsr, &mut swept);
+            let mirrored = ppsr.then_some((reversed.as_slice(), rev.as_mut_slice()));
+            let pairs = std::iter::once((rows.as_slice(), fwd.as_mut_slice())).chain(mirrored);
+            row_sweep(kernel, band, images, &input, seg, pairs, !clamping);
             for b in 0..images {
                 let mut want_fwd = vec![Accum::ZERO; out_len];
                 let mut want_rev = vec![Accum::ZERO; out_len];
@@ -878,9 +695,8 @@ mod tests {
             // Dense: one stream.
             let mut acc = vec![Accum::ZERO; span];
             let mut swept = Counters::new();
-            conventional_row_sweep_acc_with(
-                kernel, &rows, k, band, images, &input, seg, &mut acc, !clamping, &mut swept,
-            );
+            let _ = charge_conventional(k, k, seg, channels, &mut swept);
+            row_sweep(kernel, band, images, &input, seg, [(rows.as_slice(), acc.as_mut_slice())], !clamping);
             for b in 0..images {
                 let mut want = vec![Accum::ZERO; out_len];
                 let mut one = Counters::new();

@@ -10,7 +10,7 @@
 //!    [`SimError::NonDivisiblePool`], and divisible geometry keeps the
 //!    write/read counters symmetric.
 //! 2. **Combine adds under stride.** The adder trees combine `K` window
-//!    parts only at the `F` positions `emit_row` consumes, matching the
+//!    parts only at the `F` positions `exec::emit_rows` consumes, matching the
 //!    analytic model's `out_elems · (K − 1)` term — the units used to
 //!    charge over the full padded row width, overcounting whenever
 //!    stride > 1.
