@@ -13,6 +13,12 @@ cargo build --release --offline --examples
 # in-crate tests (the engine's kernel and row-sweep proptests, the ERRR
 # ring, the serving and fleet crates, the telemetry seqlock ring).
 cargo test -q --offline --workspace
+# Every benchmark number comes from release builds, where overflow checks
+# and debug_assert!s are off: run tfe-sim's lib tests and the engine
+# parity suites in that profile too, so code that behaves differently
+# there cannot pass only in the test profile.
+cargo test -q --release --offline -p tfe-sim --lib
+cargo test -q --release --offline --test kernel_parity --test batched_parity --test mode_parity --test geometry_parity --test parallel_parity
 # The serving stack's integration tests exercise threads, sockets, and
 # shutdown paths — run them explicitly so a filtered test invocation can
 # never silently skip them. fleet_smoke adds the multi-model tier on

@@ -1,10 +1,10 @@
 //! Microbenchmark of the ERRR cyclic PSum memory (Figs. 8-9): insert /
-//! read / combine throughput of the row ring.
+//! read throughput of the row ring.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tfe_sim::counters::Counters;
-use tfe_sim::errr::{combine_rows, RowRing};
+use tfe_sim::errr::RowRing;
 use tfe_tensor::fixed::{Accum, Fx16};
 
 fn row(v: f32, len: usize) -> Vec<Accum> {
@@ -28,15 +28,6 @@ fn bench_errr(c: &mut Criterion) {
                 }
             }
             counters
-        })
-    });
-    let a = row(1.0, 224);
-    let b_ = row(2.0, 224);
-    let c_ = row(3.0, 224);
-    c.bench_function("combine_rows 3x224", |b| {
-        b.iter(|| {
-            let mut counters = Counters::new();
-            combine_rows(black_box(&[&a, &b_, &c_]), &mut counters)
         })
     });
 }

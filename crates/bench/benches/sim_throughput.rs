@@ -1,5 +1,5 @@
 //! Simulator throughput: the functional datapath on a small layer, the
-//! per-layer performance model over whole networks, and batched-image
+//! per-layer performance model over a whole network, and batched-image
 //! throughput scaling against the worker-thread count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -45,9 +45,8 @@ fn bench_sim(c: &mut Criterion) {
 /// VGG-16 is too large for value-level simulation, so this uses a
 /// narrowed VGG prefix (same 3×3 conv + pool topology, reduced channel
 /// counts and resolution) — every image still walks multiple chained
-/// PPSR/ERRR layers. Also re-times the perf model's layer fan-out on the
-/// full VGG-16 plan per thread count.
-fn bench_batch_scaling(c: &mut Criterion) {
+/// PPSR/ERRR layers.
+fn bench_batch_scaling(_: &mut Criterion) {
     let mut seed = 17;
     // VGG prefix topology: two 3x3 conv stages then pool, twice.
     let shapes = vec![
@@ -69,9 +68,6 @@ fn bench_batch_scaling(c: &mut Criterion) {
     let images: Vec<Tensor4<Fx16>> = (0..16)
         .map(|_| Tensor4::from_fn([1, 3, 24, 24], |_| Fx16::from_f32(det(&mut seed))))
         .collect();
-
-    let vgg_plan = zoo::vgg16().plan(TransferScheme::Scnn);
-    let cfg = PerfConfig::default();
 
     // Per-round wall times, reported as median and quartiles per thread
     // count: one total over a few rounds swings too far on a shared host
@@ -107,19 +103,6 @@ fn bench_batch_scaling(c: &mut Criterion) {
             images.len()
         );
     }
-
-    let mut group = c.benchmark_group("perf_model_thread_scaling");
-    group.sample_size(20);
-    for threads in [1usize, 4] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        group.bench_function(&format!("vgg16_scnn_t{threads}"), |b| {
-            b.iter(|| pool.install(|| NetworkPerf::evaluate(black_box(&vgg_plan), &cfg)))
-        });
-    }
-    group.finish();
 }
 
 criterion_group!(benches, bench_sim, bench_batch_scaling);

@@ -2,7 +2,6 @@
 //! scheme.
 
 use crate::format::{ratio, Table};
-use rayon::prelude::*;
 use serde::Serialize;
 use tfe_core::Engine;
 
@@ -45,24 +44,15 @@ pub fn run(engine: &Engine) -> Fig15 {
     run_over(engine, &super::MAINSTREAM)
 }
 
-/// Runs the sweep over an arbitrary network list (Table V reuses this).
-///
-/// The network × scheme cells are independent, so they are evaluated
-/// across the ambient thread budget; the result order stays
-/// network-major exactly as the sequential sweep produced it.
+/// Runs the sweep over an arbitrary network list (Table V reuses this),
+/// network-major. Each cell is a closed-form evaluation, so the sweep
+/// is sequential.
 #[must_use]
 pub fn run_over(engine: &Engine, networks: &[&str]) -> Fig15 {
-    let cells: Vec<_> = networks
+    let points: Vec<SpeedupPoint> = networks
         .iter()
-        .flat_map(|net| {
-            super::schemes()
-                .into_iter()
-                .map(move |scheme| (*net, scheme))
-        })
-        .collect();
-    let points: Vec<SpeedupPoint> = cells
-        .par_iter()
-        .map(|&(net, scheme)| {
+        .flat_map(|&net| super::schemes().map(|scheme| (net, scheme)))
+        .map(|(net, scheme)| {
             let report = engine
                 .run_network(net, scheme)
                 .expect("sweep networks exist in the zoo");

@@ -2,7 +2,6 @@
 //! on VGGNet (the ablation of the two techniques).
 
 use crate::format::{ratio, Table};
-use rayon::prelude::*;
 use serde::Serialize;
 use tfe_core::Engine;
 use tfe_transfer::analysis::ReuseConfig;
@@ -39,24 +38,14 @@ const CONFIGS: [(&str, ReuseConfig); 4] = [
     ("PPSR+ERRR", ReuseConfig::FULL),
 ];
 
-/// Runs the ablation on VGGNet.
-///
-/// The scheme × reuse-configuration cells are independent, so they are
-/// evaluated across the ambient thread budget; the result order stays
-/// scheme-major exactly as the sequential sweep produced it.
+/// Runs the ablation on VGGNet, scheme-major. Each cell is a
+/// closed-form evaluation, so the sweep is sequential.
 #[must_use]
 pub fn run() -> Fig19 {
-    let cells: Vec<_> = super::schemes()
+    let points = super::schemes()
         .into_iter()
-        .flat_map(|scheme| {
-            CONFIGS
-                .into_iter()
-                .map(move |(label, reuse)| (scheme, label, reuse))
-        })
-        .collect();
-    let points = cells
-        .par_iter()
-        .map(|&(scheme, label, reuse)| {
+        .flat_map(|scheme| CONFIGS.map(|(label, reuse)| (scheme, label, reuse)))
+        .map(|(scheme, label, reuse)| {
             let engine = Engine::with_reuse(reuse);
             let r = engine
                 .run_network("VGGNet", scheme)

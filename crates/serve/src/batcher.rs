@@ -19,7 +19,7 @@
 //! request's reply is bit-identical to a lone
 //! [`tfe_sim::engine::Engine::run`], see `tests/serve_smoke.rs`).
 //! [`ServeConfig::batch_threads`](crate::config::ServeConfig::batch_threads)
-//! is the intra-run worker budget of each sweep (the ambient budget of
+//! is the intra-run worker budget of each sweep (the default budget of
 //! [`tfe_sim::batch::BatchOptions::workers`] when unset).
 
 use crate::service::{InferenceReply, Pending, Rejected, Shared};

@@ -28,7 +28,7 @@ pub struct ServeConfig {
     pub executors: usize,
     /// Intra-run worker budget of each micro-batch's packed sweep
     /// ([`tfe_sim::engine::Engine::run_packed`]); `None` uses the
-    /// ambient budget ([`BatchOptions::workers`]).
+    /// default budget ([`BatchOptions::workers`]).
     pub batch_threads: Option<usize>,
     /// Reuse configuration every request is evaluated under (fixed per
     /// service so whole batches share one datapath configuration).

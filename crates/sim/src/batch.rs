@@ -18,9 +18,9 @@
 //! with the network's internal scratch pool.
 //!
 //! Thread budget: [`BatchOptions::workers`] resolves it — the pinned
-//! [`BatchOptions::threads`], else the ambient budget
-//! (`RAYON_NUM_THREADS` / `TFE_THREADS` environment variables,
-//! defaulting to the machine's available parallelism). Parallelism is
+//! [`BatchOptions::threads`], else the first of the `RAYON_NUM_THREADS`
+//! and `TFE_THREADS` environment variables that names a positive
+//! integer, else the machine's available parallelism. Parallelism is
 //! across image chunks only: each chunk's sweep runs on one worker.
 //! Handing one sweep the whole budget instead (the stage partitioner's
 //! batch chunks) measured about 1.5× slower on small images
@@ -38,7 +38,7 @@ use tfe_transfer::analysis::ReuseConfig;
 /// Knobs for a batched evaluation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchOptions {
-    /// Worker-thread count for this batch; `None` uses the ambient
+    /// Worker-thread count for this batch; `None` uses the default
     /// budget (`RAYON_NUM_THREADS` / `TFE_THREADS`, else all cores).
     pub threads: Option<usize>,
 }
@@ -53,14 +53,26 @@ impl BatchOptions {
     }
 
     /// The worker count these options resolve to: the pinned
-    /// [`threads`](Self::threads), else the ambient budget
-    /// (`RAYON_NUM_THREADS`, then `TFE_THREADS`, then the machine's
-    /// available parallelism). The one rule [`run_engine_batch`] and the
-    /// `tfe-serve` executors share.
+    /// [`threads`](Self::threads), else the first of
+    /// `RAYON_NUM_THREADS` and `TFE_THREADS` that names a positive
+    /// integer, else the machine's available parallelism. The one rule
+    /// [`run_engine_batch`] and the `tfe-serve` executors share.
     #[must_use]
     pub fn workers(self) -> usize {
-        self.threads.unwrap_or_else(rayon::current_num_threads)
+        self.threads.unwrap_or_else(|| {
+            ["RAYON_NUM_THREADS", "TFE_THREADS"]
+                .into_iter()
+                .find_map(|var| parse_threads(std::env::var(var).ok()))
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+        })
     }
+}
+
+/// The thread count an environment value names: a positive integer.
+/// Unset, empty, zero, negative, padded and non-numeric values give
+/// `None`, so the lookup falls through to the next source.
+fn parse_threads(value: Option<String>) -> Option<usize> {
+    value?.parse().ok().filter(|&n| n > 0)
 }
 
 /// Result of a batched evaluation.
@@ -220,6 +232,15 @@ mod tests {
             let expected: Counters = sequential.iter().map(|s| s.counters).sum();
             assert_eq!(batched.counters, expected, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn thread_values_parse_to_positive_integers_only() {
+        assert_eq!(parse_threads(Some("4".to_owned())), Some(4));
+        for value in ["0", "", "-1", "four", " 2"] {
+            assert_eq!(parse_threads(Some(value.to_owned())), None, "{value:?}");
+        }
+        assert_eq!(parse_threads(None), None);
     }
 
     #[test]

@@ -173,8 +173,9 @@ impl Engine {
     /// threads.
     ///
     /// `workers` is taken literally (clamped to the work available and
-    /// to at least 1) — callers decide the budget, e.g. from their
-    /// ambient thread pool, and should pass 1 for runs too small to
+    /// to at least 1) — callers decide the budget, e.g. with
+    /// [`BatchOptions::workers`](crate::batch::BatchOptions::workers),
+    /// and should pass 1 for runs too small to
     /// amortize a thread spawn. Activations and per-image counters are
     /// bit-identical at every worker count (`tests/batched_parity.rs`).
     ///
@@ -779,9 +780,10 @@ fn fill_padded_batch(padded: &mut Vec<Fx16>, cur: &[Fx16], batch: usize, geo: &G
 }
 
 /// The adder trees' window combine, shared by every executor: the first
-/// part copied, each later part added in order (saturating), with the
-/// same alignment check as [`crate::errr::combine_rows`]. Callers pass
-/// the parts in `ky` order, so the chain matches a one-image run's.
+/// part copied, each later part added in order (saturating). Parts of
+/// different lengths panic in every build: a misaligned schedule must
+/// fail, not truncate the window. Callers pass the parts in `ky` order,
+/// so the chain matches a one-image run's.
 fn combine<'a>(window: &mut Vec<Accum>, parts: impl IntoIterator<Item = &'a [Accum]>) {
     let mut parts = parts.into_iter();
     window.clear();
@@ -1315,6 +1317,14 @@ mod tests {
                 actual: 7,
             })
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "window parts must align")]
+    fn combine_rejects_misaligned_parts() {
+        let a = [Accum::from_bits(256), Accum::from_bits(512)];
+        let b = [Accum::from_bits(128)];
+        combine(&mut Vec::new(), [&a[..], &b[..]]);
     }
 
     #[test]

@@ -65,12 +65,13 @@ pub struct Scratch {
     pub(crate) stage_in: Vec<Fx16>,
     /// Next stage's activations being assembled.
     pub(crate) stage_next: Vec<Fx16>,
-    /// One activated (ReLU'd, re-quantized) ofmap row.
-    pub(crate) act_row: Vec<f32>,
+    /// One activated (ReLU'd, re-quantized) ofmap row of a pooled
+    /// stage, as staged in `Pool_Reg`.
+    pub(crate) act_row: Vec<Fx16>,
     /// One horizontally pooled row.
-    pub(crate) pool_row: Vec<f32>,
+    pub(crate) pool_row: Vec<Fx16>,
     /// Horizontally pooled rows awaiting their vertical partners, flat.
-    pub(crate) pool_staged: Vec<f32>,
+    pub(crate) pool_staged: Vec<Fx16>,
     /// Kernel-level buffers (window sums, row parts, ERRR rings).
     pub(crate) bufs: KernelBufs,
     /// Extra kernel-buffer sets for intra-run worker partitions, checked

@@ -267,31 +267,6 @@ impl RowRing {
     }
 }
 
-/// Sums the window result for one output position set: adds `parts`
-/// element-wise, counting the adder-tree activations.
-///
-/// # Panics
-///
-/// Panics if the parts have mismatched lengths. (This used to be a
-/// `debug_assert!`, which meant release builds silently truncated the
-/// window sum to the shortest part via `zip` — a misaligned schedule
-/// would corrupt outputs instead of failing.)
-#[must_use]
-pub fn combine_rows(parts: &[&[Accum]], counters: &mut Counters) -> Vec<Accum> {
-    let Some(first) = parts.first() else {
-        return Vec::new();
-    };
-    let mut out = first.to_vec();
-    for part in &parts[1..] {
-        assert_eq!(part.len(), out.len(), "window parts must align");
-        for (acc, &p) in out.iter_mut().zip(part.iter()) {
-            *acc += p;
-        }
-    }
-    counters.adds += (parts.len().saturating_sub(1) * out.len()) as u64;
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,36 +368,6 @@ mod tests {
         let mut c = Counters::new();
         ring.insert(0, one_stream(&[1.0, 2.0, 3.0]), &mut c);
         assert_eq!(c.psum_mem_writes, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "window parts must align")]
-    fn combine_rows_rejects_misaligned_parts() {
-        let mut c = Counters::new();
-        let a: Vec<Accum> = [1.0, 2.0].iter().map(|&v| acc(v)).collect();
-        let b: Vec<Accum> = vec![acc(0.5)];
-        let _ = combine_rows(&[&a, &b], &mut c);
-    }
-
-    #[test]
-    fn combine_rows_sums_elementwise() {
-        let mut c = Counters::new();
-        let a: Vec<Accum> = [1.0, 2.0].iter().map(|&v| acc(v)).collect();
-        let b: Vec<Accum> = [0.5, -1.0].iter().map(|&v| acc(v)).collect();
-        let out = combine_rows(&[&a, &b], &mut c);
-        assert_eq!(out[0].to_f32(), 1.5);
-        assert_eq!(out[1].to_f32(), 1.0);
-        assert_eq!(c.adds, 2);
-    }
-
-    #[test]
-    fn combine_rows_empty_and_single() {
-        let mut c = Counters::new();
-        assert!(combine_rows(&[], &mut c).is_empty());
-        let a: Vec<Accum> = vec![acc(4.0)];
-        let out = combine_rows(&[&a], &mut c);
-        assert_eq!(out[0].to_f32(), 4.0);
-        assert_eq!(c.adds, 0);
     }
 
     #[test]

@@ -41,9 +41,10 @@ impl OutputConfig {
 
 /// Drives one ofmap channel plane (`width`-long accumulator rows, in
 /// order) through the output memory system — bias fold → ReLU →
-/// row-wise pooling — appending the re-quantized activations to `next`
-/// row by row. `act_row`, `pool_row`, and `staged` (the `O_Memory`
-/// contents, flat) are caller-owned scratch.
+/// re-quantization → row-wise pooling — appending the activations to
+/// `next` row by row. `act_row`, `pool_row`, and `staged` (the
+/// `O_Memory` contents, flat) are caller-owned scratch. Activations stay
+/// Q8.8 throughout: max pooling compares samples, which is exact.
 ///
 /// Each pooled activation is staged through `Pool_Reg` once (a register
 /// write and read per element); each horizontally reduced row is one
@@ -56,32 +57,33 @@ pub(crate) fn process_channel(
     width: usize,
     bias: Accum,
     config: OutputConfig,
-    act_row: &mut Vec<f32>,
-    pool_row: &mut Vec<f32>,
-    staged: &mut Vec<f32>,
+    act_row: &mut Vec<Fx16>,
+    pool_row: &mut Vec<Fx16>,
+    staged: &mut Vec<Fx16>,
     next: &mut Vec<Fx16>,
     counters: &mut Counters,
 ) {
+    let activate = |&acc: &Accum| {
+        let v = acc + bias;
+        let v = if config.relu { v.relu() } else { v };
+        v.to_sample()
+    };
+    let Some(p) = config.pool else {
+        next.extend(plane.iter().map(activate));
+        return;
+    };
     staged.clear();
     let mut staged_rows = 0usize;
     for row in plane.chunks_exact(width) {
         act_row.clear();
-        act_row.extend(row.iter().map(|&acc| {
-            let v = acc + bias;
-            let v = if config.relu { v.relu() } else { v };
-            v.to_sample().to_f32()
-        }));
-        let Some(p) = config.pool else {
-            next.extend(act_row.iter().map(|&v| Fx16::from_f32(v)));
-            continue;
-        };
+        act_row.extend(row.iter().map(activate));
         counters.sr_writes += act_row.len() as u64;
         counters.sr_reads += act_row.len() as u64;
         pool_row.clear();
         pool_row.extend(
             act_row
                 .chunks_exact(p)
-                .map(|window| window.iter().copied().fold(f32::NEG_INFINITY, f32::max)),
+                .map(|window| window.iter().copied().fold(Fx16::MIN, Fx16::max)),
         );
         counters.psum_mem_writes += pool_row.len() as u64;
         let staged_width = pool_row.len();
@@ -89,12 +91,11 @@ pub(crate) fn process_channel(
         staged_rows += 1;
         if staged_rows == p {
             counters.psum_mem_reads += staged.len() as u64;
-            for x in 0..staged_width {
-                let best = (0..p)
+            next.extend((0..staged_width).map(|x| {
+                (0..p)
                     .map(|r| staged[r * staged_width + x])
-                    .fold(f32::NEG_INFINITY, f32::max);
-                next.push(Fx16::from_f32(best));
-            }
+                    .fold(Fx16::MIN, Fx16::max)
+            }));
             staged.clear();
             staged_rows = 0;
         }

@@ -25,7 +25,6 @@ use crate::config::TfeConfig;
 use crate::counters::Counters;
 use crate::memory;
 use crate::safm;
-use rayon::prelude::*;
 use tfe_nets::{LayerPlan, NetworkPlan, TransferMode};
 use tfe_transfer::analysis::ReuseConfig;
 
@@ -193,18 +192,16 @@ pub struct NetworkPerf {
 }
 
 impl NetworkPerf {
-    /// Evaluates every layer of a plan.
-    ///
-    /// Layers are independent under the analytic model, so they are
-    /// evaluated across the ambient thread budget; results come back in
-    /// plan order, identical to a sequential evaluation.
+    /// Evaluates every layer of a plan, in plan order. A whole network
+    /// takes microseconds, less than one thread spawn, so the sweep is
+    /// sequential.
     #[must_use]
     pub fn evaluate(plan: &NetworkPlan, cfg: &PerfConfig) -> NetworkPerf {
         NetworkPerf {
             network_name: plan.network_name().to_owned(),
             layers: plan
                 .layers()
-                .par_iter()
+                .iter()
                 .map(|l| LayerPerf::evaluate(l, cfg))
                 .collect(),
             frequency_hz: cfg.hw.frequency_hz,
@@ -230,7 +227,7 @@ impl NetworkPerf {
                 .map_or_else(|| "engine".to_owned(), |s| s.name().to_owned()),
             layers: engine
                 .layer_plans()
-                .par_iter()
+                .iter()
                 .map(|l| LayerPerf::evaluate(l, &cfg))
                 .collect(),
             frequency_hz: cfg.hw.frequency_hz,

@@ -190,22 +190,34 @@ fn reuse_ablations_stay_parity_under_parallelism() {
 
 #[test]
 fn run_layer_is_thread_count_invariant() {
-    // The single-layer entry point must be invariant to the ambient rayon
-    // thread budget (each layer is one sequential engine pass).
+    // The single-layer entry point (one sequential engine pass) against
+    // the same layer compiled as a one-stage network with an identity
+    // output stage (no ReLU, no pool, no bias), run at every intra-run
+    // worker count: the activations are run_layer's accumulators
+    // re-quantized, and the counters are equal.
     let shape = LayerShape::conv("inv", 4, 16, 10, 10, 3, 1, 1).unwrap();
     let mut wseed = 5;
     let layer = TransferredLayer::random(&shape, TransferScheme::Scnn, || det(&mut wseed)).unwrap();
     let input = Tensor4::from_fn([2, 4, 10, 10], |_| Fx16::from_f32(det(&mut wseed)));
 
     let reference = run_layer(&input, &layer, &shape, ReuseConfig::FULL).unwrap();
-    for threads in [1usize, 2, 3, 4] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let got = pool.install(|| run_layer(&input, &layer, &shape, ReuseConfig::FULL).unwrap());
-        assert_eq!(got.output, reference.output, "{threads} threads");
-        assert_eq!(got.counters, reference.counters, "{threads} threads");
+    let want = reference.output.map(|acc| acc.to_sample());
+    let net = FunctionalNetwork::new(vec![FunctionalStage {
+        shape,
+        weights: layer,
+        bias: Vec::new(),
+        output: OutputConfig {
+            relu: false,
+            pool: None,
+        },
+    }])
+    .unwrap();
+    let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
+    let mut scratch = Scratch::new();
+    for workers in [1usize, 2, 3, 4] {
+        let got = engine.run_batched(&input, &mut scratch, workers).unwrap();
+        assert_eq!(got.activations, want, "{workers} workers");
+        assert_eq!(got.counters, reference.counters, "{workers} workers");
     }
 }
 
