@@ -5,6 +5,34 @@
 set -eu
 
 cargo fmt --check
+# Unsafe audit. The x86-64 tap-pair kernel module in tfe-sim's
+# engine/kernels.rs is the workspace's one unsafe code: the only
+# `allow(unsafe_code)`, and the only `unsafe` blocks, functions or impls
+# in any source file. tfe-sim denies unsafe code everywhere else and
+# denies `unsafe_op_in_unsafe_fn`, `clippy::undocumented_unsafe_blocks`
+# and `clippy::multiple_unsafe_ops_per_block` (enforced by the clippy
+# line below); every other crate under crates/ forbids unsafe code.
+allows=$(grep -rEn --include='*.rs' '(allow|expect)\([^)]*unsafe_code' crates compat src tests examples || true)
+if [ "$(printf '%s\n' "$allows" | grep -c 'crates/sim/src/engine/kernels.rs:')" -ne 1 ] ||
+    [ "$(printf '%s\n' "$allows" | grep -c .)" -ne 1 ]; then
+    printf 'unsafe audit: expected one allow(unsafe_code), in crates/sim/src/engine/kernels.rs:\n%s\n' "$allows"
+    exit 1
+fi
+unsafe_sites=$(grep -rElw --include='*.rs' 'unsafe[[:space:]]*(\{|fn|impl|trait|extern)' crates compat src tests examples |
+    grep -vx 'crates/sim/src/engine/kernels.rs' || true)
+if [ -n "$unsafe_sites" ]; then
+    printf 'unsafe audit: unsafe code outside the tap-pair kernel:\n%s\n' "$unsafe_sites"
+    exit 1
+fi
+for lib in crates/*/src/lib.rs; do
+    case "$lib" in
+    crates/sim/*) grep -q '^#!\[deny(unsafe_code)\]' "$lib" && grep -q 'clippy::undocumented_unsafe_blocks' "$lib" ;;
+    *) grep -q '^#!\[forbid(unsafe_code)\]' "$lib" ;;
+    esac || {
+        echo "unsafe audit: $lib lost its unsafe_code lint"
+        exit 1
+    }
+done
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline
 cargo build --release --offline --examples

@@ -8,7 +8,7 @@
 //! interleaved min-of-reps, **bit-identity asserted before timing**
 //! (activations, counters, and a batched run on each side):
 //!
-//! * **sparse_p50 / p60 / p65 / p70 / p90** — a dense stage magnitude-pruned
+//! * **sparse_p50 / p60 / p65 / p70 / p75 / p80 / p90** — a dense stage magnitude-pruned
 //!   to the exact sparsity through `tfe-baselines`'
 //!   [`SparseFilterBank::prune`], executed by the compressed-sparse
 //!   path (`engine/sparse.rs`) against the channel-stacked dense sweep
@@ -21,10 +21,10 @@
 //! * every cell's two sides are bit-identical — asserted on
 //!   activations and the full counter stream before any timing runs.
 //!
-//! The 50–70 % cells are recorded unpinned: they chart where the
+//! The 50–80 % cells are recorded unpinned: they chart where the
 //! sparse/dense crossover lives in the trajectory (`BENCH_*.json` via
 //! [`tfe_bench::report`]) — the measurement the default
-//! `ModePolicy::sparse_threshold` is set from (the 60 % and 65 % cells
+//! `ModePolicy::sparse_threshold` is set from (the 75 % and 80 % cells
 //! bracket it).
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -114,6 +114,20 @@ fn bench_engine_modes(c: &mut Criterion) {
             forced: (ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
             pin: None,
             seed: 202,
+        },
+        Cell {
+            label: "sparse_p75",
+            net: pruned_net(0.75, 27),
+            forced: (ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
+            pin: None,
+            seed: 207,
+        },
+        Cell {
+            label: "sparse_p80",
+            net: pruned_net(0.8, 28),
+            forced: (ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
+            pin: None,
+            seed: 208,
         },
         Cell {
             label: "sparse_p90",

@@ -25,9 +25,15 @@
 //! per stage (`compile_stage` records it in the stage IR), so the run
 //! phase never re-dispatches on `K` inside the hot loop: the selected
 //! variant routes to a `const K` core whose inner `j` loop the compiler
-//! fully unrolls and whose block-wide position loop it autovectorizes —
-//! flat `i16 → i32` passes over the raw Q8.8/Q16.16 bit patterns, no
-//! allocation, no unsafe.
+//! fully unrolls. The portable core's block-wide position loop
+//! autovectorizes — flat `i16 → i32` passes over the raw Q8.8/Q16.16 bit
+//! patterns, no allocation. On x86-64 the wrapping form of every row of
+//! at least eight positions and two taps runs the **tap-pair kernel**
+//! (`pairs`) instead: explicit `pmaddwd` intrinsics, two taps per
+//! multiply-accumulate instruction, in blocks of 8, 16 or 32 positions
+//! as wide as the host supports (detected at run time). It is the
+//! crate's one `unsafe` module; the portable loop keeps the saturating
+//! form, one-tap and shorter rows, and every other target.
 //!
 //! **Bit-identity constraint (DESIGN §5.10).** [`Accum`] addition
 //! saturates, so it is not associative: the saturating form must
@@ -172,10 +178,49 @@ impl RowKernel {
         acc: &mut [Accum],
         wrapping: bool,
     ) {
+        #[cfg(target_arch = "x86_64")]
+        if wrapping && pairs::serves(acc.len(), band.width) {
+            return self.correlate_pairs(pairs::Lanes::X32, weights, input, band, acc);
+        }
+        self.portable(weights, input, band, acc, wrapping);
+    }
+
+    /// The portable blocked loop: every target's saturating form, and
+    /// the wrapping form wherever the tap-pair kernel does not serve.
+    fn portable(
+        self,
+        weights: &[Fx16],
+        input: &[Fx16],
+        band: Band,
+        acc: &mut [Accum],
+        wrapping: bool,
+    ) {
         if wrapping {
             self.dispatch::<true>(weights, input, band, acc);
         } else {
             self.dispatch::<false>(weights, input, band, acc);
+        }
+    }
+
+    /// The wrapping form on x86-64's tap-pair kernel, with blocks no
+    /// wider than `cap` (and the host's widest).
+    #[cfg(target_arch = "x86_64")]
+    fn correlate_pairs(
+        self,
+        cap: pairs::Lanes,
+        weights: &[Fx16],
+        input: &[Fx16],
+        band: Band,
+        acc: &mut [Accum],
+    ) {
+        match self {
+            // A one-tap variant never pairs: a wider row fails the
+            // portable loop's extent check.
+            RowKernel::K1 => self.dispatch::<true>(weights, input, band, acc),
+            RowKernel::K3 => pairs::band::<3>(cap, weights, input, band, acc),
+            RowKernel::K5 => pairs::band::<5>(cap, weights, input, band, acc),
+            RowKernel::K7 => pairs::band::<7>(cap, weights, input, band, acc),
+            RowKernel::Generic => pairs::band::<0>(cap, weights, input, band, acc),
         }
     }
 
@@ -226,9 +271,7 @@ fn band_core<const K: usize, const L: usize, const WRAP: bool>(
     band: Band,
     acc: &mut [Accum],
 ) {
-    let k = if K == 0 { band.width } else { K };
-    assert_eq!(band.width, k, "weight row length must match the kernel");
-    assert!(k >= 1, "a correlation kernel needs at least one weight");
+    let k = extent::<K>(band.width);
     let span = acc.len();
     let Band {
         channels,
@@ -280,6 +323,18 @@ fn band_core<const K: usize, const L: usize, const WRAP: bool>(
         }
         store(acc, &r[..span]);
     }
+}
+
+/// The tap count of a `K` monomorph (`K = 0`: the band's own width).
+///
+/// # Panics
+///
+/// Panics if `width` disagrees with a fixed `K`, or is zero.
+fn extent<const K: usize>(width: usize) -> usize {
+    let k = if K == 0 { width } else { K };
+    assert_eq!(width, k, "weight row length must match the kernel");
+    assert!(k >= 1, "a correlation kernel needs at least one weight");
+    k
 }
 
 /// One full block: loads the `L` accumulators at `x0` into registers,
@@ -361,9 +416,427 @@ fn fold_channel<const L: usize, const WRAP: bool, X: Borrow<[Fx16; L]>>(
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod pairs {
+    //! The x86-64 tap-pair kernel: the wrapping form with two taps per
+    //! multiply-accumulate instruction, the software form of SAFM's pre-add.
+    //!
+    //! `punpck{l,h}wd` interleaves the samples under taps `j` and `j + 1`,
+    //! and `pmaddwd` multiplies them by the broadcast weight pair
+    //! `(w[j], w[j+1])` — one 32-bit read, since every stored row holds the
+    //! pair side by side — adding each two adjacent products into one `i32`
+    //! lane. An odd extent pairs its last tap as `(0, x[K−1])` against
+    //! `(w[K−2], w[K−1])`: the weight read stays inside the row and the zero
+    //! product is exact.
+    //!
+    //! One block body (`pair_blocks!`) runs at three widths: 8 positions
+    //! in 128-bit registers (SSE2, the x86-64 baseline), 16 in 256-bit
+    //! (AVX2) and 32 in 512-bit (AVX-512BW). [`band`] runs the host's
+    //! widest full blocks first, then narrower ones, then a ragged tail as
+    //! one overlapped 8-position block (the portable loop's tail rule).
+    //!
+    //! **Exactness.** `pmaddwd` and `paddd` are exact modulo 2³², and the
+    //! stage gate (`exec::saturation_free`) that selects the wrapping form
+    //! keeps every exact sum inside `i32`, so the outputs equal the
+    //! saturating chain bit for bit. (`pmaddwd` wraps only when all four
+    //! operands are −2¹⁵, a pair sum of 2³¹ that the gate rejects.)
+    //!
+    //! **Unsafe.** This is the crate's one `unsafe` module. Its `unsafe`
+    //! blocks are unaligned loads and stores of exactly one vector from a
+    //! slice already cut to that length (so a short operand panics before
+    //! any read), and entries into `#[target_feature]` functions: SSE2
+    //! always, AVX2 and AVX-512BW only after run-time detection.
+
+    use super::{extent, Band, NARROW};
+    use tfe_tensor::fixed::{Accum, Fx16};
+
+    /// The widest block a call may run; ordered narrowest first.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub(super) enum Lanes {
+        /// 8 positions per block, SSE2.
+        X8,
+        /// 16 positions per block, AVX2.
+        X16,
+        /// 32 positions per block, AVX-512BW.
+        X32,
+    }
+
+    impl Lanes {
+        /// The widest block this host runs (`is_x86_feature_detected!`
+        /// caches its probe, so each call is one load and test).
+        pub(super) fn host() -> Lanes {
+            if !std::is_x86_feature_detected!("avx2") {
+                Lanes::X8
+            } else if std::is_x86_feature_detected!("avx512bw") {
+                Lanes::X32
+            } else {
+                Lanes::X16
+            }
+        }
+    }
+
+    /// Whether the tap-pair kernel serves a wrapping band: a row of at
+    /// least one 8-position block, and at least two taps to pair.
+    pub(super) fn serves(span: usize, width: usize) -> bool {
+        span >= NARROW && width >= 2
+    }
+
+    /// `acc[x] += Σ_c Σ_j input[c·in_stride + x + j] · w_c[j]`, wrapping,
+    /// in blocks no wider than `cap` or the host's widest.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`serves`] holds for the band, if its width
+    /// disagrees with `K`, or if an operand is shorter than the band's
+    /// extent (see [`super::RowKernel::correlate_band`]).
+    pub(super) fn band<const K: usize>(
+        cap: Lanes,
+        weights: &[Fx16],
+        input: &[Fx16],
+        band: Band,
+        acc: &mut [Accum],
+    ) {
+        let k = extent::<K>(band.width);
+        let span = acc.len();
+        assert!(
+            serves(span, k),
+            "a tap-pair band needs {NARROW} positions and two taps"
+        );
+        if band.channels == 0 {
+            return;
+        }
+        let weights = &weights[..(band.channels - 1) * band.w_stride + k];
+        let input = &input[..(band.channels - 1) * band.in_stride + span + k - 1];
+        let widest = Lanes::host().min(cap);
+        let mut x0 = 0;
+        if widest == Lanes::X32 {
+            // SAFETY: `Lanes::host` answers X32 only after detecting
+            // AVX-512BW.
+            x0 = unsafe { x32::blocks::<K>(weights, input, band, acc, x0) };
+        }
+        if widest >= Lanes::X16 {
+            // SAFETY: `Lanes::host` answers X16 or wider only after
+            // detecting AVX2.
+            x0 = unsafe { x16::blocks::<K>(weights, input, band, acc, x0) };
+        }
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        x0 = unsafe { x8::blocks::<K>(weights, input, band, acc, x0) };
+        if x0 < span {
+            // The overlapped last block: its first lanes are already
+            // final, so it runs on a copy whose stale lanes are zero
+            // and only its fresh lanes are written back.
+            let (x0, fresh) = (span - x8::LANES, x8::LANES - (span - x0));
+            let mut tail = [Accum::ZERO; x8::LANES];
+            tail[fresh..].copy_from_slice(&acc[x0 + fresh..]);
+            // SAFETY: SSE2 is part of the x86-64 baseline.
+            unsafe { x8::blocks::<K>(weights, &input[x0..], band, &mut tail, 0) };
+            acc[x0 + fresh..].copy_from_slice(&tail[fresh..]);
+        }
+    }
+
+    /// The 32-bit broadcast operand `(lo, hi)` of one weight pair.
+    #[inline(always)]
+    fn pair(lo: Fx16, hi: Fx16) -> i32 {
+        (u32::from(hi.to_bits() as u16) << 16 | u32::from(lo.to_bits() as u16)) as i32
+    }
+
+    /// The block body shared by every width. The enclosing module
+    /// defines `LANES` and, under the named target feature, the block's
+    /// vector operations: `load` and `store` (its accumulators as two
+    /// `i32` vectors), `samples` (`LANES` samples as one `i16` vector),
+    /// `zero`, and `mac` (one tap pair folded into the accumulators).
+    macro_rules! pair_blocks {
+        ($feature:literal) => {
+            /// Folds the band into every full `LANES`-position block from
+            /// `x0` on and returns where the first unfinished block
+            /// starts.
+            #[target_feature(enable = $feature)]
+            pub(super) fn blocks<const K: usize>(
+                weights: &[Fx16],
+                input: &[Fx16],
+                band: Band,
+                acc: &mut [Accum],
+                mut x0: usize,
+            ) -> usize {
+                let k = if K == 0 { band.width } else { K };
+                while x0 + LANES <= acc.len() {
+                    let block = &mut acc[x0..x0 + LANES];
+                    let mut r = load(block);
+                    for c in 0..band.channels {
+                        let w = &weights[c * band.w_stride..][..k];
+                        let x = &input[c * band.in_stride + x0..][..LANES + k - 1];
+                        let mut j = 0;
+                        while j + 1 < k {
+                            r = mac(
+                                r,
+                                samples(&x[j..]),
+                                samples(&x[j + 1..]),
+                                pair(w[j], w[j + 1]),
+                            );
+                            j += 2;
+                        }
+                        if k % 2 == 1 {
+                            r = mac(r, zero(), samples(&x[k - 1..]), pair(w[k - 2], w[k - 1]));
+                        }
+                    }
+                    store(block, r);
+                    x0 += LANES;
+                }
+                x0
+            }
+        };
+    }
+
+    /// 8 positions in 128-bit registers; the two accumulator vectors
+    /// hold positions 0–3 and 4–7, the order `punpck{l,h}wd` yields.
+    mod x8 {
+        use super::{pair, Band};
+        use std::arch::x86_64::*;
+        use tfe_tensor::fixed::{Accum, Fx16};
+
+        pub(super) const LANES: usize = 8;
+        type Acc = (__m128i, __m128i);
+
+        #[target_feature(enable = "sse2")]
+        #[inline]
+        fn samples(s: &[Fx16]) -> __m128i {
+            let s = &s[..LANES];
+            // SAFETY: `s` holds 8 `i16` (`Fx16` is transparent), one
+            // 16-byte vector; `loadu` needs no alignment.
+            unsafe { _mm_loadu_si128(s.as_ptr().cast()) }
+        }
+
+        #[target_feature(enable = "sse2")]
+        #[inline]
+        fn load(block: &[Accum]) -> Acc {
+            let (lo, hi) = block[..LANES].split_at(LANES / 2);
+            // SAFETY: `lo` holds 4 `i32` (`Accum` is transparent), one
+            // 16-byte vector; `loadu` needs no alignment.
+            let lo = unsafe { _mm_loadu_si128(lo.as_ptr().cast()) };
+            // SAFETY: as above, for the block's upper 4 accumulators.
+            let hi = unsafe { _mm_loadu_si128(hi.as_ptr().cast()) };
+            (lo, hi)
+        }
+
+        #[target_feature(enable = "sse2")]
+        #[inline]
+        fn store(block: &mut [Accum], (lo, hi): Acc) {
+            let (l, h) = block[..LANES].split_at_mut(LANES / 2);
+            // SAFETY: `l` holds 4 `i32` (`Accum` is transparent), one
+            // 16-byte vector; `storeu` needs no alignment.
+            unsafe { _mm_storeu_si128(l.as_mut_ptr().cast(), lo) };
+            // SAFETY: as above, for the block's upper 4 accumulators.
+            unsafe { _mm_storeu_si128(h.as_mut_ptr().cast(), hi) };
+        }
+
+        #[target_feature(enable = "sse2")]
+        #[inline]
+        fn zero() -> __m128i {
+            _mm_setzero_si128()
+        }
+
+        #[target_feature(enable = "sse2")]
+        #[inline]
+        fn mac((lo, hi): Acc, a: __m128i, b: __m128i, w: i32) -> Acc {
+            let w = _mm_set1_epi32(w);
+            (
+                _mm_add_epi32(lo, _mm_madd_epi16(_mm_unpacklo_epi16(a, b), w)),
+                _mm_add_epi32(hi, _mm_madd_epi16(_mm_unpackhi_epi16(a, b), w)),
+            )
+        }
+
+        pair_blocks!("sse2");
+    }
+
+    /// 16 positions in 256-bit registers. `punpck{l,h}wd` works within
+    /// each 128-bit half, so the low vector holds positions 0–3 and
+    /// 8–11 and the high one 4–7 and 12–15; `load` and `store` permute
+    /// between that order and the row's.
+    mod x16 {
+        use super::{pair, Band};
+        use std::arch::x86_64::*;
+        use tfe_tensor::fixed::{Accum, Fx16};
+
+        const LANES: usize = 16;
+        type Acc = (__m256i, __m256i);
+
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn samples(s: &[Fx16]) -> __m256i {
+            let s = &s[..LANES];
+            // SAFETY: `s` holds 16 `i16` (`Fx16` is transparent), one
+            // 32-byte vector; `loadu` needs no alignment.
+            unsafe { _mm256_loadu_si256(s.as_ptr().cast()) }
+        }
+
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn load(block: &[Accum]) -> Acc {
+            let (a, b) = block[..LANES].split_at(LANES / 2);
+            // SAFETY: `a` holds 8 `i32` (`Accum` is transparent), one
+            // 32-byte vector; `loadu` needs no alignment.
+            let a = unsafe { _mm256_loadu_si256(a.as_ptr().cast()) };
+            // SAFETY: as above, for the block's upper 8 accumulators.
+            let b = unsafe { _mm256_loadu_si256(b.as_ptr().cast()) };
+            (
+                _mm256_permute2x128_si256::<0x20>(a, b),
+                _mm256_permute2x128_si256::<0x31>(a, b),
+            )
+        }
+
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn store(block: &mut [Accum], (lo, hi): Acc) {
+            let (a, b) = block[..LANES].split_at_mut(LANES / 2);
+            // The halves' exchange is its own inverse.
+            let va = _mm256_permute2x128_si256::<0x20>(lo, hi);
+            let vb = _mm256_permute2x128_si256::<0x31>(lo, hi);
+            // SAFETY: `a` holds 8 `i32` (`Accum` is transparent), one
+            // 32-byte vector; `storeu` needs no alignment.
+            unsafe { _mm256_storeu_si256(a.as_mut_ptr().cast(), va) };
+            // SAFETY: as above, for the block's upper 8 accumulators.
+            unsafe { _mm256_storeu_si256(b.as_mut_ptr().cast(), vb) };
+        }
+
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn zero() -> __m256i {
+            _mm256_setzero_si256()
+        }
+
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn mac((lo, hi): Acc, a: __m256i, b: __m256i, w: i32) -> Acc {
+            let w = _mm256_set1_epi32(w);
+            (
+                _mm256_add_epi32(lo, _mm256_madd_epi16(_mm256_unpacklo_epi16(a, b), w)),
+                _mm256_add_epi32(hi, _mm256_madd_epi16(_mm256_unpackhi_epi16(a, b), w)),
+            )
+        }
+
+        pair_blocks!("avx2");
+    }
+
+    /// 32 positions in 512-bit registers. As at 16, the unpacks work per
+    /// 128-bit quarter: the low vector holds positions 0–3, 8–11, 16–19
+    /// and 24–27, the high one the other four quarters.
+    mod x32 {
+        use super::{pair, Band};
+        use std::arch::x86_64::*;
+        use tfe_tensor::fixed::{Accum, Fx16};
+
+        const LANES: usize = 32;
+        type Acc = (__m512i, __m512i);
+
+        #[target_feature(enable = "avx512bw")]
+        #[inline]
+        fn samples(s: &[Fx16]) -> __m512i {
+            let s = &s[..LANES];
+            // SAFETY: `s` holds 32 `i16` (`Fx16` is transparent), one
+            // 64-byte vector; `loadu` needs no alignment.
+            unsafe { _mm512_loadu_si512(s.as_ptr().cast()) }
+        }
+
+        #[target_feature(enable = "avx512bw")]
+        #[inline]
+        fn load(block: &[Accum]) -> Acc {
+            let (a, b) = block[..LANES].split_at(LANES / 2);
+            // SAFETY: `a` holds 16 `i32` (`Accum` is transparent), one
+            // 64-byte vector; `loadu` needs no alignment.
+            let a = unsafe { _mm512_loadu_si512(a.as_ptr().cast()) };
+            // SAFETY: as above, for the block's upper 16 accumulators.
+            let b = unsafe { _mm512_loadu_si512(b.as_ptr().cast()) };
+            // Quarters (a0 a2 b0 b2) and (a1 a3 b1 b3).
+            (
+                _mm512_shuffle_i32x4::<0b10_00_10_00>(a, b),
+                _mm512_shuffle_i32x4::<0b11_01_11_01>(a, b),
+            )
+        }
+
+        #[target_feature(enable = "avx512bw")]
+        #[inline]
+        fn store(block: &mut [Accum], (lo, hi): Acc) {
+            let (a, b) = block[..LANES].split_at_mut(LANES / 2);
+            // (lo0 lo1 hi0 hi1) → (lo0 hi0 lo1 hi1), and likewise for
+            // the upper quarters.
+            let va = _mm512_shuffle_i32x4::<0b01_00_01_00>(lo, hi);
+            let va = _mm512_shuffle_i32x4::<0b11_01_10_00>(va, va);
+            let vb = _mm512_shuffle_i32x4::<0b11_10_11_10>(lo, hi);
+            let vb = _mm512_shuffle_i32x4::<0b11_01_10_00>(vb, vb);
+            // SAFETY: `a` holds 16 `i32` (`Accum` is transparent), one
+            // 64-byte vector; `storeu` needs no alignment.
+            unsafe { _mm512_storeu_si512(a.as_mut_ptr().cast(), va) };
+            // SAFETY: as above, for the block's upper 16 accumulators.
+            unsafe { _mm512_storeu_si512(b.as_mut_ptr().cast(), vb) };
+        }
+
+        #[target_feature(enable = "avx512bw")]
+        #[inline]
+        fn zero() -> __m512i {
+            _mm512_setzero_si512()
+        }
+
+        #[target_feature(enable = "avx512bw")]
+        #[inline]
+        fn mac((lo, hi): Acc, a: __m512i, b: __m512i, w: i32) -> Acc {
+            let w = _mm512_set1_epi32(w);
+            (
+                _mm512_add_epi32(lo, _mm512_madd_epi16(_mm512_unpacklo_epi16(a, b), w)),
+                _mm512_add_epi32(hi, _mm512_madd_epi16(_mm512_unpackhi_epi16(a, b), w)),
+            )
+        }
+
+        pair_blocks!("avx512bw");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The block-width caps every test runs: 0 is the portable loop (on
+    /// every target), 8, 16 and 32 the tap-pair kernel's widths.
+    const CAPS: [usize; 4] = [0, 8, 16, 32];
+
+    /// [`RowKernel::correlate_band`] with the tap-pair kernel's blocks
+    /// capped at `cap` positions (0: the portable loop). Returns false,
+    /// running nothing and reporting the skip, when the host lacks that
+    /// width.
+    fn correlate_capped(
+        kernel: RowKernel,
+        cap: usize,
+        weights: &[Fx16],
+        input: &[Fx16],
+        band: Band,
+        acc: &mut [Accum],
+        wrapping: bool,
+    ) -> bool {
+        if cap == 0 {
+            kernel.portable(weights, input, band, acc, wrapping);
+            return true;
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            let lanes = match cap {
+                8 => pairs::Lanes::X8,
+                16 => pairs::Lanes::X16,
+                32 => pairs::Lanes::X32,
+                _ => panic!("no {cap}-position tap-pair block"),
+            };
+            if lanes <= pairs::Lanes::host() {
+                if wrapping && pairs::serves(acc.len(), band.width) {
+                    kernel.correlate_pairs(lanes, weights, input, band, acc);
+                } else {
+                    kernel.portable(weights, input, band, acc, wrapping);
+                }
+                return true;
+            }
+        }
+        eprintln!("skipped: this host has no {cap}-position tap-pair blocks");
+        false
+    }
 
     fn fx(bits: &[i16]) -> Vec<Fx16> {
         bits.iter().map(|&b| Fx16::from_bits(b)).collect()
@@ -383,6 +856,25 @@ mod tests {
                 *slot += corr;
             }
         }
+    }
+
+    /// The stage gate's bound (`exec::saturation_free`) on this band's
+    /// operands, widened by the largest base accumulator: where it holds,
+    /// the wrapping form must equal the reference.
+    fn gated(weights: &[Fx16], input: &[Fx16], band: Band, base: &[Accum]) -> bool {
+        let abs_max = |v: &[Fx16]| {
+            v.iter()
+                .map(|x| i64::from(x.to_bits()).abs())
+                .max()
+                .unwrap_or(0)
+        };
+        let acc_max = base
+            .iter()
+            .map(|a| i64::from(a.to_bits()).abs())
+            .max()
+            .unwrap_or(0);
+        (band.channels * band.width) as i64 * abs_max(weights) * abs_max(input) + acc_max
+            < i64::from(i32::MAX)
     }
 
     /// A deterministic stream of raw `i16` values: uniform in `±bound`,
@@ -405,19 +897,33 @@ mod tests {
             .collect()
     }
 
+    /// Checks the saturating form under every cap, and the wrapping form
+    /// too where the operands pass the gate.
     fn check(kernel: RowKernel, weights: &[Fx16], input: &[Fx16], band: Band, base: &[Accum]) {
         let mut want = base.to_vec();
         reference(weights, input, band, &mut want);
-        let mut got = base.to_vec();
-        kernel.correlate_band(weights, input, band, &mut got, false);
-        assert_eq!(got, want, "kernel {kernel:?} band={band:?}");
+        let wrap_ok = gated(weights, input, band, base);
+        for cap in CAPS {
+            for wrap in [false, true].into_iter().filter(|&w| wrap_ok || !w) {
+                let mut got = base.to_vec();
+                if correlate_capped(kernel, cap, weights, input, band, &mut got, wrap) {
+                    assert_eq!(
+                        got, want,
+                        "kernel {kernel:?} cap {cap} wrapping {wrap} band={band:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn specialized_variants_match_reference() {
-        let input = fx(&(0..70).map(|i| (i * 991 - 7000) as i16).collect::<Vec<_>>());
+        let input = fx(&(0..140)
+            .map(|i| (i * 991 - 7000) as i16)
+            .collect::<Vec<_>>());
         for (k, kernel) in [
             (1, RowKernel::K1),
+            (2, RowKernel::Generic),
             (3, RowKernel::K3),
             (5, RowKernel::K5),
             (7, RowKernel::K7),
@@ -426,8 +932,9 @@ mod tests {
         ] {
             assert_eq!(RowKernel::select(k), kernel);
             let weights = fx(&(0..k).map(|j| (j as i16 * 513) - 700).collect::<Vec<_>>());
-            // Block boundaries of all three widths, sub-block, ragged,
-            // and empty output extents.
+            // Block boundaries of every width, sub-block, ragged, and
+            // empty output extents, and rows long enough to cascade
+            // 32 + 32 + 16 + 8 + an overlapped tail.
             for span in [
                 0,
                 1,
@@ -442,18 +949,21 @@ mod tests {
                 16,
                 19,
                 32,
+                40,
+                48,
+                56,
+                63,
+                64,
+                100,
                 input.len() - k + 1,
             ] {
                 let base: Vec<Accum> = (0..span)
                     .map(|i| Accum::from_bits(i as i32 * 77 - 1000))
                     .collect();
-                check(
-                    kernel,
-                    &weights,
-                    &input[..span + k - 1],
-                    Band::row(k),
-                    &base,
-                );
+                let band = Band::row(k);
+                let input = &input[..span + k - 1];
+                assert!(gated(&weights, input, band, &base));
+                check(kernel, &weights, input, band, &base);
             }
         }
     }
@@ -477,20 +987,76 @@ mod tests {
         check(RowKernel::Generic, &weights, &input, band, &base);
     }
 
+    #[test]
+    fn wrapping_form_is_exact_at_the_gate_edge() {
+        // Operands whose bound sits just inside 2³¹: every pair sum
+        // reaches ±(2³¹ − 2¹⁶) or near it, so an exact pmaddwd pair and
+        // an exact fold are required — yet no sum leaves i32. (All four
+        // pmaddwd operands at −2¹⁵ would wrap; the gate rejects that.)
+        const MIN: i16 = i16::MIN;
+        const MAX: i16 = i16::MAX;
+        for (channels, k, w, x) in [
+            (1, 2, MIN, MAX),
+            (1, 2, MAX, MIN),
+            (1, 2, MIN, -MAX),
+            (1, 3, -21845, MIN),
+            (1, 3, 21845, MIN),
+            (2, 4, -8191, MAX),
+            (4, 2, MIN / 4 + 1, MIN),
+        ] {
+            for span in [8, 15, 16, 31, 32, 40, 63, 100] {
+                let band = Band {
+                    channels,
+                    width: k,
+                    w_stride: k,
+                    in_stride: span + k - 1,
+                };
+                let weights = fx(&vec![w; channels * k]);
+                let input = fx(&vec![x; channels * band.in_stride]);
+                let base = vec![Accum::ZERO; span];
+                assert!(
+                    gated(&weights, &input, band, &base),
+                    "cell ({channels}, {k}, {w}, {x}) fails the gate"
+                );
+                let mut want = base.clone();
+                reference(&weights, &input, band, &mut want);
+                for cap in CAPS {
+                    let mut got = base.clone();
+                    if correlate_capped(
+                        RowKernel::select(k),
+                        cap,
+                        &weights,
+                        &input,
+                        band,
+                        &mut got,
+                        true,
+                    ) {
+                        assert_eq!(
+                            got, want,
+                            "cap {cap} span {span} cell ({channels}, {k}, {w}, {x})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
         /// The stacked forms must equal `channels` sequential one-row
         /// passes in the `*_acc_scalar` order, for every variant (the
-        /// runtime-`K` fallback included), both addition forms: the saturating form on clamping extreme data
-        /// (and on gated data), the wrapping form on data satisfying
-        /// the saturation-free gate. Inputs are sliced to exactly the
-        /// band's extent, so any read past the pass's span panics.
+        /// runtime-`K` fallback included) under every block-width cap,
+        /// both addition forms: the saturating form on clamping extreme
+        /// data (and on gated data), the wrapping form on data satisfying
+        /// the saturation-free gate. Spans reach past 100, so the widths
+        /// cascade; inputs are sliced to exactly the band's extent, so
+        /// any read past the pass's span panics.
         #[test]
         fn stacked_band_matches_sequential_channel_passes(
             k in 1usize..10,
             channels in 1usize..10,
-            span in 0usize..71,
+            span in 0usize..131,
             w_gap in 0usize..3,
             in_gap in 0usize..5,
             clamping in proptest::prelude::any::<bool>(),
@@ -519,43 +1085,96 @@ mod tests {
                     .map(|&b| Accum::from_bits(i32::from(b)))
                     .collect()
             };
+            let mut want = base.clone();
+            reference(&weights, &input, band, &mut want);
             for kernel in [RowKernel::select(k), RowKernel::Generic] {
-                let mut want = base.clone();
-                reference(&weights, &input, band, &mut want);
-                let mut got = base.clone();
-                kernel.correlate_band(&weights, &input, band, &mut got, false);
-                proptest::prop_assert_eq!(&got, &want, "{:?} saturating", kernel);
-                if !clamping {
+                for cap in CAPS {
                     let mut got = base.clone();
-                    kernel.correlate_band(&weights, &input, band, &mut got, true);
-                    proptest::prop_assert_eq!(&got, &want, "{:?} wrapping", kernel);
+                    if correlate_capped(kernel, cap, &weights, &input, band, &mut got, false) {
+                        proptest::prop_assert_eq!(&got, &want, "{:?} cap {} saturating", kernel, cap);
+                    }
+                    if !clamping {
+                        let mut got = base.clone();
+                        if correlate_capped(kernel, cap, &weights, &input, band, &mut got, true) {
+                            proptest::prop_assert_eq!(&got, &want, "{:?} cap {} wrapping", kernel, cap);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs `f`, which must panic unless it reports its cap skipped.
+    fn rejects(what: &str, f: impl FnOnce() -> bool) {
+        if let Ok(true) = catch_unwind(AssertUnwindSafe(f)) {
+            panic!("{what} was accepted");
+        }
+    }
+
+    #[test]
+    fn wrong_extent_is_rejected() {
+        let weights = fx(&[1, 2]);
+        let input = fx(&[0; 17]);
+        for cap in CAPS {
+            for wrapping in [false, true] {
+                for kernel in [RowKernel::K1, RowKernel::K3] {
+                    for span in [4, 16] {
+                        rejects(
+                            &format!("{kernel:?} on a 2-tap row, cap {cap}, span {span}"),
+                            || {
+                                let mut acc = vec![Accum::ZERO; span];
+                                correlate_capped(
+                                    kernel,
+                                    cap,
+                                    &weights,
+                                    &input,
+                                    Band::row(2),
+                                    &mut acc,
+                                    wrapping,
+                                )
+                            },
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "weight row length")]
-    fn wrong_extent_is_rejected() {
-        let weights = fx(&[1, 2]);
-        let input = fx(&[0; 8]);
-        let mut acc = vec![Accum::ZERO; 4];
-        RowKernel::K3.correlate_band(&weights, &input, Band::row(2), &mut acc, false);
-    }
-
-    #[test]
-    #[should_panic]
     fn reads_past_the_band_are_rejected() {
-        // Two channels 6 apart need (2−1)·6 + 4 + 3 − 1 = 12 samples.
-        let weights = fx(&[1; 6]);
-        let input = fx(&[0; 11]);
-        let band = Band {
-            channels: 2,
-            width: 3,
-            w_stride: 3,
-            in_stride: 6,
-        };
-        let mut acc = vec![Accum::ZERO; 4];
-        RowKernel::K3.correlate_band(&weights, &input, band, &mut acc, true);
+        // Two channels `span + 2` apart need (2−1)·(span + 2) + span + 3 − 1
+        // samples and 3 + 3 weights; one fewer of either must panic
+        // before any read, at every block width.
+        for cap in CAPS {
+            for wrapping in [false, true] {
+                for span in [4, 8, 16, 32, 40] {
+                    let band = Band {
+                        channels: 2,
+                        width: 3,
+                        w_stride: 3,
+                        in_stride: span + 2,
+                    };
+                    let need = band.in_stride + span + 2;
+                    for (w_len, in_len) in [(6, need - 1), (5, need)] {
+                        let (weights, input) = (fx(&vec![1; w_len]), fx(&vec![0; in_len]));
+                        rejects(
+                            &format!("cap {cap} span {span} {w_len} weights {in_len} samples"),
+                            || {
+                                let mut acc = vec![Accum::ZERO; span];
+                                correlate_capped(
+                                    RowKernel::K3,
+                                    cap,
+                                    &weights,
+                                    &input,
+                                    band,
+                                    &mut acc,
+                                    wrapping,
+                                )
+                            },
+                        );
+                    }
+                }
+            }
+        }
     }
 }

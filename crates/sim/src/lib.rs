@@ -33,7 +33,12 @@
 //! assert!(perf.conv_mac_reduction() > 3.5);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(
+    unsafe_op_in_unsafe_fn,
+    clippy::undocumented_unsafe_blocks,
+    clippy::multiple_unsafe_ops_per_block
+)]
 #![warn(missing_docs)]
 
 pub mod batch;

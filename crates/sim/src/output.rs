@@ -1,6 +1,7 @@
 //! The output memory system (Fig. 13): adder trees → ReLU → row-wise
-//! pooling through `Pool_Reg` and the two `O_Memory` banks → the data
-//! alignment memory (DAM).
+//! pooling through `Pool_Reg` and the two `O_Memory` banks. (The data
+//! alignment memory that follows in the figure only stages finished rows
+//! for off-chip bursts, and is not modelled.)
 //!
 //! The TFE produces ofmap activations *row by row*, so pooling cannot see
 //! a whole tile: a `p × p` pool first reduces each fresh row horizontally
@@ -109,61 +110,6 @@ pub(crate) fn process_channel(
     );
 }
 
-/// The data alignment memory: buffers pooled rows until a whole channel
-/// group is ready for a single burst to off-chip memory, eliminating the
-/// "complex data alignment operation" (Section IV).
-#[derive(Debug, Clone)]
-pub struct AlignmentMemory {
-    capacity_words: usize,
-    buffered: Vec<Vec<f32>>,
-    words: usize,
-    /// Number of off-chip bursts issued.
-    bursts: u64,
-}
-
-impl AlignmentMemory {
-    /// Creates a DAM with the given capacity in 16-bit words (the paper's
-    /// DAM is 16 KB = 8192 words).
-    #[must_use]
-    pub fn new(capacity_words: usize) -> Self {
-        AlignmentMemory {
-            capacity_words: capacity_words.max(1),
-            buffered: Vec::new(),
-            words: 0,
-            bursts: 0,
-        }
-    }
-
-    /// Buffers one pooled row; issues a burst (returning the drained
-    /// rows) when the memory fills.
-    pub fn push(&mut self, row: Vec<f32>, counters: &mut Counters) -> Option<Vec<Vec<f32>>> {
-        counters.psum_mem_writes += row.len() as u64;
-        self.words += row.len();
-        self.buffered.push(row);
-        if self.words >= self.capacity_words {
-            Some(self.drain(counters))
-        } else {
-            None
-        }
-    }
-
-    /// Drains whatever is buffered as a final burst.
-    pub fn drain(&mut self, counters: &mut Counters) -> Vec<Vec<f32>> {
-        let rows = std::mem::take(&mut self.buffered);
-        let words: usize = rows.iter().map(Vec::len).sum();
-        counters.dram_bits += words as u64 * 16;
-        self.words = 0;
-        self.bursts += 1;
-        rows
-    }
-
-    /// Off-chip bursts issued so far.
-    #[must_use]
-    pub fn bursts(&self) -> u64 {
-        self.bursts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,28 +189,6 @@ mod tests {
         assert_eq!(counters.psum_mem_reads, 4);
         // Pool_Reg staged each of the 8 activations once.
         assert_eq!(counters.sr_writes, 8);
-    }
-
-    #[test]
-    fn dam_bursts_when_full() {
-        let mut counters = Counters::new();
-        let mut dam = AlignmentMemory::new(4);
-        assert!(dam.push(vec![1.0, 2.0], &mut counters).is_none());
-        let burst = dam.push(vec![3.0, 4.0], &mut counters);
-        assert!(burst.is_some());
-        assert_eq!(burst.unwrap().len(), 2);
-        assert_eq!(dam.bursts(), 1);
-        assert_eq!(counters.dram_bits, 4 * 16);
-    }
-
-    #[test]
-    fn dam_final_drain_flushes_remainder() {
-        let mut counters = Counters::new();
-        let mut dam = AlignmentMemory::new(100);
-        let _ = dam.push(vec![1.0; 3], &mut counters);
-        let rows = dam.drain(&mut counters);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(counters.dram_bits, 3 * 16);
     }
 
     #[test]

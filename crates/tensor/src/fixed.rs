@@ -31,6 +31,9 @@ pub const SCALE: i32 = 1 << FRAC_BITS;
 /// assert_eq!((x * y).to_f32(), -0.375);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+// Layout-identical to `i16`: tfe-sim's x86-64 row kernel loads
+// `&[Fx16]` rows as `i16` vectors.
+#[repr(transparent)]
 pub struct Fx16(i16);
 
 impl Fx16 {
@@ -169,6 +172,9 @@ impl Mul for Fx16 {
 /// full-precision products so repeated reuse (PPSR/ERRR) never loses
 /// precision relative to a fused accumulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+// Layout-identical to `i32`: tfe-sim's x86-64 row kernel loads and
+// stores `&[Accum]` rows as `i32` vectors.
+#[repr(transparent)]
 pub struct Accum(i32);
 
 impl Accum {

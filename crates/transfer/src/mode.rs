@@ -98,18 +98,17 @@ impl ModePolicy {
 }
 
 impl Default for ModePolicy {
-    /// Sparse from 65 % zero taps: the crossover the per-image sparse
-    /// executor measured against the channel-stacked dense sweep. On
-    /// the `engine_modes` bench's 48→32-channel 12×12 stage it ran at
-    /// 0.65–0.97× dense at 50 % sparsity and 0.81–1.03× at 60 %, but
-    /// 0.99–1.12× at 65 %, 1.04–1.33× at 70 %, and 2.1–2.7× at 90 %
-    /// (2 vCPUs, interleaved min-of-reps, seven or eight runs). The tap
-    /// pass that replaced it inside the dense sweep read medians of
-    /// 0.90× at 60 %, 0.99× at 65 % and 1.12× at 70 % over eight later
-    /// runs, so the threshold stays at 65 %.
+    /// Sparse from 80 % zero taps: the crossover of the compressed-sparse
+    /// tap pass against the dense sweep. On the `engine_modes` bench's
+    /// 48→32-channel 12×12 stage (single images, whose 12-position rows
+    /// the dense sweep runs through x86-64's 8-position tap-pair kernel)
+    /// the sparse/dense medians of three sets of eight to ten runs on
+    /// 2 vCPUs were 0.71–0.78× at 65 %, 0.84–0.89× at 70 %, 0.96–1.01×
+    /// at 75 % (two sets), 1.06–1.20× at 80 % (two sets) and 1.9–2.0×
+    /// at 90 % sparsity.
     fn default() -> Self {
         ModePolicy {
-            sparse_threshold: 0.65,
+            sparse_threshold: 0.8,
         }
     }
 }
@@ -122,8 +121,8 @@ mod tests {
     fn default_policy_picks_each_mode() {
         let p = ModePolicy::default();
         assert_eq!(p.decide(0.0), ExecMode::Dense);
-        assert_eq!(p.decide(0.6), ExecMode::Dense);
-        assert_eq!(p.decide(0.65), ExecMode::Sparse);
+        assert_eq!(p.decide(0.75), ExecMode::Dense);
+        assert_eq!(p.decide(0.8), ExecMode::Sparse);
         assert_eq!(p.decide(0.9), ExecMode::Sparse);
         assert_eq!(p.decide(1.0), ExecMode::Sparse);
     }
