@@ -8,7 +8,7 @@
 //! interleaved min-of-reps, **bit-identity asserted before timing**
 //! (activations, counters, and a batched run on each side):
 //!
-//! * **sparse_p50 / p60 / p65 / p70 / p75 / p80 / p90** — a dense stage magnitude-pruned
+//! * **sparse_p50 / p70 / p75 / p80 / p90** — a dense stage magnitude-pruned
 //!   to the exact sparsity through `tfe-baselines`'
 //!   [`SparseFilterBank::prune`], executed by the compressed-sparse
 //!   path (`engine/sparse.rs`) against the channel-stacked dense sweep
@@ -93,20 +93,6 @@ fn bench_engine_modes(c: &mut Criterion) {
             forced: (ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
             pin: None,
             seed: 201,
-        },
-        Cell {
-            label: "sparse_p60",
-            net: pruned_net(0.6, 25),
-            forced: (ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
-            pin: None,
-            seed: 205,
-        },
-        Cell {
-            label: "sparse_p65",
-            net: pruned_net(0.65, 26),
-            forced: (ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
-            pin: None,
-            seed: 206,
         },
         Cell {
             label: "sparse_p70",

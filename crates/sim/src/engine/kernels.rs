@@ -1104,10 +1104,23 @@ mod tests {
         }
     }
 
-    /// Runs `f`, which must panic unless it reports its cap skipped.
-    fn rejects(what: &str, f: impl FnOnce() -> bool) {
-        if let Ok(true) = catch_unwind(AssertUnwindSafe(f)) {
-            panic!("{what} was accepted");
+    /// Runs `f`, which must panic with a message containing `expected`
+    /// (`""`: any panic) unless it reports its cap skipped.
+    fn rejects(what: &str, expected: &str, f: impl FnOnce() -> bool) {
+        match catch_unwind(AssertUnwindSafe(f)) {
+            Ok(true) => panic!("{what} was accepted"),
+            Ok(false) => {}
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(
+                    msg.contains(expected),
+                    "{what} panicked with {msg:?}, not {expected:?}"
+                );
+            }
         }
     }
 
@@ -1121,6 +1134,7 @@ mod tests {
                     for span in [4, 16] {
                         rejects(
                             &format!("{kernel:?} on a 2-tap row, cap {cap}, span {span}"),
+                            "weight row length",
                             || {
                                 let mut acc = vec![Accum::ZERO; span];
                                 correlate_capped(
@@ -1159,6 +1173,7 @@ mod tests {
                         let (weights, input) = (fx(&vec![1; w_len]), fx(&vec![0; in_len]));
                         rejects(
                             &format!("cap {cap} span {span} {w_len} weights {in_len} samples"),
+                            "",
                             || {
                                 let mut acc = vec![Accum::ZERO; span];
                                 correlate_capped(

@@ -106,6 +106,12 @@ impl Default for ModePolicy {
     /// 2 vCPUs were 0.71–0.78× at 65 %, 0.84–0.89× at 70 %, 0.96–1.01×
     /// at 75 % (two sets), 1.06–1.20× at 80 % (two sets) and 1.9–2.0×
     /// at 90 % sparsity.
+    ///
+    /// 0.8 was measured on x86-64 only. Other targets run the dense
+    /// sweep on the portable loop, where the crossover measured about
+    /// 65 % (0.90× at 60 %, 1.02× at 65 %), so stages between 65 % and
+    /// 80 % run the slower executor there; a per-target value belongs
+    /// to measured per-stage selection (ROADMAP item 3).
     fn default() -> Self {
         ModePolicy {
             sparse_threshold: 0.8,
