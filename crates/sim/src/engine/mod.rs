@@ -25,15 +25,17 @@
 //! * `mod.rs` (this file) — the [`Engine`] type: [`Engine::compile`]
 //!   and accessors ([`Engine::reuse`], [`Engine::stats`],
 //!   [`Engine::layer_plans`], …).
-//! * `ir.rs` — the compiled stage tables: flat quantized row tables,
-//!   per-unit offsets, SCNN source schedules, [`PrepareStats`].
-//! * `kernels.rs` — the channel-stacked inner correlation kernel: a
-//!   `kernels::RowKernel` per stage, selected once at compile time
-//!   from the filter extent `K` (specialized K ∈ {1, 3, 5, 7} plus a
-//!   generic fallback), summing a whole channel band per call in
-//!   register-blocked `i16 → i32` passes the optimizer can
-//!   autovectorize while preserving the scalar reference's exact
-//!   saturating addition order. It has one (forward) weight order.
+//! * `ir.rs` — the compiled stage tables: flat quantized weight tables
+//!   (filter rows, or tap-major filter groups for the filter-vector
+//!   sweep), per-unit offsets, SCNN source schedules, [`PrepareStats`].
+//! * `kernels.rs` — the two inner kernels. The channel-stacked row
+//!   kernel: a `kernels::RowKernel` per stage, selected once at compile
+//!   time from the filter extent `K` (specialized K ∈ {1, 3, 5, 7} plus
+//!   a generic fallback), summing a whole channel band per call in
+//!   register-blocked `i16 → i32` passes while preserving the scalar
+//!   reference's exact saturating addition order, with one (forward)
+//!   weight order. And the filter-vector pass: a group of filters at
+//!   listed positions, one broadcast input against every filter's tap.
 //! * `plan.rs` — the compile-time weight plan: per-stage sparsity and
 //!   the [`ExecMode`] it selects, plus the compressed-sparse tables.
 //! * `exec.rs` — the row-pass run phase ([`Engine::run`],
