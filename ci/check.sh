@@ -63,10 +63,13 @@ cargo test -q --offline --test fleet_smoke
 # depthwise, grouped, and dilated stages — run the target explicitly so
 # geometry regressions cannot hide behind a filtered invocation.
 cargo test -q --offline --test geometry_parity
-# The execution-mode grid pins the weight plan's alternate row pass —
-# the compressed-sparse tap pass — bit-identical to the dense sweep
-# (activations, per-image counter streams, per-layer telemetry sums)
-# across scheme x stride x dilation x channel groups x batch x workers.
+# The execution-mode grid pins the alternate dense executor — the
+# compressed-sparse tap pass, which compile picks per stage and records
+# in the stage's units — bit-identical to the dense sweeps (activations,
+# per-image counter streams, per-layer telemetry sums) across scheme x
+# stride x dilation x channel groups x filter count x batch x workers;
+# its 32- and 40-filter cells force the sparse pass on stages the
+# filter-vector sweep would otherwise take.
 cargo test -q --offline --test mode_parity
 # The telemetry crate's seqlock ring and exact-decomposition invariants
 # are load-bearing for every observability surface — build the crate
@@ -102,12 +105,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc -p tfe-sim --no-deps --offline --document-p
 # (sim_throughput's batch_vgg_prefix: median and quartile ms per round at
 # 1/2/4/8 threads, unpinned). engine_speedup now carries a depthwise-separable
 # cell and engine_batch a dilated cell, so the generalized-geometry paths
-# are in the timed sweep too. engine_modes times the weight plan's
-# compressed-sparse executor against the dense sweep on the same network
-# (bit-identity asserted before timing) — pinned >= 1.2x at 90 %
-# sparsity, a pin that fails on x86-64 against the filter-vector sweep
-# (ROADMAP item 3); the 50-99 % cells are recorded unpinned to chart the
-# crossover. engine_speedup,
+# are in the timed sweep too. engine_modes times the compressed-sparse
+# executor against the dense sweep on the same network (bit-identity
+# asserted before timing) — pinned >= 1.2x at 90 % sparsity, a pin that
+# fails on x86-64 against the filter-vector sweep (ROADMAP item 3); the
+# 50-99 % cells are recorded unpinned to chart the crossover. It checks
+# the pins only after every cell has run and its cells are written, so
+# a failing pin still prints p93-p99 and updates the trajectory before
+# the bench, and with it this script, exits non-zero. engine_speedup,
 # engine_batch, engine_modes, ppsr_row, and fleet_router write their
 # min-of-reps cells into BENCH_13.json at the repo root (the persistent
 # perf trajectory; see README "Perf trajectory"), printed below so the

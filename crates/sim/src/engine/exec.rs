@@ -44,9 +44,8 @@
 //! order-independent), which is both the counter-side hoisting win and
 //! trivially bit-identical to per-image charging.
 
-use super::ir::{Geo, StageIr, SweepForm, UnitIr};
-use super::kernels::{correlate_filters, Band, FilterBand, FILTER_GROUP};
-use super::plan::SparseUnitIr;
+use super::ir::{tap, Geo, StageIr, UnitIr};
+use super::kernels::{correlate_filters, Band, FILTER_GROUP};
 use super::scratch::{return_ring, shape_streams, take_ring, ArenaPeak, KernelBufs, Scratch};
 use super::sparse::sparse_band_pass;
 use super::Engine;
@@ -723,10 +722,7 @@ fn partition(batch: usize, stage: &StageIr, geo: &Geo, workers: usize) -> Vec<Pa
             });
             b0 += len;
         }
-    } else if workers / batch > units.len()
-        && stage.form == SweepForm::Filters
-        && stage.plan.units.is_empty()
-    {
+    } else if workers / batch > units.len() && matches!(units[0], UnitIr::Filters { .. }) {
         for (b, share) in chunk_lengths(workers, batch).into_iter().enumerate() {
             let mut oy0 = 0;
             for rows in chunk_lengths(geo.e, share) {
@@ -780,33 +776,19 @@ fn run_part(
         // An empty batch: nothing to compute, and no image to charge.
         return;
     }
-    let sparse = &ctx.stage.plan.units;
-    debug_assert!(
-        part.rows() == ctx.geo.e || (ctx.stage.form == SweepForm::Filters && sparse.is_empty()),
-        "only the filter-vector sweep runs output-row parts"
-    );
     for unit in &ctx.stage.units[part.u0..part.u1] {
+        debug_assert!(
+            part.rows() == ctx.geo.e || matches!(unit, UnitIr::Filters { .. }),
+            "only the filter-vector sweep runs output-row parts"
+        );
         match unit {
             UnitIr::Dense { m, base } => {
-                let pass = sparse
-                    .get(*m)
-                    .map_or(DensePass::Rows(&ctx.stage.rows[*base..]), DensePass::Sparse);
+                let pass = DensePass::Rows(&ctx.stage.rows[*base..]);
                 dense_unit_sweep(ctx, part, pass, *m, out_part, bufs, charges);
             }
-            // A compressed-sparse stage runs its tap pass one filter at
-            // a time, whatever the table's layout.
-            UnitIr::Filters { m0, live, .. } if !sparse.is_empty() => {
-                for (m, table) in sparse.iter().enumerate().skip(*m0).take(*live) {
-                    dense_unit_sweep(
-                        ctx,
-                        part,
-                        DensePass::Sparse(table),
-                        m,
-                        out_part,
-                        bufs,
-                        charges,
-                    );
-                }
+            UnitIr::Sparse { m, taps } => {
+                let pass = DensePass::Sparse(taps);
+                dense_unit_sweep(ctx, part, pass, *m, out_part, bufs, charges);
             }
             UnitIr::Filters { m0, live, base } => filter_group_sweep(
                 ctx,
@@ -920,7 +902,7 @@ fn emit_rows(out_part: &mut [Accum], window: &[Accum], part: Part, m: usize, oy:
 #[derive(Clone, Copy)]
 enum DensePass<'a> {
     Rows(&'a [Fx16]),
-    Sparse(&'a SparseUnitIr),
+    Sparse(&'a [Vec<(u16, Fx16)>]),
 }
 
 /// One dense filter's plane for every image of the part at once: per
@@ -1007,8 +989,8 @@ fn dense_unit_sweep(
                     [(&rows[ky * kw..], acc)],
                     ctx.saturation_free,
                 ),
-                DensePass::Sparse(table) => {
-                    let rows = &table.rows[ky * cpg..][..cpg];
+                DensePass::Sparse(taps) => {
+                    let rows = &taps[ky * cpg..][..cpg];
                     sparse_band_pass(rows, input, band.in_stride, acc, ctx.saturation_free);
                 }
             }
@@ -1026,7 +1008,7 @@ fn dense_unit_sweep(
 
 /// One filter group's planes for every image and output row of the
 /// part at once — the filter-vector sweep of an ungrouped dense stage
-/// ([`SweepForm::Filters`]), the software form of SAFM's broadcast: per
+/// ([`UnitIr::Filters`]), the software form of SAFM's broadcast: per
 /// output row and `ky`, one [`correlate_filters`] call visits only the
 /// part's emitted positions `(image, ox·s)` and, at each, multiplies a
 /// broadcast input pair by a tap pair of every filter of the group. No
@@ -1061,16 +1043,16 @@ fn filter_group_sweep(
         kw,
         ..
     } = *geo;
-    debug_assert_eq!(ctx.stage.form, SweepForm::Filters);
     let bw = ctx.batch * pw;
     // Offsets into the group from the one table index: channel ci's tap
-    // row (ky, j) sits at tap(ci·K + ky, j); its input row one padded
-    // plane after channel ci − 1's.
-    let tap = |row: usize, j: usize| ctx.stage.form.tap(cpg * k, kw, 0, row, j);
-    let band = FilterBand {
+    // row (ky, j) sits at at(ci·K + ky, j), so consecutive channels'
+    // first tap rows are at(K, 0) apart; its input row one padded plane
+    // after channel ci − 1's.
+    let at = |row: usize, j: usize| tap(FILTER_GROUP, cpg * k, kw, 0, row, j);
+    let band = Band {
         channels: cpg,
         width: kw,
-        w_stride: tap(k, 0),
+        w_stride: at(k, 0),
         in_stride: ph * bw,
     };
     let KernelBufs {
@@ -1093,7 +1075,7 @@ fn filter_group_sweep(
             let input = &ctx.padded[(oy * s + ky * d) * bw + part.b0 * pw..];
             let _ = charge_conventional(k, kw, pw, cpg * live, charges);
             correlate_filters(
-                &table[tap(ky, 0)..],
+                &table[at(ky, 0)..],
                 input,
                 band,
                 positions,
@@ -1571,7 +1553,7 @@ mod tests {
                 .map(|p| (p.b0, p.u0..p.u1, p.plane0..p.plane1, p.oy0..p.oy1))
                 .collect::<Vec<_>>()
         };
-        let dense = &ModePolicy::DENSE_ONLY;
+        let dense = &ModePolicy::DenseOnly;
         // One 32-filter group, one image, two workers: three rows each.
         assert_eq!(
             split(32, 1, 2, dense),
@@ -1605,14 +1587,15 @@ mod tests {
             split(32, 2, 3, dense),
             [(0, 0..1, 0..32, 0..6), (1, 0..1, 0..32, 0..6)]
         );
-        // The row sweep and the sparse pass keep unit runs.
+        // The row sweep and the sparse pass keep unit runs: a forced
+        // sparse stage has one unit per filter.
         assert_eq!(
             split(8, 1, 2, dense),
             [(0, 0..4, 0..4, 0..6), (0, 4..8, 4..8, 0..6)]
         );
         assert_eq!(
-            split(32, 1, 2, &ModePolicy::FORCE_SPARSE),
-            [(0, 0..1, 0..32, 0..6)]
+            split(32, 1, 2, &ModePolicy::ForceSparse),
+            [(0, 0..16, 0..16, 0..6), (0, 16..32, 16..32, 0..6)]
         );
     }
 

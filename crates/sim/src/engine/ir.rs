@@ -10,22 +10,25 @@
 //! the SCNN mirrored stream reads the stored FlipH partner's rows,
 //! never a row reversed at run time.
 //!
-//! A dense stage's table has one of two layouts, its [`SweepForm`]:
-//! filter rows (`[m][c][ky][j]`, one unit per filter) or tap-major
-//! filter groups (`[g][c][ky][j][f]`, one unit per group) for the
-//! filter-vector sweep. [`SweepForm::tap`] is the one index into
-//! either.
+//! A dense stage's table stores its filters in units of `G`, tap-major
+//! within a unit ([`tap`], the one index into it): `G = 1` is filter
+//! rows (`[m][c][ky][j]`, one [`UnitIr::Dense`] or [`UnitIr::Sparse`]
+//! per filter), `G` = [`FILTER_GROUP`] the filter-vector sweep's groups
+//! (`[g][c][ky][j][f]`, one [`UnitIr::Filters`] per group).
+//! [`compile_dense`] chooses the layout and the executor once, and the
+//! units' kind is the only record of that choice.
 
-use crate::engine::kernels::{RowKernel, FILTER_GROUP, FILTER_LANES};
-use crate::engine::plan::{plan_stage, StagePlan};
+use crate::engine::kernels::{RowKernel, FILTER_GROUP};
+use crate::engine::sparse::compress;
 use crate::output::OutputConfig;
 use crate::SimError;
 use tfe_nets::TransferMode;
 use tfe_tensor::fixed::{Accum, Fx16};
 use tfe_tensor::shape::LayerShape;
+use tfe_tensor::tensor::Tensor4;
 use tfe_transfer::analysis::ReuseConfig;
 use tfe_transfer::layer::TransferredLayer;
-use tfe_transfer::mode::{ExecMode, ModePolicy};
+use tfe_transfer::mode::{ExecMode, ModePolicy, SPARSE_THRESHOLD};
 use tfe_transfer::scnn::{Orientation, ORBIT, ORIENTATIONS};
 
 /// What the compile phase materialized, so callers (and tests) can see
@@ -43,9 +46,6 @@ pub struct PrepareStats {
     pub weight_values: u64,
     /// SCNN orbit members materialized by orientation expansion.
     pub scnn_orientations: u64,
-    /// The execution mode the weight plan chose for each stage, in
-    /// stage order (`engine/plan.rs`).
-    pub modes: Vec<ExecMode>,
 }
 
 /// One work unit of a compiled stage, with its offset into the stage's
@@ -58,12 +58,21 @@ pub(crate) enum UnitIr {
     /// band and the run phase offsets reads by the group's first padded
     /// channel.
     Dense { m: usize, base: usize },
+    /// One dense filter on the compressed-sparse pass
+    /// (`engine/sparse.rs`): `taps[ky · N/groups + ci]` holds the
+    /// ascending `(j, w)` survivors of stored row `(ci, ky)` —
+    /// `ky`-major, so one `ky`'s channel band is one contiguous slice.
+    /// Dilation's stuffed zeros never appear; a row without survivors
+    /// is empty.
+    Sparse {
+        m: usize,
+        taps: Vec<Vec<(u16, Fx16)>>,
+    },
     /// One group of the filter-vector sweep: filters `m0 .. m0 + live`
     /// of an ungrouped stage, stored tap-major from `base` — tap `j` of
     /// row `(c, ky)` is the `G` weights at `base + ((c·K + ky)·KW + j)·G`,
-    /// one per filter of the group (`G` = [`FILTER_GROUP`],
-    /// [`SweepForm::Filters`]). Only a partial last group has
-    /// `live < G`; its other slots hold zeros.
+    /// one per filter of the group (`G` = [`FILTER_GROUP`]). Only a
+    /// partial last group has `live < G`; its other slots hold zeros.
     Filters { m0: usize, live: usize, base: usize },
     /// One DCNN meta group: meta rows at `base + (c·Z + kr)·ZW`, each
     /// `ZW = d·(Z−1)+1` long (zero-stuffed at dilation `d`). `k` is the
@@ -100,7 +109,7 @@ impl UnitIr {
     /// disjoint, contiguous output slices to worker threads.
     pub(crate) fn plane_range(&self, m_count: usize) -> std::ops::Range<usize> {
         match self {
-            UnitIr::Dense { m, .. } => *m..*m + 1,
+            UnitIr::Dense { m, .. } | UnitIr::Sparse { m, .. } => *m..*m + 1,
             UnitIr::Filters { m0, live, .. } => *m0..*m0 + live,
             UnitIr::Dcnn { g, per_axis, .. } => {
                 let pa2 = per_axis * per_axis;
@@ -126,11 +135,10 @@ pub(crate) struct StageIr {
     /// the stage supplies none).
     pub(crate) bias: Vec<Accum>,
     /// All quantized weights of the stage, contiguous: filter rows, or
-    /// a dense stage's filter groups ([`StageIr::form`]).
+    /// a dense stage's filter groups ([`tap`]).
     pub(crate) rows: Vec<Fx16>,
+    /// The stage's units; their kind is the executor compile chose.
     pub(crate) units: Vec<UnitIr>,
-    /// How the stage's dense units are stored and swept.
-    pub(crate) form: SweepForm,
     /// The inner correlation kernel every unit of this stage dispatches
     /// to, selected once here from the stored row span
     /// `KW = d·(K−1)+1` (dilated rows are zero-stuffed at compile time,
@@ -144,10 +152,36 @@ pub(crate) struct StageIr {
     /// run phase checks per stage (`exec::saturation_free`) before
     /// taking the wrapping kernel fast path.
     pub(crate) w_abs_max: i64,
-    /// The stage's compiled weight plan: chosen [`ExecMode`], weight
-    /// statistics, and the per-unit alternate-execution tables
-    /// (`engine/plan.rs`).
-    pub(crate) plan: StagePlan,
+    /// A dense stage's zero logical taps (dilation's stuffed zeros
+    /// excluded), counted as compile writes the table; 0 for a
+    /// transferred stage.
+    pub(crate) zero_taps: usize,
+}
+
+impl StageIr {
+    /// The executor this stage compiled to, read off its units' kind.
+    pub(crate) fn exec_mode(&self) -> ExecMode {
+        match self.units.first() {
+            Some(UnitIr::Dense { .. } | UnitIr::Filters { .. }) => ExecMode::Dense,
+            Some(UnitIr::Sparse { .. }) => ExecMode::Sparse,
+            _ => ExecMode::Transferred,
+        }
+    }
+
+    /// The zero fraction over the stage's logical taps.
+    pub(crate) fn sparsity(&self) -> f64 {
+        sparsity(self.zero_taps, &self.shape)
+    }
+}
+
+/// The fraction `zeros` makes of a stage's logical taps.
+fn sparsity(zeros: usize, shape: &LayerShape) -> f64 {
+    let taps = shape.m() * shape.channels_per_group() * shape.k() * shape.k();
+    if taps == 0 {
+        0.0
+    } else {
+        zeros as f64 / taps as f64
+    }
 }
 
 /// The fewest filters a stage needs for the filter-vector sweep. The
@@ -158,51 +192,97 @@ pub(crate) struct StageIr {
 /// image, but slower on batches of eight 30×30 images; 8 filters, whose
 /// blocks put 8 MACs in each `pmaddwd` against a long row's 32, ran up
 /// to 2.2× slower on 30-position rows.
-const MIN_VECTOR_FILTERS: usize = 2 * FILTER_LANES;
+const MIN_VECTOR_FILTERS: usize = 16;
 
-/// The layout a stage's weight table was compiled to, and with it the
-/// sweep its dense units run — the per-stage record tests assert the
-/// selection rule ([`SweepForm::select`]) against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SweepForm {
-    /// Filter rows `[m][c][ky][j]` swept one weight row at a time over
-    /// position-vectorized rows ([`UnitIr::Dense`]); every transferred
-    /// stage stores rows too.
-    Rows,
-    /// Tap-major filter groups `[g][c][ky][j][f]` of [`FILTER_GROUP`]
-    /// filters swept at emitted positions only, one broadcast input
-    /// pair against a tap pair of every filter per multiply
-    /// ([`UnitIr::Filters`]).
-    Filters,
+/// The table index of tap `j` of row `row = c·K + ky` of dense filter
+/// `m`, where every filter stores `rows` rows of `kw` taps in units of
+/// `group` filters, tap-major within a unit:
+/// `[m / group][row][j][m % group]`, so a unit's filters sit side by
+/// side at every tap. A group of one is the filter-row layout
+/// `[m][row][j]`, and [`FILTER_GROUP`] the filter-vector sweep's. The
+/// one index compile writes through and that sweep reads by.
+pub(crate) fn tap(group: usize, rows: usize, kw: usize, m: usize, row: usize, j: usize) -> usize {
+    let (g, f) = (m / group, m % group);
+    ((g * rows + row) * kw + j) * group + f
 }
 
-impl SweepForm {
-    /// The form a dense stage compiles to: [`SweepForm::Filters`] for an
-    /// ungrouped stage with at least two stored taps per row and at
-    /// least [`MIN_VECTOR_FILTERS`] filters; [`SweepForm::Rows`] for
-    /// every other (grouped and depth-wise, `K = 1`, fewer filters).
-    pub(crate) fn select(shape: &LayerShape) -> SweepForm {
-        let kw = shape.dilation() * (shape.k() - 1) + 1;
-        if shape.groups() != 1 || kw < 2 || shape.m() < MIN_VECTOR_FILTERS {
-            SweepForm::Rows
-        } else {
-            SweepForm::Filters
-        }
-    }
-
-    /// The table index of tap `j` of row `row = c·K + ky` of dense filter
-    /// `m`, where every filter stores `rows` rows of `kw` taps — the one
-    /// index the compile pass writes and the weight plan reads through.
-    /// The filters of one unit sit side by side at every tap.
-    pub(crate) fn tap(self, rows: usize, kw: usize, m: usize, row: usize, j: usize) -> usize {
-        match self {
-            SweepForm::Rows => (m * rows + row) * kw + j,
-            SweepForm::Filters => {
-                let (g, f) = (m / FILTER_GROUP, m % FILTER_GROUP);
-                ((g * rows + row) * kw + j) * FILTER_GROUP + f
+/// Compiles a dense stage's table into `rows` and its units into
+/// `units`, choosing the stage's executor — the one place compile makes
+/// that choice, and the units' kind its one record:
+///
+/// * a stage the filter-vector sweep serves (ungrouped, stored span
+///   `KW ≥ 2`, at least [`MIN_VECTOR_FILTERS`] filters) stores tap-major
+///   groups of [`FILTER_GROUP`] filters and runs [`UnitIr::Filters`],
+///   unless the policy is [`ModePolicy::ForceSparse`];
+/// * every other stage stores filter rows and runs [`UnitIr::Sparse`]
+///   under `ForceSparse`, or under [`ModePolicy::Measured`] from
+///   [`SPARSE_THRESHOLD`] zero taps, and [`UnitIr::Dense`] otherwise.
+///
+/// So the CSR builder reads filter rows only, and an all-zero
+/// filter-vector stage stays on that sweep. Returns the stage's zero
+/// logical taps, counted as the table is written.
+fn compile_dense(
+    shape: &LayerShape,
+    weights: &Tensor4<f32>,
+    policy: ModePolicy,
+    rows: &mut Vec<Fx16>,
+    units: &mut Vec<UnitIr>,
+    stats: &mut PrepareStats,
+) -> usize {
+    let (m_count, k, d) = (shape.m(), shape.k(), shape.dilation());
+    let (cpg, kw) = (shape.channels_per_group(), d * (k - 1) + 1);
+    let vector = shape.groups() == 1 && kw >= 2 && m_count >= MIN_VECTOR_FILTERS;
+    let group = if vector && policy != ModePolicy::ForceSparse {
+        FILTER_GROUP
+    } else {
+        1
+    };
+    // One table: filter groups pad only a partial last group, with zeros.
+    let per_filter = cpg * k;
+    let len = m_count.next_multiple_of(group) * per_filter * kw;
+    rows.resize(len, Fx16::ZERO);
+    let mut zeros = 0;
+    // Unit by unit, its filters innermost: the writes run in table
+    // order in either layout.
+    for m0 in (0..m_count).step_by(group) {
+        let filters = m0..m_count.min(m0 + group);
+        for c in 0..cpg {
+            for ky in 0..k {
+                stats.weight_rows += filters.len() as u64;
+                stats.weight_values += (filters.len() * k) as u64;
+                for kx in 0..k {
+                    let at = tap(group, per_filter, kw, m0, c * k + ky, kx * d);
+                    for (slot, m) in rows[at..].iter_mut().zip(filters.clone()) {
+                        *slot = Fx16::from_f32(weights.get([m, c, ky, kx]));
+                        zeros += usize::from(slot.is_zero());
+                    }
+                }
             }
         }
     }
+    let sparse = match policy {
+        ModePolicy::Measured => sparsity(zeros, shape) >= SPARSE_THRESHOLD,
+        ModePolicy::DenseOnly => false,
+        ModePolicy::ForceSparse => true,
+    };
+    units.extend((0..m_count).step_by(group).map(|m0| {
+        let base = tap(group, per_filter, kw, m0, 0, 0);
+        if group > 1 {
+            UnitIr::Filters {
+                m0,
+                live: group.min(m_count - m0),
+                base,
+            }
+        } else if sparse {
+            UnitIr::Sparse {
+                m: m0,
+                taps: compress(&rows[base..][..per_filter * kw], k, kw),
+            }
+        } else {
+            UnitIr::Dense { m: m0, base }
+        }
+    }));
+    zeros
 }
 
 /// Layer geometry snapshot threaded through the run-phase kernels.
@@ -349,12 +429,9 @@ pub(crate) fn compile_stage(
     // golden model's d-strided tap accumulation — and the row rides the
     // monomorphized kernel for its span (K=3, d=2 → the K5 core).
     let kw = d * (k - 1) + 1;
-    let form = match weights {
-        TransferredLayer::Dense { .. } => SweepForm::select(&shape),
-        _ => SweepForm::Rows,
-    };
     let mut rows: Vec<Fx16> = Vec::new();
     let mut units: Vec<UnitIr> = Vec::new();
+    let mut zero_taps = 0;
     let mode = match weights {
         TransferredLayer::Dense { .. } => TransferMode::Conventional,
         TransferredLayer::Dcnn { metas, .. } => metas
@@ -364,6 +441,10 @@ pub(crate) fn compile_stage(
             }),
         TransferredLayer::Scnn { .. } => TransferMode::Scnn,
     };
+    // Each table is sized once. Grown row by row, a table leaves a
+    // freed chunk at every doubling, and how those fragment the heap
+    // follows allocation order: the SCNN trunk's peak RSS moved by 17 %
+    // with it.
     match weights {
         TransferredLayer::Dense { weights } => {
             // Grouped filters store only their own channel band.
@@ -374,52 +455,17 @@ pub(crate) fn compile_stage(
                     actual: weights.dims()[1],
                 });
             }
-            let m_count = shape.m();
-            let unit_filters = match form {
-                SweepForm::Rows => 1,
-                SweepForm::Filters => FILTER_GROUP,
-            };
-            // One table, in the stage's form: filter groups pad only a
-            // partial last group, with zeros.
-            let per_filter = cpg * k;
-            rows.resize(
-                m_count.next_multiple_of(unit_filters) * per_filter * kw,
-                Fx16::ZERO,
-            );
-            for m0 in (0..m_count).step_by(unit_filters) {
-                let base = form.tap(per_filter, kw, m0, 0, 0);
-                units.push(match form {
-                    SweepForm::Rows => UnitIr::Dense { m: m0, base },
-                    SweepForm::Filters => UnitIr::Filters {
-                        m0,
-                        live: FILTER_GROUP.min(m_count - m0),
-                        base,
-                    },
-                });
-                // Unit by unit, its filters innermost: the writes run in
-                // table order in either layout.
-                let filters = units[units.len() - 1].plane_range(m_count);
-                for c in 0..cpg {
-                    for ky in 0..k {
-                        stats.weight_rows += filters.len() as u64;
-                        stats.weight_values += (filters.len() * k) as u64;
-                        for kx in 0..k {
-                            for m in filters.clone() {
-                                let at = form.tap(per_filter, kw, m, c * k + ky, kx * d);
-                                rows[at] = Fx16::from_f32(weights.get([m, c, ky, kx]));
-                            }
-                        }
-                    }
-                }
-            }
+            zero_taps = compile_dense(&shape, weights, *policy, &mut rows, &mut units, stats);
         }
         TransferredLayer::Dcnn {
             k: layer_k, metas, ..
         } => {
+            let span = |z: usize| d * (z - 1) + 1;
+            rows.reserve_exact(metas.iter().map(|meta| n * meta.z() * span(meta.z())).sum());
             for (g, meta) in metas.iter().enumerate() {
                 let per_axis = meta.offsets_per_axis(*layer_k)?;
                 let z = meta.z();
-                let zw = d * (z - 1) + 1;
+                let zw = span(z);
                 let base = rows.len();
                 for c in 0..n {
                     for kr in 0..z {
@@ -442,6 +488,7 @@ pub(crate) fn compile_stage(
             }
         }
         TransferredLayer::Scnn { m: m_count, groups } => {
+            rows.reserve_exact(groups.len() * ORBIT * n * k * kw);
             for (g, group) in groups.iter().enumerate() {
                 let base = rows.len();
                 for oi in 0..ORBIT {
@@ -489,30 +536,25 @@ pub(crate) fn compile_stage(
         .map(|w| i64::from(w.to_bits()).abs())
         .max()
         .unwrap_or(0);
-    let mut stage = StageIr {
+    Ok(StageIr {
         shape,
         output,
         mode,
         bias,
         rows,
         units,
-        form,
         kernel,
         w_abs_max,
-        plan: StagePlan::default(),
-    };
-    stage.plan = plan_stage(&stage, policy);
-    stats.modes.push(stage.plan.mode());
-    Ok(stage)
+        zero_taps,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfe_tensor::tensor::Tensor4;
     use tfe_transfer::TransferScheme;
 
-    fn compile_dense(shape: &LayerShape, weights: Tensor4<f32>) -> StageIr {
+    fn dense_stage(shape: &LayerShape, weights: Tensor4<f32>, policy: ModePolicy) -> StageIr {
         compile_stage(
             shape,
             &TransferredLayer::Dense { weights },
@@ -520,75 +562,133 @@ mod tests {
             OutputConfig::RELU_ONLY,
             ReuseConfig::FULL,
             &mut PrepareStats::default(),
-            &ModePolicy::default(),
+            &policy,
         )
         .unwrap()
     }
 
-    /// The selection rule as compile records it per stage: ungrouped
-    /// dense stages with a stored span of at least two taps and at least
-    /// 16 filters take the filter-vector form, in 32-filter groups with
-    /// only a partial last group short; every other stage
-    /// keeps filter rows, one unit per filter. A stage that silently
-    /// fell back to rows would pass every parity suite, so the form is
-    /// pinned here.
+    /// Each unit's (kind, first filter, filters).
+    type Units = Vec<(&'static str, usize, usize)>;
+
+    fn groups(units: &[(usize, usize)]) -> Units {
+        units.iter().map(|&(m0, n)| ("filters", m0, n)).collect()
+    }
+
+    fn per_filter(kind: &'static str, m: usize) -> Units {
+        (0..m).map(|m| (kind, m, 1)).collect()
+    }
+
+    /// The executor rule as compile records it in each stage's units,
+    /// under every policy: ungrouped dense stages with a stored span of
+    /// at least two taps and at least 16 filters run 32-filter groups
+    /// (only a partial last group short) unless the policy forces the
+    /// sparse pass, even when every tap is zero; every other stage runs
+    /// one unit per filter, sparse under `ForceSparse` or, under
+    /// `Measured`, from the threshold. A stage that silently fell back
+    /// to another executor would pass every parity suite, so the kinds
+    /// are pinned here.
     #[test]
     fn stages_compile_to_the_selected_sweep_form() {
         let conv = |n, m, k| LayerShape::conv("sel", n, m, 6, 6, k, 1, k / 2).unwrap();
-        // Each cell: the form and every unit's (first filter, filters).
-        type Expected = (SweepForm, Vec<(usize, usize)>);
-        let filters =
-            |units: &[(usize, usize)]| -> Expected { (SweepForm::Filters, units.to_vec()) };
-        let rows = |m: usize| -> Expected { (SweepForm::Rows, (0..m).map(|m| (m, 1)).collect()) };
-        let cells: Vec<(&str, LayerShape, Expected)> = vec![
-            ("64 filters", conv(4, 64, 3), filters(&[(0, 32), (32, 32)])),
+        // Each cell: how many of its weights (the first, in
+        // `[m][c][ky][kx]` order) are zero, and its units under
+        // `Measured`, `DenseOnly` and `ForceSparse`.
+        let vector = |shape: LayerShape, units: &[(usize, usize)]| {
+            let m = shape.m();
+            (
+                shape,
+                0,
+                [groups(units), groups(units), per_filter("sparse", m)],
+            )
+        };
+        let rows = |shape: LayerShape, zeros: usize, measured: &'static str| {
+            let m = shape.m();
+            let dense = per_filter("dense", m);
+            let units = [per_filter(measured, m), dense, per_filter("sparse", m)];
+            (shape, zeros, units)
+        };
+        let all = usize::MAX;
+        let cells = [
+            ("64 filters", vector(conv(4, 64, 3), &[(0, 32), (32, 32)])),
             (
                 "a partial last group",
-                conv(4, 40, 3),
-                filters(&[(0, 32), (32, 8)]),
+                vector(conv(4, 40, 3), &[(0, 32), (32, 8)]),
             ),
-            ("17 filters", conv(4, 17, 3), filters(&[(0, 17)])),
-            ("16 filters, K = 5", conv(4, 16, 5), filters(&[(0, 16)])),
-            ("K = 2", conv(4, 32, 2), filters(&[(0, 32)])),
+            ("17 filters", vector(conv(4, 17, 3), &[(0, 17)])),
+            ("16 filters, K = 5", vector(conv(4, 16, 5), &[(0, 16)])),
+            ("K = 2", vector(conv(4, 32, 2), &[(0, 32)])),
             (
                 "dilated",
-                conv(4, 32, 3).with_dilation(2).unwrap(),
-                filters(&[(0, 32)]),
+                vector(conv(4, 32, 3).with_dilation(2).unwrap(), &[(0, 32)]),
             ),
-            ("8 filters", conv(4, 8, 3), rows(8)),
-            ("15 filters", conv(4, 15, 3), rows(15)),
-            ("pointwise", conv(4, 32, 1), rows(32)),
-            ("grouped", conv(4, 32, 3).with_groups(2).unwrap(), rows(32)),
+            ("8 filters", rows(conv(4, 8, 3), 0, "dense")),
+            ("15 filters", rows(conv(4, 15, 3), 0, "dense")),
+            ("pointwise", rows(conv(4, 32, 1), 0, "dense")),
+            (
+                "grouped",
+                rows(conv(4, 32, 3).with_groups(2).unwrap(), 0, "dense"),
+            ),
             (
                 "depth-wise",
-                LayerShape::depthwise("dw", 16, 6, 6, 3, 1, 1).unwrap(),
-                rows(16),
+                rows(
+                    LayerShape::depthwise("dw", 16, 6, 6, 3, 1, 1).unwrap(),
+                    0,
+                    "dense",
+                ),
+            ),
+            // 8 × 5 × 9 = 360 taps: the threshold's two sides.
+            ("75 % zeros", rows(conv(5, 8, 3), 270, "dense")),
+            ("80 % zeros", rows(conv(5, 8, 3), 288, "sparse")),
+            ("all-zero 8 filters", rows(conv(4, 8, 3), all, "sparse")),
+            (
+                "all-zero 32 filters",
+                (
+                    conv(4, 32, 3),
+                    all,
+                    [
+                        groups(&[(0, 32)]),
+                        groups(&[(0, 32)]),
+                        per_filter("sparse", 32),
+                    ],
+                ),
             ),
         ];
-        for (label, shape, (form, units)) in cells {
+        let policies = [
+            ModePolicy::Measured,
+            ModePolicy::DenseOnly,
+            ModePolicy::ForceSparse,
+        ];
+        for (label, (shape, zeros, expected)) in cells {
             let cpg = shape.channels_per_group();
             let (m, k) = (shape.m(), shape.k());
-            let stage = compile_dense(&shape, Tensor4::from_fn([m, cpg, k, k], |_| 0.5));
-            assert_eq!(stage.form, form, "{label}");
-            let got: Vec<(usize, usize)> = stage
-                .units
-                .iter()
-                .map(|u| {
-                    let planes = u.plane_range(m);
-                    (planes.start, planes.len())
-                })
-                .collect();
-            assert_eq!(got, units, "{label}");
-            assert!(
-                stage.units.iter().all(|u| matches!(
-                    (u, form),
-                    (UnitIr::Dense { .. }, SweepForm::Rows)
-                        | (UnitIr::Filters { .. }, SweepForm::Filters)
-                )),
-                "{label}: units must match the form"
-            );
+            for (policy, units) in policies.into_iter().zip(expected) {
+                let weights = Tensor4::from_fn([m, cpg, k, k], |[f, c, ky, kx]| {
+                    if ((f * cpg + c) * k + ky) * k + kx < zeros {
+                        0.0
+                    } else {
+                        0.5
+                    }
+                });
+                let stage = dense_stage(&shape, weights, policy);
+                let got: Units = stage
+                    .units
+                    .iter()
+                    .map(|u| {
+                        let kind = match u {
+                            UnitIr::Dense { .. } => "dense",
+                            UnitIr::Sparse { .. } => "sparse",
+                            UnitIr::Filters { .. } => "filters",
+                            _ => "transferred",
+                        };
+                        let planes = u.plane_range(m);
+                        (kind, planes.start, planes.len())
+                    })
+                    .collect();
+                assert_eq!(got, units, "{label} under {policy:?}");
+            }
         }
-        // Transferred stages store rows whatever their filter count.
+        // Transferred stages store rows whatever their filter count and
+        // the policy.
         let shape = conv(4, 32, 3);
         let mut seed = 3u32;
         let weights = TransferredLayer::random(&shape, TransferScheme::Scnn, || {
@@ -596,21 +696,26 @@ mod tests {
             (seed >> 16) as f32 / 65536.0 - 0.5
         })
         .unwrap();
-        let stage = compile_stage(
-            &shape,
-            &weights,
-            &[],
-            OutputConfig::RELU_ONLY,
-            ReuseConfig::FULL,
-            &mut PrepareStats::default(),
-            &ModePolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(stage.form, SweepForm::Rows);
+        for policy in policies {
+            let stage = compile_stage(
+                &shape,
+                &weights,
+                &[],
+                OutputConfig::RELU_ONLY,
+                ReuseConfig::FULL,
+                &mut PrepareStats::default(),
+                &policy,
+            )
+            .unwrap();
+            assert!(
+                stage.units.iter().all(|u| matches!(u, UnitIr::Scnn { .. })),
+                "{policy:?}"
+            );
+        }
     }
 
     /// The one table of a filter-vector stage: every quantized weight
-    /// sits where [`SweepForm::tap`] says, tap-major with the group's
+    /// sits where [`tap`] says, tap-major with the group's
     /// filters innermost, dilation zeros and the partial last group's
     /// padding are zero, and the table is no longer than the row table
     /// padded to whole groups.
@@ -625,11 +730,11 @@ mod tests {
             let value = |f: usize, c: usize, ky: usize, kx: usize| {
                 ((f * 31 + c * 7 + ky * 3 + kx) % 97) as f32 / 16.0 - 3.0
             };
-            let stage = compile_dense(
+            let stage = dense_stage(
                 &shape,
                 Tensor4::from_fn([m, cpg, k, k], |[f, c, ky, kx]| value(f, c, ky, kx)),
+                ModePolicy::Measured,
             );
-            assert_eq!(stage.form, SweepForm::Filters, "m = {m}");
             let group = FILTER_GROUP;
             let kw = dilation * (k - 1) + 1;
             assert_eq!(stage.rows.len(), m.next_multiple_of(group) * cpg * k * kw);
@@ -646,9 +751,7 @@ mod tests {
                                 let at = base + ((c * k + ky) * kw + kx * dilation) * group + f;
                                 assert_eq!(
                                     at,
-                                    stage
-                                        .form
-                                        .tap(cpg * k, kw, m0 + f, c * k + ky, kx * dilation)
+                                    tap(group, cpg * k, kw, m0 + f, c * k + ky, kx * dilation)
                                 );
                                 expected[at] = Fx16::from_f32(value(m0 + f, c, ky, kx));
                             }

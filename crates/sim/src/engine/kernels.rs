@@ -128,17 +128,21 @@ pub(crate) enum RowKernel {
     Generic,
 }
 
-/// One channel band of row correlations: `channels` weight rows of
-/// `width` taps laid `w_stride` apart in the row table, each correlated
-/// against its own input row `in_stride` samples after the previous
-/// channel's.
+/// One channel band of correlations: `channels` channels of `width`
+/// taps whose weights start `w_stride` apart in the table, each
+/// correlated against its own input row `in_stride` samples after the
+/// previous channel's. The row kernel reads a channel's taps as one
+/// weight row; [`correlate_filters`] as `width` tap rows of
+/// [`FILTER_GROUP`] weights, one per filter of the group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Band {
-    /// Rows summed into one accumulator row (`N/groups` for a pass).
+    /// Channels summed into one accumulator (`N/groups` for a pass).
     pub(crate) channels: usize,
-    /// Taps per weight row (the stored span, including dilation zeros).
+    /// Taps per channel (the stored span, including dilation zeros).
     pub(crate) width: usize,
-    /// Distance between consecutive channels' weight rows.
+    /// Distance between consecutive channels' first weights: their
+    /// weight rows, or in a filter group's tap-major table their first
+    /// tap rows.
     pub(crate) w_stride: usize,
     /// Distance between consecutive channels' input rows.
     pub(crate) in_stride: usize,
@@ -436,29 +440,13 @@ fn fold_channel<const L: usize, const WRAP: bool, X: Borrow<[Fx16; L]>>(
 
 /// The filter lanes of the portable filter-vector loop, and the
 /// narrowest filter block of the tap-pair kernel.
-pub(crate) const FILTER_LANES: usize = 8;
+const FILTER_LANES: usize = 8;
 
 /// The filters of one group of the filter-vector sweep, and so the
 /// weights per tap row of its table: one 32-filter block, two
 /// `pmaddwd`s of 16 filters each on AVX-512BW. Narrower hosts, and a
 /// group with fewer live filters, run 8- or 16-filter blocks over it.
 pub(crate) const FILTER_GROUP: usize = 32;
-
-/// One filter group's band for [`correlate_filters`]: `channels`
-/// channels of `width` taps, where tap `j` of channel `c` is a row of
-/// [`FILTER_GROUP`] weights, one per filter of the group (the tap-major
-/// table, `engine/ir.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FilterBand {
-    /// Channels summed into each output (`N/groups`).
-    pub(crate) channels: usize,
-    /// Taps per channel (the stored span, including dilation zeros).
-    pub(crate) width: usize,
-    /// Distance between consecutive channels' first tap rows.
-    pub(crate) w_stride: usize,
-    /// Distance between consecutive channels' input rows.
-    pub(crate) in_stride: usize,
-}
 
 /// The filter-vector band pass: for every position `p` and filter
 /// `f < live`, with `G` = [`FILTER_GROUP`],
@@ -468,7 +456,10 @@ pub(crate) struct FilterBand {
 ///                        · weights[c·w_stride + j·G + f]
 /// ```
 ///
-/// It overwrites `acc` (each sum starts from zero). Slots of filters
+/// The weights are a group's tap-major table: channel `c`'s tap `j` is
+/// the row of `G` weights at `c·w_stride + j·G`, so `band.w_stride` is
+/// the distance between consecutive channels' first tap rows. It
+/// overwrites `acc` (each sum starts from zero). Slots of filters
 /// `live..G` may be written with unspecified values.
 ///
 /// Saturating (`wrapping` false), each slot follows the reference
@@ -490,7 +481,7 @@ pub(crate) struct FilterBand {
 pub(crate) fn correlate_filters(
     weights: &[Fx16],
     input: &[Fx16],
-    band: FilterBand,
+    band: Band,
     positions: &[usize],
     live: usize,
     acc: &mut [Accum],
@@ -516,12 +507,12 @@ pub(crate) fn correlate_filters(
 fn filter_extent<'a>(
     weights: &'a [Fx16],
     input: &'a [Fx16],
-    band: FilterBand,
+    band: Band,
     positions: &[usize],
     live: usize,
     acc_len: usize,
 ) -> (&'a [Fx16], &'a [Fx16]) {
-    let FilterBand {
+    let Band {
         channels,
         width,
         w_stride,
@@ -540,6 +531,8 @@ fn filter_extent<'a>(
         "one accumulator per position and filter"
     );
     let reach = positions.iter().max().map_or(0, |&o| o + width);
+    // Tap-major: the last channel's `width` tap rows of `G` weights
+    // start at (channels − 1)·w_stride.
     (
         &weights[..(channels - 1) * w_stride + width * FILTER_GROUP],
         &input[..(channels - 1) * in_stride + reach],
@@ -551,7 +544,7 @@ fn filter_extent<'a>(
 fn filters_portable(
     weights: &[Fx16],
     input: &[Fx16],
-    band: FilterBand,
+    band: Band,
     positions: &[usize],
     live: usize,
     acc: &mut [Accum],
@@ -569,13 +562,13 @@ fn filters_portable(
 fn filters_loop<const WRAP: bool>(
     weights: &[Fx16],
     input: &[Fx16],
-    band: FilterBand,
+    band: Band,
     positions: &[usize],
     live: usize,
     acc: &mut [Accum],
 ) {
     let (weights, input) = filter_extent(weights, input, band, positions, live, acc.len());
-    let FilterBand {
+    let Band {
         channels,
         width,
         w_stride,
@@ -656,7 +649,7 @@ mod pairs {
     //! `#[target_feature]` functions: SSE2 always, AVX2 and AVX-512BW
     //! only after run-time detection.
 
-    use super::{extent, filter_extent, Band, FilterBand, FILTER_GROUP, NARROW};
+    use super::{extent, filter_extent, Band, FILTER_GROUP, NARROW};
     use tfe_tensor::fixed::{Accum, Fx16};
 
     /// The widest block a call may run; ordered narrowest first.
@@ -774,7 +767,7 @@ mod pairs {
         cap: Lanes,
         weights: &[Fx16],
         input: &[Fx16],
-        band: FilterBand,
+        band: Band,
         positions: &[usize],
         live: usize,
         acc: &mut [Accum],
@@ -863,7 +856,7 @@ mod pairs {
             pub(super) fn filter_blocks(
                 weights: &[Fx16],
                 input: &[Fx16],
-                band: FilterBand,
+                band: Band,
                 positions: &[usize],
                 f0: usize,
                 acc: &mut [Accum],
@@ -882,13 +875,13 @@ mod pairs {
             fn filter_run<const P: usize>(
                 weights: &[Fx16],
                 input: &[Fx16],
-                band: FilterBand,
+                band: Band,
                 positions: &[usize],
                 f0: usize,
                 acc: &mut [Accum],
                 mut p0: usize,
             ) -> usize {
-                let FilterBand {
+                let Band {
                     channels,
                     width,
                     w_stride,
@@ -929,7 +922,7 @@ mod pairs {
     /// 8 positions in 128-bit registers; the two accumulator vectors
     /// hold positions 0–3 and 4–7, the order `punpck{l,h}wd` yields.
     mod x8 {
-        use super::{pair, pair_at, Band, FilterBand, FILTER_GROUP};
+        use super::{pair, pair_at, Band, FILTER_GROUP};
         use std::arch::x86_64::*;
         use tfe_tensor::fixed::{Accum, Fx16};
 
@@ -998,7 +991,7 @@ mod pairs {
     /// 8–11 and the high one 4–7 and 12–15; `load` and `store` permute
     /// between that order and the row's.
     mod x16 {
-        use super::{pair, pair_at, Band, FilterBand, FILTER_GROUP};
+        use super::{pair, pair_at, Band, FILTER_GROUP};
         use std::arch::x86_64::*;
         use tfe_tensor::fixed::{Accum, Fx16};
 
@@ -1072,7 +1065,7 @@ mod pairs {
     /// 128-bit quarter: the low vector holds positions 0–3, 8–11, 16–19
     /// and 24–27, the high one the other four quarters.
     mod x32 {
-        use super::{pair, pair_at, Band, FilterBand, FILTER_GROUP};
+        use super::{pair, pair_at, Band, FILTER_GROUP};
         use std::arch::x86_64::*;
         use tfe_tensor::fixed::{Accum, Fx16};
 
@@ -1209,7 +1202,7 @@ mod tests {
         cap: usize,
         weights: &[Fx16],
         input: &[Fx16],
-        band: FilterBand,
+        band: Band,
         positions: &[usize],
         live: usize,
         acc: &mut [Accum],
@@ -1241,7 +1234,7 @@ mod tests {
     fn filter_reference(
         weights: &[Fx16],
         input: &[Fx16],
-        band: FilterBand,
+        band: Band,
         positions: &[usize],
         live: usize,
     ) -> Vec<Accum> {
@@ -1270,7 +1263,7 @@ mod tests {
     fn check_filters(
         weights: &[Fx16],
         input: &[Fx16],
-        band: FilterBand,
+        band: Band,
         positions: &[usize],
         live: usize,
         gated: bool,
@@ -1617,7 +1610,7 @@ mod tests {
     /// at stride `s` each, and an input cut so the last position of the
     /// last image reads its last tap at the band's very end.
     struct FilterCase {
-        band: FilterBand,
+        band: Band,
         positions: Vec<usize>,
         weights: usize,
         input: usize,
@@ -1632,7 +1625,7 @@ mod tests {
         let positions: Vec<usize> = (0..images)
             .flat_map(|bi| (0..cols).map(move |ox| bi * pw + ox * s))
             .collect();
-        let band = FilterBand {
+        let band = Band {
             channels,
             width,
             w_stride: width * FILTER_GROUP + w_gap,

@@ -27,7 +27,10 @@
 //!   [`Engine::layer_plans`], …).
 //! * `ir.rs` — the compiled stage tables: flat quantized weight tables
 //!   (filter rows, or tap-major filter groups for the filter-vector
-//!   sweep), per-unit offsets, SCNN source schedules, [`PrepareStats`].
+//!   sweep), per-unit offsets or compressed-sparse taps, SCNN source
+//!   schedules, [`PrepareStats`]; and the one choice of each dense
+//!   stage's executor ([`ExecMode`] under a [`ModePolicy`]), recorded
+//!   in the kind of its units.
 //! * `kernels.rs` — the two inner kernels. The channel-stacked row
 //!   kernel: a `kernels::RowKernel` per stage, selected once at compile
 //!   time from the filter extent `K` (specialized K ∈ {1, 3, 5, 7} plus
@@ -36,8 +39,6 @@
 //!   reference's exact saturating addition order, with one (forward)
 //!   weight order. And the filter-vector pass: a group of filters at
 //!   listed positions, one broadcast input against every filter's tap.
-//! * `plan.rs` — the compile-time weight plan: per-stage sparsity and
-//!   the [`ExecMode`] it selects, plus the compressed-sparse tables.
 //! * `exec.rs` — the row-pass run phase ([`Engine::run`],
 //!   [`Engine::run_batched`], and [`Engine::run_packed`], the one
 //!   pack → run → split): one row-interleaved batch layout, PPSR row
@@ -47,7 +48,7 @@
 //!   scoped-thread fan-out both the stage partitioner and the batch
 //!   runner use.
 //! * `sparse.rs` — the compressed-sparse row pass the dense sweep runs
-//!   on pruned dense stages.
+//!   on pruned dense stages, and the builder of its tap lists.
 //! * `scratch.rs` — the run-phase arenas ([`Scratch`]) and the bounded
 //!   [`ScratchPool`] long-lived services check warm arenas out of.
 //!
@@ -73,7 +74,6 @@
 mod exec;
 mod ir;
 pub(crate) mod kernels;
-mod plan;
 mod scratch;
 mod sparse;
 
@@ -128,12 +128,12 @@ impl Engine {
         Engine::compile_with_policy(net, reuse, &ModePolicy::default())
     }
 
-    /// [`Engine::compile`] with an explicit [`ModePolicy`] steering the
-    /// per-stage weight plan (`engine/plan.rs`). Every policy yields
-    /// bit-identical activations and counters — the policy only chooses
-    /// *how* dense stages execute ([`ExecMode`]), so forcing a mode
-    /// (e.g. [`ModePolicy::FORCE_SPARSE`]) is safe for any network and
-    /// is how the parity tests and benches pin the alternate executors.
+    /// [`Engine::compile`] with an explicit [`ModePolicy`] choosing each
+    /// dense stage's executor. Every policy yields bit-identical
+    /// activations and counters — the policy only chooses *how* dense
+    /// stages execute ([`ExecMode`]), so forcing a mode (e.g.
+    /// [`ModePolicy::ForceSparse`]) is safe for any network and is how
+    /// the parity tests and benches pin the alternate executors.
     ///
     /// # Errors
     ///
@@ -215,7 +215,7 @@ impl Engine {
         let modes = self
             .stages
             .iter()
-            .map(|s| s.plan.mode().as_str().to_owned())
+            .map(|s| s.exec_mode().as_str().to_owned())
             .collect();
         self.sink = Sink::enabled_with_modes(labels, modes, ring_capacity);
         self.sink.clone()
@@ -286,19 +286,20 @@ impl Engine {
         self.stages.iter().map(|s| s.mode).collect()
     }
 
-    /// The [`ExecMode`] the weight plan chose for each stage, in stage
-    /// order — how dense stages actually execute (dense sweep or
+    /// The [`ExecMode`] compile chose for each stage, in stage order —
+    /// how dense stages actually execute (dense sweep or
     /// compressed-sparse; transferred stages report
     /// [`ExecMode::Transferred`]).
     #[must_use]
     pub fn exec_modes(&self) -> Vec<ExecMode> {
-        self.stages.iter().map(|s| s.plan.mode()).collect()
+        self.stages.iter().map(ir::StageIr::exec_mode).collect()
     }
 
-    /// The weight statistic the plan measured for stage `index`: the
-    /// zero fraction over the stage's quantized logical taps.
+    /// The weight statistic compile counted for stage `index`: the zero
+    /// fraction over a dense stage's quantized logical taps (0 for a
+    /// transferred stage).
     #[must_use]
     pub fn stage_sparsity(&self, index: usize) -> Option<f64> {
-        self.stages.get(index).map(|s| s.plan.sparsity)
+        self.stages.get(index).map(ir::StageIr::sparsity)
     }
 }

@@ -24,6 +24,11 @@ pub(crate) struct ArenaPeak {
     pub(crate) stage: usize,
     /// Peak dense row-parts length (`KernelBufs::parts`).
     pub(crate) parts: usize,
+    /// Peak filter-vector position-list length
+    /// (`KernelBufs::positions`, images × F).
+    pub(crate) positions: usize,
+    /// Peak output-row block length (`KernelBufs::rows_out`).
+    pub(crate) rows_out: usize,
     /// Peak length of one stream or window buffer
     /// ([`KernelBufs::longest_stream`]) — batch-wide on transferred
     /// stages.
@@ -38,6 +43,8 @@ impl ArenaPeak {
             out: self.out.max(other.out),
             stage: self.stage.max(other.stage),
             parts: self.parts.max(other.parts),
+            positions: self.positions.max(other.positions),
+            rows_out: self.rows_out.max(other.rows_out),
             stream: self.stream.max(other.stream),
         }
     }
@@ -113,6 +120,8 @@ impl Scratch {
             out: self.out.len(),
             stage,
             parts: self.bufs.parts.len(),
+            positions: self.bufs.positions.len(),
+            rows_out: self.bufs.rows_out.len(),
             stream: std::iter::once(&self.bufs)
                 .chain(&self.bufs_pool)
                 .map(KernelBufs::longest_stream)
@@ -130,17 +139,14 @@ impl Scratch {
         self.peaks[self.peak_cursor] = peak;
         self.peak_cursor = (self.peak_cursor + 1) % PEAK_WINDOW;
         let keep = self.peaks.iter().fold(peak, |acc, &p| acc.max(p));
-        self.padded.clear();
-        self.padded.shrink_to(keep.padded);
-        self.out.clear();
-        self.out.shrink_to(keep.out);
-        self.stage_in.clear();
-        self.stage_in.shrink_to(keep.stage);
-        self.stage_next.clear();
-        self.stage_next.shrink_to(keep.stage);
+        retain(&mut self.padded, keep.padded);
+        retain(&mut self.out, keep.out);
+        retain(&mut self.stage_in, keep.stage);
+        retain(&mut self.stage_next, keep.stage);
         for bufs in std::iter::once(&mut self.bufs).chain(&mut self.bufs_pool) {
-            bufs.parts.clear();
-            bufs.parts.shrink_to(keep.parts);
+            retain(&mut bufs.parts, keep.parts);
+            retain(&mut bufs.positions, keep.positions);
+            retain(&mut bufs.rows_out, keep.rows_out);
             bufs.shrink_streams(keep.stream);
         }
     }
@@ -148,11 +154,12 @@ impl Scratch {
     /// The retained capacities of the batch-scaled arenas — what the
     /// high-water shrink bounds, in order: padded planes, out
     /// accumulators, the two stage-activation buffers, dense row parts,
-    /// the window buffer, and the words of every transferred stream
-    /// buffer (ERRR ring streams and the DCNN `per_row` streams) of the
+    /// the window buffer, the words of every transferred stream buffer
+    /// (ERRR ring streams and the DCNN `per_row` streams), the
+    /// filter-vector position list and the output-row block, all of the
     /// caller-thread buffer set.
     #[must_use]
-    pub fn arena_capacities(&self) -> [usize; 7] {
+    pub fn arena_capacities(&self) -> [usize; 9] {
         [
             self.padded.capacity(),
             self.out.capacity(),
@@ -161,6 +168,8 @@ impl Scratch {
             self.bufs.parts.capacity(),
             self.bufs.window.capacity(),
             self.bufs.streams().map(Vec::capacity).sum(),
+            self.bufs.positions.capacity(),
+            self.bufs.rows_out.capacity(),
         ]
     }
 }
@@ -223,12 +232,16 @@ impl KernelBufs {
             .flatten()
             .flatten()
         {
-            stream.clear();
-            stream.shrink_to(keep);
+            retain(stream, keep);
         }
-        self.window.clear();
-        self.window.shrink_to(keep);
+        retain(&mut self.window, keep);
     }
+}
+
+/// Empties `buf` and caps its retained capacity at `keep` elements.
+fn retain<T>(buf: &mut Vec<T>, keep: usize) {
+    buf.clear();
+    buf.shrink_to(keep);
 }
 
 /// Takes a ring from the pool (or makes one) reset to `capacity`,

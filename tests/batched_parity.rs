@@ -409,20 +409,26 @@ fn per_layer_telemetry_sums_match_sequential_engine() {
     }
 }
 
-/// The bounded high-water shrink, for a dense, a DCNN4, and an SCNN
-/// engine: a one-off batch-8 run grows the batch-scaled arenas — padded
-/// planes, accumulators, and stage buffers, plus the dense row parts or
-/// the transferred stages' batch-wide window and ERRR ring streams; they
-/// stay warm while the peak is inside the shrink window, and are
-/// released once `PEAK_WINDOW` (8) smaller runs age it out.
+/// The bounded high-water shrink, for two dense engines (row sweep and
+/// filter-vector sweep), a DCNN4, and an SCNN engine: a one-off batch-8
+/// run grows the batch-scaled arenas — padded planes, accumulators, and
+/// stage buffers, plus the dense row parts, the filter-vector parts,
+/// window and position list, or the transferred stages' batch-wide
+/// window and ERRR ring streams — and a lone image at two workers the
+/// filter-vector sweep's output-row block; they stay warm while the
+/// peaks are inside the shrink window, and are released once
+/// `PEAK_WINDOW` (8) smaller runs age them out.
 #[test]
 fn scratch_arenas_shrink_after_peak_ages_out() {
     // Indices into `Scratch::arena_capacities`: padded, out, stage_in,
-    // stage_next, dense parts, window, transferred stream words.
+    // stage_next, dense parts, window, transferred stream words,
+    // filter-vector positions, output-row blocks.
     const SHARED: [usize; 4] = [0, 1, 2, 3];
     const PARTS: usize = 4;
     const WINDOW: usize = 5;
     const STREAMS: usize = 6;
+    const POSITIONS: usize = 7;
+    const ROWS_OUT: usize = 8;
     // The two stage-activation buffers swap roles every run, so they
     // are compared as an unordered pair.
     let caps = |scratch: &Scratch| {
@@ -434,6 +440,14 @@ fn scratch_arenas_shrink_after_peak_ages_out() {
     };
     let cells = [
         ("dense", dense_net(8, 8, 12, 3, 1.0, 0x91), 8, vec![PARTS]),
+        // 32 filters run the filter-vector sweep, whose lone image at
+        // two workers splits its output rows into blocks.
+        (
+            "dense filter groups",
+            dense_net(8, 32, 12, 3, 1.0, 0x94),
+            8,
+            vec![PARTS, WINDOW, POSITIONS, ROWS_OUT],
+        ),
         (
             "dcnn4",
             transferred_net(TransferScheme::DCNN4, 1.0, 0x92),
@@ -453,10 +467,12 @@ fn scratch_arenas_shrink_after_peak_ages_out() {
         let big = stacked(8, channels, 12, 1.0, 0xb16);
         let small = stacked(1, channels, 12, 1.0, 0x5a11);
         engine.run_batched(&big, &mut scratch, 1).unwrap();
+        engine.run_batched(&small, &mut scratch, 2).unwrap();
         let peak_caps = caps(&scratch);
 
-        // Inside the window the batch-8 peak still bounds every arena:
-        // the next small run must not release the warm capacity.
+        // Inside the window the batch-8 and two-worker peaks still bound
+        // every arena: the next small run must not release the warm
+        // capacity.
         engine.run_batched(&small, &mut scratch, 1).unwrap();
         assert_eq!(
             caps(&scratch),
@@ -464,8 +480,8 @@ fn scratch_arenas_shrink_after_peak_ages_out() {
             "{label}: peak still inside the shrink window must keep arenas warm"
         );
 
-        // Seven more small runs overwrite the last window slot holding
-        // the batch-8 peak; retiring the eighth shrinks to the small
+        // Seven more small runs overwrite the last window slots holding
+        // the peaks; retiring the eighth shrinks to the small one-worker
         // geometry. Arenas this scheme scales with the batch must
         // shrink; the rest must not grow.
         for _ in 0..7 {

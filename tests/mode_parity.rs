@@ -1,15 +1,16 @@
-//! Execution-mode parity: the weight plan's alternate executor — the
+//! Execution-mode parity: the alternate dense executor — the
 //! compressed-sparse path (`engine/sparse.rs`) — must be
-//! **bit-identical** to the dense sweep in activations, per-image
-//! counter streams, and per-layer telemetry sums, across scheme ×
-//! stride × dilation × batch, through both [`Engine::run`] and
+//! **bit-identical** to the dense sweeps (row and filter-vector) in
+//! activations, per-image counter streams, and per-layer telemetry
+//! sums, across scheme × stride × dilation × channel groups × filter
+//! count × batch, through both [`Engine::run`] and
 //! [`Engine::run_batched`].
 //!
-//! The [`ModePolicy`] force constants make this pinnable: compiling the
-//! same network under [`ModePolicy::DENSE_ONLY`] and
-//! [`ModePolicy::FORCE_SPARSE`] yields two engines that must agree
+//! The forcing [`ModePolicy`] choices make this pinnable: compiling the
+//! same network under [`ModePolicy::DenseOnly`] and
+//! [`ModePolicy::ForceSparse`] yields two engines that must agree
 //! bit-exactly on everything except *how* dense stages execute. Also
-//! pinned: the default policy's natural threshold (pruned weights
+//! pinned: the measured policy's natural threshold (pruned weights
 //! select `Sparse`).
 
 use proptest::prelude::*;
@@ -22,7 +23,7 @@ use tfe::tensor::shape::LayerShape;
 use tfe::tensor::tensor::Tensor4;
 use tfe::transfer::analysis::ReuseConfig;
 use tfe::transfer::layer::TransferredLayer;
-use tfe::transfer::mode::{ExecMode, ModePolicy};
+use tfe::transfer::mode::{ExecMode, ModePolicy, SPARSE_THRESHOLD};
 use tfe::transfer::TransferScheme;
 
 fn det(seed: &mut u32) -> f32 {
@@ -43,24 +44,29 @@ const DILATIONS: [usize; 2] = [1, 2];
 const BATCHES: [usize; 3] = [1, 3, 5];
 /// Body-stage channel groups: 8 is depth-wise on the 8-channel stems.
 const GROUPS: [usize; 3] = [1, 2, 8];
+/// Body-stage filters: 8 run the row sweep; ungrouped, 32 (one full
+/// group) and 40 (a partial second group) run the filter-vector sweep
+/// unless the sparse pass is forced.
+const BODY_FILTERS: [usize; 3] = [8, 32, 40];
 
-/// The policies under comparison; `DENSE_ONLY` is the oracle.
+/// The policies under comparison; `DenseOnly` is the oracle.
 const POLICIES: [(&str, ModePolicy, ExecMode); 2] = [
-    ("dense", ModePolicy::DENSE_ONLY, ExecMode::Dense),
-    ("sparse", ModePolicy::FORCE_SPARSE, ExecMode::Sparse),
+    ("dense", ModePolicy::DenseOnly, ExecMode::Dense),
+    ("sparse", ModePolicy::ForceSparse, ExecMode::Sparse),
 ];
 
-/// A transferred stem (per scheme) feeding a dense stage at the given
-/// stride/dilation/channel groups, with a deterministic fraction of the
-/// dense weights zeroed — so forced policies exercise sparse tables with
-/// real holes (and, grouped, filters reading a channel band at an
-/// offset) while the stem pins that transferred stages ignore the
-/// policy.
+/// A transferred stem (per scheme) feeding a dense stage of `body_m`
+/// filters at the given stride/dilation/channel groups, with a
+/// deterministic fraction of the dense weights zeroed — so forced
+/// policies exercise sparse tables with real holes (and, grouped,
+/// filters reading a channel band at an offset) while the stem pins
+/// that transferred stages ignore the policy.
 fn mixed_net(
     scheme: TransferScheme,
     stride: usize,
     dilation: usize,
     groups: usize,
+    body_m: usize,
     sparsity_steps: u32,
     seed: u32,
 ) -> FunctionalNetwork {
@@ -71,14 +77,14 @@ fn mixed_net(
     let stem = LayerShape::conv("stem", 3, m, 13, 13, 3, 1, 1).unwrap();
     let mut s = seed;
     let stem_weights = TransferredLayer::random(&stem, scheme, || det(&mut s)).unwrap();
-    let body = LayerShape::conv("body", m, 8, 13, 13, 3, stride, 1)
+    let body = LayerShape::conv("body", m, body_m, 13, 13, 3, stride, 1)
         .unwrap()
         .with_dilation(dilation)
         .unwrap()
         .with_groups(groups)
         .unwrap();
     let body_weights = TransferredLayer::Dense {
-        weights: Tensor4::from_fn([8, m / groups, 3, 3], |_| {
+        weights: Tensor4::from_fn([body_m, m / groups, 3, 3], |_| {
             let v = det(&mut s);
             // `sparsity_steps`/8 of the taps become exact zeros.
             if (s >> 8) & 0x7 < sparsity_steps {
@@ -98,7 +104,7 @@ fn mixed_net(
         FunctionalStage {
             shape: body,
             weights: body_weights,
-            bias: vec![0.1; 8],
+            bias: vec![0.1; body_m],
             output: OutputConfig::RELU_ONLY,
         },
     ])
@@ -132,7 +138,7 @@ fn flat<T: Copy>(t: &Tensor4<T>) -> Vec<T> {
 /// Compiles `net` under each policy, runs single-image and batched
 /// execution on the same inputs, and asserts everything observable —
 /// activations, per-image counter streams, merged totals, per-layer
-/// telemetry sums — is bit-identical to the `DENSE_ONLY` engine.
+/// telemetry sums — is bit-identical to the `DenseOnly` engine.
 fn assert_mode_parity(
     net: &FunctionalNetwork,
     reuse: ReuseConfig,
@@ -146,9 +152,8 @@ fn assert_mode_parity(
         let mut engine = Engine::compile_with_policy(net, reuse, &policy).unwrap();
         engine.enable_telemetry(64);
         // Transferred stages ignore the policy; dense stages take the
-        // forced mode. The compile-time stats echo the same plan.
+        // forced mode.
         let modes = engine.exec_modes();
-        assert_eq!(modes, engine.stats().modes, "{label}/{name}: stats.modes");
         for (i, mode) in modes.iter().enumerate() {
             let expect = if matches!(net.stages()[i].weights, TransferredLayer::Dense { .. }) {
                 forced
@@ -209,7 +214,7 @@ fn assert_mode_parity(
                 "{label}/{name}: telemetry mode for stage {i}"
             );
         }
-        let dense_reg = Engine::compile_with_policy(net, reuse, &ModePolicy::DENSE_ONLY)
+        let dense_reg = Engine::compile_with_policy(net, reuse, &ModePolicy::DenseOnly)
             .map(|mut e| {
                 e.enable_telemetry(64);
                 e.run_batched(input, &mut scratch, workers).unwrap();
@@ -239,14 +244,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The full grid: scheme × stride × dilation × channel groups ×
-    /// batch × worker count × weight sparsity, each cell comparing the
-    /// policy engines bit-for-bit through `run` and `run_batched`.
+    /// body filters × batch × worker count × weight sparsity, each cell
+    /// comparing the policy engines bit-for-bit through `run` and
+    /// `run_batched`.
     #[test]
     fn forced_modes_are_bit_identical_across_the_grid(
         scheme_idx in 0usize..3,
         stride_idx in 0usize..2,
         dil_idx in 0usize..2,
         groups_idx in 0usize..3,
+        body_idx in 0usize..3,
         batch_idx in 0usize..3,
         workers in 1usize..5,
         sparsity_steps in 0u32..8,
@@ -258,13 +265,15 @@ proptest! {
             STRIDES[stride_idx],
             DILATIONS[dil_idx],
             GROUPS[groups_idx],
+            BODY_FILTERS[body_idx],
             sparsity_steps,
             seed,
         );
         let input = stacked(BATCHES[batch_idx], 3, 13, 1.0, seed ^ 0xbead);
         let label = format!(
-            "{scheme:?} stride={} dil={} groups={} batch={} workers={workers} zeros={sparsity_steps}/8",
-            STRIDES[stride_idx], DILATIONS[dil_idx], GROUPS[groups_idx], BATCHES[batch_idx]
+            "{scheme:?} stride={} dil={} groups={} filters={} batch={} workers={workers} zeros={sparsity_steps}/8",
+            STRIDES[stride_idx], DILATIONS[dil_idx], GROUPS[groups_idx], BODY_FILTERS[body_idx],
+            BATCHES[batch_idx]
         );
         assert_mode_parity(&net, ReuseConfig::FULL, &input, workers, &label);
     }
@@ -321,7 +330,7 @@ fn reuse_ablations_stay_bit_identical_under_forced_modes() {
 /// The default policy's natural threshold: a 90 %-pruned dense stage
 /// crosses the sparsity threshold and compiles to `Sparse`, while the
 /// same geometry with unpruned weights stays on the dense sweep — and
-/// both run bit-identical to a `DENSE_ONLY` compile of the same network.
+/// both run bit-identical to a `DenseOnly` compile of the same network.
 #[test]
 fn default_policy_thresholds_choose_modes_naturally() {
     let shape = || LayerShape::conv("nat", 6, 8, 12, 12, 3, 1, 1).unwrap();
@@ -358,10 +367,9 @@ fn default_policy_thresholds_choose_modes_naturally() {
         let engine = Engine::compile(net, ReuseConfig::FULL).unwrap();
         assert_eq!(engine.exec_modes(), vec![expect], "{expect:?}");
         let sparsity = engine.stage_sparsity(0).unwrap();
-        let threshold = ModePolicy::default().sparse_threshold;
         match expect {
-            ExecMode::Sparse => assert!(sparsity >= threshold, "sparsity {sparsity}"),
-            ExecMode::Dense => assert!(sparsity < threshold, "sparsity {sparsity}"),
+            ExecMode::Sparse => assert!(sparsity >= SPARSE_THRESHOLD, "sparsity {sparsity}"),
+            ExecMode::Dense => assert!(sparsity < SPARSE_THRESHOLD, "sparsity {sparsity}"),
             _ => unreachable!(),
         }
         let input = stacked(2, 6, 12, 1.0, 0x77);
