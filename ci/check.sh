@@ -48,9 +48,10 @@ cargo test -q --offline --workspace
 # parity suites in that profile too, so code that behaves differently
 # there cannot pass only in the test profile. The counter and end-to-end
 # suites join them because the filter-vector sweep charges its own
-# counters.
+# counters, and the telemetry suite because its per-layer sums are
+# exact over every ring read and write of the transferred executor.
 cargo test -q --release --offline -p tfe-sim --lib
-cargo test -q --release --offline --test kernel_parity --test batched_parity --test mode_parity --test geometry_parity --test parallel_parity --test engine_counters --test end_to_end_functional
+cargo test -q --release --offline --test kernel_parity --test batched_parity --test mode_parity --test geometry_parity --test parallel_parity --test engine_counters --test end_to_end_functional --test telemetry
 # The serving stack's integration tests exercise threads, sockets, and
 # shutdown paths — run them explicitly so a filtered test invocation can
 # never silently skip them. fleet_smoke adds the multi-model tier on

@@ -117,9 +117,10 @@ fn separable_cell(seed: u32) -> (FunctionalNetwork, Tensor4<Fx16>) {
 }
 
 /// The compile-bound cell: a 4×4 ifmap under 64 SCNN filters, so the
-/// request is dominated by weight-side work (compile expands all eight
-/// orientations; the run needs only two) — where the compile-once split
-/// pays off hardest.
+/// request is dominated by weight-side work (per orbit group, compile
+/// writes the four orientations the reads use, the two bases and their
+/// FlipH partners, from the stored bases; the run sweeps rows of the two
+/// bases only) — where the compile-once split pays off hardest.
 fn compile_bound_cell(seed: u32) -> (FunctionalNetwork, Tensor4<Fx16>) {
     let shapes = vec![(LayerShape::conv("t", 8, 64, 4, 4, 3, 1, 0).unwrap(), false)];
     let mut s = seed;

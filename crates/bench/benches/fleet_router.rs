@@ -26,8 +26,8 @@ use std::hint::black_box;
 use std::time::Duration;
 use tfe_bench::report::{BenchCell, BenchReport};
 use tfe_bench::timing::best_pair_ips;
+use tfe_fleet::demo::{demo_images, demo_network};
 use tfe_fleet::{Fleet, FleetSpec, ModelSpec};
-use tfe_serve::demo::{demo_images, demo_network};
 use tfe_serve::{ServeConfig, Service};
 
 /// Lowest-latency round-trip knobs: no batching window, one executor,

@@ -14,7 +14,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 use tfe_bench::format::Table;
-use tfe_serve::{demo, Rejected, ServeConfig, Service};
+use tfe_fleet::demo;
+use tfe_serve::{Rejected, ServeConfig, Service};
 
 struct Cell {
     offered: u64,

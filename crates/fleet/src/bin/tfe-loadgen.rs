@@ -34,8 +34,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
-use tfe_fleet::{demo, Fleet, FleetSnapshot};
-use tfe_serve::demo::demo_images;
+use tfe_fleet::demo::{self, demo_images};
+use tfe_fleet::{Fleet, FleetSnapshot};
 use tfe_serve::{Rejected, ServeConfig, TelemetrySnapshot};
 
 struct Args {

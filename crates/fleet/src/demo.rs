@@ -1,26 +1,29 @@
-//! Deterministic miniature fleet models for demos, the load generator,
-//! and the smoke tests.
+//! Deterministic demo networks and inputs for the examples, the load
+//! generator, the benches and the smoke tests.
 //!
 //! Value-level simulation of the zoo's full ImageNet-scale networks is
-//! infeasible, so fleet demos shrink each [`tfe_nets`] network to a
+//! infeasible, so demos run small purpose-built networks. The classic
+//! [`demo_network`] is a two-stage SCNN network (the topology the parity
+//! tests exercise). Fleet demos shrink each [`tfe_nets`] network to a
 //! two-stage miniature that keeps its signature filter extent: stage 1
 //! convolves with the network's leading conv kernel size (clamped odd
 //! into `[1, 5]`), stage 2 is the standard 3×3 + 2×2-pool tail every
 //! serving demo uses. Grouped networks (the MobileNet family) instead
 //! shrink to a depthwise-separable miniature — stem → depthwise →
 //! pointwise — so the servable model exercises the engine's grouped
-//! dense stages. Every miniature accepts the same
-//! `[1, 3, 12, 12]` input geometry
-//! ([`tfe_serve::demo::DEMO_INPUT_DIMS`]), so one
-//! [`demo_images`](tfe_serve::demo::demo_images) pool drives mixed-model
-//! traffic, while weights differ per model id — outputs distinguish the
-//! models bit-exactly.
+//! dense stages. Every demo network accepts the same `[1, 3, 12, 12]`
+//! input geometry ([`DEMO_INPUT_DIMS`]), so one [`demo_images`] pool
+//! drives mixed-model traffic, while weights differ per model id —
+//! outputs distinguish the models bit-exactly. Weights and images derive
+//! from an explicit seed through one fixed LCG, so every run — and every
+//! host — sees identical values.
 
 use crate::spec::{FleetSpec, ModelSpec};
 use tfe_baselines::sparse_kernel::SparseFilterBank;
 use tfe_nets::Network;
 use tfe_sim::network::{FunctionalNetwork, FunctionalStage};
 use tfe_sim::output::OutputConfig;
+use tfe_tensor::fixed::Fx16;
 use tfe_tensor::shape::LayerShape;
 use tfe_tensor::tensor::Tensor4;
 use tfe_transfer::layer::TransferredLayer;
@@ -29,6 +32,37 @@ use tfe_transfer::TransferScheme;
 fn det(seed: &mut u32) -> f32 {
     *seed = seed.wrapping_mul(1664525).wrapping_add(1013904223);
     ((*seed >> 16) as f32 / 65536.0) - 0.5
+}
+
+/// Input geometry every demo network accepts: `[1, C, H, W]`.
+pub const DEMO_INPUT_DIMS: [usize; 4] = [1, 3, 12, 12];
+
+/// Builds the deterministic two-stage demo network (SCNN transfer,
+/// conv 3→8 then conv 8→8 with 2×2 pooling).
+#[must_use]
+pub fn demo_network(seed: u32) -> FunctionalNetwork {
+    let shapes = vec![
+        (
+            LayerShape::conv("serve1", 3, 8, 12, 12, 3, 1, 1).expect("static demo shape"),
+            false,
+        ),
+        (
+            LayerShape::conv("serve2", 8, 8, 12, 12, 3, 1, 1).expect("static demo shape"),
+            true,
+        ),
+    ];
+    let mut state = seed;
+    FunctionalNetwork::random(&shapes, TransferScheme::Scnn, || det(&mut state))
+        .expect("static demo network is well-formed")
+}
+
+/// Generates `count` deterministic demo input images.
+#[must_use]
+pub fn demo_images(count: usize, seed: u32) -> Vec<Tensor4<Fx16>> {
+    let mut state = seed;
+    (0..count)
+        .map(|_| Tensor4::from_fn(DEMO_INPUT_DIMS, |_| Fx16::from_f32(det(&mut state))))
+        .collect()
 }
 
 fn id_hash(id: &str) -> u32 {
@@ -141,14 +175,14 @@ pub fn separable_miniature(seed: u32) -> FunctionalNetwork {
 }
 
 /// Builds one demo model network by id: `"demo"` is the classic
-/// [`tfe_serve::demo::demo_network`]; any [`tfe_nets::zoo`] name
+/// [`demo_network`]; any [`tfe_nets::zoo`] name
 /// resolves to its [`miniature`] with weights seeded from the id (so
 /// different models produce different outputs). `None` for an id the
 /// zoo does not know.
 #[must_use]
 pub fn demo_model(id: &str, seed: u32) -> Option<FunctionalNetwork> {
     if id == "demo" {
-        return Some(tfe_serve::demo::demo_network(seed));
+        return Some(demo_network(seed));
     }
     let net = tfe_nets::zoo::by_name(id)?;
     Some(miniature(&net, seed ^ id_hash(id)))
@@ -169,8 +203,20 @@ pub fn demo_fleet(ids: &[&str], seed: u32) -> Option<FleetSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfe_serve::demo::{demo_images, DEMO_INPUT_DIMS};
     use tfe_transfer::analysis::ReuseConfig;
+
+    #[test]
+    fn demo_network_is_deterministic_and_runs() {
+        let a = demo_network(7);
+        let b = demo_network(7);
+        let images = demo_images(2, 99);
+        let out_a = a.run(&images[0], ReuseConfig::FULL).unwrap();
+        let out_b = b.run(&images[0], ReuseConfig::FULL).unwrap();
+        assert_eq!(out_a.activations, out_b.activations);
+        assert_eq!(out_a.counters, out_b.counters);
+        assert_eq!(images[0].dims(), DEMO_INPUT_DIMS);
+        assert_ne!(images[0], images[1]);
+    }
 
     #[test]
     fn miniatures_accept_demo_inputs_and_differ_by_model() {

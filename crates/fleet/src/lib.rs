@@ -36,8 +36,8 @@
 //! # Example
 //!
 //! ```
-//! use tfe_fleet::{demo, Fleet};
-//! use tfe_serve::demo::demo_images;
+//! use tfe_fleet::demo::{self, demo_images};
+//! use tfe_fleet::Fleet;
 //!
 //! let spec = demo::demo_fleet(&["demo", "alexnet"], 7).unwrap();
 //! let fleet = Fleet::start(spec).unwrap();

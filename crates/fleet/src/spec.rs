@@ -111,7 +111,7 @@ impl FleetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfe_serve::demo::demo_network;
+    use crate::demo::demo_network;
 
     #[test]
     fn valid_spec_passes() {

@@ -37,11 +37,22 @@
 //! # Example
 //!
 //! ```
-//! use tfe_serve::{demo, Service, ServeConfig};
+//! use tfe_serve::{Service, ServeConfig};
+//! use tfe_sim::network::FunctionalNetwork;
+//! use tfe_tensor::{fixed::Fx16, shape::LayerShape, tensor::Tensor4};
+//! use tfe_transfer::TransferScheme;
 //!
-//! let service = Service::start(demo::demo_network(7), ServeConfig::default()).unwrap();
+//! // A one-stage SCNN network: conv 3→8, ReLU, 2×2 pooling.
+//! let shape = LayerShape::conv("conv", 3, 8, 12, 12, 3, 1, 1).unwrap();
+//! let mut seed = 7u32;
+//! let mut next = || {
+//!     seed = seed.wrapping_mul(1664525).wrapping_add(1013904223);
+//!     (seed >> 16) as f32 / 65536.0 - 0.5
+//! };
+//! let net = FunctionalNetwork::random(&[(shape, true)], TransferScheme::Scnn, &mut next).unwrap();
+//! let service = Service::start(net, ServeConfig::default()).unwrap();
 //! let client = service.client();
-//! let image = demo::demo_images(1, 42).remove(0);
+//! let image = Tensor4::from_fn([1, 3, 12, 12], |_| Fx16::from_f32(next()));
 //! let reply = client.infer(image).unwrap();
 //! assert!(reply.counters.multiplies > 0);
 //! let stats = service.shutdown();
@@ -54,7 +65,6 @@
 mod batcher;
 
 pub mod config;
-pub mod demo;
 pub mod metrics;
 pub mod protocol;
 pub mod queue;

@@ -18,10 +18,10 @@
 //! with the network's internal scratch pool.
 //!
 //! Thread budget: [`BatchOptions::workers`] resolves it — the pinned
-//! [`BatchOptions::threads`], else the first of the `RAYON_NUM_THREADS`
-//! and `TFE_THREADS` environment variables that names a positive
-//! integer, else the machine's available parallelism. Parallelism is
-//! across image chunks only: each chunk's sweep runs on one worker.
+//! [`BatchOptions::threads`], else the `TFE_THREADS` environment
+//! variable when it names a positive integer, else the machine's
+//! available parallelism. Parallelism is across image chunks only: each
+//! chunk's sweep runs on one worker.
 //! Handing one sweep the whole budget instead (the stage partitioner's
 //! batch chunks) measured about 1.5× slower on small images
 //! (`sim_throughput`'s VGG prefix at 2 threads), where each stage's
@@ -39,7 +39,7 @@ use tfe_transfer::analysis::ReuseConfig;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchOptions {
     /// Worker-thread count for this batch; `None` uses the default
-    /// budget (`RAYON_NUM_THREADS` / `TFE_THREADS`, else all cores).
+    /// budget (`TFE_THREADS`, else all cores).
     pub threads: Option<usize>,
 }
 
@@ -53,16 +53,13 @@ impl BatchOptions {
     }
 
     /// The worker count these options resolve to: the pinned
-    /// [`threads`](Self::threads), else the first of
-    /// `RAYON_NUM_THREADS` and `TFE_THREADS` that names a positive
-    /// integer, else the machine's available parallelism. The one rule
-    /// [`run_engine_batch`] and the `tfe-serve` executors share.
+    /// [`threads`](Self::threads), else `TFE_THREADS` when it names a
+    /// positive integer, else the machine's available parallelism. The
+    /// one rule [`run_engine_batch`] and the `tfe-serve` executors share.
     #[must_use]
     pub fn workers(self) -> usize {
         self.threads.unwrap_or_else(|| {
-            ["RAYON_NUM_THREADS", "TFE_THREADS"]
-                .into_iter()
-                .find_map(|var| parse_threads(std::env::var(var).ok()))
+            parse_threads(std::env::var("TFE_THREADS").ok())
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
         })
     }
@@ -70,7 +67,7 @@ impl BatchOptions {
 
 /// The thread count an environment value names: a positive integer.
 /// Unset, empty, zero, negative, padded and non-numeric values give
-/// `None`, so the lookup falls through to the next source.
+/// `None`, so the lookup falls through to available parallelism.
 fn parse_threads(value: Option<String>) -> Option<usize> {
     value?.parse().ok().filter(|&n| n > 0)
 }

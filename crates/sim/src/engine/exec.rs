@@ -11,13 +11,15 @@
 //!
 //! Every stage runs one datapath: one row-interleaved padded layout
 //! (`fill_padded_batch`), one executor per unit kind (a dense filter —
-//! compressed-sparse or not — a dense filter group, a DCNN meta group,
-//! or an SCNN orbit group), one forward row sweep for every row-kernel
-//! pass ([`row_sweep`]), one ERRR ring fill for the transferred units
-//! ([`RowPass`]), one window combine (`combine`), and one output memory
-//! system (`crate::output`'s `process_channel`). SCNN's mirrored stream
-//! is the forward pass over the FlipH partner orientation's stored
-//! rows, which compile lays down reversed.
+//! compressed-sparse or not — a dense filter group, or a transferred
+//! unit, which is a DCNN meta group or an SCNN orbit group alike), one
+//! forward row sweep for every row-kernel pass ([`row_sweep`]), one
+//! ERRR ring fill ([`RowPass`]), one window combine (`combine`), and one
+//! output memory system (`crate::output`'s `process_channel`). The
+//! transferred executor ([`transferred_unit`]) runs the read schedule
+//! compile wrote: one ring per weight set, then one window per read.
+//! SCNN's mirrored stream is the forward pass over the FlipH partner
+//! orientation's stored rows, which compile lays down reversed.
 //!
 //! Ungrouped dense stages of at least 16 filters run the filter-vector
 //! sweep ([`filter_group_sweep`], DESIGN §5.10) instead of one filter at
@@ -44,9 +46,9 @@
 //! order-independent), which is both the counter-side hoisting win and
 //! trivially bit-identical to per-image charging.
 
-use super::ir::{tap, Geo, StageIr, UnitIr};
+use super::ir::{tap, Geo, StageIr, TransferredUnit, UnitIr};
 use super::kernels::{correlate_filters, Band, FILTER_GROUP};
-use super::scratch::{return_ring, shape_streams, take_ring, ArenaPeak, KernelBufs, Scratch};
+use super::scratch::{shape_streams, ArenaPeak, KernelBufs, Scratch};
 use super::sparse::sparse_band_pass;
 use super::Engine;
 use crate::counters::Counters;
@@ -54,15 +56,13 @@ use crate::errr::{RowRing, Streams};
 use crate::functional::FunctionalOutput;
 use crate::network::NetworkOutput;
 use crate::output::process_channel;
-use crate::ppsr::{charge_conventional, charge_dcnn, charge_scnn, row_sweep};
+use crate::ppsr::{charge_conventional, row_sweep};
 use crate::SimError;
 use std::time::Instant;
 use tfe_telemetry::LayerSample;
 use tfe_tensor::fixed::{Accum, Fx16};
 use tfe_tensor::shape::LayerShape;
 use tfe_tensor::tensor::Tensor4;
-use tfe_transfer::analysis::ReuseConfig;
-use tfe_transfer::scnn::ORBIT;
 
 /// Result of [`Engine::run_batched`]: the batch's activations plus both
 /// per-image and merged counter views, so [`Engine::run_packed`] can
@@ -145,8 +145,6 @@ struct PartCtx<'a> {
     /// (vectorizer-friendly) fast path of every row pass: dense,
     /// sparse, DCNN, and SCNN.
     saturation_free: bool,
-    reuse: ReuseConfig,
-    sources: &'a [(usize, usize, bool); ORBIT],
     /// The whole batch's padded input planes, interleaved by row
     /// (`[N × PH × (B·PW)]`) so one contiguous pass spans the batch.
     padded: &'a [Fx16],
@@ -413,8 +411,6 @@ impl Engine {
             geo,
             batch,
             saturation_free: saturation_free(stage, &geo, padded),
-            reuse: self.reuse,
-            sources: &self.scnn_sources,
             padded,
         };
         let parts = partition(batch, stage, &geo, workers);
@@ -600,7 +596,7 @@ impl Engine {
 /// (The `K`-part window combine stays saturating on every path.)
 ///
 /// The weight factor is folded at compile time ([`StageIr::w_abs_max`],
-/// over every stored row: dense rows, DCNN meta rows, all SCNN
+/// over every stored row: dense rows, DCNN meta rows, the stored SCNN
 /// orientations); the input factor is one max-abs scan of the stage's
 /// padded batch, amortized over the row passes that read it.
 fn saturation_free(stage: &StageIr, geo: &Geo, padded: &[Fx16]) -> bool {
@@ -799,36 +795,9 @@ fn run_part(
                 bufs,
                 charges,
             ),
-            UnitIr::Dcnn {
-                g,
-                per_axis,
-                z,
-                k,
-                base,
-            } => dcnn_unit(
-                ctx,
-                part,
-                &ctx.stage.rows[*base..],
-                (*g, *per_axis, *z, *k),
-                out_part,
-                bufs,
-                charges,
-            ),
-            UnitIr::Scnn {
-                g,
-                base,
-                emitted,
-                computed,
-            } => scnn_unit(
-                ctx,
-                part,
-                &ctx.stage.rows[*base..],
-                (*g, *emitted),
-                computed,
-                out_part,
-                bufs,
-                charges,
-            ),
+            UnitIr::Transferred(unit) => {
+                transferred_unit(ctx, part, unit, out_part, bufs, charges);
+            }
         }
     }
 }
@@ -1131,15 +1100,16 @@ fn ring_capacity(geo: &Geo) -> usize {
     }
 }
 
-/// A transferred unit's row pass over one padded input row: `rows ×
-/// variants` weight sets of one channel band, set `(r, v)` starting at
-/// `weights(r, v)`, each swept forward into its own batch-wide stream.
-/// For a DCNN meta group, `r` is the meta row and `v` the offset lane
-/// (the meta row's slice at `v·d`). For an SCNN orientation `oi`, `r` is
-/// the base row and `v` reads orientation `oi ^ v`: variant 1 is the
-/// horizontally flipped partner, whose stored rows are `oi`'s reversed,
-/// so its forward stream is PPSR's mirrored stream. `charge` is one
-/// row's closed-form charge (`charge_dcnn` / `charge_scnn`).
+/// A row pass of one weight set of a transferred unit over one padded
+/// input row: `rows × variants` weight rows of one channel band, row
+/// `(r, v)` starting at `weights(r, v)`, each swept forward into its own
+/// batch-wide stream. For a DCNN meta group, `r` is the meta row and `v`
+/// the offset lane (the meta row's slice at `v·d`). For an SCNN source
+/// orientation `oi`, `r` is the base row and `v` reads orientation
+/// `oi ^ v`: variant 1 is the horizontally flipped partner, whose stored
+/// rows are `oi`'s reversed, so its forward stream is PPSR's mirrored
+/// stream. `charge` is one row's closed-form charge (`charge_dcnn` /
+/// `charge_scnn`).
 struct RowPass<W> {
     band: Band,
     rows: usize,
@@ -1208,132 +1178,32 @@ impl<'w, W: Fn(usize, usize) -> &'w [Fx16]> RowPass<W> {
     }
 }
 
-/// One DCNN meta group's planes for every image of the part at once
-/// (ERRR ring or per-`dy` recomputation) — the filter-stationary
-/// counterpart of [`dense_unit_sweep`] over the same row-interleaved
-/// layout.
+/// One transferred unit's planes for every image of the part at once
+/// ([`TransferredUnit`]: a DCNN meta group or an SCNN orbit group) — the
+/// one ERRR/PPSR executor. Every row pass is one [`RowPass::sweep`] of
+/// one set's row over the whole channel band spanning the part's images,
+/// one stacked kernel call per variant, so every stream is batch-wide:
+/// `(images−1)·PW + full_w` long, image `bi`'s lane at `bi·PW`.
 ///
-/// Each meta-row pass is one [`RowPass::sweep`] over the whole channel band
-/// spanning the part's images — one stacked kernel call per offset lane
-/// — so every stream — ring slot or `per_row` buffer — is batch-wide:
-/// `(images−1)·PW + full_w` long, with image `bi`'s lane at `bi·PW`. The
-/// window combine adds whole batch-wide streams (the inter-lane junk
-/// positions are combined too, but never emitted) and [`emit_rows`]
-/// slices each image's lane. Per image the values and saturating-addition
-/// order equal a one-image run's, and the ring schedule (which rows are
-/// computed, evicted, read) is the one-image schedule, shared by all
-/// images.
+/// With a ring, each output row first fills one ERRR ring per set
+/// ([`RowPass::fill_ring`]: the input rows its window reads and the ring
+/// lacks, every row and variant), then runs the unit's reads in plane
+/// order, each combining its `K` ring streams in `ky` order. Without
+/// (DCNN without ERRR), each output row recomputes every `K`-row window
+/// of each set, first row `0..=rows−K`, and runs the reads of each
+/// window as it is computed, charging windows that no plane reads too.
 ///
-/// Charges are one image's, replicated per image by the caller: row
-/// passes charge one `PW`-sample row, ring traffic one `full_w`-word
-/// lane per stream (`take_ring`), combines `(K−1)·F` adds.
-fn dcnn_unit(
+/// The window combine adds whole batch-wide streams (the inter-lane
+/// junk positions are combined too, but never emitted) and
+/// [`emit_rows`] slices each image's lane, so per image the values and
+/// saturating-addition order equal a one-image run's. Charges are one
+/// image's, replicated per image by the caller: each row pass the
+/// unit's closed-form charge, ring traffic one `full_w`-word lane per
+/// stream, each read `(K−1)·F` combine adds.
+fn transferred_unit(
     ctx: PartCtx<'_>,
     part: Part,
-    rows: &[Fx16],
-    (g, per_axis, z, k): (usize, usize, usize, usize),
-    out_part: &mut [Accum],
-    bufs: &mut KernelBufs,
-    charges: &mut Counters,
-) {
-    let geo = &ctx.geo;
-    let Geo {
-        n,
-        m: m_count,
-        e,
-        f,
-        s,
-        ph,
-        pw,
-        d,
-        kw,
-        ..
-    } = *geo;
-    let zw = d * (z - 1) + 1;
-    let row_span = ctx.row_span(part);
-    let mut charge = Counters::new();
-    let _ = charge_dcnn(z, k, d, pw, n, ctx.reuse.ppsr, &mut charge);
-    // Channel c's meta row kr sits at (c·Z + kr)·ZW; offset lane dx
-    // correlates its KW-wide slice at dx·d.
-    let pass = RowPass {
-        band: Band {
-            channels: n,
-            width: kw,
-            w_stride: z * zw,
-            in_stride: ph * ctx.batch * pw,
-        },
-        rows: z,
-        variants: per_axis,
-        weights: |kr: usize, dx: usize| &rows[kr * zw + dx * d..],
-        charge,
-    };
-    if ctx.reuse.errr {
-        let mut ring = take_ring(
-            &mut bufs.ring_pool,
-            &mut bufs.streams_pool,
-            ring_capacity(geo),
-            pw - kw + 1,
-        );
-        for oy in 0..e {
-            pass.fill_ring(ctx, part, oy, &mut ring, &mut bufs.streams_pool, charges);
-            for dy in 0..per_axis {
-                for dx in 0..per_axis {
-                    let m = g * per_axis * per_axis + dy * per_axis + dx;
-                    if m >= m_count {
-                        continue;
-                    }
-                    combine(
-                        &mut bufs.window,
-                        (0..k).map(|ky| {
-                            ring.read(oy * s + ky * d, dy + ky, dx, charges)
-                                .expect("row still resident within the window")
-                        }),
-                    );
-                    charges.adds += (k.saturating_sub(1) * f) as u64;
-                    emit_rows(out_part, &bufs.window, part, m - part.plane0, oy, geo);
-                }
-            }
-        }
-        return_ring(&mut bufs.ring_pool, &mut bufs.streams_pool, ring);
-    } else {
-        for oy in 0..e {
-            for dy in 0..per_axis {
-                let KernelBufs {
-                    window, per_row, ..
-                } = bufs;
-                shape_streams(per_row, k, per_axis, row_span);
-                for (ky, per_dx) in per_row.iter_mut().enumerate() {
-                    pass.sweep(ctx, part, dy + ky, oy * s + ky * d, per_dx, charges);
-                }
-                for dx in 0..per_axis {
-                    let m = g * per_axis * per_axis + dy * per_axis + dx;
-                    if m >= m_count {
-                        continue;
-                    }
-                    combine(window, per_row.iter().map(|streams| streams[dx].as_slice()));
-                    charges.adds += (k.saturating_sub(1) * f) as u64;
-                    emit_rows(out_part, window, part, m - part.plane0, oy, geo);
-                }
-            }
-        }
-    }
-}
-
-/// One SCNN orbit group's planes for every image of the part at once
-/// (per-source rings; derived orientations read the flipped streams and
-/// rows) — the SCNN counterpart of [`dcnn_unit`]: batch-wide streams
-/// from one [`RowPass`] per (computed orientation, input row) over the
-/// whole channel band — one stacked kernel call per base row and
-/// stream, the mirrored stream being the forward pass over the FlipH
-/// partner's rows — batch-wide window combines, per-image lanes sliced
-/// at emit, and one image's charges replicated per image by the caller.
-#[allow(clippy::too_many_arguments)]
-fn scnn_unit(
-    ctx: PartCtx<'_>,
-    part: Part,
-    rows: &[Fx16],
-    (g, emitted): (usize, usize),
-    computed: &[usize],
+    unit: &TransferredUnit,
     out_part: &mut [Accum],
     bufs: &mut KernelBufs,
     charges: &mut Counters,
@@ -1351,74 +1221,82 @@ fn scnn_unit(
         kw,
         ..
     } = *geo;
-    let mut charge = Counters::new();
-    let _ = charge_scnn(k, kw, pw, n, ctx.reuse.ppsr, &mut charge);
-    // Channel c's base row kr of orientation oi sits at
-    // ((oi·N + c)·K + kr)·KW.
-    let band = Band {
-        channels: n,
-        width: kw,
-        w_stride: k * kw,
-        in_stride: ph * ctx.batch * pw,
+    let [set_stride, variant_stride, row_stride, channel_stride] = unit.strides;
+    let table = &ctx.stage.rows[unit.base..];
+    let pass = |set: usize| RowPass {
+        band: Band {
+            channels: n,
+            width: kw,
+            w_stride: channel_stride,
+            in_stride: ph * ctx.batch * pw,
+        },
+        rows: unit.rows,
+        variants: unit.variants,
+        weights: move |r: usize, v: usize| {
+            &table[set * set_stride + v * variant_stride + r * row_stride..]
+        },
+        charge: unit.charge,
     };
-    let pass = |oi: usize| RowPass {
-        band,
-        rows: k,
-        variants: 1 + usize::from(ctx.reuse.ppsr),
-        weights: move |kr: usize, v: usize| &rows[((oi ^ v) * n * k + kr) * kw..],
-        charge,
-    };
+    let plane = |read: usize| unit.m0 + read - part.plane0;
     let KernelBufs {
-        ring_table,
-        ring_pool,
-        streams_pool,
         window,
+        per_row,
+        rings,
+        streams_pool,
         ..
     } = bufs;
-    ring_table.clear();
-    ring_table.resize_with(ORBIT, || None);
-    for &oi in computed {
-        ring_table[oi] = Some(take_ring(
-            ring_pool,
-            streams_pool,
-            ring_capacity(geo),
-            pw - kw + 1,
-        ));
+    if !unit.ring {
+        for oy in 0..e {
+            for set in 0..unit.sets {
+                for first in 0..=unit.rows - k {
+                    shape_streams(per_row, k, unit.variants, ctx.row_span(part));
+                    for (ky, streams) in per_row.iter_mut().enumerate() {
+                        pass(set).sweep(ctx, part, first + ky, oy * s + ky * d, streams, charges);
+                    }
+                    for (i, read) in unit.reads.iter().enumerate() {
+                        if (read.set, read.first) == (set, first) {
+                            let part_of =
+                                |ky| per_row[read.row(k, ky) - first][read.variant].as_slice();
+                            combine(window, (0..k).map(part_of));
+                            charges.adds += (k.saturating_sub(1) * f) as u64;
+                            emit_rows(out_part, window, part, plane(i), oy, geo);
+                        }
+                    }
+                }
+            }
+        }
+        return;
+    }
+    let capacity = ring_capacity(geo);
+    if rings.len() < unit.sets {
+        rings.resize_with(unit.sets, || RowRing::new(capacity));
+    }
+    let rings = &mut rings[..unit.sets];
+    for ring in rings.iter_mut() {
+        ring.reset(capacity, streams_pool);
+        ring.set_lane_width(pw - kw + 1);
     }
     for oy in 0..e {
-        for &oi in computed {
-            let ring = ring_table[oi]
-                .as_mut()
-                .expect("computed orientation has a ring");
-            pass(oi).fill_ring(ctx, part, oy, ring, streams_pool, charges);
+        for (set, ring) in rings.iter_mut().enumerate() {
+            pass(set).fill_ring(ctx, part, oy, ring, streams_pool, charges);
         }
-        for (local, &(src, direction, row_flip)) in ctx.sources.iter().enumerate().take(emitted) {
-            let ring = ring_table[src]
-                .as_ref()
-                .expect("source orientation is computed");
+        for (i, read) in unit.reads.iter().enumerate() {
+            let ring = &rings[read.set];
             combine(
                 window,
                 (0..k).map(|ky| {
-                    let kr = if row_flip { k - 1 - ky } else { ky };
-                    ring.read(oy * s + ky * d, kr, direction, charges)
+                    ring.read(oy * s + ky * d, read.row(k, ky), read.variant, charges)
                         .expect("row still resident within the window")
                 }),
             );
             charges.adds += (k.saturating_sub(1) * f) as u64;
-            emit_rows(
-                out_part,
-                window,
-                part,
-                g * ORBIT + local - part.plane0,
-                oy,
-                geo,
-            );
+            emit_rows(out_part, window, part, plane(i), oy, geo);
         }
     }
-    for slot in ring_table.iter_mut() {
-        if let Some(ring) = slot.take() {
-            return_ring(ring_pool, streams_pool, ring);
-        }
+    // Hand the rings' streams back to the pool, where the arena's
+    // high-water shrink sees them.
+    for ring in rings {
+        ring.reset(1, streams_pool);
     }
 }
 
@@ -1426,6 +1304,7 @@ fn scnn_unit(
 mod tests {
     use super::*;
     use crate::network::FunctionalNetwork;
+    use tfe_transfer::analysis::ReuseConfig;
     use tfe_transfer::mode::ModePolicy;
     use tfe_transfer::TransferScheme;
 
@@ -1597,6 +1476,35 @@ mod tests {
             split(32, 1, 2, &ModePolicy::ForceSparse),
             [(0, 0..16, 0..16, 0..6), (0, 16..32, 16..32, 0..6)]
         );
+    }
+
+    /// A transferred unit's row passes do not depend on how many planes
+    /// it emits: a partial last DCNN group (4 of 16 filters, every read
+    /// on offset row 0) sweeps the rows a full group sweeps, with or
+    /// without a ring, so it is charged the same multiplies, SR writes
+    /// and ring writes.
+    #[test]
+    fn partial_dcnn_groups_sweep_every_window() {
+        let charges = |m: usize, reuse: ReuseConfig| {
+            let shape = LayerShape::conv("part", 3, m, 8, 8, 3, 1, 1).unwrap();
+            let mut seed = 13u32;
+            let net = FunctionalNetwork::random(&[(shape, false)], TransferScheme::DCNN6, || {
+                det(&mut seed)
+            })
+            .unwrap();
+            let input = image([1, 3, 8, 8], &mut seed);
+            let engine = Engine::compile(&net, reuse).unwrap();
+            let c = engine.run(&input, &mut Scratch::new()).unwrap().counters;
+            (c.multiplies, c.sr_writes, c.psum_mem_writes)
+        };
+        for reuse in [
+            ReuseConfig::FULL,
+            ReuseConfig::NONE,
+            ReuseConfig::PPSR_ONLY,
+            ReuseConfig::ERRR_ONLY,
+        ] {
+            assert_eq!(charges(20, reuse), charges(32, reuse), "{reuse:?}");
+        }
     }
 
     #[test]

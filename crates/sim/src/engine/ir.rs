@@ -1,14 +1,22 @@
 //! The compiled layer-IR: per-stage quantized weight tables, unit lists,
-//! and the SCNN source-orientation schedule.
+//! and each transferred unit's read schedule.
 //!
 //! Compilation ([`compile_stage`]) performs all weight-side work of a
-//! stage exactly once: every filter row — dense rows, DCNN meta rows,
-//! all eight SCNN orientations — is quantized into one flat contiguous
-//! [`Fx16`] table, per-unit table offsets are recorded, and biases
-//! are pre-folded to accumulator precision. The run phase
-//! (`engine::exec`) only ever reads these tables, and only forward:
-//! the SCNN mirrored stream reads the stored FlipH partner's rows,
-//! never a row reversed at run time.
+//! stage exactly once: every filter row the run reads — dense rows, DCNN
+//! meta rows, the SCNN orientations each orbit group's reads use — is
+//! quantized into one flat contiguous [`Fx16`] table, per-unit table
+//! offsets and read schedules are recorded, and biases are pre-folded
+//! to accumulator precision. The run phase (`engine::exec`) only ever
+//! reads these tables, and only forward: the SCNN mirrored stream reads
+//! the stored FlipH partner's rows, never a row reversed at run time.
+//!
+//! A transferred unit ([`TransferredUnit`]) holds weight sets and one
+//! [`Read`] per emitted plane: DCNN's `(dy, dx)` offset grid over its
+//! meta rows, SCNN's [`source_of`] each orbit member (a set per source
+//! orientation, written straight from the stored bases through the
+//! orientation's flips). Under [`ReuseConfig::FULL`] an orbit group
+//! stores orientations 0, 1, 4 and 5: the two bases and their FlipH
+//! partners.
 //!
 //! A dense stage's table stores its filters in units of `G`, tap-major
 //! within a unit ([`tap`], the one index into it): `G = 1` is filter
@@ -18,9 +26,11 @@
 //! [`compile_dense`] chooses the layout and the executor once, and the
 //! units' kind is the only record of that choice.
 
+use crate::counters::Counters;
 use crate::engine::kernels::{RowKernel, FILTER_GROUP};
 use crate::engine::sparse::compress;
 use crate::output::OutputConfig;
+use crate::ppsr::{charge_dcnn, charge_scnn};
 use crate::SimError;
 use tfe_nets::TransferMode;
 use tfe_tensor::fixed::{Accum, Fx16};
@@ -29,7 +39,7 @@ use tfe_tensor::tensor::Tensor4;
 use tfe_transfer::analysis::ReuseConfig;
 use tfe_transfer::layer::TransferredLayer;
 use tfe_transfer::mode::{ExecMode, ModePolicy, SPARSE_THRESHOLD};
-use tfe_transfer::scnn::{Orientation, ORBIT, ORIENTATIONS};
+use tfe_transfer::scnn::{Orientation, ScnnGroup, ORBIT, ORIENTATIONS};
 
 /// What the compile phase materialized, so callers (and tests) can see
 /// that quantization/orientation work happened exactly once per network
@@ -40,11 +50,14 @@ use tfe_transfer::scnn::{Orientation, ORBIT, ORIENTATIONS};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrepareStats {
     /// Filter rows quantized to Q8.8 (dense rows, DCNN meta rows, and
-    /// every row of every SCNN orientation).
+    /// every row of every stored SCNN orientation).
     pub weight_rows: u64,
     /// Individual weight values quantized across those rows.
     pub weight_values: u64,
-    /// SCNN orbit members materialized by orientation expansion.
+    /// SCNN orientations stored: per orbit group, one per weight set and
+    /// variant its reads use (4 per full group under
+    /// [`ReuseConfig::FULL`], 6 under ERRR alone, 12 under PPSR alone
+    /// and 8 with neither).
     pub scnn_orientations: u64,
 }
 
@@ -74,31 +87,66 @@ pub(crate) enum UnitIr {
     /// one per filter of the group (`G` = [`FILTER_GROUP`]). Only a
     /// partial last group has `live < G`; its other slots hold zeros.
     Filters { m0: usize, live: usize, base: usize },
-    /// One DCNN meta group: meta rows at `base + (c·Z + kr)·ZW`, each
-    /// `ZW = d·(Z−1)+1` long (zero-stuffed at dilation `d`). `k` is the
-    /// transferred extent the layer stores (its own field, mirrored from
-    /// the layer rather than re-derived from the shape).
-    Dcnn {
-        g: usize,
-        per_axis: usize,
-        z: usize,
-        k: usize,
-        base: usize,
-    },
-    /// One SCNN orbit group: rows of orientation `oi` at
-    /// `base + ((oi·N + c)·K + kr)·KW`, each `KW` long. All eight
-    /// orientations are stored, so orientation `oi ^ 1` (its FlipH
-    /// partner) holds `oi`'s rows reversed: the run phase's mirrored
-    /// stream is a forward pass over them. `emitted` is how
-    /// many orbit members this (possibly partial) group emits and
-    /// `computed` the sorted, deduplicated source orientations that must
-    /// run their own row passes under the compiled [`ReuseConfig`].
-    Scnn {
-        g: usize,
-        base: usize,
-        emitted: usize,
-        computed: Vec<usize>,
-    },
+    /// One DCNN meta group or SCNN orbit group, run by the one ERRR/PPSR
+    /// executor.
+    Transferred(TransferredUnit),
+}
+
+/// A transferred unit: its weight sets, where they sit in the stage's
+/// table, and its read schedule. The table holds `sets` weight sets of
+/// `rows × variants` rows per channel: row `r` of variant `v` of set
+/// `set`, channel `c`, starts at
+/// `base + set·strides[0] + v·strides[1] + r·strides[2] + c·strides[3]`
+/// and correlates `KW = d·(K−1)+1` weights (zero-stuffed at dilation
+/// `d`).
+///
+/// * A DCNN meta group has one set of `Z` meta rows, `ZW = d·(Z−1)+1`
+///   wide, whose `Z−K+1` variants (the offset lanes) are the slices at
+///   `v·d`.
+/// * An SCNN orbit group has one set per source orientation its emitted
+///   members read, of `K` rows each: variant 0 the orientation's rows
+///   and, under PPSR, variant 1 its FlipH partner's (`oi ^ 1`), which are
+///   the same rows reversed, so that variant's forward pass is the
+///   mirrored stream.
+///
+/// A row pass sweeps one row's `variants` streams of one set over one
+/// input row and is charged `charge`. Each read combines `K` streams of
+/// one set into one emitted plane, from plane `m0` on.
+#[derive(Debug, Clone)]
+pub(crate) struct TransferredUnit {
+    pub(crate) m0: usize,
+    pub(crate) base: usize,
+    pub(crate) sets: usize,
+    pub(crate) rows: usize,
+    pub(crate) variants: usize,
+    /// Table strides of a set, a variant, a row and a channel.
+    pub(crate) strides: [usize; 4],
+    /// One row pass's closed-form charge (`charge_dcnn`/`charge_scnn`).
+    pub(crate) charge: Counters,
+    /// Whether computed rows stay in an ERRR ring until every window
+    /// that reads them has run; false only for DCNN without ERRR, which
+    /// recomputes every window's rows.
+    pub(crate) ring: bool,
+    /// One read per emitted plane, in plane order.
+    pub(crate) reads: Vec<Read>,
+}
+
+/// One emitted plane's window: the streams of rows `first .. first + K`
+/// of set `set`'s variant `variant`, combined in `ky` order, or in
+/// reverse row order when `reversed` (ERRR's vertical flip).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Read {
+    pub(crate) set: usize,
+    pub(crate) first: usize,
+    pub(crate) reversed: bool,
+    pub(crate) variant: usize,
+}
+
+impl Read {
+    /// The set row window part `ky` reads.
+    pub(crate) fn row(self, k: usize, ky: usize) -> usize {
+        self.first + if self.reversed { k - 1 - ky } else { ky }
+    }
 }
 
 impl UnitIr {
@@ -111,11 +159,12 @@ impl UnitIr {
         match self {
             UnitIr::Dense { m, .. } | UnitIr::Sparse { m, .. } => *m..*m + 1,
             UnitIr::Filters { m0, live, .. } => *m0..*m0 + live,
-            UnitIr::Dcnn { g, per_axis, .. } => {
-                let pa2 = per_axis * per_axis;
-                (g * pa2).min(m_count)..((g + 1) * pa2).min(m_count)
+            UnitIr::Transferred(unit) => {
+                // A group past the last filter (only in a layer storing
+                // more than it uses) reads nothing and sits at the end.
+                let m0 = unit.m0.min(m_count);
+                m0..m0 + unit.reads.len()
             }
-            UnitIr::Scnn { g, emitted, .. } => g * ORBIT..g * ORBIT + emitted,
         }
     }
 }
@@ -361,6 +410,59 @@ pub(crate) fn source_of(oi: usize, reuse: ReuseConfig) -> (usize, usize, bool) {
     }
 }
 
+/// An SCNN orbit group's read schedule under `reuse`: the sorted
+/// source orientations its first `emitted` members read ([`source_of`]),
+/// one weight set each, and each member's read of its source's set.
+fn scnn_schedule(emitted: usize, reuse: ReuseConfig) -> (Vec<usize>, Vec<Read>) {
+    let sources: Vec<_> = (0..emitted).map(|oi| source_of(oi, reuse)).collect();
+    let mut sets: Vec<usize> = sources.iter().map(|&(source, ..)| source).collect();
+    sets.sort_unstable();
+    sets.dedup();
+    let reads = sources
+        .iter()
+        .map(|&(source, variant, reversed)| Read {
+            set: sets.binary_search(&source).expect("every source has a set"),
+            first: 0,
+            reversed,
+            variant,
+        })
+        .collect();
+    (sets, reads)
+}
+
+/// Appends orbit member `oi`'s quantized rows, `[c][ky]` rows of `KW`
+/// zero-stuffed at dilation `d`, written from its stored base through
+/// its flips.
+fn push_orientation(
+    rows: &mut Vec<Fx16>,
+    group: &ScnnGroup,
+    oi: usize,
+    (n, k, d): (usize, usize, usize),
+    stats: &mut PrepareStats,
+) {
+    let kw = d * (k - 1) + 1;
+    let o = Orientation::of(ORIENTATIONS[oi]);
+    let base = group.base(o.base);
+    // The member is its base, then its flips (`D4::decompose`).
+    let flips = ORIENTATIONS[orientation_index(o.base, false, false)]
+        .inverse()
+        .then(ORIENTATIONS[oi]);
+    let start = rows.len();
+    rows.resize(start + n * k * kw, Fx16::ZERO);
+    for c in 0..n {
+        for y in 0..k {
+            for x in 0..k {
+                let (ty, tx) = flips.apply_index(k, y, x);
+                rows[start + (c * k + ty) * kw + tx * d] =
+                    Fx16::from_f32(base[(c * k + y) * k + x]);
+            }
+        }
+    }
+    stats.scnn_orientations += 1;
+    stats.weight_rows += (n * k) as u64;
+    stats.weight_values += (n * k * k) as u64;
+}
+
 /// Compiles one stage from borrowed parts (so single-layer callers like
 /// [`crate::functional::run_layer`] need not clone their weights into a
 /// network first).
@@ -429,6 +531,7 @@ pub(crate) fn compile_stage(
     // golden model's d-strided tap accumulation — and the row rides the
     // monomorphized kernel for its span (K=3, d=2 → the K5 core).
     let kw = d * (k - 1) + 1;
+    let pw = Geo::of(&shape).pw;
     let mut rows: Vec<Fx16> = Vec::new();
     let mut units: Vec<UnitIr> = Vec::new();
     let mut zero_taps = 0;
@@ -460,10 +563,17 @@ pub(crate) fn compile_stage(
         TransferredLayer::Dcnn {
             k: layer_k, metas, ..
         } => {
+            if *layer_k != k {
+                return Err(SimError::OperandMismatch {
+                    what: "DCNN filter extent",
+                    expected: k,
+                    actual: *layer_k,
+                });
+            }
             let span = |z: usize| d * (z - 1) + 1;
             rows.reserve_exact(metas.iter().map(|meta| n * meta.z() * span(meta.z())).sum());
             for (g, meta) in metas.iter().enumerate() {
-                let per_axis = meta.offsets_per_axis(*layer_k)?;
+                let per_axis = meta.offsets_per_axis(k)?;
                 let z = meta.z();
                 let zw = span(z);
                 let base = rows.len();
@@ -478,48 +588,65 @@ pub(crate) fn compile_stage(
                         }
                     }
                 }
-                units.push(UnitIr::Dcnn {
-                    g,
-                    per_axis,
-                    z,
-                    k: *layer_k,
+                let mut charge = Counters::new();
+                let _ = charge_dcnn(z, k, d, pw, n, reuse.ppsr, &mut charge);
+                // Filter (dy, dx) of the group reads meta rows dy.. at
+                // offset lane dx; the grid stops at the last filter.
+                let m0 = g * per_axis * per_axis;
+                let reads = (0..per_axis * per_axis)
+                    .take(shape.m().saturating_sub(m0))
+                    .map(|t| Read {
+                        set: 0,
+                        first: t / per_axis,
+                        reversed: false,
+                        variant: t % per_axis,
+                    })
+                    .collect();
+                units.push(UnitIr::Transferred(TransferredUnit {
+                    m0,
                     base,
-                });
+                    sets: 1,
+                    rows: z,
+                    variants: per_axis,
+                    strides: [n * z * zw, d, zw, z * zw],
+                    charge,
+                    ring: reuse.errr,
+                    reads,
+                }));
             }
         }
         TransferredLayer::Scnn { m: m_count, groups } => {
-            rows.reserve_exact(groups.len() * ORBIT * n * k * kw);
-            for (g, group) in groups.iter().enumerate() {
+            let variants = 1 + usize::from(reuse.ppsr);
+            let block = n * k * kw;
+            let mut charge = Counters::new();
+            let _ = charge_scnn(k, kw, pw, n, reuse.ppsr, &mut charge);
+            let schedules: Vec<_> = (0..groups.len())
+                .map(|g| scnn_schedule(m_count.saturating_sub(g * ORBIT).min(ORBIT), reuse))
+                .collect();
+            rows.reserve_exact(
+                schedules
+                    .iter()
+                    .map(|(sets, _)| sets.len() * variants * block)
+                    .sum(),
+            );
+            for ((g, group), (sets, reads)) in groups.iter().enumerate().zip(schedules) {
                 let base = rows.len();
-                for oi in 0..ORBIT {
-                    let oriented = group.orient(oi);
-                    stats.scnn_orientations += 1;
-                    for c in 0..n {
-                        for kr in 0..k {
-                            stats.weight_rows += 1;
-                            stats.weight_values += k as u64;
-                            let src = c * k * k + kr * k;
-                            let start = rows.len();
-                            rows.resize(start + kw, Fx16::ZERO);
-                            for kx in 0..k {
-                                rows[start + kx * d] = Fx16::from_f32(oriented[src + kx]);
-                            }
-                        }
+                for &source in &sets {
+                    for v in 0..variants {
+                        push_orientation(&mut rows, group, source ^ v, (n, k, d), stats);
                     }
                 }
-                let emitted = (0..ORBIT).filter(|&oi| g * ORBIT + oi < *m_count).count();
-                let mut computed: Vec<usize> = (0..ORBIT)
-                    .filter(|&oi| g * ORBIT + oi < *m_count)
-                    .map(|oi| source_of(oi, reuse).0)
-                    .collect();
-                computed.sort_unstable();
-                computed.dedup();
-                units.push(UnitIr::Scnn {
-                    g,
+                units.push(UnitIr::Transferred(TransferredUnit {
+                    m0: g * ORBIT,
                     base,
-                    emitted,
-                    computed,
-                });
+                    sets: sets.len(),
+                    rows: k,
+                    variants,
+                    strides: [variants * block, block, kw, k * kw],
+                    charge,
+                    ring: true,
+                    reads,
+                }));
             }
         }
     }
@@ -708,7 +835,10 @@ mod tests {
             )
             .unwrap();
             assert!(
-                stage.units.iter().all(|u| matches!(u, UnitIr::Scnn { .. })),
+                stage
+                    .units
+                    .iter()
+                    .all(|u| matches!(u, UnitIr::Transferred(_))),
                 "{policy:?}"
             );
         }
@@ -763,61 +893,162 @@ mod tests {
         }
     }
 
-    /// The SCNN executor's mirrored stream is the forward pass over the
-    /// FlipH partner's stored rows (`exec::RowPass`), so compile must
-    /// store orientation `oi ^ 1`'s rows as exactly `oi`'s rows
-    /// reversed — zero-stuffing included — in every group, the partial
-    /// last one too.
-    #[test]
-    fn flip_h_partner_rows_are_the_rows_reversed() {
+    /// A random transferred stage of 3 channels, `K = 3` and dilation
+    /// `d`, compiled under `reuse`, with its weights and compile stats.
+    fn transferred_stage(
+        m: usize,
+        scheme: TransferScheme,
+        d: usize,
+        reuse: ReuseConfig,
+    ) -> (TransferredLayer, StageIr, PrepareStats) {
         let mut seed = 7u32;
-        let mut next = || {
+        let shape = LayerShape::conv("flip", 3, m, 9, 9, 3, 1, 2)
+            .unwrap()
+            .with_dilation(d)
+            .unwrap();
+        let weights = TransferredLayer::random(&shape, scheme, || {
             seed = seed.wrapping_mul(1664525).wrapping_add(1013904223);
             ((seed >> 16) as f32 / 65536.0) - 0.5
-        };
+        })
+        .unwrap();
+        let mut stats = PrepareStats::default();
+        let policy = ModePolicy::default();
+        let output = OutputConfig::RELU_ONLY;
+        let stage = compile_stage(&shape, &weights, &[], output, reuse, &mut stats, &policy);
+        (weights, stage.unwrap(), stats)
+    }
+
+    /// A stage's transferred units.
+    fn transferred(stage: &StageIr) -> Vec<&TransferredUnit> {
+        let units = stage.units.iter().map(|u| match u {
+            UnitIr::Transferred(unit) => unit,
+            _ => panic!("a transferred stage compiles to transferred units"),
+        });
+        units.collect()
+    }
+
+    /// An SCNN unit's stored block `(set, variant)`: `[c][kr]` rows of
+    /// `KW`.
+    fn block<'a>(stage: &'a StageIr, unit: &TransferredUnit, set: usize, v: usize) -> &'a [Fx16] {
+        let [set_stride, block, ..] = unit.strides;
+        &stage.rows[unit.base + set * set_stride + v * block..][..block]
+    }
+
+    /// The SCNN executor's mirrored stream is the forward pass over a
+    /// set's variant 1 (`exec::RowPass`), so compile must store every
+    /// variant-1 block as its set's rows reversed — zero-stuffing
+    /// included — in every group, the partial last one too.
+    #[test]
+    fn flip_h_partner_rows_are_the_rows_reversed() {
         for dilation in [1, 2] {
             // 12 filters: one full orbit group and a partial one of 4.
-            let shape = LayerShape::conv("flip", 3, 12, 9, 9, 3, 1, 2)
-                .unwrap()
-                .with_dilation(dilation)
-                .unwrap();
-            let weights =
-                TransferredLayer::random(&shape, TransferScheme::Scnn, &mut next).unwrap();
-            let stage = compile_stage(
-                &shape,
-                &weights,
-                &[],
-                OutputConfig::RELU_ONLY,
-                ReuseConfig::FULL,
-                &mut PrepareStats::default(),
-                &ModePolicy::default(),
-            )
-            .unwrap();
-            let (n, k, kw) = (3, 3, dilation * 2 + 1);
-            let mut groups = 0;
-            for unit in &stage.units {
-                let UnitIr::Scnn { base, .. } = unit else {
-                    panic!("an SCNN stage compiles to orbit groups");
-                };
-                groups += 1;
-                let row = |oi: usize, c: usize, kr: usize| {
-                    &stage.rows[base + ((oi * n + c) * k + kr) * kw..][..kw]
-                };
-                for oi in 0..ORBIT {
-                    for c in 0..n {
-                        for kr in 0..k {
-                            let mut reversed = row(oi, c, kr).to_vec();
-                            reversed.reverse();
-                            assert_eq!(
-                                row(oi ^ 1, c, kr),
-                                reversed,
-                                "d={dilation} oi={oi} c={c} kr={kr}"
-                            );
-                        }
+            let (_, stage, _) =
+                transferred_stage(12, TransferScheme::Scnn, dilation, ReuseConfig::FULL);
+            let kw = dilation * 2 + 1;
+            let units = transferred(&stage);
+            assert_eq!(units.len(), 2, "d={dilation}");
+            for unit in units {
+                assert_eq!(unit.variants, 2, "d={dilation}");
+                for set in 0..unit.sets {
+                    let rows = block(&stage, unit, set, 0).chunks_exact(kw);
+                    let partner = block(&stage, unit, set, 1).chunks_exact(kw);
+                    for (i, (row, mirrored)) in rows.zip(partner).enumerate() {
+                        let mut reversed = row.to_vec();
+                        reversed.reverse();
+                        assert_eq!(mirrored, reversed, "d={dilation} set={set} row={i}");
                     }
                 }
             }
-            assert_eq!(groups, 2, "d={dilation}");
+        }
+    }
+
+    /// Compile writes each transferred unit's read schedule and stores
+    /// only the sets it reads.
+    ///
+    /// SCNN, one full and one partial orbit group, under every reuse
+    /// configuration: the sets are the sorted sources [`source_of`]
+    /// resolves for the emitted members, each member reads its source's
+    /// set, variant and row flip, every stored block is that
+    /// orientation's rows (`oi ^ v` for variant `v`) quantized and
+    /// zero-stuffed, and the groups' tables are back to back, `sets ×
+    /// variants` blocks of `N × K × KW` each: a full group's 4, 6, 12 or
+    /// 8 blocks. DCNN: the reads are the `(dy, dx)` grid, clamped at `M`,
+    /// and only DCNN without ERRR runs without a ring.
+    #[test]
+    fn units_store_only_the_sets_their_reads_use() {
+        let configs = [
+            (ReuseConfig::FULL, 4),
+            (ReuseConfig::ERRR_ONLY, 6),
+            (ReuseConfig::PPSR_ONLY, 12),
+            (ReuseConfig::NONE, 8),
+        ];
+        let (n, k) = (3, 3);
+        for (reuse, full_blocks) in configs {
+            for d in [1, 2] {
+                let kw = d * (k - 1) + 1;
+                let (weights, stage, stats) = transferred_stage(12, TransferScheme::Scnn, d, reuse);
+                let TransferredLayer::Scnn { groups, .. } = &weights else {
+                    unreachable!("an SCNN layer")
+                };
+                let mut blocks = 0;
+                for ((unit, group), emitted) in
+                    transferred(&stage).into_iter().zip(groups).zip([8, 4])
+                {
+                    let at = format!("{reuse:?} d={d} group of {emitted}");
+                    let sources: Vec<_> = (0..emitted).map(|oi| source_of(oi, reuse)).collect();
+                    let mut sets: Vec<usize> = sources.iter().map(|&(source, ..)| source).collect();
+                    sets.sort_unstable();
+                    sets.dedup();
+                    assert_eq!(unit.sets, sets.len(), "{at}");
+                    assert_eq!(unit.variants, 1 + usize::from(reuse.ppsr), "{at}");
+                    assert!(unit.ring, "{at}");
+                    let reads: Vec<_> = unit
+                        .reads
+                        .iter()
+                        .map(|r| (sets[r.set], r.variant, r.reversed, r.first))
+                        .collect();
+                    let expected: Vec<_> = sources
+                        .iter()
+                        .map(|&(s, v, flip)| (s, v, flip, 0))
+                        .collect();
+                    assert_eq!(reads, expected, "{at}");
+                    assert_eq!(unit.base, blocks * n * k * kw, "{at}");
+                    for (set, &source) in sets.iter().enumerate() {
+                        for v in 0..unit.variants {
+                            let mut rows = vec![Fx16::ZERO; n * k * kw];
+                            for (i, &w) in group.orient(source ^ v).iter().enumerate() {
+                                rows[i / k * kw + i % k * d] = Fx16::from_f32(w);
+                            }
+                            assert_eq!(block(&stage, unit, set, v), rows, "{at} set={set} v={v}");
+                        }
+                    }
+                    if emitted == 8 {
+                        assert_eq!(unit.sets * unit.variants, full_blocks, "{at}");
+                    }
+                    blocks += unit.sets * unit.variants;
+                }
+                assert_eq!(stage.rows.len(), blocks * n * k * kw, "{reuse:?} d={d}");
+                assert_eq!(stats.scnn_orientations, blocks as u64, "{reuse:?} d={d}");
+            }
+            // DCNN6 at K = 3: groups of 16 filters, a 4 × 4 offset grid;
+            // of 20 filters the second group emits only offset row 0.
+            let (_, stage, _) = transferred_stage(20, TransferScheme::DCNN6, 1, reuse);
+            for (unit, emitted) in transferred(&stage).into_iter().zip([16, 4]) {
+                let grid = (0..4).flat_map(|dy| (0..4).map(move |dx| (0, dy, false, dx)));
+                let grid: Vec<_> = grid.take(emitted).collect();
+                let reads: Vec<_> = unit
+                    .reads
+                    .iter()
+                    .map(|r| (r.set, r.first, r.reversed, r.variant))
+                    .collect();
+                assert_eq!(reads, grid, "{reuse:?}");
+                assert_eq!(
+                    (unit.sets, unit.rows, unit.variants),
+                    (1, 6, 4),
+                    "{reuse:?}"
+                );
+                assert_eq!(unit.ring, reuse.errr, "{reuse:?}");
+            }
         }
     }
 }

@@ -26,11 +26,12 @@
 //!   and accessors ([`Engine::reuse`], [`Engine::stats`],
 //!   [`Engine::layer_plans`], …).
 //! * `ir.rs` — the compiled stage tables: flat quantized weight tables
-//!   (filter rows, or tap-major filter groups for the filter-vector
-//!   sweep), per-unit offsets or compressed-sparse taps, SCNN source
-//!   schedules, [`PrepareStats`]; and the one choice of each dense
-//!   stage's executor ([`ExecMode`] under a [`ModePolicy`]), recorded
-//!   in the kind of its units.
+//!   (filter rows, tap-major filter groups for the filter-vector sweep,
+//!   or each transferred unit's weight sets), per-unit offsets,
+//!   compressed-sparse taps or transferred read schedules,
+//!   [`PrepareStats`]; and the one choice of each dense stage's executor
+//!   ([`ExecMode`] under a [`ModePolicy`]), recorded in the kind of its
+//!   units.
 //! * `kernels.rs` — the two inner kernels. The channel-stacked row
 //!   kernel: a `kernels::RowKernel` per stage, selected once at compile
 //!   time from the filter extent `K` (specialized K ∈ {1, 3, 5, 7} plus
@@ -52,12 +53,12 @@
 //! * `scratch.rs` — the run-phase arenas ([`Scratch`]) and the bounded
 //!   [`ScratchPool`] long-lived services check warm arenas out of.
 //!
-//! **Compile** does all weight-side work exactly once: every filter row
-//! of every stage — dense rows, DCNN meta rows, all eight SCNN
-//! orientations — is quantized into one flat contiguous
-//! [`tfe_tensor::fixed::Fx16`] table per stage, the SCNN
-//! source-orientation schedule is resolved against the [`ReuseConfig`],
-//! and per-filter biases are pre-folded to accumulator precision.
+//! **Compile** does all weight-side work exactly once: each transferred
+//! unit's read schedule is resolved against the [`ReuseConfig`], every
+//! filter row the run reads — dense rows, DCNN meta rows, the SCNN
+//! orientations each orbit group's reads use — is quantized into one
+//! flat contiguous [`tfe_tensor::fixed::Fx16`] table per stage, and
+//! per-filter biases are pre-folded to accumulator precision.
 //!
 //! **Run** executes requests against a caller-owned [`Scratch`] arena:
 //! flat padded planes, flat accumulator planes, recycled ERRR ring
@@ -82,7 +83,6 @@ pub use ir::PrepareStats;
 pub use scratch::{Scratch, ScratchPool};
 
 pub(crate) use exec::{chunk_lengths, fan_out};
-pub(crate) use ir::source_of;
 
 use crate::network::FunctionalNetwork;
 use crate::SimError;
@@ -92,19 +92,16 @@ use tfe_tensor::shape::LayerShape;
 use tfe_transfer::analysis::ReuseConfig;
 use tfe_transfer::layer::TransferredLayer;
 use tfe_transfer::mode::{ExecMode, ModePolicy};
-use tfe_transfer::scnn::ORBIT;
 
 /// A network compiled for repeated execution: all weight-side work of
 /// every request hoisted into one compile pass.
 ///
-/// The reuse configuration is fixed at compile time because the SCNN
-/// source-orientation schedule depends on it.
+/// The reuse configuration is fixed at compile time because the
+/// transferred units' read schedules, tables and charges depend on it.
 #[derive(Debug, Clone)]
 pub struct Engine {
     pub(crate) stages: Vec<ir::StageIr>,
     pub(crate) reuse: ReuseConfig,
-    /// `scnn_sources[oi]` = `(source orientation, variant, row flip)`.
-    pub(crate) scnn_sources: [(usize, usize, bool); ORBIT],
     pub(crate) stats: PrepareStats,
     /// Telemetry sink the run phase records per-stage samples into;
     /// disabled (a no-op) unless [`Engine::enable_telemetry`] /
@@ -115,8 +112,8 @@ pub struct Engine {
 
 impl Engine {
     /// Compiles `net` for repeated execution under `reuse`: quantizes
-    /// every filter row, expands every SCNN orientation, resolves the
-    /// source schedules, and pre-folds biases.
+    /// every filter row the run reads, resolves each transferred unit's
+    /// read schedule, and pre-folds biases.
     ///
     /// # Errors
     ///
@@ -183,14 +180,9 @@ impl Engine {
     }
 
     fn from_stages(stages: Vec<ir::StageIr>, reuse: ReuseConfig, stats: PrepareStats) -> Self {
-        let mut scnn_sources = [(0usize, 0usize, false); ORBIT];
-        for (oi, slot) in scnn_sources.iter_mut().enumerate() {
-            *slot = source_of(oi, reuse);
-        }
         Engine {
             stages,
             reuse,
-            scnn_sources,
             stats,
             sink: Sink::disabled(),
         }

@@ -155,7 +155,7 @@ impl Scratch {
     /// high-water shrink bounds, in order: padded planes, out
     /// accumulators, the two stage-activation buffers, dense row parts,
     /// the window buffer, the words of every transferred stream buffer
-    /// (ERRR ring streams and the DCNN `per_row` streams), the
+    /// (ERRR ring streams and the `per_row` streams), the
     /// filter-vector position list and the output-row block, all of the
     /// caller-thread buffer set.
     #[must_use]
@@ -190,21 +190,20 @@ pub(crate) struct KernelBufs {
     /// part's `[planes × rows × F]` block of one image, copied into the
     /// stage output after the fan-out.
     pub(crate) rows_out: Vec<Accum>,
-    /// DCNN no-ERRR path: `per_row[ky][dx][x]` batch-wide stream
-    /// buffers.
+    /// Transferred path without a ring: `per_row[ky][v][x]` batch-wide
+    /// stream buffers of one window.
     pub(crate) per_row: Streams,
-    /// Retired rings awaiting the next unit.
-    pub(crate) ring_pool: Vec<RowRing>,
-    /// SCNN path: per-orientation ring slots (`None` = not computed).
-    pub(crate) ring_table: Vec<Option<RowRing>>,
+    /// Transferred path: one ERRR ring per weight set of the running
+    /// unit; between units they hold no streams.
+    pub(crate) rings: Vec<RowRing>,
     /// Retired stream buffers awaiting the next row pass.
     pub(crate) streams_pool: Vec<Streams>,
 }
 
 impl KernelBufs {
     /// Every stream buffer the set holds between units: the pooled ring
-    /// streams (a unit returns its rings, draining their slots into
-    /// `streams_pool`) and the DCNN `per_row` streams.
+    /// streams (a unit resets its rings, draining their slots into
+    /// `streams_pool`) and the `per_row` streams.
     fn streams(&self) -> impl Iterator<Item = &Vec<Accum>> {
         self.streams_pool
             .iter()
@@ -242,31 +241,6 @@ impl KernelBufs {
 fn retain<T>(buf: &mut Vec<T>, keep: usize) {
     buf.clear();
     buf.shrink_to(keep);
-}
-
-/// Takes a ring from the pool (or makes one) reset to `capacity`,
-/// recycling any stream buffers it still held. Its streams are
-/// batch-wide, so every access is charged one image's `lane`-word row.
-pub(crate) fn take_ring(
-    pool: &mut Vec<RowRing>,
-    streams_pool: &mut Vec<Streams>,
-    capacity: usize,
-    lane: usize,
-) -> RowRing {
-    let mut ring = pool.pop().unwrap_or_else(|| RowRing::new(capacity));
-    ring.reset(capacity, streams_pool);
-    ring.set_lane_width(lane);
-    ring
-}
-
-/// Returns a ring to the pool, draining its stream buffers for reuse.
-pub(crate) fn return_ring(
-    pool: &mut Vec<RowRing>,
-    streams_pool: &mut Vec<Streams>,
-    mut ring: RowRing,
-) {
-    ring.reset(1, streams_pool);
-    pool.push(ring);
 }
 
 /// Shapes a recycled stream buffer to `rows × variants × len`, zeroing

@@ -7,7 +7,7 @@
 //! ```
 
 use std::net::TcpStream;
-use tfe::serve::demo::{demo_images, demo_network};
+use tfe::fleet::demo::{demo_images, demo_network};
 use tfe::serve::protocol::{roundtrip, WireRequest, WireResponse};
 use tfe::serve::{ServeConfig, Service, TcpServer};
 use tfe::transfer::analysis::ReuseConfig;

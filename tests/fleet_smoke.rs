@@ -9,8 +9,8 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tfe::fleet::{demo, Fleet, FleetSpec, ModelSpec};
-use tfe::serve::demo::{demo_images, demo_network};
+use tfe::fleet::demo::{self, demo_images, demo_network};
+use tfe::fleet::{Fleet, FleetSpec, ModelSpec};
 use tfe::serve::protocol::{roundtrip, WireRequest, WireResponse};
 use tfe::serve::{Rejected, ServeConfig, TcpServer};
 use tfe::sim::counters::Counters;

@@ -424,13 +424,24 @@ fn geometry_net_is_thread_count_invariant() {
 #[test]
 fn compile_quantizes_every_row_exactly_once() {
     let net = small_net(TransferScheme::Scnn, 3);
-    let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
-    let stats = engine.stats();
-    // Two SCNN stages: 3→8 and 8→8 filters, one orbit group each, eight
-    // orientations per group, N rows of K=3 per orientation.
-    assert_eq!(stats.scnn_orientations, 16);
-    assert_eq!(stats.weight_rows, 8 * 3 * 3 + 8 * 8 * 3);
-    assert_eq!(stats.weight_values, stats.weight_rows * 3);
+    // Two SCNN stages: 3→8 and 8→8 filters, one orbit group each. Each
+    // group stores the orientation blocks its reads use (sets ×
+    // variants), N rows of K=3 per block.
+    for (reuse, blocks) in [
+        (ReuseConfig::FULL, 4),
+        (ReuseConfig::ERRR_ONLY, 6),
+        (ReuseConfig::PPSR_ONLY, 12),
+        (ReuseConfig::NONE, 8),
+    ] {
+        let stats = Engine::compile(&net, reuse).unwrap().stats();
+        assert_eq!(stats.scnn_orientations, 2 * blocks, "{reuse:?}");
+        assert_eq!(
+            stats.weight_rows,
+            blocks * 3 * 3 + blocks * 8 * 3,
+            "{reuse:?}"
+        );
+        assert_eq!(stats.weight_values, stats.weight_rows * 3, "{reuse:?}");
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-use tfe::serve::demo::{demo_images, demo_network};
+use tfe::fleet::demo::{demo_images, demo_network};
 use tfe::serve::protocol::{roundtrip, WireRequest, WireResponse};
 use tfe::serve::{Rejected, ServeConfig, Service, TcpServer};
 use tfe::sim::batch::{run_batch, BatchOptions};
