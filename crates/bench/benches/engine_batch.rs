@@ -16,7 +16,9 @@
 //!   conservative `N·K·max|w|·max|input|` bound allows).
 //!
 //! Both sides are reported in **images/second**. Pinned acceptance
-//! numbers (asserted, not just printed):
+//! numbers (asserted, not just printed, and only after every cell has
+//! run and the trajectory is saved, so a failing pin still records
+//! every cell):
 //!
 //! * `batched/sequential ≥ 1.3` at batch 8 on every dense, DCNN, and
 //!   SCNN cell — the filter-stationary sweep must actually pay, not
@@ -162,6 +164,7 @@ fn bench_engine_batch(c: &mut Criterion) {
     ];
 
     let mut report = BenchReport::load_or_new();
+    let mut failed = Vec::new();
     for cell in &cells {
         let engine = Engine::compile(&cell.net, ReuseConfig::FULL).unwrap();
         // One arena per timed side, so the interleaved closures can
@@ -244,23 +247,24 @@ fn bench_engine_batch(c: &mut Criterion) {
                  batched {bat_images:>9.1} img/s  batched/sequential {ratio:.3}"
             );
             if batch == 1 {
-                assert!(
-                    ratio >= 0.97,
-                    "{name}: batched entry point must cost < 3% on singleton runs, \
-                     got ratio {ratio:.3}"
-                );
+                if ratio < 0.97 {
+                    failed.push(format!(
+                        "{name}: batched entry point must cost < 3% on singleton runs, \
+                         got ratio {ratio:.3}"
+                    ));
+                }
             } else if batch == 8 && cell.pinned_speedup {
-                assert!(
-                    ratio >= 1.3,
-                    "{name}: filter-stationary sweep must be >= 1.3x sequential \
-                     at batch 8, got ratio {ratio:.3}"
-                );
-            } else {
-                assert!(
-                    ratio >= 0.97,
+                if ratio < 1.3 {
+                    failed.push(format!(
+                        "{name}: filter-stationary sweep must be >= 1.3x sequential \
+                         at batch 8, got ratio {ratio:.3}"
+                    ));
+                }
+            } else if ratio < 0.97 {
+                failed.push(format!(
                     "{name}: batched execution must not regress past noise, \
                      got ratio {ratio:.3}"
-                );
+                ));
             }
 
             report.upsert(BenchCell {
@@ -280,6 +284,7 @@ fn bench_engine_batch(c: &mut Criterion) {
         "engine_batch: trajectory updated at {}",
         BenchReport::path().display()
     );
+    assert!(failed.is_empty(), "pins failed:\n{}", failed.join("\n"));
 }
 
 criterion_group!(benches, bench_engine_batch);

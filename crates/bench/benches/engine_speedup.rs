@@ -19,7 +19,9 @@
 //! filters) where weight-side work dominates the request.
 //!
 //! Two pinned acceptance numbers (asserted, not just printed), both from
-//! best-of-reps timings so scheduler noise cannot flake them:
+//! best-of-reps timings so scheduler noise cannot flake them. They are
+//! checked only after every cell has run and the trajectory is saved, so
+//! a failing pin still records every cell:
 //!
 //! * `steady/cold ≥ 2` on the compile-bound cell — the refactor keeps
 //!   the compile-once payoff. (On the conv-heavy Fig. 15 cells the gap
@@ -158,6 +160,7 @@ fn bench_engine_speedup(c: &mut Criterion) {
     ];
     let reuse = ReuseConfig::FULL;
     let mut report = BenchReport::load_or_new();
+    let mut failed = Vec::new();
     for (label, compile_bound, net, input) in &cells {
         let engine = Engine::compile(net, reuse).unwrap();
         let mut scratch = Scratch::new();
@@ -202,16 +205,16 @@ fn bench_engine_speedup(c: &mut Criterion) {
             "engine_speedup/{label:<18} cold {cold_ips:>8.1}/s  wrapper {wrapper_ips:>8.1}/s  \
              engine {engine_ips:>8.1}/s  steady/cold x{speedup:.2}  wrapper/engine {wrapper_ratio:.3}"
         );
-        if *compile_bound {
-            assert!(
-                speedup >= 2.0,
+        if *compile_bound && speedup < 2.0 {
+            failed.push(format!(
                 "{label}: compile-once steady state must be >= 2x the cold path, got x{speedup:.2}"
-            );
+            ));
         }
-        assert!(
-            wrapper_ratio >= 0.95,
-            "{label}: wrapper overhead vs direct Engine::run must be < 5%, got ratio {wrapper_ratio:.3}"
-        );
+        if wrapper_ratio < 0.95 {
+            failed.push(format!(
+                "{label}: wrapper overhead vs direct Engine::run must be < 5%, got ratio {wrapper_ratio:.3}"
+            ));
+        }
 
         report.upsert(BenchCell {
             bench: "engine_speedup".to_owned(),
@@ -239,6 +242,7 @@ fn bench_engine_speedup(c: &mut Criterion) {
         "engine_speedup: trajectory updated at {}",
         BenchReport::path().display()
     );
+    assert!(failed.is_empty(), "pins failed:\n{}", failed.join("\n"));
 }
 
 criterion_group!(benches, bench_engine_speedup);

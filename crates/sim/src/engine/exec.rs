@@ -28,7 +28,11 @@
 //! inter-image junk positions and overlapped tail blocks are gone
 //! there. Its `K` parts go through the same `combine`. A lone image of
 //! such a stage with fewer filter groups than workers splits its output
-//! rows between them ([`partition`]).
+//! rows between them ([`partition`]). Transferred stages of at least 16
+//! lanes run the same pass with their units' weight blocks as lanes
+//! ([`lane_group_sweep`]): per input row one call per weight row fills
+//! an ERRR ring of `[positions × G]` parts, and per output row each of
+//! the group's windows combines `K` of them.
 //!
 //! Bit-identity discipline: each accumulated term is a complete
 //! `j`-summed correlation; window parts combine first-copied-then-added
@@ -46,7 +50,7 @@
 //! order-independent), which is both the counter-side hoisting win and
 //! trivially bit-identical to per-image charging.
 
-use super::ir::{tap, Geo, StageIr, TransferredUnit, UnitIr};
+use super::ir::{tap, Geo, LaneGroup, StageIr, TransferredUnit, UnitIr};
 use super::kernels::{correlate_filters, Band, FILTER_GROUP};
 use super::scratch::{shape_streams, ArenaPeak, KernelBufs, Scratch};
 use super::sparse::sparse_band_pass;
@@ -798,6 +802,7 @@ fn run_part(
             UnitIr::Transferred(unit) => {
                 transferred_unit(ctx, part, unit, out_part, bufs, charges);
             }
+            UnitIr::Lanes(group) => lane_group_sweep(ctx, part, group, out_part, bufs, charges),
         }
     }
 }
@@ -1030,10 +1035,7 @@ fn filter_group_sweep(
         positions,
         ..
     } = bufs;
-    // Image bi's emitted column ox reads from bi·PW + ox·s of the part's
-    // interleaved row.
-    positions.clear();
-    positions.extend((0..part.images()).flat_map(|bi| (0..f).map(move |ox| bi * pw + ox * s)));
+    emitted_positions(positions, part, geo);
     let len = positions.len() * FILTER_GROUP;
     // The kernel overwrites every live slot before the combine reads
     // it; the slots of a partial group's missing filters are combined
@@ -1055,27 +1057,38 @@ fn filter_group_sweep(
         }
         combine(window, parts.chunks_exact(len));
         charges.adds += (live * k.saturating_sub(1) * f) as u64;
-        emit_filters(out_part, window, part, (m0 - part.plane0, live), oy, geo);
+        let emits = (0..live).map(|fl| (fl, m0 - part.plane0 + fl));
+        emit_filters(out_part, window, part, emits, oy, geo);
     }
 }
 
-/// Emits output row `oy` of planes `plane .. plane + live` (rebased to
-/// the part's plane and row ranges) for every image of a part from one
-/// filter-vector window, `[positions × G]` with image `bi`'s column
-/// `ox` at position `bi·F + ox`.
+/// The part's emitted positions as offsets into its interleaved rows:
+/// image `bi`'s column `ox` reads from `bi·PW + ox·s`.
+fn emitted_positions(positions: &mut Vec<usize>, part: Part, geo: &Geo) {
+    let Geo { f, s, pw, .. } = *geo;
+    positions.clear();
+    positions.extend((0..part.images()).flat_map(|bi| (0..f).map(move |ox| bi * pw + ox * s)));
+}
+
+/// Emits output row `oy` for every image of a part from one
+/// filter-vector window, `[positions × G]` with image `bi`'s column `ox`
+/// at position `bi·F + ox`: each `(lane, plane)` pair writes the
+/// window's lane into that plane (rebased to the part's plane and row
+/// ranges) — a filter group's filters in order, or a lane group's
+/// [`LaneWindow`](super::ir::LaneWindow) emits.
 fn emit_filters(
     out_part: &mut [Accum],
     window: &[Accum],
     part: Part,
-    (plane, live): (usize, usize),
+    emits: impl IntoIterator<Item = (usize, usize)>,
     oy: usize,
     geo: &Geo,
 ) {
     let (rows, row) = (part.rows(), oy - part.oy0);
     let slab = part.planes() * rows * geo.f;
-    for fl in 0..live {
+    for (fl, plane) in emits {
         for bi in 0..part.images() {
-            let orow = &mut out_part[bi * slab + ((plane + fl) * rows + row) * geo.f..][..geo.f];
+            let orow = &mut out_part[bi * slab + (plane * rows + row) * geo.f..][..geo.f];
             let lane = window[bi * geo.f * FILTER_GROUP + fl..]
                 .iter()
                 .step_by(FILTER_GROUP);
@@ -1298,6 +1311,131 @@ fn transferred_unit(
     for ring in rings {
         ring.reset(1, streams_pool);
     }
+}
+
+/// One lane group's planes for every image and output row of the part
+/// ([`LaneGroup`]): the transferred units' weight blocks as lanes of the
+/// filter-vector pass, so SAFM's broadcast and ERRR's row sharing meet
+/// in one sweep over emitted positions only.
+///
+/// Per input row a window reads and the group's ring lacks, one
+/// [`correlate_filters`] call per row `r` and offset `dx` (weights from
+/// column `dx·d`) fills one `[positions × G]` part of the row's ring
+/// buffer, every lane at once. Per output row, each of the group's
+/// windows combines `K` ring parts through the one window [`combine`]
+/// in `ky` order — rows `first + ky`, or flipped for ERRR's vertically
+/// mirrored members — and [`emit_filters`] writes its `(lane, plane)`
+/// pairs. Each lane's part is the sum its unit's row stream holds at
+/// those positions, in the same order, so per image the values equal
+/// [`transferred_unit`]'s.
+///
+/// The ring holds [`ring_capacity`] input rows, as a transferred unit's
+/// does, so every input row a window reads is computed once. A padding
+/// row's parts are zero and are written, not computed. Charges are one
+/// image's, summed over the member units at compile time: the group's
+/// `row_charge` per input row a window reads, its `window_charge` per
+/// output row. A lone image splits lane groups between workers, never
+/// output rows (DESIGN §5.10).
+fn lane_group_sweep(
+    ctx: PartCtx<'_>,
+    part: Part,
+    group: &LaneGroup,
+    out_part: &mut [Accum],
+    bufs: &mut KernelBufs,
+    charges: &mut Counters,
+) {
+    let geo = &ctx.geo;
+    let Geo {
+        n,
+        h,
+        k,
+        s,
+        pad,
+        ph,
+        pw,
+        d,
+        kw,
+        ..
+    } = *geo;
+    let bw = ctx.batch * pw;
+    let table = &ctx.stage.rows[group.base..];
+    // Channel c's row r sits at at(c·rows + r, 0): consecutive channels'
+    // first tap rows are at(rows, 0) apart; its input row one padded
+    // plane after channel c − 1's.
+    let at = |row: usize, col: usize| tap(FILTER_GROUP, n * group.rows, group.cols, 0, row, col);
+    let band = Band {
+        channels: n,
+        width: kw,
+        w_stride: at(group.rows, 0),
+        in_stride: ph * bw,
+    };
+    let KernelBufs {
+        window,
+        positions,
+        lane_ring,
+        lane_pool,
+        ..
+    } = bufs;
+    emitted_positions(positions, part, geo);
+    let len = positions.len() * FILTER_GROUP;
+    let calls = group.rows * group.offsets;
+    let capacity = ring_capacity(geo);
+    for oy in 0..geo.e {
+        for ky in 0..k {
+            let i = oy * s + ky * d;
+            if lane_ring.iter().any(|&(row, _)| row == i) {
+                continue;
+            }
+            // The kernel overwrites every live lane of every part.
+            let mut parts = lane_pool.pop().unwrap_or_default();
+            parts.resize(calls * len, Accum::ZERO);
+            if i < pad || i >= pad + h {
+                // A padding row: every sample is zero, and so is every
+                // part (an exact zero sum in either form).
+                parts.fill(Accum::ZERO);
+            } else {
+                let input = &ctx.padded[i * bw + part.b0 * pw..];
+                for (call, acc) in parts.chunks_exact_mut(len).enumerate() {
+                    let (r, dx) = (call / group.offsets, call % group.offsets);
+                    correlate_filters(
+                        &table[at(r, dx * d)..],
+                        input,
+                        band,
+                        positions,
+                        group.live,
+                        acc,
+                        ctx.saturation_free,
+                    );
+                }
+            }
+            *charges += group.row_charge;
+            if lane_ring.len() == capacity {
+                lane_pool.extend(lane_ring.pop_front().map(|(_, evicted)| evicted));
+            }
+            lane_ring.push_back((i, parts));
+        }
+        for w in &group.windows {
+            let part_of = |ky: usize| {
+                let i = oy * s + ky * d;
+                let (_, parts) = lane_ring
+                    .iter()
+                    .find(|&&(row, _)| row == i)
+                    .expect("row still resident within the window");
+                let call = w.read.row(k, ky) * group.offsets + w.read.variant;
+                &parts[call * len..][..len]
+            };
+            combine(window, (0..k).map(part_of));
+            let emits = w
+                .emits
+                .iter()
+                .map(|&(lane, plane)| (lane, plane - part.plane0));
+            emit_filters(out_part, window, part, emits, oy, geo);
+        }
+        *charges += group.window_charge;
+    }
+    // Hand the ring's buffers back to the pool, where the arena's
+    // high-water shrink sees them.
+    lane_pool.extend(lane_ring.drain(..).map(|(_, parts)| parts));
 }
 
 #[cfg(test)]

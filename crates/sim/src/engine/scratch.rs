@@ -3,6 +3,7 @@
 
 use crate::counters::Counters;
 use crate::errr::{RowRing, Streams};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 use tfe_tensor::fixed::{Accum, Fx16};
 
@@ -33,6 +34,9 @@ pub(crate) struct ArenaPeak {
     /// ([`KernelBufs::longest_stream`]) — batch-wide on transferred
     /// stages.
     pub(crate) stream: usize,
+    /// Peak length of one lane-ring part buffer
+    /// ([`KernelBufs::lane_pool`]).
+    pub(crate) lanes: usize,
 }
 
 impl ArenaPeak {
@@ -46,6 +50,7 @@ impl ArenaPeak {
             positions: self.positions.max(other.positions),
             rows_out: self.rows_out.max(other.rows_out),
             stream: self.stream.max(other.stream),
+            lanes: self.lanes.max(other.lanes),
         }
     }
 }
@@ -127,6 +132,12 @@ impl Scratch {
                 .map(KernelBufs::longest_stream)
                 .max()
                 .unwrap_or(0),
+            lanes: std::iter::once(&self.bufs)
+                .chain(&self.bufs_pool)
+                .flat_map(|bufs| &bufs.lane_pool)
+                .map(Vec::len)
+                .max()
+                .unwrap_or(0),
         }
     }
 
@@ -148,6 +159,9 @@ impl Scratch {
             retain(&mut bufs.positions, keep.positions);
             retain(&mut bufs.rows_out, keep.rows_out);
             bufs.shrink_streams(keep.stream);
+            for parts in &mut bufs.lane_pool {
+                retain(parts, keep.lanes);
+            }
         }
     }
 
@@ -156,10 +170,11 @@ impl Scratch {
     /// accumulators, the two stage-activation buffers, dense row parts,
     /// the window buffer, the words of every transferred stream buffer
     /// (ERRR ring streams and the `per_row` streams), the
-    /// filter-vector position list and the output-row block, all of the
-    /// caller-thread buffer set.
+    /// filter-vector position list, the output-row block and the words
+    /// of every lane-ring part buffer, all of the caller-thread buffer
+    /// set.
     #[must_use]
-    pub fn arena_capacities(&self) -> [usize; 9] {
+    pub fn arena_capacities(&self) -> [usize; 10] {
         [
             self.padded.capacity(),
             self.out.capacity(),
@@ -170,6 +185,7 @@ impl Scratch {
             self.bufs.streams().map(Vec::capacity).sum(),
             self.bufs.positions.capacity(),
             self.bufs.rows_out.capacity(),
+            self.bufs.lane_pool.iter().map(Vec::capacity).sum(),
         ]
     }
 }
@@ -198,6 +214,12 @@ pub(crate) struct KernelBufs {
     pub(crate) rings: Vec<RowRing>,
     /// Retired stream buffers awaiting the next row pass.
     pub(crate) streams_pool: Vec<Streams>,
+    /// Lane form: the running lane group's ERRR ring, its resident
+    /// input rows oldest first, each with one buffer of
+    /// `[calls × positions × G]` parts; between units it holds none.
+    pub(crate) lane_ring: VecDeque<(usize, Vec<Accum>)>,
+    /// Retired lane-ring part buffers awaiting the next input row.
+    pub(crate) lane_pool: Vec<Vec<Accum>>,
 }
 
 impl KernelBufs {

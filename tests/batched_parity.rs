@@ -41,6 +41,17 @@ const ALL_SCHEMES: [TransferScheme; 3] = [
     TransferScheme::Scnn,
 ];
 
+/// The scheme grid's networks: every scheme at its smallest filter count
+/// (one DCNN meta group or SCNN orbit group per stage), plus SCNN at 32
+/// filters, 16 lanes under `FULL` and more under the other ablations:
+/// the transferred lane form.
+const SCHEME_GRID: [(TransferScheme, usize); 4] = [
+    (TransferScheme::DCNN4, 8),
+    (TransferScheme::DCNN6, 16),
+    (TransferScheme::Scnn, 8),
+    (TransferScheme::Scnn, 32),
+];
+
 const ALL_REUSE: [ReuseConfig; 4] = [
     ReuseConfig::NONE,
     ReuseConfig::PPSR_ONLY,
@@ -52,14 +63,10 @@ const ALL_REUSE: [ReuseConfig; 4] = [
 /// batch-chunk partitions are unequal), and the bench's headline size.
 const BATCHES: [usize; 4] = [1, 2, 5, 8];
 
-/// A small two-stage network (conv → conv+pool) compatible with every
-/// scheme; `strided` swaps in a stride-2 first stage so the sweep also
-/// covers the subsampled window path.
-fn scheme_net(scheme: TransferScheme, strided: bool, seed: u32) -> FunctionalNetwork {
-    let m = match scheme {
-        TransferScheme::Dcnn { z: 6 } => 16,
-        _ => 8,
-    };
+/// A small two-stage network (conv → conv+pool) of `m` filters per
+/// stage under `scheme` ([`SCHEME_GRID`]); `strided` swaps in a stride-2
+/// first stage so the sweep also covers the subsampled window path.
+fn scheme_net(scheme: TransferScheme, m: usize, strided: bool, seed: u32) -> FunctionalNetwork {
     let shapes = if strided {
         vec![
             (
@@ -99,19 +106,19 @@ fn dense_net(n: usize, m: usize, hw: usize, k: usize, amp: f32, seed: u32) -> Fu
     .unwrap()
 }
 
-/// A single transferred stage (48 → 16 channels at 12×12, so DCNN4,
+/// A single transferred stage (48 → `m` channels at 12×12; at 16, DCNN4,
 /// DCNN6, and SCNN all tile it) with weights scaled by `amp` — the
 /// transferred counterpart of [`dense_net`]: small `amp` keeps every
 /// DCNN lane and SCNN stream inside the wrapping bound, large `amp`
 /// forces the saturating kernels on data that genuinely clamps.
-fn transferred_net(scheme: TransferScheme, amp: f32, seed: u32) -> FunctionalNetwork {
+fn transferred_net(scheme: TransferScheme, m: usize, amp: f32, seed: u32) -> FunctionalNetwork {
     let mut s = seed;
-    let shape = LayerShape::conv("t", 48, 16, 12, 12, 3, 1, 1).unwrap();
+    let shape = LayerShape::conv("t", 48, m, 12, 12, 3, 1, 1).unwrap();
     let weights = TransferredLayer::random(&shape, scheme, || amp * det(&mut s)).unwrap();
     FunctionalNetwork::new(vec![FunctionalStage {
         shape,
         weights,
-        bias: vec![0.1; 16],
+        bias: vec![0.1; m],
         output: OutputConfig::RELU_ONLY,
     }])
     .unwrap()
@@ -203,20 +210,20 @@ fn assert_batched_matches_sequential(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The full sweep: scheme × reuse ablation × stride × batch size ×
-    /// worker count (1..=9, so every batch size also runs with more
+    /// The full sweep: scheme grid × reuse ablation × stride × batch size
+    /// × worker count (1..=9, so every batch size also runs with more
     /// workers than images — the per-image unit-group partition path).
     #[test]
     fn batched_run_is_bit_identical_to_sequential(
-        scheme_idx in 0usize..3,
+        scheme_idx in 0usize..4,
         reuse_idx in 0usize..4,
         strided in any::<bool>(),
         batch_idx in 0usize..4,
         workers in 1usize..10,
         seed in 0u32..10_000,
     ) {
-        let scheme = ALL_SCHEMES[scheme_idx];
-        let net = scheme_net(scheme, strided, seed);
+        let (scheme, m) = SCHEME_GRID[scheme_idx];
+        let net = scheme_net(scheme, m, strided, seed);
         let side = if strided { 13 } else { 12 };
         let batch = BATCHES[batch_idx];
         let input = stacked(batch, 3, side, 1.0, seed ^ 0xbead);
@@ -225,7 +232,7 @@ proptest! {
         let mut scratch = Scratch::new();
         let batched = engine.run_batched(&input, &mut scratch, workers).unwrap();
         let label = format!(
-            "{scheme:?} reuse={reuse_idx} strided={strided} batch={batch} workers={workers}"
+            "{scheme:?} m={m} reuse={reuse_idx} strided={strided} batch={batch} workers={workers}"
         );
         assert_batched_matches_sequential(&engine, &input, &batched, &label);
         prop_assert_eq!(scratch.run_quantized_rows(), 0);
@@ -267,7 +274,7 @@ fn dense_wrapping_and_saturating_paths_match_sequential() {
 fn transferred_wrapping_and_saturating_paths_match_sequential() {
     for scheme in ALL_SCHEMES {
         for (label, amp) in [("wrapping", 1.0f32), ("saturating", 100.0)] {
-            let net = transferred_net(scheme, amp, 0x7a11);
+            let net = transferred_net(scheme, 16, amp, 0x7a11);
             for reuse in ALL_REUSE {
                 let engine = Engine::compile(&net, reuse).unwrap();
                 let mut scratch = Scratch::new();
@@ -375,8 +382,8 @@ fn mobilenet_mini_trunk_batched_matches_sequential() {
 /// per-layer accounting is execution-strategy invariant.
 #[test]
 fn per_layer_telemetry_sums_match_sequential_engine() {
-    for scheme in ALL_SCHEMES {
-        let net = scheme_net(scheme, false, 77);
+    for (scheme, m) in SCHEME_GRID {
+        let net = scheme_net(scheme, m, false, 77);
         let batch = 5usize;
         let input = stacked(batch, 3, 12, 1.0, 0x7007);
 
@@ -410,25 +417,27 @@ fn per_layer_telemetry_sums_match_sequential_engine() {
 }
 
 /// The bounded high-water shrink, for two dense engines (row sweep and
-/// filter-vector sweep), a DCNN4, and an SCNN engine: a one-off batch-8
-/// run grows the batch-scaled arenas — padded planes, accumulators, and
-/// stage buffers, plus the dense row parts, the filter-vector parts,
-/// window and position list, or the transferred stages' batch-wide
-/// window and ERRR ring streams — and a lone image at two workers the
-/// filter-vector sweep's output-row block; they stay warm while the
-/// peaks are inside the shrink window, and are released once
-/// `PEAK_WINDOW` (8) smaller runs age them out.
+/// filter-vector sweep), a DCNN4, and two SCNN engines (row streams and
+/// lane form): a one-off batch-8 run grows the batch-scaled arenas —
+/// padded planes, accumulators, and stage buffers, plus the dense row
+/// parts, the filter-vector parts, window and position list, the
+/// transferred stages' batch-wide window and ERRR ring streams, or the
+/// lane form's window, position list and lane-ring parts — and a lone
+/// image at two workers the filter-vector sweep's output-row block; they
+/// stay warm while the peaks are inside the shrink window, and are
+/// released once `PEAK_WINDOW` (8) smaller runs age them out.
 #[test]
 fn scratch_arenas_shrink_after_peak_ages_out() {
     // Indices into `Scratch::arena_capacities`: padded, out, stage_in,
     // stage_next, dense parts, window, transferred stream words,
-    // filter-vector positions, output-row blocks.
+    // filter-vector positions, output-row blocks, lane-ring part words.
     const SHARED: [usize; 4] = [0, 1, 2, 3];
     const PARTS: usize = 4;
     const WINDOW: usize = 5;
     const STREAMS: usize = 6;
     const POSITIONS: usize = 7;
     const ROWS_OUT: usize = 8;
+    const LANES: usize = 9;
     // The two stage-activation buffers swap roles every run, so they
     // are compared as an unordered pair.
     let caps = |scratch: &Scratch| {
@@ -450,15 +459,22 @@ fn scratch_arenas_shrink_after_peak_ages_out() {
         ),
         (
             "dcnn4",
-            transferred_net(TransferScheme::DCNN4, 1.0, 0x92),
+            transferred_net(TransferScheme::DCNN4, 16, 1.0, 0x92),
             48,
             vec![WINDOW, STREAMS],
         ),
         (
             "scnn",
-            transferred_net(TransferScheme::Scnn, 1.0, 0x93),
+            transferred_net(TransferScheme::Scnn, 16, 1.0, 0x93),
             48,
             vec![WINDOW, STREAMS],
+        ),
+        // 64 filters are 32 lanes: one lane group.
+        (
+            "scnn lanes",
+            transferred_net(TransferScheme::Scnn, 64, 1.0, 0x95),
+            48,
+            vec![WINDOW, POSITIONS, LANES],
         ),
     ];
     for (label, net, channels, own) in cells {

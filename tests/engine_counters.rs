@@ -150,3 +150,61 @@ fn combine_adds_are_charged_per_emitted_position_under_stride() {
     let expected = (m * e * (row_pass_adds + combine_adds)) as u64;
     assert_eq!(out.counters.adds, expected);
 }
+
+/// Charges are per transferred unit and per plane, so the lane form
+/// (`M` filters as lanes of the filter-vector pass) must charge exactly
+/// `M / g` times what a one-unit stage of the same geometry charges on
+/// its row streams — `g` filters per unit: 8 for an SCNN orbit group,
+/// `per_axis²` for a DCNN meta group (4 for DCNN4, 16 for DCNN6 at
+/// `K = 3`). The one-unit stages hold 4–12 lanes, below the lane form's
+/// 16; the `M`-filter ones hold at least 16 under every ablation but
+/// DCNN without ERRR, which keeps its row streams. Pinned under every
+/// reuse ablation, stride 1–2, dilation 1–2 and batch 1 and 3, on full
+/// lane groups (SCNN 64, DCNN6 256) and partial last ones (SCNN 72:
+/// 32 + 4 lanes under `FULL`; DCNN4 144: 32 + 4).
+#[test]
+fn lane_stages_charge_the_row_streams_per_unit() {
+    use tfe::sim::counters::Counters;
+    use tfe::transfer::TransferScheme;
+    let reuses = [
+        ReuseConfig::NONE,
+        ReuseConfig::PPSR_ONLY,
+        ReuseConfig::ERRR_ONLY,
+        ReuseConfig::FULL,
+    ];
+    let counters = |scheme: TransferScheme, m: usize, geometry: (usize, usize), reuse, batch| {
+        let (stride, dilation) = geometry;
+        let shape = LayerShape::conv("lanes", 3, m, 9, 9, 3, stride, 1)
+            .unwrap()
+            .with_dilation(dilation)
+            .unwrap();
+        let mut seed = 0x1a2e_u32 ^ m as u32;
+        let net = FunctionalNetwork::random(&[(shape, false)], scheme, || det(&mut seed)).unwrap();
+        let engine = Engine::compile(&net, reuse).unwrap();
+        let input = Tensor4::from_fn([batch, 3, 9, 9], |_| Fx16::from_f32(det(&mut seed)));
+        engine
+            .run_batched(&input, &mut Scratch::new(), 1)
+            .unwrap()
+            .counters
+    };
+    for (scheme, g, m) in [
+        (TransferScheme::Scnn, 8usize, 64usize),
+        (TransferScheme::Scnn, 8, 72),
+        (TransferScheme::DCNN4, 4, 144),
+        (TransferScheme::DCNN6, 16, 256),
+    ] {
+        for reuse in reuses {
+            for geometry in [(1, 1), (2, 1), (1, 2), (2, 2)] {
+                for batch in [1, 3] {
+                    let unit = counters(scheme, g, geometry, reuse, batch);
+                    let scaled: Counters = (0..m / g).map(|_| unit).sum();
+                    assert_eq!(
+                        counters(scheme, m, geometry, reuse, batch),
+                        scaled,
+                        "{scheme:?} M {m} {reuse:?} (stride, dilation) {geometry:?} batch {batch}"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -414,3 +414,84 @@ fn filter_vector_dense_stages_match_oracle() {
         }
     }
 }
+
+/// The transferred lane form (SCNN orbit groups' stored blocks and DCNN
+/// meta groups as lanes of the filter-vector pass, on stages of at least
+/// 16 lanes), through real engine runs: SCNN at 64 filters (one full
+/// 32-lane group under `FULL`) and 72 (32 + 4 lanes), DCNN4 at 64 (16
+/// meta groups) and 144 (32 + 4), DCNN6 at 256 (16), under every reuse
+/// ablation (SCNN stores 4, 6, 12 or 8 lanes per orbit group; DCNN
+/// without ERRR keeps its row streams), stride 1 and 2, dilation 1 and
+/// 2, pad 0 and 1, batch 1 and 3, on quiet data (the tap-pair filter
+/// blocks) and on data with one loud sample per image that fails the
+/// stage gate without any sum reaching the `i32` rails (the saturating
+/// portable loop). Each cell's raw accumulators (`run_layer`) must
+/// equal `conv2d_fx` on the expanded weights, and so must the
+/// activations of `Engine::run_batched` at 1–3 workers, which split the
+/// batch or, at batch 1, the stage's lane groups or output rows.
+#[test]
+fn transferred_lane_stages_match_oracle() {
+    let mut seed = 0x1a7e_u32;
+    let hw = 11;
+    for (scheme, m) in [
+        (TransferScheme::Scnn, 64usize),
+        (TransferScheme::Scnn, 72),
+        (TransferScheme::DCNN4, 64),
+        (TransferScheme::DCNN4, 144),
+        (TransferScheme::DCNN6, 256),
+    ] {
+        for (stride, dilation, pad) in [
+            (1usize, 1usize, 1usize),
+            (2, 1, 0),
+            (1, 2, 0),
+            (2, 2, 1),
+            (1, 1, 0),
+            (2, 1, 1),
+            (1, 2, 1),
+            (2, 2, 0),
+        ] {
+            let shape = LayerShape::conv("lanes", 3, m, hw, hw, 3, stride, pad)
+                .unwrap()
+                .with_dilation(dilation)
+                .unwrap();
+            for (regime, amp) in [("wrapping", 1.0f32), ("saturating", 16.0)] {
+                let layer =
+                    TransferredLayer::random(&shape, scheme, || amp * det(&mut seed)).unwrap();
+                let dense = layer.expand_to_dense().unwrap().map(Fx16::from_f32);
+                let net = FunctionalNetwork::new(vec![FunctionalStage {
+                    shape: shape.clone(),
+                    weights: layer.clone(),
+                    bias: Vec::new(),
+                    output: OutputConfig {
+                        relu: false,
+                        pool: None,
+                    },
+                }])
+                .unwrap();
+                for batch in [1usize, 3] {
+                    let input = Tensor4::from_fn([batch, 3, hw, hw], |[_, c, y, x]| {
+                        let loud = amp > 1.0 && (c, y, x) == (1, 5, 5);
+                        Fx16::from_f32(if loud { 127.0 } else { det(&mut seed) })
+                    });
+                    let expected = conv2d_fx(&input, &dense, &shape).unwrap();
+                    let activations = expected.map(|a| a.to_sample());
+                    for reuse in ALL_REUSE {
+                        let cell = format!(
+                            "{scheme:?} M {m} stride {stride} dilation {dilation} pad {pad} \
+                             {regime} batch {batch} {reuse:?}"
+                        );
+                        let got = run_layer(&input, &layer, &shape, reuse).unwrap();
+                        assert_eq!(got.output, expected, "{cell}");
+                        let engine = Engine::compile(&net, reuse).unwrap();
+                        for workers in 1..=3 {
+                            let run = engine
+                                .run_batched(&input, &mut Scratch::new(), workers)
+                                .unwrap();
+                            assert_eq!(run.activations, activations, "{cell} workers {workers}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -29,10 +29,15 @@ fn det(seed: &mut u32) -> f32 {
     ((*seed >> 16) as f32 / 65536.0) - 0.5
 }
 
-const ALL_SCHEMES: [TransferScheme; 3] = [
-    TransferScheme::DCNN4,
-    TransferScheme::DCNN6,
-    TransferScheme::Scnn,
+/// The scheme grid: every scheme at its smallest filter count (one DCNN
+/// meta group or SCNN orbit group per stage), plus SCNN at 32 filters,
+/// 16 lanes under `FULL` and more under the other ablations: the
+/// transferred lane form.
+const SCHEME_GRID: [(TransferScheme, usize); 4] = [
+    (TransferScheme::DCNN4, 8),
+    (TransferScheme::DCNN6, 16),
+    (TransferScheme::Scnn, 8),
+    (TransferScheme::Scnn, 32),
 ];
 
 const ALL_REUSE: [ReuseConfig; 4] = [
@@ -42,15 +47,11 @@ const ALL_REUSE: [ReuseConfig; 4] = [
     ReuseConfig::FULL,
 ];
 
-/// A small randomized two-stage network (conv → conv+pool) whose filter
-/// count is compatible with every scheme (8 is a multiple of the DCNN4
-/// window count 4, the DCNN6 window count 16 needs m=16, SCNN needs a
-/// multiple of 8).
-fn small_net(scheme: TransferScheme, seed: u32) -> FunctionalNetwork {
-    let m = match scheme {
-        TransferScheme::Dcnn { z: 6 } => 16,
-        _ => 8,
-    };
+/// A small randomized two-stage network (conv → conv+pool) of `m`
+/// filters per stage, a count compatible with `scheme` (a multiple of
+/// the DCNN4 window count 4, of the DCNN6 window count 16, of SCNN's
+/// orbit of 8; [`SCHEME_GRID`]).
+fn small_net(scheme: TransferScheme, m: usize, seed: u32) -> FunctionalNetwork {
     let shapes = vec![
         (
             LayerShape::conv("p1", 3, m, 12, 12, 3, 1, 1).unwrap(),
@@ -64,11 +65,7 @@ fn small_net(scheme: TransferScheme, seed: u32) -> FunctionalNetwork {
 
 /// Like [`small_net`] but with a stride-2 first stage, so the parity
 /// sweep also covers the subsampled window path.
-fn strided_net(scheme: TransferScheme, seed: u32) -> FunctionalNetwork {
-    let m = match scheme {
-        TransferScheme::Dcnn { z: 6 } => 16,
-        _ => 8,
-    };
+fn strided_net(scheme: TransferScheme, m: usize, seed: u32) -> FunctionalNetwork {
     let shapes = vec![
         (
             LayerShape::conv("t1", 3, m, 13, 13, 3, 2, 1).unwrap(),
@@ -139,8 +136,8 @@ fn sequential(
 
 #[test]
 fn batched_parallel_is_bit_identical_to_sequential() {
-    for scheme in ALL_SCHEMES {
-        let net = small_net(scheme, 41);
+    for (scheme, m) in SCHEME_GRID {
+        let net = small_net(scheme, m, 41);
         let inputs = images(6, 977);
         let (seq_outputs, seq_total) = sequential(&net, &inputs, ReuseConfig::FULL);
 
@@ -156,16 +153,16 @@ fn batched_parallel_is_bit_identical_to_sequential() {
             for (got, want) in batch.outputs.iter().zip(&seq_outputs) {
                 assert_eq!(
                     got.activations, want.activations,
-                    "{scheme:?} activations diverge at {threads} threads"
+                    "{scheme:?}/{m} activations diverge at {threads} threads"
                 );
                 assert_eq!(
                     got.counters, want.counters,
-                    "{scheme:?} per-image counters diverge at {threads} threads"
+                    "{scheme:?}/{m} per-image counters diverge at {threads} threads"
                 );
             }
             assert_eq!(
                 batch.counters, seq_total,
-                "{scheme:?} merged counters diverge at {threads} threads"
+                "{scheme:?}/{m} merged counters diverge at {threads} threads"
             );
         }
     }
@@ -176,7 +173,7 @@ fn reuse_ablations_stay_parity_under_parallelism() {
     // The counter deltas between reuse configurations are the paper's
     // headline metric, so parity must hold for every ablation cell, not
     // just the full configuration.
-    let net = small_net(TransferScheme::Scnn, 7);
+    let net = small_net(TransferScheme::Scnn, 8, 7);
     let inputs = images(4, 1234);
     for reuse in ALL_REUSE {
         let (seq_outputs, seq_total) = sequential(&net, &inputs, reuse);
@@ -228,8 +225,8 @@ fn wrapper_run_is_bit_identical_to_hand_driven_engine() {
     // wrapper — activations AND counters — on every scheme and every
     // reuse ablation, while reusing one Scratch arena across all runs.
     let mut scratch = Scratch::new();
-    for scheme in ALL_SCHEMES {
-        let net = small_net(scheme, 41);
+    for (scheme, m) in SCHEME_GRID {
+        let net = small_net(scheme, m, 41);
         let inputs = images(3, 977);
         for reuse in ALL_REUSE {
             let engine = Engine::compile(&net, reuse).unwrap();
@@ -238,11 +235,11 @@ fn wrapper_run_is_bit_identical_to_hand_driven_engine() {
                 let got = engine.run(img, &mut scratch).unwrap();
                 assert_eq!(
                     got.activations, want.activations,
-                    "{scheme:?} {reuse:?} activations diverge on image {i}"
+                    "{scheme:?}/{m} {reuse:?} activations diverge on image {i}"
                 );
                 assert_eq!(
                     got.counters, want.counters,
-                    "{scheme:?} {reuse:?} counters diverge on image {i}"
+                    "{scheme:?}/{m} {reuse:?} counters diverge on image {i}"
                 );
             }
         }
@@ -255,8 +252,8 @@ fn wrapper_matches_engine_under_stride() {
     // Same wrapper-vs-engine sweep on a stride-2 first stage: the
     // subsampled window path must stay bit-identical too.
     let mut scratch = Scratch::new();
-    for scheme in ALL_SCHEMES {
-        let net = strided_net(scheme, 23);
+    for (scheme, m) in SCHEME_GRID {
+        let net = strided_net(scheme, m, 23);
         let mut s = 607;
         let inputs: Vec<Tensor4<Fx16>> = (0..3)
             .map(|_| Tensor4::from_fn([1, 3, 13, 13], |_| Fx16::from_f32(det(&mut s))))
@@ -268,11 +265,11 @@ fn wrapper_matches_engine_under_stride() {
                 let got = engine.run(img, &mut scratch).unwrap();
                 assert_eq!(
                     got.activations, want.activations,
-                    "{scheme:?} {reuse:?} strided activations diverge on image {i}"
+                    "{scheme:?}/{m} {reuse:?} strided activations diverge on image {i}"
                 );
                 assert_eq!(
                     got.counters, want.counters,
-                    "{scheme:?} {reuse:?} strided counters diverge on image {i}"
+                    "{scheme:?}/{m} {reuse:?} strided counters diverge on image {i}"
                 );
             }
         }
@@ -327,7 +324,7 @@ fn engine_handles_bias_stride_and_dense_layers() {
 
 #[test]
 fn engine_reports_the_same_shape_errors() {
-    let net = small_net(TransferScheme::Scnn, 11);
+    let net = small_net(TransferScheme::Scnn, 8, 11);
     let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
     let mut scratch = Scratch::new();
     // Wrong channel count: wrapper and engine must reject identically.
@@ -349,8 +346,8 @@ fn engine_batch_is_thread_count_invariant() {
     // run_engine_batch must match the sequential reference for every
     // thread count, including more threads than images, with scratch
     // arenas recycled through the pool.
-    for scheme in ALL_SCHEMES {
-        let net = small_net(scheme, 19);
+    for (scheme, m) in SCHEME_GRID {
+        let net = small_net(scheme, m, 19);
         let inputs = images(5, 333);
         let (seq_outputs, seq_total) = sequential(&net, &inputs, ReuseConfig::FULL);
         let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
@@ -367,16 +364,16 @@ fn engine_batch_is_thread_count_invariant() {
             for (got, want) in batch.outputs.iter().zip(&seq_outputs) {
                 assert_eq!(
                     got.activations, want.activations,
-                    "{scheme:?} activations diverge at {threads} threads"
+                    "{scheme:?}/{m} activations diverge at {threads} threads"
                 );
                 assert_eq!(
                     got.counters, want.counters,
-                    "{scheme:?} per-image counters diverge at {threads} threads"
+                    "{scheme:?}/{m} per-image counters diverge at {threads} threads"
                 );
             }
             assert_eq!(
                 batch.counters, seq_total,
-                "{scheme:?} merged counters diverge at {threads} threads"
+                "{scheme:?}/{m} merged counters diverge at {threads} threads"
             );
         }
     }
@@ -423,7 +420,7 @@ fn geometry_net_is_thread_count_invariant() {
 
 #[test]
 fn compile_quantizes_every_row_exactly_once() {
-    let net = small_net(TransferScheme::Scnn, 3);
+    let net = small_net(TransferScheme::Scnn, 8, 3);
     // Two SCNN stages: 3→8 and 8→8 filters, one orbit group each. Each
     // group stores the orientation blocks its reads use (sets ×
     // variants), N rows of K=3 per block.
@@ -506,7 +503,7 @@ fn split_batch_then_run_batch_matches_multi_batch_tensor() {
     // Feeding a [B, C, H, W] tensor through the network directly and
     // splitting it into B singleton images for the batch runner must
     // agree on both values and counter totals.
-    let net = small_net(TransferScheme::DCNN4, 99);
+    let net = small_net(TransferScheme::DCNN4, 8, 99);
     let mut s = 3141;
     let stacked = Tensor4::from_fn([3, 3, 12, 12], |_| Fx16::from_f32(det(&mut s)));
     let singles = split_batch(&stacked);

@@ -2,6 +2,7 @@
 //! types, saturation behaviour of the fixed-point datapath under extreme
 //! inputs, and misuse of the memory-system primitives.
 
+use proptest::prelude::*;
 use tfe::core::{Engine, NetworkReport};
 use tfe::sim::counters::Counters;
 use tfe::sim::errr::RowRing;
@@ -113,4 +114,124 @@ fn smallest_legal_layer() {
     let input = Tensor4::filled([1, 1, 1, 1], Fx16::from_f32(2.0));
     let out = run_layer(&input, &layer, &shape, ReuseConfig::FULL).unwrap();
     assert_eq!(out.output.get([0, 0, 0, 0]).to_f32(), 1.0);
+}
+
+/// The wire requests the protocol fuzzer mutates: every request shape a
+/// client sends, encoded as the client does.
+fn valid_requests(seed: u64) -> Vec<Vec<u8>> {
+    use tfe::serve::protocol::WireRequest;
+    let mut state = seed;
+    let input = Tensor4::from_fn([1, 3, 4, 4], |_| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        Fx16::from_bits((state >> 48) as i16)
+    });
+    [
+        WireRequest::Stats,
+        WireRequest::Infer {
+            input: input.clone(),
+            deadline_ms: None,
+            model_id: None,
+        },
+        WireRequest::Infer {
+            input,
+            deadline_ms: Some(seed % 1000),
+            model_id: Some("demo".to_owned()),
+        },
+    ]
+    .iter()
+    .map(|request| request.to_json().into_bytes())
+    .collect()
+}
+
+/// Every decoder over `bytes`: frames read back to back from an
+/// in-memory stream until its end or the first error (each frame parsed
+/// as a request and as a response), then the raw bytes parsed both
+/// ways. A failure must be typed: an in-memory stream fails a frame
+/// read only with `UnexpectedEof` or `InvalidData`, and a payload is
+/// `Malformed`, never an I/O error. Returns the frames read.
+fn decode_all(bytes: &[u8]) -> usize {
+    use std::io::{Cursor, ErrorKind};
+    use tfe::serve::protocol::{read_frame, ProtocolError, WireRequest, WireResponse};
+    let parse = |payload: &[u8]| {
+        let text = String::from_utf8_lossy(payload);
+        if let Err(e) = WireRequest::from_json(&text) {
+            assert!(matches!(e, ProtocolError::Malformed(_)), "request: {e}");
+        }
+        if let Err(e) = WireResponse::from_json(&text) {
+            assert!(matches!(e, ProtocolError::Malformed(_)), "response: {e}");
+        }
+    };
+    let mut reader = Cursor::new(bytes);
+    let mut frames = 0;
+    loop {
+        match read_frame(&mut reader) {
+            Ok(Some(frame)) => {
+                frames += 1;
+                parse(&frame);
+            }
+            Ok(None) => break,
+            Err(e) => {
+                assert!(
+                    matches!(e.kind(), ErrorKind::UnexpectedEof | ErrorKind::InvalidData),
+                    "frame read: {e}"
+                );
+                break;
+            }
+        }
+    }
+    parse(bytes);
+    frames
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Protocol fuzzing: arbitrary bytes, and valid framed requests
+    /// truncated, with one byte flipped, with arbitrary bytes inserted,
+    /// or surrounded by arbitrary bytes, go through `read_frame` and both
+    /// JSON decoders without a panic — every case decodes or is a typed
+    /// error. The vendored proptest draws fixed-length vectors, so each
+    /// case draws a length and takes a prefix.
+    #[test]
+    fn protocol_decoders_never_panic_on_arbitrary_bytes(
+        noise in prop::collection::vec(any::<u8>(), 300),
+        len in 0usize..300,
+        which in 0usize..3,
+        op in 0usize..5,
+        at in any::<usize>(),
+        mask in 1u8..255,
+        seed in any::<u64>(),
+    ) {
+        use tfe::serve::protocol::write_frame;
+        let noise = &noise[..len];
+        decode_all(noise);
+        let payload = &valid_requests(seed)[which];
+        let mut frame = Vec::new();
+        write_frame(&mut frame, payload).unwrap();
+        let whole = frame.len();
+        let mutated: Vec<u8> = match op {
+            // Truncated anywhere, the length prefix included.
+            0 => frame[..at % whole].to_vec(),
+            1 => {
+                frame[at % whole] ^= mask;
+                frame
+            }
+            2 => {
+                let at = at % (whole + 1);
+                [&frame[..at], noise, &frame[at..]].concat()
+            }
+            3 => [noise, &frame].concat(),
+            _ => [&frame, noise].concat(),
+        };
+        let frames = decode_all(&mutated);
+        if op == 4 {
+            // A valid frame first: the stream yields it before the noise.
+            prop_assert!(frames >= 1);
+        }
+        // The untouched frame decodes to the request it encodes.
+        let text = std::str::from_utf8(payload).unwrap();
+        prop_assert!(tfe::serve::protocol::WireRequest::from_json(text).is_ok());
+    }
 }

@@ -21,10 +21,15 @@ fn det(seed: &mut u32) -> f32 {
     ((*seed >> 16) as f32 / 65536.0) - 0.5
 }
 
-const ALL_SCHEMES: [TransferScheme; 3] = [
-    TransferScheme::DCNN4,
-    TransferScheme::DCNN6,
-    TransferScheme::Scnn,
+/// The scheme grid: every scheme at its smallest filter count (one DCNN
+/// meta group or SCNN orbit group per stage), plus SCNN at 32 filters,
+/// 16 lanes under `FULL` and more under the other ablations: the
+/// transferred lane form.
+const SCHEME_GRID: [(TransferScheme, usize); 4] = [
+    (TransferScheme::DCNN4, 8),
+    (TransferScheme::DCNN6, 16),
+    (TransferScheme::Scnn, 8),
+    (TransferScheme::Scnn, 32),
 ];
 
 const ALL_REUSE: [ReuseConfig; 4] = [
@@ -34,14 +39,10 @@ const ALL_REUSE: [ReuseConfig; 4] = [
     ReuseConfig::FULL,
 ];
 
-/// A small two-stage network (conv → conv+pool) compatible with every
-/// scheme; `strided` swaps in a stride-2 first stage so the sweep also
-/// covers the subsampled window path.
-fn test_net(scheme: TransferScheme, strided: bool, seed: u32) -> FunctionalNetwork {
-    let m = match scheme {
-        TransferScheme::Dcnn { z: 6 } => 16,
-        _ => 8,
-    };
+/// A small two-stage network (conv → conv+pool) of `m` filters per
+/// stage under `scheme` ([`SCHEME_GRID`]); `strided` swaps in a stride-2
+/// first stage so the sweep also covers the subsampled window path.
+fn test_net(scheme: TransferScheme, m: usize, strided: bool, seed: u32) -> FunctionalNetwork {
     let shapes = if strided {
         vec![
             (
@@ -76,8 +77,8 @@ fn images(count: usize, side: usize, seed: u32) -> Vec<Tensor4<Fx16>> {
 /// stage's label and exact run count.
 #[test]
 fn enabled_telemetry_is_bit_identical_and_covers_every_stage() {
-    for scheme in ALL_SCHEMES {
-        let net = test_net(scheme, false, 71);
+    for (scheme, m) in SCHEME_GRID {
+        let net = test_net(scheme, m, false, 71);
         let inputs = images(3, 12, 0x7e1e);
 
         let silent = Engine::compile(&net, ReuseConfig::FULL).unwrap();
@@ -93,11 +94,11 @@ fn enabled_telemetry_is_bit_identical_and_covers_every_stage() {
             let b = loud.run(input, &mut scratch_b).unwrap();
             assert_eq!(
                 a.activations, b.activations,
-                "{scheme:?} telemetry changed activations"
+                "{scheme:?}/{m} telemetry changed activations"
             );
             assert_eq!(
                 a.counters, b.counters,
-                "{scheme:?} telemetry changed counters"
+                "{scheme:?}/{m} telemetry changed counters"
             );
         }
 
@@ -111,7 +112,7 @@ fn enabled_telemetry_is_bit_identical_and_covers_every_stage() {
             assert_eq!(
                 Some(layer.label.as_str()),
                 loud.stage_shape(idx).map(|s| s.name()),
-                "{scheme:?} layer label must match the compiled stage"
+                "{scheme:?}/{m} layer label must match the compiled stage"
             );
             assert_eq!(layer.runs, inputs.len() as u64);
             assert_eq!(layer.window.total(), inputs.len() as u64);
@@ -123,7 +124,7 @@ fn enabled_telemetry_is_bit_identical_and_covers_every_stage() {
 /// path the TCP stats request uses.
 #[test]
 fn live_snapshot_round_trips_through_json() {
-    let net = test_net(TransferScheme::Scnn, false, 5);
+    let net = test_net(TransferScheme::Scnn, 8, false, 5);
     let mut engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
     engine.enable_telemetry(16);
     let mut scratch = Scratch::new();
@@ -146,15 +147,15 @@ proptest! {
     /// small enough to overflow (cumulative totals are overflow-proof).
     #[test]
     fn per_layer_counters_sum_exactly_to_network_totals(
-        scheme_idx in 0usize..3,
+        scheme_idx in 0usize..4,
         reuse_idx in 0usize..4,
         strided in any::<bool>(),
         count in 1usize..4,
         seed in 0u32..500,
     ) {
-        let scheme = ALL_SCHEMES[scheme_idx];
+        let (scheme, m) = SCHEME_GRID[scheme_idx];
         let reuse = ALL_REUSE[reuse_idx];
-        let net = test_net(scheme, strided, seed);
+        let net = test_net(scheme, m, strided, seed);
         let side = if strided { 13 } else { 12 };
         let inputs = images(count, side, seed ^ 0x7ab5);
 
