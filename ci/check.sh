@@ -7,8 +7,9 @@ set -eu
 cargo fmt --check
 # Unsafe audit. The x86-64 tap-pair module in tfe-sim's
 # engine/kernels.rs, which holds both kernels' explicit `pmaddwd` forms
-# (the row kernel's position blocks and the filter-vector pass's filter
-# blocks), is the workspace's one unsafe code: the only
+# and their 512-bit `vpdpwssd` forms (the row kernel's position blocks
+# and the filter-vector pass's filter blocks), is the workspace's one
+# unsafe code: the only
 # `allow(unsafe_code)`, and the only `unsafe` blocks, functions or impls
 # in any source file. tfe-sim denies unsafe code everywhere else and
 # denies `unsafe_op_in_unsafe_fn`, `clippy::undocumented_unsafe_blocks`
@@ -38,6 +39,13 @@ done
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline
 cargo build --release --offline --examples
+# The tap-pair kernel detects its widest blocks at run time: 16 lanes
+# with AVX2, 32 (fused `vpdpwssd`) with AVX-512BW and AVX-512 VNNI. The
+# kernel suites run every width the host has and report each one they
+# skip, so print what it reports before any test line: the log then
+# shows whether the fused 512-bit blocks ran.
+features=$(grep -o -w 'avx2\|avx512bw\|avx512_vnni' /proc/cpuinfo 2>/dev/null | sort -u | tr '\n' ' ' || true)
+echo "host x86 features (of avx2, avx512bw, avx512_vnni): ${features:-none reported}"
 # --workspace: the workspace has no default-members, so a bare
 # `cargo test` would run only the root package and skip every crate's
 # in-crate tests (the engine's kernel and row-sweep proptests, the ERRR

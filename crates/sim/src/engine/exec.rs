@@ -992,10 +992,11 @@ fn dense_unit_sweep(
 ///
 /// The `K` parts (`[K × positions × G]`, filter innermost) combine
 /// through the one window [`combine`] in `ky` order, and each filter's
-/// lane of the window is emitted into its plane. Per filter and output
-/// row the sweep charges what [`dense_unit_sweep`] charges: the
-/// [`charge_conventional`] closed form per `ky` and `(K−1)·F` combine
-/// adds.
+/// lane of the window is emitted into its plane. A part over a
+/// [`padding_row`] is written as zeros, not computed. Per filter and
+/// output row the sweep charges what [`dense_unit_sweep`] charges, padding
+/// rows included: the [`charge_conventional`] closed form per `ky` and
+/// `(K−1)·F` combine adds.
 fn filter_group_sweep(
     ctx: PartCtx<'_>,
     part: Part,
@@ -1043,11 +1044,15 @@ fn filter_group_sweep(
     parts.resize(k * len, Accum::ZERO);
     for oy in part.oy0..part.oy1 {
         for (ky, acc) in parts.chunks_exact_mut(len).enumerate() {
-            let input = &ctx.padded[(oy * s + ky * d) * bw + part.b0 * pw..];
+            let i = oy * s + ky * d;
             let _ = charge_conventional(k, kw, pw, cpg * live, charges);
+            if padding_row(geo, i) {
+                acc.fill(Accum::ZERO);
+                continue;
+            }
             correlate_filters(
                 &table[at(ky, 0)..],
-                input,
+                &ctx.padded[i * bw + part.b0 * pw..],
                 band,
                 positions,
                 live,
@@ -1060,6 +1065,13 @@ fn filter_group_sweep(
         let emits = (0..live).map(|fl| (fl, m0 - part.plane0 + fl));
         emit_filters(out_part, window, part, emits, oy, geo);
     }
+}
+
+/// Whether padded input row `i` is a padding row: every sample is zero,
+/// and so is every filter-vector part over it (an exact zero sum in
+/// either form), so the sweeps write its parts as zeros, not computed.
+fn padding_row(geo: &Geo, i: usize) -> bool {
+    i < geo.pad || i >= geo.pad + geo.h
 }
 
 /// The part's emitted positions as offsets into its interleaved rows:
@@ -1330,12 +1342,12 @@ fn transferred_unit(
 /// [`transferred_unit`]'s.
 ///
 /// The ring holds [`ring_capacity`] input rows, as a transferred unit's
-/// does, so every input row a window reads is computed once. A padding
-/// row's parts are zero and are written, not computed. Charges are one
-/// image's, summed over the member units at compile time: the group's
-/// `row_charge` per input row a window reads, its `window_charge` per
-/// output row. A lone image splits lane groups between workers, never
-/// output rows (DESIGN §5.10).
+/// does, so every input row a window reads is computed once. A
+/// [`padding_row`]'s parts are zero and are written, not computed.
+/// Charges are one image's, summed over the member units at compile
+/// time: the group's `row_charge` per input row a window reads, its
+/// `window_charge` per output row. A lone image splits lane groups
+/// between workers, never output rows (DESIGN §5.10).
 fn lane_group_sweep(
     ctx: PartCtx<'_>,
     part: Part,
@@ -1347,10 +1359,8 @@ fn lane_group_sweep(
     let geo = &ctx.geo;
     let Geo {
         n,
-        h,
         k,
         s,
-        pad,
         ph,
         pw,
         d,
@@ -1389,9 +1399,7 @@ fn lane_group_sweep(
             // The kernel overwrites every live lane of every part.
             let mut parts = lane_pool.pop().unwrap_or_default();
             parts.resize(calls * len, Accum::ZERO);
-            if i < pad || i >= pad + h {
-                // A padding row: every sample is zero, and so is every
-                // part (an exact zero sum in either form).
+            if padding_row(geo, i) {
                 parts.fill(Accum::ZERO);
             } else {
                 let input = &ctx.padded[i * bw + part.b0 * pw..];

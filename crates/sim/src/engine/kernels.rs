@@ -31,11 +31,11 @@
 //! patterns, no allocation. On x86-64 the wrapping form of every row of
 //! at least eight positions and two taps runs the **tap-pair kernel**
 //! (`pairs`) instead: explicit `pmaddwd` intrinsics, two taps per
-//! multiply-accumulate instruction, in blocks of 8, 16 or 32 positions
-//! as wide as the host supports (detected at run time). It is the
-//! crate's one `unsafe` module, shared by both kernels; the portable
-//! loops keep the saturating form, one-tap and shorter rows, and every
-//! other target.
+//! multiply-accumulate instruction (`vpdpwssd` at 32, which fuses the
+//! add), in blocks of 8, 16 or 32 positions as wide as the host supports
+//! (detected at run time). It is the crate's one `unsafe` module, shared
+//! by both kernels; the portable loops keep the saturating form, one-tap
+//! and shorter rows, and every other target.
 //!
 //! **Bit-identity constraint (DESIGN §5.10).** [`Accum`] addition
 //! saturates, so it is not associative: the saturating form must
@@ -88,7 +88,8 @@
 //! chain in the reference order above; on x86-64 the wrapping form runs
 //! the tap-pair kernel's filter blocks, one broadcast input pair
 //! `(x[j], x[j+1])` against tap pair `(j, j+1)` of 4, 8 or 16 filters
-//! per `pmaddwd`. Its proptest pins it against a scalar
+//! per `pmaddwd` (or `vpdpwssd`), each pair one unchecked read behind the
+//! call's one extent check. Its proptest pins it against a scalar
 //! per-(position, filter) reference under every width.
 
 use std::borrow::Borrow;
@@ -444,8 +445,9 @@ const FILTER_LANES: usize = 8;
 
 /// The filters of one group of the filter-vector sweep, and so the
 /// weights per tap row of its table: one 32-filter block, two
-/// `pmaddwd`s of 16 filters each on AVX-512BW. Narrower hosts, and a
-/// group with fewer live filters, run 8- or 16-filter blocks over it.
+/// `vpdpwssd`s of 16 filters each on AVX-512BW with AVX-512 VNNI.
+/// Narrower hosts, and a group with fewer live filters, run 8- or
+/// 16-filter blocks over it.
 pub(crate) const FILTER_GROUP: usize = 32;
 
 /// The filter-vector band pass: for every position `p` and filter
@@ -503,7 +505,10 @@ pub(crate) fn correlate_filters(
 }
 
 /// Checks a filter band's operands against its extent (see
-/// [`correlate_filters`]) and cuts them to it.
+/// [`correlate_filters`]) and cuts them to it: the one check of a call.
+/// The tap-pair filter blocks read each position's input pair unchecked
+/// inside the input cut, so the reach and both cut lengths are computed
+/// with checked arithmetic; a wrapped length could let a read escape.
 fn filter_extent<'a>(
     weights: &'a [Fx16],
     input: &'a [Fx16],
@@ -527,16 +532,23 @@ fn filter_extent<'a>(
         "a filter group holds at most {FILTER_GROUP} live filters"
     );
     assert!(
-        acc_len >= positions.len() * FILTER_GROUP,
+        acc_len / FILTER_GROUP >= positions.len(),
         "one accumulator per position and filter"
     );
-    let reach = positions.iter().max().map_or(0, |&o| o + width);
+    // `(channels − 1)·stride + last`, or `None` where it overflows.
+    let cut =
+        |stride: usize, last: Option<usize>| (channels - 1).checked_mul(stride)?.checked_add(last?);
+    let reach = positions
+        .iter()
+        .max()
+        .map_or(Some(0), |&o| o.checked_add(width));
     // Tap-major: the last channel's `width` tap rows of `G` weights
     // start at (channels − 1)·w_stride.
-    (
-        &weights[..(channels - 1) * w_stride + width * FILTER_GROUP],
-        &input[..(channels - 1) * in_stride + reach],
-    )
+    let w_len = cut(w_stride, width.checked_mul(FILTER_GROUP));
+    let (Some(w_len), Some(in_len)) = (w_len, cut(in_stride, reach)) else {
+        panic!("a filter band's extent overflows usize");
+    };
+    (&weights[..w_len], &input[..in_len])
 }
 
 /// The portable filter-vector loop: every target's saturating form, and
@@ -622,9 +634,12 @@ mod pairs {
     //!
     //! One block body (`pair_blocks!`) runs at three widths: 8 positions
     //! in 128-bit registers (SSE2, the x86-64 baseline), 16 in 256-bit
-    //! (AVX2) and 32 in 512-bit (AVX-512BW). [`band`] runs the host's
-    //! widest full blocks first, then narrower ones, then a ragged tail as
-    //! one overlapped 8-position block (the portable loop's tail rule).
+    //! (AVX2) and 32 in 512-bit (AVX-512BW with AVX-512 VNNI). The 512-bit
+    //! width multiply-accumulates with VNNI's `vpdpwssd`, `pmaddwd` and
+    //! `paddd` fused into one instruction; an AVX-512BW host without VNNI
+    //! runs the 256-bit blocks. [`band`] runs the host's widest full
+    //! blocks first, then narrower ones, then a ragged tail as one
+    //! overlapped 8-position block (the portable loop's tail rule).
     //!
     //! **Filter blocks.** [`filters`] turns the same instruction around
     //! for the filter-vector sweep: `punpck{l,h}wd` interleaves tap rows
@@ -634,20 +649,27 @@ mod pairs {
     //! The widths hold 8, 16 or 32 filters (4, 8 or 16 per `pmaddwd`),
     //! in the same lane order the position blocks use, so one `store`
     //! un-permutes both. An odd extent pairs its last tap as
-    //! `(0, w[K−1])` against `(x[K−2], x[K−1])`, an in-bounds read.
+    //! `(0, w[K−1])` against `(x[K−2], x[K−1])`, an in-bounds read. Each
+    //! position's broadcast pair is one unaligned 32-bit read with no
+    //! bounds check of its own: `filter_extent`'s one check per call,
+    //! in checked arithmetic, already covers every position's reach.
     //!
-    //! **Exactness.** `pmaddwd` and `paddd` are exact modulo 2³², and the
-    //! stage gate (`exec::saturation_free`) that selects the wrapping form
-    //! keeps every exact sum inside `i32`, so the outputs equal the
-    //! saturating chain bit for bit. (`pmaddwd` wraps only when all four
-    //! operands are −2¹⁵, a pair sum of 2³¹ that the gate rejects.)
+    //! **Exactness.** `pmaddwd`, `paddd` and the fused `vpdpwssd` are
+    //! exact modulo 2³² (so every width gives the same bits on any data,
+    //! pinned by the unbounded-data proptests), and the stage gate
+    //! (`exec::saturation_free`) that selects the wrapping form keeps
+    //! every exact sum inside `i32`, so the outputs equal the saturating
+    //! chain bit for bit. (`pmaddwd` wraps only when all four operands are
+    //! −2¹⁵, a pair sum of 2³¹ that the gate rejects.)
     //!
     //! **Unsafe.** This is the crate's one `unsafe` module, shared by
     //! both kernels. Its `unsafe` blocks are unaligned loads and stores
     //! of exactly one vector from a slice already cut to that length (so
-    //! a short operand panics before any read), and entries into
-    //! `#[target_feature]` functions: SSE2 always, AVX2 and AVX-512BW
-    //! only after run-time detection.
+    //! a short operand panics before any read); the filter blocks' pair
+    //! reads, each inside the input cut `filter_extent` made before any
+    //! read (and `debug_assert!`ed against it); and entries into
+    //! `#[target_feature]` functions: SSE2 always, AVX2 and AVX-512BW with
+    //! AVX-512 VNNI only after run-time detection.
 
     use super::{extent, filter_extent, Band, FILTER_GROUP, NARROW};
     use tfe_tensor::fixed::{Accum, Fx16};
@@ -659,7 +681,7 @@ mod pairs {
         X8,
         /// 16 positions per block, AVX2.
         X16,
-        /// 32 positions per block, AVX-512BW.
+        /// 32 positions per block, AVX-512BW with AVX-512 VNNI.
         X32,
     }
 
@@ -683,11 +705,16 @@ mod pairs {
         }
 
         /// The widest block this host runs (`is_x86_feature_detected!`
-        /// caches its probe, so each call is one load and test).
+        /// caches its probe, so each call is one load and test). The
+        /// 512-bit blocks multiply-accumulate with VNNI's `vpdpwssd`, so
+        /// they need AVX-512 VNNI beside AVX-512BW; an AVX-512BW host
+        /// without it runs the 256-bit blocks.
         pub(super) fn host() -> Lanes {
             if !std::is_x86_feature_detected!("avx2") {
                 Lanes::X8
-            } else if std::is_x86_feature_detected!("avx512bw") {
+            } else if std::is_x86_feature_detected!("avx512bw")
+                && std::is_x86_feature_detected!("avx512vnni")
+            {
                 Lanes::X32
             } else {
                 Lanes::X16
@@ -731,7 +758,7 @@ mod pairs {
         let mut x0 = 0;
         if widest == Lanes::X32 {
             // SAFETY: `Lanes::host` answers X32 only after detecting
-            // AVX-512BW.
+            // AVX-512BW and AVX-512 VNNI.
             x0 = unsafe { x32::blocks::<K>(weights, input, band, acc, x0) };
         }
         if widest >= Lanes::X16 {
@@ -761,8 +788,8 @@ mod pairs {
     ///
     /// # Panics
     ///
-    /// Panics if the band has fewer than two taps, or on any operand
-    /// [`super::correlate_filters`] rejects.
+    /// Panics before any read if the band has fewer than two taps, or
+    /// on any operand [`super::correlate_filters`] rejects.
     pub(super) fn filters(
         cap: Lanes,
         weights: &[Fx16],
@@ -777,14 +804,17 @@ mod pairs {
         let lanes = Lanes::host().min(cap).min(Lanes::holding(live));
         for f0 in (0..live).step_by(lanes.count()) {
             let w = &weights[f0..];
+            // Every arm: `filter_extent` cut `input` to the band's reach
+            // over every position, the pair reads' contract.
             match lanes {
                 // SAFETY: `Lanes::host` answers X32 only after detecting
-                // AVX-512BW.
+                // AVX-512BW and AVX-512 VNNI; the reach is as above.
                 Lanes::X32 => unsafe { x32::filter_blocks(w, input, band, positions, f0, acc) },
                 // SAFETY: `Lanes::host` answers X16 or wider only after
-                // detecting AVX2.
+                // detecting AVX2; the reach is as above.
                 Lanes::X16 => unsafe { x16::filter_blocks(w, input, band, positions, f0, acc) },
-                // SAFETY: SSE2 is part of the x86-64 baseline.
+                // SAFETY: SSE2 is part of the x86-64 baseline; the reach
+                // is as above.
                 Lanes::X8 => unsafe { x8::filter_blocks(w, input, band, positions, f0, acc) },
             }
         }
@@ -797,15 +827,8 @@ mod pairs {
         (u32::from(hi.to_bits() as u16) << 16 | u32::from(lo.to_bits() as u16)) as i32
     }
 
-    /// The broadcast sample pair `(x[o], x[o+1])`.
-    #[inline(always)]
-    fn pair_at(x: &[Fx16], o: usize) -> i32 {
-        let p = &x[o..o + 2];
-        pair(p[0], p[1])
-    }
-
     /// The block bodies shared by every width. The enclosing module
-    /// defines `LANES` and, under the named target feature, the block's
+    /// defines `LANES` and, under the named target features, the block's
     /// vector operations: `load` and `store` (its accumulators as two
     /// `i32` vectors), `samples` (`LANES` samples or weights as one `i16`
     /// vector), `zero`, `interleave` (two such vectors as pairs) and
@@ -852,8 +875,16 @@ mod pairs {
             /// Runs filters `f0 .. f0 + LANES` of the band at every
             /// position into `acc`, in blocks of the listed position
             /// counts. `weights` starts at filter `f0`.
+            ///
+            /// # Safety
+            ///
+            /// The host has the module's target features, the band has
+            /// at least two taps, and `input` holds every pair the band
+            /// reads: `(channels − 1)·in_stride + max(positions) + width`
+            /// samples, the cut [`filter_extent`](super::super::filter_extent)
+            /// makes.
             #[target_feature(enable = $feature)]
-            pub(super) fn filter_blocks(
+            pub(super) unsafe fn filter_blocks(
                 weights: &[Fx16],
                 input: &[Fx16],
                 band: Band,
@@ -862,7 +893,12 @@ mod pairs {
                 acc: &mut [Accum],
             ) {
                 let mut p0 = 0;
-                $(p0 = filter_run::<$positions>(weights, input, band, positions, f0, acc, p0);)+
+                $(
+                    // SAFETY: this function's contract is `filter_run`'s.
+                    p0 = unsafe {
+                        filter_run::<$positions>(weights, input, band, positions, f0, acc, p0)
+                    };
+                )+
                 debug_assert_eq!(p0, positions.len(), "the cascade ends at one position");
             }
 
@@ -870,9 +906,14 @@ mod pairs {
             /// returns where the first unfinished block starts. Each
             /// block holds `P` positions' accumulators in registers
             /// across the whole band; each tap pair's weights are
-            /// interleaved once per block.
+            /// interleaved once per block, and each position's input
+            /// pair is one unchecked 32-bit read.
+            ///
+            /// # Safety
+            ///
+            /// As for [`filter_blocks`].
             #[target_feature(enable = $feature)]
-            fn filter_run<const P: usize>(
+            unsafe fn filter_run<const P: usize>(
                 weights: &[Fx16],
                 input: &[Fx16],
                 band: Band,
@@ -904,7 +945,16 @@ mod pairs {
                                 (interleave(zero(), samples(&w[j * FILTER_GROUP..])), j - 1)
                             };
                             for (ri, &o) in r.iter_mut().zip(offsets) {
-                                *ri = madd(*ri, taps, pair_at(x, o + j0));
+                                let at = o + j0;
+                                debug_assert!(at + 2 <= x.len(), "a pair read past the extent");
+                                let p = x.as_ptr().wrapping_add(at).cast::<i32>();
+                                // SAFETY: by the contract `x` (channel c's
+                                // rows on) holds `max(positions) + width`
+                                // samples, and `at + 2 ≤ o + width`: the
+                                // pair `(x[at], x[at+1])` is one unaligned
+                                // little-endian `i32`.
+                                let pair = unsafe { p.read_unaligned() };
+                                *ri = madd(*ri, taps, pair);
                             }
                             j += 2;
                         }
@@ -922,7 +972,7 @@ mod pairs {
     /// 8 positions in 128-bit registers; the two accumulator vectors
     /// hold positions 0–3 and 4–7, the order `punpck{l,h}wd` yields.
     mod x8 {
-        use super::{pair, pair_at, Band, FILTER_GROUP};
+        use super::{pair, Band, FILTER_GROUP};
         use std::arch::x86_64::*;
         use tfe_tensor::fixed::{Accum, Fx16};
 
@@ -991,7 +1041,7 @@ mod pairs {
     /// 8–11 and the high one 4–7 and 12–15; `load` and `store` permute
     /// between that order and the row's.
     mod x16 {
-        use super::{pair, pair_at, Band, FILTER_GROUP};
+        use super::{pair, Band, FILTER_GROUP};
         use std::arch::x86_64::*;
         use tfe_tensor::fixed::{Accum, Fx16};
 
@@ -1061,11 +1111,12 @@ mod pairs {
         pair_blocks!("avx2", 4, 2, 1);
     }
 
-    /// 32 positions in 512-bit registers. As at 16, the unpacks work per
-    /// 128-bit quarter: the low vector holds positions 0–3, 8–11, 16–19
-    /// and 24–27, the high one the other four quarters.
+    /// 32 positions in 512-bit registers, multiply-accumulated by
+    /// `vpdpwssd` (AVX-512 VNNI). As at 16, the unpacks work per 128-bit
+    /// quarter: the low vector holds positions 0–3, 8–11, 16–19 and
+    /// 24–27, the high one the other four quarters.
     mod x32 {
-        use super::{pair, pair_at, Band, FILTER_GROUP};
+        use super::{pair, Band, FILTER_GROUP};
         use std::arch::x86_64::*;
         use tfe_tensor::fixed::{Accum, Fx16};
 
@@ -1126,17 +1177,16 @@ mod pairs {
             (_mm512_unpacklo_epi16(a, b), _mm512_unpackhi_epi16(a, b))
         }
 
-        #[target_feature(enable = "avx512bw")]
+        /// `vpdpwssd`: `pmaddwd` and `paddd` in one instruction, the
+        /// same sum modulo 2³².
+        #[target_feature(enable = "avx512bw,avx512vnni")]
         #[inline]
         fn madd((lo, hi): Acc, (a, b): Acc, w: i32) -> Acc {
             let w = _mm512_set1_epi32(w);
-            (
-                _mm512_add_epi32(lo, _mm512_madd_epi16(a, w)),
-                _mm512_add_epi32(hi, _mm512_madd_epi16(b, w)),
-            )
+            (_mm512_dpwssd_epi32(lo, a, w), _mm512_dpwssd_epi32(hi, b, w))
         }
 
-        pair_blocks!("avx512bw", 8, 4, 2, 1);
+        pair_blocks!("avx512bw,avx512vnni", 8, 4, 2, 1);
     }
 }
 
@@ -1328,6 +1378,14 @@ mod tests {
             < i64::from(i32::MAX)
     }
 
+    /// Advances the test streams' generator and returns its state.
+    fn step(seed: &mut u64) -> u64 {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *seed
+    }
+
     /// A deterministic stream of raw `i16` values: uniform in `±bound`,
     /// or (`bound == 0`) drawn only from values whose products clamp
     /// after a few terms.
@@ -1335,10 +1393,7 @@ mod tests {
         const EXTREMES: [i16; 5] = [i16::MIN, i16::MAX, 0, 1, -1];
         (0..len)
             .map(|_| {
-                *seed = seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let r = (*seed >> 33) as i32;
+                let r = (step(seed) >> 33) as i32;
                 if bound == 0 {
                     EXTREMES[r as usize % EXTREMES.len()]
                 } else {
@@ -1346,6 +1401,16 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// Raw `i16` values with no bound: uniform over the whole range, or
+    /// (`extremes`) [`draw`]'s clamping values, whose `pmaddwd` pair sums
+    /// reach 2³¹.
+    fn draw_unbounded(seed: &mut u64, len: usize, extremes: bool) -> Vec<i16> {
+        if extremes {
+            return draw(seed, len, 0);
+        }
+        (0..len).map(|_| (step(seed) >> 48) as i16).collect()
     }
 
     /// Checks the saturating form under every cap, and the wrapping form
@@ -1553,6 +1618,59 @@ mod tests {
                 }
             }
         }
+
+        /// `pmaddwd` + `paddd` (8- and 16-position blocks) and the fused
+        /// `vpdpwssd` (32) both give the exact sum modulo 2³², as does the
+        /// portable wrapping loop, in any order. So on unbounded data, with
+        /// no saturation-free gate, every width's wrapping position blocks
+        /// must equal the portable wrapping loop bit for bit, whatever
+        /// `exec::saturation_free` admits.
+        #[test]
+        fn wrapping_position_blocks_agree_modulo_2_32(
+            k in 2usize..10,
+            channels in 1usize..6,
+            span in 8usize..131,
+            in_gap in 0usize..5,
+            extremes in proptest::prelude::any::<bool>(),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut seed = seed;
+            let band = Band {
+                channels,
+                width: k,
+                w_stride: k,
+                in_stride: span + k - 1 + in_gap,
+            };
+            let weights = fx(&draw_unbounded(&mut seed, (channels - 1) * k + k, extremes));
+            let samples = (channels - 1) * band.in_stride + span + k - 1;
+            let input = fx(&draw_unbounded(&mut seed, samples, extremes));
+            let base: Vec<Accum> =
+                (0..span).map(|_| Accum::from_bits(step(&mut seed) as i32)).collect();
+            for kernel in [RowKernel::select(k), RowKernel::Generic] {
+                let mut want = base.clone();
+                kernel.portable(&weights, &input, band, &mut want, true);
+                for cap in [8, 16, 32] {
+                    let mut got = base.clone();
+                    if correlate_capped(kernel, cap, &weights, &input, band, &mut got, true) {
+                        proptest::prop_assert_eq!(&got, &want, "{:?} cap {}", kernel, cap);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The 512-bit blocks run `vpdpwssd`, so the host answers them
+    /// exactly when it has both AVX-512BW and AVX-512 VNNI.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_512_bit_blocks_need_avx512bw_and_vnni() {
+        let bw = std::is_x86_feature_detected!("avx512bw");
+        let vnni = std::is_x86_feature_detected!("avx512vnni");
+        assert_eq!(
+            pairs::Lanes::host() == pairs::Lanes::X32,
+            bw && vnni,
+            "avx512bw {bw} avx512vnni {vnni}"
+        );
     }
 
     /// Runs `f`, which must panic with a message containing `expected`
@@ -1676,6 +1794,43 @@ mod tests {
             let checked = check_filters(&weights, &input, case.band, &case.positions, live, !clamping);
             proptest::prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
         }
+
+        /// The filter blocks' counterpart: tap pairs of 8, 16 or 32
+        /// filters against broadcast input pairs, `vpdpwssd` at 32, on
+        /// unbounded data must equal the portable wrapping loop bit for
+        /// bit in every live slot.
+        #[test]
+        fn wrapping_filter_blocks_agree_modulo_2_32(
+            channels in 1usize..6,
+            width in 2usize..10,
+            fill in 0usize..FILTER_GROUP,
+            images in 1usize..4,
+            cols in 1usize..13,
+            s in 1usize..3,
+            extremes in proptest::prelude::any::<bool>(),
+            seed in 0u64..u64::MAX,
+        ) {
+            let live = fill + 1;
+            let case = filter_case((channels, width), (images, cols, s, 1), (3, 2));
+            let mut seed = seed;
+            let weights = fx(&draw_unbounded(&mut seed, case.weights, extremes));
+            let input = fx(&draw_unbounded(&mut seed, case.input, extremes));
+            let run = |cap: usize, acc: &mut [Accum]| {
+                filters_capped(cap, &weights, &input, case.band, &case.positions, live, acc, true)
+            };
+            let live_slots = |acc: &[Accum]| -> Vec<Accum> {
+                acc.chunks_exact(FILTER_GROUP).flat_map(|slots| &slots[..live]).copied().collect()
+            };
+            let slots = case.positions.len() * FILTER_GROUP;
+            let mut want = vec![Accum::ZERO; slots];
+            run(0, &mut want);
+            for cap in [8, 16, 32] {
+                let mut got = vec![Accum::from_bits(0x5a5a); slots];
+                if run(cap, &mut got) {
+                    proptest::prop_assert_eq!(live_slots(&got), live_slots(&want), "cap {}", cap);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1772,6 +1927,65 @@ mod tests {
                         )
                     },
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_filter_extents_are_rejected() {
+        // A reach or a cut length that wraps `usize` would cut the
+        // operands short of what the unchecked pair reads assume: each
+        // must panic before any read, at every cap, in both forms, in
+        // release builds too.
+        let case = filter_case((2, 3), (2, 5, 1, 1), (1, 2));
+        let band = |channels, w_stride, in_stride| Band {
+            channels,
+            w_stride,
+            in_stride,
+            ..case.band
+        };
+        let (w_stride, in_stride, huge) =
+            (case.band.w_stride, case.band.in_stride, usize::MAX / 2 + 1);
+        let cells = [
+            ("max(positions) + width", case.band, vec![0, usize::MAX - 1]),
+            (
+                "(channels − 1)·in_stride + reach",
+                band(2, w_stride, usize::MAX),
+                case.positions.clone(),
+            ),
+            (
+                "(channels − 1)·in_stride",
+                band(3, w_stride, huge),
+                case.positions.clone(),
+            ),
+            (
+                "(channels − 1)·w_stride",
+                band(3, huge, in_stride),
+                case.positions.clone(),
+            ),
+        ];
+        let (weights, input) = (fx(&vec![1; case.weights]), fx(&vec![1; case.input]));
+        for cap in CAPS {
+            for wrapping in [false, true] {
+                for (what, band, positions) in &cells {
+                    rejects(
+                        &format!("cap {cap} wrapping {wrapping}: {what} overflows"),
+                        "extent overflows usize",
+                        || {
+                            let mut acc = vec![Accum::ZERO; positions.len() * FILTER_GROUP];
+                            filters_capped(
+                                cap,
+                                &weights,
+                                &input,
+                                *band,
+                                positions,
+                                FILTER_GROUP,
+                                &mut acc,
+                                wrapping,
+                            )
+                        },
+                    );
+                }
             }
         }
     }
