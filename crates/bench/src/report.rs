@@ -33,6 +33,12 @@
 //! `*_ips` values are iterations/second from interleaved best-of-reps
 //! timing (see [`crate::timing`]): higher is better, and `speedup =
 //! current_ips / baseline_ips` is the pinned acceptance ratio.
+//!
+//! An unpinned bench that records an absolute time rather than a ratio
+//! (`stage_probe`'s per-stage medians) writes [`BenchCell::absolute`]
+//! cells: baseline `"absolute"`, both rates `1000 / ms` runs per second
+//! and `speedup` 1, so the median's milliseconds are `1000 /
+//! current_ips`.
 
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -66,6 +72,26 @@ pub struct BenchCell {
     pub reps: u64,
     /// Timed iterations per repetition.
     pub rounds: u64,
+}
+
+impl BenchCell {
+    /// An absolute cell: the median of `runs` single runs, `ms`
+    /// milliseconds each, recorded as `1000 / ms` runs per second on both
+    /// sides with `speedup` 1 (no baseline, no pin).
+    #[must_use]
+    pub fn absolute(bench: &str, cell: &str, ms: f64, runs: usize) -> Self {
+        let ips = 1e3 / ms;
+        BenchCell {
+            bench: bench.to_owned(),
+            cell: cell.to_owned(),
+            baseline: "absolute".to_owned(),
+            baseline_ips: ips,
+            current_ips: ips,
+            speedup: 1.0,
+            reps: runs as u64,
+            rounds: 1,
+        }
+    }
 }
 
 /// The whole trajectory file: schema tag, PR index, and the cell list.

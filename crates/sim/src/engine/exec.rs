@@ -15,7 +15,8 @@
 //! unit, which is a DCNN meta group or an SCNN orbit group alike), one
 //! forward row sweep for every row-kernel pass ([`row_sweep`]), one
 //! ERRR ring fill ([`RowPass`]), one window combine (`combine`), and one
-//! output memory system (`crate::output`'s `process_channel`). The
+//! output memory system (`crate::output`'s [`finish_plane`]), which each
+//! part runs on the planes it computed ([`finish_part`]). The
 //! transferred executor ([`transferred_unit`]) runs the read schedule
 //! compile wrote: one ring per weight set, then one window per read.
 //! SCNN's mirrored stream is the forward pass over the FlipH partner
@@ -59,7 +60,7 @@ use crate::counters::Counters;
 use crate::errr::{RowRing, Streams};
 use crate::functional::FunctionalOutput;
 use crate::network::NetworkOutput;
-use crate::output::process_channel;
+use crate::output::finish_plane;
 use crate::ppsr::{charge_conventional, row_sweep};
 use crate::SimError;
 use std::time::Instant;
@@ -84,10 +85,11 @@ pub struct BatchedRun {
     pub counters: Counters,
 }
 
-/// One partition of a stage's convolution work: a contiguous image range
-/// × a contiguous unit range × a contiguous output-row range, writing
-/// the matching `[images × planes × rows × F]` block of the stage's
-/// output accumulator planes.
+/// One partition of a stage's work: a contiguous image range × a
+/// contiguous unit range × a contiguous output-row range, writing the
+/// matching `[images × planes × rows × F]` block of the stage's output
+/// accumulator planes and finishing it into the matching block of the
+/// next stage's activations.
 ///
 /// The partitioner emits full-unit batch chunks (`plane0..plane1` =
 /// `0..M`), or, when the batch is smaller than the worker budget,
@@ -95,9 +97,10 @@ pub struct BatchedRun {
 /// [`UnitIr::plane_range`] invariant) — both tile the `[B × M × E × F]`
 /// output exactly, in ascending offset order, with every row. A
 /// filter-vector stage with fewer filter groups than an image's workers
-/// splits that image's output rows instead (`oy0..oy1`); such a part's
-/// block is not contiguous in the output, so it writes a buffer of its
-/// own that the stage copies back.
+/// splits that image's output rows instead (`oy0..oy1`, on pool-band
+/// boundaries); such a part's block is not contiguous in the output, so
+/// it writes buffers of its own and the stage copies its finished rows
+/// into place.
 #[derive(Debug, Clone, Copy)]
 struct Part {
     b0: usize,
@@ -154,7 +157,19 @@ struct PartCtx<'a> {
     padded: &'a [Fx16],
 }
 
-impl PartCtx<'_> {
+impl<'a> PartCtx<'a> {
+    /// The context of one stage over the padded batch, its
+    /// saturation-free gate decided by one scan of `padded`.
+    fn new(stage: &'a StageIr, geo: Geo, batch: usize, padded: &'a [Fx16]) -> Self {
+        PartCtx {
+            stage,
+            geo,
+            batch,
+            saturation_free: saturation_free(stage, &geo, padded),
+            padded,
+        }
+    }
+
     /// The span of one batch-wide row pass over `part`'s images:
     /// `(images−1)·PW + full_w`, image `bi`'s lane at `bi·PW`.
     fn row_span(&self, part: Part) -> usize {
@@ -319,7 +334,7 @@ impl Engine {
             } else {
                 None
             };
-            match self.run_stage(stage, batch, dims, &mut cur, &mut next, scratch, workers) {
+            match run_stage(stage, batch, dims, &mut cur, &mut next, scratch, workers) {
                 Ok(out_dims) => {
                     dims = out_dims;
                     peak = peak.max(scratch.peak(cur.len().max(next.len())));
@@ -356,202 +371,6 @@ impl Engine {
         result
     }
 
-    /// One full stage: convolution into the accumulator planes, then the
-    /// output memory system into `next`, then the stage swap.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stage(
-        &self,
-        stage: &StageIr,
-        batch: usize,
-        dims: (usize, usize, usize),
-        cur: &mut Vec<Fx16>,
-        next: &mut Vec<Fx16>,
-        scratch: &mut Scratch,
-        workers: usize,
-    ) -> Result<(usize, usize, usize), SimError> {
-        let geo = self.conv_stage(stage, batch, dims, cur, scratch, workers)?;
-        let out_dims = Self::output_stage(stage, &geo, batch, next, scratch);
-        std::mem::swap(cur, next);
-        Ok(out_dims)
-    }
-
-    /// The convolution portion of one stage: validates the input
-    /// geometry, pads the whole batch once, then fills `scratch.out`
-    /// with the raw `[batch × M × E × F]` accumulator planes (no bias,
-    /// no activation, no pooling) — partitioned across up to `workers`
-    /// scoped threads.
-    fn conv_stage(
-        &self,
-        stage: &StageIr,
-        batch: usize,
-        (cc, ch, cw): (usize, usize, usize),
-        cur: &[Fx16],
-        scratch: &mut Scratch,
-        workers: usize,
-    ) -> Result<Geo, SimError> {
-        let shape = &stage.shape;
-        check_input(shape, (cc, ch, cw))?;
-        let geo = Geo::of(shape);
-        let plane_len = geo.e * geo.f;
-        let Scratch {
-            padded,
-            out,
-            bufs,
-            bufs_pool,
-            image_counters,
-            ..
-        } = scratch;
-        // Stage-level charge, outside the part fan-out: under unit-group
-        // partitioning several parts cover the same image, so per-part
-        // charging would double-count the analytic MAC total.
-        for image in image_counters.iter_mut() {
-            image.dense_macs += shape.macs();
-        }
-        out.clear();
-        out.resize(batch * geo.m * plane_len, Accum::ZERO);
-        fill_padded_batch(padded, cur, batch, &geo);
-        let ctx = PartCtx {
-            stage,
-            geo,
-            batch,
-            saturation_free: saturation_free(stage, &geo, padded),
-            padded,
-        };
-        let parts = partition(batch, stage, &geo, workers);
-        if parts.len() == 1 {
-            // One worker (`Engine::run`, `run_batch`'s image chunks): no
-            // thread spawn, no extra buffer checkout — straight through
-            // on the caller's thread with the warm primary buffers.
-            let mut charges = Counters::new();
-            run_part(ctx, parts[0], out, bufs, &mut charges);
-            for image in image_counters.iter_mut() {
-                image.merge(&charges);
-            }
-            return Ok(geo);
-        }
-        // Part 0 keeps the warm primary buffers (fan_out runs it inline
-        // on the caller's thread); the others check buffers out of the
-        // pool.
-        let mut extra_bufs: Vec<KernelBufs> = (1..parts.len())
-            .map(|_| bufs_pool.pop().unwrap_or_default())
-            .collect();
-        // Output-row parts each write a block of their own (a partition
-        // splits rows for every image or for none).
-        let row_parts = parts[0].rows() < geo.e;
-        let mut blocks: Vec<Vec<Accum>> = Vec::new();
-        if row_parts {
-            for (part, part_bufs) in parts
-                .iter()
-                .zip(std::iter::once(&mut *bufs).chain(&mut extra_bufs))
-            {
-                let mut block = std::mem::take(&mut part_bufs.rows_out);
-                block.clear();
-                block.resize(part.planes() * part.rows() * geo.f, Accum::ZERO);
-                blocks.push(block);
-            }
-        }
-        let mut slices: Vec<&mut [Accum]> = Vec::with_capacity(parts.len());
-        if row_parts {
-            slices.extend(blocks.iter_mut().map(Vec::as_mut_slice));
-        } else {
-            // Carve each part's disjoint, contiguous output slice. Parts
-            // tile the output in ascending offset order (the plane_range
-            // invariant), so successive split_at_mut covers it exactly.
-            let mut rest: &mut [Accum] = out;
-            let mut cursor = 0usize;
-            for part in &parts {
-                debug_assert_eq!(
-                    part.start(geo.m, plane_len),
-                    cursor,
-                    "parts must tile the output contiguously"
-                );
-                let len = part.len(geo.m, plane_len);
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
-                slices.push(head);
-                rest = tail;
-                cursor += len;
-            }
-            debug_assert!(rest.is_empty(), "parts must cover the whole output");
-        }
-        let work: Vec<_> = parts
-            .iter()
-            .zip(slices)
-            .zip(std::iter::once(&mut *bufs).chain(&mut extra_bufs))
-            .map(|((&part, slice), part_bufs)| (part, slice, part_bufs))
-            .collect();
-        let charges = fan_out(work, |(part, slice, part_bufs)| {
-            let mut charges = Counters::new();
-            run_part(ctx, part, slice, part_bufs, &mut charges);
-            charges
-        });
-        for (part, part_charges) in parts.iter().zip(&charges) {
-            for per_image in &mut image_counters[part.b0..part.b1] {
-                per_image.merge(part_charges);
-            }
-        }
-        // Copy each output-row block's plane rows into place, then hand
-        // the block back to its buffer set.
-        for ((part, block), part_bufs) in parts
-            .iter()
-            .zip(blocks)
-            .zip(std::iter::once(&mut *bufs).chain(&mut extra_bufs))
-        {
-            let span = part.rows() * geo.f;
-            for (p, rows) in block.chunks_exact(span).enumerate() {
-                let at = ((part.b0 * geo.m + part.plane0 + p) * geo.e + part.oy0) * geo.f;
-                out[at..at + span].copy_from_slice(rows);
-            }
-            part_bufs.rows_out = block;
-        }
-        bufs_pool.append(&mut extra_bufs);
-        Ok(geo)
-    }
-
-    /// The output portion of one stage: drives every accumulator plane
-    /// in `scratch.out` through bias fold → ReLU → pooling, assembling
-    /// the next stage's activations in `next` and charging each image's
-    /// own counters. Returns the output `(channels, rows, cols)`.
-    fn output_stage(
-        stage: &StageIr,
-        geo: &Geo,
-        batch: usize,
-        next: &mut Vec<Fx16>,
-        scratch: &mut Scratch,
-    ) -> (usize, usize, usize) {
-        let plane_len = geo.e * geo.f;
-        let (or, oc) = match stage.output.pool {
-            None => (geo.e, geo.f),
-            Some(p) => (geo.e / p, geo.f / p),
-        };
-        next.clear();
-        let Scratch {
-            out,
-            act_row,
-            pool_row,
-            pool_staged,
-            image_counters,
-            ..
-        } = scratch;
-        for b in 0..batch {
-            let counters = &mut image_counters[b];
-            for c in 0..geo.m {
-                let plane = &out[(b * geo.m + c) * plane_len..][..plane_len];
-                process_channel(
-                    plane,
-                    geo.f,
-                    stage.bias[c],
-                    stage.output,
-                    act_row,
-                    pool_row,
-                    pool_staged,
-                    next,
-                    counters,
-                );
-            }
-        }
-        (geo.m, or, oc)
-    }
-
     /// Runs the convolution of a single-stage engine and returns the raw
     /// accumulator planes — the layer-level reference contract of
     /// [`crate::functional::run_layer`], which owns validation and the
@@ -570,9 +389,27 @@ impl Engine {
         scratch.image_counters.clear();
         scratch.image_counters.resize(batch, Counters::new());
         let stage = &self.stages[0];
-        let geo = self.conv_stage(stage, batch, (ic, ih, iw), input.as_slice(), scratch, 1)?;
-        let counters = total_counters(&scratch.image_counters);
-        let out = &scratch.out;
+        let geo = begin_stage(stage, batch, (ic, ih, iw), input.as_slice(), scratch)?;
+        let Scratch {
+            padded,
+            out,
+            bufs,
+            image_counters,
+            ..
+        } = scratch;
+        let ctx = PartCtx::new(stage, geo, batch, padded);
+        let mut charges = Counters::new();
+        run_part(
+            ctx,
+            partition(batch, stage, &geo, 1)[0],
+            out,
+            bufs,
+            &mut charges,
+        );
+        for image in image_counters.iter_mut() {
+            image.merge(&charges);
+        }
+        let counters = total_counters(image_counters);
         let output = Tensor4::from_fn([batch, geo.m, geo.e, geo.f], |[b, c, y, x]| {
             out[((b * geo.m + c) * geo.e + y) * geo.f + x]
         });
@@ -583,6 +420,223 @@ impl Engine {
         let peak = scratch.peak(0);
         scratch.retire_run(peak);
         Ok(FunctionalOutput { output, counters })
+    }
+}
+
+/// One full stage: every part computes its accumulator planes and
+/// finishes them through the output memory system into its own slice of
+/// `next` ([`run_parts`]), then the stage swap. Returns the output
+/// `(channels, rows, cols)`.
+fn run_stage(
+    stage: &StageIr,
+    batch: usize,
+    dims: (usize, usize, usize),
+    cur: &mut Vec<Fx16>,
+    next: &mut Vec<Fx16>,
+    scratch: &mut Scratch,
+    workers: usize,
+) -> Result<(usize, usize, usize), SimError> {
+    let geo = begin_stage(stage, batch, dims, cur, scratch)?;
+    let p = stage.output.pool.unwrap_or(1);
+    let (rows, cols) = (geo.e / p, geo.f / p);
+    next.clear();
+    next.resize(batch * geo.m * rows * cols, Fx16::ZERO);
+    run_parts(stage, geo, batch, next, scratch, workers);
+    std::mem::swap(cur, next);
+    Ok((geo.m, rows, cols))
+}
+
+/// A stage's prologue, shared by the full run and the convolution-only
+/// run: validates the input geometry, charges every image the stage's
+/// analytic MAC total, sizes the `[batch × M × E × F]` accumulator planes
+/// in `scratch.out` and pads the whole batch once.
+fn begin_stage(
+    stage: &StageIr,
+    batch: usize,
+    dims: (usize, usize, usize),
+    cur: &[Fx16],
+    scratch: &mut Scratch,
+) -> Result<Geo, SimError> {
+    let shape = &stage.shape;
+    check_input(shape, dims)?;
+    let geo = Geo::of(shape);
+    // Stage-level charge, outside the part fan-out: under unit-group
+    // partitioning several parts cover the same image, so per-part
+    // charging would double-count the analytic MAC total.
+    for image in &mut scratch.image_counters {
+        image.dense_macs += shape.macs();
+    }
+    scratch.out.clear();
+    scratch
+        .out
+        .resize(batch * geo.m * geo.e * geo.f, Accum::ZERO);
+    fill_padded_batch(&mut scratch.padded, cur, batch, &geo);
+    Ok(geo)
+}
+
+/// Runs one stage's parts, partitioned across up to `workers` scoped
+/// threads ([`partition`]): each part computes its accumulator planes
+/// ([`run_part`]) and finishes them ([`finish_part`]) into its own slice
+/// of `next`, the next stage's `[batch × M × E/p × F/p]` activations
+/// (sized by the caller). Batch chunks and unit-group parts tile `next`
+/// in the same ascending order as they tile `scratch.out`; output-row
+/// parts finish into blocks of their own, copied into place after the
+/// fan-out joins.
+fn run_parts(
+    stage: &StageIr,
+    geo: Geo,
+    batch: usize,
+    next: &mut [Fx16],
+    scratch: &mut Scratch,
+    workers: usize,
+) {
+    let Scratch {
+        padded,
+        out,
+        bufs,
+        bufs_pool,
+        image_counters,
+        ..
+    } = scratch;
+    let ctx = PartCtx::new(stage, geo, batch, padded);
+    let p = stage.output.pool.unwrap_or(1);
+    let (rows, cols) = (geo.e / p, geo.f / p);
+    let parts = partition(batch, stage, &geo, workers);
+    // One part's whole stage: its planes, then their finishing.
+    let run = |part, acc: &mut [Accum], fin: &mut [Fx16], bufs: &mut KernelBufs| {
+        let mut charges = Counters::new();
+        run_part(ctx, part, acc, bufs, &mut charges);
+        finish_part(ctx, part, acc, fin, &mut charges);
+        charges
+    };
+    if parts.len() == 1 {
+        // One worker (`Engine::run`, `run_batch`'s image chunks): no
+        // thread spawn, no extra buffer checkout — straight through
+        // on the caller's thread with the warm primary buffers.
+        let charges = run(parts[0], out, next, bufs);
+        for image in image_counters.iter_mut() {
+            image.merge(&charges);
+        }
+        return;
+    }
+    // Part 0 keeps the warm primary buffers (fan_out runs it inline
+    // on the caller's thread); the others check buffers out of the
+    // pool.
+    let mut extra_bufs: Vec<KernelBufs> = (1..parts.len())
+        .map(|_| bufs_pool.pop().unwrap_or_default())
+        .collect();
+    // Output-row parts each write blocks of their own, of accumulators
+    // and of finished rows (a partition splits rows for every image or
+    // for none, on pool-band boundaries).
+    let row_parts = parts[0].rows() < geo.e;
+    let mut blocks: Vec<(Vec<Accum>, Vec<Fx16>)> = Vec::new();
+    if row_parts {
+        for (part, part_bufs) in parts
+            .iter()
+            .zip(std::iter::once(&mut *bufs).chain(&mut extra_bufs))
+        {
+            let mut acc = std::mem::take(&mut part_bufs.rows_out);
+            acc.clear();
+            acc.resize(part.planes() * part.rows() * geo.f, Accum::ZERO);
+            let mut fin = std::mem::take(&mut part_bufs.rows_fin);
+            fin.clear();
+            fin.resize(part.planes() * part.rows() / p * cols, Fx16::ZERO);
+            blocks.push((acc, fin));
+        }
+    }
+    let slices: Vec<(&mut [Accum], &mut [Fx16])> = if row_parts {
+        blocks
+            .iter_mut()
+            .map(|(acc, fin)| (acc.as_mut_slice(), fin.as_mut_slice()))
+            .collect()
+    } else {
+        let acc = carve(out, &parts, geo.m, geo.e * geo.f);
+        let fin = carve(next, &parts, geo.m, rows * cols);
+        acc.into_iter().zip(fin).collect()
+    };
+    let work: Vec<_> = parts
+        .iter()
+        .zip(slices)
+        .zip(std::iter::once(&mut *bufs).chain(&mut extra_bufs))
+        .map(|((&part, (acc, fin)), part_bufs)| (part, acc, fin, part_bufs))
+        .collect();
+    let charges = fan_out(work, |(part, acc, fin, part_bufs)| {
+        run(part, acc, fin, part_bufs)
+    });
+    for (part, part_charges) in parts.iter().zip(&charges) {
+        for per_image in &mut image_counters[part.b0..part.b1] {
+            per_image.merge(part_charges);
+        }
+    }
+    // Copy each output-row part's finished plane rows into place, then
+    // hand its blocks back to its buffer set.
+    for ((part, (acc, fin)), part_bufs) in parts
+        .iter()
+        .zip(blocks)
+        .zip(std::iter::once(&mut *bufs).chain(&mut extra_bufs))
+    {
+        let span = part.rows() / p * cols;
+        for (c, finished) in fin.chunks_exact(span).enumerate() {
+            let at = ((part.b0 * geo.m + part.plane0 + c) * rows + part.oy0 / p) * cols;
+            next[at..at + span].copy_from_slice(finished);
+        }
+        part_bufs.rows_out = acc;
+        part_bufs.rows_fin = fin;
+    }
+    bufs_pool.append(&mut extra_bufs);
+}
+
+/// Carves `buf` into each part's disjoint, contiguous block of
+/// `plane_len`-long planes. Batch chunks and unit-group parts tile a
+/// stage's planes in ascending offset order (the
+/// [`UnitIr::plane_range`] invariant), so successive `split_at_mut`s
+/// cover `buf` exactly.
+fn carve<'a, T>(buf: &'a mut [T], parts: &[Part], m: usize, plane_len: usize) -> Vec<&'a mut [T]> {
+    let total = buf.len();
+    let mut rest = buf;
+    let mut blocks = Vec::with_capacity(parts.len());
+    for part in parts {
+        debug_assert_eq!(
+            part.start(m, plane_len),
+            total - rest.len(),
+            "parts must tile the output contiguously"
+        );
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(part.len(m, plane_len));
+        blocks.push(head);
+        rest = tail;
+    }
+    debug_assert!(rest.is_empty(), "parts must cover the whole output");
+    blocks
+}
+
+/// Finishes a part's accumulator planes — its block of
+/// `[images × planes × rows × F]`, planes rebased to the part's
+/// `plane0` — through the output memory system
+/// ([`finish_plane`]) into its block of `[images × planes × rows/p ×
+/// F/p]` activations. Like [`run_part`], it charges one representative
+/// image's planes, which the caller replicates per image.
+fn finish_part(
+    ctx: PartCtx<'_>,
+    part: Part,
+    acc: &[Accum],
+    fin: &mut [Fx16],
+    charges: &mut Counters,
+) {
+    let (stage, f) = (ctx.stage, ctx.geo.f);
+    let p = stage.output.pool.unwrap_or(1);
+    let planes = acc
+        .chunks_exact(part.rows() * f)
+        .zip(fin.chunks_exact_mut(part.rows() / p * (f / p)));
+    // The part's later images finish the same planes into a spare.
+    let mut spare = Counters::new();
+    for (i, (plane, finished)) in planes.enumerate() {
+        let counters = if i < part.planes() {
+            &mut *charges
+        } else {
+            &mut spare
+        };
+        let c = part.plane0 + i % part.planes();
+        finish_plane(plane, f, stage.bias[c], stage.output, finished, counters);
     }
 }
 
@@ -601,14 +655,16 @@ impl Engine {
 ///
 /// The weight factor is folded at compile time ([`StageIr::w_abs_max`],
 /// over every stored row: dense rows, DCNN meta rows, the stored SCNN
-/// orientations); the input factor is one max-abs scan of the stage's
-/// padded batch, amortized over the row passes that read it.
+/// orientations); the input factor is one scan of the stage's padded
+/// batch, amortized over the row passes that read it. The scan folds the
+/// samples' `i16` minimum and maximum, which vectorizes, and widens once.
 fn saturation_free(stage: &StageIr, geo: &Geo, padded: &[Fx16]) -> bool {
-    let in_abs = padded
-        .iter()
-        .map(|v| i64::from(v.to_bits()).abs())
-        .max()
-        .unwrap_or(0);
+    let (mut lo, mut hi) = (0i16, 0i16);
+    for v in padded {
+        lo = lo.min(v.to_bits());
+        hi = hi.max(v.to_bits());
+    }
+    let in_abs = i64::from(lo).abs().max(i64::from(hi));
     // Each filter sums over its own channel band (N/groups channels) of
     // K live taps per row — stuffed dilation zeros contribute nothing,
     // so the logical-tap bound stays valid for every geometry.
@@ -694,8 +750,10 @@ pub(crate) fn chunk_lengths(len: usize, chunks: usize) -> Vec<usize> {
 /// fans out. Where each image has more workers than a filter-vector
 /// stage has filter groups (a lone image of a 32-filter stage), each
 /// image's output rows are split instead: splitting a group would run
-/// narrower filter blocks (DESIGN §5.10). Parts are emitted in
-/// ascending output-offset order.
+/// narrower filter blocks (DESIGN §5.10). Rows split on pool-band
+/// boundaries (`p` rows, one row unpooled), so each part finishes whole
+/// pooling windows; a map of fewer bands than workers runs fewer parts.
+/// Parts are emitted in ascending output-offset order.
 fn partition(batch: usize, stage: &StageIr, geo: &Geo, workers: usize) -> Vec<Part> {
     let units = &stage.units;
     let full = Part {
@@ -723,9 +781,11 @@ fn partition(batch: usize, stage: &StageIr, geo: &Geo, workers: usize) -> Vec<Pa
             b0 += len;
         }
     } else if workers / batch > units.len() && matches!(units[0], UnitIr::Filters { .. }) {
+        let p = stage.output.pool.unwrap_or(1);
         for (b, share) in chunk_lengths(workers, batch).into_iter().enumerate() {
             let mut oy0 = 0;
-            for rows in chunk_lengths(geo.e, share) {
+            for bands in chunk_lengths(geo.e / p, share) {
+                let rows = bands * p;
                 parts.push(Part {
                     b0: b,
                     b1: b + 1,
@@ -1450,6 +1510,7 @@ fn lane_group_sweep(
 mod tests {
     use super::*;
     use crate::network::FunctionalNetwork;
+    use std::ops::Range;
     use tfe_transfer::analysis::ReuseConfig;
     use tfe_transfer::mode::ModePolicy;
     use tfe_transfer::TransferScheme;
@@ -1624,6 +1685,128 @@ mod tests {
         );
     }
 
+    /// A one-stage dense network of `m` biased filters over `4 × hw × hw`
+    /// inputs, with ReLU and a `p × p` pool.
+    fn pooled_stage(m: usize, hw: usize, p: usize) -> Engine {
+        let shape = LayerShape::conv("pooled", 4, m, hw, hw, 3, 1, 1).unwrap();
+        let mut seed = 11u32 ^ m as u32;
+        let net = FunctionalNetwork::new(vec![crate::network::FunctionalStage {
+            shape,
+            weights: tfe_transfer::layer::TransferredLayer::Dense {
+                weights: Tensor4::from_fn([m, 4, 3, 3], |_| det(&mut seed)),
+            },
+            bias: (0..m).map(|_| det(&mut seed)).collect(),
+            output: crate::output::OutputConfig {
+                relu: true,
+                pool: Some(p),
+            },
+        }])
+        .unwrap();
+        Engine::compile_with_policy(&net, ReuseConfig::FULL, &ModePolicy::DenseOnly).unwrap()
+    }
+
+    /// How a one-stage engine's work splits: `(image, units, rows)`.
+    fn parts_of(
+        engine: &Engine,
+        batch: usize,
+        workers: usize,
+    ) -> Vec<(usize, Range<usize>, Range<usize>)> {
+        let stage = &engine.stages[0];
+        partition(batch, stage, &Geo::of(&stage.shape), workers)
+            .iter()
+            .map(|p| (p.b0, p.u0..p.u1, p.oy0..p.oy1))
+            .collect()
+    }
+
+    /// `run_batched` at `workers` against `Engine::run` image by image:
+    /// activations and per-image counters.
+    fn assert_matches_runs(engine: &Engine, input: &Tensor4<Fx16>, workers: usize, label: &str) {
+        let mut scratch = Scratch::new();
+        let got = engine.run_batched(input, &mut scratch, workers).unwrap();
+        let [batch, c, h, w] = input.dims();
+        for b in 0..batch {
+            let one = Tensor4::from_fn([1, c, h, w], |[_, ci, y, x]| input.get([b, ci, y, x]));
+            let want = engine.run(&one, &mut scratch).unwrap();
+            let [_, oc, oh, ow] = want.activations.dims();
+            let mine = Tensor4::from_fn([1, oc, oh, ow], |[_, ci, y, x]| {
+                got.activations.get([b, ci, y, x])
+            });
+            assert_eq!(
+                mine, want.activations,
+                "{label} workers {workers} image {b}"
+            );
+            assert_eq!(
+                got.per_image[b], want.counters,
+                "{label} workers {workers} image {b}"
+            );
+        }
+    }
+
+    /// A lone image of a pooled 32-filter stage splits its output rows
+    /// on pool-band boundaries, each part finishing whole windows: at 1–5
+    /// workers, on maps of more pool bands than workers and of fewer.
+    #[test]
+    fn lone_images_of_pooled_filter_groups_split_on_pool_bands() {
+        let mut seed = 43u32;
+        for (hw, p) in [(4, 2), (12, 2), (12, 3)] {
+            let engine = pooled_stage(32, hw, p);
+            let input = image([1, 4, hw, hw], &mut seed);
+            for workers in 1..=5 {
+                assert_matches_runs(&engine, &input, workers, &format!("{hw}x{hw} pool {p}"));
+            }
+        }
+        // A 4×4 map has two 2×2 pool bands: three to five workers still
+        // run two parts of one band each.
+        let engine = pooled_stage(32, 4, 2);
+        for workers in 3..=5 {
+            assert_eq!(
+                parts_of(&engine, 1, workers),
+                [(0, 0..1, 0..2), (0, 0..1, 2..4)]
+            );
+        }
+        // Twelve rows in 3×3 bands: four bands over three workers.
+        assert_eq!(
+            parts_of(&pooled_stage(32, 12, 3), 1, 3),
+            [(0, 0..1, 0..6), (0, 0..1, 6..9), (0, 0..1, 9..12)]
+        );
+    }
+
+    /// A lone image of a pooled row-sweep stage (8 filters, one unit
+    /// each) splits into unit groups, each finishing its own planes.
+    #[test]
+    fn pooled_row_sweep_stages_split_into_unit_groups() {
+        let mut seed = 47u32;
+        let engine = pooled_stage(8, 12, 2);
+        assert!(matches!(engine.stages[0].units[0], UnitIr::Dense { .. }));
+        assert_eq!(
+            parts_of(&engine, 1, 3),
+            [(0, 0..3, 0..12), (0, 3..6, 0..12), (0, 6..8, 0..12)]
+        );
+        let input = image([1, 4, 12, 12], &mut seed);
+        for workers in 1..=5 {
+            assert_matches_runs(&engine, &input, workers, "row sweep");
+        }
+    }
+
+    /// Batch chunks finish every plane of their own images, on the row
+    /// sweep and the filter-vector sweep alike.
+    #[test]
+    fn pooled_batch_chunks_finish_their_own_images() {
+        let mut seed = 53u32;
+        for m in [8, 32] {
+            let engine = pooled_stage(m, 12, 2);
+            let units = engine.stages[0].units.len();
+            assert_eq!(
+                parts_of(&engine, 3, 2),
+                [(0, 0..units, 0..12), (2, 0..units, 0..12)]
+            );
+            let input = image([3, 4, 12, 12], &mut seed);
+            for workers in 1..=3 {
+                assert_matches_runs(&engine, &input, workers, &format!("{m} filters"));
+            }
+        }
+    }
+
     /// A transferred unit's row passes do not depend on how many planes
     /// it emits: a partial last DCNN group (4 of 16 filters, every read
     /// on offset row 0) sweeps the rows a full group sweeps, with or
@@ -1651,6 +1834,31 @@ mod tests {
         ] {
             assert_eq!(charges(20, reuse), charges(32, reuse), "{reuse:?}");
         }
+    }
+
+    /// The gate's input factor is the largest magnitude on either side
+    /// of zero: a batch whose extreme sample is negative gates exactly
+    /// like its mirror image.
+    #[test]
+    fn saturation_gate_reads_negative_extremes() {
+        let shape = LayerShape::conv("gate", 4, 8, 4, 4, 3, 1, 1).unwrap();
+        let net = FunctionalNetwork::new(vec![crate::network::FunctionalStage {
+            shape: shape.clone(),
+            weights: tfe_transfer::layer::TransferredLayer::Dense {
+                weights: Tensor4::filled([8, 4, 3, 3], 200.0),
+            },
+            bias: Vec::new(),
+            output: crate::output::OutputConfig::RELU_ONLY,
+        }])
+        .unwrap();
+        let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
+        let stage = &engine.stages[0];
+        assert_eq!(stage.w_abs_max, i64::from(i16::MAX));
+        // 4 channels · 3 taps · 32767 · x stays below 2³¹ up to |x| = 5461.
+        let gate =
+            |x: i16| saturation_free(stage, &Geo::of(&shape), &[Fx16::ZERO, Fx16::from_bits(x)]);
+        assert!(gate(5461) && gate(-5461));
+        assert!(!gate(5462) && !gate(-5462) && !gate(i16::MIN));
     }
 
     #[test]

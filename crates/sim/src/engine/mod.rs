@@ -44,8 +44,8 @@
 //!   [`Engine::run_batched`], and [`Engine::run_packed`], the one
 //!   pack → run → split): one row-interleaved batch layout, PPSR row
 //!   passes through `crate::ppsr`'s one row sweep, the one ERRR ring
-//!   fill, the one window combine, each stage's hand-off
-//!   to the output memory system ([`crate::output`]), and the one
+//!   fill, the one window combine, each part's finishing of its planes
+//!   through the output memory system ([`crate::output`]), and the one
 //!   scoped-thread fan-out both the stage partitioner and the batch
 //!   runner use.
 //! * `sparse.rs` — the compressed-sparse row pass the dense sweep runs

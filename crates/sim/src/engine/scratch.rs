@@ -30,6 +30,8 @@ pub(crate) struct ArenaPeak {
     pub(crate) positions: usize,
     /// Peak output-row block length (`KernelBufs::rows_out`).
     pub(crate) rows_out: usize,
+    /// Peak finished output-row block length (`KernelBufs::rows_fin`).
+    pub(crate) rows_fin: usize,
     /// Peak length of one stream or window buffer
     /// ([`KernelBufs::longest_stream`]) — batch-wide on transferred
     /// stages.
@@ -49,6 +51,7 @@ impl ArenaPeak {
             parts: self.parts.max(other.parts),
             positions: self.positions.max(other.positions),
             rows_out: self.rows_out.max(other.rows_out),
+            rows_fin: self.rows_fin.max(other.rows_fin),
             stream: self.stream.max(other.stream),
             lanes: self.lanes.max(other.lanes),
         }
@@ -75,15 +78,8 @@ pub struct Scratch {
     pub(crate) out: Vec<Accum>,
     /// Current stage's input activations, flat `[B × C × H × W]`.
     pub(crate) stage_in: Vec<Fx16>,
-    /// Next stage's activations being assembled.
+    /// Next stage's activations, each part finishing its own slice.
     pub(crate) stage_next: Vec<Fx16>,
-    /// One activated (ReLU'd, re-quantized) ofmap row of a pooled
-    /// stage, as staged in `Pool_Reg`.
-    pub(crate) act_row: Vec<Fx16>,
-    /// One horizontally pooled row.
-    pub(crate) pool_row: Vec<Fx16>,
-    /// Horizontally pooled rows awaiting their vertical partners, flat.
-    pub(crate) pool_staged: Vec<Fx16>,
     /// Kernel-level buffers (window sums, row parts, ERRR rings).
     pub(crate) bufs: KernelBufs,
     /// Extra kernel-buffer sets for intra-run worker partitions, checked
@@ -127,6 +123,7 @@ impl Scratch {
             parts: self.bufs.parts.len(),
             positions: self.bufs.positions.len(),
             rows_out: self.bufs.rows_out.len(),
+            rows_fin: self.bufs.rows_fin.len(),
             stream: std::iter::once(&self.bufs)
                 .chain(&self.bufs_pool)
                 .map(KernelBufs::longest_stream)
@@ -158,6 +155,7 @@ impl Scratch {
             retain(&mut bufs.parts, keep.parts);
             retain(&mut bufs.positions, keep.positions);
             retain(&mut bufs.rows_out, keep.rows_out);
+            retain(&mut bufs.rows_fin, keep.rows_fin);
             bufs.shrink_streams(keep.stream);
             for parts in &mut bufs.lane_pool {
                 retain(parts, keep.lanes);
@@ -170,9 +168,10 @@ impl Scratch {
     /// accumulators, the two stage-activation buffers, dense row parts,
     /// the window buffer, the words of every transferred stream buffer
     /// (ERRR ring streams and the `per_row` streams), the
-    /// filter-vector position list, the output-row block and the words
-    /// of every lane-ring part buffer, all of the caller-thread buffer
-    /// set.
+    /// filter-vector position list, the two output-row blocks
+    /// (accumulators and finished activations, in elements) and the
+    /// words of every lane-ring part buffer, all of the caller-thread
+    /// buffer set.
     #[must_use]
     pub fn arena_capacities(&self) -> [usize; 10] {
         [
@@ -184,7 +183,7 @@ impl Scratch {
             self.bufs.window.capacity(),
             self.bufs.streams().map(Vec::capacity).sum(),
             self.bufs.positions.capacity(),
-            self.bufs.rows_out.capacity(),
+            self.bufs.rows_out.capacity() + self.bufs.rows_fin.capacity(),
             self.bufs.lane_pool.iter().map(Vec::capacity).sum(),
         ]
     }
@@ -203,9 +202,11 @@ pub(crate) struct KernelBufs {
     /// into its interleaved rows (`images × F` of them).
     pub(crate) positions: Vec<usize>,
     /// Filter-vector path, output-row parts (`exec::partition`): the
-    /// part's `[planes × rows × F]` block of one image, copied into the
-    /// stage output after the fan-out.
+    /// part's `[planes × rows × F]` accumulator block of one image.
     pub(crate) rows_out: Vec<Accum>,
+    /// The same part's finished `[planes × rows/p × F/p]` activations,
+    /// copied into the next stage's input after the fan-out.
+    pub(crate) rows_fin: Vec<Fx16>,
     /// Transferred path without a ring: `per_row[ky][v][x]` batch-wide
     /// stream buffers of one window.
     pub(crate) per_row: Streams,

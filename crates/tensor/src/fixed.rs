@@ -6,6 +6,13 @@
 //! (8 integer bits, 8 fractional bits) and partial sums as a widened 32-bit
 //! accumulator ([`Accum`]), matching the hardware's PSum registers that are
 //! wider than the sample path so row-length accumulations do not overflow.
+//!
+//! Every method and operator of [`Fx16`] and [`Accum`] is `#[inline]`,
+//! and `clippy::missing_inline_in_public_items` keeps it so. The
+//! workspace builds without LTO, so a non-generic function of this crate
+//! is otherwise compiled once here and called out of line from every
+//! other crate: the engine's output stage made two such calls per
+//! accumulator, and compile one per quantized weight.
 
 use std::fmt;
 use std::iter::Sum;
@@ -48,12 +55,14 @@ impl Fx16 {
 
     /// Creates a sample directly from its raw Q8.8 bit pattern.
     #[must_use]
+    #[inline]
     pub const fn from_bits(bits: i16) -> Self {
         Fx16(bits)
     }
 
     /// The raw Q8.8 bit pattern.
     #[must_use]
+    #[inline]
     pub const fn to_bits(self) -> i16 {
         self.0
     }
@@ -61,6 +70,7 @@ impl Fx16 {
     /// Converts from `f32`, rounding to nearest and saturating at the
     /// representable range.
     #[must_use]
+    #[inline]
     pub fn from_f32(value: f32) -> Self {
         let scaled = (value * SCALE as f32).round();
         let clamped = scaled.clamp(i16::MIN as f32, i16::MAX as f32);
@@ -69,6 +79,7 @@ impl Fx16 {
 
     /// Converts to `f32` exactly (every Q8.8 value is representable).
     #[must_use]
+    #[inline]
     pub fn to_f32(self) -> f32 {
         self.0 as f32 / SCALE as f32
     }
@@ -76,12 +87,14 @@ impl Fx16 {
     /// Whether the sample is exactly zero. The TFE PE clock-gates its
     /// multiplier on zero operands (Section IV, "Processing Element").
     #[must_use]
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Saturating addition in the sample domain.
     #[must_use]
+    #[inline]
     pub fn saturating_add(self, rhs: Self) -> Self {
         Fx16(self.0.saturating_add(rhs.0))
     }
@@ -89,36 +102,42 @@ impl Fx16 {
     /// Full-precision product, widened into the accumulator domain
     /// (Q16.16). This is what a PE's multiplier emits onto the data bus.
     #[must_use]
+    #[inline]
     pub fn widening_mul(self, rhs: Self) -> Accum {
         Accum(self.0 as i32 * rhs.0 as i32)
     }
 }
 
 impl fmt::Display for Fx16 {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.to_f32())
     }
 }
 
 impl fmt::LowerHex for Fx16 {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::LowerHex::fmt(&self.0, f)
     }
 }
 
 impl fmt::UpperHex for Fx16 {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::UpperHex::fmt(&self.0, f)
     }
 }
 
 impl fmt::Binary for Fx16 {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Binary::fmt(&self.0, f)
     }
 }
 
 impl fmt::Octal for Fx16 {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Octal::fmt(&self.0, f)
     }
@@ -126,6 +145,7 @@ impl fmt::Octal for Fx16 {
 
 impl From<i16> for Fx16 {
     /// Interprets the integer as a whole number of units (not raw bits).
+    #[inline]
     fn from(value: i16) -> Self {
         Fx16((value as i32 * SCALE).clamp(i16::MIN as i32, i16::MAX as i32) as i16)
     }
@@ -133,12 +153,14 @@ impl From<i16> for Fx16 {
 
 impl Add for Fx16 {
     type Output = Fx16;
+    #[inline]
     fn add(self, rhs: Fx16) -> Fx16 {
         self.saturating_add(rhs)
     }
 }
 
 impl AddAssign for Fx16 {
+    #[inline]
     fn add_assign(&mut self, rhs: Fx16) {
         *self = *self + rhs;
     }
@@ -146,6 +168,7 @@ impl AddAssign for Fx16 {
 
 impl Sub for Fx16 {
     type Output = Fx16;
+    #[inline]
     fn sub(self, rhs: Fx16) -> Fx16 {
         Fx16(self.0.saturating_sub(rhs.0))
     }
@@ -153,6 +176,7 @@ impl Sub for Fx16 {
 
 impl Neg for Fx16 {
     type Output = Fx16;
+    #[inline]
     fn neg(self) -> Fx16 {
         Fx16(self.0.saturating_neg())
     }
@@ -161,6 +185,7 @@ impl Neg for Fx16 {
 impl Mul for Fx16 {
     type Output = Fx16;
     /// Rounded Q8.8 × Q8.8 → Q8.8 product (sample-domain multiply).
+    #[inline]
     fn mul(self, rhs: Fx16) -> Fx16 {
         self.widening_mul(rhs).to_sample()
     }
@@ -183,18 +208,21 @@ impl Accum {
 
     /// Creates an accumulator directly from its raw Q16.16 bit pattern.
     #[must_use]
+    #[inline]
     pub const fn from_bits(bits: i32) -> Self {
         Accum(bits)
     }
 
     /// The raw Q16.16 bit pattern.
     #[must_use]
+    #[inline]
     pub const fn to_bits(self) -> i32 {
         self.0
     }
 
     /// Lifts a sample into the accumulator domain without loss.
     #[must_use]
+    #[inline]
     pub fn from_sample(sample: Fx16) -> Self {
         Accum((sample.to_bits() as i32) << FRAC_BITS)
     }
@@ -203,6 +231,7 @@ impl Accum {
     /// saturation — the quantization performed when a finished PSum leaves
     /// the output memory system.
     #[must_use]
+    #[inline]
     pub fn to_sample(self) -> Fx16 {
         // Saturating rounding add: an accumulator clamped at `i32::MAX`
         // must round to the positive sample extreme, not wrap negative.
@@ -212,6 +241,7 @@ impl Accum {
 
     /// Converts to `f32` exactly.
     #[must_use]
+    #[inline]
     pub fn to_f32(self) -> f32 {
         self.0 as f32 / (SCALE as f32 * SCALE as f32)
     }
@@ -219,12 +249,14 @@ impl Accum {
     /// ReLU in the accumulator domain, used by the output memory system's
     /// activation stage before pooling.
     #[must_use]
+    #[inline]
     pub fn relu(self) -> Accum {
         Accum(self.0.max(0))
     }
 }
 
 impl fmt::Display for Accum {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.to_f32())
     }
@@ -232,12 +264,14 @@ impl fmt::Display for Accum {
 
 impl Add for Accum {
     type Output = Accum;
+    #[inline]
     fn add(self, rhs: Accum) -> Accum {
         Accum(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for Accum {
+    #[inline]
     fn add_assign(&mut self, rhs: Accum) {
         *self = *self + rhs;
     }
@@ -245,6 +279,7 @@ impl AddAssign for Accum {
 
 impl Sub for Accum {
     type Output = Accum;
+    #[inline]
     fn sub(self, rhs: Accum) -> Accum {
         Accum(self.0.saturating_sub(rhs.0))
     }
@@ -252,12 +287,14 @@ impl Sub for Accum {
 
 impl Neg for Accum {
     type Output = Accum;
+    #[inline]
     fn neg(self) -> Accum {
         Accum(self.0.saturating_neg())
     }
 }
 
 impl Sum for Accum {
+    #[inline]
     fn sum<I: Iterator<Item = Accum>>(iter: I) -> Accum {
         iter.fold(Accum::ZERO, Add::add)
     }

@@ -36,6 +36,9 @@
 
 pub mod activation;
 pub mod conv;
+// Every helper of the sample types is called per element across the
+// crate boundary: keep each one inlinable (see the module docs).
+#[deny(clippy::missing_inline_in_public_items)]
 pub mod fixed;
 pub mod im2col;
 pub mod pool;

@@ -121,6 +121,41 @@ fn divisible_pool_keeps_psum_counters_symmetric() {
     assert_eq!(out.counters.psum_mem_writes, out.counters.psum_mem_reads);
 }
 
+/// The output stage charges the row-wise pooler's traffic per image,
+/// whichever part finishes a plane: a pooled `M`-filter stage stages
+/// each of its `M·E·F` activations through `Pool_Reg` once (one write,
+/// one read) and each horizontally reduced row through `O_Memory` once
+/// (`M·E·F/p` words written and read back). Dense units touch neither
+/// memory, so these are the stage's whole SR and PSum-memory counts.
+/// Pinned on the row sweep (8 filters: unit groups on a lone image) and
+/// the filter-vector sweep (32 filters: output-row parts), at batch 1–3
+/// and 1–3 workers.
+#[test]
+fn pooled_stages_charge_the_pooler_per_image() {
+    let (n, hw, p) = (4usize, 12usize, 2usize);
+    for m in [8usize, 32] {
+        let net = dense_net(n, m, hw, hw, 3, 1, OutputConfig::RELU_POOL2, 29);
+        let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
+        let words = (m * hw * hw) as u64;
+        let mut seed = 307;
+        for batch in 1..=3 {
+            let input = Tensor4::from_fn([batch, n, hw, hw], |_| Fx16::from_f32(det(&mut seed)));
+            for workers in 1..=3 {
+                let run = engine
+                    .run_batched(&input, &mut Scratch::new(), workers)
+                    .unwrap();
+                for (b, c) in run.per_image.iter().enumerate() {
+                    assert_eq!(
+                        (c.sr_writes, c.sr_reads, c.psum_mem_writes, c.psum_mem_reads),
+                        (words, words, words / p as u64, words / p as u64),
+                        "M {m} batch {batch} workers {workers} image {b}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn combine_adds_are_charged_per_emitted_position_under_stride() {
     // Stride 2: the row passes still sweep the full padded width, but
