@@ -5,6 +5,9 @@
 set -eu
 
 cargo fmt --check
+# Non-test lines per crate (each .rs file up to its first #[cfg(test)]),
+# so a change's growth or shrinkage shows in the log.
+sh ci/loc.sh
 # Unsafe audit. The x86-64 tap-pair module in tfe-sim's
 # engine/kernels.rs, which holds both kernels' explicit `pmaddwd` forms
 # and their 512-bit `vpdpwssd` forms (the row kernel's position blocks
@@ -55,11 +58,14 @@ cargo test -q --offline --workspace
 # and debug_assert!s are off: run tfe-sim's lib tests and the engine
 # parity suites in that profile too, so code that behaves differently
 # there cannot pass only in the test profile. The counter and end-to-end
-# suites join them because the filter-vector sweep charges its own
-# counters, and the telemetry suite because its per-layer sums are
-# exact over every ring read and write of the transferred executor.
+# suites join them because the filter-vector sweep and the transferred
+# executor charge closed forms summed at compile time (engine_counters
+# pins those against recorded values), the telemetry suite because its
+# per-layer sums must stay exact over those charges, and the robustness
+# suite because its compile rejections and saturating inputs must hold
+# where debug_assert!s are off.
 cargo test -q --release --offline -p tfe-sim --lib
-cargo test -q --release --offline --test kernel_parity --test batched_parity --test mode_parity --test geometry_parity --test parallel_parity --test engine_counters --test end_to_end_functional --test telemetry
+cargo test -q --release --offline --test kernel_parity --test batched_parity --test mode_parity --test geometry_parity --test parallel_parity --test engine_counters --test end_to_end_functional --test telemetry --test robustness
 # The serving stack's integration tests exercise threads, sockets, and
 # shutdown paths — run them explicitly so a filtered test invocation can
 # never silently skip them. fleet_smoke adds the multi-model tier on

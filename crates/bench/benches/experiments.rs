@@ -3,10 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tfe_bench::experiments as ex;
-use tfe_core::Engine;
+use tfe_core::Evaluator;
 
 fn bench_experiments(c: &mut Criterion) {
-    let engine = Engine::new();
+    let engine = Evaluator::new();
     c.bench_function("table3_specs", |b| b.iter(ex::table3::run));
     c.bench_function("fig14_breakdown", |b| b.iter(|| ex::fig14::run(&engine)));
     c.bench_function("fig15_speedup", |b| b.iter(|| ex::fig15::run(&engine)));

@@ -1,17 +1,24 @@
 //! Per-stage wall time of the VGG-16 trunk: the 13 conv layers at a
 //! 3×32×32 input (ReLU after each, a 2×2 max-pool closing each block),
 //! batch 8, under dense, SCNN and DCNN4 weights — the benchmark's trunk
-//! workloads, with this file's own seeded weights and pixels.
+//! workloads, with this file's own seeded weights and pixels. And of
+//! the serving demo network's two 12×12 stages (3→8, then 8→8 with a
+//! 2×2 pool, as `tfe_fleet::demo::demo_network`) under SCNN and DCNN4
+//! at batch 1 and 8: fewer than 16 lanes, so the transferred executor's
+//! row layout, which the `fleet-open` workload runs.
 //!
-//! Each scheme's trunk runs as a chain of one-stage engines: stage `i`
-//! is compiled on its own and fed stage `i − 1`'s output batch, so each
-//! stage is timed alone, convolution and output stage together. Every
-//! stage runs one warm-up batch, then `RUNS` timed
-//! [`Engine::run_batched`] calls on the default worker budget
-//! (`TFE_THREADS`, else every core); the median wall time of each stage
-//! and of the whole chain is printed and written to the perf trajectory
-//! (`BENCH_<pr>.json`, [`BenchCell::absolute`]). Unpinned: it records,
-//! it does not gate.
+//! Each chain runs as one-stage engines: stage `i` is compiled on its
+//! own and fed stage `i − 1`'s output batch, so each stage is timed
+//! alone, convolution and output stage together, on the default worker
+//! budget (`TFE_THREADS`, else every core). Every trunk stage runs one
+//! warm-up batch, then `RUNS` timed [`Engine::run_batched`] calls; a
+//! cell is their median. The demo stages are short enough for one run
+//! to drift by more than a change could show, so their cells take
+//! `ROUNDS` rounds that each cycle through every demo cell (a warm-up
+//! call, then `DEMO_RUNS` timed calls), and each cell is the median of
+//! its rounds' medians. Every cell, and each trunk chain's sum, is
+//! printed and written to the perf trajectory (`BENCH_<pr>.json`,
+//! [`BenchCell::absolute`]). Unpinned: it records, it does not gate.
 //!
 //! ```text
 //! cargo bench --offline -p tfe-bench --bench stage_probe
@@ -32,8 +39,13 @@ use tfe_transfer::analysis::ReuseConfig;
 use tfe_transfer::layer::TransferredLayer;
 use tfe_transfer::TransferScheme;
 
-/// Timed runs per stage; each cell is their median.
+/// Timed runs per trunk stage; each cell is their median.
 const RUNS: usize = 41;
+/// Rounds over the demo cells; each demo cell is the median of its
+/// rounds.
+const ROUNDS: usize = 5;
+/// Timed runs per demo cell and round.
+const DEMO_RUNS: usize = 201;
 /// Images per batch.
 const BATCH: usize = 8;
 /// Side of the square input: the smallest all five 2×2 pools accept.
@@ -48,28 +60,29 @@ fn unit(state: &mut u64) -> f32 {
     (*state >> 40) as f32 / (1u64 << 24) as f32
 }
 
-/// The trunk's one-stage networks under `scheme` (`None`: dense), with
-/// weights uniform in `±sqrt(6 / fan_in)`, so activations stay inside
-/// the Q8.8 range through all 13 layers.
-fn trunk(scheme: Option<TransferScheme>, seed: u64) -> Vec<(String, FunctionalNetwork)> {
+/// One-stage networks of `layers` (`(name, shape, pool)`) under
+/// `scheme` (`None`: dense), with weights uniform in `±sqrt(6 /
+/// fan_in)`, so activations stay inside the Q8.8 range through the
+/// trunk's 13 layers.
+fn one_stage_nets(
+    layers: Vec<(String, LayerShape, bool)>,
+    scheme: Option<TransferScheme>,
+    seed: u64,
+) -> Vec<(String, FunctionalNetwork)> {
     let mut state = seed;
-    let mut hw = HW;
     let mut stages = Vec::new();
-    for layer in zoo::vgg16().conv_layers() {
-        let s = layer.shape();
-        let shape = LayerShape::conv(s.name(), s.n(), s.m(), hw, hw, s.k(), s.stride(), s.pad())
-            .expect("VGG-16 conv geometry is valid at 32x32");
-        let bound = (6.0 / (s.n() * s.k() * s.k()) as f32).sqrt();
+    for (name, shape, pool) in layers {
+        let (n, m, k) = (shape.n(), shape.m(), shape.k());
+        let bound = (6.0 / (n * k * k) as f32).sqrt();
         let mut next = || (unit(&mut state) * 2.0 - 1.0) * bound;
         let weights = match scheme {
             None => TransferredLayer::Dense {
-                weights: Tensor4::from_fn([s.m(), s.n(), s.k(), s.k()], |_| next()),
+                weights: Tensor4::from_fn([m, n, k, k], |_| next()),
             },
             Some(transfer) => TransferredLayer::random(&shape, transfer, &mut next)
-                .expect("VGG-16 3x3 layers transfer under SCNN and DCNN4"),
+                .expect("3x3 layers transfer under SCNN and DCNN4"),
         };
-        let output = if layer.pool().is_some() {
-            hw /= 2;
+        let output = if pool {
             OutputConfig::RELU_POOL2
         } else {
             OutputConfig::RELU_ONLY
@@ -81,9 +94,35 @@ fn trunk(scheme: Option<TransferScheme>, seed: u64) -> Vec<(String, FunctionalNe
             output,
         };
         let net = FunctionalNetwork::new(vec![stage]).expect("one stage chains");
-        stages.push((s.name().to_owned(), net));
+        stages.push((name, net));
     }
     stages
+}
+
+/// The trunk's one-stage networks under `scheme` (`None`: dense).
+fn trunk(scheme: Option<TransferScheme>, seed: u64) -> Vec<(String, FunctionalNetwork)> {
+    let mut hw = HW;
+    let mut layers = Vec::new();
+    for layer in zoo::vgg16().conv_layers() {
+        let s = layer.shape();
+        let shape = LayerShape::conv(s.name(), s.n(), s.m(), hw, hw, s.k(), s.stride(), s.pad())
+            .expect("VGG-16 conv geometry is valid at 32x32");
+        let pool = layer.pool().is_some();
+        if pool {
+            hw /= 2;
+        }
+        layers.push((s.name().to_owned(), shape, pool));
+    }
+    one_stage_nets(layers, scheme, seed)
+}
+
+/// The demo network's one-stage networks under `scheme`.
+fn demo(scheme: TransferScheme, seed: u64) -> Vec<(String, FunctionalNetwork)> {
+    let layers = [("serve1", 3, false), ("serve2", 8, true)].map(|(name, n, pool)| {
+        let shape = LayerShape::conv(name, n, 8, 12, 12, 3, 1, 1).expect("demo geometry is valid");
+        (name.to_owned(), shape, pool)
+    });
+    one_stage_nets(layers.into(), Some(scheme), seed)
 }
 
 /// The median of `values` (sorted in place).
@@ -128,6 +167,55 @@ fn probe(
     rows
 }
 
+/// Times the demo network's stages under SCNN and DCNN4 at batch 1 and
+/// 8 over `ROUNDS` rounds: `(cell, median of the rounds' median ms)`
+/// per cell, each also upserted into `report` as
+/// `demo-<scheme>/<stage>/b<batch>`.
+fn probe_demo(workers: usize, report: &mut BenchReport) -> Vec<(String, f64)> {
+    let mut cells = Vec::new();
+    for (name, scheme) in [
+        ("scnn", TransferScheme::Scnn),
+        ("dcnn4", TransferScheme::DCNN4),
+    ] {
+        for batch in [1, 8] {
+            let mut state = 67;
+            let mut x = Tensor4::from_fn([batch, 3, 12, 12], |_| Fx16::from_f32(unit(&mut state)));
+            for (stage, net) in demo(scheme, 67) {
+                let engine = Engine::compile(&net, ReuseConfig::FULL).expect("demo stage compiles");
+                let out = engine
+                    .run_batched(&x, &mut Scratch::new(), workers)
+                    .expect("demo stage runs");
+                cells.push((format!("demo-{name}/{stage}/b{batch}"), engine, x));
+                x = out.activations;
+            }
+        }
+    }
+    let mut scratch = Scratch::new();
+    let mut rounds = vec![Vec::new(); cells.len()];
+    for _ in 0..ROUNDS {
+        for ((_, engine, x), ms) in cells.iter().zip(&mut rounds) {
+            black_box(engine.run_batched(x, &mut scratch, workers)).ok();
+            let mut calls: Vec<f64> = (0..DEMO_RUNS)
+                .map(|_| {
+                    let start = Instant::now();
+                    black_box(engine.run_batched(black_box(x), &mut scratch, workers)).ok();
+                    start.elapsed().as_secs_f64() * 1e3
+                })
+                .collect();
+            ms.push(median(&mut calls));
+        }
+    }
+    cells
+        .into_iter()
+        .zip(rounds)
+        .map(|((cell, ..), mut ms)| {
+            let ms = median(&mut ms);
+            report.upsert(BenchCell::absolute("stage_probe", &cell, ms, DEMO_RUNS));
+            (cell, ms)
+        })
+        .collect()
+}
+
 fn main() {
     let workers = BatchOptions::default().workers();
     let mut state = 61;
@@ -155,6 +243,13 @@ fn main() {
     println!("{:<8} {:>8} {:>8} {:>8}", "stage", "dense", "scnn", "dcnn4");
     for (((stage, d), (_, s)), (_, t)) in dense.iter().zip(&scnn).zip(&dcnn4) {
         println!("{stage:<8} {d:>8.2} {s:>8.2} {t:>8.2}");
+    }
+    let demo = probe_demo(workers, &mut report);
+    println!(
+        "demo stages (row layout), median of {ROUNDS} rounds of {DEMO_RUNS} run_batched calls, wall ms"
+    );
+    for (cell, ms) in &demo {
+        println!("{cell:<24} {ms:>8.4}");
     }
     if let Err(e) = report.save() {
         eprintln!(

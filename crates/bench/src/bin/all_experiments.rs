@@ -7,13 +7,13 @@
 
 use serde_json::json;
 use tfe_bench::experiments as ex;
-use tfe_core::Engine;
+use tfe_core::Evaluator;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let as_json = args.iter().any(|a| a == "--json");
-    let engine = Engine::new();
+    let engine = Evaluator::new();
     let scale = if quick {
         ex::table2::Scale::Quick
     } else {

@@ -1,9 +1,9 @@
 //! Regenerates Fig. 17 (comparison with computation-reduction methods on
 //! VGGNet).
 
-use tfe_core::Engine;
+use tfe_core::Evaluator;
 
 fn main() {
-    let result = tfe_bench::experiments::fig17::run(&Engine::new());
+    let result = tfe_bench::experiments::fig17::run(&Evaluator::new());
     print!("{}", tfe_bench::experiments::fig17::render(&result));
 }

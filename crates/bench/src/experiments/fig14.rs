@@ -2,7 +2,7 @@
 
 use crate::format::{pct, Table};
 use serde::Serialize;
-use tfe_core::{Engine, TransferScheme};
+use tfe_core::{Evaluator, TransferScheme};
 use tfe_energy::{AreaModel, EnergyModel};
 use tfe_sim::config::TfeConfig;
 use tfe_sim::perf::NetworkPerf;
@@ -36,7 +36,7 @@ pub struct Fig14 {
 /// Computes the breakdown on the paper's calibration workload (VGG +
 /// AlexNet, SCNN).
 #[must_use]
-pub fn run(engine: &Engine) -> Fig14 {
+pub fn run(engine: &Evaluator) -> Fig14 {
     let area = AreaModel::new().breakdown(&TfeConfig::paper());
     let energy = EnergyModel::new();
     let mut mem = 0.0;
@@ -115,14 +115,14 @@ mod tests {
 
     #[test]
     fn memory_dominates_both_breakdowns() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         assert!(r.area_pct.0 > r.area_pct.1, "{:?}", r.area_pct);
         assert!(r.power_pct.0 > r.power_pct.1, "{:?}", r.power_pct);
     }
 
     #[test]
     fn fractions_near_paper_bands() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         assert!((55.0..85.0).contains(&r.area_pct.0), "{:?}", r.area_pct);
         assert!((60.0..85.0).contains(&r.power_pct.0), "{:?}", r.power_pct);
         assert!((10.0..35.0).contains(&r.power_pct.1), "{:?}", r.power_pct);
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn percentages_sum_to_one_hundred() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let area_sum = r.area_pct.0 + r.area_pct.1 + r.area_pct.2;
         let power_sum = r.power_pct.0 + r.power_pct.1 + r.power_pct.2;
         assert!((area_sum - 100.0).abs() < 1e-6);

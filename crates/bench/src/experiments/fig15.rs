@@ -3,7 +3,7 @@
 
 use crate::format::{ratio, Table};
 use serde::Serialize;
-use tfe_core::Engine;
+use tfe_core::Evaluator;
 
 /// One (network, scheme) speedup pair.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -40,7 +40,7 @@ pub const PAPER_AVERAGES: [(&str, f64, f64); 3] = [
 
 /// Runs the Fig. 15 sweep over the mainstream networks.
 #[must_use]
-pub fn run(engine: &Engine) -> Fig15 {
+pub fn run(engine: &Evaluator) -> Fig15 {
     run_over(engine, &super::MAINSTREAM)
 }
 
@@ -48,7 +48,7 @@ pub fn run(engine: &Engine) -> Fig15 {
 /// network-major. Each cell is a closed-form evaluation, so the sweep
 /// is sequential.
 #[must_use]
-pub fn run_over(engine: &Engine, networks: &[&str]) -> Fig15 {
+pub fn run_over(engine: &Evaluator, networks: &[&str]) -> Fig15 {
     let points: Vec<SpeedupPoint> = networks
         .iter()
         .flat_map(|&net| super::schemes().map(|scheme| (net, scheme)))
@@ -142,7 +142,7 @@ pub fn render(result: &Fig15) -> String {
 /// Convenience: run with a fresh default engine and render.
 #[must_use]
 pub fn report() -> String {
-    render(&run(&Engine::new()))
+    render(&run(&Evaluator::new()))
 }
 
 #[cfg(test)]
@@ -151,14 +151,14 @@ mod tests {
 
     #[test]
     fn sweep_covers_all_networks_and_schemes() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         assert_eq!(r.points.len(), 12);
         assert_eq!(r.conv_averages.len(), 3);
     }
 
     #[test]
     fn averages_preserve_paper_ordering() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let get = |label: &str| {
             r.conv_averages
                 .iter()
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn vgg_and_resnet_outpace_alexnet_and_googlenet_at_dcnn() {
         // Fig. 15's per-network shape for the DCNN configurations.
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let conv = |net: &str, scheme: &str| {
             r.points
                 .iter()

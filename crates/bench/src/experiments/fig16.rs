@@ -31,7 +31,7 @@ use crate::format::{ratio, Table};
 use serde::Serialize;
 use tfe_baselines::weight_compression::PruningModel;
 use tfe_baselines::Comparator;
-use tfe_core::{Engine, TransferScheme};
+use tfe_core::{Evaluator, TransferScheme};
 
 /// One bar pair of Fig. 16.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -59,7 +59,7 @@ pub const PAPER_FACTORS: [(&str, f64); 3] = [("Han", 5.36), ("SSL", 4.45), ("UCN
 
 /// Runs the comparison.
 #[must_use]
-pub fn run(engine: &Engine) -> Fig16 {
+pub fn run(engine: &Evaluator) -> Fig16 {
     let net = tfe_nets::zoo::alexnet();
     let mut points = Vec::new();
     for model in [
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn tfe_beats_pruning_methods_except_admm() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let get = |name: &str| r.points.iter().find(|p| p.method == name).unwrap().speedup;
         let tfe = get("TFE (SCNN)");
         assert!(tfe > get("Han"));
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn tfe_factors_within_paper_bands() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         for (name, paper) in PAPER_FACTORS {
             let (_, measured) = r
                 .tfe_factors
@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn render_lists_all_methods() {
-        let text = render(&run(&Engine::new()));
+        let text = render(&run(&Evaluator::new()));
         for m in ["Han", "SSL", "ADMM", "UCNN", "TFE (SCNN)"] {
             assert!(text.contains(m), "{m}");
         }

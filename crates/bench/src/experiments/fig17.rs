@@ -5,7 +5,7 @@ use crate::format::{pct, ratio, Table};
 use serde::Serialize;
 use tfe_baselines::computation_reduction::{AsymmetricConv, SnaPea, Winograd};
 use tfe_baselines::Comparator;
-use tfe_core::Engine;
+use tfe_core::Evaluator;
 
 /// One bar pair of Fig. 17.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -30,7 +30,7 @@ pub struct Fig17 {
 
 /// Runs the comparison on VGGNet.
 #[must_use]
-pub fn run(engine: &Engine) -> Fig17 {
+pub fn run(engine: &Evaluator) -> Fig17 {
     let net = tfe_nets::zoo::vgg16();
     let mut points = Vec::new();
     let snapea = SnaPea::new();
@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn winograd_expands_parameters_and_tfe_compresses() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let get = |m: &str| r.points.iter().find(|p| p.method == m).unwrap();
         assert!(get("Winograd").param_reduction < 1.0);
         assert!(get("TFE (SCNN)").param_reduction >= 3.8);
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn tfe_scnn_over_snapea_near_paper_factor() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let get = |m: &str| r.points.iter().find(|p| p.method == m).unwrap().speedup;
         let factor = get("TFE (SCNN)") / get("SnaPEA");
         // Paper: 2.72x.
@@ -121,7 +121,7 @@ mod tests {
     fn asymmetric_conv_factors_match_paper_relations() {
         // Paper: asym uses 1.51x (DCNN4x4) / 2.67x (SCNN) more parameters
         // than the TFE.
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let get = |m: &str| r.points.iter().find(|p| p.method == m).unwrap();
         let rel4 = get("TFE (DCNN4x4)").param_reduction / get("AsymConv").param_reduction;
         let rel_s = get("TFE (SCNN)").param_reduction / get("AsymConv").param_reduction;
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn render_reports_snapea_factor() {
-        let text = render(&run(&Engine::new()));
+        let text = render(&run(&Evaluator::new()));
         assert!(text.contains("SnaPEA"));
         assert!(text.contains("paper 2.72x"));
     }

@@ -5,7 +5,7 @@ use crate::format::{ratio, Table};
 use serde::Serialize;
 use tfe_baselines::computation_reduction::SnaPea;
 use tfe_baselines::weight_compression::PruningModel;
-use tfe_core::Engine;
+use tfe_core::Evaluator;
 
 /// One bar of Fig. 18.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -40,7 +40,7 @@ pub const PAPER_AVERAGES: [(&str, f64); 5] = [
 
 /// Runs the energy-efficiency comparison.
 #[must_use]
-pub fn run(engine: &Engine) -> Fig18 {
+pub fn run(engine: &Evaluator) -> Fig18 {
     let mut points = Vec::new();
     for net in ["VGGNet", "AlexNet"] {
         points.push(EePoint {
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn tfe_dominates_both_comparators() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let avg = |m: &str| r.averages.iter().find(|(n, _)| n == m).unwrap().1;
         for scheme in ["TFE (DCNN4x4)", "TFE (DCNN6x6)", "TFE (SCNN)"] {
             assert!(avg(scheme) > avg("UCNN"), "{scheme}");
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn scheme_ordering_holds() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let avg = |m: &str| r.averages.iter().find(|(n, _)| n == m).unwrap().1;
         assert!(avg("TFE (SCNN)") > avg("TFE (DCNN6x6)"));
         assert!(avg("TFE (DCNN6x6)") > avg("TFE (DCNN4x4)"));
@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn scnn_average_in_paper_band() {
         // Paper: 13.31x average on VGG + AlexNet.
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let avg = r
             .averages
             .iter()
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn snapea_factor_vs_tfe_matches_paper_direction() {
         // Paper: TFE(SCNN) is 8.99x higher EE than SnaPEA.
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let avg = |m: &str| r.averages.iter().find(|(n, _)| n == m).unwrap().1;
         let factor = avg("TFE (SCNN)") / avg("SnaPEA");
         assert!((6.0..13.0).contains(&factor), "{factor}");

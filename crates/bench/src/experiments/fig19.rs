@@ -3,7 +3,7 @@
 
 use crate::format::{ratio, Table};
 use serde::Serialize;
-use tfe_core::Engine;
+use tfe_core::Evaluator;
 use tfe_transfer::analysis::ReuseConfig;
 
 /// One ablation cell.
@@ -46,7 +46,7 @@ pub fn run() -> Fig19 {
         .into_iter()
         .flat_map(|scheme| CONFIGS.map(|(label, reuse)| (scheme, label, reuse)))
         .map(|(scheme, label, reuse)| {
-            let engine = Engine::with_reuse(reuse);
+            let engine = Evaluator::with_reuse(reuse);
             let r = engine
                 .run_network("VGGNet", scheme)
                 .expect("VGG exists in the zoo");

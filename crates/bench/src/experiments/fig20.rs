@@ -3,7 +3,7 @@
 
 use crate::format::{ratio, Table};
 use serde::Serialize;
-use tfe_core::Engine;
+use tfe_core::Evaluator;
 
 /// One bar of Fig. 20.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -35,7 +35,7 @@ pub const PAPER_GOOGLENET: (f64, f64) = (1.19, 1.24);
 
 /// Runs the off-chip sweep over the mainstream networks.
 #[must_use]
-pub fn run(engine: &Engine) -> Fig20 {
+pub fn run(engine: &Evaluator) -> Fig20 {
     let mut points = Vec::new();
     for net in super::MAINSTREAM {
         for scheme in super::schemes() {
@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn reductions_in_paper_bands_for_dense_3x3_networks() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         for net in ["VGGNet", "ResNet"] {
             for (scheme, lo, hi) in PAPER_BANDS {
                 let v = point(&r, net, scheme);
@@ -106,7 +106,7 @@ mod tests {
     fn googlenet_saves_least() {
         // "As there are many 1×1 filters in GoogLeNet … the corresponding
         // off-chip memory access cannot be saved."
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         for scheme in ["DCNN6x6", "SCNN"] {
             let g = point(&r, "GoogLeNet", scheme);
             let v = point(&r, "VGGNet", scheme);
@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn higher_compression_gives_higher_savings() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         for net in super::super::MAINSTREAM {
             assert!(
                 point(&r, net, "DCNN6x6") >= point(&r, net, "DCNN4x4") - 1e-9,

@@ -6,7 +6,7 @@ use serde::Serialize;
 use tfe_baselines::computation_reduction::SnaPea;
 use tfe_baselines::reported::{BitFusion, MultiClp};
 use tfe_baselines::weight_compression::PruningModel;
-use tfe_core::{Engine, TransferScheme};
+use tfe_core::{Evaluator, TransferScheme};
 
 /// One cell of Table IV.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -33,7 +33,7 @@ pub const PAPER_TFE: [(&str, f64); 2] = [("ResNet", 3.29), ("GoogLeNet", 2.37)];
 
 /// Runs the comparison.
 #[must_use]
-pub fn run(engine: &Engine) -> Table4 {
+pub fn run(engine: &Evaluator) -> Table4 {
     let mut entries = vec![
         Entry {
             network: "ResNet".to_owned(),
@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn tfe_beats_ucnn_and_approaches_bitfusion_on_resnet() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let get = |net: &str, method: &str| {
             r.entries
                 .iter()
@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn tfe_beats_snapea_and_multiclp_on_googlenet() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let get = |method: &str| {
             r.entries
                 .iter()
@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn measured_tfe_cells_near_paper() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         for (net, paper) in PAPER_TFE {
             let e = r
                 .entries

@@ -3,7 +3,7 @@
 
 use crate::format::Table;
 use serde::Serialize;
-use tfe_core::Engine;
+use tfe_core::Evaluator;
 
 pub use super::fig15::{Fig15 as Table5, SpeedupPoint};
 
@@ -22,7 +22,7 @@ pub const PAPER: [(&str, &str, f64, f64); 9] = [
 
 /// Runs the recent-network sweep.
 #[must_use]
-pub fn run(engine: &Engine) -> Table5 {
+pub fn run(engine: &Evaluator) -> Table5 {
     super::fig15::run_over(engine, &super::RECENT)
 }
 
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_nine_cells() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         assert_eq!(paired(&r).len(), 9);
     }
 
@@ -100,7 +100,7 @@ mod tests {
     fn densenet_is_the_weakest_scnn_case() {
         // Table V's key shape: DenseNet's 1x1-heavy profile caps its
         // speedup below the other recent networks.
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         let scnn = |net: &str| {
             r.points
                 .iter()
@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn overall_never_exceeds_conv() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         for p in &r.points {
             assert!(p.overall <= p.conv + 1e-9, "{}/{}", p.network, p.scheme);
         }
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn measured_within_band_of_paper() {
-        let r = run(&Engine::new());
+        let r = run(&Evaluator::new());
         for row in paired(&r) {
             let rel = (row.measured.0 - row.paper.0).abs() / row.paper.0;
             assert!(

@@ -1,7 +1,7 @@
-//! Engine facade: one call from network name + scheme to the full set of
-//! paper metrics.
+//! The analytic evaluator: one call from network name + scheme to the
+//! full set of paper metrics.
 //!
-//! [`Engine`] wires the subsystem crates together — plan construction
+//! [`Evaluator`] wires the subsystem crates together — plan construction
 //! (`tfe-nets`), the TFE performance model (`tfe-sim`), the Eyeriss
 //! baseline (`tfe-eyeriss`) and the energy model (`tfe-energy`) — and
 //! produces a serializable [`NetworkReport`] carrying every number the
@@ -10,11 +10,11 @@
 //! # Example
 //!
 //! ```
-//! use tfe_core::{Engine, TransferScheme};
+//! use tfe_core::{Evaluator, TransferScheme};
 //!
-//! # fn main() -> Result<(), tfe_core::EngineError> {
-//! let engine = Engine::new();
-//! let report = engine.run_network("VGGNet", TransferScheme::Scnn)?;
+//! # fn main() -> Result<(), tfe_core::EvaluatorError> {
+//! let evaluator = Evaluator::new();
+//! let report = evaluator.run_network("VGGNet", TransferScheme::Scnn)?;
 //! assert!(report.conv_speedup_vs_eyeriss() > 3.0);
 //! assert!(report.param_reduction > 3.0);
 //! # Ok(())
@@ -36,10 +36,10 @@ use tfe_transfer::analysis::ReuseConfig;
 
 pub use tfe_transfer::TransferScheme;
 
-/// Error type of the engine facade.
+/// Error type of the evaluator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum EngineError {
+pub enum EvaluatorError {
     /// The requested network is not in the zoo.
     UnknownNetwork {
         /// The name that failed to resolve.
@@ -47,17 +47,17 @@ pub enum EngineError {
     },
 }
 
-impl fmt::Display for EngineError {
+impl fmt::Display for EvaluatorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::UnknownNetwork { name } => {
+            EvaluatorError::UnknownNetwork { name } => {
                 write!(f, "unknown network '{name}' (see tfe_nets::zoo::by_name)")
             }
         }
     }
 }
 
-impl std::error::Error for EngineError {}
+impl std::error::Error for EvaluatorError {}
 
 /// The full metric set for one (network, scheme) evaluation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -98,28 +98,28 @@ impl NetworkReport {
     }
 }
 
-/// The evaluation engine.
+/// The analytic evaluator: the paper's performance, Eyeriss and energy models over a network plan.
 #[derive(Debug, Clone, Default)]
-pub struct Engine {
+pub struct Evaluator {
     perf_cfg: PerfConfig,
     eyeriss_cfg: EyerissConfig,
     energy: EnergyModel,
     area: AreaModel,
 }
 
-impl Engine {
-    /// An engine with the paper's default configuration (full reuse).
+impl Evaluator {
+    /// An evaluator with the paper's default configuration (full reuse).
     #[must_use]
     pub fn new() -> Self {
-        Engine::default()
+        Evaluator::default()
     }
 
-    /// An engine with a specific reuse configuration (Fig. 19 ablation).
+    /// An evaluator with a specific reuse configuration (Fig. 19 ablation).
     #[must_use]
     pub fn with_reuse(reuse: ReuseConfig) -> Self {
-        Engine {
+        Evaluator {
             perf_cfg: PerfConfig::with_reuse(reuse),
-            ..Engine::default()
+            ..Evaluator::default()
         }
     }
 
@@ -151,14 +151,14 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::UnknownNetwork`] if the name does not
+    /// Returns [`EvaluatorError::UnknownNetwork`] if the name does not
     /// resolve (see [`tfe_nets::zoo::by_name`] for accepted aliases).
     pub fn run_network(
         &self,
         name: &str,
         scheme: TransferScheme,
-    ) -> Result<NetworkReport, EngineError> {
-        let network = zoo::by_name(name).ok_or_else(|| EngineError::UnknownNetwork {
+    ) -> Result<NetworkReport, EvaluatorError> {
+        let network = zoo::by_name(name).ok_or_else(|| EvaluatorError::UnknownNetwork {
             name: name.to_owned(),
         })?;
         Ok(self.run(&network, scheme))
@@ -233,17 +233,17 @@ mod tests {
 
     #[test]
     fn unknown_network_is_an_error() {
-        let engine = Engine::new();
+        let engine = Evaluator::new();
         let err = engine
             .run_network("EfficientNet", TransferScheme::Scnn)
             .unwrap_err();
-        assert!(matches!(err, EngineError::UnknownNetwork { .. }));
+        assert!(matches!(err, EvaluatorError::UnknownNetwork { .. }));
         assert!(err.to_string().contains("EfficientNet"));
     }
 
     #[test]
     fn vgg_scnn_report_matches_paper_shape() {
-        let engine = Engine::new();
+        let engine = Evaluator::new();
         let r = engine.run_network("VGGNet", TransferScheme::Scnn).unwrap();
         // Paper: conv 3.45x, overall 3.2-3.4x, params 4x, EE ~13x.
         assert!(
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn scheme_ordering_holds_on_average() {
         // Paper averages: SCNN > DCNN6x6 > DCNN4x4 for conv speedup.
-        let engine = Engine::new();
+        let engine = Evaluator::new();
         let avg = |scheme: TransferScheme| -> f64 {
             let nets = ["AlexNet", "VGGNet", "GoogLeNet", "ResNet"];
             nets.iter()
@@ -283,8 +283,8 @@ mod tests {
 
     #[test]
     fn ablation_engine_reduces_less() {
-        let full = Engine::new();
-        let ppsr = Engine::with_reuse(ReuseConfig::PPSR_ONLY);
+        let full = Evaluator::new();
+        let ppsr = Evaluator::with_reuse(ReuseConfig::PPSR_ONLY);
         let rf = full.run_network("VGGNet", TransferScheme::DCNN6).unwrap();
         let rp = ppsr.run_network("VGGNet", TransferScheme::DCNN6).unwrap();
         assert!(rf.conv_mac_reduction > rp.conv_mac_reduction);
@@ -293,14 +293,14 @@ mod tests {
 
     #[test]
     fn run_all_covers_the_sweep() {
-        let reports = Engine::new().run_all();
+        let reports = Evaluator::new().run_all();
         assert_eq!(reports.len(), 7 * 3);
         assert!(reports.iter().all(|r| r.conv_speedup > 0.9));
     }
 
     #[test]
     fn report_serializes_to_json() {
-        let engine = Engine::new();
+        let engine = Evaluator::new();
         let r = engine.run_network("ResNet", TransferScheme::DCNN4).unwrap();
         let json = serde_json::to_string(&r).unwrap();
         assert!(json.contains("\"network\":\"ResNet\""));
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn accessors_expose_subsystems() {
-        let engine = Engine::new();
+        let engine = Evaluator::new();
         assert_eq!(engine.eyeriss_config().normalized_pes, 256);
         assert_eq!(engine.perf_config().hw.pes(), 256);
         let net = zoo::resnet56();

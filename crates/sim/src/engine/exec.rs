@@ -12,15 +12,11 @@
 //! Every stage runs one datapath: one row-interleaved padded layout
 //! (`fill_padded_batch`), one executor per unit kind (a dense filter —
 //! compressed-sparse or not — a dense filter group, or a transferred
-//! unit, which is a DCNN meta group or an SCNN orbit group alike), one
-//! forward row sweep for every row-kernel pass ([`row_sweep`]), one
-//! ERRR ring fill ([`RowPass`]), one window combine (`combine`), and one
-//! output memory system (`crate::output`'s [`finish_plane`]), which each
-//! part runs on the planes it computed ([`finish_part`]). The
-//! transferred executor ([`transferred_unit`]) runs the read schedule
-//! compile wrote: one ring per weight set, then one window per read.
-//! SCNN's mirrored stream is the forward pass over the FlipH partner
-//! orientation's stored rows, which compile lays down reversed.
+//! group, which holds SCNN orbit groups' or DCNN meta groups' blocks
+//! alike), one forward row sweep for every row-kernel pass
+//! ([`row_sweep`]), one window combine (`combine`), and one output
+//! memory system (`crate::output`'s [`finish_plane`]), which each part
+//! runs on the planes it computed ([`finish_part`]).
 //!
 //! Ungrouped dense stages of at least 16 filters run the filter-vector
 //! sweep ([`filter_group_sweep`], DESIGN §5.10) instead of one filter at
@@ -29,15 +25,20 @@
 //! inter-image junk positions and overlapped tail blocks are gone
 //! there. Its `K` parts go through the same `combine`. A lone image of
 //! such a stage with fewer filter groups than workers splits its output
-//! rows between them ([`partition`]). Transferred stages of at least 16
-//! lanes run the same pass with their units' weight blocks as lanes
-//! ([`lane_group_sweep`]): per input row one call per weight row fills
-//! an ERRR ring of `[positions × G]` parts, and per output row each of
-//! the group's windows combines `K` of them.
+//! rows between them ([`partition`]).
+//!
+//! Every transferred stage runs the one transferred executor
+//! ([`transferred_group`]) from the read schedule compile derived once
+//! from the weights: one ERRR ring of per-input-row part buffers per
+//! group, then one window per read, charged the closed forms compile
+//! summed. Its two layouts differ only in how a ring row is filled (a
+//! [`row_sweep`] per lane and weight row, or at 16 or more lanes one
+//! filter-vector pass across every lane) and how a window is emitted.
 //!
 //! Bit-identity discipline: each accumulated term is a complete
 //! `j`-summed correlation; window parts combine first-copied-then-added
-//! in `ky` order, via the one row sweep and the [`RowRing`] schedule.
+//! in `ky` order, via the one row sweep or filter-vector pass and the
+//! ERRR ring schedule.
 //! The batched sweep only reorders work **across** images, never within
 //! one image, so every image sees the exact saturating-addition order a
 //! sequential single-image run performs — `tests/batched_parity.rs`
@@ -51,13 +52,12 @@
 //! order-independent), which is both the counter-side hoisting win and
 //! trivially bit-identical to per-image charging.
 
-use super::ir::{tap, Geo, LaneGroup, StageIr, TransferredUnit, UnitIr};
+use super::ir::{check_operand, tap, Geo, LaneGroup, Layout, StageIr, UnitIr};
 use super::kernels::{correlate_filters, Band, FILTER_GROUP};
-use super::scratch::{shape_streams, ArenaPeak, KernelBufs, Scratch};
+use super::scratch::{ArenaPeak, KernelBufs, Scratch};
 use super::sparse::sparse_band_pass;
 use super::Engine;
 use crate::counters::Counters;
-use crate::errr::{RowRing, Streams};
 use crate::functional::FunctionalOutput;
 use crate::network::NetworkOutput;
 use crate::output::finish_plane;
@@ -678,20 +678,9 @@ fn saturation_free(stage: &StageIr, geo: &Geo, padded: &[Fx16]) -> bool {
 /// Checks an activation's `(C, H, W)` against a stage's input
 /// geometry: channels, then height, then width.
 fn check_input(shape: &LayerShape, (c, h, w): (usize, usize, usize)) -> Result<(), SimError> {
-    for (what, expected, actual) in [
-        ("input channels", shape.n(), c),
-        ("input height", shape.h(), h),
-        ("input width", shape.w(), w),
-    ] {
-        if expected != actual {
-            return Err(SimError::OperandMismatch {
-                what,
-                expected,
-                actual,
-            });
-        }
-    }
-    Ok(())
+    check_operand("input channels", shape.n(), c)?;
+    check_operand("input height", shape.h(), h)?;
+    check_operand("input width", shape.w(), w)
 }
 
 /// Runs `f` on every item — item 0 inline on the caller's thread, the
@@ -806,8 +795,8 @@ fn partition(batch: usize, stage: &StageIr, geo: &Geo, workers: usize) -> Vec<Pa
                     b1: b + 1,
                     u0,
                     u1,
-                    plane0: units[u0].plane_range(geo.m).start,
-                    plane1: units[u1 - 1].plane_range(geo.m).end,
+                    plane0: units[u0].plane_range().start,
+                    plane1: units[u1 - 1].plane_range().end,
                     ..full
                 });
                 u0 = u1;
@@ -859,10 +848,7 @@ fn run_part(
                 bufs,
                 charges,
             ),
-            UnitIr::Transferred(unit) => {
-                transferred_unit(ctx, part, unit, out_part, bufs, charges);
-            }
-            UnitIr::Lanes(group) => lane_group_sweep(ctx, part, group, out_part, bufs, charges),
+            UnitIr::Lanes(group) => transferred_group(ctx, part, group, out_part, bufs, charges),
         }
     }
 }
@@ -1171,11 +1157,11 @@ fn emit_filters(
     }
 }
 
-/// The ERRR ring depth for a transferred unit. At `d > 1` an output
+/// The ERRR ring depth of a transferred group. At `d > 1` an output
 /// row's input taps are `d` apart, so consecutive output rows interleave
 /// their tap sets; a `K`-deep FIFO would evict rows that later windows
 /// still need and recompute every pass. Sizing the ring to the full
-/// effective input span keeps each input row's pass computed exactly
+/// effective input span keeps each input row's parts computed exactly
 /// once.
 fn ring_capacity(geo: &Geo) -> usize {
     if geo.d == 1 {
@@ -1185,230 +1171,40 @@ fn ring_capacity(geo: &Geo) -> usize {
     }
 }
 
-/// A row pass of one weight set of a transferred unit over one padded
-/// input row: `rows × variants` weight rows of one channel band, row
-/// `(r, v)` starting at `weights(r, v)`, each swept forward into its own
-/// batch-wide stream. For a DCNN meta group, `r` is the meta row and `v`
-/// the offset lane (the meta row's slice at `v·d`). For an SCNN source
-/// orientation `oi`, `r` is the base row and `v` reads orientation
-/// `oi ^ v`: variant 1 is the horizontally flipped partner, whose stored
-/// rows are `oi`'s reversed, so its forward stream is PPSR's mirrored
-/// stream. `charge` is one row's closed-form charge (`charge_dcnn` /
-/// `charge_scnn`).
-struct RowPass<W> {
-    band: Band,
-    rows: usize,
-    variants: usize,
-    weights: W,
-    charge: Counters,
-}
-
-impl<'w, W: Fn(usize, usize) -> &'w [Fx16]> RowPass<W> {
-    /// Sweeps weight row `r`'s variants over padded input row `i` of
-    /// every image of the part, into `streams[v]`, as one [`row_sweep`];
-    /// charges one row.
-    fn sweep(
-        &self,
-        ctx: PartCtx<'_>,
-        part: Part,
-        r: usize,
-        i: usize,
-        streams: &mut [Vec<Accum>],
-        charges: &mut Counters,
-    ) {
-        let pw = ctx.geo.pw;
-        row_sweep(
-            ctx.stage.kernel,
-            self.band,
-            part.images(),
-            &ctx.padded[i * ctx.batch * pw + part.b0 * pw..],
-            pw,
-            streams
-                .iter_mut()
-                .enumerate()
-                .map(|(v, stream)| ((self.weights)(r, v), stream.as_mut_slice())),
-            ctx.saturation_free,
-        );
-        *charges += self.charge;
-    }
-
-    /// The one ERRR ring fill: computes every input row that output row
-    /// `oy`'s window reads and `ring` lacks — all `rows × variants`
-    /// streams into one recycled stream set — and inserts it, recycling
-    /// the evicted slot's buffers.
-    fn fill_ring(
-        &self,
-        ctx: PartCtx<'_>,
-        part: Part,
-        oy: usize,
-        ring: &mut RowRing,
-        streams_pool: &mut Vec<Streams>,
-        charges: &mut Counters,
-    ) {
-        let Geo { k, s, d, .. } = ctx.geo;
-        for tap in 0..k {
-            let i = oy * s + tap * d;
-            if ring.contains(i) {
-                continue;
-            }
-            let mut streams = streams_pool.pop().unwrap_or_default();
-            shape_streams(&mut streams, self.rows, self.variants, ctx.row_span(part));
-            for (r, per_row) in streams.iter_mut().enumerate() {
-                self.sweep(ctx, part, r, i, per_row, charges);
-            }
-            if let Some(evicted) = ring.insert_recycling(i, streams, charges) {
-                streams_pool.push(evicted);
-            }
-        }
-    }
-}
-
-/// One transferred unit's planes for every image of the part at once
-/// ([`TransferredUnit`]: a DCNN meta group or an SCNN orbit group) — the
-/// one ERRR/PPSR executor. Every row pass is one [`RowPass::sweep`] of
-/// one set's row over the whole channel band spanning the part's images,
-/// one stacked kernel call per variant, so every stream is batch-wide:
-/// `(images−1)·PW + full_w` long, image `bi`'s lane at `bi·PW`.
+/// One transferred group's planes for every image and output row of
+/// the part ([`LaneGroup`]: an SCNN orbit group's or a DCNN meta group's
+/// weight blocks as lanes) — the one ERRR/PPSR executor, for both
+/// layouts.
 ///
-/// With a ring, each output row first fills one ERRR ring per set
-/// ([`RowPass::fill_ring`]: the input rows its window reads and the ring
-/// lacks, every row and variant), then runs the unit's reads in plane
-/// order, each combining its `K` ring streams in `ky` order. Without
-/// (DCNN without ERRR), each output row recomputes every `K`-row window
-/// of each set, first row `0..=rows−K`, and runs the reads of each
-/// window as it is computed, charging windows that no plane reads too.
+/// Per input row a window reads and the ring lacks, the group's ring
+/// row is filled with every lane's parts, one per weight row `r` and
+/// offset call `dx` (weights from column `dx·d`), and inserted, evicting
+/// the oldest row past [`ring_capacity`]. A [`padding_row`]'s parts are
+/// zero and are written, not computed. Per output row each of the
+/// group's windows combines `K` ring parts through the one window
+/// [`combine`] in `ky` order — rows `first + ky`, or flipped for ERRR's
+/// vertically mirrored members — and emits its `(lane, plane)` pairs.
+/// The layouts differ only in those two steps:
 ///
-/// The window combine adds whole batch-wide streams (the inter-lane
-/// junk positions are combined too, but never emitted) and
-/// [`emit_rows`] slices each image's lane, so per image the values and
-/// saturating-addition order equal a one-image run's. Charges are one
-/// image's, replicated per image by the caller: each row pass the
-/// unit's closed-form charge, ring traffic one `full_w`-word lane per
-/// stream, each read `(K−1)·F` combine adds.
-fn transferred_unit(
-    ctx: PartCtx<'_>,
-    part: Part,
-    unit: &TransferredUnit,
-    out_part: &mut [Accum],
-    bufs: &mut KernelBufs,
-    charges: &mut Counters,
-) {
-    let geo = &ctx.geo;
-    let Geo {
-        n,
-        e,
-        f,
-        k,
-        s,
-        ph,
-        pw,
-        d,
-        kw,
-        ..
-    } = *geo;
-    let [set_stride, variant_stride, row_stride, channel_stride] = unit.strides;
-    let table = &ctx.stage.rows[unit.base..];
-    let pass = |set: usize| RowPass {
-        band: Band {
-            channels: n,
-            width: kw,
-            w_stride: channel_stride,
-            in_stride: ph * ctx.batch * pw,
-        },
-        rows: unit.rows,
-        variants: unit.variants,
-        weights: move |r: usize, v: usize| {
-            &table[set * set_stride + v * variant_stride + r * row_stride..]
-        },
-        charge: unit.charge,
-    };
-    let plane = |read: usize| unit.m0 + read - part.plane0;
-    let KernelBufs {
-        window,
-        per_row,
-        rings,
-        streams_pool,
-        ..
-    } = bufs;
-    if !unit.ring {
-        for oy in 0..e {
-            for set in 0..unit.sets {
-                for first in 0..=unit.rows - k {
-                    shape_streams(per_row, k, unit.variants, ctx.row_span(part));
-                    for (ky, streams) in per_row.iter_mut().enumerate() {
-                        pass(set).sweep(ctx, part, first + ky, oy * s + ky * d, streams, charges);
-                    }
-                    for (i, read) in unit.reads.iter().enumerate() {
-                        if (read.set, read.first) == (set, first) {
-                            let part_of =
-                                |ky| per_row[read.row(k, ky) - first][read.variant].as_slice();
-                            combine(window, (0..k).map(part_of));
-                            charges.adds += (k.saturating_sub(1) * f) as u64;
-                            emit_rows(out_part, window, part, plane(i), oy, geo);
-                        }
-                    }
-                }
-            }
-        }
-        return;
-    }
-    let capacity = ring_capacity(geo);
-    if rings.len() < unit.sets {
-        rings.resize_with(unit.sets, || RowRing::new(capacity));
-    }
-    let rings = &mut rings[..unit.sets];
-    for ring in rings.iter_mut() {
-        ring.reset(capacity, streams_pool);
-        ring.set_lane_width(pw - kw + 1);
-    }
-    for oy in 0..e {
-        for (set, ring) in rings.iter_mut().enumerate() {
-            pass(set).fill_ring(ctx, part, oy, ring, streams_pool, charges);
-        }
-        for (i, read) in unit.reads.iter().enumerate() {
-            let ring = &rings[read.set];
-            combine(
-                window,
-                (0..k).map(|ky| {
-                    ring.read(oy * s + ky * d, read.row(k, ky), read.variant, charges)
-                        .expect("row still resident within the window")
-                }),
-            );
-            charges.adds += (k.saturating_sub(1) * f) as u64;
-            emit_rows(out_part, window, part, plane(i), oy, geo);
-        }
-    }
-    // Hand the rings' streams back to the pool, where the arena's
-    // high-water shrink sees them.
-    for ring in rings {
-        ring.reset(1, streams_pool);
-    }
-}
-
-/// One lane group's planes for every image and output row of the part
-/// ([`LaneGroup`]): the transferred units' weight blocks as lanes of the
-/// filter-vector pass, so SAFM's broadcast and ERRR's row sharing meet
-/// in one sweep over emitted positions only.
+/// * [`Layout::Rows`]: a lane's part is one batch-wide stream,
+///   `(images−1)·PW + full_w` long with image `bi`'s lane at `bi·PW`,
+///   one [`row_sweep`] per lane and weight row filling its offset calls;
+///   each emit combines its own lane's streams (the inter-image junk
+///   positions too, never emitted) and [`emit_rows`] slices each image's
+///   lane. SCNN's mirrored stream is the forward pass over the FlipH
+///   partner's stored rows, which compile lays down reversed.
+/// * [`Layout::Lanes`]: a part is `[positions × G]`, one
+///   [`correlate_filters`] call across every lane at the part's emitted
+///   positions only; each window combines once and [`emit_filters`]
+///   writes its lanes.
 ///
-/// Per input row a window reads and the group's ring lacks, one
-/// [`correlate_filters`] call per row `r` and offset `dx` (weights from
-/// column `dx·d`) fills one `[positions × G]` part of the row's ring
-/// buffer, every lane at once. Per output row, each of the group's
-/// windows combines `K` ring parts through the one window [`combine`]
-/// in `ky` order — rows `first + ky`, or flipped for ERRR's vertically
-/// mirrored members — and [`emit_filters`] writes its `(lane, plane)`
-/// pairs. Each lane's part is the sum its unit's row stream holds at
-/// those positions, in the same order, so per image the values equal
-/// [`transferred_unit`]'s.
-///
-/// The ring holds [`ring_capacity`] input rows, as a transferred unit's
-/// does, so every input row a window reads is computed once. A
-/// [`padding_row`]'s parts are zero and are written, not computed.
-/// Charges are one image's, summed over the member units at compile
-/// time: the group's `row_charge` per input row a window reads, its
-/// `window_charge` per output row. A lone image splits lane groups
+/// Either way each lane's part is the sum its weight rows make at those
+/// positions in the reference order, so per image the values equal a
+/// one-image run's. Charges are one image's, summed over the member
+/// groups at compile time: the group's `row_charge` per ring row filled,
+/// its `window_charge` per output row. A lone image splits groups
 /// between workers, never output rows (DESIGN §5.10).
-fn lane_group_sweep(
+fn transferred_group(
     ctx: PartCtx<'_>,
     part: Part,
     group: &LaneGroup,
@@ -1429,81 +1225,125 @@ fn lane_group_sweep(
     } = *geo;
     let bw = ctx.batch * pw;
     let table = &ctx.stage.rows[group.base..];
-    // Channel c's row r sits at at(c·rows + r, 0): consecutive channels'
-    // first tap rows are at(rows, 0) apart; its input row one padded
-    // plane after channel c − 1's.
-    let at = |row: usize, col: usize| tap(FILTER_GROUP, n * group.rows, group.cols, 0, row, col);
+    let (rows, offsets) = (group.rows, group.offsets);
+    // Lane l's row r of channel c sits at at(l, c·rows + r, 0):
+    // consecutive channels' first tap rows are at(0, rows, 0) apart; its
+    // input row one padded plane after channel c − 1's.
+    let at = |lane: usize, row: usize, col: usize| {
+        tap(group.layout.width(), n * rows, group.cols, lane, row, col)
+    };
     let band = Band {
         channels: n,
         width: kw,
-        w_stride: at(group.rows, 0),
+        w_stride: at(0, rows, 0),
         in_stride: ph * bw,
     };
     let KernelBufs {
         window,
         positions,
-        lane_ring,
-        lane_pool,
+        ring,
+        ring_pool,
         ..
     } = bufs;
-    emitted_positions(positions, part, geo);
-    let len = positions.len() * FILTER_GROUP;
-    let calls = group.rows * group.offsets;
+    // A ring row is `lanes × rows × offsets` parts of `len` accumulators;
+    // the lane layout's one part spans every lane.
+    let (lanes, len) = match group.layout {
+        Layout::Rows => (group.live, ctx.row_span(part)),
+        Layout::Lanes => {
+            emitted_positions(positions, part, geo);
+            (1, positions.len() * FILTER_GROUP)
+        }
+    };
+    let part_at = |lane: usize, row: usize, dx: usize| ((lane * rows + row) * offsets + dx) * len;
     let capacity = ring_capacity(geo);
     for oy in 0..geo.e {
         for ky in 0..k {
             let i = oy * s + ky * d;
-            if lane_ring.iter().any(|&(row, _)| row == i) {
+            if ring.iter().any(|&(row, _)| row == i) {
                 continue;
             }
-            // The kernel overwrites every live lane of every part.
-            let mut parts = lane_pool.pop().unwrap_or_default();
-            parts.resize(calls * len, Accum::ZERO);
-            if padding_row(geo, i) {
-                parts.fill(Accum::ZERO);
-            } else {
-                let input = &ctx.padded[i * bw + part.b0 * pw..];
-                for (call, acc) in parts.chunks_exact_mut(len).enumerate() {
-                    let (r, dx) = (call / group.offsets, call % group.offsets);
-                    correlate_filters(
-                        &table[at(r, dx * d)..],
-                        input,
-                        band,
-                        positions,
-                        group.live,
-                        acc,
-                        ctx.saturation_free,
-                    );
+            let mut parts = ring_pool.pop().unwrap_or_default();
+            let padding = padding_row(geo, i);
+            // The row sweep accumulates into zeros; the filter-vector
+            // pass overwrites every live lane of every part.
+            if padding || group.layout == Layout::Rows {
+                parts.clear();
+            }
+            parts.resize(lanes * rows * offsets * len, Accum::ZERO);
+            let input = &ctx.padded[i * bw + part.b0 * pw..];
+            match group.layout {
+                _ if padding => {}
+                Layout::Rows => {
+                    for (slab, streams) in parts.chunks_exact_mut(offsets * len).enumerate() {
+                        let (lane, r) = (slab / rows, slab % rows);
+                        row_sweep(
+                            ctx.stage.kernel,
+                            band,
+                            part.images(),
+                            input,
+                            pw,
+                            streams
+                                .chunks_exact_mut(len)
+                                .enumerate()
+                                .map(|(dx, acc)| (&table[at(lane, r, dx * d)..], acc)),
+                            ctx.saturation_free,
+                        );
+                    }
+                }
+                Layout::Lanes => {
+                    for (call, acc) in parts.chunks_exact_mut(len).enumerate() {
+                        let (r, dx) = (call / offsets, call % offsets);
+                        correlate_filters(
+                            &table[at(0, r, dx * d)..],
+                            input,
+                            band,
+                            positions,
+                            group.live,
+                            acc,
+                            ctx.saturation_free,
+                        );
+                    }
                 }
             }
             *charges += group.row_charge;
-            if lane_ring.len() == capacity {
-                lane_pool.extend(lane_ring.pop_front().map(|(_, evicted)| evicted));
+            if ring.len() == capacity {
+                ring_pool.extend(ring.pop_front().map(|(_, evicted)| evicted));
             }
-            lane_ring.push_back((i, parts));
+            ring.push_back((i, parts));
         }
         for w in &group.windows {
-            let part_of = |ky: usize| {
+            // Window part ky of `lane`: its row at offset call
+            // `read.variant` in ring row `oy·s + ky·d`.
+            let part_of = |lane: usize, ky: usize| {
                 let i = oy * s + ky * d;
-                let (_, parts) = lane_ring
+                let (_, parts) = ring
                     .iter()
                     .find(|&&(row, _)| row == i)
                     .expect("row still resident within the window");
-                let call = w.read.row(k, ky) * group.offsets + w.read.variant;
-                &parts[call * len..][..len]
+                &parts[part_at(lane, w.read.row(k, ky), w.read.variant)..][..len]
             };
-            combine(window, (0..k).map(part_of));
-            let emits = w
-                .emits
-                .iter()
-                .map(|&(lane, plane)| (lane, plane - part.plane0));
-            emit_filters(out_part, window, part, emits, oy, geo);
+            match group.layout {
+                Layout::Rows => {
+                    for &(lane, plane) in &w.emits {
+                        combine(window, (0..k).map(|ky| part_of(lane, ky)));
+                        emit_rows(out_part, window, part, plane - part.plane0, oy, geo);
+                    }
+                }
+                Layout::Lanes => {
+                    combine(window, (0..k).map(|ky| part_of(0, ky)));
+                    let emits = w
+                        .emits
+                        .iter()
+                        .map(|&(lane, plane)| (lane, plane - part.plane0));
+                    emit_filters(out_part, window, part, emits, oy, geo);
+                }
+            }
         }
         *charges += group.window_charge;
     }
     // Hand the ring's buffers back to the pool, where the arena's
     // high-water shrink sees them.
-    lane_pool.extend(lane_ring.drain(..).map(|(_, parts)| parts));
+    ring_pool.extend(ring.drain(..).map(|(_, parts)| parts));
 }
 
 #[cfg(test)]
@@ -1807,11 +1647,11 @@ mod tests {
         }
     }
 
-    /// A transferred unit's row passes do not depend on how many planes
-    /// it emits: a partial last DCNN group (4 of 16 filters, every read
-    /// on offset row 0) sweeps the rows a full group sweeps, with or
-    /// without a ring, so it is charged the same multiplies, SR writes
-    /// and ring writes.
+    /// A meta group's row passes do not depend on how many planes it
+    /// emits: a partial last DCNN group (4 of 16 filters, every read on
+    /// offset row 0) sweeps the rows a full group sweeps, with or
+    /// without ERRR, so it is charged the same multiplies, SR writes and
+    /// ring writes.
     #[test]
     fn partial_dcnn_groups_sweep_every_window() {
         let charges = |m: usize, reuse: ReuseConfig| {

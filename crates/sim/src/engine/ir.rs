@@ -1,5 +1,5 @@
 //! The compiled layer-IR: per-stage quantized weight tables, unit lists,
-//! and each transferred unit's read schedule.
+//! and each transferred group's read schedule.
 //!
 //! Compilation ([`compile_stage`]) performs all weight-side work of a
 //! stage exactly once: every filter row the run reads — dense rows, DCNN
@@ -10,14 +10,6 @@
 //! reads these tables, and only forward: the SCNN mirrored stream reads
 //! the stored FlipH partner's rows, never a row reversed at run time.
 //!
-//! A transferred unit ([`TransferredUnit`]) holds weight sets and one
-//! [`Read`] per emitted plane: DCNN's `(dy, dx)` offset grid over its
-//! meta rows, SCNN's [`source_of`] each orbit member (a set per source
-//! orientation, written straight from the stored bases through the
-//! orientation's flips). Under [`ReuseConfig::FULL`] an orbit group
-//! stores orientations 0, 1, 4 and 5: the two bases and their FlipH
-//! partners.
-//!
 //! A dense stage's table stores its filters in units of `G`, tap-major
 //! within a unit ([`tap`], the one index into it): `G = 1` is filter
 //! rows (`[m][c][ky][j]`, one [`UnitIr::Dense`] or [`UnitIr::Sparse`]
@@ -26,12 +18,18 @@
 //! [`compile_dense`] chooses the layout and the executor once, and the
 //! units' kind is the only record of that choice.
 //!
-//! A transferred stage of at least [`MIN_VECTOR_FILTERS`] lanes (a lane
-//! is one stored SCNN `(set, variant)` block or one DCNN meta group)
-//! stores its blocks the same way, `G` lanes tap-major per group
-//! (`[g][c][row][col][lane]`, through [`tap`]), and folds its units into
-//! [`LaneGroup`]s; every other transferred stage stores its blocks back
-//! to back (the group of one) and keeps one [`TransferredUnit`] each.
+//! A transferred stage stores *lanes*: each SCNN `(set, variant)` block
+//! — a source orientation [`source_of`] resolves for an orbit member,
+//! or under PPSR its FlipH partner — and each DCNN meta group. Compile
+//! derives one read schedule from the weights and folds it into
+//! [`LaneGroup`]s, whose [`Layout`] is the only record of the executor
+//! choice: a stage of at least [`MIN_VECTOR_FILTERS`] lanes and a
+//! stored span of two taps stores `G` lanes tap-major per group
+//! (`[g][c][row][col][lane]`, through [`tap`]); every other one stores
+//! each orbit or meta group's blocks back to back (the group of one), one
+//! group per orbit or meta group. Under [`ReuseConfig::FULL`] an orbit
+//! group stores orientations 0, 1, 4 and 5: the two bases and their
+//! FlipH partners.
 
 use crate::counters::Counters;
 use crate::engine::kernels::{RowKernel, FILTER_GROUP};
@@ -94,131 +92,124 @@ pub(crate) enum UnitIr {
     /// one per filter of the group (`G` = [`FILTER_GROUP`]). Only a
     /// partial last group has `live < G`; its other slots hold zeros.
     Filters { m0: usize, live: usize, base: usize },
-    /// One DCNN meta group or SCNN orbit group, run by the one ERRR/PPSR
-    /// executor.
-    Transferred(TransferredUnit),
-    /// Up to `G` lanes of transferred units, run by the lane sweep.
-    Lanes(LaneGroup),
+    /// One group of a transferred stage, run by the one transferred
+    /// executor (boxed: a group is many times the other kinds' size).
+    Lanes(Box<LaneGroup>),
 }
 
-/// One group of the transferred lane form: the blocks of consecutive
-/// transferred units (never part of one) as up to `G` =
-/// [`FILTER_GROUP`] lanes, stored tap-major from `base` like a dense
-/// filter group — tap `col` of row `(c, r)` is the `G` weights at
-/// `base + ((c·rows + r)·cols + col)·G` ([`tap`]). An SCNN lane is one
-/// stored `(set, variant)` block of an orbit group (`rows = K`,
-/// `cols = KW`), a DCNN lane one meta group (`rows = Z`, `cols = ZW`).
-/// Only the last group may have `live < G`; its other lanes hold zeros.
+/// How a [`LaneGroup`] stores its lanes, and so how the transferred
+/// executor fills a ring row and emits a window; everything else about
+/// a group (its read schedule, ring and charges) is the same in both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// One orbit or meta group whose blocks sit back to back (the
+    /// [`tap`] group of one): a ring row holds one batch-wide stream
+    /// per lane, weight row and offset call, each filled by one
+    /// `ppsr::row_sweep`, and each window's emits combine their own
+    /// lane's streams.
+    Rows,
+    /// Up to [`FILTER_GROUP`] lanes tap-major: a ring row holds one
+    /// `[positions × G]` part per weight row and offset call, each
+    /// filled by one filter-vector pass across every lane, and each
+    /// window combines once for all its emits.
+    Lanes,
+}
+
+impl Layout {
+    /// The layout of a transferred stage of `lanes` lanes and stored
+    /// span `kw` ([`MIN_VECTOR_FILTERS`]).
+    fn of(lanes: usize, kw: usize) -> Layout {
+        if kw >= 2 && lanes >= MIN_VECTOR_FILTERS {
+            Layout::Lanes
+        } else {
+            Layout::Rows
+        }
+    }
+
+    /// The [`tap`] group the layout stores its lanes in.
+    pub(crate) fn width(self) -> usize {
+        match self {
+            Layout::Rows => 1,
+            Layout::Lanes => FILTER_GROUP,
+        }
+    }
+}
+
+/// One group of a transferred stage: the blocks of consecutive orbit or
+/// meta groups (never part of one) as lanes, stored from `base` in
+/// `layout`'s [`tap`] group — tap `col` of row `(c, r)` of lane `l` is
+/// at `base + tap(width, N·rows, cols, l, c·rows + r, col)`. An SCNN
+/// lane is one stored `(set, variant)` block of an orbit group
+/// (`rows = K`, `cols = KW`), a DCNN lane one meta group (`rows = Z`,
+/// `cols = ZW`). Only the last [`Layout::Lanes`] group may have
+/// `live < G`; its other lanes hold zeros.
 ///
-/// Per input row and row `r`, the sweep makes `offsets` kernel calls
-/// across every lane, call `dx` starting at column `dx·d` (DCNN's offset
-/// lanes; SCNN has one); each [`LaneWindow`] combines `K` of those
-/// parts per output row and emits its lanes' planes. The charges are
-/// the member units' closed forms, summed at compile time.
+/// Per input row a window reads, the ring row holds every lane's `rows
+/// × offsets` parts, offset call `dx` reading weights from column `dx·d`
+/// (DCNN's offset lanes; SCNN has one); each [`LaneWindow`] combines `K`
+/// of those parts per output row and emits its lanes' planes. The
+/// charges are the member groups' closed forms, summed at compile time.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneGroup {
+    pub(crate) layout: Layout,
     pub(crate) m0: usize,
-    /// Planes emitted, from `m0` on: the member units' reads.
+    /// Planes emitted, from `m0` on: the member groups' reads.
     pub(crate) planes: usize,
     pub(crate) base: usize,
     pub(crate) live: usize,
     pub(crate) rows: usize,
     pub(crate) cols: usize,
     pub(crate) offsets: usize,
-    /// What the member units' row passes over one input row charge
-    /// ([`TransferredUnit::charge`] per set and row, ring writes of one
-    /// `PW−KW+1`-word lane per stream).
+    /// What the member groups charge per ring row: their row passes'
+    /// closed forms (`charge_dcnn`/`charge_scnn`) and ring writes of one
+    /// `PW−KW+1`-word image lane per part. Zero for DCNN without ERRR.
     pub(crate) row_charge: Counters,
-    /// What the member units' reads charge per output row: `K` ring
-    /// reads of one lane and `(K−1)·F` combine adds each.
+    /// What the member groups charge per output row: `(K−1)·F` combine
+    /// adds per read and, with ERRR, `K` ring reads of one lane each;
+    /// DCNN without ERRR also recomputes every `K`-row window of its
+    /// meta rows, read or not.
     pub(crate) window_charge: Counters,
     pub(crate) windows: Vec<LaneWindow>,
 }
 
 /// One combine of a lane group per output row: the parts of rows
 /// `read.first ..` at offset call `read.variant`, in `ky` order or, when
-/// `read.reversed`, rows flipped (`read.set` is 0), and the
-/// `(lane, plane)` pairs it emits.
+/// `read.reversed`, rows flipped, and the `(lane, plane)` pairs it
+/// emits.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneWindow {
     pub(crate) read: Read,
     pub(crate) emits: Vec<(usize, usize)>,
 }
 
-/// A transferred unit: its weight sets, where they sit in the stage's
-/// table, and its read schedule. The table holds `sets` weight sets of
-/// `rows × variants` rows per channel: row `r` of variant `v` of set
-/// `set`, channel `c`, starts at
-/// `base + set·strides[0] + v·strides[1] + r·strides[2] + c·strides[3]`
-/// and correlates `KW = d·(K−1)+1` weights (zero-stuffed at dilation
-/// `d`).
-///
-/// * A DCNN meta group has one set of `Z` meta rows, `ZW = d·(Z−1)+1`
-///   wide, whose `Z−K+1` variants (the offset lanes) are the slices at
-///   `v·d`.
-/// * An SCNN orbit group has one set per source orientation its emitted
-///   members read, of `K` rows each: variant 0 the orientation's rows
-///   and, under PPSR, variant 1 its FlipH partner's (`oi ^ 1`), which are
-///   the same rows reversed, so that variant's forward pass is the
-///   mirrored stream.
-///
-/// A row pass sweeps one row's `variants` streams of one set over one
-/// input row and is charged `charge`. Each read combines `K` streams of
-/// one set into one emitted plane, from plane `m0` on.
-#[derive(Debug, Clone)]
-pub(crate) struct TransferredUnit {
-    pub(crate) m0: usize,
-    pub(crate) base: usize,
-    pub(crate) sets: usize,
-    pub(crate) rows: usize,
-    pub(crate) variants: usize,
-    /// Table strides of a set, a variant, a row and a channel.
-    pub(crate) strides: [usize; 4],
-    /// One row pass's closed-form charge (`charge_dcnn`/`charge_scnn`).
-    pub(crate) charge: Counters,
-    /// Whether computed rows stay in an ERRR ring until every window
-    /// that reads them has run; false only for DCNN without ERRR, which
-    /// recomputes every window's rows.
-    pub(crate) ring: bool,
-    /// One read per emitted plane, in plane order.
-    pub(crate) reads: Vec<Read>,
-}
-
-/// One emitted plane's window: the streams of rows `first .. first + K`
-/// of set `set`'s variant `variant`, combined in `ky` order, or in
-/// reverse row order when `reversed` (ERRR's vertical flip).
+/// One emitted plane's window: the parts of rows `first .. first + K`
+/// at offset call `variant`, combined in `ky` order, or in reverse row
+/// order when `reversed` (ERRR's vertical flip).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Read {
-    pub(crate) set: usize,
     pub(crate) first: usize,
     pub(crate) reversed: bool,
     pub(crate) variant: usize,
 }
 
 impl Read {
-    /// The set row window part `ky` reads.
+    /// The weight row window part `ky` reads.
     pub(crate) fn row(self, k: usize, ky: usize) -> usize {
         self.first + if self.reversed { k - 1 - ky } else { ky }
     }
 }
 
 impl UnitIr {
-    /// The contiguous ofmap plane range this unit emits, clamped to the
-    /// stage's filter count. Units are compiled in ascending plane
-    /// order and their ranges tile `0..M` exactly — the invariant the
-    /// intra-run partitioner (`engine/exec.rs`) relies on to hand
-    /// disjoint, contiguous output slices to worker threads.
-    pub(crate) fn plane_range(&self, m_count: usize) -> std::ops::Range<usize> {
+    /// The contiguous ofmap plane range this unit emits. Units are
+    /// compiled in ascending plane order and their ranges tile `0..M`
+    /// exactly — the invariant the intra-run partitioner
+    /// (`engine/exec.rs`) relies on to hand disjoint, contiguous output
+    /// slices to worker threads.
+    pub(crate) fn plane_range(&self) -> std::ops::Range<usize> {
         match self {
             UnitIr::Dense { m, .. } | UnitIr::Sparse { m, .. } => *m..*m + 1,
             UnitIr::Filters { m0, live, .. } => *m0..*m0 + live,
             UnitIr::Lanes(group) => group.m0..group.m0 + group.planes,
-            UnitIr::Transferred(unit) => {
-                // A group past the last filter (only in a layer storing
-                // more than it uses) reads nothing and sits at the end.
-                let m0 = unit.m0.min(m_count);
-                m0..m0 + unit.reads.len()
-            }
         }
     }
 }
@@ -296,9 +287,9 @@ fn sparsity(zeros: usize, shape: &LayerShape) -> f64 {
 /// image, but slower on batches of eight 30×30 images; 8 filters, whose
 /// blocks put 8 MACs in each `pmaddwd` against a long row's 32, ran up
 /// to 2.2× slower on 30-position rows. A transferred stage needs as many
-/// lanes for the lane form ([`LaneGroup`]): from 16 lanes it won every
-/// cell of DESIGN §5.10's lane grid, while at 4–12 lanes it lost up to
-/// 2.8× on batches of long rows.
+/// lanes for [`Layout::Lanes`]: from 16 lanes it won every cell of
+/// DESIGN §5.10's lane grid, while at 4–12 lanes it lost up to 2.8× on
+/// batches of long rows.
 const MIN_VECTOR_FILTERS: usize = 16;
 
 /// The table index of tap `j` of row `row = c·K + ky` of dense filter
@@ -470,19 +461,25 @@ pub(crate) fn source_of(oi: usize, reuse: ReuseConfig) -> (usize, usize, bool) {
 
 /// An SCNN orbit group's read schedule under `reuse`: the sorted
 /// source orientations its first `emitted` members read ([`source_of`]),
-/// one weight set each, and each member's read of its source's set.
-fn scnn_schedule(emitted: usize, reuse: ReuseConfig) -> (Vec<usize>, Vec<Read>) {
+/// one weight set each, and each member's window key and lane: its
+/// rows in order or flipped, from its source set's block `set ·
+/// variants + variant`.
+fn scnn_schedule(emitted: usize, reuse: ReuseConfig) -> (Vec<usize>, Vec<(Read, usize)>) {
+    let variants = 1 + usize::from(reuse.ppsr);
     let sources: Vec<_> = (0..emitted).map(|oi| source_of(oi, reuse)).collect();
     let mut sets: Vec<usize> = sources.iter().map(|&(source, ..)| source).collect();
     sets.sort_unstable();
     sets.dedup();
     let reads = sources
         .iter()
-        .map(|&(source, variant, reversed)| Read {
-            set: sets.binary_search(&source).expect("every source has a set"),
-            first: 0,
-            reversed,
-            variant,
+        .map(|&(source, variant, reversed)| {
+            let set = sets.binary_search(&source).expect("every source has a set");
+            let key = Read {
+                first: 0,
+                reversed,
+                variant: 0,
+            };
+            (key, set * variants + variant)
         })
         .collect();
     (sets, reads)
@@ -517,11 +514,11 @@ fn write_orientation(
     stats.weight_values += (n * k * k) as u64;
 }
 
-/// Where each transferred unit's blocks sit in the table, as block (or
-/// lane) indices of the one [`tap`] index: unit `u`'s `blocks[u]` blocks
-/// are `first[u]..`. A group of one puts them back to back; `G` lanes
-/// pack whole units into groups, a unit that would straddle two starting
-/// the next group. Returns the firsts and the slots the table holds.
+/// Where each orbit or meta group's blocks sit in the table, as lane
+/// indices of the one [`tap`] index: group `u`'s `blocks[u]` lanes are
+/// `first[u]..`. A group of one puts them back to back; `G` lanes pack
+/// whole orbit or meta groups, one that would straddle two lane groups
+/// starting the next. Returns the firsts and the slots the table holds.
 fn place_blocks(blocks: &[usize], group: usize) -> (Vec<usize>, usize) {
     let mut next = 0;
     let firsts = blocks
@@ -537,57 +534,89 @@ fn place_blocks(blocks: &[usize], group: usize) -> (Vec<usize>, usize) {
     (firsts, next.next_multiple_of(group))
 }
 
-/// Folds a lane-form stage's transferred units into [`LaneGroup`]s of
-/// `G` lanes, unit `u`'s lanes starting at `firsts[u]` (from
-/// [`place_blocks`]). `lane_of` maps a unit's read to its window key and
-/// the lane it reads within the unit; `(rows, cols, offsets)` is each
-/// lane's block shape and the kernel calls per row. Each group sums its
-/// members' closed-form charges, as `transferred_unit` charges them.
-fn fold_lanes(
-    units: &[TransferredUnit],
+/// One orbit or meta group's share of its stage's read schedule: its
+/// first plane, its lanes, the row passes one input row costs it (`sets
+/// × rows`), and each emitted plane's window key and lane within the
+/// group, in plane order.
+struct Member {
+    m0: usize,
+    lanes: usize,
+    passes: usize,
+    reads: Vec<(Read, usize)>,
+}
+
+/// What every lane of a transferred stage shares: the layout, each
+/// lane's block shape and offset calls, one row pass's closed-form
+/// charge (`charge_dcnn`/`charge_scnn`), and whether each output row is
+/// charged recomputing every `K`-row window of its weight rows (DCNN
+/// without ERRR) rather than each ring row once. Either way the run
+/// computes each ring row once: the values are the same.
+struct Blocks {
+    layout: Layout,
+    rows: usize,
+    cols: usize,
+    offsets: usize,
+    charge: Counters,
+    recompute: bool,
+}
+
+/// Folds a transferred stage's members into [`LaneGroup`]s, member `u`'s
+/// lanes starting at `firsts[u]` ([`place_blocks`] in the layout's
+/// group): a [`Layout::Lanes`] group holds the members placed in one
+/// `G`-lane group, a [`Layout::Rows`] group one member. A member without
+/// lanes (an orbit group past the last filter) runs nothing. Each group
+/// sums its members' closed-form charges; the transferred executor only
+/// adds them up, per ring row and per output row.
+fn fold_groups(
+    members: &[Member],
     firsts: &[usize],
     shape: &LayerShape,
-    (rows, cols, offsets): (usize, usize, usize),
-    lane_of: impl Fn(&TransferredUnit, Read) -> (Read, usize),
+    blocks: &Blocks,
 ) -> Vec<UnitIr> {
     let geo = Geo::of(shape);
+    let (k, width) = (geo.k, blocks.layout.width());
     let lane_width = (geo.pw - geo.kw + 1) as u64;
-    // SCNN's lanes are its stored blocks, one call each; a DCNN meta
-    // group is one lane whose variants are the offset calls.
-    let lanes_of = |unit: &TransferredUnit| unit.sets * unit.variants / offsets;
     let mut groups: Vec<LaneGroup> = Vec::new();
-    for (unit, &first) in units.iter().zip(firsts) {
-        if lanes_of(unit) == 0 {
-            // An orbit group past the last filter: nothing to run.
+    for (member, &first) in members.iter().zip(firsts) {
+        if member.lanes == 0 {
             continue;
         }
-        let (g, lane0) = (first / FILTER_GROUP, first % FILTER_GROUP);
+        let (g, lane0) = match blocks.layout {
+            Layout::Rows => (groups.len(), 0),
+            Layout::Lanes => (first / width, first % width),
+        };
         if groups.len() == g {
             groups.push(LaneGroup {
-                m0: unit.m0.min(geo.m),
+                layout: blocks.layout,
+                m0: member.m0.min(geo.m),
                 planes: 0,
-                base: tap(FILTER_GROUP, geo.n * rows, cols, first, 0, 0),
+                base: tap(width, geo.n * blocks.rows, blocks.cols, first, 0, 0),
                 live: 0,
-                rows,
-                cols,
-                offsets,
+                rows: blocks.rows,
+                cols: blocks.cols,
+                offsets: blocks.offsets,
                 row_charge: Counters::new(),
                 window_charge: Counters::new(),
                 windows: Vec::new(),
             });
         }
-        let group = groups.last_mut().expect("a unit's group was just pushed");
-        group.live = lane0 + lanes_of(unit);
-        for _ in 0..unit.sets * unit.rows {
-            group.row_charge += unit.charge;
+        let group = groups.last_mut().expect("a member's group was just pushed");
+        group.live = lane0 + member.lanes;
+        let passes = |count: usize| std::iter::repeat_n(blocks.charge, count).sum::<Counters>();
+        if blocks.recompute {
+            let windows = member.passes / blocks.rows * (blocks.rows + 1 - k);
+            group.window_charge += passes(windows * k);
+        } else {
+            group.row_charge += passes(member.passes);
+            let parts = member.lanes * blocks.rows * blocks.offsets;
+            group.row_charge.psum_mem_writes += parts as u64 * lane_width;
         }
-        group.row_charge.psum_mem_writes +=
-            (unit.sets * unit.rows * unit.variants) as u64 * lane_width;
-        for (i, &read) in unit.reads.iter().enumerate() {
-            group.window_charge.psum_mem_reads += geo.k as u64 * lane_width;
-            group.window_charge.adds += (geo.k.saturating_sub(1) * geo.f) as u64;
-            let (key, lane) = lane_of(unit, read);
-            let emit = (lane0 + lane, unit.m0 + i);
+        for (i, &(key, lane)) in member.reads.iter().enumerate() {
+            if !blocks.recompute {
+                group.window_charge.psum_mem_reads += k as u64 * lane_width;
+            }
+            group.window_charge.adds += (k.saturating_sub(1) * geo.f) as u64;
+            let emit = (lane0 + lane, member.m0 + i);
             match group.windows.iter_mut().find(|w| w.read == key) {
                 Some(window) => window.emits.push(emit),
                 None => group.windows.push(LaneWindow {
@@ -598,7 +627,29 @@ fn fold_lanes(
             group.planes += 1;
         }
     }
-    groups.into_iter().map(UnitIr::Lanes).collect()
+    groups
+        .into_iter()
+        .map(|group| UnitIr::Lanes(Box::new(group)))
+        .collect()
+}
+
+/// Rejects an operand `actual` that disagrees with the stage's
+/// `expected`: the one check behind every operand mismatch compile and
+/// the run phase report.
+pub(crate) fn check_operand(
+    what: &'static str,
+    expected: usize,
+    actual: usize,
+) -> Result<(), SimError> {
+    if expected == actual {
+        Ok(())
+    } else {
+        Err(SimError::OperandMismatch {
+            what,
+            expected,
+            actual,
+        })
+    }
 }
 
 /// Compiles one stage from borrowed parts (so single-layer callers like
@@ -629,13 +680,7 @@ pub(crate) fn compile_stage(
             groups: shape.groups(),
         });
     }
-    if shape.m() != weights.filters() {
-        return Err(SimError::OperandMismatch {
-            what: "layer filter count",
-            expected: shape.m(),
-            actual: weights.filters(),
-        });
-    }
+    check_operand("layer filter count", shape.m(), weights.filters())?;
     if let Some(p) = output.pool {
         // The row-wise pooler stages partial windows in O_Memory and
         // then discards them, leaving the write/read counters
@@ -689,121 +734,96 @@ pub(crate) fn compile_stage(
     match weights {
         TransferredLayer::Dense { weights } => {
             // Grouped filters store only their own channel band.
-            if weights.dims()[1] != cpg {
-                return Err(SimError::OperandMismatch {
-                    what: "dense weight channels",
-                    expected: cpg,
-                    actual: weights.dims()[1],
-                });
-            }
+            check_operand("dense weight channels", cpg, weights.dims()[1])?;
             zero_taps = compile_dense(&shape, weights, *policy, &mut rows, &mut units, stats);
         }
         TransferredLayer::Dcnn {
             k: layer_k, metas, ..
         } => {
-            if *layer_k != k {
-                return Err(SimError::OperandMismatch {
-                    what: "DCNN filter extent",
-                    expected: k,
-                    actual: *layer_k,
-                });
+            check_operand("DCNN filter extent", k, *layer_k)?;
+            // Every lane is one block shape: each meta group's `Z` must
+            // be the first's and its channels the stage's.
+            let z = metas.first().map_or(k, |meta| meta.z());
+            for meta in metas {
+                check_operand("DCNN meta size", z, meta.z())?;
+                check_operand("DCNN meta channels", n, meta.channels())?;
             }
-            let span = |z: usize| d * (z - 1) + 1;
-            // Row streams store the meta groups back to back.
-            let mut row_len = 0;
-            let bases: Vec<usize> = metas
-                .iter()
-                .map(|meta| {
-                    let base = row_len;
-                    row_len += n * meta.z() * span(meta.z());
-                    base
-                })
-                .collect();
-            // The lane form needs one block shape, and a ring: DCNN
-            // without ERRR recomputes its windows on the row streams.
-            let z0 = metas.first().map_or(0, |meta| meta.z());
-            let lanes = reuse.errr
-                && kw >= 2
-                && metas.len() >= MIN_VECTOR_FILTERS
-                && metas.iter().all(|meta| meta.z() == z0);
-            let len = if lanes {
-                metas.len().next_multiple_of(FILTER_GROUP) * n * z0 * span(z0)
-            } else {
-                row_len
+            let per_axis = match metas.first() {
+                Some(meta) => meta.offsets_per_axis(k)?,
+                None => 1,
             };
-            rows.resize(len, Fx16::ZERO);
-            let mut dcnn_units = Vec::with_capacity(metas.len());
+            let zw = d * (z - 1) + 1;
+            let layout = Layout::of(metas.len(), kw);
+            let width = layout.width();
+            rows.resize(metas.len().next_multiple_of(width) * n * z * zw, Fx16::ZERO);
             for (g, meta) in metas.iter().enumerate() {
-                let per_axis = meta.offsets_per_axis(k)?;
-                let z = meta.z();
-                let zw = span(z);
                 for c in 0..n {
                     for kr in 0..z {
                         stats.weight_rows += 1;
                         stats.weight_values += z as u64;
                         for x in 0..z {
-                            let at = if lanes {
-                                tap(FILTER_GROUP, n * z, zw, g, c * z + kr, x * d)
-                            } else {
-                                bases[g] + (c * z + kr) * zw + x * d
-                            };
+                            let at = tap(width, n * z, zw, g, c * z + kr, x * d);
                             rows[at] = Fx16::from_f32(meta.get(c, kr, x));
                         }
                     }
                 }
-                let mut charge = Counters::new();
-                let _ = charge_dcnn(z, k, d, pw, n, reuse.ppsr, &mut charge);
-                // Filter (dy, dx) of the group reads meta rows dy.. at
-                // offset lane dx; the grid stops at the last filter.
-                let m0 = g * per_axis * per_axis;
-                let reads = (0..per_axis * per_axis)
-                    .take(shape.m().saturating_sub(m0))
-                    .map(|t| Read {
-                        set: 0,
-                        first: t / per_axis,
-                        reversed: false,
-                        variant: t % per_axis,
-                    })
-                    .collect();
-                dcnn_units.push(TransferredUnit {
-                    m0,
-                    base: bases[g],
-                    sets: 1,
-                    rows: z,
-                    variants: per_axis,
-                    strides: [n * z * zw, d, zw, z * zw],
-                    charge,
-                    ring: reuse.errr,
-                    reads,
-                });
             }
-            units = if lanes {
-                // One lane per meta group; a read's variant is its
-                // offset call.
-                let firsts: Vec<usize> = (0..dcnn_units.len()).collect();
-                let block = (z0, span(z0), z0 + 1 - k);
-                fold_lanes(&dcnn_units, &firsts, &shape, block, |_, read| (read, 0))
-            } else {
-                dcnn_units.into_iter().map(UnitIr::Transferred).collect()
+            // One lane per meta group. Filter (dy, dx) of a group reads
+            // its meta rows dy.. at offset call dx; the grid stops at
+            // the last filter.
+            let members: Vec<Member> = (0..metas.len())
+                .map(|g| {
+                    let m0 = g * per_axis * per_axis;
+                    let reads = (0..per_axis * per_axis)
+                        .take(shape.m().saturating_sub(m0))
+                        .map(|t| {
+                            let key = Read {
+                                first: t / per_axis,
+                                reversed: false,
+                                variant: t % per_axis,
+                            };
+                            (key, 0)
+                        })
+                        .collect();
+                    Member {
+                        m0,
+                        lanes: 1,
+                        passes: z,
+                        reads,
+                    }
+                })
+                .collect();
+            let mut charge = Counters::new();
+            let _ = charge_dcnn(z, k, d, pw, n, reuse.ppsr, &mut charge);
+            let blocks = Blocks {
+                layout,
+                rows: z,
+                cols: zw,
+                offsets: per_axis,
+                charge,
+                recompute: !reuse.errr,
             };
+            let firsts: Vec<usize> = (0..metas.len()).collect();
+            units = fold_groups(&members, &firsts, &shape, &blocks);
         }
         TransferredLayer::Scnn { m: m_count, groups } => {
+            for group in groups {
+                check_operand("SCNN group channels", n, group.channels())?;
+                check_operand("SCNN group extent", k, group.k())?;
+            }
             let variants = 1 + usize::from(reuse.ppsr);
-            let block = n * k * kw;
-            let mut charge = Counters::new();
-            let _ = charge_scnn(k, kw, pw, n, reuse.ppsr, &mut charge);
             let schedules: Vec<_> = (0..groups.len())
                 .map(|g| scnn_schedule(m_count.saturating_sub(g * ORBIT).min(ORBIT), reuse))
                 .collect();
-            let blocks: Vec<usize> = schedules
+            let lanes: Vec<usize> = schedules
                 .iter()
                 .map(|(sets, _)| sets.len() * variants)
                 .collect();
-            let lanes = kw >= 2 && blocks.iter().sum::<usize>() >= MIN_VECTOR_FILTERS;
-            let lane_group = if lanes { FILTER_GROUP } else { 1 };
-            let (firsts, slots) = place_blocks(&blocks, lane_group);
-            rows.resize(slots * block, Fx16::ZERO);
-            let mut scnn_units = Vec::with_capacity(groups.len());
+            let layout = Layout::of(lanes.iter().sum(), kw);
+            let width = layout.width();
+            let (firsts, slots) = place_blocks(&lanes, width);
+            rows.resize(slots * n * k * kw, Fx16::ZERO);
+            let mut members = Vec::with_capacity(groups.len());
             for ((g, group), ((sets, reads), &first)) in groups
                 .iter()
                 .enumerate()
@@ -813,36 +833,28 @@ pub(crate) fn compile_stage(
                     for v in 0..variants {
                         let lane = first + set * variants + v;
                         write_orientation(group, source ^ v, (n, k), stats, |row, kx, w| {
-                            rows[tap(lane_group, n * k, kw, lane, row, kx * d)] = w;
+                            rows[tap(width, n * k, kw, lane, row, kx * d)] = w;
                         });
                     }
                 }
-                scnn_units.push(TransferredUnit {
+                members.push(Member {
                     m0: g * ORBIT,
-                    base: first * block,
-                    sets: sets.len(),
-                    rows: k,
-                    variants,
-                    strides: [variants * block, block, kw, k * kw],
-                    charge,
-                    ring: true,
+                    lanes: sets.len() * variants,
+                    passes: sets.len() * k,
                     reads,
                 });
             }
-            units = if lanes {
-                // One lane per stored (set, variant) block; every read
-                // combines base rows in order or flipped.
-                fold_lanes(&scnn_units, &firsts, &shape, (k, kw, 1), |unit, read| {
-                    let key = Read {
-                        set: 0,
-                        variant: 0,
-                        ..read
-                    };
-                    (key, read.set * unit.variants + read.variant)
-                })
-            } else {
-                scnn_units.into_iter().map(UnitIr::Transferred).collect()
+            let mut charge = Counters::new();
+            let _ = charge_scnn(k, kw, pw, n, reuse.ppsr, &mut charge);
+            let blocks = Blocks {
+                layout,
+                rows: k,
+                cols: kw,
+                offsets: 1,
+                charge,
+                recompute: false,
             };
+            units = fold_groups(&members, &firsts, &shape, &blocks);
         }
     }
     let bias = (0..shape.m())
@@ -1002,14 +1014,14 @@ mod tests {
                             UnitIr::Filters { .. } => "filters",
                             _ => "transferred",
                         };
-                        let planes = u.plane_range(m);
+                        let planes = u.plane_range();
                         (kind, planes.start, planes.len())
                     })
                     .collect();
                 assert_eq!(got, units, "{label} under {policy:?}");
             }
         }
-        // Transferred stages take their form from their lanes whatever
+        // Transferred stages take their layout from their lanes whatever
         // the policy: 32 SCNN filters are 16 lanes, 8 filters 4
         // (`transferred_stages_compile_to_lane_groups` pins the rule).
         for (m, lanes) in [(32, true), (8, false)] {
@@ -1031,12 +1043,9 @@ mod tests {
                     &policy,
                 )
                 .unwrap();
+                let layout = if lanes { Layout::Lanes } else { Layout::Rows };
                 assert!(
-                    stage.units.iter().all(|u| if lanes {
-                        matches!(u, UnitIr::Lanes(_))
-                    } else {
-                        matches!(u, UnitIr::Transferred(_))
-                    }),
+                    lane_groups(&stage).iter().all(|g| g.layout == layout),
                     "{m} filters under {policy:?}"
                 );
             }
@@ -1117,31 +1126,32 @@ mod tests {
         (weights, stage.unwrap(), stats)
     }
 
-    /// A stage's lane groups.
+    /// A transferred stage's groups.
     fn lane_groups(stage: &StageIr) -> Vec<&LaneGroup> {
         let units = stage.units.iter().map(|u| match u {
-            UnitIr::Lanes(group) => group,
-            _ => panic!("a lane-form stage compiles to lane groups"),
+            UnitIr::Lanes(group) => &**group,
+            _ => panic!("a transferred stage compiles to lane groups"),
         });
         units.collect()
     }
 
-    /// Which transferred stages compile to lane groups, and what those
-    /// hold. A stage that fell back to row streams would pass every
-    /// parity suite, so the rule is pinned here: at least 16 lanes (a
-    /// stored SCNN block, or a DCNN meta group with ERRR) and a stored
-    /// span of two taps; below the bound, and DCNN without ERRR, keep
-    /// one transferred unit per orbit or meta group. Every stage of the
-    /// VGG-16 trunk takes lanes under SCNN and DCNN4; the fleet's
-    /// 8-filter SCNN stages (4 lanes) keep row streams.
+    /// Which layout each transferred stage compiles to, and what its
+    /// groups hold. A stage on the other layout would pass every parity
+    /// suite, so the rule is pinned here: at least 16 lanes (a stored
+    /// SCNN block, or a DCNN meta group with or without ERRR) and a
+    /// stored span of two taps take [`Layout::Lanes`]; every other stage
+    /// takes [`Layout::Rows`], one group per orbit or meta group. Every
+    /// stage of the VGG-16 trunk takes lanes under SCNN and DCNN4; the
+    /// fleet's 8-filter SCNN stages (4 lanes) take rows.
     ///
-    /// On the lane stages: units pack into groups of 32 lanes without
-    /// straddling, the plane ranges tile `0..M`, every lane's block sits
-    /// where [`tap`] says, and each window's `(lane, plane)` pairs are
-    /// the reads the row-stream units make: an SCNN member's lane is its
-    /// source's stored `(set, variant)` block, its window the rows in
-    /// order or flipped; a DCNN filter `(dy, dx)` reads its meta group's
-    /// lane at rows `dy..` and offset call `dx`.
+    /// In both layouts: orbit and meta groups pack into lane groups of
+    /// the layout's width without straddling, the plane ranges tile
+    /// `0..M`, every lane's block sits where [`tap`] says, and each
+    /// window's `(lane, plane)` pairs are the reads the schedule makes:
+    /// an SCNN member's lane is its source's stored `(set, variant)`
+    /// block, its window the rows in order or flipped; a DCNN filter
+    /// `(dy, dx)` reads its meta group's lane at rows `dy..` and offset
+    /// call `dx`.
     #[test]
     fn transferred_stages_compile_to_lane_groups() {
         let (scnn, dcnn4, dcnn6) = (
@@ -1155,8 +1165,9 @@ mod tests {
             ReuseConfig::PPSR_ONLY,
             ReuseConfig::NONE,
         );
-        // (scheme, filters, reuse, each group's (first plane, planes, lanes));
-        // no groups: row streams.
+        // (scheme, filters, reuse, each lane group's (first plane,
+        // planes, lanes)); no groups: the row layout, one group per
+        // stored orbit or meta group.
         type Groups = &'static [(usize, usize, usize)];
         let cells: [(TransferScheme, usize, ReuseConfig, Groups); 13] = [
             (scnn, 24, full, &[]),
@@ -1169,62 +1180,83 @@ mod tests {
             (scnn, 16, none, &[(0, 16, 16)]),
             (dcnn4, 60, full, &[]),
             (dcnn4, 144, full, &[(0, 128, 32), (128, 16, 4)]),
-            (dcnn4, 144, none, &[]),
-            (dcnn4, 144, ppsr, &[]),
+            (dcnn4, 144, none, &[(0, 128, 32), (128, 16, 4)]),
+            (dcnn4, 144, ppsr, &[(0, 128, 32), (128, 16, 4)]),
             (dcnn6, 256, errr, &[(0, 256, 16)]),
         ];
         let (n, k) = (3, 3);
         for (scheme, m, reuse, expected) in cells {
+            let variants = 1 + usize::from(reuse.ppsr);
             for d in [1, 2] {
                 let at = format!("{scheme:?} M {m} {reuse:?} d={d}");
                 let (weights, stage, _) = transferred_stage(m, scheme, d, reuse);
-                if expected.is_empty() {
-                    let stored = match &weights {
-                        TransferredLayer::Scnn { groups, .. } => groups.len(),
-                        TransferredLayer::Dcnn { metas, .. } => metas.len(),
-                        TransferredLayer::Dense { .. } => unreachable!("a transferred layer"),
-                    };
-                    assert_eq!(transferred(&stage).len(), stored, "{at}");
-                    continue;
-                }
+                // Each stored orbit or meta group's (first plane, planes,
+                // lanes).
+                let members: Vec<(usize, usize, usize)> = match &weights {
+                    TransferredLayer::Scnn { groups, .. } => (0..groups.len())
+                        .map(|g| {
+                            let emitted = m.saturating_sub(g * ORBIT).min(ORBIT);
+                            let (sets, _) = scnn_schedule(emitted, reuse);
+                            (g * ORBIT, emitted, sets.len() * variants)
+                        })
+                        .collect(),
+                    TransferredLayer::Dcnn { metas, .. } => {
+                        let grid = (metas[0].z() + 1 - k).pow(2);
+                        let planes = |g: usize| grid.min(m - g * grid);
+                        (0..metas.len()).map(|g| (g * grid, planes(g), 1)).collect()
+                    }
+                    TransferredLayer::Dense { .. } => unreachable!("a transferred layer"),
+                };
+                let (layout, expected) = if expected.is_empty() {
+                    (Layout::Rows, members.clone())
+                } else {
+                    (Layout::Lanes, expected.to_vec())
+                };
                 let groups = lane_groups(&stage);
                 let got: Vec<_> = groups.iter().map(|g| (g.m0, g.planes, g.live)).collect();
                 assert_eq!(got, expected, "{at}");
-                // The table: every lane's block where `tap` puts it, the
-                // last group's missing lanes zero.
+                assert!(groups.iter().all(|g| g.layout == layout), "{at}");
+                // The table: every lane's block where `tap` puts it, whole
+                // orbit and meta groups per lane group, the last lane
+                // group's missing lanes zero.
+                let width = layout.width();
                 let (rows, cols) = (groups[0].rows, groups[0].cols);
+                let block = n * rows * cols;
+                let mut next = 0;
+                let firsts: Vec<usize> = members
+                    .iter()
+                    .map(|&(.., lanes)| {
+                        if next % width + lanes > width {
+                            next = next.next_multiple_of(width);
+                        }
+                        next += lanes;
+                        next - lanes
+                    })
+                    .collect();
                 assert_eq!(
                     stage.rows.len(),
-                    groups.len() * FILTER_GROUP * n * rows * cols,
+                    next.next_multiple_of(width) * block,
                     "{at}"
                 );
                 let mut expected_rows = vec![Fx16::ZERO; stage.rows.len()];
                 let mut lane_of = std::collections::HashMap::new();
                 match &weights {
                     TransferredLayer::Scnn { groups: orbits, .. } => {
-                        let variants = 1 + usize::from(reuse.ppsr);
-                        let mut next = 0;
                         for (g, orbit) in orbits.iter().enumerate() {
                             let emitted = m.saturating_sub(g * ORBIT).min(ORBIT);
                             let (sets, _) = scnn_schedule(emitted, reuse);
-                            let lanes = sets.len() * variants;
-                            if next % FILTER_GROUP + lanes > FILTER_GROUP {
-                                next = next.next_multiple_of(FILTER_GROUP);
-                            }
                             for (set, &source) in sets.iter().enumerate() {
                                 for v in 0..variants {
-                                    let lane = next + set * variants + v;
+                                    let lane = firsts[g] + set * variants + v;
                                     lane_of.insert((g, source, v), lane);
                                     let oriented = orbit.orient(source ^ v);
                                     for (i, &w) in oriented.iter().enumerate() {
                                         let (row, kx) = (i / k, i % k);
-                                        let slot =
-                                            tap(FILTER_GROUP, n * k, cols, lane, row, kx * d);
+                                        let slot = tap(width, n * k, cols, lane, row, kx * d);
                                         expected_rows[slot] = Fx16::from_f32(w);
                                     }
                                 }
                             }
-                            next += lanes;
                         }
                     }
                     TransferredLayer::Dcnn { metas, .. } => {
@@ -1232,14 +1264,9 @@ mod tests {
                             for c in 0..n {
                                 for kr in 0..rows {
                                     for x in 0..rows {
-                                        let slot = tap(
-                                            FILTER_GROUP,
-                                            n * rows,
-                                            cols,
-                                            g,
-                                            c * rows + kr,
-                                            x * d,
-                                        );
+                                        let row = c * rows + kr;
+                                        let slot =
+                                            tap(width, n * rows, cols, firsts[g], row, x * d);
                                         expected_rows[slot] = Fx16::from_f32(meta.get(c, kr, x));
                                     }
                                 }
@@ -1250,14 +1277,14 @@ mod tests {
                 }
                 assert_eq!(stage.rows, expected_rows, "{at}");
                 // The windows: every plane emitted once, from the lane
-                // and rows its row-stream read would use.
+                // and rows the schedule's read uses.
                 let mut planes = vec![0; m];
-                for (gi, group) in groups.iter().enumerate() {
-                    assert_eq!(group.base, gi * FILTER_GROUP * n * rows * cols, "{at}");
+                for group in &groups {
+                    assert_eq!(group.base % (width * block), 0, "{at}");
                     for window in &group.windows {
                         for &(lane, plane) in &window.emits {
                             planes[plane] += 1;
-                            let lane = gi * FILTER_GROUP + lane;
+                            let lane = group.base / block + lane;
                             let read = window.read;
                             if scheme == scnn {
                                 let (source, variant, reversed) = source_of(plane % ORBIT, reuse);
@@ -1273,7 +1300,7 @@ mod tests {
                                 let t = plane % (per_axis * per_axis);
                                 assert_eq!(
                                     lane,
-                                    plane / (per_axis * per_axis),
+                                    firsts[plane / (per_axis * per_axis)],
                                     "{at} plane {plane}"
                                 );
                                 assert_eq!(
@@ -1315,8 +1342,9 @@ mod tests {
             let shape = LayerShape::conv(s.name(), s.n(), s.m(), 2, 2, s.k(), 1, 1).unwrap();
             for scheme in [scnn, dcnn4] {
                 let stage = compile(&shape, scheme);
+                let groups = lane_groups(&stage);
                 assert!(
-                    !lane_groups(&stage).is_empty(),
+                    groups.iter().all(|g| g.layout == Layout::Lanes),
                     "{} under {scheme:?}",
                     s.name()
                 );
@@ -1325,30 +1353,21 @@ mod tests {
         for (n, k) in [(3, 3), (3, 5), (8, 3)] {
             let shape = LayerShape::conv("mini", n, 8, 12, 12, k, 1, k / 2).unwrap();
             let stage = compile(&shape, scnn);
-            assert_eq!(transferred(&stage).len(), 1, "{n} -> 8 at K = {k}");
+            let layouts: Vec<_> = lane_groups(&stage).iter().map(|g| g.layout).collect();
+            assert_eq!(layouts, [Layout::Rows], "{n} -> 8 at K = {k}");
         }
     }
 
-    /// A stage's transferred units.
-    fn transferred(stage: &StageIr) -> Vec<&TransferredUnit> {
-        let units = stage.units.iter().map(|u| match u {
-            UnitIr::Transferred(unit) => unit,
-            _ => panic!("a transferred stage compiles to transferred units"),
-        });
-        units.collect()
+    /// Row-layout lane `lane` of `group`: its `[c][r]` rows of `cols`.
+    fn lane_block<'a>(stage: &'a StageIr, group: &LaneGroup, lane: usize) -> &'a [Fx16] {
+        let block = stage.shape.n() * group.rows * group.cols;
+        &stage.rows[group.base + lane * block..][..block]
     }
 
-    /// An SCNN unit's stored block `(set, variant)`: `[c][kr]` rows of
-    /// `KW`.
-    fn block<'a>(stage: &'a StageIr, unit: &TransferredUnit, set: usize, v: usize) -> &'a [Fx16] {
-        let [set_stride, block, ..] = unit.strides;
-        &stage.rows[unit.base + set * set_stride + v * block..][..block]
-    }
-
-    /// The SCNN executor's mirrored stream is the forward pass over a
-    /// set's variant 1 (`exec::RowPass`), so compile must store every
-    /// variant-1 block as its set's rows reversed — zero-stuffing
-    /// included — in every group, the partial last one too.
+    /// The mirrored stream is the forward pass over a set's variant-1
+    /// block, so compile must store every variant-1 block as its set's
+    /// rows reversed — zero-stuffing included — in every group, the
+    /// partial last one too.
     #[test]
     fn flip_h_partner_rows_are_the_rows_reversed() {
         for dilation in [1, 2] {
@@ -1356,13 +1375,13 @@ mod tests {
             let (_, stage, _) =
                 transferred_stage(12, TransferScheme::Scnn, dilation, ReuseConfig::FULL);
             let kw = dilation * 2 + 1;
-            let units = transferred(&stage);
-            assert_eq!(units.len(), 2, "d={dilation}");
-            for unit in units {
-                assert_eq!(unit.variants, 2, "d={dilation}");
-                for set in 0..unit.sets {
-                    let rows = block(&stage, unit, set, 0).chunks_exact(kw);
-                    let partner = block(&stage, unit, set, 1).chunks_exact(kw);
+            let groups = lane_groups(&stage);
+            assert_eq!(groups.len(), 2, "d={dilation}");
+            for group in groups {
+                assert_eq!(group.layout, Layout::Rows, "d={dilation}");
+                for set in 0..group.live / 2 {
+                    let rows = lane_block(&stage, group, 2 * set).chunks_exact(kw);
+                    let partner = lane_block(&stage, group, 2 * set + 1).chunks_exact(kw);
                     for (i, (row, mirrored)) in rows.zip(partner).enumerate() {
                         let mut reversed = row.to_vec();
                         reversed.reverse();
@@ -1373,19 +1392,35 @@ mod tests {
         }
     }
 
-    /// Compile writes each transferred unit's read schedule and stores
-    /// only the sets it reads.
+    /// Each plane's `(lane, first, reversed, variant)` read, from the
+    /// window that emits it, in plane order from the group's `m0`.
+    fn plane_reads(group: &LaneGroup) -> Vec<(usize, usize, bool, usize)> {
+        let mut reads = vec![None; group.planes];
+        for w in &group.windows {
+            for &(lane, plane) in &w.emits {
+                let read = (lane, w.read.first, w.read.reversed, w.read.variant);
+                reads[plane - group.m0] = Some(read);
+            }
+        }
+        reads
+            .into_iter()
+            .map(|r| r.expect("every plane read"))
+            .collect()
+    }
+
+    /// Compile derives each orbit or meta group's read schedule and
+    /// stores only the blocks its reads use.
     ///
     /// SCNN, one full and one partial orbit group (10 filters: at most
-    /// 14 lanes, so row streams), under every reuse
-    /// configuration: the sets are the sorted sources [`source_of`]
-    /// resolves for the emitted members, each member reads its source's
-    /// set, variant and row flip, every stored block is that
-    /// orientation's rows (`oi ^ v` for variant `v`) quantized and
-    /// zero-stuffed, and the groups' tables are back to back, `sets ×
-    /// variants` blocks of `N × K × KW` each: a full group's 4, 6, 12 or
-    /// 8 blocks. DCNN: the reads are the `(dy, dx)` grid, clamped at `M`,
-    /// and only DCNN without ERRR runs without a ring.
+    /// 14 lanes, so rows), under every reuse configuration: the sets are
+    /// the sorted sources [`source_of`] resolves for the emitted
+    /// members, each member reads its source's `(set, variant)` block
+    /// with its row flip, every stored block is that orientation's rows
+    /// (`oi ^ v` for variant `v`) quantized and zero-stuffed, and the
+    /// groups' tables are back to back, `sets × variants` blocks of `N ×
+    /// K × KW` each: a full group's 4, 6, 12 or 8 blocks. DCNN: the reads
+    /// are the `(dy, dx)` grid, clamped at `M`, and only DCNN without
+    /// ERRR is charged no ring traffic.
     #[test]
     fn units_store_only_the_sets_their_reads_use() {
         let configs = [
@@ -1396,6 +1431,7 @@ mod tests {
         ];
         let (n, k) = (3, 3);
         for (reuse, full_blocks) in configs {
+            let variants = 1 + usize::from(reuse.ppsr);
             for d in [1, 2] {
                 let kw = d * (k - 1) + 1;
                 let (weights, stage, stats) = transferred_stage(10, TransferScheme::Scnn, d, reuse);
@@ -1403,41 +1439,50 @@ mod tests {
                     unreachable!("an SCNN layer")
                 };
                 let mut blocks = 0;
-                for ((unit, group), emitted) in
-                    transferred(&stage).into_iter().zip(groups).zip([8, 2])
+                for ((group, orbit), emitted) in
+                    lane_groups(&stage).into_iter().zip(groups).zip([8, 2])
                 {
                     let at = format!("{reuse:?} d={d} group of {emitted}");
                     let sources: Vec<_> = (0..emitted).map(|oi| source_of(oi, reuse)).collect();
                     let mut sets: Vec<usize> = sources.iter().map(|&(source, ..)| source).collect();
                     sets.sort_unstable();
                     sets.dedup();
-                    assert_eq!(unit.sets, sets.len(), "{at}");
-                    assert_eq!(unit.variants, 1 + usize::from(reuse.ppsr), "{at}");
-                    assert!(unit.ring, "{at}");
-                    let reads: Vec<_> = unit
-                        .reads
-                        .iter()
-                        .map(|r| (sets[r.set], r.variant, r.reversed, r.first))
+                    assert_eq!(group.live, sets.len() * variants, "{at}");
+                    assert_eq!(
+                        (group.layout, group.rows, group.cols, group.offsets),
+                        (Layout::Rows, k, kw, 1),
+                        "{at}"
+                    );
+                    let reads: Vec<_> = plane_reads(group)
+                        .into_iter()
+                        .map(|(lane, first, flip, dx)| {
+                            (sets[lane / variants], lane % variants, flip, first, dx)
+                        })
                         .collect();
                     let expected: Vec<_> = sources
                         .iter()
-                        .map(|&(s, v, flip)| (s, v, flip, 0))
+                        .map(|&(s, v, flip)| (s, v, flip, 0, 0))
                         .collect();
                     assert_eq!(reads, expected, "{at}");
-                    assert_eq!(unit.base, blocks * n * k * kw, "{at}");
+                    assert_eq!(group.base, blocks * n * k * kw, "{at}");
                     for (set, &source) in sets.iter().enumerate() {
-                        for v in 0..unit.variants {
+                        for v in 0..variants {
                             let mut rows = vec![Fx16::ZERO; n * k * kw];
-                            for (i, &w) in group.orient(source ^ v).iter().enumerate() {
+                            for (i, &w) in orbit.orient(source ^ v).iter().enumerate() {
                                 rows[i / k * kw + i % k * d] = Fx16::from_f32(w);
                             }
-                            assert_eq!(block(&stage, unit, set, v), rows, "{at} set={set} v={v}");
+                            let lane = set * variants + v;
+                            assert_eq!(
+                                lane_block(&stage, group, lane),
+                                rows,
+                                "{at} set={set} v={v}"
+                            );
                         }
                     }
                     if emitted == 8 {
-                        assert_eq!(unit.sets * unit.variants, full_blocks, "{at}");
+                        assert_eq!(group.live, full_blocks, "{at}");
                     }
-                    blocks += unit.sets * unit.variants;
+                    blocks += group.live;
                 }
                 assert_eq!(stage.rows.len(), blocks * n * k * kw, "{reuse:?} d={d}");
                 assert_eq!(stats.scnn_orientations, blocks as u64, "{reuse:?} d={d}");
@@ -1445,21 +1490,23 @@ mod tests {
             // DCNN6 at K = 3: groups of 16 filters, a 4 × 4 offset grid;
             // of 20 filters the second group emits only offset row 0.
             let (_, stage, _) = transferred_stage(20, TransferScheme::DCNN6, 1, reuse);
-            for (unit, emitted) in transferred(&stage).into_iter().zip([16, 4]) {
+            for (group, (m0, emitted)) in lane_groups(&stage).into_iter().zip([(0, 16), (16, 4)]) {
                 let grid = (0..4).flat_map(|dy| (0..4).map(move |dx| (0, dy, false, dx)));
                 let grid: Vec<_> = grid.take(emitted).collect();
-                let reads: Vec<_> = unit
-                    .reads
-                    .iter()
-                    .map(|r| (r.set, r.first, r.reversed, r.variant))
-                    .collect();
-                assert_eq!(reads, grid, "{reuse:?}");
+                assert_eq!(plane_reads(group), grid, "{reuse:?}");
                 assert_eq!(
-                    (unit.sets, unit.rows, unit.variants),
-                    (1, 6, 4),
+                    (
+                        group.layout,
+                        group.m0,
+                        group.live,
+                        group.rows,
+                        group.offsets
+                    ),
+                    (Layout::Rows, m0, 1, 6, 4),
                     "{reuse:?}"
                 );
-                assert_eq!(unit.ring, reuse.errr, "{reuse:?}");
+                let ring = group.row_charge.psum_mem_writes + group.window_charge.psum_mem_reads;
+                assert_eq!(ring > 0, reuse.errr, "{reuse:?}");
             }
         }
     }

@@ -27,11 +27,13 @@
 //!   [`Engine::layer_plans`], …).
 //! * `ir.rs` — the compiled stage tables: flat quantized weight tables
 //!   (filter rows, tap-major filter groups for the filter-vector sweep,
-//!   or each transferred unit's weight sets), per-unit offsets,
-//!   compressed-sparse taps or transferred read schedules,
-//!   [`PrepareStats`]; and the one choice of each dense stage's executor
-//!   ([`ExecMode`] under a [`ModePolicy`]), recorded in the kind of its
-//!   units.
+//!   or a transferred stage's lanes), per-unit offsets, compressed-sparse
+//!   taps, and each transferred stage's read schedule folded into lane
+//!   groups with their charges summed, [`PrepareStats`]; the one choice
+//!   of each dense stage's executor ([`ExecMode`] under a
+//!   [`ModePolicy`]), recorded in the kind of its units; and each
+//!   transferred group's layout (rows or lanes), the one record of that
+//!   executor's choice.
 //! * `kernels.rs` — the two inner kernels. The channel-stacked row
 //!   kernel: a `kernels::RowKernel` per stage, selected once at compile
 //!   time from the filter extent `K` (specialized K ∈ {1, 3, 5, 7} plus
@@ -43,18 +45,18 @@
 //! * `exec.rs` — the row-pass run phase ([`Engine::run`],
 //!   [`Engine::run_batched`], and [`Engine::run_packed`], the one
 //!   pack → run → split): one row-interleaved batch layout, PPSR row
-//!   passes through `crate::ppsr`'s one row sweep, the one ERRR ring
-//!   fill, the one window combine, each part's finishing of its planes
-//!   through the output memory system ([`crate::output`]), and the one
-//!   scoped-thread fan-out both the stage partitioner and the batch
-//!   runner use.
+//!   passes through `crate::ppsr`'s one row sweep, the one transferred
+//!   executor (one ERRR ring behind both layouts), the one window
+//!   combine, each part's finishing of its planes through the output
+//!   memory system ([`crate::output`]), and the one scoped-thread
+//!   fan-out both the stage partitioner and the batch runner use.
 //! * `sparse.rs` — the compressed-sparse row pass the dense sweep runs
 //!   on pruned dense stages, and the builder of its tap lists.
 //! * `scratch.rs` — the run-phase arenas ([`Scratch`]) and the bounded
 //!   [`ScratchPool`] long-lived services check warm arenas out of.
 //!
 //! **Compile** does all weight-side work exactly once: each transferred
-//! unit's read schedule is resolved against the [`ReuseConfig`], every
+//! stage's read schedule is resolved against the [`ReuseConfig`], every
 //! filter row the run reads — dense rows, DCNN meta rows, the SCNN
 //! orientations each orbit group's reads use — is quantized into one
 //! flat contiguous [`tfe_tensor::fixed::Fx16`] table per stage, and
@@ -62,7 +64,7 @@
 //!
 //! **Run** executes requests against a caller-owned [`Scratch`] arena:
 //! flat padded planes, flat accumulator planes, recycled ERRR ring
-//! stream buffers — after a warm-up request the steady state performs
+//! part buffers — after a warm-up request the steady state performs
 //! **no heap allocation** in the datapath and **no weight quantization**
 //! (asserted via [`Scratch::run_quantized_rows`]).
 //!
@@ -97,7 +99,7 @@ use tfe_transfer::mode::{ExecMode, ModePolicy};
 /// every request hoisted into one compile pass.
 ///
 /// The reuse configuration is fixed at compile time because the
-/// transferred units' read schedules, tables and charges depend on it.
+/// transferred stages' read schedules, tables and charges depend on it.
 #[derive(Debug, Clone)]
 pub struct Engine {
     pub(crate) stages: Vec<ir::StageIr>,
@@ -112,15 +114,16 @@ pub struct Engine {
 
 impl Engine {
     /// Compiles `net` for repeated execution under `reuse`: quantizes
-    /// every filter row the run reads, resolves each transferred unit's
+    /// every filter row the run reads, resolves each transferred stage's
     /// read schedule, and pre-folds biases.
     ///
     /// # Errors
     ///
     /// Rejects the same layers [`crate::functional::run_layer`] rejects
     /// (transferred weights on grouped/depth-wise shapes, filter-count
-    /// mismatches, inconsistent transferred representations) — at
-    /// compile time instead of on the first request.
+    /// mismatches, transferred blocks whose size, channels or extent
+    /// disagree with the stage) — at compile time instead of on the
+    /// first request.
     pub fn compile(net: &FunctionalNetwork, reuse: ReuseConfig) -> Result<Self, SimError> {
         Engine::compile_with_policy(net, reuse, &ModePolicy::default())
     }

@@ -2,7 +2,6 @@
 //! [`ScratchPool`] long-lived services check warm arenas out of.
 
 use crate::counters::Counters;
-use crate::errr::{RowRing, Streams};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use tfe_tensor::fixed::{Accum, Fx16};
@@ -32,13 +31,12 @@ pub(crate) struct ArenaPeak {
     pub(crate) rows_out: usize,
     /// Peak finished output-row block length (`KernelBufs::rows_fin`).
     pub(crate) rows_fin: usize,
-    /// Peak length of one stream or window buffer
-    /// ([`KernelBufs::longest_stream`]) — batch-wide on transferred
-    /// stages.
-    pub(crate) stream: usize,
-    /// Peak length of one lane-ring part buffer
-    /// ([`KernelBufs::lane_pool`]).
-    pub(crate) lanes: usize,
+    /// Peak window buffer length (`KernelBufs::window`) — batch-wide on
+    /// row-layout transferred stages.
+    pub(crate) window: usize,
+    /// Peak length of one ERRR ring row's part buffer
+    /// ([`KernelBufs::ring_pool`]).
+    pub(crate) ring: usize,
 }
 
 impl ArenaPeak {
@@ -52,8 +50,8 @@ impl ArenaPeak {
             positions: self.positions.max(other.positions),
             rows_out: self.rows_out.max(other.rows_out),
             rows_fin: self.rows_fin.max(other.rows_fin),
-            stream: self.stream.max(other.stream),
-            lanes: self.lanes.max(other.lanes),
+            window: self.window.max(other.window),
+            ring: self.ring.max(other.ring),
         }
     }
 }
@@ -124,14 +122,14 @@ impl Scratch {
             positions: self.bufs.positions.len(),
             rows_out: self.bufs.rows_out.len(),
             rows_fin: self.bufs.rows_fin.len(),
-            stream: std::iter::once(&self.bufs)
+            window: std::iter::once(&self.bufs)
                 .chain(&self.bufs_pool)
-                .map(KernelBufs::longest_stream)
+                .map(|bufs| bufs.window.len())
                 .max()
                 .unwrap_or(0),
-            lanes: std::iter::once(&self.bufs)
+            ring: std::iter::once(&self.bufs)
                 .chain(&self.bufs_pool)
-                .flat_map(|bufs| &bufs.lane_pool)
+                .flat_map(|bufs| &bufs.ring_pool)
                 .map(Vec::len)
                 .max()
                 .unwrap_or(0),
@@ -156,9 +154,9 @@ impl Scratch {
             retain(&mut bufs.positions, keep.positions);
             retain(&mut bufs.rows_out, keep.rows_out);
             retain(&mut bufs.rows_fin, keep.rows_fin);
-            bufs.shrink_streams(keep.stream);
-            for parts in &mut bufs.lane_pool {
-                retain(parts, keep.lanes);
+            retain(&mut bufs.window, keep.window);
+            for parts in &mut bufs.ring_pool {
+                retain(parts, keep.ring);
             }
         }
     }
@@ -166,14 +164,12 @@ impl Scratch {
     /// The retained capacities of the batch-scaled arenas — what the
     /// high-water shrink bounds, in order: padded planes, out
     /// accumulators, the two stage-activation buffers, dense row parts,
-    /// the window buffer, the words of every transferred stream buffer
-    /// (ERRR ring streams and the `per_row` streams), the
-    /// filter-vector position list, the two output-row blocks
-    /// (accumulators and finished activations, in elements) and the
-    /// words of every lane-ring part buffer, all of the caller-thread
-    /// buffer set.
+    /// the window buffer, the filter-vector position list, the two
+    /// output-row blocks (accumulators and finished activations, in
+    /// elements) and the words of every ERRR ring part buffer, all of
+    /// the caller-thread buffer set.
     #[must_use]
-    pub fn arena_capacities(&self) -> [usize; 10] {
+    pub fn arena_capacities(&self) -> [usize; 9] {
         [
             self.padded.capacity(),
             self.out.capacity(),
@@ -181,10 +177,9 @@ impl Scratch {
             self.stage_next.capacity(),
             self.bufs.parts.capacity(),
             self.bufs.window.capacity(),
-            self.bufs.streams().map(Vec::capacity).sum(),
             self.bufs.positions.capacity(),
             self.bufs.rows_out.capacity() + self.bufs.rows_fin.capacity(),
-            self.bufs.lane_pool.iter().map(Vec::capacity).sum(),
+            self.bufs.ring_pool.iter().map(Vec::capacity).sum(),
         ]
     }
 }
@@ -192,13 +187,15 @@ impl Scratch {
 /// Buffers used inside a single unit kernel.
 #[derive(Debug, Default)]
 pub(crate) struct KernelBufs {
-    /// Combined window sums for one output row, batch-wide.
+    /// Combined window sums for one output row: batch-wide on the
+    /// dense row sweep and row-layout transferred groups, `[positions ×
+    /// G]` on the filter-vector passes.
     pub(crate) window: Vec<Accum>,
     /// Dense and sparse path: `K` channel-summed batch-wide row parts,
     /// flat `[K × row_span]`; filter-vector path: `K` parts of
     /// `[positions × G]`.
     pub(crate) parts: Vec<Accum>,
-    /// Filter-vector path: the part's emitted positions, as offsets
+    /// Filter-vector passes: the part's emitted positions, as offsets
     /// into its interleaved rows (`images × F` of them).
     pub(crate) positions: Vec<usize>,
     /// Filter-vector path, output-row parts (`exec::partition`): the
@@ -207,76 +204,18 @@ pub(crate) struct KernelBufs {
     /// The same part's finished `[planes × rows/p × F/p]` activations,
     /// copied into the next stage's input after the fan-out.
     pub(crate) rows_fin: Vec<Fx16>,
-    /// Transferred path without a ring: `per_row[ky][v][x]` batch-wide
-    /// stream buffers of one window.
-    pub(crate) per_row: Streams,
-    /// Transferred path: one ERRR ring per weight set of the running
-    /// unit; between units they hold no streams.
-    pub(crate) rings: Vec<RowRing>,
-    /// Retired stream buffers awaiting the next row pass.
-    pub(crate) streams_pool: Vec<Streams>,
-    /// Lane form: the running lane group's ERRR ring, its resident
-    /// input rows oldest first, each with one buffer of
-    /// `[calls × positions × G]` parts; between units it holds none.
-    pub(crate) lane_ring: VecDeque<(usize, Vec<Accum>)>,
-    /// Retired lane-ring part buffers awaiting the next input row.
-    pub(crate) lane_pool: Vec<Vec<Accum>>,
-}
-
-impl KernelBufs {
-    /// Every stream buffer the set holds between units: the pooled ring
-    /// streams (a unit resets its rings, draining their slots into
-    /// `streams_pool`) and the `per_row` streams.
-    fn streams(&self) -> impl Iterator<Item = &Vec<Accum>> {
-        self.streams_pool
-            .iter()
-            .chain(std::iter::once(&self.per_row))
-            .flatten()
-            .flatten()
-    }
-
-    /// The longest stream or window buffer in the set. Retiring a run
-    /// empties them all, so within a run this is the run's own peak.
-    fn longest_stream(&self) -> usize {
-        self.streams()
-            .map(Vec::len)
-            .chain(std::iter::once(self.window.len()))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Empties every stream and the window buffer (each pass re-shapes
-    /// them before use) and caps each one's capacity at `keep` words.
-    fn shrink_streams(&mut self, keep: usize) {
-        let pooled = self.streams_pool.iter_mut();
-        for stream in pooled
-            .chain(std::iter::once(&mut self.per_row))
-            .flatten()
-            .flatten()
-        {
-            retain(stream, keep);
-        }
-        retain(&mut self.window, keep);
-    }
+    /// Transferred groups: the running group's ERRR ring, its resident
+    /// input rows oldest first, each with one buffer of the row's parts
+    /// (`exec::transferred_group`); between units it holds none.
+    pub(crate) ring: VecDeque<(usize, Vec<Accum>)>,
+    /// Retired ring part buffers awaiting the next input row.
+    pub(crate) ring_pool: Vec<Vec<Accum>>,
 }
 
 /// Empties `buf` and caps its retained capacity at `keep` elements.
 fn retain<T>(buf: &mut Vec<T>, keep: usize) {
     buf.clear();
     buf.shrink_to(keep);
-}
-
-/// Shapes a recycled stream buffer to `rows × variants × len`, zeroing
-/// every element (the `_acc` kernels accumulate into it).
-pub(crate) fn shape_streams(streams: &mut Streams, rows: usize, variants: usize, len: usize) {
-    streams.resize_with(rows, Vec::new);
-    for per_row in streams.iter_mut() {
-        per_row.resize_with(variants, Vec::new);
-        for stream in per_row.iter_mut() {
-            stream.clear();
-            stream.resize(len, Accum::ZERO);
-        }
-    }
 }
 
 /// A mutex-guarded, **bounded** pool of [`Scratch`] arenas, checked out

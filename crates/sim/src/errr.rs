@@ -12,12 +12,12 @@
 //! while it is still resident — the property that makes the cyclic
 //! schedule correct.
 //!
-//! Access counting models one image's PSum traffic. By default a stream
-//! access is charged its stored length; the compiled engine stores
-//! batch-wide streams (every image's lane back to back, DESIGN §5.13)
-//! and sets a per-ring lane width with [`RowRing::set_lane_width`], so
-//! each access is charged one image's lane however many images share
-//! the stream.
+//! Access counting models one image's PSum traffic: a stream access is
+//! charged its stored length. The compiled engine runs the same
+//! schedule on its own ring of per-input-row part buffers
+//! (`engine::exec`), holding every image's lane back to back (DESIGN
+//! §5.13); its charges are this model's, one image's lane per access,
+//! summed in closed form when the engine compiles.
 
 use crate::counters::Counters;
 use std::collections::{HashSet, VecDeque};
@@ -102,9 +102,6 @@ pub struct RowSlot {
 #[derive(Debug, Clone)]
 pub struct RowRing {
     capacity: usize,
-    /// PSum words one stream access is charged: `None` charges the
-    /// stored stream's length, `Some(w)` one `w`-word image lane.
-    lane_width: Option<usize>,
     slots: VecDeque<RowSlot>,
     /// Number of slot evictions (memory recycles) that occurred.
     recycles: u64,
@@ -125,7 +122,6 @@ impl RowRing {
         assert!(capacity > 0, "row ring needs at least one slot");
         RowRing {
             capacity,
-            lane_width: None,
             slots: VecDeque::with_capacity(capacity),
             recycles: 0,
             ever_inserted: HashSet::new(),
@@ -144,73 +140,32 @@ impl RowRing {
         self.recycles
     }
 
-    /// Charges every stream access — each stream of an insert, each
-    /// read — `words` PSum words instead of the stored stream's length,
-    /// until the next [`reset`](Self::reset).
-    ///
-    /// For streams that hold several images' `words`-wide lanes back to
-    /// back (the compiled engine's batch-wide streams): the modelled
-    /// access is one image's row memory, and the caller replicates the
-    /// charge per image.
-    pub fn set_lane_width(&mut self, words: usize) {
-        self.lane_width = Some(words);
-    }
-
-    /// The PSum words one access to `stream` is charged.
-    fn charged(&self, stream: &[Accum]) -> u64 {
-        self.lane_width.unwrap_or(stream.len()) as u64
-    }
-
     /// Inserts a freshly computed row, evicting the oldest if full, and
     /// counts the PSum-memory writes.
     pub fn insert(&mut self, row_index: usize, streams: Streams, counters: &mut Counters) {
-        let _ = self.insert_recycling(row_index, streams, counters);
-    }
-
-    /// [`RowRing::insert`] returning the evicted slot's stream buffers
-    /// (if an eviction happened) so the caller can reuse their
-    /// allocations for the next row pass — the software analogue of
-    /// Fig. 8's cyclic memory rewrites, and the mechanism the compiled
-    /// engine's [`crate::engine::Scratch`] uses to keep the steady
-    /// state allocation-free.
-    pub fn insert_recycling(
-        &mut self,
-        row_index: usize,
-        streams: Streams,
-        counters: &mut Counters,
-    ) -> Option<Streams> {
-        let words: u64 = streams
-            .iter()
-            .flat_map(|per_row| per_row.iter().map(|stream| self.charged(stream)))
-            .sum();
-        counters.psum_mem_writes += words;
-        let evicted = if self.slots.len() == self.capacity {
+        let words: usize = streams.iter().flatten().map(Vec::len).sum();
+        counters.psum_mem_writes += words as u64;
+        if self.slots.len() == self.capacity {
             self.recycles += 1;
-            self.slots.pop_front().map(|slot| slot.streams)
-        } else {
-            None
-        };
+            self.slots.pop_front();
+        }
         self.ever_inserted.insert(row_index);
         self.slots.push_back(RowSlot { row_index, streams });
-        evicted
     }
 
-    /// Clears the ring for a fresh layer pass, resizing it to
-    /// `capacity` and draining the stream buffers of any still-resident
-    /// slots into `recycle` for reuse. Access statistics
-    /// ([`recycles`](Self::recycles)) restart from zero, and accesses
-    /// are charged the stored stream length again.
+    /// Clears the ring for a fresh layer pass and resizes it to
+    /// `capacity`. Access statistics ([`recycles`](Self::recycles))
+    /// restart from zero.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn reset(&mut self, capacity: usize, recycle: &mut Vec<Streams>) {
+    pub fn reset(&mut self, capacity: usize) {
         assert!(capacity > 0, "row ring needs at least one slot");
         self.capacity = capacity;
-        self.lane_width = None;
         self.recycles = 0;
         self.ever_inserted.clear();
-        recycle.extend(self.slots.drain(..).map(|slot| slot.streams));
+        self.slots.clear();
     }
 
     /// Reads the result stream `(filter_row, variant)` of input row
@@ -243,7 +198,7 @@ impl RowRing {
                 filter_row,
                 variant,
             })?;
-        counters.psum_mem_reads += self.charged(stream);
+        counters.psum_mem_reads += stream.len() as u64;
         Ok(stream)
     }
 
@@ -348,26 +303,20 @@ mod tests {
     }
 
     #[test]
-    fn lane_width_charges_one_image_per_access() {
-        // Two streams, each holding three images' 4-wide lanes 5 apart
-        // (14 words): every access is charged one 4-word lane.
-        let mut ring = RowRing::new(2);
-        ring.set_lane_width(4);
+    fn reset_empties_the_ring_and_restarts_its_statistics() {
+        let mut ring = RowRing::new(1);
         let mut c = Counters::new();
-        let wide: Vec<Accum> = (0..14).map(|v| acc(v as f32)).collect();
-        ring.insert(3, vec![vec![wide.clone(), wide]], &mut c);
-        assert_eq!(c.psum_mem_writes, 2 * 4);
-        let data = ring.read(3, 0, 1, &mut c).unwrap();
-        assert_eq!(data.len(), 14, "reads return the whole stored stream");
-        assert_eq!(c.psum_mem_reads, 4);
-
-        // reset restores stored-length charging.
-        let mut recycle = Vec::new();
-        ring.reset(2, &mut recycle);
-        assert_eq!(recycle.len(), 1);
-        let mut c = Counters::new();
-        ring.insert(0, one_stream(&[1.0, 2.0, 3.0]), &mut c);
-        assert_eq!(c.psum_mem_writes, 3);
+        ring.insert(0, one_stream(&[1.0]), &mut c);
+        ring.insert(1, one_stream(&[2.0]), &mut c);
+        ring.reset(2);
+        assert_eq!((ring.resident(), ring.recycles()), (0, 0));
+        assert_eq!(
+            ring.try_read(1, 0, 0, &mut c),
+            Err(RingReadError::NeverInserted { row_index: 1 })
+        );
+        ring.insert(2, one_stream(&[3.0]), &mut c);
+        ring.insert(3, one_stream(&[4.0]), &mut c);
+        assert_eq!((ring.resident(), ring.recycles()), (2, 0));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! cargo run --release --example accelerator_survey
 //! ```
 
-use tfe::core::{Engine, TransferScheme};
+use tfe::core::{Evaluator, TransferScheme};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let engine = Engine::new();
+    let engine = Evaluator::new();
     let networks = [
         "AlexNet",
         "VGGNet",

@@ -5,7 +5,7 @@
 //! cargo run --release --example layer_profile -- GoogLeNet
 //! ```
 
-use tfe::core::{Engine, TransferScheme};
+use tfe::core::{Evaluator, TransferScheme};
 use tfe::nets::zoo;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| "AlexNet".to_owned());
     let network = zoo::by_name(&name).ok_or_else(|| format!("unknown network '{name}'"))?;
 
-    let engine = Engine::new();
+    let engine = Evaluator::new();
     let tfe = engine.tfe_perf(&network, TransferScheme::Scnn);
     let eyeriss = engine.eyeriss_perf(&network);
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart -- ResNet DCNN6x6
 //! ```
 
-use tfe::core::{Engine, TransferScheme};
+use tfe::core::{Evaluator, TransferScheme};
 
 fn parse_scheme(s: &str) -> TransferScheme {
     match s.to_ascii_lowercase().as_str() {
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let network = args.next().unwrap_or_else(|| "VGGNet".to_owned());
     let scheme = parse_scheme(&args.next().unwrap_or_else(|| "SCNN".to_owned()));
 
-    let engine = Engine::new();
+    let engine = Evaluator::new();
     let report = engine.run_network(&network, scheme)?;
 
     println!("network:                {}", report.network);

@@ -29,16 +29,16 @@
 //!   (UCNN, SnaPEA, Winograd, …).
 //! * [`train`] — a minimal CNN training substrate with transferred-filter
 //!   weight tying (Table II accuracy experiment).
-//! * [`core`] — the [`core::Engine`] facade joining everything.
+//! * [`core`] — the [`core::Evaluator`] joining the analytic models.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use tfe::core::{Engine, TransferScheme};
+//! use tfe::core::{Evaluator, TransferScheme};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let engine = Engine::new();
-//! let report = engine.run_network("VGGNet", TransferScheme::Scnn)?;
+//! let evaluator = Evaluator::new();
+//! let report = evaluator.run_network("VGGNet", TransferScheme::Scnn)?;
 //! assert!(report.conv_speedup_vs_eyeriss() > 1.0);
 //! # Ok(())
 //! # }

@@ -44,7 +44,7 @@ const ALL_SCHEMES: [TransferScheme; 3] = [
 /// The scheme grid's networks: every scheme at its smallest filter count
 /// (one DCNN meta group or SCNN orbit group per stage), plus SCNN at 32
 /// filters, 16 lanes under `FULL` and more under the other ablations:
-/// the transferred lane form.
+/// the transferred lane layout.
 const SCHEME_GRID: [(TransferScheme, usize); 4] = [
     (TransferScheme::DCNN4, 8),
     (TransferScheme::DCNN6, 16),
@@ -417,27 +417,26 @@ fn per_layer_telemetry_sums_match_sequential_engine() {
 }
 
 /// The bounded high-water shrink, for two dense engines (row sweep and
-/// filter-vector sweep), a DCNN4, and two SCNN engines (row streams and
-/// lane form): a one-off batch-8 run grows the batch-scaled arenas —
+/// filter-vector sweep), a DCNN4, and two SCNN engines (row and lane
+/// layouts): a one-off batch-8 run grows the batch-scaled arenas —
 /// padded planes, accumulators, and stage buffers, plus the dense row
-/// parts, the filter-vector parts, window and position list, the
-/// transferred stages' batch-wide window and ERRR ring streams, or the
-/// lane form's window, position list and lane-ring parts — and a lone
+/// parts, the filter-vector parts, window and position list, the row
+/// layout's batch-wide window and ERRR ring parts, or the lane
+/// layout's window, position list and ring parts — and a lone
 /// image at two workers the filter-vector sweep's output-row block; they
 /// stay warm while the peaks are inside the shrink window, and are
 /// released once `PEAK_WINDOW` (8) smaller runs age them out.
 #[test]
 fn scratch_arenas_shrink_after_peak_ages_out() {
     // Indices into `Scratch::arena_capacities`: padded, out, stage_in,
-    // stage_next, dense parts, window, transferred stream words,
-    // filter-vector positions, output-row blocks, lane-ring part words.
+    // stage_next, dense parts, window, filter-vector positions,
+    // output-row blocks, ERRR ring part words.
     const SHARED: [usize; 4] = [0, 1, 2, 3];
     const PARTS: usize = 4;
     const WINDOW: usize = 5;
-    const STREAMS: usize = 6;
-    const POSITIONS: usize = 7;
-    const ROWS_OUT: usize = 8;
-    const LANES: usize = 9;
+    const POSITIONS: usize = 6;
+    const ROWS_OUT: usize = 7;
+    const RING: usize = 8;
     // The two stage-activation buffers swap roles every run, so they
     // are compared as an unordered pair.
     let caps = |scratch: &Scratch| {
@@ -461,20 +460,20 @@ fn scratch_arenas_shrink_after_peak_ages_out() {
             "dcnn4",
             transferred_net(TransferScheme::DCNN4, 16, 1.0, 0x92),
             48,
-            vec![WINDOW, STREAMS],
+            vec![WINDOW, RING],
         ),
         (
             "scnn",
             transferred_net(TransferScheme::Scnn, 16, 1.0, 0x93),
             48,
-            vec![WINDOW, STREAMS],
+            vec![WINDOW, RING],
         ),
         // 64 filters are 32 lanes: one lane group.
         (
             "scnn lanes",
             transferred_net(TransferScheme::Scnn, 64, 1.0, 0x95),
             48,
-            vec![WINDOW, POSITIONS, LANES],
+            vec![WINDOW, POSITIONS, RING],
         ),
     ];
     for (label, net, channels, own) in cells {

@@ -186,17 +186,19 @@ fn combine_adds_are_charged_per_emitted_position_under_stride() {
     assert_eq!(out.counters.adds, expected);
 }
 
-/// Charges are per transferred unit and per plane, so the lane form
-/// (`M` filters as lanes of the filter-vector pass) must charge exactly
-/// `M / g` times what a one-unit stage of the same geometry charges on
-/// its row streams — `g` filters per unit: 8 for an SCNN orbit group,
-/// `per_axis²` for a DCNN meta group (4 for DCNN4, 16 for DCNN6 at
-/// `K = 3`). The one-unit stages hold 4–12 lanes, below the lane form's
-/// 16; the `M`-filter ones hold at least 16 under every ablation but
-/// DCNN without ERRR, which keeps its row streams. Pinned under every
-/// reuse ablation, stride 1–2, dilation 1–2 and batch 1 and 3, on full
-/// lane groups (SCNN 64, DCNN6 256) and partial last ones (SCNN 72:
-/// 32 + 4 lanes under `FULL`; DCNN4 144: 32 + 4).
+/// Charges are per orbit or meta group and per plane, so the lane
+/// layout (`M` filters as lanes of the filter-vector pass) must charge
+/// exactly `M / g` times what a one-group stage of the same geometry
+/// charges on the row layout — `g` filters per group: 8 for an SCNN
+/// orbit group, `per_axis²` for a DCNN meta group (4 for DCNN4, 16 for
+/// DCNN6 at `K = 3`). The one-group stages hold 4–12 lanes, below the
+/// lane layout's 16; the `M`-filter ones hold at least 16 under every
+/// ablation. Pinned under every reuse ablation, stride 1–2, dilation
+/// 1–2 and batch 1 and 3, on full lane groups (SCNN 64, DCNN6 256) and
+/// partial last ones (SCNN 72: 32 + 4 lanes under `FULL`; DCNN4 144:
+/// 32 + 4). Both layouts charge the closed forms compile sums, so this
+/// pins the layouts against each other;
+/// `transferred_stages_charge_the_recorded_counters` pins the sums.
 #[test]
 fn lane_stages_charge_the_row_streams_per_unit() {
     use tfe::sim::counters::Counters;
@@ -242,4 +244,172 @@ fn lane_stages_charge_the_row_streams_per_unit() {
             }
         }
     }
+}
+
+/// One image's counters on transferred stages of both layouts, pinned
+/// against values recorded before the two layouts shared one compiled
+/// schedule (when the row layout still charged its ERRR ring at run
+/// time), so compile's closed-form fold has a reference outside itself.
+/// A one-stage 3-channel 9×9 network at `K = 3`, pad 1, per scheme on a
+/// row-layout stage (SCNN 8 filters: 4–8 lanes; DCNN4 16: 4 meta
+/// groups; DCNN6 16: one) and a lane-layout one (SCNN 64, DCNN4 64,
+/// DCNN6 256: 16 or more lanes), under every reuse ablation, stride and
+/// dilation 1–2, and batch 1 and 3 (every image charged the same).
+/// Each row: dense MACs, multiplies, adds, SR reads and writes, PSum
+/// memory reads and writes; the other counters are zero.
+#[test]
+fn transferred_stages_charge_the_recorded_counters() {
+    use tfe::sim::counters::Counters;
+    use tfe::transfer::TransferScheme;
+    #[rustfmt::skip]
+    let pinned: [[u64; 7]; 96] = [
+        [17496, 26136, 15552, 0, 0, 1944, 2376], // SCNN 8 NONE s1 d1
+        [5400, 26136, 14656, 0, 0, 1080, 2376], // SCNN 8 NONE s2 d1
+        [10584, 26136, 11872, 0, 0, 1176, 1848], // SCNN 8 NONE s1 d2
+        [3456, 14256, 6304, 0, 0, 672, 1008], // SCNN 8 NONE s2 d2
+        [17496, 19602, 22680, 0, 13068, 1944, 3564], // SCNN 8 PPSR s1 d1
+        [5400, 19602, 21784, 0, 13068, 1080, 3564], // SCNN 8 PPSR s2 d1
+        [10584, 19602, 17416, 0, 13068, 1176, 2772], // SCNN 8 PPSR s1 d2
+        [3456, 10692, 9328, 0, 7128, 672, 1512], // SCNN 8 PPSR s2 d2
+        [17496, 19602, 11988, 0, 0, 1944, 1782], // SCNN 8 ERRR s1 d1
+        [5400, 19602, 11092, 0, 0, 1080, 1782], // SCNN 8 ERRR s2 d1
+        [10584, 19602, 9100, 0, 0, 1176, 1386], // SCNN 8 ERRR s1 d2
+        [3456, 10692, 4792, 0, 0, 672, 756], // SCNN 8 ERRR s2 d2
+        [17496, 6534, 8424, 0, 4356, 1944, 1188], // SCNN 8 FULL s1 d1
+        [5400, 6534, 7528, 0, 4356, 1080, 1188], // SCNN 8 FULL s2 d1
+        [10584, 6534, 6328, 0, 4356, 1176, 924], // SCNN 8 FULL s1 d2
+        [3456, 3564, 3280, 0, 2376, 672, 504], // SCNN 8 FULL s2 d2
+        [139968, 209088, 124416, 0, 0, 15552, 19008], // SCNN 64 NONE s1 d1
+        [43200, 209088, 117248, 0, 0, 8640, 19008], // SCNN 64 NONE s2 d1
+        [84672, 209088, 94976, 0, 0, 9408, 14784], // SCNN 64 NONE s1 d2
+        [27648, 114048, 50432, 0, 0, 5376, 8064], // SCNN 64 NONE s2 d2
+        [139968, 156816, 181440, 0, 104544, 15552, 28512], // SCNN 64 PPSR s1 d1
+        [43200, 156816, 174272, 0, 104544, 8640, 28512], // SCNN 64 PPSR s2 d1
+        [84672, 156816, 139328, 0, 104544, 9408, 22176], // SCNN 64 PPSR s1 d2
+        [27648, 85536, 74624, 0, 57024, 5376, 12096], // SCNN 64 PPSR s2 d2
+        [139968, 156816, 95904, 0, 0, 15552, 14256], // SCNN 64 ERRR s1 d1
+        [43200, 156816, 88736, 0, 0, 8640, 14256], // SCNN 64 ERRR s2 d1
+        [84672, 156816, 72800, 0, 0, 9408, 11088], // SCNN 64 ERRR s1 d2
+        [27648, 85536, 38336, 0, 0, 5376, 6048], // SCNN 64 ERRR s2 d2
+        [139968, 52272, 67392, 0, 34848, 15552, 9504], // SCNN 64 FULL s1 d1
+        [43200, 52272, 60224, 0, 34848, 8640, 9504], // SCNN 64 FULL s2 d1
+        [84672, 52272, 50624, 0, 34848, 9408, 7392], // SCNN 64 FULL s1 d2
+        [27648, 28512, 26240, 0, 19008, 5376, 4032], // SCNN 64 FULL s2 d2
+        [34992, 42768, 25920, 0, 0, 0, 0], // DCNN4 16 NONE s1 d1
+        [10800, 23760, 13760, 0, 0, 0, 0], // DCNN4 16 NONE s2 d1
+        [21168, 33264, 15680, 0, 0, 0, 0], // DCNN4 16 NONE s1 d2
+        [6912, 19008, 8576, 0, 0, 0, 0], // DCNN4 16 NONE s2 d2
+        [34992, 28512, 23976, 0, 14256, 0, 0], // DCNN4 16 PPSR s1 d1
+        [10800, 15840, 12680, 0, 7920, 0, 0], // DCNN4 16 PPSR s2 d1
+        [21168, 22176, 18200, 0, 11088, 0, 0], // DCNN4 16 PPSR s1 d2
+        [6912, 12672, 10016, 0, 6336, 0, 0], // DCNN4 16 PPSR s2 d2
+        [34992, 34848, 21600, 0, 0, 3888, 3168], // DCNN4 16 ERRR s1 d1
+        [10800, 34848, 19808, 0, 0, 2160, 3168], // DCNN4 16 ERRR s2 d1
+        [21168, 34848, 16352, 0, 0, 2352, 2464], // DCNN4 16 ERRR s1 d2
+        [6912, 19008, 8576, 0, 0, 1344, 1344], // DCNN4 16 ERRR s2 d2
+        [34992, 23232, 20016, 0, 11616, 3888, 3168], // DCNN4 16 FULL s1 d1
+        [10800, 23232, 18224, 0, 11616, 2160, 3168], // DCNN4 16 FULL s2 d1
+        [21168, 23232, 18992, 0, 11616, 2352, 2464], // DCNN4 16 FULL s1 d2
+        [6912, 12672, 10016, 0, 6336, 1344, 1344], // DCNN4 16 FULL s2 d2
+        [139968, 171072, 103680, 0, 0, 0, 0], // DCNN4 64 NONE s1 d1
+        [43200, 95040, 55040, 0, 0, 0, 0], // DCNN4 64 NONE s2 d1
+        [84672, 133056, 62720, 0, 0, 0, 0], // DCNN4 64 NONE s1 d2
+        [27648, 76032, 34304, 0, 0, 0, 0], // DCNN4 64 NONE s2 d2
+        [139968, 114048, 95904, 0, 57024, 0, 0], // DCNN4 64 PPSR s1 d1
+        [43200, 63360, 50720, 0, 31680, 0, 0], // DCNN4 64 PPSR s2 d1
+        [84672, 88704, 72800, 0, 44352, 0, 0], // DCNN4 64 PPSR s1 d2
+        [27648, 50688, 40064, 0, 25344, 0, 0], // DCNN4 64 PPSR s2 d2
+        [139968, 139392, 86400, 0, 0, 15552, 12672], // DCNN4 64 ERRR s1 d1
+        [43200, 139392, 79232, 0, 0, 8640, 12672], // DCNN4 64 ERRR s2 d1
+        [84672, 139392, 65408, 0, 0, 9408, 9856], // DCNN4 64 ERRR s1 d2
+        [27648, 76032, 34304, 0, 0, 5376, 5376], // DCNN4 64 ERRR s2 d2
+        [139968, 92928, 80064, 0, 46464, 15552, 12672], // DCNN4 64 FULL s1 d1
+        [43200, 92928, 72896, 0, 46464, 8640, 12672], // DCNN4 64 FULL s2 d1
+        [84672, 92928, 75968, 0, 46464, 9408, 9856], // DCNN4 64 FULL s1 d2
+        [27648, 50688, 40064, 0, 25344, 5376, 5376], // DCNN4 64 FULL s2 d2
+        [34992, 42768, 25920, 0, 0, 0, 0], // DCNN6 16 NONE s1 d1
+        [10800, 23760, 13760, 0, 0, 0, 0], // DCNN6 16 NONE s2 d1
+        [21168, 33264, 15680, 0, 0, 0, 0], // DCNN6 16 NONE s1 d2
+        [6912, 19008, 8576, 0, 0, 0, 0], // DCNN6 16 NONE s2 d2
+        [34992, 21384, 20412, 0, 14256, 0, 0], // DCNN6 16 PPSR s1 d1
+        [10800, 11880, 10700, 0, 7920, 0, 0], // DCNN6 16 PPSR s2 d1
+        [21168, 16632, 15428, 0, 11088, 0, 0], // DCNN6 16 PPSR s1 d2
+        [6912, 9504, 8432, 0, 6336, 0, 0], // DCNN6 16 PPSR s2 d2
+        [34992, 26136, 16848, 0, 0, 3888, 2376], // DCNN6 16 ERRR s1 d1
+        [10800, 26136, 15056, 0, 0, 2160, 2376], // DCNN6 16 ERRR s2 d1
+        [21168, 26136, 12656, 0, 0, 2352, 1848], // DCNN6 16 ERRR s1 d2
+        [6912, 14256, 6560, 0, 0, 1344, 1008], // DCNN6 16 ERRR s2 d2
+        [34992, 13068, 13482, 0, 8712, 3888, 2376], // DCNN6 16 FULL s1 d1
+        [10800, 13068, 11690, 0, 8712, 2160, 2376], // DCNN6 16 FULL s2 d1
+        [21168, 13068, 12458, 0, 8712, 2352, 1848], // DCNN6 16 FULL s1 d2
+        [6912, 7128, 6452, 0, 4752, 1344, 1008], // DCNN6 16 FULL s2 d2
+        [559872, 684288, 414720, 0, 0, 0, 0], // DCNN6 256 NONE s1 d1
+        [172800, 380160, 220160, 0, 0, 0, 0], // DCNN6 256 NONE s2 d1
+        [338688, 532224, 250880, 0, 0, 0, 0], // DCNN6 256 NONE s1 d2
+        [110592, 304128, 137216, 0, 0, 0, 0], // DCNN6 256 NONE s2 d2
+        [559872, 342144, 326592, 0, 228096, 0, 0], // DCNN6 256 PPSR s1 d1
+        [172800, 190080, 171200, 0, 126720, 0, 0], // DCNN6 256 PPSR s2 d1
+        [338688, 266112, 246848, 0, 177408, 0, 0], // DCNN6 256 PPSR s1 d2
+        [110592, 152064, 134912, 0, 101376, 0, 0], // DCNN6 256 PPSR s2 d2
+        [559872, 418176, 269568, 0, 0, 62208, 38016], // DCNN6 256 ERRR s1 d1
+        [172800, 418176, 240896, 0, 0, 34560, 38016], // DCNN6 256 ERRR s2 d1
+        [338688, 418176, 202496, 0, 0, 37632, 29568], // DCNN6 256 ERRR s1 d2
+        [110592, 228096, 104960, 0, 0, 21504, 16128], // DCNN6 256 ERRR s2 d2
+        [559872, 209088, 215712, 0, 139392, 62208, 38016], // DCNN6 256 FULL s1 d1
+        [172800, 209088, 187040, 0, 139392, 34560, 38016], // DCNN6 256 FULL s2 d1
+        [338688, 209088, 199328, 0, 139392, 37632, 29568], // DCNN6 256 FULL s1 d2
+        [110592, 114048, 103232, 0, 76032, 21504, 16128], // DCNN6 256 FULL s2 d2
+    ];
+    let reuses = [
+        ReuseConfig::NONE,
+        ReuseConfig::PPSR_ONLY,
+        ReuseConfig::ERRR_ONLY,
+        ReuseConfig::FULL,
+    ];
+    let mut rows = pinned.iter();
+    for (scheme, filters) in [
+        (TransferScheme::Scnn, [8usize, 64]),
+        (TransferScheme::DCNN4, [16, 64]),
+        (TransferScheme::DCNN6, [16, 256]),
+    ] {
+        for m in filters {
+            for reuse in reuses {
+                for (stride, dilation) in [(1, 1), (2, 1), (1, 2), (2, 2)] {
+                    let shape = LayerShape::conv("pin", 3, m, 9, 9, 3, stride, 1)
+                        .unwrap()
+                        .with_dilation(dilation)
+                        .unwrap();
+                    let mut seed = 0x9e37_u32 ^ m as u32;
+                    let net =
+                        FunctionalNetwork::random(&[(shape, false)], scheme, || det(&mut seed))
+                            .unwrap();
+                    let engine = Engine::compile(&net, reuse).unwrap();
+                    let [dense_macs, multiplies, adds, sr_reads, sr_writes, psum_mem_reads, psum_mem_writes] =
+                        *rows.next().unwrap();
+                    let expected = Counters {
+                        dense_macs,
+                        multiplies,
+                        adds,
+                        sr_reads,
+                        sr_writes,
+                        psum_mem_reads,
+                        psum_mem_writes,
+                        ..Counters::new()
+                    };
+                    for batch in [1, 3] {
+                        let input =
+                            Tensor4::from_fn([batch, 3, 9, 9], |_| Fx16::from_f32(det(&mut seed)));
+                        let run = engine.run_batched(&input, &mut Scratch::new(), 1).unwrap();
+                        for (b, image) in run.per_image.iter().enumerate() {
+                            assert_eq!(
+                                *image, expected,
+                                "{scheme:?} M {m} {reuse:?} stride {stride} dilation {dilation} batch {batch} image {b}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(rows.next().is_none());
 }

@@ -415,13 +415,13 @@ fn filter_vector_dense_stages_match_oracle() {
     }
 }
 
-/// The transferred lane form (SCNN orbit groups' stored blocks and DCNN
-/// meta groups as lanes of the filter-vector pass, on stages of at least
-/// 16 lanes), through real engine runs: SCNN at 64 filters (one full
-/// 32-lane group under `FULL`) and 72 (32 + 4 lanes), DCNN4 at 64 (16
-/// meta groups) and 144 (32 + 4), DCNN6 at 256 (16), under every reuse
-/// ablation (SCNN stores 4, 6, 12 or 8 lanes per orbit group; DCNN
-/// without ERRR keeps its row streams), stride 1 and 2, dilation 1 and
+/// The transferred lane layout (SCNN orbit groups' stored blocks and
+/// DCNN meta groups as lanes of the filter-vector pass, on stages of at
+/// least 16 lanes), through real engine runs: SCNN at 64 filters (one
+/// full 32-lane group under `FULL`) and 72 (32 + 4 lanes), DCNN4 at 64
+/// (16 meta groups) and 144 (32 + 4), DCNN6 at 256 (16), under every
+/// reuse ablation (SCNN stores 4, 6, 12 or 8 lanes per orbit group;
+/// DCNN takes lanes with or without ERRR), stride 1 and 2, dilation 1 and
 /// 2, pad 0 and 1, batch 1 and 3, on quiet data (the tap-pair filter
 /// blocks) and on data with one loud sample per image that fails the
 /// stage gate without any sum reaching the `i32` rails (the saturating

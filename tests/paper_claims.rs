@@ -1,7 +1,7 @@
 //! The paper's headline quantitative claims, checked end-to-end through
 //! the public facade. Each test cites the claim it reproduces.
 
-use tfe::core::{Engine, TransferScheme};
+use tfe::core::{Evaluator, TransferScheme};
 use tfe::transfer::analysis::ReuseConfig;
 
 /// Abstract: "average speedup improvements of 2.93x and 3.17x are
@@ -10,7 +10,7 @@ use tfe::transfer::analysis::ReuseConfig;
 /// preserve the ordering.
 #[test]
 fn abstract_conv_speedup_averages() {
-    let engine = Engine::new();
+    let engine = Evaluator::new();
     let nets = ["AlexNet", "VGGNet", "GoogLeNet", "ResNet"];
     let avg = |scheme: TransferScheme| -> f64 {
         nets.iter()
@@ -33,7 +33,7 @@ fn abstract_conv_speedup_averages() {
 /// transfer.
 #[test]
 fn overall_speedup_lags_conv_speedup() {
-    let engine = Engine::new();
+    let engine = Evaluator::new();
     for net in ["AlexNet", "VGGNet", "GoogLeNet", "ResNet"] {
         for scheme in [
             TransferScheme::DCNN4,
@@ -54,7 +54,7 @@ fn overall_speedup_lags_conv_speedup() {
 /// for non-AlexNet networks, "greater than 9.8%" for AlexNet.
 #[test]
 fn fc_dilution_is_worst_on_alexnet() {
-    let engine = Engine::new();
+    let engine = Evaluator::new();
     let dilution = |net: &str| -> f64 {
         let r = engine.run_network(net, TransferScheme::Scnn).unwrap();
         (r.conv_speedup - r.overall_speedup) / r.conv_speedup
@@ -72,7 +72,7 @@ fn fc_dilution_is_worst_on_alexnet() {
 /// 13.31x on average" (VGG + AlexNet).
 #[test]
 fn energy_efficiency_band() {
-    let engine = Engine::new();
+    let engine = Evaluator::new();
     let avg = |scheme: TransferScheme| -> f64 {
         ["VGGNet", "AlexNet"]
             .iter()
@@ -92,7 +92,7 @@ fn energy_efficiency_band() {
 #[test]
 fn ablation_factors() {
     let vgg = |reuse, scheme| {
-        Engine::with_reuse(reuse)
+        Evaluator::with_reuse(reuse)
             .run_network("VGGNet", scheme)
             .unwrap()
             .conv_mac_reduction
@@ -109,7 +109,7 @@ fn ablation_factors() {
 /// (6x6 DCNN) and 1.48x (SCNN)".
 #[test]
 fn offchip_reduction_band() {
-    let engine = Engine::new();
+    let engine = Evaluator::new();
     let avg = |scheme: TransferScheme| -> f64 {
         ["AlexNet", "VGGNet", "GoogLeNet", "ResNet"]
             .iter()
@@ -129,7 +129,7 @@ fn offchip_reduction_band() {
 /// reductions are achieved" on VGG.
 #[test]
 fn vgg_parameter_reductions() {
-    let engine = Engine::new();
+    let engine = Evaluator::new();
     let get = |scheme| {
         engine
             .run_network("VGGNet", scheme)
@@ -146,7 +146,7 @@ fn vgg_parameter_reductions() {
 #[test]
 fn mobilenet_gains_nothing() {
     use tfe::nets::zoo;
-    let engine = Engine::new();
+    let engine = Evaluator::new();
     let net = zoo::mobilenet();
     for scheme in [TransferScheme::DCNN6, TransferScheme::Scnn] {
         let r = engine.run(&net, scheme);

@@ -3,7 +3,7 @@
 //! inputs, and misuse of the memory-system primitives.
 
 use proptest::prelude::*;
-use tfe::core::{Engine, NetworkReport};
+use tfe::core::{Evaluator, NetworkReport};
 use tfe::sim::counters::Counters;
 use tfe::sim::errr::RowRing;
 use tfe::sim::functional::run_layer;
@@ -19,7 +19,7 @@ use tfe::transfer::TransferScheme;
 #[test]
 fn public_types_are_send_sync() {
     fn check<T: Send + Sync>() {}
-    check::<Engine>();
+    check::<Evaluator>();
     check::<NetworkReport>();
     check::<tfe::nets::Network>();
     check::<tfe::sim::perf::NetworkPerf>();
@@ -30,13 +30,13 @@ fn public_types_are_send_sync() {
     check::<tfe::tensor::TensorError>();
     check::<tfe::sim::SimError>();
     check::<tfe::transfer::TransferError>();
-    check::<tfe::core::EngineError>();
+    check::<tfe::core::EvaluatorError>();
 }
 
 /// The engine can actually be driven from multiple threads.
 #[test]
 fn engine_runs_concurrently() {
-    let engine = std::sync::Arc::new(Engine::new());
+    let engine = std::sync::Arc::new(Evaluator::new());
     let handles: Vec<_> = ["VGGNet", "ResNet", "GoogLeNet"]
         .into_iter()
         .map(|net| {
@@ -82,6 +82,67 @@ fn row_ring_misuse_is_detected() {
     assert!(ring.read(0, 0, 0, &mut counters).is_none());
     assert!(ring.read(1, 0, 0, &mut counters).is_none());
     assert!(ring.read(3, 0, 0, &mut counters).is_some());
+}
+
+/// Compiles a one-stage network of `weights` on `shape` and returns the
+/// error compile reports.
+fn compile_error(shape: &LayerShape, weights: TransferredLayer) -> tfe::sim::SimError {
+    use tfe::sim::network::{FunctionalNetwork, FunctionalStage};
+    let net = FunctionalNetwork::new(vec![FunctionalStage {
+        shape: shape.clone(),
+        weights,
+        bias: Vec::new(),
+        output: tfe::sim::output::OutputConfig::RELU_ONLY,
+    }])
+    .unwrap();
+    tfe::sim::engine::Engine::compile(&net, ReuseConfig::FULL)
+        .expect_err("weights that disagree with the stage must not compile")
+}
+
+/// Transferred weights whose blocks disagree with the stage are typed
+/// compile errors, never a panic or a stage whose output differs from
+/// the dense expansion: every lane of a stage is one block shape, so a
+/// DCNN meta filter's `Z` must be the first's, a meta filter's or SCNN
+/// orbit group's channels the stage's `N`, and an orbit group's extent
+/// (or a DCNN layer's filter extent) the stage's `K`. The mixed-`Z`
+/// layer expands to 13 dense filters, so only compile can catch it.
+#[test]
+fn transferred_blocks_that_disagree_with_the_stage_are_rejected() {
+    use tfe::sim::SimError;
+    use tfe::transfer::meta::MetaFilter;
+    use tfe::transfer::scnn::ScnnGroup;
+    let mismatch = |what, expected, actual| SimError::OperandMismatch {
+        what,
+        expected,
+        actual,
+    };
+    let stage = |n, m, k| LayerShape::conv("bad", n, m, 6, 6, k, 1, k / 2).unwrap();
+    let meta = |channels, z| MetaFilter::from_fn(channels, z, |c, y, x| (c + y + x) as f32 / 16.0);
+    let group = |channels, k| ScnnGroup::from_base(channels, k, vec![0.25; channels * k * k]);
+    let dcnn = |k, m, metas| TransferredLayer::Dcnn { k, m, metas };
+    let mixed = dcnn(3, 13, vec![meta(2, 4), meta(2, 5)]);
+    assert!(mixed.expand_to_dense().is_ok());
+    assert_eq!(
+        compile_error(&stage(2, 13, 3), mixed),
+        mismatch("DCNN meta size", 4, 5)
+    );
+    assert_eq!(
+        compile_error(&stage(2, 4, 3), dcnn(3, 4, vec![meta(1, 4)])),
+        mismatch("DCNN meta channels", 2, 1)
+    );
+    assert_eq!(
+        compile_error(&stage(2, 4, 3), dcnn(5, 4, vec![meta(2, 6)])),
+        mismatch("DCNN filter extent", 3, 5)
+    );
+    let scnn = |groups| TransferredLayer::Scnn { m: 8, groups };
+    assert_eq!(
+        compile_error(&stage(2, 8, 3), scnn(vec![group(1, 3).unwrap()])),
+        mismatch("SCNN group channels", 2, 1)
+    );
+    assert_eq!(
+        compile_error(&stage(2, 8, 3), scnn(vec![group(2, 5).unwrap()])),
+        mismatch("SCNN group extent", 3, 5)
+    );
 }
 
 /// A zero input produces a zero ofmap with zero-valued (but fully

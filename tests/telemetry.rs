@@ -24,7 +24,7 @@ fn det(seed: &mut u32) -> f32 {
 /// The scheme grid: every scheme at its smallest filter count (one DCNN
 /// meta group or SCNN orbit group per stage), plus SCNN at 32 filters,
 /// 16 lanes under `FULL` and more under the other ablations: the
-/// transferred lane form.
+/// transferred lane layout.
 const SCHEME_GRID: [(TransferScheme, usize); 4] = [
     (TransferScheme::DCNN4, 8),
     (TransferScheme::DCNN6, 16),
