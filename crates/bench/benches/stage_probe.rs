@@ -10,15 +10,16 @@
 //! Each chain runs as one-stage engines: stage `i` is compiled on its
 //! own and fed stage `i − 1`'s output batch, so each stage is timed
 //! alone, convolution and output stage together, on the default worker
-//! budget (`TFE_THREADS`, else every core). Every trunk stage runs one
-//! warm-up batch, then `RUNS` timed [`Engine::run_batched`] calls; a
-//! cell is their median. The demo stages are short enough for one run
-//! to drift by more than a change could show, so their cells take
-//! `ROUNDS` rounds that each cycle through every demo cell (a warm-up
-//! call, then `DEMO_RUNS` timed calls), and each cell is the median of
-//! its rounds' medians. Every cell, and each trunk chain's sum, is
-//! printed and written to the perf trajectory (`BENCH_<pr>.json`,
-//! [`BenchCell::absolute`]). Unpinned: it records, it does not gate.
+//! budget (`TFE_THREADS`, else every core). Every engine and its input
+//! is built first. Then `ROUNDS` rounds each cycle through every trunk
+//! `(scheme, stage)` cell, a warm-up call and then `RUNS` timed
+//! [`Engine::run_batched`] calls per cell, and each cell is the median
+//! of its rounds' medians: a stretch of host load then moves one round
+//! of every cell, not every round of a few. The demo cells take their
+//! own rounds the same way, of `DEMO_RUNS` calls. Every cell, and each
+//! trunk chain's sum, is printed and written to the perf trajectory
+//! (`BENCH_<pr>.json`, [`BenchCell::absolute`]). Unpinned: it records,
+//! it does not gate.
 //!
 //! ```text
 //! cargo bench --offline -p tfe-bench --bench stage_probe
@@ -39,10 +40,10 @@ use tfe_transfer::analysis::ReuseConfig;
 use tfe_transfer::layer::TransferredLayer;
 use tfe_transfer::TransferScheme;
 
-/// Timed runs per trunk stage; each cell is their median.
+/// Timed runs per trunk cell and round.
 const RUNS: usize = 41;
-/// Rounds over the demo cells; each demo cell is the median of its
-/// rounds.
+/// Rounds over the trunk cells, and over the demo cells; each cell is
+/// the median of its rounds.
 const ROUNDS: usize = 5;
 /// Timed runs per demo cell and round.
 const DEMO_RUNS: usize = 201;
@@ -131,40 +132,92 @@ fn median(values: &mut [f64]) -> f64 {
     values[values.len() / 2]
 }
 
-/// Times one scheme's chain: `(stage, median ms)` per stage, then the
-/// chain's sum, each also upserted into `report` as `<name>/<stage>`.
+/// One-stage engines chained from `input`: each of `nets` compiled,
+/// named `<prefix>/<stage>`, with the input batch it reads, which is
+/// the previous engine's output.
+fn chain(
+    prefix: &str,
+    nets: Vec<(String, FunctionalNetwork)>,
+    input: Tensor4<Fx16>,
+    workers: usize,
+) -> Vec<(String, Engine, Tensor4<Fx16>)> {
+    let mut x = input;
+    let mut cells = Vec::new();
+    for (stage, net) in nets {
+        let engine = Engine::compile(&net, ReuseConfig::FULL).expect("one-stage engine compiles");
+        let out = engine
+            .run_batched(&x, &mut Scratch::new(), workers)
+            .expect("one-stage engine runs");
+        cells.push((format!("{prefix}/{stage}"), engine, x));
+        x = out.activations;
+    }
+    cells
+}
+
+/// Times `cells` over `ROUNDS` rounds, each cycling through every cell:
+/// a warm-up call, then `runs` timed calls. Returns each cell's median
+/// of its rounds' median ms, in cell order.
+fn rounds(cells: &[(String, Engine, Tensor4<Fx16>)], runs: usize, workers: usize) -> Vec<f64> {
+    let mut scratch = Scratch::new();
+    let mut rounds = vec![Vec::new(); cells.len()];
+    for _ in 0..ROUNDS {
+        for ((_, engine, x), ms) in cells.iter().zip(&mut rounds) {
+            black_box(engine.run_batched(x, &mut scratch, workers)).ok();
+            let mut calls: Vec<f64> = (0..runs)
+                .map(|_| {
+                    let start = Instant::now();
+                    black_box(engine.run_batched(black_box(x), &mut scratch, workers)).ok();
+                    start.elapsed().as_secs_f64() * 1e3
+                })
+                .collect();
+            ms.push(median(&mut calls));
+        }
+    }
+    rounds.into_iter().map(|mut ms| median(&mut ms)).collect()
+}
+
+/// Times every scheme's trunk chain in interleaved rounds: per scheme,
+/// `(stage, ms)` per stage, then the chain's sum, each also upserted
+/// into `report` as `<scheme>/<stage>`. A round takes the cells stage
+/// by stage, each stage's schemes back to back, so the schemes compared
+/// on one geometry are timed under the same host load.
 fn probe(
-    name: &str,
-    scheme: Option<TransferScheme>,
+    schemes: &[(&str, Option<TransferScheme>)],
     input: &Tensor4<Fx16>,
     workers: usize,
     report: &mut BenchReport,
-) -> Vec<(String, f64)> {
-    let mut scratch = Scratch::new();
-    let mut x = input.clone();
-    let mut rows = Vec::new();
-    for (stage, net) in trunk(scheme, 61) {
-        let engine = Engine::compile(&net, ReuseConfig::FULL).expect("trunk stage compiles");
-        let out = engine
-            .run_batched(&x, &mut scratch, workers)
-            .expect("trunk stage runs");
-        let mut ms: Vec<f64> = (0..RUNS)
-            .map(|_| {
-                let start = Instant::now();
-                black_box(engine.run_batched(black_box(&x), &mut scratch, workers)).ok();
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        rows.push((stage, median(&mut ms)));
-        x = out.activations;
+) -> Vec<Vec<(String, f64)>> {
+    let mut chains: Vec<_> = schemes
+        .iter()
+        .map(|&(name, scheme)| chain(name, trunk(scheme, 61), input.clone(), workers).into_iter())
+        .collect();
+    let mut cells = Vec::new();
+    while let Some(stage) = chains
+        .iter_mut()
+        .map(Iterator::next)
+        .collect::<Option<Vec<_>>>()
+    {
+        cells.extend(stage);
     }
-    let chain = rows.iter().map(|(_, ms)| ms).sum();
-    rows.push(("chain".to_owned(), chain));
-    for (stage, ms) in &rows {
-        let cell = format!("{name}/{stage}");
-        report.upsert(BenchCell::absolute("stage_probe", &cell, *ms, RUNS));
-    }
-    rows
+    let ms = rounds(&cells, RUNS, workers);
+    schemes
+        .iter()
+        .map(|&(name, _)| {
+            let prefix = format!("{name}/");
+            let mut rows: Vec<(String, f64)> = cells
+                .iter()
+                .zip(&ms)
+                .filter_map(|((cell, ..), &ms)| Some((cell.strip_prefix(&prefix)?.to_owned(), ms)))
+                .collect();
+            let sum = rows.iter().map(|(_, ms)| ms).sum();
+            rows.push(("chain".to_owned(), sum));
+            for (stage, ms) in &rows {
+                let cell = format!("{name}/{stage}");
+                report.upsert(BenchCell::absolute("stage_probe", &cell, *ms, RUNS));
+            }
+            rows
+        })
+        .collect()
 }
 
 /// Times the demo network's stages under SCNN and DCNN4 at batch 1 and
@@ -179,37 +232,19 @@ fn probe_demo(workers: usize, report: &mut BenchReport) -> Vec<(String, f64)> {
     ] {
         for batch in [1, 8] {
             let mut state = 67;
-            let mut x = Tensor4::from_fn([batch, 3, 12, 12], |_| Fx16::from_f32(unit(&mut state)));
-            for (stage, net) in demo(scheme, 67) {
-                let engine = Engine::compile(&net, ReuseConfig::FULL).expect("demo stage compiles");
-                let out = engine
-                    .run_batched(&x, &mut Scratch::new(), workers)
-                    .expect("demo stage runs");
-                cells.push((format!("demo-{name}/{stage}/b{batch}"), engine, x));
-                x = out.activations;
-            }
-        }
-    }
-    let mut scratch = Scratch::new();
-    let mut rounds = vec![Vec::new(); cells.len()];
-    for _ in 0..ROUNDS {
-        for ((_, engine, x), ms) in cells.iter().zip(&mut rounds) {
-            black_box(engine.run_batched(x, &mut scratch, workers)).ok();
-            let mut calls: Vec<f64> = (0..DEMO_RUNS)
-                .map(|_| {
-                    let start = Instant::now();
-                    black_box(engine.run_batched(black_box(x), &mut scratch, workers)).ok();
-                    start.elapsed().as_secs_f64() * 1e3
-                })
+            let x = Tensor4::from_fn([batch, 3, 12, 12], |_| Fx16::from_f32(unit(&mut state)));
+            let stages = demo(scheme, 67)
+                .into_iter()
+                .map(|(stage, net)| (format!("{stage}/b{batch}"), net))
                 .collect();
-            ms.push(median(&mut calls));
+            cells.extend(chain(&format!("demo-{name}"), stages, x, workers));
         }
     }
+    let ms = rounds(&cells, DEMO_RUNS, workers);
     cells
         .into_iter()
-        .zip(rounds)
-        .map(|((cell, ..), mut ms)| {
-            let ms = median(&mut ms);
+        .zip(ms)
+        .map(|((cell, ..), ms)| {
             report.upsert(BenchCell::absolute("stage_probe", &cell, ms, DEMO_RUNS));
             (cell, ms)
         })
@@ -221,27 +256,21 @@ fn main() {
     let mut state = 61;
     let input = Tensor4::from_fn([BATCH, 3, HW, HW], |_| Fx16::from_f32(unit(&mut state)));
     let mut report = BenchReport::load_or_new();
-    let dense = probe("dense", None, &input, workers, &mut report);
-    let scnn = probe(
-        "scnn",
-        Some(TransferScheme::Scnn),
-        &input,
-        workers,
-        &mut report,
-    );
-    let dcnn4 = probe(
-        "dcnn4",
-        Some(TransferScheme::DCNN4),
-        &input,
-        workers,
-        &mut report,
-    );
+    let schemes = [
+        ("dense", None),
+        ("scnn", Some(TransferScheme::Scnn)),
+        ("dcnn4", Some(TransferScheme::DCNN4)),
+    ];
+    let chains = probe(&schemes, &input, workers, &mut report);
     println!(
-        "stage_probe: VGG-16 trunk, {BATCH} x 3x{HW}x{HW}, {workers} workers, \
-         median wall ms of {RUNS} run_batched calls per one-stage engine"
+        "stage_probe: VGG-16 trunk, {BATCH} x 3x{HW}x{HW}, {workers} workers, median of \
+         {ROUNDS} rounds of {RUNS} run_batched calls per one-stage engine, wall ms"
     );
     println!("{:<8} {:>8} {:>8} {:>8}", "stage", "dense", "scnn", "dcnn4");
-    for (((stage, d), (_, s)), (_, t)) in dense.iter().zip(&scnn).zip(&dcnn4) {
+    let [dense, scnn, dcnn4] = &chains[..] else {
+        unreachable!("three schemes")
+    };
+    for (((stage, d), (_, s)), (_, t)) in dense.iter().zip(scnn).zip(dcnn4) {
         println!("{stage:<8} {d:>8.2} {s:>8.2} {t:>8.2}");
     }
     let demo = probe_demo(workers, &mut report);

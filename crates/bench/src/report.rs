@@ -118,10 +118,22 @@ impl Default for BenchReport {
 impl BenchReport {
     /// The trajectory file location: `BENCH_<pr>.json` at the repo root,
     /// resolved relative to this crate so the benches can run from any
-    /// working directory.
+    /// working directory. The crate's directory is read when the bench
+    /// runs (`CARGO_MANIFEST_DIR`, which `cargo bench` sets), falling
+    /// back to where the crate was compiled: a copy of the repository
+    /// whose bench binaries were built in another checkout's target
+    /// directory still writes its own file.
     #[must_use]
     pub fn path() -> PathBuf {
-        Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{TRAJECTORY_PR}.json"))
+        let dir = std::env::var_os("CARGO_MANIFEST_DIR")
+            .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
+        Self::path_in(&dir)
+    }
+
+    /// The trajectory file of the repository whose bench crate is at
+    /// `manifest_dir`.
+    fn path_in(manifest_dir: &Path) -> PathBuf {
+        manifest_dir.join(format!("../../BENCH_{TRAJECTORY_PR}.json"))
     }
 
     /// Loads the existing report, or starts a fresh one when the file is
@@ -205,5 +217,22 @@ mod tests {
     fn path_names_the_pr_trajectory_file() {
         let path = BenchReport::path();
         assert!(path.ends_with(format!("BENCH_{TRAJECTORY_PR}.json")));
+    }
+
+    /// The file sits two levels above whichever bench crate directory
+    /// the resolver is given, not the one the crate compiled in.
+    #[test]
+    fn path_resolves_from_the_given_crate_directory() {
+        let copy = Path::new("/work/copy/crates/bench");
+        assert_eq!(
+            BenchReport::path_in(copy),
+            Path::new(&format!(
+                "/work/copy/crates/bench/../../BENCH_{TRAJECTORY_PR}.json"
+            ))
+        );
+        assert_ne!(
+            BenchReport::path_in(copy),
+            BenchReport::path_in(Path::new(env!("CARGO_MANIFEST_DIR")))
+        );
     }
 }

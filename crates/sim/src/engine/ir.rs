@@ -20,7 +20,9 @@
 //!
 //! A transferred stage stores *lanes*: each SCNN `(set, variant)` block
 //! — a source orientation [`source_of`] resolves for an orbit member,
-//! or under PPSR its FlipH partner — and each DCNN meta group. Compile
+//! or under PPSR its FlipH partner — and each DCNN meta group, or on a
+//! stage whose meta groups would leave vector lanes idle each `(meta
+//! group, dx)` pair ([`offset_lanes`]). Compile
 //! derives one read schedule from the weights and folds it into
 //! [`LaneGroup`]s, whose [`Layout`] is the only record of the executor
 //! choice: a stage of at least [`MIN_VECTOR_FILTERS`] lanes and a
@@ -141,14 +143,17 @@ impl Layout {
 /// at `base + tap(width, N·rows, cols, l, c·rows + r, col)`. An SCNN
 /// lane is one stored `(set, variant)` block of an orbit group
 /// (`rows = K`, `cols = KW`), a DCNN lane one meta group (`rows = Z`,
-/// `cols = ZW`). Only the last [`Layout::Lanes`] group may have
-/// `live < G`; its other lanes hold zeros.
+/// `cols = ZW`) or, on offset lanes, one `(meta group, dx)` pair: the
+/// meta rows' columns `dx·d .. dx·d + KW` (`rows = Z`, `cols = KW`).
+/// Only the last [`Layout::Lanes`] group may have `live < G`; its other
+/// lanes hold zeros.
 ///
 /// Per input row a window reads, the ring row holds every lane's `rows
 /// × offsets` parts, offset call `dx` reading weights from column `dx·d`
-/// (DCNN's offset lanes; SCNN has one); each [`LaneWindow`] combines `K`
-/// of those parts per output row and emits its lanes' planes. The
-/// charges are the member groups' closed forms, summed at compile time.
+/// (a DCNN meta lane's calls; SCNN and DCNN offset lanes have one);
+/// each [`LaneWindow`] combines `K` of those parts per output row and
+/// emits its lanes' planes. The charges are the member groups' closed
+/// forms, summed at compile time.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneGroup {
     pub(crate) layout: Layout,
@@ -633,6 +638,35 @@ fn fold_groups(
         .collect()
 }
 
+/// Whether a DCNN stage of `metas` meta groups, `per_axis` offset calls
+/// and stored span `kw` takes offset lanes: one lane per `(meta group,
+/// dx)` pair instead of one per meta group. It does when those lanes
+/// reach [`Layout::Lanes`] and, packed as [`place_blocks`] packs them,
+/// take fewer lane groups than the meta lanes take filter-vector calls
+/// per weight row (`groups · per_axis`); a tie keeps the meta lanes,
+/// whose table is smaller. So a stage whose meta groups leave lanes idle
+/// fills them (DCNN4's 16 meta groups at 64 filters take 32 lanes), and
+/// one whose meta groups fill whole lane groups keeps its meta lanes.
+fn offset_lanes(metas: usize, per_axis: usize, kw: usize) -> bool {
+    let groups = |lanes: usize| place_blocks(&vec![lanes; metas], FILTER_GROUP).1 / FILTER_GROUP;
+    per_axis <= FILTER_GROUP
+        && Layout::of(metas * per_axis, kw) == Layout::Lanes
+        && groups(per_axis) < groups(1) * per_axis
+}
+
+/// Rejects transferred weights that yield fewer than the stage's `m`
+/// filters (`effective`), as `expand_to_dense` does.
+fn check_filters(what: &'static str, m: usize, effective: usize) -> Result<(), SimError> {
+    if effective < m {
+        return Err(SimError::OperandMismatch {
+            what,
+            expected: m,
+            actual: effective,
+        });
+    }
+    Ok(())
+}
+
 /// Rejects an operand `actual` that disagrees with the stage's
 /// `expected`: the one check behind every operand mismatch compile and
 /// the run phase report.
@@ -752,42 +786,78 @@ pub(crate) fn compile_stage(
                 Some(meta) => meta.offsets_per_axis(k)?,
                 None => 1,
             };
+            let grid = per_axis * per_axis;
+            check_filters("DCNN effective filters", shape.m(), metas.len() * grid)?;
+            // Metas past the last filter emit nothing: no lanes, no table
+            // block, no charge.
+            let metas = &metas[..shape.m().div_ceil(grid)];
             let zw = d * (z - 1) + 1;
-            let layout = Layout::of(metas.len(), kw);
+            // A lane is one meta group, or on offset lanes one (meta
+            // group, dx) pair: offset dx's KW-column slice of the meta
+            // rows, columns dx·d .. dx·d + KW, read in one call.
+            let offset = offset_lanes(metas.len(), per_axis, kw);
+            let (layout, lanes, cols, offsets) = if offset {
+                (Layout::Lanes, per_axis, kw, 1)
+            } else {
+                (Layout::of(metas.len(), kw), 1, zw, per_axis)
+            };
             let width = layout.width();
-            rows.resize(metas.len().next_multiple_of(width) * n * z * zw, Fx16::ZERO);
-            for (g, meta) in metas.iter().enumerate() {
-                for c in 0..n {
-                    for kr in 0..z {
-                        stats.weight_rows += 1;
-                        stats.weight_values += z as u64;
-                        for x in 0..z {
-                            let at = tap(width, n * z, zw, g, c * z + kr, x * d);
-                            rows[at] = Fx16::from_f32(meta.get(c, kr, x));
+            let (firsts, slots) = place_blocks(&vec![lanes; metas.len()], width);
+            rows.resize(slots * n * z * cols, Fx16::ZERO);
+            if offset {
+                // Each meta value is quantized once, then scattered into
+                // the slices whose columns hold it.
+                for (&first, meta) in firsts.iter().zip(metas) {
+                    for c in 0..n {
+                        for kr in 0..z {
+                            stats.weight_rows += 1;
+                            stats.weight_values += z as u64;
+                            let row = c * z + kr;
+                            for x in 0..z {
+                                let w = Fx16::from_f32(meta.get(c, kr, x));
+                                for dx in x.saturating_sub(k - 1)..=x.min(per_axis - 1) {
+                                    rows[tap(width, n * z, kw, first + dx, row, (x - dx) * d)] = w;
+                                }
+                            }
+                        }
+                    }
+                }
+            } else {
+                for (g, meta) in metas.iter().enumerate() {
+                    for c in 0..n {
+                        for kr in 0..z {
+                            stats.weight_rows += 1;
+                            stats.weight_values += z as u64;
+                            for x in 0..z {
+                                let at = tap(width, n * z, zw, g, c * z + kr, x * d);
+                                rows[at] = Fx16::from_f32(meta.get(c, kr, x));
+                            }
                         }
                     }
                 }
             }
-            // One lane per meta group. Filter (dy, dx) of a group reads
-            // its meta rows dy.. at offset call dx; the grid stops at
-            // the last filter.
+            // Filter (dy, dx) of a group reads its meta rows dy.. at
+            // offset call dx, or from lane dx on offset lanes; the grid
+            // stops at the last filter.
             let members: Vec<Member> = (0..metas.len())
                 .map(|g| {
-                    let m0 = g * per_axis * per_axis;
-                    let reads = (0..per_axis * per_axis)
-                        .take(shape.m().saturating_sub(m0))
+                    let m0 = g * grid;
+                    let reads = (0..grid)
+                        .take(shape.m() - m0)
                         .map(|t| {
+                            let (dy, dx) = (t / per_axis, t % per_axis);
+                            let (variant, lane) = if offset { (0, dx) } else { (dx, 0) };
                             let key = Read {
-                                first: t / per_axis,
+                                first: dy,
                                 reversed: false,
-                                variant: t % per_axis,
+                                variant,
                             };
-                            (key, 0)
+                            (key, lane)
                         })
                         .collect();
                     Member {
                         m0,
-                        lanes: 1,
+                        lanes,
                         passes: z,
                         reads,
                     }
@@ -798,12 +868,11 @@ pub(crate) fn compile_stage(
             let blocks = Blocks {
                 layout,
                 rows: z,
-                cols: zw,
-                offsets: per_axis,
+                cols,
+                offsets,
                 charge,
                 recompute: !reuse.errr,
             };
-            let firsts: Vec<usize> = (0..metas.len()).collect();
             units = fold_groups(&members, &firsts, &shape, &blocks);
         }
         TransferredLayer::Scnn { m: m_count, groups } => {
@@ -811,6 +880,7 @@ pub(crate) fn compile_stage(
                 check_operand("SCNN group channels", n, group.channels())?;
                 check_operand("SCNN group extent", k, group.k())?;
             }
+            check_filters("SCNN effective filters", *m_count, groups.len() * ORBIT)?;
             let variants = 1 + usize::from(reuse.ppsr);
             let schedules: Vec<_> = (0..groups.len())
                 .map(|g| scnn_schedule(m_count.saturating_sub(g * ORBIT).min(ORBIT), reuse))
@@ -1138,11 +1208,15 @@ mod tests {
     /// Which layout each transferred stage compiles to, and what its
     /// groups hold. A stage on the other layout would pass every parity
     /// suite, so the rule is pinned here: at least 16 lanes (a stored
-    /// SCNN block, or a DCNN meta group with or without ERRR) and a
-    /// stored span of two taps take [`Layout::Lanes`]; every other stage
-    /// takes [`Layout::Rows`], one group per orbit or meta group. Every
-    /// stage of the VGG-16 trunk takes lanes under SCNN and DCNN4; the
-    /// fleet's 8-filter SCNN stages (4 lanes) take rows.
+    /// SCNN block, a DCNN meta group with or without ERRR, or a DCNN
+    /// `(meta group, dx)` pair) and a stored span of two taps take
+    /// [`Layout::Lanes`]; every other stage takes [`Layout::Rows`], one
+    /// group per orbit or meta group. A DCNN stage takes offset lanes
+    /// where they reach 16 and pack into fewer lane groups than the meta
+    /// lanes make calls ([`offset_lanes`]; ties keep meta lanes). Every
+    /// stage of the VGG-16 trunk takes lanes under SCNN and DCNN4, DCNN4's
+    /// conv1_x (16 meta groups) offset lanes; the fleet's 8-filter SCNN
+    /// stages (4 lanes) take rows.
     ///
     /// In both layouts: orbit and meta groups pack into lane groups of
     /// the layout's width without straddling, the plane ranges tile
@@ -1151,7 +1225,8 @@ mod tests {
     /// an SCNN member's lane is its source's stored `(set, variant)`
     /// block, its window the rows in order or flipped; a DCNN filter
     /// `(dy, dx)` reads its meta group's lane at rows `dy..` and offset
-    /// call `dx`.
+    /// call `dx`, or on offset lanes lane `dx` of its meta group, whose
+    /// block is columns `dx·d ..` of the meta rows, in one call.
     #[test]
     fn transferred_stages_compile_to_lane_groups() {
         let (scnn, dcnn4, dcnn6) = (
@@ -1165,33 +1240,40 @@ mod tests {
             ReuseConfig::PPSR_ONLY,
             ReuseConfig::NONE,
         );
-        // (scheme, filters, reuse, each lane group's (first plane,
-        // planes, lanes)); no groups: the row layout, one group per
-        // stored orbit or meta group.
+        // (scheme, filters, reuse, DCNN offset lanes, each lane group's
+        // (first plane, planes, lanes)); no groups: the row layout, one
+        // group per stored orbit or meta group.
         type Groups = &'static [(usize, usize, usize)];
-        let cells: [(TransferScheme, usize, ReuseConfig, Groups); 13] = [
-            (scnn, 24, full, &[]),
-            (scnn, 32, full, &[(0, 32, 16)]),
-            (scnn, 72, full, &[(0, 64, 32), (64, 8, 4)]),
-            (scnn, 16, errr, &[]),
-            (scnn, 24, errr, &[(0, 24, 18)]),
-            (scnn, 64, errr, &[(0, 40, 30), (40, 24, 18)]),
-            (scnn, 12, ppsr, &[(0, 12, 18)]),
-            (scnn, 16, none, &[(0, 16, 16)]),
-            (dcnn4, 60, full, &[]),
-            (dcnn4, 144, full, &[(0, 128, 32), (128, 16, 4)]),
-            (dcnn4, 144, none, &[(0, 128, 32), (128, 16, 4)]),
-            (dcnn4, 144, ppsr, &[(0, 128, 32), (128, 16, 4)]),
-            (dcnn6, 256, errr, &[(0, 256, 16)]),
+        let dcnn4_144: Groups = &[(0, 64, 32), (64, 64, 32), (128, 16, 8)];
+        let cells: [(TransferScheme, usize, ReuseConfig, bool, Groups); 18] = [
+            (scnn, 24, full, false, &[]),
+            (scnn, 32, full, false, &[(0, 32, 16)]),
+            (scnn, 72, full, false, &[(0, 64, 32), (64, 8, 4)]),
+            (scnn, 16, errr, false, &[]),
+            (scnn, 24, errr, false, &[(0, 24, 18)]),
+            (scnn, 64, errr, false, &[(0, 40, 30), (40, 24, 18)]),
+            (scnn, 12, ppsr, false, &[(0, 12, 18)]),
+            (scnn, 16, none, false, &[(0, 16, 16)]),
+            (dcnn4, 28, full, false, &[]),
+            (dcnn4, 60, full, true, &[(0, 60, 30)]),
+            (dcnn4, 32, full, true, &[(0, 32, 16)]),
+            (dcnn4, 128, full, false, &[(0, 128, 32)]),
+            (dcnn4, 144, full, true, dcnn4_144),
+            (dcnn4, 144, none, true, dcnn4_144),
+            (dcnn4, 144, ppsr, true, dcnn4_144),
+            (dcnn6, 64, full, true, &[(0, 64, 16)]),
+            (dcnn6, 256, errr, true, &[(0, 128, 32), (128, 128, 32)]),
+            (dcnn6, 512, errr, false, &[(0, 512, 32)]),
         ];
         let (n, k) = (3, 3);
-        for (scheme, m, reuse, expected) in cells {
+        for (scheme, m, reuse, offset, expected) in cells {
             let variants = 1 + usize::from(reuse.ppsr);
             for d in [1, 2] {
                 let at = format!("{scheme:?} M {m} {reuse:?} d={d}");
                 let (weights, stage, _) = transferred_stage(m, scheme, d, reuse);
                 // Each stored orbit or meta group's (first plane, planes,
                 // lanes).
+                let mut per_axis = 1;
                 let members: Vec<(usize, usize, usize)> = match &weights {
                     TransferredLayer::Scnn { groups, .. } => (0..groups.len())
                         .map(|g| {
@@ -1201,9 +1283,12 @@ mod tests {
                         })
                         .collect(),
                     TransferredLayer::Dcnn { metas, .. } => {
-                        let grid = (metas[0].z() + 1 - k).pow(2);
+                        per_axis = metas[0].z() + 1 - k;
+                        let grid = per_axis * per_axis;
                         let planes = |g: usize| grid.min(m - g * grid);
-                        (0..metas.len()).map(|g| (g * grid, planes(g), 1)).collect()
+                        let lanes = if offset { per_axis } else { 1 };
+                        let members = (0..metas.len()).map(|g| (g * grid, planes(g), lanes));
+                        members.collect()
                     }
                     TransferredLayer::Dense { .. } => unreachable!("a transferred layer"),
                 };
@@ -1216,6 +1301,15 @@ mod tests {
                 let got: Vec<_> = groups.iter().map(|g| (g.m0, g.planes, g.live)).collect();
                 assert_eq!(got, expected, "{at}");
                 assert!(groups.iter().all(|g| g.layout == layout), "{at}");
+                // An offset lane's block is one call of KW columns; a meta
+                // lane's is ZW columns read at every offset call.
+                let kw = d * (k - 1) + 1;
+                let shape = if offset {
+                    (kw, 1)
+                } else {
+                    (d * (k + per_axis - 2) + 1, per_axis)
+                };
+                assert!(groups.iter().all(|g| (g.cols, g.offsets) == shape), "{at}");
                 // The table: every lane's block where `tap` puts it, whole
                 // orbit and meta groups per lane group, the last lane
                 // group's missing lanes zero.
@@ -1260,14 +1354,25 @@ mod tests {
                         }
                     }
                     TransferredLayer::Dcnn { metas, .. } => {
+                        // Lane `dx` of an offset-lane meta group holds
+                        // meta columns `dx .. dx + K`; a meta lane all.
+                        let slices: Vec<(usize, std::ops::Range<usize>)> = if offset {
+                            (0..per_axis).map(|dx| (dx, dx..dx + k)).collect()
+                        } else {
+                            vec![(0, 0..rows)]
+                        };
                         for (g, meta) in metas.iter().enumerate() {
                             for c in 0..n {
                                 for kr in 0..rows {
-                                    for x in 0..rows {
-                                        let row = c * rows + kr;
-                                        let slot =
-                                            tap(width, n * rows, cols, firsts[g], row, x * d);
-                                        expected_rows[slot] = Fx16::from_f32(meta.get(c, kr, x));
+                                    for (dx, columns) in &slices {
+                                        for x in columns.clone() {
+                                            let row = c * rows + kr;
+                                            let (lane, col) =
+                                                (firsts[g] + dx, (x - columns.start) * d);
+                                            let slot = tap(width, n * rows, cols, lane, row, col);
+                                            expected_rows[slot] =
+                                                Fx16::from_f32(meta.get(c, kr, x));
+                                        }
                                     }
                                 }
                             }
@@ -1296,16 +1401,17 @@ mod tests {
                                     "{at}"
                                 );
                             } else {
-                                let per_axis = rows + 1 - k;
                                 let t = plane % (per_axis * per_axis);
+                                let (dy, dx) = (t / per_axis, t % per_axis);
+                                let (lane_dx, variant) = if offset { (dx, 0) } else { (0, dx) };
                                 assert_eq!(
                                     lane,
-                                    firsts[plane / (per_axis * per_axis)],
+                                    firsts[plane / (per_axis * per_axis)] + lane_dx,
                                     "{at} plane {plane}"
                                 );
                                 assert_eq!(
                                     (read.first, read.reversed, read.variant),
-                                    (t / per_axis, false, t % per_axis),
+                                    (dy, false, variant),
                                     "{at}"
                                 );
                             }
@@ -1345,6 +1451,13 @@ mod tests {
                 let groups = lane_groups(&stage);
                 assert!(
                     groups.iter().all(|g| g.layout == Layout::Lanes),
+                    "{} under {scheme:?}",
+                    s.name()
+                );
+                // conv1_x's 16 meta groups fill 32 lanes as offset lanes.
+                let offsets = if scheme == dcnn4 && s.m() > 64 { 2 } else { 1 };
+                assert!(
+                    groups.iter().all(|g| g.offsets == offsets),
                     "{} under {scheme:?}",
                     s.name()
                 );

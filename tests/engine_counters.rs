@@ -252,9 +252,12 @@ fn lane_stages_charge_the_row_streams_per_unit() {
 /// time), so compile's closed-form fold has a reference outside itself.
 /// A one-stage 3-channel 9×9 network at `K = 3`, pad 1, per scheme on a
 /// row-layout stage (SCNN 8 filters: 4–8 lanes; DCNN4 16: 4 meta
-/// groups; DCNN6 16: one) and a lane-layout one (SCNN 64, DCNN4 64,
+/// groups; DCNN6 16: one) and lane-layout ones (SCNN 64, DCNN4 64,
 /// DCNN6 256: 16 or more lanes), under every reuse ablation, stride and
 /// dilation 1–2, and batch 1 and 3 (every image charged the same).
+/// DCNN4 32 (8 meta groups) and DCNN6 64 (4) ran the row layout when
+/// their rows were recorded; they and DCNN4 64 and DCNN6 256 now run
+/// offset lanes, one lane per `(meta group, dx)`, charged the same.
 /// Each row: dense MACs, multiplies, adds, SR reads and writes, PSum
 /// memory reads and writes; the other counters are zero.
 #[test]
@@ -262,7 +265,7 @@ fn transferred_stages_charge_the_recorded_counters() {
     use tfe::sim::counters::Counters;
     use tfe::transfer::TransferScheme;
     #[rustfmt::skip]
-    let pinned: [[u64; 7]; 96] = [
+    let pinned: [[u64; 7]; 128] = [
         [17496, 26136, 15552, 0, 0, 1944, 2376], // SCNN 8 NONE s1 d1
         [5400, 26136, 14656, 0, 0, 1080, 2376], // SCNN 8 NONE s2 d1
         [10584, 26136, 11872, 0, 0, 1176, 1848], // SCNN 8 NONE s1 d2
@@ -311,6 +314,22 @@ fn transferred_stages_charge_the_recorded_counters() {
         [10800, 23232, 18224, 0, 11616, 2160, 3168], // DCNN4 16 FULL s2 d1
         [21168, 23232, 18992, 0, 11616, 2352, 2464], // DCNN4 16 FULL s1 d2
         [6912, 12672, 10016, 0, 6336, 1344, 1344], // DCNN4 16 FULL s2 d2
+        [69984, 85536, 51840, 0, 0, 0, 0], // DCNN4 32 NONE s1 d1
+        [21600, 47520, 27520, 0, 0, 0, 0], // DCNN4 32 NONE s2 d1
+        [42336, 66528, 31360, 0, 0, 0, 0], // DCNN4 32 NONE s1 d2
+        [13824, 38016, 17152, 0, 0, 0, 0], // DCNN4 32 NONE s2 d2
+        [69984, 57024, 47952, 0, 28512, 0, 0], // DCNN4 32 PPSR s1 d1
+        [21600, 31680, 25360, 0, 15840, 0, 0], // DCNN4 32 PPSR s2 d1
+        [42336, 44352, 36400, 0, 22176, 0, 0], // DCNN4 32 PPSR s1 d2
+        [13824, 25344, 20032, 0, 12672, 0, 0], // DCNN4 32 PPSR s2 d2
+        [69984, 69696, 43200, 0, 0, 7776, 6336], // DCNN4 32 ERRR s1 d1
+        [21600, 69696, 39616, 0, 0, 4320, 6336], // DCNN4 32 ERRR s2 d1
+        [42336, 69696, 32704, 0, 0, 4704, 4928], // DCNN4 32 ERRR s1 d2
+        [13824, 38016, 17152, 0, 0, 2688, 2688], // DCNN4 32 ERRR s2 d2
+        [69984, 46464, 40032, 0, 23232, 7776, 6336], // DCNN4 32 FULL s1 d1
+        [21600, 46464, 36448, 0, 23232, 4320, 6336], // DCNN4 32 FULL s2 d1
+        [42336, 46464, 37984, 0, 23232, 4704, 4928], // DCNN4 32 FULL s1 d2
+        [13824, 25344, 20032, 0, 12672, 2688, 2688], // DCNN4 32 FULL s2 d2
         [139968, 171072, 103680, 0, 0, 0, 0], // DCNN4 64 NONE s1 d1
         [43200, 95040, 55040, 0, 0, 0, 0], // DCNN4 64 NONE s2 d1
         [84672, 133056, 62720, 0, 0, 0, 0], // DCNN4 64 NONE s1 d2
@@ -343,6 +362,22 @@ fn transferred_stages_charge_the_recorded_counters() {
         [10800, 13068, 11690, 0, 8712, 2160, 2376], // DCNN6 16 FULL s2 d1
         [21168, 13068, 12458, 0, 8712, 2352, 1848], // DCNN6 16 FULL s1 d2
         [6912, 7128, 6452, 0, 4752, 1344, 1008], // DCNN6 16 FULL s2 d2
+        [139968, 171072, 103680, 0, 0, 0, 0], // DCNN6 64 NONE s1 d1
+        [43200, 95040, 55040, 0, 0, 0, 0], // DCNN6 64 NONE s2 d1
+        [84672, 133056, 62720, 0, 0, 0, 0], // DCNN6 64 NONE s1 d2
+        [27648, 76032, 34304, 0, 0, 0, 0], // DCNN6 64 NONE s2 d2
+        [139968, 85536, 81648, 0, 57024, 0, 0], // DCNN6 64 PPSR s1 d1
+        [43200, 47520, 42800, 0, 31680, 0, 0], // DCNN6 64 PPSR s2 d1
+        [84672, 66528, 61712, 0, 44352, 0, 0], // DCNN6 64 PPSR s1 d2
+        [27648, 38016, 33728, 0, 25344, 0, 0], // DCNN6 64 PPSR s2 d2
+        [139968, 104544, 67392, 0, 0, 15552, 9504], // DCNN6 64 ERRR s1 d1
+        [43200, 104544, 60224, 0, 0, 8640, 9504], // DCNN6 64 ERRR s2 d1
+        [84672, 104544, 50624, 0, 0, 9408, 7392], // DCNN6 64 ERRR s1 d2
+        [27648, 57024, 26240, 0, 0, 5376, 4032], // DCNN6 64 ERRR s2 d2
+        [139968, 52272, 53928, 0, 34848, 15552, 9504], // DCNN6 64 FULL s1 d1
+        [43200, 52272, 46760, 0, 34848, 8640, 9504], // DCNN6 64 FULL s2 d1
+        [84672, 52272, 49832, 0, 34848, 9408, 7392], // DCNN6 64 FULL s1 d2
+        [27648, 28512, 25808, 0, 19008, 5376, 4032], // DCNN6 64 FULL s2 d2
         [559872, 684288, 414720, 0, 0, 0, 0], // DCNN6 256 NONE s1 d1
         [172800, 380160, 220160, 0, 0, 0, 0], // DCNN6 256 NONE s2 d1
         [338688, 532224, 250880, 0, 0, 0, 0], // DCNN6 256 NONE s1 d2
@@ -368,11 +403,11 @@ fn transferred_stages_charge_the_recorded_counters() {
     ];
     let mut rows = pinned.iter();
     for (scheme, filters) in [
-        (TransferScheme::Scnn, [8usize, 64]),
-        (TransferScheme::DCNN4, [16, 64]),
-        (TransferScheme::DCNN6, [16, 256]),
+        (TransferScheme::Scnn, &[8usize, 64][..]),
+        (TransferScheme::DCNN4, &[16, 32, 64]),
+        (TransferScheme::DCNN6, &[16, 64, 256]),
     ] {
-        for m in filters {
+        for &m in filters {
             for reuse in reuses {
                 for (stride, dilation) in [(1, 1), (2, 1), (1, 2), (2, 2)] {
                     let shape = LayerShape::conv("pin", 3, m, 9, 9, 3, stride, 1)
@@ -412,4 +447,66 @@ fn transferred_stages_charge_the_recorded_counters() {
         }
     }
     assert!(rows.next().is_none());
+}
+
+/// Stored groups past a stage's last filter run nothing and charge
+/// nothing. A 64-filter DCNN4 layer (`K = 3`, stride 1, `FULL`, 3×12×12)
+/// storing 24 meta groups instead of 16 is charged what the 16-group
+/// layer is, 150,528 multiplies per image: it was charged 225,792 while
+/// compile still swept its 8 surplus meta groups. A 64-filter SCNN layer
+/// storing 12 orbit groups instead of 8 is charged what the 8-group one
+/// is. `NetworkPerf` derives its counts from the stage's `M`, so it reads
+/// the same figure for either cell (for DCNN4 its edge-free 110,592,
+/// where the engine pays padded-row edges).
+#[test]
+fn surplus_transferred_groups_are_not_charged() {
+    use tfe::sim::perf::{NetworkPerf, PerfConfig};
+    use tfe::transfer::TransferScheme;
+    let shape = LayerShape::conv("surplus", 3, 64, 12, 12, 3, 1, 1).unwrap();
+    let wide = LayerShape::conv("surplus", 3, 96, 12, 12, 3, 1, 1).unwrap();
+    for (scheme, needed, stored, multiplies) in [
+        (TransferScheme::DCNN4, 16, 24, Some((150_528, 110_592))),
+        (TransferScheme::Scnn, 8, 12, None),
+    ] {
+        let mut seed = 0x5eed_u32;
+        let drawn = TransferredLayer::random(&wide, scheme, || det(&mut seed)).unwrap();
+        let layer = |groups: usize| match drawn.clone() {
+            TransferredLayer::Dcnn { k, mut metas, .. } => {
+                metas.truncate(groups);
+                TransferredLayer::Dcnn { k, m: 64, metas }
+            }
+            TransferredLayer::Scnn {
+                groups: mut orbits, ..
+            } => {
+                orbits.truncate(groups);
+                TransferredLayer::Scnn {
+                    m: 64,
+                    groups: orbits,
+                }
+            }
+            TransferredLayer::Dense { .. } => unreachable!("3x3 layers transfer"),
+        };
+        let input = Tensor4::from_fn([1, 3, 12, 12], |_| Fx16::from_f32(det(&mut seed)));
+        let run = |groups: usize| {
+            let net = FunctionalNetwork::new(vec![FunctionalStage {
+                shape: shape.clone(),
+                weights: layer(groups),
+                bias: Vec::new(),
+                output: OutputConfig::RELU_ONLY,
+            }])
+            .unwrap();
+            let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
+            let perf = NetworkPerf::of_engine(&engine, &PerfConfig::default());
+            let out = engine.run(&input, &mut Scratch::new()).unwrap();
+            (out, *perf.layers()[0].counters())
+        };
+        let ((exact, exact_perf), (surplus, surplus_perf)) = (run(needed), run(stored));
+        assert_eq!(surplus.activations, exact.activations, "{scheme:?}");
+        assert_eq!(surplus.counters, exact.counters, "{scheme:?}");
+        assert_eq!(surplus_perf, exact_perf, "{scheme:?}");
+        if let Some((engine, model)) = multiplies {
+            assert_eq!(surplus.counters.multiplies, engine, "{scheme:?}");
+            assert_eq!(surplus_perf.multiplies, model, "{scheme:?}");
+        }
+    }
 }

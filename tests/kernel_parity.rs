@@ -415,13 +415,16 @@ fn filter_vector_dense_stages_match_oracle() {
     }
 }
 
-/// The transferred lane layout (SCNN orbit groups' stored blocks and
-/// DCNN meta groups as lanes of the filter-vector pass, on stages of at
-/// least 16 lanes), through real engine runs: SCNN at 64 filters (one
-/// full 32-lane group under `FULL`) and 72 (32 + 4 lanes), DCNN4 at 64
-/// (16 meta groups) and 144 (32 + 4), DCNN6 at 256 (16), under every
-/// reuse ablation (SCNN stores 4, 6, 12 or 8 lanes per orbit group;
-/// DCNN takes lanes with or without ERRR), stride 1 and 2, dilation 1 and
+/// The transferred lane layout (SCNN orbit groups' stored blocks, DCNN
+/// meta groups, and DCNN `(meta group, dx)` offset slices as lanes of
+/// the filter-vector pass, on stages of at least 16 lanes), through real
+/// engine runs: SCNN at 64 filters (one full 32-lane group under `FULL`)
+/// and 72 (32 + 4 lanes); DCNN4 at 128 (32 meta lanes); on offset lanes
+/// DCNN4 at 32 (8 meta groups, 16 lanes), 64 (16, 32 lanes), 144 (36,
+/// 32 + 32 + 8) and 192 (48, three full groups), and DCNN6 at 64 (4, 16
+/// lanes) and 256 (16, 32 + 32); under every reuse ablation (SCNN
+/// stores 4, 6, 12 or 8 lanes per orbit group; DCNN takes lanes with or
+/// without ERRR), stride 1 and 2, dilation 1 and
 /// 2, pad 0 and 1, batch 1 and 3, on quiet data (the tap-pair filter
 /// blocks) and on data with one loud sample per image that fails the
 /// stage gate without any sum reaching the `i32` rails (the saturating
@@ -436,8 +439,12 @@ fn transferred_lane_stages_match_oracle() {
     for (scheme, m) in [
         (TransferScheme::Scnn, 64usize),
         (TransferScheme::Scnn, 72),
+        (TransferScheme::DCNN4, 32),
         (TransferScheme::DCNN4, 64),
+        (TransferScheme::DCNN4, 128),
         (TransferScheme::DCNN4, 144),
+        (TransferScheme::DCNN4, 192),
+        (TransferScheme::DCNN6, 64),
         (TransferScheme::DCNN6, 256),
     ] {
         for (stride, dilation, pad) in [

@@ -145,6 +145,77 @@ fn transferred_blocks_that_disagree_with_the_stage_are_rejected() {
     );
 }
 
+/// A 64-filter layer of `scheme` at 3×12×12 (`K = 3`, stride 1) storing
+/// the first `groups` of the 24 DCNN4 meta groups or 12 SCNN orbit
+/// groups a 96-filter layer draws.
+fn grouped_layer(scheme: TransferScheme, groups: usize) -> (LayerShape, TransferredLayer) {
+    let shape = LayerShape::conv("count", 3, 64, 12, 12, 3, 1, 1).unwrap();
+    let wide = LayerShape::conv("count", 3, 96, 12, 12, 3, 1, 1).unwrap();
+    let mut seed = 21u32;
+    let layer = TransferredLayer::random(&wide, scheme, || {
+        seed = seed.wrapping_mul(1664525).wrapping_add(1013904223);
+        ((seed >> 16) as f32 / 65536.0) - 0.5
+    })
+    .unwrap();
+    let layer = match layer {
+        TransferredLayer::Dcnn { k, mut metas, .. } => {
+            metas.truncate(groups);
+            TransferredLayer::Dcnn { k, m: 64, metas }
+        }
+        TransferredLayer::Scnn {
+            groups: mut orbits, ..
+        } => {
+            orbits.truncate(groups);
+            TransferredLayer::Scnn {
+                m: 64,
+                groups: orbits,
+            }
+        }
+        TransferredLayer::Dense { .. } => unreachable!("3x3 layers transfer"),
+    };
+    (shape, layer)
+}
+
+/// Transferred weights must yield at least the stage's filters, as
+/// `expand_to_dense` requires: a 64-filter layer storing 8 of the 16
+/// DCNN4 meta groups it needs, or 4 of the 8 SCNN orbit groups, is a
+/// typed compile error (it used to compile and return 64 planes whose
+/// last 32 were zero). Surplus groups (24 meta groups, 12 orbit groups)
+/// compile and match `conv2d_fx` on the expanded weights.
+#[test]
+fn transferred_group_counts_must_cover_the_filters() {
+    use tfe::sim::SimError;
+    use tfe::tensor::conv::conv2d_fx;
+    for (scheme, what, needed, surplus) in [
+        (TransferScheme::DCNN4, "DCNN effective filters", 16, 24),
+        (TransferScheme::Scnn, "SCNN effective filters", 8, 12),
+    ] {
+        let (shape, short) = grouped_layer(scheme, needed / 2);
+        assert!(short.expand_to_dense().is_err(), "{what}");
+        let expected = SimError::OperandMismatch {
+            what,
+            expected: 64,
+            actual: 32,
+        };
+        assert_eq!(compile_error(&shape, short.clone()), expected);
+        let input = Tensor4::from_fn([1, 3, 12, 12], |[_, c, y, x]| {
+            Fx16::from_f32(((c * 7 + y * 3 + x) % 11) as f32 / 8.0 - 0.6)
+        });
+        assert_eq!(
+            run_layer(&input, &short, &shape, ReuseConfig::FULL).unwrap_err(),
+            expected
+        );
+        let (_, layer) = grouped_layer(scheme, surplus);
+        let dense = layer.expand_to_dense().unwrap().map(Fx16::from_f32);
+        let got = run_layer(&input, &layer, &shape, ReuseConfig::FULL).unwrap();
+        assert_eq!(
+            got.output,
+            conv2d_fx(&input, &dense, &shape).unwrap(),
+            "{what}"
+        );
+    }
+}
+
 /// A zero input produces a zero ofmap with zero-valued (but fully
 /// counted) work — the clock-gating case.
 #[test]
