@@ -106,6 +106,32 @@ fn dense_net(n: usize, m: usize, hw: usize, k: usize, amp: f32, seed: u32) -> Fu
     .unwrap()
 }
 
+/// [`dense_net`] with all but one weight in ten zeroed: past the 80 %
+/// sparsity threshold, so an 8-filter stage compiles to the
+/// compressed-sparse pass.
+fn pruned_net(n: usize, m: usize, hw: usize, seed: u32) -> FunctionalNetwork {
+    let mut s = seed;
+    let shape = LayerShape::conv("p", n, m, hw, hw, 3, 1, 1).unwrap();
+    let mut tap = 0;
+    let weights = TransferredLayer::Dense {
+        weights: Tensor4::from_fn([m, n, 3, 3], |_| {
+            tap += 1;
+            if tap % 10 == 0 {
+                det(&mut s)
+            } else {
+                0.0
+            }
+        }),
+    };
+    FunctionalNetwork::new(vec![FunctionalStage {
+        shape,
+        weights,
+        bias: vec![0.1; m],
+        output: OutputConfig::RELU_ONLY,
+    }])
+    .unwrap()
+}
+
 /// A single transferred stage (48 → `m` channels at 12×12; at 16, DCNN4,
 /// DCNN6, and SCNN all tile it) with weights scaled by `amp` — the
 /// transferred counterpart of [`dense_net`]: small `amp` keeps every
@@ -417,11 +443,12 @@ fn per_layer_telemetry_sums_match_sequential_engine() {
 }
 
 /// The bounded high-water shrink, for two dense engines (row sweep and
-/// filter-vector sweep), a DCNN4, and two SCNN engines (row and lane
+/// filter-vector sweep), a pruned dense engine on the compressed-sparse
+/// pass, a DCNN4, and two SCNN engines (row and lane
 /// layouts): a one-off batch-8 run grows the batch-scaled arenas —
-/// padded planes, accumulators, and stage buffers, plus the dense row
-/// parts, the filter-vector parts, window and position list, the row
-/// layout's batch-wide window and ERRR ring parts, or the lane
+/// padded planes, accumulators, and stage buffers, plus the dense and
+/// sparse row parts, the filter-vector parts, window and position list,
+/// the row layout's batch-wide window and ERRR ring parts, or the lane
 /// layout's window, position list and ring parts — and a lone
 /// image at two workers the filter-vector sweep's output-row block; they
 /// stay warm while the peaks are inside the shrink window, and are
@@ -448,6 +475,7 @@ fn scratch_arenas_shrink_after_peak_ages_out() {
     };
     let cells = [
         ("dense", dense_net(8, 8, 12, 3, 1.0, 0x91), 8, vec![PARTS]),
+        ("sparse pass", pruned_net(8, 8, 12, 0x96), 8, vec![PARTS]),
         // 32 filters run the filter-vector sweep, whose lone image at
         // two workers splits its output rows into blocks.
         (

@@ -355,28 +355,36 @@ fn transferred_rows_reach_every_tap_pair_width() {
 /// filters, through real engine runs: a full 32-filter group plus a
 /// partial last group of 8 (`M = 40`), two full groups (`M = 64`) and a
 /// lone 16-filter group, stride
-/// 1 and 2, `K` = 3, 5 and 7, pad 0, 1 and 2, batch 1 and 3. Quiet data
+/// 1 and 2, `K` = 3, 5 and 7, pad 0, 1 and 2, dilation 1 and 2, batch 1
+/// and 3. Quiet data
 /// passes the stage gate (the tap-pair filter blocks); data with one
 /// loud sample per image fails it without any sum reaching the `i32`
 /// rails (the saturating portable loop, where the oracle's different
 /// addition order still agrees). Each cell's raw accumulators
 /// (`run_layer`) must equal `conv2d_fx`, and so must the activations of
 /// `Engine::run_batched` at 1–3 workers, which split the batch or, at
-/// batch 1, the stage's groups (halving a full group at 3 workers).
+/// batch 1, the stage's groups or output rows, and of a lone image at 4
+/// and 5 workers, which split its output rows.
 #[test]
 fn filter_vector_dense_stages_match_oracle() {
     let mut seed = 0xf17e_u32;
     let hw = 13;
-    for (m, k, stride, pad) in [
-        (40usize, 3usize, 1usize, 1usize),
-        (40, 5, 2, 0),
-        (16, 7, 2, 2),
-        (40, 7, 1, 0),
-        (16, 5, 1, 2),
-        (40, 3, 2, 2),
-        (64, 3, 1, 1),
+    for (m, k, stride, pad, dilation) in [
+        (40usize, 3usize, 1usize, 1usize, 1usize),
+        (40, 5, 2, 0, 1),
+        (16, 7, 2, 2, 1),
+        (40, 7, 1, 0, 1),
+        (16, 5, 1, 2, 1),
+        (40, 3, 2, 2, 1),
+        (64, 3, 1, 1, 1),
+        (40, 3, 1, 2, 2),
+        (16, 5, 2, 1, 2),
+        (64, 3, 2, 0, 2),
     ] {
-        let shape = LayerShape::conv("fv", 3, m, hw, hw, k, stride, pad).unwrap();
+        let shape = LayerShape::conv("fv", 3, m, hw, hw, k, stride, pad)
+            .unwrap()
+            .with_dilation(dilation)
+            .unwrap();
         for (regime, amp) in [("wrapping", 1.0f32), ("saturating", 16.0)] {
             let weights = Tensor4::from_fn([m, 3, k, k], |_| amp * det(&mut seed));
             let layer = TransferredLayer::Dense {
@@ -400,11 +408,14 @@ fn filter_vector_dense_stages_match_oracle() {
                     Fx16::from_f32(if loud { 127.0 } else { det(&mut seed) })
                 });
                 let expected = conv2d_fx(&input, &dense, &shape).unwrap();
-                let cell = format!("M {m} K {k} stride {stride} pad {pad} {regime} batch {batch}");
+                let cell = format!(
+                    "M {m} K {k} stride {stride} pad {pad} d {dilation} {regime} batch {batch}"
+                );
                 let got = run_layer(&input, &layer, &shape, ReuseConfig::FULL).unwrap();
                 assert_eq!(got.output, expected, "{cell}");
                 let activations = expected.map(|a| a.to_sample());
-                for workers in 1..=3 {
+                let workers = if batch == 1 { 1..=5 } else { 1..=3 };
+                for workers in workers {
                     let run = engine
                         .run_batched(&input, &mut Scratch::new(), workers)
                         .unwrap();
