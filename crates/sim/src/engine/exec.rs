@@ -10,30 +10,26 @@
 //! instead of re-streaming the full row table per image.
 //!
 //! Every stage runs one datapath: one row-interleaved padded layout
-//! (`fill_padded_batch`), one executor per unit kind (a dense filter —
-//! compressed-sparse or not — a dense filter group, or a transferred
-//! group, which holds SCNN orbit groups' or DCNN meta groups' blocks
-//! alike), one forward row sweep for every row-kernel pass
-//! ([`row_sweep`]), one window combine (`combine`), and one output
-//! memory system (`crate::output`'s [`finish_plane`]), which each part
-//! runs on the planes it computed ([`finish_part`]).
+//! (`fill_padded_batch`), one executor per unit kind (a dense filter on
+//! the compressed-sparse pass, or a group of lanes: dense filters, SCNN
+//! orbit groups' or DCNN meta groups' blocks alike), one forward row
+//! sweep for every row-kernel pass ([`row_sweep`]), one window combine
+//! (`combine`), and one output memory system (`crate::output`'s
+//! [`finish_plane`]), which each part runs on the planes it computed
+//! ([`finish_part`]).
 //!
-//! Ungrouped dense stages of at least 16 filters run the filter-vector
-//! sweep ([`filter_group_sweep`], DESIGN §5.10) instead of one filter at
-//! a time: per output row and `ky` one kernel call covers a group of
-//! filters at the part's emitted positions only, so the row sweep's
-//! inter-image junk positions and overlapped tail blocks are gone
-//! there. Its `K` parts go through the same `combine`. A lone image of
-//! such a stage with fewer filter groups than workers splits its output
-//! rows between them ([`partition`]).
-//!
-//! Every transferred stage runs the one transferred executor
-//! ([`transferred_group`]) from the read schedule compile derived once
-//! from the weights: one ERRR ring of per-input-row part buffers per
-//! group, then one window per read, charged the closed forms compile
-//! summed. Its two layouts differ only in how a ring row is filled (a
-//! [`row_sweep`] per lane and weight row, or at 16 or more lanes one
-//! filter-vector pass across every lane) and how a window is emitted.
+//! Every stage but a sparse one runs the one group executor
+//! ([`group_sweep`]) from the read schedule compile derived once from
+//! the weights: one ERRR ring of per-input-row part buffers per group,
+//! each ring row computing only the parts some window reads, then one
+//! window per read, charged the closed forms compile summed. Its two
+//! layouts differ only in how a ring row is filled (a [`row_sweep`] per
+//! lane and weight row, or at 16 or more lanes one filter-vector pass
+//! across every lane, DESIGN §5.10) and how a window is emitted. The
+//! filter-vector pass visits only the part's emitted positions, so the
+//! row sweep's inter-image junk positions and overlapped tail blocks
+//! are gone there. A lone image of a dense stage with fewer groups than
+//! workers splits its output rows between them ([`partition`]).
 //!
 //! Bit-identity discipline: each accumulated term is a complete
 //! `j`-summed correlation; window parts combine first-copied-then-added
@@ -95,12 +91,11 @@ pub struct BatchedRun {
 /// `0..M`), or, when the batch is smaller than the worker budget,
 /// single-image unit runs whose plane ranges tile `0..M` (the
 /// [`UnitIr::plane_range`] invariant) — both tile the `[B × M × E × F]`
-/// output exactly, in ascending offset order, with every row. A
-/// filter-vector stage with fewer filter groups than an image's workers
-/// splits that image's output rows instead (`oy0..oy1`, on pool-band
-/// boundaries); such a part's block is not contiguous in the output, so
-/// it writes buffers of its own and the stage copies its finished rows
-/// into place.
+/// output exactly, in ascending offset order, with every row. A dense
+/// stage with fewer groups than an image's workers splits that image's
+/// output rows instead (`oy0..oy1`, on pool-band boundaries); such a
+/// part's block is not contiguous in the output, so it writes buffers
+/// of its own and the stage copies its finished rows into place.
 #[derive(Debug, Clone, Copy)]
 struct Part {
     b0: usize,
@@ -149,8 +144,8 @@ struct PartCtx<'a> {
     batch: usize,
     /// Whether the stage's conservative bound proved every kernel
     /// intermediate stays inside `i32` — gates the wrapping
-    /// (vectorizer-friendly) fast path of every row pass: dense,
-    /// sparse, DCNN, and SCNN.
+    /// (vectorizer-friendly) fast path of every pass: dense, sparse,
+    /// DCNN, and SCNN.
     saturation_free: bool,
     /// The whole batch's padded input planes, interleaved by row
     /// (`[N × PH × (B·PW)]`) so one contiguous pass spans the batch.
@@ -736,13 +731,16 @@ pub(crate) fn chunk_lengths(len: usize, chunks: usize) -> Vec<usize> {
 /// first, matching [`chunk_lengths`]). `batch < workers`: the worker
 /// budget is shared across images and each image's unit list is split
 /// into that many contiguous unit groups, so a lone large request still
-/// fans out. Where each image has more workers than a filter-vector
-/// stage has filter groups (a lone image of a 32-filter stage), each
-/// image's output rows are split instead: splitting a group would run
-/// narrower filter blocks (DESIGN §5.10). Rows split on pool-band
-/// boundaries (`p` rows, one row unpooled), so each part finishes whole
-/// pooling windows; a map of fewer bands than workers runs fewer parts.
-/// Parts are emitted in ascending output-offset order.
+/// fans out. Where each image has more workers than a stage has groups
+/// and every group splits its rows ([`LaneGroup::splits_rows`]: dense
+/// groups, each of whose ring parts one output row reads), each image's
+/// output rows are split instead: splitting a group would run narrower
+/// filter blocks (DESIGN §5.10), and a row split recomputes no part. A
+/// transferred group's ring rows serve several output rows, so its
+/// lone images split groups. Rows split on pool-band boundaries (`p`
+/// rows, one row unpooled), so each part finishes whole pooling
+/// windows; a map of fewer bands than workers runs fewer parts. Parts
+/// are emitted in ascending output-offset order.
 fn partition(batch: usize, stage: &StageIr, geo: &Geo, workers: usize) -> Vec<Part> {
     let units = &stage.units;
     let full = Part {
@@ -769,7 +767,7 @@ fn partition(batch: usize, stage: &StageIr, geo: &Geo, workers: usize) -> Vec<Pa
             });
             b0 += len;
         }
-    } else if workers / batch > units.len() && matches!(units[0], UnitIr::Filters { .. }) {
+    } else if workers / batch > units.len() && units.iter().all(splits_rows) {
         let p = stage.output.pool.unwrap_or(1);
         for (b, share) in chunk_lengths(workers, batch).into_iter().enumerate() {
             let mut oy0 = 0;
@@ -827,30 +825,21 @@ fn run_part(
     }
     for unit in &ctx.stage.units[part.u0..part.u1] {
         debug_assert!(
-            part.rows() == ctx.geo.e || matches!(unit, UnitIr::Filters { .. }),
-            "only the filter-vector sweep runs output-row parts"
+            part.rows() == ctx.geo.e || splits_rows(unit),
+            "only groups that split their rows run output-row parts"
         );
         match unit {
-            UnitIr::Dense { m, base } => {
-                let pass = DensePass::Rows(&ctx.stage.rows[*base..]);
-                dense_unit_sweep(ctx, part, pass, *m, out_part, bufs, charges);
-            }
             UnitIr::Sparse { m, taps } => {
-                let pass = DensePass::Sparse(taps);
-                dense_unit_sweep(ctx, part, pass, *m, out_part, bufs, charges);
+                sparse_sweep(ctx, part, taps, *m, out_part, bufs, charges)
             }
-            UnitIr::Filters { m0, live, base } => filter_group_sweep(
-                ctx,
-                part,
-                &ctx.stage.rows[*base..],
-                (*m0, *live),
-                out_part,
-                bufs,
-                charges,
-            ),
-            UnitIr::Lanes(group) => transferred_group(ctx, part, group, out_part, bufs, charges),
+            UnitIr::Lanes(group) => group_sweep(ctx, part, group, out_part, bufs, charges),
         }
     }
+}
+
+/// Whether `unit` is a group whose output rows a partition may split.
+fn splits_rows(unit: &UnitIr) -> bool {
+    matches!(unit, UnitIr::Lanes(group) if group.splits_rows())
 }
 
 /// Copies every image of `cur` into the flat zero-padded batch plane
@@ -901,63 +890,51 @@ fn combine<'a>(window: &mut Vec<Accum>, parts: impl IntoIterator<Item = &'a [Acc
     }
 }
 
-/// Emits output row `oy` of plane `m` (rebased to the part's plane
-/// range) for every image of a part from one batch-wide window: image
-/// `bi`'s lane starts at `bi·PW`, its output slab at `bi·slab`, and the
-/// row takes every `s`-th lane position. The gap positions between
-/// lanes are never read.
+/// Emits output row `oy` of plane `m` (rebased to the part's plane and
+/// row ranges) for every image of a part from one batch-wide window:
+/// image `bi`'s lane starts at `bi·PW`, its output slab at `bi·slab`,
+/// and the row takes every `s`-th lane position. The gap positions
+/// between lanes are never read.
 fn emit_rows(out_part: &mut [Accum], window: &[Accum], part: Part, m: usize, oy: usize, geo: &Geo) {
-    let slab = part.planes() * geo.e * geo.f;
+    let (rows, row) = (part.rows(), oy - part.oy0);
+    let slab = part.planes() * rows * geo.f;
     for bi in 0..part.images() {
         let lane = &window[bi * geo.pw..];
-        let orow = &mut out_part[bi * slab + (m * geo.e + oy) * geo.f..][..geo.f];
+        let orow = &mut out_part[bi * slab + (m * rows + row) * geo.f..][..geo.f];
         for (ox, slot) in orow.iter_mut().enumerate() {
             *slot = lane[ox * geo.s];
         }
     }
 }
 
-/// What one dense filter's row passes read: its stored rows (the
-/// channel-stacked kernel call) or its compressed-sparse taps.
-#[derive(Clone, Copy)]
-enum DensePass<'a> {
-    Rows(&'a [Fx16]),
-    Sparse(&'a [Vec<(u16, Fx16)>]),
-}
-
-/// One dense filter's plane for every image of the part at once: per
-/// output row and `ky`, the filter's `N/groups` rows run as **one** band
-/// pass over one contiguous span of the row-interleaved padded buffer
-/// covering the whole image range — the filter-stationary inner loop.
-/// The pass is the channel-stacked kernel call through [`row_sweep`]
-/// (each block of positions' channel sum held in registers, the parts
-/// row written once) or, on a stage compiled to the compressed-sparse
-/// mode, the filter's CSR tap pass ([`sparse_band_pass`]) over the same
-/// span. Each pass is charged the one [`charge_conventional`] closed
-/// form before either runs: a skipped zero tap is a wall-clock saving,
-/// not a counter delta.
+/// One compressed-sparse filter's plane for every image of the part at
+/// once: per output row and `ky`, the filter's CSR tap pass
+/// ([`sparse_band_pass`]) over its `N/groups` rows runs over one
+/// contiguous span of the row-interleaved padded buffer covering the
+/// whole image range — the filter-stationary inner loop. Each pass is
+/// charged the one [`charge_conventional`] closed form a dense filter's
+/// row pass is charged: a skipped zero tap is a wall-clock saving, not
+/// a counter delta.
 ///
 /// Geometry generality: the filter reads only its own channel band
 /// (`cpg` padded channels starting at `(filter/mpg)·cpg`), vertical taps
-/// sit at `oy·s + ky·d`, and rows are stored zero-stuffed at span
-/// `KW = d·(K−1)+1` — so grouped, depth-wise, and dilated layers all run
-/// this same sweep.
+/// sit at `oy·s + ky·d`, and taps sit at their zero-stuffed offsets in
+/// a row of span `KW = d·(K−1)+1` — so grouped, depth-wise, and dilated
+/// layers all run this same sweep.
 ///
 /// The span is `(images−1)·PW + full_w`: valid position `x` of image
 /// `bi` lives at offset `bi·PW + x` and reads exactly that image's
 /// samples in ascending `j` order, so per-image values and saturating
 /// addition order are identical to a single-image pass. The `KW−1`
 /// positions between consecutive images' lanes mix two images' samples —
-/// junk [`emit_rows`] never reads. The junk overhead is `(KW−1)/PW`
-/// extra positions per image; in exchange the whole batch runs as one
-/// long row instead of `B` short ones.
+/// junk [`emit_rows`] never reads.
 ///
-/// The parts buffer is laid out `[K × row_span]` so one `ky`'s sweep is
+/// The parts buffer is laid out `[K × row_span]` so one `ky`'s pass is
 /// one contiguous accumulator run.
-fn dense_unit_sweep(
+fn sparse_sweep(
     ctx: PartCtx<'_>,
     part: Part,
-    pass: DensePass<'_>,
+    taps: &[Vec<(u16, Fx16)>],
     filter: usize,
     out_part: &mut [Accum],
     bufs: &mut KernelBufs,
@@ -977,18 +954,9 @@ fn dense_unit_sweep(
         kw,
         ..
     } = *geo;
-    let images = part.images();
     let row_span = ctx.row_span(part);
     let bw = ctx.batch * pw;
     let c0 = (filter / mpg) * cpg;
-    // Channel ci's row ky sits at (ci·K + ky)·KW; its input row one
-    // padded plane (PH interleaved rows) after channel ci − 1's.
-    let band = Band {
-        channels: cpg,
-        width: kw,
-        w_stride: k * kw,
-        in_stride: ph * bw,
-    };
     let KernelBufs { window, parts, .. } = bufs;
     for oy in 0..e {
         parts.clear();
@@ -999,21 +967,8 @@ fn dense_unit_sweep(
             // end) — always in bounds of the interleaved row.
             let input = &ctx.padded[(c0 * ph + oy * s + ky * d) * bw + part.b0 * pw..];
             let _ = charge_conventional(k, kw, pw, cpg, charges);
-            match pass {
-                DensePass::Rows(rows) => row_sweep(
-                    ctx.stage.kernel,
-                    band,
-                    images,
-                    input,
-                    pw,
-                    [(&rows[ky * kw..], acc)],
-                    ctx.saturation_free,
-                ),
-                DensePass::Sparse(taps) => {
-                    let rows = &taps[ky * cpg..][..cpg];
-                    sparse_band_pass(rows, input, band.in_stride, acc, ctx.saturation_free);
-                }
-            }
+            let rows = &taps[ky * cpg..][..cpg];
+            sparse_band_pass(rows, input, ph * bw, acc, ctx.saturation_free);
         }
         combine(window, parts.chunks_exact(row_span));
         // The adder trees combine K window parts only at the F
@@ -1026,96 +981,9 @@ fn dense_unit_sweep(
     }
 }
 
-/// One filter group's planes for every image and output row of the
-/// part at once — the filter-vector sweep of an ungrouped dense stage
-/// ([`UnitIr::Filters`]), the software form of SAFM's broadcast: per
-/// output row and `ky`, one [`correlate_filters`] call visits only the
-/// part's emitted positions `(image, ox·s)` and, at each, multiplies a
-/// broadcast input pair by a tap pair of every filter of the group. No
-/// position straddles two images and no tail block recomputes
-/// finished positions, and the vector runs across filters, so its width
-/// does not depend on the row length.
-///
-/// The `K` parts (`[K × positions × G]`, filter innermost) combine
-/// through the one window [`combine`] in `ky` order, and each filter's
-/// lane of the window is emitted into its plane. A part over a
-/// [`padding_row`] is written as zeros, not computed. Per filter and
-/// output row the sweep charges what [`dense_unit_sweep`] charges, padding
-/// rows included: the [`charge_conventional`] closed form per `ky` and
-/// `(K−1)·F` combine adds.
-fn filter_group_sweep(
-    ctx: PartCtx<'_>,
-    part: Part,
-    table: &[Fx16],
-    (m0, live): (usize, usize),
-    out_part: &mut [Accum],
-    bufs: &mut KernelBufs,
-    charges: &mut Counters,
-) {
-    let geo = &ctx.geo;
-    let Geo {
-        f,
-        k,
-        s,
-        ph,
-        pw,
-        d,
-        cpg,
-        kw,
-        ..
-    } = *geo;
-    let bw = ctx.batch * pw;
-    // Offsets into the group from the one table index: channel ci's tap
-    // row (ky, j) sits at at(ci·K + ky, j), so consecutive channels'
-    // first tap rows are at(K, 0) apart; its input row one padded plane
-    // after channel ci − 1's.
-    let at = |row: usize, j: usize| tap(FILTER_GROUP, cpg * k, kw, 0, row, j);
-    let band = Band {
-        channels: cpg,
-        width: kw,
-        w_stride: at(k, 0),
-        in_stride: ph * bw,
-    };
-    let KernelBufs {
-        window,
-        parts,
-        positions,
-        ..
-    } = bufs;
-    emitted_positions(positions, part, geo);
-    let len = positions.len() * FILTER_GROUP;
-    // The kernel overwrites every live slot before the combine reads
-    // it; the slots of a partial group's missing filters are combined
-    // but never emitted.
-    parts.resize(k * len, Accum::ZERO);
-    for oy in part.oy0..part.oy1 {
-        for (ky, acc) in parts.chunks_exact_mut(len).enumerate() {
-            let i = oy * s + ky * d;
-            let _ = charge_conventional(k, kw, pw, cpg * live, charges);
-            if padding_row(geo, i) {
-                acc.fill(Accum::ZERO);
-                continue;
-            }
-            correlate_filters(
-                &table[at(ky, 0)..],
-                &ctx.padded[i * bw + part.b0 * pw..],
-                band,
-                positions,
-                live,
-                acc,
-                ctx.saturation_free,
-            );
-        }
-        combine(window, parts.chunks_exact(len));
-        charges.adds += (live * k.saturating_sub(1) * f) as u64;
-        let emits = (0..live).map(|fl| (fl, m0 - part.plane0 + fl));
-        emit_filters(out_part, window, part, emits, oy, geo);
-    }
-}
-
 /// Whether padded input row `i` is a padding row: every sample is zero,
-/// and so is every filter-vector part over it (an exact zero sum in
-/// either form), so the sweeps write its parts as zeros, not computed.
+/// and so is every part over it (an exact zero sum in either form), so
+/// a ring row over it writes its parts as zeros, not computed.
 fn padding_row(geo: &Geo, i: usize) -> bool {
     i < geo.pad || i >= geo.pad + geo.h
 }
@@ -1130,10 +998,9 @@ fn emitted_positions(positions: &mut Vec<usize>, part: Part, geo: &Geo) {
 
 /// Emits output row `oy` for every image of a part from one
 /// filter-vector window, `[positions × G]` with image `bi`'s column `ox`
-/// at position `bi·F + ox`: each `(lane, plane)` pair writes the
-/// window's lane into that plane (rebased to the part's plane and row
-/// ranges) — a filter group's filters in order, or a lane group's
-/// [`LaneWindow`](super::ir::LaneWindow) emits.
+/// at position `bi·F + ox`: each `(lane, plane)` pair of a
+/// [`LaneWindow`](super::ir::LaneWindow) writes the window's lane into
+/// that plane (rebased to the part's plane and row ranges).
 fn emit_filters(
     out_part: &mut [Accum],
     window: &[Accum],
@@ -1157,12 +1024,11 @@ fn emit_filters(
     }
 }
 
-/// The ERRR ring depth of a transferred group. At `d > 1` an output
-/// row's input taps are `d` apart, so consecutive output rows interleave
-/// their tap sets; a `K`-deep FIFO would evict rows that later windows
-/// still need and recompute every pass. Sizing the ring to the full
-/// effective input span keeps each input row's parts computed exactly
-/// once.
+/// The ERRR ring depth of a group. At `d > 1` an output row's input
+/// taps are `d` apart, so consecutive output rows interleave their tap
+/// sets; a `K`-deep FIFO would evict rows that later windows still need
+/// and recompute every pass. Sizing the ring to the full effective input
+/// span keeps each input row's parts computed exactly once.
 fn ring_capacity(geo: &Geo) -> usize {
     if geo.d == 1 {
         geo.k
@@ -1171,40 +1037,39 @@ fn ring_capacity(geo: &Geo) -> usize {
     }
 }
 
-/// One transferred group's planes for every image and output row of
-/// the part ([`LaneGroup`]: an SCNN orbit group's or a DCNN meta group's
-/// weight blocks as lanes) — the one ERRR/PPSR executor, for both
-/// layouts.
+/// One group's planes for every image of the part and each of its output
+/// rows ([`LaneGroup`]: dense filters, or an SCNN orbit group's or a DCNN
+/// meta group's weight blocks, as lanes) — the one executor of every
+/// stage but a sparse one, for both layouts.
 ///
-/// Per input row a window reads and the ring lacks, the group's ring
-/// row is filled with every lane's parts, one per weight row `r` and
-/// offset call `dx` (weights from column `dx·d`), and inserted, evicting
-/// the oldest row past [`ring_capacity`]. A [`padding_row`]'s parts are
-/// zero and are written, not computed. Per output row each of the
-/// group's windows combines `K` ring parts through the one window
-/// [`combine`] in `ky` order — rows `first + ky`, or flipped for ERRR's
-/// vertically mirrored members — and emits its `(lane, plane)` pairs.
-/// The layouts differ only in those two steps:
+/// This is the software form of Section III.C's ERRR row ring: a row of
+/// partial sums, once computed, is reused by every later output row
+/// whose window covers its input row instead of being recomputed. Per
+/// input row a window reads and the ring lacks, the group's ring row is
+/// filled ([`fill_ring_row`]) and inserted, evicting the oldest row past
+/// [`ring_capacity`]. Per output row each of the group's windows
+/// combines `K` ring parts through the one window [`combine`] in `ky`
+/// order — rows `first + ky`, or flipped for ERRR's vertically mirrored
+/// members — and emits its `(lane, plane)` pairs. The layouts differ
+/// only in how a ring row is filled and a window emitted:
 ///
 /// * [`Layout::Rows`]: a lane's part is one batch-wide stream,
-///   `(images−1)·PW + full_w` long with image `bi`'s lane at `bi·PW`,
-///   one [`row_sweep`] per lane and weight row filling its offset calls;
+///   `(images−1)·PW + full_w` long with image `bi`'s lane at `bi·PW`;
 ///   each emit combines its own lane's streams (the inter-image junk
 ///   positions too, never emitted) and [`emit_rows`] slices each image's
-///   lane. SCNN's mirrored stream is the forward pass over the FlipH
-///   partner's stored rows, which compile lays down reversed.
-/// * [`Layout::Lanes`]: a part is `[positions × G]`, one
-///   [`correlate_filters`] call across every lane at the part's emitted
-///   positions only; each window combines once and [`emit_filters`]
-///   writes its lanes.
+///   lane.
+/// * [`Layout::Lanes`]: a part is `[positions × G]`, at the part's
+///   emitted positions only; each window combines once and
+///   [`emit_filters`] writes its lanes.
 ///
 /// Either way each lane's part is the sum its weight rows make at those
 /// positions in the reference order, so per image the values equal a
-/// one-image run's. Charges are one image's, summed over the member
-/// groups at compile time: the group's `row_charge` per ring row filled,
-/// its `window_charge` per output row. A lone image splits groups
-/// between workers, never output rows (DESIGN §5.10).
-fn transferred_group(
+/// one-image run's. Charges are one image's, summed over the members at
+/// compile time: the group's `row_charge` per ring row filled, its
+/// `window_charge` per output row — dense groups charge only the latter,
+/// which is why their output rows may split between workers
+/// ([`partition`]) while a transferred group's may not.
+fn group_sweep(
     ctx: PartCtx<'_>,
     part: Part,
     group: &LaneGroup,
@@ -1213,31 +1078,7 @@ fn transferred_group(
     charges: &mut Counters,
 ) {
     let geo = &ctx.geo;
-    let Geo {
-        n,
-        k,
-        s,
-        ph,
-        pw,
-        d,
-        kw,
-        ..
-    } = *geo;
-    let bw = ctx.batch * pw;
-    let table = &ctx.stage.rows[group.base..];
-    let (rows, offsets) = (group.rows, group.offsets);
-    // Lane l's row r of channel c sits at at(l, c·rows + r, 0):
-    // consecutive channels' first tap rows are at(0, rows, 0) apart; its
-    // input row one padded plane after channel c − 1's.
-    let at = |lane: usize, row: usize, col: usize| {
-        tap(group.layout.width(), n * rows, group.cols, lane, row, col)
-    };
-    let band = Band {
-        channels: n,
-        width: kw,
-        w_stride: at(0, rows, 0),
-        in_stride: ph * bw,
-    };
+    let Geo { k, s, d, .. } = *geo;
     let KernelBufs {
         window,
         positions,
@@ -1245,66 +1086,24 @@ fn transferred_group(
         ring_pool,
         ..
     } = bufs;
-    // A ring row is `lanes × rows × offsets` parts of `len` accumulators;
-    // the lane layout's one part spans every lane.
-    let (lanes, len) = match group.layout {
-        Layout::Rows => (group.live, ctx.row_span(part)),
+    // A ring row holds `ring_lanes × rows × offsets` parts of `len`
+    // accumulators; the lane layout's one part spans every lane.
+    let len = match group.layout {
+        Layout::Rows => ctx.row_span(part),
         Layout::Lanes => {
             emitted_positions(positions, part, geo);
-            (1, positions.len() * FILTER_GROUP)
+            positions.len() * FILTER_GROUP
         }
     };
-    let part_at = |lane: usize, row: usize, dx: usize| ((lane * rows + row) * offsets + dx) * len;
     let capacity = ring_capacity(geo);
-    for oy in 0..geo.e {
+    for oy in part.oy0..part.oy1 {
         for ky in 0..k {
             let i = oy * s + ky * d;
             if ring.iter().any(|&(row, _)| row == i) {
                 continue;
             }
             let mut parts = ring_pool.pop().unwrap_or_default();
-            let padding = padding_row(geo, i);
-            // The row sweep accumulates into zeros; the filter-vector
-            // pass overwrites every live lane of every part.
-            if padding || group.layout == Layout::Rows {
-                parts.clear();
-            }
-            parts.resize(lanes * rows * offsets * len, Accum::ZERO);
-            let input = &ctx.padded[i * bw + part.b0 * pw..];
-            match group.layout {
-                _ if padding => {}
-                Layout::Rows => {
-                    for (slab, streams) in parts.chunks_exact_mut(offsets * len).enumerate() {
-                        let (lane, r) = (slab / rows, slab % rows);
-                        row_sweep(
-                            ctx.stage.kernel,
-                            band,
-                            part.images(),
-                            input,
-                            pw,
-                            streams
-                                .chunks_exact_mut(len)
-                                .enumerate()
-                                .map(|(dx, acc)| (&table[at(lane, r, dx * d)..], acc)),
-                            ctx.saturation_free,
-                        );
-                    }
-                }
-                Layout::Lanes => {
-                    for (call, acc) in parts.chunks_exact_mut(len).enumerate() {
-                        let (r, dx) = (call / offsets, call % offsets);
-                        correlate_filters(
-                            &table[at(0, r, dx * d)..],
-                            input,
-                            band,
-                            positions,
-                            group.live,
-                            acc,
-                            ctx.saturation_free,
-                        );
-                    }
-                }
-            }
+            fill_ring_row(ctx, part, group, i, positions, len, &mut parts);
             *charges += group.row_charge;
             if ring.len() == capacity {
                 ring_pool.extend(ring.pop_front().map(|(_, evicted)| evicted));
@@ -1320,7 +1119,8 @@ fn transferred_group(
                     .iter()
                     .find(|&&(row, _)| row == i)
                     .expect("row still resident within the window");
-                &parts[part_at(lane, w.read.row(k, ky), w.read.variant)..][..len]
+                let at = group.part(lane, w.read.row(k, ky), w.read.variant);
+                &parts[at * len..][..len]
             };
             match group.layout {
                 Layout::Rows => {
@@ -1344,6 +1144,100 @@ fn transferred_group(
     // Hand the ring's buffers back to the pool, where the arena's
     // high-water shrink sees them.
     ring_pool.extend(ring.drain(..).map(|(_, parts)| parts));
+}
+
+/// Fills `parts` with padded input row `i`'s ring row of `group` for
+/// `part`: each part of `len` accumulators (lane, weight row `r`, offset
+/// call `dx`, weights from column `dx·d`, at [`LaneGroup::part`]) that
+/// some window reads at an output row of the part, and no other — at
+/// stride 1 a dense group's edge rows, at larger strides most rows, hold
+/// parts no window reads. Reading part `r` at window row `ky` means
+/// output row `(i − ky·d)/s`, which must be whole and inside the part's
+/// `oy0..oy1`. A [`padding_row`]'s parts are written as zeros; every
+/// other part is one [`row_sweep`] of the lane's channel band in the
+/// row layout, or one [`correlate_filters`] call across every lane at
+/// `positions` in the lane layout. A part not computed keeps whatever
+/// the buffer held, and no window reads it: skipping it saves wall time
+/// and changes no counter, which charge the closed forms.
+fn fill_ring_row(
+    ctx: PartCtx<'_>,
+    part: Part,
+    group: &LaneGroup,
+    i: usize,
+    positions: &[usize],
+    len: usize,
+    parts: &mut Vec<Accum>,
+) {
+    let Geo {
+        s,
+        ph,
+        pw,
+        d,
+        cpg,
+        mpg,
+        kw,
+        ..
+    } = ctx.geo;
+    let bw = ctx.batch * pw;
+    let table = &ctx.stage.rows[group.base..];
+    let (rows, offsets) = (group.rows, group.offsets);
+    // Lane l's row r of channel c sits at at(l, c·rows + r, 0):
+    // consecutive channels' first tap rows are at(0, rows, 0) apart; its
+    // input row one padded plane after channel c − 1's, from the group's
+    // channel band on.
+    let at = |lane: usize, row: usize, col: usize| {
+        tap(group.layout.width(), cpg * rows, group.cols, lane, row, col)
+    };
+    let band = Band {
+        channels: cpg,
+        width: kw,
+        w_stride: at(0, rows, 0),
+        in_stride: ph * bw,
+    };
+    let c0 = group.m0 / mpg * cpg;
+    let input = &ctx.padded[(c0 * ph + i) * bw + part.b0 * pw..];
+    let padding = padding_row(&ctx.geo, i);
+    let read_at = |ky: usize| {
+        i.checked_sub(ky * d)
+            .is_some_and(|t| t % s == 0 && (part.oy0..part.oy1).contains(&(t / s)))
+    };
+    parts.resize(group.reads.len() * len, Accum::ZERO);
+    for (at_part, (acc, kys)) in parts.chunks_exact_mut(len).zip(&group.reads).enumerate() {
+        if !kys.iter().any(|&ky| read_at(ky)) {
+            continue;
+        }
+        let (lane, r, dx) = (
+            at_part / (rows * offsets),
+            at_part / offsets % rows,
+            at_part % offsets,
+        );
+        match group.layout {
+            _ if padding => acc.fill(Accum::ZERO),
+            Layout::Rows => {
+                // The row sweep accumulates into zeros.
+                acc.fill(Accum::ZERO);
+                row_sweep(
+                    ctx.stage.kernel,
+                    band,
+                    part.images(),
+                    input,
+                    pw,
+                    [(&table[at(lane, r, dx * d)..], acc)],
+                    ctx.saturation_free,
+                );
+            }
+            // The filter-vector pass overwrites every live lane.
+            Layout::Lanes => correlate_filters(
+                &table[at(0, r, dx * d)..],
+                input,
+                band,
+                positions,
+                group.live,
+                acc,
+                ctx.saturation_free,
+            ),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1617,7 +1511,7 @@ mod tests {
     fn pooled_row_sweep_stages_split_into_unit_groups() {
         let mut seed = 47u32;
         let engine = pooled_stage(8, 12, 2);
-        assert!(matches!(engine.stages[0].units[0], UnitIr::Dense { .. }));
+        assert!(matches!(&engine.stages[0].units[0], UnitIr::Lanes(g) if g.layout == Layout::Rows));
         assert_eq!(
             parts_of(&engine, 1, 3),
             [(0, 0..3, 0..12), (0, 3..6, 0..12), (0, 6..8, 0..12)]
@@ -1699,6 +1593,147 @@ mod tests {
             |x: i16| saturation_free(stage, &Geo::of(&shape), &[Fx16::ZERO, Fx16::from_bits(x)]);
         assert!(gate(5461) && gate(-5461));
         assert!(!gate(5462) && !gate(-5462) && !gate(i16::MIN));
+    }
+
+    /// Each ring row computes exactly the parts some window of its part
+    /// reads: part `(lane, r, dx)` of input row `i` where an output row
+    /// `oy` of the part reads `i` at window row `ky` (`oy·s + ky·d = i`)
+    /// through a window whose `ky`-th row is `r` at offset call `dx`. A
+    /// part computed that no window reads changes no value and no
+    /// counter, so no parity suite sees it; here every part starts as a
+    /// marker no computed part can hold, and the fill must overwrite
+    /// exactly the parts read. Dense rows and lanes, SCNN rows and lanes
+    /// under every reuse configuration, and DCNN4 meta rows, offset lanes
+    /// and meta lanes, at `K` = 1, 3 and 5, stride 1–3, dilation 1–2 and
+    /// pad 0–2, for whole parts and output-row parts.
+    #[test]
+    fn ring_rows_compute_only_the_parts_windows_read() {
+        let unread = Accum::from_bits(0x5a5a_5a5a);
+        let reuses = [
+            ReuseConfig::NONE,
+            ReuseConfig::PPSR_ONLY,
+            ReuseConfig::ERRR_ONLY,
+            ReuseConfig::FULL,
+        ];
+        // (weights, filters): dense rows and lanes; SCNN rows (8 filters,
+        // at most 12 lanes) and lanes (40 filters); DCNN4 meta rows (5
+        // meta groups), offset lanes (10: 20 lanes) and meta lanes (32).
+        let schemes = [
+            (None, 8),
+            (None, 20),
+            (Some(TransferScheme::Scnn), 8),
+            (Some(TransferScheme::Scnn), 40),
+            (Some(TransferScheme::DCNN4), 20),
+            (Some(TransferScheme::DCNN4), 40),
+            (Some(TransferScheme::DCNN4), 128),
+        ];
+        let (n, hw, batch) = (2, 9, 2);
+        let mut seed = 61u32;
+        let mut checked = [0usize; 2];
+        for (scheme, m) in schemes {
+            for reuse in reuses {
+                for (k, s, d, pad) in [1, 3, 5].into_iter().flat_map(|k| {
+                    (1..=3).flat_map(move |s| {
+                        (1..=2).flat_map(move |d| (0..=2).map(move |p| (k, s, d, p)))
+                    })
+                }) {
+                    let Ok(shape) = LayerShape::conv("fill", n, m, hw, hw, k, s, pad)
+                        .and_then(|shape| shape.with_dilation(d))
+                    else {
+                        continue;
+                    };
+                    let net = match scheme {
+                        Some(scheme) => {
+                            FunctionalNetwork::random(&[(shape.clone(), false)], scheme, || {
+                                det(&mut seed)
+                            })
+                        }
+                        None => FunctionalNetwork::new(vec![crate::network::FunctionalStage {
+                            shape: shape.clone(),
+                            weights: tfe_transfer::layer::TransferredLayer::Dense {
+                                weights: Tensor4::from_fn([m, n, k, k], |_| det(&mut seed)),
+                            },
+                            bias: Vec::new(),
+                            output: crate::output::OutputConfig::RELU_ONLY,
+                        }]),
+                    };
+                    let engine = Engine::compile(&net.unwrap(), reuse).unwrap();
+                    let stage = &engine.stages[0];
+                    let geo = Geo::of(&shape);
+                    let input = image([batch, n, hw, hw], &mut seed);
+                    let mut padded = Vec::new();
+                    fill_padded_batch(&mut padded, input.as_slice(), batch, &geo);
+                    let ctx = PartCtx::new(stage, geo, batch, &padded);
+                    let e = geo.e;
+                    let whole = Part {
+                        b0: 0,
+                        b1: batch,
+                        u0: 0,
+                        u1: stage.units.len(),
+                        plane0: 0,
+                        plane1: geo.m,
+                        oy0: 0,
+                        oy1: e,
+                    };
+                    let parts = [(0, e), (0, e / 2), (e / 2, e), (1, e.saturating_sub(1))]
+                        .into_iter()
+                        .filter(|&(oy0, oy1)| oy0 < oy1)
+                        .map(|(oy0, oy1)| Part { oy0, oy1, ..whole });
+                    for part in parts {
+                        let mut positions = Vec::new();
+                        emitted_positions(&mut positions, part, &geo);
+                        for unit in &stage.units {
+                            let UnitIr::Lanes(group) = unit else {
+                                panic!("only lane groups fill ring rows");
+                            };
+                            let rows_layout = group.layout == Layout::Rows;
+                            let len = if rows_layout {
+                                ctx.row_span(part)
+                            } else {
+                                positions.len() * FILTER_GROUP
+                            };
+                            let lanes = if rows_layout { group.live } else { 1 };
+                            let count = lanes * group.rows * group.offsets;
+                            let inputs = (part.oy0..part.oy1)
+                                .flat_map(|oy| (0..geo.k).map(move |ky| (oy, ky)));
+                            for i in inputs.map(|(oy, ky)| oy * s + ky * d) {
+                                let mut read = vec![false; count];
+                                for (oy, ky) in (part.oy0..part.oy1)
+                                    .flat_map(|oy| (0..geo.k).map(move |ky| (oy, ky)))
+                                    .filter(|&(oy, ky)| oy * s + ky * d == i)
+                                {
+                                    let _ = oy;
+                                    for w in &group.windows {
+                                        for &(lane, _) in &w.emits {
+                                            let lane = if rows_layout { lane } else { 0 };
+                                            let r = w.read.row(geo.k, ky);
+                                            read[(lane * group.rows + r) * group.offsets
+                                                + w.read.variant] = true;
+                                        }
+                                    }
+                                }
+                                let mut ring_row = vec![unread; count * len];
+                                fill_ring_row(ctx, part, group, i, &positions, len, &mut ring_row);
+                                let computed: Vec<bool> = ring_row
+                                    .chunks_exact(len)
+                                    .map(|p| p.iter().any(|&a| a != unread))
+                                    .collect();
+                                assert_eq!(
+                                    computed, read,
+                                    "{scheme:?} M {m} {reuse:?} K {k} s {s} d {d} pad {pad} \
+                                     rows {}..{} input row {i}",
+                                    part.oy0, part.oy1
+                                );
+                                checked[0] += read.iter().filter(|&&r| r).count();
+                                checked[1] += read.iter().filter(|&&r| !r).count();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Both sides were exercised: parts read, and parts skipped.
+        assert!(checked.iter().all(|&c| c > 0), "{checked:?}");
     }
 
     #[test]

@@ -10,34 +10,33 @@
 //! reads these tables, and only forward: the SCNN mirrored stream reads
 //! the stored FlipH partner's rows, never a row reversed at run time.
 //!
-//! A dense stage's table stores its filters in units of `G`, tap-major
-//! within a unit ([`tap`], the one index into it): `G = 1` is filter
-//! rows (`[m][c][ky][j]`, one [`UnitIr::Dense`] or [`UnitIr::Sparse`]
-//! per filter), `G` = [`FILTER_GROUP`] the filter-vector sweep's groups
-//! (`[g][c][ky][j][f]`, one [`UnitIr::Filters`] per group).
-//! [`compile_dense`] chooses the layout and the executor once, and the
-//! units' kind is the only record of that choice.
-//!
-//! A transferred stage stores *lanes*: each SCNN `(set, variant)` block
-//! — a source orientation [`source_of`] resolves for an orbit member,
-//! or under PPSR its FlipH partner — and each DCNN meta group, or on a
+//! Every stage but one on the compressed-sparse pass stores *lanes* and
+//! runs one executor: a dense filter, each SCNN `(set, variant)` block —
+//! a source orientation [`source_of`] resolves for an orbit member, or
+//! under PPSR its FlipH partner — and each DCNN meta group, or on a
 //! stage whose meta groups would leave vector lanes idle each `(meta
-//! group, dx)` pair ([`offset_lanes`]). Compile
-//! derives one read schedule from the weights and folds it into
-//! [`LaneGroup`]s, whose [`Layout`] is the only record of the executor
-//! choice: a stage of at least [`MIN_VECTOR_FILTERS`] lanes and a
-//! stored span of two taps stores `G` lanes tap-major per group
-//! (`[g][c][row][col][lane]`, through [`tap`]); every other one stores
-//! each orbit or meta group's blocks back to back (the group of one), one
-//! group per orbit or meta group. Under [`ReuseConfig::FULL`] an orbit
-//! group stores orientations 0, 1, 4 and 5: the two bases and their
-//! FlipH partners.
+//! group, dx)` pair ([`offset_lanes`]). Compile derives one read
+//! schedule from the weights and folds it into [`LaneGroup`]s
+//! ([`fold_groups`]), whose [`Layout`] is the only record of the
+//! executor choice: an ungrouped stage of at least
+//! [`MIN_VECTOR_FILTERS`] lanes and a stored span of two taps stores `G`
+//! = [`FILTER_GROUP`] lanes tap-major per group (`[g][c][row][col][lane]`,
+//! through [`tap`], the one index into every table); every other one
+//! stores each filter's, orbit group's or meta group's blocks back to
+//! back (the group of one, `[m][c][row][col]`), one group per filter,
+//! orbit or meta group. Under [`ReuseConfig::FULL`] an orbit group
+//! stores orientations 0, 1, 4 and 5: the two bases and their FlipH
+//! partners.
+//!
+//! A dense stage on the compressed-sparse pass stores filter rows and
+//! runs one [`UnitIr::Sparse`] per filter; [`compile_dense`] makes that
+//! choice once, and the units' kind is its one record.
 
 use crate::counters::Counters;
 use crate::engine::kernels::{RowKernel, FILTER_GROUP};
 use crate::engine::sparse::compress;
 use crate::output::OutputConfig;
-use crate::ppsr::{charge_dcnn, charge_scnn};
+use crate::ppsr::{charge_conventional, charge_dcnn, charge_scnn};
 use crate::SimError;
 use tfe_nets::TransferMode;
 use tfe_tensor::fixed::{Accum, Fx16};
@@ -68,16 +67,9 @@ pub struct PrepareStats {
     pub scnn_orientations: u64,
 }
 
-/// One work unit of a compiled stage, with its offset into the stage's
-/// flat quantized row table.
+/// One work unit of a compiled stage.
 #[derive(Debug, Clone)]
 pub(crate) enum UnitIr {
-    /// One dense filter: rows at `base + (c·K + ky)·KW`, each
-    /// `KW = d·(K−1)+1` long (zero-stuffed at dilation `d`), with
-    /// `c ∈ 0..N/groups` — a grouped filter stores only its own channel
-    /// band and the run phase offsets reads by the group's first padded
-    /// channel.
-    Dense { m: usize, base: usize },
     /// One dense filter on the compressed-sparse pass
     /// (`engine/sparse.rs`): `taps[ky · N/groups + ci]` holds the
     /// ascending `(j, w)` survivors of stored row `(ci, ky)` —
@@ -88,25 +80,19 @@ pub(crate) enum UnitIr {
         m: usize,
         taps: Vec<Vec<(u16, Fx16)>>,
     },
-    /// One group of the filter-vector sweep: filters `m0 .. m0 + live`
-    /// of an ungrouped stage, stored tap-major from `base` — tap `j` of
-    /// row `(c, ky)` is the `G` weights at `base + ((c·K + ky)·KW + j)·G`,
-    /// one per filter of the group (`G` = [`FILTER_GROUP`]). Only a
-    /// partial last group has `live < G`; its other slots hold zeros.
-    Filters { m0: usize, live: usize, base: usize },
-    /// One group of a transferred stage, run by the one transferred
-    /// executor (boxed: a group is many times the other kinds' size).
+    /// One group of lanes, run by the one executor of every other stage
+    /// (boxed: a group is many times a sparse filter's size).
     Lanes(Box<LaneGroup>),
 }
 
-/// How a [`LaneGroup`] stores its lanes, and so how the transferred
-/// executor fills a ring row and emits a window; everything else about
-/// a group (its read schedule, ring and charges) is the same in both.
+/// How a [`LaneGroup`] stores its lanes, and so how the executor fills
+/// a ring row and emits a window; everything else about a group (its
+/// read schedule, ring and charges) is the same in both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Layout {
-    /// One orbit or meta group whose blocks sit back to back (the
-    /// [`tap`] group of one): a ring row holds one batch-wide stream
-    /// per lane, weight row and offset call, each filled by one
+    /// One filter, orbit group or meta group whose blocks sit back to
+    /// back (the [`tap`] group of one): a ring row holds one batch-wide
+    /// stream per lane, weight row and offset call, each filled by one
     /// `ppsr::row_sweep`, and each window's emits combine their own
     /// lane's streams.
     Rows,
@@ -118,8 +104,8 @@ pub(crate) enum Layout {
 }
 
 impl Layout {
-    /// The layout of a transferred stage of `lanes` lanes and stored
-    /// span `kw` ([`MIN_VECTOR_FILTERS`]).
+    /// The layout of an ungrouped stage of `lanes` lanes and stored span
+    /// `kw` ([`MIN_VECTOR_FILTERS`]); a grouped stage takes rows.
     fn of(lanes: usize, kw: usize) -> Layout {
         if kw >= 2 && lanes >= MIN_VECTOR_FILTERS {
             Layout::Lanes
@@ -137,23 +123,26 @@ impl Layout {
     }
 }
 
-/// One group of a transferred stage: the blocks of consecutive orbit or
-/// meta groups (never part of one) as lanes, stored from `base` in
-/// `layout`'s [`tap`] group — tap `col` of row `(c, r)` of lane `l` is
-/// at `base + tap(width, N·rows, cols, l, c·rows + r, col)`. An SCNN
-/// lane is one stored `(set, variant)` block of an orbit group
-/// (`rows = K`, `cols = KW`), a DCNN lane one meta group (`rows = Z`,
-/// `cols = ZW`) or, on offset lanes, one `(meta group, dx)` pair: the
-/// meta rows' columns `dx·d .. dx·d + KW` (`rows = Z`, `cols = KW`).
-/// Only the last [`Layout::Lanes`] group may have `live < G`; its other
-/// lanes hold zeros.
+/// One group of a stage: consecutive filters, or the blocks of
+/// consecutive orbit or meta groups (never part of one), as lanes,
+/// stored from `base` in `layout`'s [`tap`] group — tap `col` of row
+/// `(c, r)` of lane `l` is at `base + tap(width, N/groups·rows, cols, l,
+/// c·rows + r, col)`. A dense lane is one filter (`rows = K`, `cols =
+/// KW`), reading the `N/groups` channels of its filter group; an SCNN
+/// lane one stored `(set, variant)` block of an orbit group (`rows =
+/// K`, `cols = KW`), a DCNN lane one meta group (`rows = Z`, `cols =
+/// ZW`) or, on offset lanes, one `(meta group, dx)` pair: the meta rows'
+/// columns `dx·d .. dx·d + KW` (`rows = Z`, `cols = KW`). Only the last
+/// [`Layout::Lanes`] group may have `live < G`; its other lanes hold
+/// zeros.
 ///
 /// Per input row a window reads, the ring row holds every lane's `rows
 /// × offsets` parts, offset call `dx` reading weights from column `dx·d`
-/// (a DCNN meta lane's calls; SCNN and DCNN offset lanes have one);
-/// each [`LaneWindow`] combines `K` of those parts per output row and
-/// emits its lanes' planes. The charges are the member groups' closed
-/// forms, summed at compile time.
+/// (a DCNN meta lane's calls; every other lane has one); each
+/// [`LaneWindow`] combines `K` of those parts per output row and emits
+/// its lanes' planes. A ring row computes only the parts `reads` says
+/// some window reads. The charges are the members' closed forms, summed
+/// at compile time.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneGroup {
     pub(crate) layout: Layout,
@@ -171,10 +160,40 @@ pub(crate) struct LaneGroup {
     pub(crate) row_charge: Counters,
     /// What the member groups charge per output row: `(K−1)·F` combine
     /// adds per read and, with ERRR, `K` ring reads of one lane each;
-    /// DCNN without ERRR also recomputes every `K`-row window of its
-    /// meta rows, read or not.
+    /// dense filters and DCNN without ERRR also recompute every `K`-row
+    /// window of their weight rows, read or not.
     pub(crate) window_charge: Counters,
     pub(crate) windows: Vec<LaneWindow>,
+    /// Per part of a ring row ([`LaneGroup::part`]), the window rows
+    /// `ky` that read it: input row `i`'s part is read, and computed,
+    /// where some output row `oy` of the run has `oy·s + ky·d = i`.
+    pub(crate) reads: Vec<Vec<usize>>,
+}
+
+impl LaneGroup {
+    /// The lanes a ring row holds parts for: every lane in the row
+    /// layout, one part across all of them in the lane layout.
+    pub(crate) fn ring_lanes(&self) -> usize {
+        match self.layout {
+            Layout::Rows => self.live,
+            Layout::Lanes => 1,
+        }
+    }
+
+    /// The index of lane `lane`'s part of weight row `row` at offset
+    /// call `dx` within a ring row.
+    pub(crate) fn part(&self, lane: usize, row: usize, dx: usize) -> usize {
+        (lane * self.rows + row) * self.offsets + dx
+    }
+
+    /// Whether a split of the group's output rows between workers
+    /// recomputes and charges nothing twice: each part is read at one
+    /// window row, so by one output row, and nothing is charged per
+    /// ring row. Dense groups split; transferred groups share their
+    /// ring rows between output rows.
+    pub(crate) fn splits_rows(&self) -> bool {
+        self.row_charge == Counters::new() && self.reads.iter().all(|kys| kys.len() <= 1)
+    }
 }
 
 /// One combine of a lane group per output row: the parts of rows
@@ -212,8 +231,7 @@ impl UnitIr {
     /// slices to worker threads.
     pub(crate) fn plane_range(&self) -> std::ops::Range<usize> {
         match self {
-            UnitIr::Dense { m, .. } | UnitIr::Sparse { m, .. } => *m..*m + 1,
-            UnitIr::Filters { m0, live, .. } => *m0..*m0 + live,
+            UnitIr::Sparse { m, .. } => *m..*m + 1,
             UnitIr::Lanes(group) => group.m0..group.m0 + group.planes,
         }
     }
@@ -233,9 +251,8 @@ pub(crate) struct StageIr {
     /// (`Accum::from_sample(Fx16::from_f32(b))`, [`Accum::ZERO`] where
     /// the stage supplies none).
     pub(crate) bias: Vec<Accum>,
-    /// All quantized weights of the stage, contiguous: filter rows, a
-    /// dense stage's filter groups or a transferred stage's lane groups
-    /// ([`tap`]).
+    /// All quantized weights of the stage, contiguous: a sparse stage's
+    /// filter rows or every other stage's lane groups ([`tap`]).
     pub(crate) rows: Vec<Fx16>,
     /// The stage's units; their kind is the executor compile chose.
     pub(crate) units: Vec<UnitIr>,
@@ -259,11 +276,13 @@ pub(crate) struct StageIr {
 }
 
 impl StageIr {
-    /// The executor this stage compiled to, read off its units' kind.
+    /// The executor this stage compiled to: the sparse pass, read off
+    /// its units' kind, or the lane groups' executor over dense or
+    /// transferred weights.
     pub(crate) fn exec_mode(&self) -> ExecMode {
         match self.units.first() {
-            Some(UnitIr::Dense { .. } | UnitIr::Filters { .. }) => ExecMode::Dense,
             Some(UnitIr::Sparse { .. }) => ExecMode::Sparse,
+            _ if self.mode == TransferMode::Conventional => ExecMode::Dense,
             _ => ExecMode::Transferred,
         }
     }
@@ -284,26 +303,24 @@ fn sparsity(zeros: usize, shape: &LayerShape) -> f64 {
     }
 }
 
-/// The fewest filters a stage needs for the filter-vector sweep. The
-/// cells are measured, not derived (DESIGN §5.10: one-stage engines on
-/// 2 vCPUs with AVX-512BW): 32 filters ran 1.5–13× faster than the row
-/// sweep on every row length; 16 filters (one padded group, run in
+/// The fewest lanes a stage needs for [`Layout::Lanes`]. The cells are
+/// measured, not derived (DESIGN §5.10: one-stage engines on 2 vCPUs
+/// with AVX-512BW): 32 dense filters ran 1.5–13× faster than the row
+/// layout on every row length; 16 filters (one padded group, run in
 /// 16-filter blocks) ran faster on 6×6 maps and on a single 30×30
 /// image, but slower on batches of eight 30×30 images; 8 filters, whose
 /// blocks put 8 MACs in each `pmaddwd` against a long row's 32, ran up
-/// to 2.2× slower on 30-position rows. A transferred stage needs as many
-/// lanes for [`Layout::Lanes`]: from 16 lanes it won every cell of
-/// DESIGN §5.10's lane grid, while at 4–12 lanes it lost up to 2.8× on
-/// batches of long rows.
+/// to 2.2× slower on 30-position rows. Transferred lanes: from 16 lanes
+/// the lane layout won every cell of DESIGN §5.10's lane grid, while at
+/// 4–12 lanes it lost up to 2.8× on batches of long rows.
 const MIN_VECTOR_FILTERS: usize = 16;
 
-/// The table index of tap `j` of row `row = c·K + ky` of dense filter
-/// `m`, where every filter stores `rows` rows of `kw` taps in units of
-/// `group` filters, tap-major within a unit:
-/// `[m / group][row][j][m % group]`, so a unit's filters sit side by
-/// side at every tap. A group of one is the filter-row layout
-/// `[m][row][j]`, and [`FILTER_GROUP`] the filter-vector sweep's. The
-/// one index compile writes through and that sweep reads by.
+/// The table index of tap `j` of row `row` (`c·rows + r`) of lane `m`,
+/// where every lane stores `rows` rows of `kw` taps in units of `group`
+/// lanes, tap-major within a unit: `[m / group][row][j][m % group]`, so
+/// a unit's lanes sit side by side at every tap. A group of one is the
+/// row layout `[m][row][j]`, and [`FILTER_GROUP`] the lane layout's. The
+/// one index compile writes through and the executor reads by.
 pub(crate) fn tap(group: usize, rows: usize, kw: usize, m: usize, row: usize, j: usize) -> usize {
     let (g, f) = (m / group, m % group);
     ((g * rows + row) * kw + j) * group + f
@@ -311,19 +328,22 @@ pub(crate) fn tap(group: usize, rows: usize, kw: usize, m: usize, row: usize, j:
 
 /// Compiles a dense stage's table into `rows` and its units into
 /// `units`, choosing the stage's executor — the one place compile makes
-/// that choice, and the units' kind its one record:
+/// that choice:
 ///
-/// * a stage the filter-vector sweep serves (ungrouped, stored span
-///   `KW ≥ 2`, at least [`MIN_VECTOR_FILTERS`] filters) stores tap-major
-///   groups of [`FILTER_GROUP`] filters and runs [`UnitIr::Filters`],
-///   unless the policy is [`ModePolicy::ForceSparse`];
-/// * every other stage stores filter rows and runs [`UnitIr::Sparse`]
-///   under `ForceSparse`, or under [`ModePolicy::Measured`] from
-///   [`SPARSE_THRESHOLD`] zero taps, and [`UnitIr::Dense`] otherwise.
+/// * the compressed-sparse pass stores filter rows and runs one
+///   [`UnitIr::Sparse`] per filter, under [`ModePolicy::ForceSparse`],
+///   or under [`ModePolicy::Measured`] on a row-layout stage from
+///   [`SPARSE_THRESHOLD`] zero taps;
+/// * every other stage runs lane groups of one lane per filter, folded
+///   like any other stage's ([`fold_groups`]): one read of the `K`
+///   weight rows in order, charged per output row as DCNN without ERRR
+///   is, `K` conventional passes of the filter's `N/groups` channels. An
+///   ungrouped stage takes its [`Layout`] from its filters, a grouped
+///   one rows.
 ///
-/// So the CSR builder reads filter rows only, and an all-zero
-/// filter-vector stage stays on that sweep. Returns the stage's zero
-/// logical taps, counted as the table is written.
+/// So the CSR builder reads filter rows only, and an all-zero stage of
+/// the lane layout stays on it. Returns the stage's zero logical taps,
+/// counted as the table is written.
 fn compile_dense(
     shape: &LayerShape,
     weights: &Tensor4<f32>,
@@ -332,15 +352,19 @@ fn compile_dense(
     units: &mut Vec<UnitIr>,
     stats: &mut PrepareStats,
 ) -> usize {
-    let (m_count, k, d) = (shape.m(), shape.k(), shape.dilation());
-    let (cpg, kw) = (shape.channels_per_group(), d * (k - 1) + 1);
-    let vector = shape.groups() == 1 && kw >= 2 && m_count >= MIN_VECTOR_FILTERS;
-    let group = if vector && policy != ModePolicy::ForceSparse {
-        FILTER_GROUP
+    let geo = Geo::of(shape);
+    let (m_count, k, d, cpg, kw) = (geo.m, geo.k, geo.d, geo.cpg, geo.kw);
+    let layout = if shape.groups() == 1 {
+        Layout::of(m_count, kw)
     } else {
-        1
+        Layout::Rows
     };
-    // One table: filter groups pad only a partial last group, with zeros.
+    let group = if policy == ModePolicy::ForceSparse {
+        1
+    } else {
+        layout.width()
+    };
+    // One table: lane groups pad only a partial last group, with zeros.
     let per_filter = cpg * k;
     let len = m_count.next_multiple_of(group) * per_filter * kw;
     rows.resize(len, Fx16::ZERO);
@@ -364,27 +388,47 @@ fn compile_dense(
         }
     }
     let sparse = match policy {
-        ModePolicy::Measured => sparsity(zeros, shape) >= SPARSE_THRESHOLD,
+        ModePolicy::Measured => {
+            layout == Layout::Rows && sparsity(zeros, shape) >= SPARSE_THRESHOLD
+        }
         ModePolicy::DenseOnly => false,
         ModePolicy::ForceSparse => true,
     };
-    units.extend((0..m_count).step_by(group).map(|m0| {
-        let base = tap(group, per_filter, kw, m0, 0, 0);
-        if group > 1 {
-            UnitIr::Filters {
-                m0,
-                live: group.min(m_count - m0),
-                base,
-            }
-        } else if sparse {
+    if sparse {
+        units.extend((0..m_count).map(|m| {
+            let base = tap(1, per_filter, kw, m, 0, 0);
             UnitIr::Sparse {
-                m: m0,
+                m,
                 taps: compress(&rows[base..][..per_filter * kw], k, kw),
             }
-        } else {
-            UnitIr::Dense { m: m0, base }
-        }
-    }));
+        }));
+        return zeros;
+    }
+    let read = Read {
+        first: 0,
+        reversed: false,
+        variant: 0,
+    };
+    let members: Vec<Member> = (0..m_count)
+        .map(|m| Member {
+            m0: m,
+            lanes: 1,
+            passes: k,
+            reads: vec![(read, 0)],
+        })
+        .collect();
+    let firsts: Vec<usize> = (0..m_count).collect();
+    let mut charge = Counters::new();
+    let _ = charge_conventional(k, kw, geo.pw, cpg, &mut charge);
+    let blocks = Blocks {
+        layout,
+        rows: k,
+        cols: kw,
+        offsets: 1,
+        charge,
+        recompute: true,
+    };
+    *units = fold_groups(&members, &firsts, shape, &blocks);
     zeros
 }
 
@@ -550,12 +594,13 @@ struct Member {
     reads: Vec<(Read, usize)>,
 }
 
-/// What every lane of a transferred stage shares: the layout, each
-/// lane's block shape and offset calls, one row pass's closed-form
-/// charge (`charge_dcnn`/`charge_scnn`), and whether each output row is
-/// charged recomputing every `K`-row window of its weight rows (DCNN
-/// without ERRR) rather than each ring row once. Either way the run
-/// computes each ring row once: the values are the same.
+/// What every lane of a stage shares: the layout, each lane's block
+/// shape and offset calls, one row pass's closed-form charge
+/// (`charge_conventional`/`charge_dcnn`/`charge_scnn`), and whether each
+/// output row is charged recomputing every `K`-row window of its weight
+/// rows (dense filters, and DCNN without ERRR) rather than each ring row
+/// once. Either way the run computes each part once: the values are the
+/// same.
 struct Blocks {
     layout: Layout,
     rows: usize,
@@ -565,13 +610,15 @@ struct Blocks {
     recompute: bool,
 }
 
-/// Folds a transferred stage's members into [`LaneGroup`]s, member `u`'s
-/// lanes starting at `firsts[u]` ([`place_blocks`] in the layout's
-/// group): a [`Layout::Lanes`] group holds the members placed in one
-/// `G`-lane group, a [`Layout::Rows`] group one member. A member without
-/// lanes (an orbit group past the last filter) runs nothing. Each group
-/// sums its members' closed-form charges; the transferred executor only
-/// adds them up, per ring row and per output row.
+/// Folds a stage's members (dense filters, orbit groups or meta groups)
+/// into [`LaneGroup`]s, member `u`'s lanes starting at `firsts[u]`
+/// ([`place_blocks`] in the layout's group): a [`Layout::Lanes`] group
+/// holds the members placed in one `G`-lane group, a [`Layout::Rows`]
+/// group one member. A member without lanes (an orbit group past the
+/// last filter) runs nothing. Each group sums its members' closed-form
+/// charges, which the executor only adds up, per ring row and per
+/// output row, and records which window rows read each part of a ring
+/// row.
 fn fold_groups(
     members: &[Member],
     firsts: &[usize],
@@ -595,7 +642,7 @@ fn fold_groups(
                 layout: blocks.layout,
                 m0: member.m0.min(geo.m),
                 planes: 0,
-                base: tap(width, geo.n * blocks.rows, blocks.cols, first, 0, 0),
+                base: tap(width, geo.cpg * blocks.rows, blocks.cols, first, 0, 0),
                 live: 0,
                 rows: blocks.rows,
                 cols: blocks.cols,
@@ -603,6 +650,7 @@ fn fold_groups(
                 row_charge: Counters::new(),
                 window_charge: Counters::new(),
                 windows: Vec::new(),
+                reads: Vec::new(),
             });
         }
         let group = groups.last_mut().expect("a member's group was just pushed");
@@ -631,6 +679,27 @@ fn fold_groups(
             }
             group.planes += 1;
         }
+    }
+    for group in &mut groups {
+        let mut reads = vec![Vec::new(); group.ring_lanes() * group.rows * group.offsets];
+        for w in &group.windows {
+            for &(lane, _) in &w.emits {
+                // The lane layout's one part spans every lane.
+                let lane = if group.layout == Layout::Rows {
+                    lane
+                } else {
+                    0
+                };
+                for ky in 0..k {
+                    let kys: &mut Vec<usize> =
+                        &mut reads[group.part(lane, w.read.row(k, ky), w.read.variant)];
+                    if !kys.contains(&ky) {
+                        kys.push(ky);
+                    }
+                }
+            }
+        }
+        group.reads = reads;
     }
     groups
         .into_iter()
@@ -975,7 +1044,7 @@ mod tests {
     type Units = Vec<(&'static str, usize, usize)>;
 
     fn groups(units: &[(usize, usize)]) -> Units {
-        units.iter().map(|&(m0, n)| ("filters", m0, n)).collect()
+        units.iter().map(|&(m0, n)| ("lanes", m0, n)).collect()
     }
 
     fn per_filter(kind: &'static str, m: usize) -> Units {
@@ -984,13 +1053,13 @@ mod tests {
 
     /// The executor rule as compile records it in each stage's units,
     /// under every policy: ungrouped dense stages with a stored span of
-    /// at least two taps and at least 16 filters run 32-filter groups
-    /// (only a partial last group short) unless the policy forces the
-    /// sparse pass, even when every tap is zero; every other stage runs
-    /// one unit per filter, sparse under `ForceSparse` or, under
-    /// `Measured`, from the threshold. A stage that silently fell back
-    /// to another executor would pass every parity suite, so the kinds
-    /// are pinned here.
+    /// at least two taps and at least 16 filters run lane-layout groups
+    /// of 32 filters (only a partial last group short) unless the policy
+    /// forces the sparse pass, even when every tap is zero; every other
+    /// stage runs one unit per filter, sparse under `ForceSparse` or,
+    /// under `Measured`, from the threshold, and otherwise a row-layout
+    /// group of one. A stage that silently fell back to another executor
+    /// would pass every parity suite, so the kinds are pinned here.
     #[test]
     fn stages_compile_to_the_selected_sweep_form() {
         let conv = |n, m, k| LayerShape::conv("sel", n, m, 6, 6, k, 1, k / 2).unwrap();
@@ -1007,7 +1076,7 @@ mod tests {
         };
         let rows = |shape: LayerShape, zeros: usize, measured: &'static str| {
             let m = shape.m();
-            let dense = per_filter("dense", m);
+            let dense = per_filter("rows", m);
             let units = [per_filter(measured, m), dense, per_filter("sparse", m)];
             (shape, zeros, units)
         };
@@ -1025,23 +1094,23 @@ mod tests {
                 "dilated",
                 vector(conv(4, 32, 3).with_dilation(2).unwrap(), &[(0, 32)]),
             ),
-            ("8 filters", rows(conv(4, 8, 3), 0, "dense")),
-            ("15 filters", rows(conv(4, 15, 3), 0, "dense")),
-            ("pointwise", rows(conv(4, 32, 1), 0, "dense")),
+            ("8 filters", rows(conv(4, 8, 3), 0, "rows")),
+            ("15 filters", rows(conv(4, 15, 3), 0, "rows")),
+            ("pointwise", rows(conv(4, 32, 1), 0, "rows")),
             (
                 "grouped",
-                rows(conv(4, 32, 3).with_groups(2).unwrap(), 0, "dense"),
+                rows(conv(4, 32, 3).with_groups(2).unwrap(), 0, "rows"),
             ),
             (
                 "depth-wise",
                 rows(
                     LayerShape::depthwise("dw", 16, 6, 6, 3, 1, 1).unwrap(),
                     0,
-                    "dense",
+                    "rows",
                 ),
             ),
             // 8 × 5 × 9 = 360 taps: the threshold's two sides.
-            ("75 % zeros", rows(conv(5, 8, 3), 270, "dense")),
+            ("75 % zeros", rows(conv(5, 8, 3), 270, "rows")),
             ("80 % zeros", rows(conv(5, 8, 3), 288, "sparse")),
             ("all-zero 8 filters", rows(conv(4, 8, 3), all, "sparse")),
             (
@@ -1079,10 +1148,9 @@ mod tests {
                     .iter()
                     .map(|u| {
                         let kind = match u {
-                            UnitIr::Dense { .. } => "dense",
                             UnitIr::Sparse { .. } => "sparse",
-                            UnitIr::Filters { .. } => "filters",
-                            _ => "transferred",
+                            UnitIr::Lanes(g) if g.layout == Layout::Rows => "rows",
+                            UnitIr::Lanes(_) => "lanes",
                         };
                         let planes = u.plane_range();
                         (kind, planes.start, planes.len())
@@ -1122,8 +1190,8 @@ mod tests {
         }
     }
 
-    /// The one table of a filter-vector stage: every quantized weight
-    /// sits where [`tap`] says, tap-major with the group's
+    /// The one table of a dense lane-layout stage: every quantized
+    /// weight sits where [`tap`] says, tap-major with the group's
     /// filters innermost, dilation zeros and the partial last group's
     /// padding are zero, and the table is no longer than the row table
     /// padded to whole groups.
@@ -1147,10 +1215,9 @@ mod tests {
             let kw = dilation * (k - 1) + 1;
             assert_eq!(stage.rows.len(), m.next_multiple_of(group) * cpg * k * kw);
             let mut expected = vec![Fx16::ZERO; stage.rows.len()];
-            for (g, unit) in stage.units.iter().enumerate() {
-                let UnitIr::Filters { m0, live, base } = *unit else {
-                    panic!("filter-vector stages hold filter groups");
-                };
+            for (g, unit) in lane_groups(&stage).into_iter().enumerate() {
+                assert_eq!(unit.layout, Layout::Lanes);
+                let (m0, live, base) = (unit.m0, unit.live, unit.base);
                 assert_eq!((m0, base), (g * group, g * group * cpg * k * kw));
                 for f in 0..live {
                     for c in 0..cpg {
@@ -1169,6 +1236,75 @@ mod tests {
             }
             assert_eq!(stage.rows, expected, "m = {m}, d = {dilation}");
         }
+    }
+
+    /// A dense stage folds like any other: each filter is one lane whose
+    /// one window reads its `K` weight rows in order, and each ring
+    /// row's part `r` is read at window row `r` alone, so the groups
+    /// split their output rows ([`LaneGroup::splits_rows`]). Each group
+    /// is charged per output row what the dense sweeps charged: per
+    /// filter, `K` conventional passes of its `N/groups` channels and
+    /// `(K−1)·F` combine adds, and nothing per ring row. A transferred
+    /// stage with ERRR shares its parts between output rows and does not
+    /// split them.
+    #[test]
+    fn dense_stages_fold_into_lane_groups_of_one_read() {
+        let conv = |n, m, k| LayerShape::conv("fold", n, m, 7, 7, k, 2, 1).unwrap();
+        let cells = [
+            (conv(3, 40, 3), Layout::Lanes, vec![(0, 32), (32, 8)]),
+            (conv(3, 3, 5), Layout::Rows, vec![(0, 1), (1, 1), (2, 1)]),
+            (
+                conv(4, 2, 3)
+                    .with_groups(2)
+                    .unwrap()
+                    .with_dilation(2)
+                    .unwrap(),
+                Layout::Rows,
+                vec![(0, 1), (1, 1)],
+            ),
+        ];
+        for (shape, layout, expected) in cells {
+            let geo = Geo::of(&shape);
+            let (m, k) = (shape.m(), shape.k());
+            let weights = Tensor4::from_fn([m, geo.cpg, k, k], |[f, c, y, x]| {
+                ((f + 2 * c + 3 * y + 5 * x) % 7) as f32 / 8.0
+            });
+            let stage = dense_stage(&shape, weights, ModePolicy::DenseOnly);
+            let groups = lane_groups(&stage);
+            let got: Vec<_> = groups.iter().map(|g| (g.m0, g.live)).collect();
+            assert_eq!(got, expected, "{shape:?}");
+            for group in groups {
+                assert_eq!(group.layout, layout);
+                assert_eq!(
+                    (group.planes, group.rows, group.cols, group.offsets),
+                    (group.live, k, geo.kw, 1)
+                );
+                let [window] = &group.windows[..] else {
+                    panic!("one window per dense group");
+                };
+                let read = Read {
+                    first: 0,
+                    reversed: false,
+                    variant: 0,
+                };
+                let emits: Vec<_> = (0..group.live).map(|l| (l, group.m0 + l)).collect();
+                assert_eq!((window.read, &window.emits), (read, &emits));
+                let reads: Vec<Vec<usize>> = (0..k).map(|r| vec![r]).collect();
+                assert_eq!(group.reads, reads);
+                assert!(group.splits_rows());
+                let mut charge = Counters::new();
+                for _ in 0..group.live * k {
+                    let _ = charge_conventional(k, geo.kw, geo.pw, geo.cpg, &mut charge);
+                }
+                charge.adds += (group.live * (k - 1) * geo.f) as u64;
+                assert_eq!(
+                    (group.row_charge, group.window_charge),
+                    (Counters::new(), charge)
+                );
+            }
+        }
+        let (_, stage, _) = transferred_stage(8, TransferScheme::Scnn, 1, ReuseConfig::FULL);
+        assert!(lane_groups(&stage).iter().all(|g| !g.splits_rows()));
     }
 
     /// A random transferred stage of 3 channels, `K = 3` and dilation

@@ -446,11 +446,11 @@ fn per_layer_telemetry_sums_match_sequential_engine() {
 /// filter-vector sweep), a pruned dense engine on the compressed-sparse
 /// pass, a DCNN4, and two SCNN engines (row and lane
 /// layouts): a one-off batch-8 run grows the batch-scaled arenas —
-/// padded planes, accumulators, and stage buffers, plus the dense and
-/// sparse row parts, the filter-vector parts, window and position list,
-/// the row layout's batch-wide window and ERRR ring parts, or the lane
-/// layout's window, position list and ring parts — and a lone
-/// image at two workers the filter-vector sweep's output-row block; they
+/// padded planes, accumulators, and stage buffers, plus the sparse row
+/// parts, the row layout's batch-wide window and ERRR ring parts, or the
+/// lane layout's window, position list and ring parts — and a lone
+/// image of a dense lane-layout stage at two workers its output-row
+/// block; they
 /// stay warm while the peaks are inside the shrink window, and are
 /// released once `PEAK_WINDOW` (8) smaller runs age them out.
 #[test]
@@ -474,15 +474,22 @@ fn scratch_arenas_shrink_after_peak_ages_out() {
         caps
     };
     let cells = [
-        ("dense", dense_net(8, 8, 12, 3, 1.0, 0x91), 8, vec![PARTS]),
+        // Dense filters run lane groups on the ring: 8 filters in the row
+        // layout's batch-wide window and ring parts.
+        (
+            "dense",
+            dense_net(8, 8, 12, 3, 1.0, 0x91),
+            8,
+            vec![WINDOW, RING],
+        ),
         ("sparse pass", pruned_net(8, 8, 12, 0x96), 8, vec![PARTS]),
-        // 32 filters run the filter-vector sweep, whose lone image at
-        // two workers splits its output rows into blocks.
+        // 32 filters run the lane layout, whose lone image at two
+        // workers splits its output rows into blocks.
         (
             "dense filter groups",
             dense_net(8, 32, 12, 3, 1.0, 0x94),
             8,
-            vec![PARTS, WINDOW, POSITIONS, ROWS_OUT],
+            vec![WINDOW, POSITIONS, ROWS_OUT, RING],
         ),
         (
             "dcnn4",
