@@ -1042,12 +1042,16 @@ fn ring_capacity(geo: &Geo) -> usize {
 /// meta group's weight blocks, as lanes) — the one executor of every
 /// stage but a sparse one, for both layouts.
 ///
-/// This is the software form of Section III.C's ERRR row ring: a row of
-/// partial sums, once computed, is reused by every later output row
-/// whose window covers its input row instead of being recomputed. Per
+/// The ring is the software form of ERRR, entire-row result reuse
+/// (Section III.C, Figs. 8–9): the output memory system keeps the row
+/// results of the last few input rows alive in a ring of PSum memories
+/// (MEM0, MEM1, … are cyclically rewritten as Fig. 8's periods
+/// advance). A window result for output row `oy` sums row results of
+/// input rows `oy..oy+K−1`; as soon as row `i` falls out of every
+/// remaining window, its memory is recycled for row `i + K`. Here, per
 /// input row a window reads and the ring lacks, the group's ring row is
 /// filled ([`fill_ring_row`]) and inserted, evicting the oldest row past
-/// [`ring_capacity`]. Per output row each of the group's windows
+/// [`ring_capacity`]; a window only ever reads a resident row. Per output row each of the group's windows
 /// combines `K` ring parts through the one window [`combine`] in `ky`
 /// order — rows `first + ky`, or flipped for ERRR's vertically mirrored
 /// members — and emits its `(lane, plane)` pairs. The layouts differ

@@ -7,8 +7,8 @@
 //!   orientation schedules, pre-folded biases) and runs every request
 //!   through the PPSR stacked-register dataflow ([`ppsr`], with a
 //!   cycle-stepped register-transfer view in [`sr_pipeline`]) and the
-//!   ERRR cyclic partial-sum memory system ([`errr`]) on real
-//!   fixed-point data, producing actual ofmap values. [`functional`],
+//!   ERRR cyclic partial-sum memory system (the engine's ring of row
+//!   results) on real fixed-point data, producing actual ofmap values. [`functional`],
 //!   [`network`], [`batch`], and `tfe-serve` are thin entry points over
 //!   the same engine. Tests check it bit-exactly against the reference
 //!   convolution of the *expanded* transferred filters — proving the reuse
@@ -45,9 +45,7 @@ pub mod batch;
 pub mod config;
 pub mod counters;
 pub mod engine;
-pub mod errr;
 pub mod functional;
-pub mod input_memory;
 pub mod memory;
 pub mod network;
 pub mod output;

@@ -1,11 +1,10 @@
 //! Robustness and failure-injection tests: thread-safety of the public
 //! types, saturation behaviour of the fixed-point datapath under extreme
-//! inputs, and misuse of the memory-system primitives.
+//! inputs, compile rejections of weights that disagree with their
+//! stage, and decoders fed arbitrary bytes.
 
 use proptest::prelude::*;
 use tfe::core::{Evaluator, NetworkReport};
-use tfe::sim::counters::Counters;
-use tfe::sim::errr::RowRing;
 use tfe::sim::functional::run_layer;
 use tfe::tensor::fixed::{Accum, Fx16};
 use tfe::tensor::shape::LayerShape;
@@ -68,20 +67,6 @@ fn saturating_inputs_match_oracle() {
     let dense = layer.expand_to_dense().unwrap().map(Fx16::from_f32);
     let oracle = conv2d_fx(&input, &dense, &shape).unwrap();
     assert_eq!(got.output, oracle);
-}
-
-/// Reuse order matters: reading a recycled ERRR row is a scheduling bug
-/// and surfaces as `None`, never as stale data.
-#[test]
-fn row_ring_misuse_is_detected() {
-    let mut ring = RowRing::new(2);
-    let mut counters = Counters::new();
-    for i in 0..4usize {
-        ring.insert(i, vec![vec![vec![Accum::ZERO; 4]]], &mut counters);
-    }
-    assert!(ring.read(0, 0, 0, &mut counters).is_none());
-    assert!(ring.read(1, 0, 0, &mut counters).is_none());
-    assert!(ring.read(3, 0, 0, &mut counters).is_some());
 }
 
 /// Compiles a one-stage network of `weights` on `shape` and returns the
