@@ -52,14 +52,14 @@ echo "host x86 features (of avx2, avx512bw, avx512_vnni): ${features:-none repor
 # --workspace: the workspace has no default-members, so a bare
 # `cargo test` would run only the root package and skip every crate's
 # in-crate tests (the engine's kernel and row-sweep proptests, the ERRR
-# ring, the serving and fleet crates, the telemetry seqlock ring).
+# ring's fill, the serving and fleet crates, the telemetry seqlock ring).
 cargo test -q --offline --workspace
 # Every benchmark number comes from release builds, where overflow checks
 # and debug_assert!s are off: run tfe-sim's lib tests and the engine
 # parity suites in that profile too, so code that behaves differently
 # there cannot pass only in the test profile. The counter and end-to-end
-# suites join them because the filter-vector sweep and the transferred
-# executor charge closed forms summed at compile time (engine_counters
+# suites join them because the one group executor charges every dense
+# and transferred stage closed forms summed at compile time (engine_counters
 # pins those against recorded values), the telemetry suite because its
 # per-layer sums must stay exact over those charges, and the robustness
 # suite because its compile rejections and saturating inputs must hold
@@ -80,11 +80,11 @@ cargo test -q --offline --test fleet_smoke
 cargo test -q --offline --test geometry_parity
 # The execution-mode grid pins the alternate dense executor — the
 # compressed-sparse tap pass, which compile picks per stage and records
-# in the stage's units — bit-identical to the dense sweeps (activations,
+# in the stage's units — bit-identical to the dense lane groups (activations,
 # per-image counter streams, per-layer telemetry sums) across scheme x
 # stride x dilation x channel groups x filter count x batch x workers;
-# its 32- and 40-filter cells force the sparse pass on stages the
-# filter-vector sweep would otherwise take.
+# its 32- and 40-filter cells force the sparse pass on stages the lane
+# layout would otherwise take.
 cargo test -q --offline --test mode_parity
 # The telemetry crate's seqlock ring and exact-decomposition invariants
 # are load-bearing for every observability surface — build the crate

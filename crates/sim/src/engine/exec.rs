@@ -1106,12 +1106,15 @@ fn group_sweep(
             if ring.iter().any(|&(row, _)| row == i) {
                 continue;
             }
-            let mut parts = ring_pool.pop().unwrap_or_default();
-            fill_ring_row(ctx, part, group, i, positions, len, &mut parts);
-            *charges += group.row_charge;
+            // Rows arrive in ascending order, so a full ring's oldest row
+            // is below every row this and later output rows read: its
+            // buffer takes the new row.
             if ring.len() == capacity {
                 ring_pool.extend(ring.pop_front().map(|(_, evicted)| evicted));
             }
+            let mut parts = ring_pool.pop().unwrap_or_default();
+            fill_ring_row(ctx, part, group, i, positions, len, &mut parts);
+            *charges += group.row_charge;
             ring.push_back((i, parts));
         }
         for w in &group.windows {
@@ -1354,9 +1357,9 @@ mod tests {
         combine(&mut Vec::new(), [&a[..], &b[..]]);
     }
 
-    /// How one stage's work splits: a lone image of a filter-vector
-    /// stage with fewer filter groups than its workers splits its output
-    /// rows; every other stage splits units or batch chunks, all rows.
+    /// How one stage's work splits: a lone image of a dense stage with
+    /// fewer groups than its workers splits its output rows; every other
+    /// stage splits units or batch chunks, all rows.
     #[test]
     fn lone_images_of_few_filter_groups_split_output_rows() {
         let split = |m: usize, batch: usize, workers: usize, policy: &ModePolicy| {
@@ -1509,7 +1512,7 @@ mod tests {
         );
     }
 
-    /// A lone image of a pooled row-sweep stage (8 filters, one unit
+    /// A lone image of a pooled row-layout stage (8 filters, one group
     /// each) splits into unit groups, each finishing its own planes.
     #[test]
     fn pooled_row_sweep_stages_split_into_unit_groups() {
@@ -1523,6 +1526,23 @@ mod tests {
         let input = image([1, 4, 12, 12], &mut seed);
         for workers in 1..=5 {
             assert_matches_runs(&engine, &input, workers, "row sweep");
+        }
+    }
+
+    /// A lone image of a row-layout stage with fewer filters than its
+    /// workers splits its output rows like a lane-layout stage: dense
+    /// groups recompute nothing across a row split.
+    #[test]
+    fn lone_images_of_few_row_groups_split_output_rows() {
+        let mut seed = 67u32;
+        let engine = pooled_stage(2, 12, 2);
+        assert_eq!(
+            parts_of(&engine, 1, 3),
+            [(0, 0..2, 0..4), (0, 0..2, 4..8), (0, 0..2, 8..12)]
+        );
+        let input = image([1, 4, 12, 12], &mut seed);
+        for workers in 1..=5 {
+            assert_matches_runs(&engine, &input, workers, "two filters");
         }
     }
 
@@ -1599,20 +1619,119 @@ mod tests {
         assert!(!gate(5462) && !gate(-5462) && !gate(i16::MIN));
     }
 
+    /// A one-stage engine of `m` filters on `shape`: dense weights, or
+    /// `scheme`'s.
+    fn one_stage(
+        shape: &LayerShape,
+        scheme: Option<TransferScheme>,
+        reuse: ReuseConfig,
+        seed: &mut u32,
+    ) -> Engine {
+        let net = match scheme {
+            Some(scheme) => {
+                FunctionalNetwork::random(&[(shape.clone(), false)], scheme, || det(seed))
+            }
+            None => {
+                let (m, n, k) = (shape.m(), shape.n(), shape.k());
+                FunctionalNetwork::new(vec![crate::network::FunctionalStage {
+                    shape: shape.clone(),
+                    weights: tfe_transfer::layer::TransferredLayer::Dense {
+                        weights: Tensor4::from_fn([m, n, k, k], |_| det(seed)),
+                    },
+                    bias: Vec::new(),
+                    output: crate::output::OutputConfig::RELU_ONLY,
+                }])
+            }
+        };
+        Engine::compile(&net.expect("a valid one-stage network"), reuse).expect("compiles")
+    }
+
+    /// Fills every ring row `part` reads, for each group of `engine`'s
+    /// one stage over `batch` images, from a buffer whose every part
+    /// holds `unread`, and checks the parts the fill overwrote are the
+    /// ones some window of the part reads: part `(lane, r, dx)` of
+    /// input row `i` where an output row `oy` of the part reads `i` at
+    /// window row `ky` (`oy·s + ky·d = i`) through a window whose
+    /// `ky`-th row is `r` at offset call `dx`. Returns how many parts
+    /// were read and how many skipped.
+    fn fill_reads(engine: &Engine, batch: usize, oys: Range<usize>, seed: &mut u32) -> [usize; 2] {
+        let unread = Accum::from_bits(0x5a5a_5a5a);
+        let stage = &engine.stages[0];
+        let geo = Geo::of(&stage.shape);
+        let Geo { k, s, d, .. } = geo;
+        let input = image([batch, geo.n, geo.h, geo.w], seed);
+        let mut padded = Vec::new();
+        fill_padded_batch(&mut padded, input.as_slice(), batch, &geo);
+        let ctx = PartCtx::new(stage, geo, batch, &padded);
+        let part = Part {
+            b0: 0,
+            b1: batch,
+            u0: 0,
+            u1: stage.units.len(),
+            plane0: 0,
+            plane1: geo.m,
+            oy0: oys.start,
+            oy1: oys.end,
+        };
+        let mut positions = Vec::new();
+        emitted_positions(&mut positions, part, &geo);
+        let mut counts = [0; 2];
+        for unit in &stage.units {
+            let UnitIr::Lanes(group) = unit else {
+                panic!("only lane groups fill ring rows");
+            };
+            let (lanes, len) = match group.layout {
+                Layout::Rows => (group.live, ctx.row_span(part)),
+                Layout::Lanes => (1, positions.len() * FILTER_GROUP),
+            };
+            let count = lanes * group.rows * group.offsets;
+            let rows: std::collections::BTreeSet<usize> = oys
+                .clone()
+                .flat_map(|oy| (0..k).map(move |ky| oy * s + ky * d))
+                .collect();
+            for i in rows {
+                let mut read = vec![false; count];
+                for ky in (0..k).filter(|&ky| oys.clone().any(|oy| oy * s + ky * d == i)) {
+                    for w in &group.windows {
+                        for &(lane, _) in &w.emits {
+                            let lane = if lanes == 1 { 0 } else { lane };
+                            let r = w.read.row(k, ky);
+                            read[(lane * group.rows + r) * group.offsets + w.read.variant] = true;
+                        }
+                    }
+                }
+                let mut ring_row = vec![unread; count * len];
+                fill_ring_row(ctx, part, group, i, &positions, len, &mut ring_row);
+                let computed: Vec<bool> = ring_row
+                    .chunks_exact(len)
+                    .map(|p| p.iter().any(|&a| a != unread))
+                    .collect();
+                assert_eq!(
+                    computed,
+                    read,
+                    "{:?} {:?} {:?}: output rows {oys:?}, input row {i}",
+                    stage.shape,
+                    engine.reuse(),
+                    group.layout
+                );
+                for r in read {
+                    counts[usize::from(!r)] += 1;
+                }
+            }
+        }
+        counts
+    }
+
     /// Each ring row computes exactly the parts some window of its part
-    /// reads: part `(lane, r, dx)` of input row `i` where an output row
-    /// `oy` of the part reads `i` at window row `ky` (`oy·s + ky·d = i`)
-    /// through a window whose `ky`-th row is `r` at offset call `dx`. A
-    /// part computed that no window reads changes no value and no
-    /// counter, so no parity suite sees it; here every part starts as a
-    /// marker no computed part can hold, and the fill must overwrite
-    /// exactly the parts read. Dense rows and lanes, SCNN rows and lanes
-    /// under every reuse configuration, and DCNN4 meta rows, offset lanes
-    /// and meta lanes, at `K` = 1, 3 and 5, stride 1–3, dilation 1–2 and
-    /// pad 0–2, for whole parts and output-row parts.
+    /// reads ([`fill_reads`]). A part computed that no window reads
+    /// changes no value and no counter, so no parity suite sees it; here
+    /// the fill must overwrite exactly the parts read. Dense rows and
+    /// lanes, SCNN rows and lanes, and DCNN4 meta rows, offset lanes and
+    /// meta lanes, under every reuse configuration, at `K` = 1, 3 and
+    /// 5, stride 1–3, dilation 1–2 and pad 0–2, for whole parts and
+    /// output-row parts.
     #[test]
     fn ring_rows_compute_only_the_parts_windows_read() {
-        let unread = Accum::from_bits(0x5a5a_5a5a);
         let reuses = [
             ReuseConfig::NONE,
             ReuseConfig::PPSR_ONLY,
@@ -1631,113 +1750,33 @@ mod tests {
             (Some(TransferScheme::DCNN4), 40),
             (Some(TransferScheme::DCNN4), 128),
         ];
-        let (n, hw, batch) = (2, 9, 2);
+        let geometries = [1, 3, 5].into_iter().flat_map(|k| {
+            (1..=3).flat_map(move |s| (1..=2).flat_map(move |d| (0..=2).map(move |p| (k, s, d, p))))
+        });
         let mut seed = 61u32;
-        let mut checked = [0usize; 2];
-        for (scheme, m) in schemes {
-            for reuse in reuses {
-                for (k, s, d, pad) in [1, 3, 5].into_iter().flat_map(|k| {
-                    (1..=3).flat_map(move |s| {
-                        (1..=2).flat_map(move |d| (0..=2).map(move |p| (k, s, d, p)))
-                    })
-                }) {
-                    let Ok(shape) = LayerShape::conv("fill", n, m, hw, hw, k, s, pad)
-                        .and_then(|shape| shape.with_dilation(d))
-                    else {
-                        continue;
-                    };
-                    let net = match scheme {
-                        Some(scheme) => {
-                            FunctionalNetwork::random(&[(shape.clone(), false)], scheme, || {
-                                det(&mut seed)
-                            })
-                        }
-                        None => FunctionalNetwork::new(vec![crate::network::FunctionalStage {
-                            shape: shape.clone(),
-                            weights: tfe_transfer::layer::TransferredLayer::Dense {
-                                weights: Tensor4::from_fn([m, n, k, k], |_| det(&mut seed)),
-                            },
-                            bias: Vec::new(),
-                            output: crate::output::OutputConfig::RELU_ONLY,
-                        }]),
-                    };
-                    let engine = Engine::compile(&net.unwrap(), reuse).unwrap();
-                    let stage = &engine.stages[0];
-                    let geo = Geo::of(&shape);
-                    let input = image([batch, n, hw, hw], &mut seed);
-                    let mut padded = Vec::new();
-                    fill_padded_batch(&mut padded, input.as_slice(), batch, &geo);
-                    let ctx = PartCtx::new(stage, geo, batch, &padded);
-                    let e = geo.e;
-                    let whole = Part {
-                        b0: 0,
-                        b1: batch,
-                        u0: 0,
-                        u1: stage.units.len(),
-                        plane0: 0,
-                        plane1: geo.m,
-                        oy0: 0,
-                        oy1: e,
-                    };
-                    let parts = [(0, e), (0, e / 2), (e / 2, e), (1, e.saturating_sub(1))]
-                        .into_iter()
-                        .filter(|&(oy0, oy1)| oy0 < oy1)
-                        .map(|(oy0, oy1)| Part { oy0, oy1, ..whole });
-                    for part in parts {
-                        let mut positions = Vec::new();
-                        emitted_positions(&mut positions, part, &geo);
-                        for unit in &stage.units {
-                            let UnitIr::Lanes(group) = unit else {
-                                panic!("only lane groups fill ring rows");
-                            };
-                            let rows_layout = group.layout == Layout::Rows;
-                            let len = if rows_layout {
-                                ctx.row_span(part)
-                            } else {
-                                positions.len() * FILTER_GROUP
-                            };
-                            let lanes = if rows_layout { group.live } else { 1 };
-                            let count = lanes * group.rows * group.offsets;
-                            let inputs = (part.oy0..part.oy1)
-                                .flat_map(|oy| (0..geo.k).map(move |ky| (oy, ky)));
-                            for i in inputs.map(|(oy, ky)| oy * s + ky * d) {
-                                let mut read = vec![false; count];
-                                for (oy, ky) in (part.oy0..part.oy1)
-                                    .flat_map(|oy| (0..geo.k).map(move |ky| (oy, ky)))
-                                    .filter(|&(oy, ky)| oy * s + ky * d == i)
-                                {
-                                    let _ = oy;
-                                    for w in &group.windows {
-                                        for &(lane, _) in &w.emits {
-                                            let lane = if rows_layout { lane } else { 0 };
-                                            let r = w.read.row(geo.k, ky);
-                                            read[(lane * group.rows + r) * group.offsets
-                                                + w.read.variant] = true;
-                                        }
-                                    }
-                                }
-                                let mut ring_row = vec![unread; count * len];
-                                fill_ring_row(ctx, part, group, i, &positions, len, &mut ring_row);
-                                let computed: Vec<bool> = ring_row
-                                    .chunks_exact(len)
-                                    .map(|p| p.iter().any(|&a| a != unread))
-                                    .collect();
-                                assert_eq!(
-                                    computed, read,
-                                    "{scheme:?} M {m} {reuse:?} K {k} s {s} d {d} pad {pad} \
-                                     rows {}..{} input row {i}",
-                                    part.oy0, part.oy1
-                                );
-                                checked[0] += read.iter().filter(|&&r| r).count();
-                                checked[1] += read.iter().filter(|&&r| !r).count();
-                            }
+        let mut counts = [0; 2];
+        for (k, s, d, pad) in geometries {
+            for (scheme, m) in schemes {
+                let Ok(shape) = LayerShape::conv("fill", 2, m, 9, 9, k, s, pad)
+                    .and_then(|shape| shape.with_dilation(d))
+                else {
+                    continue;
+                };
+                let e = shape.e();
+                for reuse in reuses {
+                    let engine = one_stage(&shape, scheme, reuse, &mut seed);
+                    for oys in [0..e, 0..e / 2, e / 2..e, 1..e.saturating_sub(1)] {
+                        if !oys.is_empty() {
+                            let [read, skipped] = fill_reads(&engine, 2, oys, &mut seed);
+                            counts[0] += read;
+                            counts[1] += skipped;
                         }
                     }
                 }
             }
         }
         // Both sides were exercised: parts read, and parts skipped.
-        assert!(checked.iter().all(|&c| c > 0), "{checked:?}");
+        assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
     }
 
     #[test]

@@ -443,10 +443,10 @@ fn fold_channel<const L: usize, const WRAP: bool, X: Borrow<[Fx16; L]>>(
 /// narrowest filter block of the tap-pair kernel.
 const FILTER_LANES: usize = 8;
 
-/// The filters of one group of the filter-vector sweep, and so the
-/// weights per tap row of its table: one 32-filter block, two
-/// `vpdpwssd`s of 16 filters each on AVX-512BW with AVX-512 VNNI.
-/// Narrower hosts, and a group with fewer live filters, run 8- or
+/// The lanes of one lane-layout group (dense filters or transferred
+/// lanes), and so the weights per tap row of its table: one 32-filter
+/// block, two `vpdpwssd`s of 16 filters each on AVX-512BW with AVX-512
+/// VNNI. Narrower hosts, and a group with fewer live lanes, run 8- or
 /// 16-filter blocks over it.
 pub(crate) const FILTER_GROUP: usize = 32;
 

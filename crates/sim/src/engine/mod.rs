@@ -26,32 +26,34 @@
 //!   and accessors ([`Engine::reuse`], [`Engine::stats`],
 //!   [`Engine::layer_plans`], …).
 //! * `ir.rs` — the compiled stage tables: flat quantized weight tables
-//!   (filter rows, tap-major filter groups for the filter-vector sweep,
-//!   or a transferred stage's lanes), per-unit offsets, compressed-sparse
-//!   taps, and each transferred stage's read schedule folded into lane
-//!   groups with their charges summed, [`PrepareStats`]; the one choice
-//!   of each dense stage's executor ([`ExecMode`] under a
-//!   [`ModePolicy`]), recorded in the kind of its units; and each
-//!   transferred group's layout (rows or lanes), the one record of that
-//!   executor's choice.
+//!   (a sparse stage's filter rows, or every other stage's lanes — dense
+//!   filters, SCNN blocks, DCNN meta groups or offset slices — in the
+//!   layout's tap-major groups), compressed-sparse taps, and each stage's
+//!   read schedule folded into lane groups with their charges summed,
+//!   [`PrepareStats`]; the one choice of each dense stage's sparse pass
+//!   ([`ExecMode`] under a [`ModePolicy`]), recorded in the kind of its
+//!   units; and each group's layout (rows or lanes), the one record of
+//!   every other stage's executor.
 //! * `kernels.rs` — the two inner kernels. The channel-stacked row
 //!   kernel: a `kernels::RowKernel` per stage, selected once at compile
 //!   time from the filter extent `K` (specialized K ∈ {1, 3, 5, 7} plus
 //!   a generic fallback), summing a whole channel band per call in
 //!   register-blocked `i16 → i32` passes while preserving the scalar
 //!   reference's exact saturating addition order, with one (forward)
-//!   weight order. And the filter-vector pass: a group of filters at
-//!   listed positions, one broadcast input against every filter's tap.
+//!   weight order. And the filter-vector pass: a group of lanes at
+//!   listed positions, one broadcast input against every lane's tap.
 //! * `exec.rs` — the row-pass run phase ([`Engine::run`],
 //!   [`Engine::run_batched`], and [`Engine::run_packed`], the one
 //!   pack → run → split): one row-interleaved batch layout, PPSR row
-//!   passes through `crate::ppsr`'s one row sweep, the one transferred
-//!   executor (one ERRR ring behind both layouts), the one window
-//!   combine, each part's finishing of its planes through the output
-//!   memory system ([`crate::output`]), and the one scoped-thread
-//!   fan-out both the stage partitioner and the batch runner use.
-//! * `sparse.rs` — the compressed-sparse row pass the dense sweep runs
-//!   on pruned dense stages, and the builder of its tap lists.
+//!   passes through `crate::ppsr`'s one row sweep, the one group
+//!   executor of every stage but a sparse one (one ERRR ring behind
+//!   both layouts, each ring row computing only the parts its windows
+//!   read), the sparse pass's sweep, the one window combine, each part's
+//!   finishing of its planes through the output memory system
+//!   ([`crate::output`]), and the one scoped-thread fan-out both the
+//!   stage partitioner and the batch runner use.
+//! * `sparse.rs` — the compressed-sparse row pass of pruned dense
+//!   stages, and the builder of its tap lists.
 //! * `scratch.rs` — the run-phase arenas ([`Scratch`]) and the bounded
 //!   [`ScratchPool`] long-lived services check warm arenas out of.
 //!
@@ -282,7 +284,7 @@ impl Engine {
     }
 
     /// The [`ExecMode`] compile chose for each stage, in stage order —
-    /// how dense stages actually execute (dense sweep or
+    /// how dense stages actually execute (lane groups or
     /// compressed-sparse; transferred stages report
     /// [`ExecMode::Transferred`]).
     #[must_use]

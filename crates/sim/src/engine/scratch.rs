@@ -22,7 +22,7 @@ pub(crate) struct ArenaPeak {
     pub(crate) out: usize,
     /// Peak stage-activation length (`stage_in` / `stage_next`).
     pub(crate) stage: usize,
-    /// Peak dense row-parts length (`KernelBufs::parts`).
+    /// Peak sparse row-parts length (`KernelBufs::parts`).
     pub(crate) parts: usize,
     /// Peak filter-vector position-list length
     /// (`KernelBufs::positions`, images × F).
@@ -188,25 +188,24 @@ impl Scratch {
 #[derive(Debug, Default)]
 pub(crate) struct KernelBufs {
     /// Combined window sums for one output row: batch-wide on the
-    /// dense row sweep and row-layout transferred groups, `[positions ×
-    /// G]` on the filter-vector passes.
+    /// sparse pass and row-layout groups, `[positions × G]` on
+    /// lane-layout groups.
     pub(crate) window: Vec<Accum>,
-    /// Dense and sparse path: `K` channel-summed batch-wide row parts,
-    /// flat `[K × row_span]`; filter-vector path: `K` parts of
-    /// `[positions × G]`.
+    /// Sparse pass: `K` channel-summed batch-wide row parts, flat `[K ×
+    /// row_span]`.
     pub(crate) parts: Vec<Accum>,
-    /// Filter-vector passes: the part's emitted positions, as offsets
+    /// Lane-layout groups: the part's emitted positions, as offsets
     /// into its interleaved rows (`images × F` of them).
     pub(crate) positions: Vec<usize>,
-    /// Filter-vector path, output-row parts (`exec::partition`): the
-    /// part's `[planes × rows × F]` accumulator block of one image.
+    /// Output-row parts of dense groups (`exec::partition`): the part's
+    /// `[planes × rows × F]` accumulator block of one image.
     pub(crate) rows_out: Vec<Accum>,
     /// The same part's finished `[planes × rows/p × F/p]` activations,
     /// copied into the next stage's input after the fan-out.
     pub(crate) rows_fin: Vec<Fx16>,
-    /// Transferred groups: the running group's ERRR ring, its resident
-    /// input rows oldest first, each with one buffer of the row's parts
-    /// (`exec::transferred_group`); between units it holds none.
+    /// Lane groups: the running group's ERRR ring, its resident input
+    /// rows oldest first, each with one buffer of the row's parts
+    /// (`exec::group_sweep`); between units it holds none.
     pub(crate) ring: VecDeque<(usize, Vec<Accum>)>,
     /// Retired ring part buffers awaiting the next input row.
     pub(crate) ring_pool: Vec<Vec<Accum>>,

@@ -1,10 +1,10 @@
 //! The compressed-sparse row pass of one dense filter (EIE-style;
 //! Fig. 16's pruned comparators made executable).
 //!
-//! A pruned dense stage runs the dense sweep (`exec::dense_unit_sweep`)
-//! unchanged — same row-interleaved batch layout, same batch-wide span,
-//! same window combine, emit, and charges — except that each
-//! `(output row, ky)` band pass is [`sparse_band_pass`] instead of the
+//! A pruned dense stage runs one filter at a time (`exec::sparse_sweep`)
+//! over the row layout's row-interleaved batch, batch-wide span, window
+//! combine, emit and charges, each `(output row, ky)` band pass
+//! [`sparse_band_pass`] where a row-layout lane group runs the
 //! channel-stacked kernel call: each `(ky, ci)` row touches only its
 //! surviving `(offset, value)` taps, which compile stores in the
 //! filter's [`UnitIr::Sparse`](super::ir::UnitIr::Sparse) unit
@@ -12,8 +12,8 @@
 //! product is exactly `0` and `saturating_add(x, 0) == x` even at the
 //! clamp rails, so eliding zero taps while keeping the dense
 //! `(ky, ci, j)` chain order cannot change any accumulator value. Nor
-//! do the counters: the sweep charges the same closed form whichever
-//! pass it runs.
+//! do the counters: the sweep charges the closed form a dense lane
+//! group charges per filter.
 //!
 //! Two inner loops, selected by the stage's conservative
 //! saturation-free bound (`exec::saturation_free` — the same gate the
