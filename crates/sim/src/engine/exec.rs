@@ -1024,19 +1024,6 @@ fn emit_filters(
     }
 }
 
-/// The ERRR ring depth of a group. At `d > 1` an output row's input
-/// taps are `d` apart, so consecutive output rows interleave their tap
-/// sets; a `K`-deep FIFO would evict rows that later windows still need
-/// and recompute every pass. Sizing the ring to the full effective input
-/// span keeps each input row's parts computed exactly once.
-fn ring_capacity(geo: &Geo) -> usize {
-    if geo.d == 1 {
-        geo.k
-    } else {
-        ((geo.e - 1) * geo.s + (geo.k - 1) * geo.d + 1).min(geo.ph)
-    }
-}
-
 /// One group's planes for every image of the part and each of its output
 /// rows ([`LaneGroup`]: dense filters, or an SCNN orbit group's or a DCNN
 /// meta group's weight blocks, as lanes) — the one executor of every
@@ -1049,9 +1036,12 @@ fn ring_capacity(geo: &Geo) -> usize {
 /// advance). A window result for output row `oy` sums row results of
 /// input rows `oy..oy+K−1`; as soon as row `i` falls out of every
 /// remaining window, its memory is recycled for row `i + K`. Here, per
-/// input row a window reads and the ring lacks, the group's ring row is
-/// filled ([`fill_ring_row`]) and inserted, evicting the oldest row past
-/// [`ring_capacity`]; a window only ever reads a resident row. Per output row each of the group's windows
+/// output row `oy`, the rows below its first tap `oy·s` leave the ring
+/// (no later window reads them), and each input row a window reads and
+/// the ring lacks is filled ([`fill_ring_row`]) into a recycled buffer
+/// and inserted. So each input row's parts are computed once, and the
+/// ring holds at most `(K−1)·d + 1` rows: `K` at dilation 1, where a
+/// dilated output row's taps interleave with its neighbours'. Per output row each of the group's windows
 /// combines `K` ring parts through the one window [`combine`] in `ky`
 /// order — rows `first + ky`, or flipped for ERRR's vertically mirrored
 /// members — and emits its `(lane, plane)` pairs. The layouts differ
@@ -1090,7 +1080,7 @@ fn group_sweep(
         ring_pool,
         ..
     } = bufs;
-    // A ring row holds `ring_lanes × rows × offsets` parts of `len`
+    // A ring row holds `lanes × rows × offsets` parts of `len`
     // accumulators; the lane layout's one part spans every lane.
     let len = match group.layout {
         Layout::Rows => ctx.row_span(part),
@@ -1099,18 +1089,21 @@ fn group_sweep(
             positions.len() * FILTER_GROUP
         }
     };
-    let capacity = ring_capacity(geo);
     for oy in part.oy0..part.oy1 {
+        // Rows below this output row's first tap are read by no later
+        // window: their buffers take the rows it lacks.
+        let mut at = 0;
+        while at < ring.len() {
+            if ring[at].0 < oy * s {
+                ring_pool.extend(ring.remove(at).map(|(_, parts)| parts));
+            } else {
+                at += 1;
+            }
+        }
         for ky in 0..k {
             let i = oy * s + ky * d;
             if ring.iter().any(|&(row, _)| row == i) {
                 continue;
-            }
-            // Rows arrive in ascending order, so a full ring's oldest row
-            // is below every row this and later output rows read: its
-            // buffer takes the new row.
-            if ring.len() == capacity {
-                ring_pool.extend(ring.pop_front().map(|(_, evicted)| evicted));
             }
             let mut parts = ring_pool.pop().unwrap_or_default();
             fill_ring_row(ctx, part, group, i, positions, len, &mut parts);

@@ -171,15 +171,6 @@ pub(crate) struct LaneGroup {
 }
 
 impl LaneGroup {
-    /// The lanes a ring row holds parts for: every lane in the row
-    /// layout, one part across all of them in the lane layout.
-    pub(crate) fn ring_lanes(&self) -> usize {
-        match self.layout {
-            Layout::Rows => self.live,
-            Layout::Lanes => 1,
-        }
-    }
-
     /// The index of lane `lane`'s part of weight row `row` at offset
     /// call `dx` within a ring row.
     pub(crate) fn part(&self, lane: usize, row: usize, dx: usize) -> usize {
@@ -681,15 +672,14 @@ fn fold_groups(
         }
     }
     for group in &mut groups {
-        let mut reads = vec![Vec::new(); group.ring_lanes() * group.rows * group.offsets];
+        // A ring row holds parts for every lane in the row layout, one
+        // part across all of them in the lane layout.
+        let rows_layout = group.layout == Layout::Rows;
+        let lanes = if rows_layout { group.live } else { 1 };
+        let mut reads = vec![Vec::new(); lanes * group.rows * group.offsets];
         for w in &group.windows {
             for &(lane, _) in &w.emits {
-                // The lane layout's one part spans every lane.
-                let lane = if group.layout == Layout::Rows {
-                    lane
-                } else {
-                    0
-                };
+                let lane = if rows_layout { lane } else { 0 };
                 for ky in 0..k {
                     let kys: &mut Vec<usize> =
                         &mut reads[group.part(lane, w.read.row(k, ky), w.read.variant)];

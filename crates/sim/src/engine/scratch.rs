@@ -204,8 +204,8 @@ pub(crate) struct KernelBufs {
     /// copied into the next stage's input after the fan-out.
     pub(crate) rows_fin: Vec<Fx16>,
     /// Lane groups: the running group's ERRR ring, its resident input
-    /// rows oldest first, each with one buffer of the row's parts
-    /// (`exec::group_sweep`); between units it holds none.
+    /// rows in the order they were filled, each with one buffer of the
+    /// row's parts (`exec::group_sweep`); between units it holds none.
     pub(crate) ring: VecDeque<(usize, Vec<Accum>)>,
     /// Retired ring part buffers awaiting the next input row.
     pub(crate) ring_pool: Vec<Vec<Accum>>,
