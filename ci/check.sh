@@ -116,9 +116,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc -p tfe-sim --no-deps --offline --document-p
 # bit-identity asserted first), the channel-stacked row kernel (pinned
 # >= 1.25x over the frozen scalar reference), the telemetry-sink
 # overhead pin, the fleet router-dispatch overhead (pinned < 3 % vs
-# single-model serving), and run_batch's image-chunk scaling
-# (sim_throughput's batch_vgg_prefix: median and quartile ms per round at
-# 1/2/4/8 threads, unpinned). engine_speedup now carries a depthwise-separable
+# single-model serving), and Engine::run_batched's worker scaling
+# (sim_throughput's batch_vgg_prefix: median and quartile ms per round
+# over one packed 16-image batch at 1/2/4/8 workers, unpinned). engine_speedup now carries a depthwise-separable
 # cell and engine_batch a dilated cell, so the generalized-geometry paths
 # are in the timed sweep too. engine_modes times the compressed-sparse
 # executor against the dense sweep on the same network (bit-identity

@@ -1,12 +1,12 @@
 //! Simulator throughput: the functional datapath on a small layer, the
 //! per-layer performance model over a whole network, and batched-image
-//! throughput scaling against the worker-thread count.
+//! throughput scaling against the intra-run worker count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 use tfe_nets::zoo;
-use tfe_sim::batch::{run_batch, BatchOptions};
+use tfe_sim::engine::{Engine, Scratch};
 use tfe_sim::functional::run_layer;
 use tfe_sim::network::FunctionalNetwork;
 use tfe_sim::perf::{NetworkPerf, PerfConfig};
@@ -39,9 +39,10 @@ fn bench_sim(c: &mut Criterion) {
     });
 }
 
-/// Batched-image throughput scaling against the thread count (median
-/// and quartile wall time per `run_batch` round, and images/sec at the
-/// median), on a VGG-16-style stack of functional stages. Whole ImageNet
+/// Batched-image throughput scaling against the worker count (median
+/// and quartile wall time per [`Engine::run_batched`] round over the
+/// packed 16-image batch, and images/sec at the median), on a
+/// VGG-16-style stack of functional stages. Whole ImageNet
 /// VGG-16 is too large for value-level simulation, so this uses a
 /// narrowed VGG prefix (same 3×3 conv + pool topology, reduced channel
 /// counts and resolution) — every image still walks multiple chained
@@ -65,22 +66,19 @@ fn bench_batch_scaling(_: &mut Criterion) {
         ),
     ];
     let net = FunctionalNetwork::random(&shapes, TransferScheme::Scnn, || det(&mut seed)).unwrap();
-    let images: Vec<Tensor4<Fx16>> = (0..16)
-        .map(|_| Tensor4::from_fn([1, 3, 24, 24], |_| Fx16::from_f32(det(&mut seed))))
-        .collect();
+    const IMAGES: usize = 16;
+    let batch = Tensor4::from_fn([IMAGES, 3, 24, 24], |_| Fx16::from_f32(det(&mut seed)));
+    let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
+    let mut scratch = Scratch::new();
 
-    // Per-round wall times, reported as median and quartiles per thread
+    // Per-round wall times, reported as median and quartiles per worker
     // count: one total over a few rounds swings too far on a shared host
-    // to compare two builds. The warm-up round compiles the engine.
+    // to compare two builds. The warm-up round sizes the arenas.
     const ROUNDS: usize = 60;
-    let run = |threads: usize| {
-        let out = run_batch(
-            black_box(&net),
-            black_box(&images),
-            ReuseConfig::FULL,
-            BatchOptions::with_threads(threads),
-        )
-        .unwrap();
+    let mut run = |workers: usize| {
+        let out = engine
+            .run_batched(black_box(&batch), &mut scratch, workers)
+            .unwrap();
         black_box(out);
     };
     run(1);
@@ -95,12 +93,11 @@ fn bench_batch_scaling(_: &mut Criterion) {
         ms.sort_by(f64::total_cmp);
         let quantile = |q: f64| ms[((ms.len() - 1) as f64 * q).round() as usize];
         let (q1, median, q3) = (quantile(0.25), quantile(0.5), quantile(0.75));
-        let ips = images.len() as f64 / (median / 1e3);
+        let ips = IMAGES as f64 / (median / 1e3);
         println!(
             "sim_throughput/batch_vgg_prefix threads={threads:<2} median {median:>7.3} ms \
-             [q1 {q1:.3}, q3 {q3:.3}] per {} images, {ips:>8.1} images/sec at the median \
-             ({ROUNDS} rounds)",
-            images.len()
+             [q1 {q1:.3}, q3 {q3:.3}] per {IMAGES} images, {ips:>8.1} images/sec at the median \
+             ({ROUNDS} rounds)"
         );
     }
 }

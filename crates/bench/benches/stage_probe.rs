@@ -9,8 +9,9 @@
 //!
 //! Each chain runs as one-stage engines: stage `i` is compiled on its
 //! own and fed stage `i − 1`'s output batch, so each stage is timed
-//! alone, convolution and output stage together, on the default worker
-//! budget (`TFE_THREADS`, else every core). Every engine and its input
+//! alone, convolution and output stage together, on every core the
+//! host offers (`std::thread::available_parallelism`, perfbench's
+//! rule). Every engine and its input
 //! is built first. Then `ROUNDS` rounds each cycle through every trunk
 //! `(scheme, stage)` cell, a warm-up call and then `RUNS` timed
 //! [`Engine::run_batched`] calls per cell, and each cell is the median
@@ -29,7 +30,6 @@ use std::hint::black_box;
 use std::time::Instant;
 use tfe_bench::report::{BenchCell, BenchReport};
 use tfe_nets::zoo;
-use tfe_sim::batch::BatchOptions;
 use tfe_sim::engine::{Engine, Scratch};
 use tfe_sim::network::{FunctionalNetwork, FunctionalStage};
 use tfe_sim::output::OutputConfig;
@@ -252,7 +252,7 @@ fn probe_demo(workers: usize, report: &mut BenchReport) -> Vec<(String, f64)> {
 }
 
 fn main() {
-    let workers = BatchOptions::default().workers();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut state = 61;
     let input = Tensor4::from_fn([BATCH, 3, HW, HW], |_| Fx16::from_f32(unit(&mut state)));
     let mut report = BenchReport::load_or_new();

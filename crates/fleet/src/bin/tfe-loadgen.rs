@@ -48,7 +48,6 @@ struct Args {
     queue: usize,
     executors: usize,
     replicas: usize,
-    threads: Option<usize>,
     deadline_ms: Option<u64>,
     models: Vec<(String, f64)>,
     stats: bool,
@@ -67,7 +66,6 @@ impl Default for Args {
             queue: 256,
             executors: 2,
             replicas: 1,
-            threads: None,
             deadline_ms: None,
             models: Vec::new(),
             stats: false,
@@ -82,7 +80,7 @@ tfe-loadgen: open-loop Poisson load generator for the TFE serving fleet
 USAGE:
     tfe-loadgen [--rate R] [--duration S] [--seed N] [--batch-size B]
                 [--batch-hint H] [--delay-us U] [--queue Q] [--executors E]
-                [--replicas P] [--threads T] [--deadline-ms D]
+                [--replicas P] [--deadline-ms D]
                 [--model ID[:W]]... [--stats] [--stats-interval-ms I]
 
 OPTIONS:
@@ -97,9 +95,9 @@ OPTIONS:
                      size                                    [default: 1]
     --delay-us U     micro-batch flush delay, microseconds   [default: 2000]
     --queue Q        request-queue capacity per replica      [default: 256]
-    --executors E    executor workers per replica            [default: 2]
+    --executors E    executor workers per replica, each running
+                     one micro-batch on its own thread       [default: 2]
     --replicas P     replica services per model shard        [default: 1]
-    --threads T      worker threads per batch                [default: ambient]
     --deadline-ms D  per-request deadline, milliseconds      [default: none]
     --model ID[:W]   serve model ID with arrival weight W (repeatable;
                      ids: 'demo' or any tfe_nets zoo name; the first
@@ -155,7 +153,6 @@ fn parse_args() -> Result<Args, String> {
             "--queue" => args.queue = parse_to(&value, &flag)?,
             "--executors" => args.executors = parse_to(&value, &flag)?,
             "--replicas" => args.replicas = parse_to(&value, &flag)?,
-            "--threads" => args.threads = Some(parse_to(&value, &flag)?),
             "--deadline-ms" => args.deadline_ms = Some(parse_to(&value, &flag)?),
             "--model" => args.models.push(parse_model(&value)?),
             "--stats-interval-ms" => args.stats_interval_ms = parse_to(&value, &flag)?,
@@ -249,7 +246,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_batch_delay: Duration::from_micros(args.delay_us),
         queue_capacity: args.queue,
         executors: args.executors,
-        batch_threads: args.threads,
         default_deadline: args.deadline_ms.map(Duration::from_millis),
         ..ServeConfig::default()
     };

@@ -9,18 +9,20 @@
 //! whose deadline expired while queued are dropped at formation time so
 //! they never waste a batch slot.
 //!
-//! **Executor** workers pull formed batches and run each one through
-//! [`tfe_sim::engine::Engine::run_packed`] against the service's
-//! compile-once engine, checking a warm scratch arena out of the shared
-//! pool: the requests pack into a single `[B, C, H, W]` tensor executed
-//! as **one filter-stationary batched sweep**, and outputs and
-//! per-image counters split back out per request — batching changes
-//! latency and throughput, never values or per-request counters (each
-//! request's reply is bit-identical to a lone
-//! [`tfe_sim::engine::Engine::run`], see `tests/serve_smoke.rs`).
-//! [`ServeConfig::batch_threads`](crate::config::ServeConfig::batch_threads)
-//! is the intra-run worker budget of each sweep (the default budget of
-//! [`tfe_sim::batch::BatchOptions::workers`] when unset).
+//! **Executor** workers pull formed batches and run each one on their
+//! own thread through [`tfe_sim::engine::Engine::run_packed`] against
+//! the service's compile-once engine, checking a warm scratch arena out
+//! of the shared pool: the requests pack into a single `[B, C, H, W]`
+//! tensor executed as **one filter-stationary batched sweep**, and
+//! outputs and per-image counters split back out per request — batching
+//! changes latency and throughput, never values or per-request counters
+//! (each request's reply is bit-identical to a lone
+//! [`tfe_sim::engine::Engine::run`], see `tests/serve_smoke.rs`). The
+//! executor pool is the service's one parallelism
+//! ([`ServeConfig::executors`](crate::config::ServeConfig::executors)):
+//! a micro-batch never fans out further, which measured faster in wall
+//! time than splitting it between two workers on every model the fleet
+//! serves (DESIGN §5.13).
 
 use crate::service::{InferenceReply, Pending, Rejected, Shared};
 use std::time::Instant;
@@ -79,14 +81,13 @@ pub(crate) fn batcher_loop(shared: &Shared) {
 
 /// Executes formed micro-batches until the batch queue is closed and
 /// drained: each batch runs as one packed filter-stationary sweep
-/// ([`Engine::run_packed`](tfe_sim::engine::Engine::run_packed)) on the
-/// configured worker budget.
+/// ([`Engine::run_packed`](tfe_sim::engine::Engine::run_packed)) on this
+/// executor's thread.
 pub(crate) fn executor_loop(shared: &Shared) {
-    let workers = shared.config.batch_options().workers();
     while let Some(batch) = shared.batches.pop_blocking() {
         let inputs: Vec<&Tensor4<Fx16>> = batch.requests.iter().map(|p| &p.input).collect();
         let mut scratch = shared.scratches.checkout();
-        let result = shared.engine.run_packed(&inputs, &mut scratch, workers);
+        let result = shared.engine.run_packed(&inputs, &mut scratch);
         shared.scratches.restore(scratch);
         match result {
             Ok(outputs) => {

@@ -1,7 +1,6 @@
 //! Serving knobs: batching, admission control, and worker sizing.
 
 use std::time::Duration;
-use tfe_sim::batch::BatchOptions;
 use tfe_sim::SimError;
 use tfe_transfer::analysis::ReuseConfig;
 
@@ -24,12 +23,10 @@ pub struct ServeConfig {
     /// Bounded request-queue capacity; arrivals beyond it are rejected
     /// with [`Rejected::QueueFull`](crate::service::Rejected::QueueFull).
     pub queue_capacity: usize,
-    /// Number of executor workers pulling formed batches.
+    /// Number of executor workers pulling formed batches. Each runs its
+    /// micro-batch on its own thread, so `executors × replicas` is the
+    /// whole serve tier's parallelism.
     pub executors: usize,
-    /// Intra-run worker budget of each micro-batch's packed sweep
-    /// ([`tfe_sim::engine::Engine::run_packed`]); `None` uses the
-    /// default budget ([`BatchOptions::workers`]).
-    pub batch_threads: Option<usize>,
     /// Reuse configuration every request is evaluated under (fixed per
     /// service so whole batches share one datapath configuration).
     pub reuse: ReuseConfig,
@@ -50,7 +47,6 @@ impl Default for ServeConfig {
             max_batch_delay: Duration::from_millis(2),
             queue_capacity: 256,
             executors: 2,
-            batch_threads: None,
             reuse: ReuseConfig::FULL,
             default_deadline: None,
             telemetry_ring: 4096,
@@ -64,8 +60,7 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for any zero-sized knob
-    /// (batch size, queue capacity, executor count, or a pinned
-    /// zero-thread batch pool).
+    /// (batch size, queue capacity, executor count or telemetry ring).
     pub fn validate(&self) -> Result<(), SimError> {
         if self.max_batch_size == 0 {
             return Err(SimError::InvalidConfig {
@@ -82,27 +77,12 @@ impl ServeConfig {
                 what: "executors must be at least 1",
             });
         }
-        if self.batch_threads == Some(0) {
-            return Err(SimError::InvalidConfig {
-                what: "batch_threads must be at least 1 when pinned",
-            });
-        }
         if self.telemetry_ring == 0 {
             return Err(SimError::InvalidConfig {
                 what: "telemetry_ring must be at least 1",
             });
         }
         Ok(())
-    }
-
-    /// The [`BatchOptions`] each executed micro-batch runs under; the
-    /// executors take their worker budget from
-    /// [`BatchOptions::workers`].
-    #[must_use]
-    pub fn batch_options(&self) -> BatchOptions {
-        BatchOptions {
-            threads: self.batch_threads,
-        }
     }
 }
 
@@ -128,10 +108,6 @@ mod tests {
             },
             ServeConfig {
                 executors: 0,
-                ..ServeConfig::default()
-            },
-            ServeConfig {
-                batch_threads: Some(0),
                 ..ServeConfig::default()
             },
             ServeConfig {

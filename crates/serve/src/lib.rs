@@ -2,8 +2,9 @@
 //! simulator.
 //!
 //! The ROADMAP's north star is a system that serves heavy traffic; this
-//! crate supplies the serving story on top of the batched evaluation
-//! engine (`tfe_sim::batch::run_batch`):
+//! crate supplies the serving story on top of the compiled engine's
+//! packed sweep ([`Engine::run_packed`](tfe_sim::engine::Engine::run_packed)),
+//! one micro-batch per executor thread:
 //!
 //! * **Admission control & backpressure** — a bounded request queue
 //!   rejects arrivals beyond capacity with a typed

@@ -204,11 +204,11 @@ impl Engine {
     /// threads.
     ///
     /// `workers` is taken literally (clamped to the work available and
-    /// to at least 1) — callers decide the budget, e.g. with
-    /// [`BatchOptions::workers`](crate::batch::BatchOptions::workers),
-    /// and should pass 1 for runs too small to
-    /// amortize a thread spawn. Activations and per-image counters are
-    /// bit-identical at every worker count (`tests/batched_parity.rs`).
+    /// to at least 1) — callers decide the budget, e.g. from
+    /// [`std::thread::available_parallelism`], and should pass 1 for runs
+    /// too small to amortize a thread spawn. Activations and per-image
+    /// counters are bit-identical at every worker count
+    /// (`tests/batched_parity.rs`, `tests/parallel_parity.rs`).
     ///
     /// # Errors
     ///
@@ -230,12 +230,14 @@ impl Engine {
     }
 
     /// Packs `inputs` into one `[ΣB, C, H, W]` batch, runs it as one
-    /// [`Engine::run_batched`] sweep on `workers`, and splits the
-    /// activations and per-image counters back out per input, in input
-    /// order — the pack → run → split behind
-    /// [`crate::batch::run_engine_batch`]'s image chunks and the
-    /// `tfe-serve` executors. Each output is bit-identical to
-    /// [`Engine::run`] on its input alone.
+    /// [`Engine::run_batched`] sweep on the caller's thread, and splits
+    /// the activations and per-image counters back out per input, in
+    /// input order — the pack → run → split each `tfe-serve` executor
+    /// runs its micro-batch through. The executor pool is the
+    /// parallelism: one worker per micro-batch measured faster in wall
+    /// time than image chunks or a packed sweep at 2 workers on every
+    /// model the fleet serves (DESIGN §5.13). Each output is
+    /// bit-identical to [`Engine::run`] on its input alone.
     ///
     /// Every input's `(C, H, W)` is checked against stage 0 in input
     /// order before anything runs, so packing never changes which
@@ -252,7 +254,6 @@ impl Engine {
         &self,
         inputs: &[&Tensor4<Fx16>],
         scratch: &mut Scratch,
-        workers: usize,
     ) -> Result<Vec<NetworkOutput>, SimError> {
         let chw = |t: &Tensor4<Fx16>| {
             let [_, c, h, w] = t.dims();
@@ -274,7 +275,7 @@ impl Engine {
         }
         let packed = Tensor4::from_vec([total, c, h, w], packed)
             .expect("packed dims match the concatenated inputs");
-        let run = self.run_batched(&packed, scratch, workers)?;
+        let run = self.run_batched(&packed, scratch, 1)?;
         let [_, oc, oh, ow] = run.activations.dims();
         let image_len = oc * oh * ow;
         let mut b0 = 0;
@@ -505,9 +506,9 @@ fn run_parts(
         charges
     };
     if parts.len() == 1 {
-        // One worker (`Engine::run`, `run_batch`'s image chunks): no
-        // thread spawn, no extra buffer checkout — straight through
-        // on the caller's thread with the warm primary buffers.
+        // One worker (`Engine::run`, `Engine::run_packed`): no thread
+        // spawn, no extra buffer checkout — straight through on the
+        // caller's thread with the warm primary buffers.
         let charges = run(parts[0], out, next, bufs);
         for image in image_counters.iter_mut() {
             image.merge(&charges);
@@ -680,10 +681,9 @@ fn check_input(shape: &LayerShape, (c, h, w): (usize, usize, usize)) -> Result<(
 
 /// Runs `f` on every item — item 0 inline on the caller's thread, the
 /// rest on scoped threads — and returns the results in item order: the
-/// one thread fan-out behind the stage partitioner ([`partition`]) and
-/// [`crate::batch::run_engine_batch`]'s image chunks. A worker's panic
-/// resumes on the caller's thread.
-pub(crate) fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+/// one thread fan-out, behind the stage partitioner ([`partition`]). A
+/// worker's panic resumes on the caller's thread.
+fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
     let mut items = items.into_iter();
     let Some(first) = items.next() else {
         return Vec::new();
@@ -713,9 +713,10 @@ fn total_counters(per_image: &[Counters]) -> Counters {
 
 /// Contiguous chunk sizes dividing `len` items into at most `chunks`
 /// non-empty pieces: `min(chunks, len)` chunks, sizes differing by at
-/// most one, larger chunks first. The one split rule of the stage
-/// partitioner and [`crate::batch::run_engine_batch`]'s image chunks.
-pub(crate) fn chunk_lengths(len: usize, chunks: usize) -> Vec<usize> {
+/// most one, larger chunks first. The stage partitioner's one split
+/// rule, for batch chunks, per-image worker shares, unit groups and
+/// output-row bands alike.
+fn chunk_lengths(len: usize, chunks: usize) -> Vec<usize> {
     let count = chunks.min(len);
     if count == 0 {
         return Vec::new();
@@ -1267,8 +1268,8 @@ mod tests {
         Engine::compile(&net, ReuseConfig::FULL).unwrap()
     }
 
-    /// `run_packed` at workers 1/2/4 against per-input `Engine::run`:
-    /// activations and counters, in input order.
+    /// `run_packed` against per-input `Engine::run`: activations and
+    /// counters, in input order.
     fn assert_packed_matches_per_input_runs(engine: &Engine, inputs: &[Tensor4<Fx16>]) {
         let mut scratch = Scratch::new();
         let want: Vec<NetworkOutput> = inputs
@@ -1276,13 +1277,11 @@ mod tests {
             .map(|input| engine.run(input, &mut scratch).unwrap())
             .collect();
         let refs: Vec<&Tensor4<Fx16>> = inputs.iter().collect();
-        for workers in [1, 2, 4] {
-            let got = engine.run_packed(&refs, &mut scratch, workers).unwrap();
-            assert_eq!(got.len(), want.len(), "workers={workers}");
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.activations, w.activations, "workers={workers}");
-                assert_eq!(g.counters, w.counters, "workers={workers}");
-            }
+        let got = engine.run_packed(&refs, &mut scratch).unwrap();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.activations, w.activations);
+            assert_eq!(g.counters, w.counters);
         }
     }
 
@@ -1316,7 +1315,7 @@ mod tests {
         let engine = small_engine(&mut seed);
         assert_packed_matches_per_input_runs(&engine, &[image([1, 1, 8, 8], &mut seed)]);
         assert!(engine
-            .run_packed(&[], &mut Scratch::new(), 2)
+            .run_packed(&[], &mut Scratch::new())
             .unwrap()
             .is_empty());
     }
@@ -1331,7 +1330,7 @@ mod tests {
             image([1, 2, 8, 8], &mut seed),
         ];
         let refs: Vec<&Tensor4<Fx16>> = inputs.iter().collect();
-        let err = engine.run_packed(&refs, &mut Scratch::new(), 2);
+        let err = engine.run_packed(&refs, &mut Scratch::new());
         assert!(matches!(
             err,
             Err(SimError::OperandMismatch {

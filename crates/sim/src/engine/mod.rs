@@ -8,11 +8,14 @@
 //!   runs it.
 //! * [`crate::functional::run_layer`] — the single-layer reference API:
 //!   compiles a one-stage engine and runs only its convolution.
-//! * [`crate::batch::run_engine_batch`] — the batch runner: one image
-//!   chunk per worker thread, each checking an arena out of a
-//!   [`ScratchPool`] and running as one [`Engine::run_packed`].
+//! * [`Engine::run_batched`] — one `[B, C, H, W]` batch split between
+//!   an intra-run worker budget by the stage partitioner; perfbench's
+//!   trunk workloads run it.
 //! * `tfe-serve` — the service compiles one engine at startup and every
-//!   executor runs each micro-batch through [`Engine::run_packed`].
+//!   executor runs each micro-batch on its own thread through
+//!   [`Engine::run_packed`], with an arena checked out of a
+//!   [`ScratchPool`]: the executor pool is the serve tier's one
+//!   parallelism.
 //!
 //! The paper's premise (shared with EIE's compile-then-execute split and
 //! UCNN/CoDR, see PAPERS.md) is that reuse structure is a property of
@@ -50,8 +53,8 @@
 //!   both layouts, each ring row computing only the parts its windows
 //!   read), the sparse pass's sweep, the one window combine, each part's
 //!   finishing of its planes through the output memory system
-//!   ([`crate::output`]), and the one scoped-thread fan-out both the
-//!   stage partitioner and the batch runner use.
+//!   ([`crate::output`]), and the stage partitioner's one scoped-thread
+//!   fan-out.
 //! * `sparse.rs` — the compressed-sparse row pass of pruned dense
 //!   stages, and the builder of its tap lists.
 //! * `scratch.rs` — the run-phase arenas ([`Scratch`]) and the bounded
@@ -85,8 +88,6 @@ mod sparse;
 pub use exec::BatchedRun;
 pub use ir::PrepareStats;
 pub use scratch::{Scratch, ScratchPool};
-
-pub(crate) use exec::{chunk_lengths, fan_out};
 
 use crate::network::FunctionalNetwork;
 use crate::SimError;

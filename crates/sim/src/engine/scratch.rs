@@ -218,9 +218,9 @@ fn retain<T>(buf: &mut Vec<T>, keep: usize) {
 }
 
 /// A mutex-guarded, **bounded** pool of [`Scratch`] arenas, checked out
-/// per in-flight request so long-lived services (the batch runner,
-/// `tfe-serve`'s executors) reuse warm buffers across requests and
-/// threads.
+/// per in-flight request so long-lived callers (`tfe-serve`'s
+/// executors, [`FunctionalNetwork::run`](crate::network::FunctionalNetwork::run))
+/// reuse warm buffers across requests and threads.
 ///
 /// The pool retains at most `capacity` idle arenas: a burst of N
 /// concurrent requests can check out N arenas, but [`restore`] drops any

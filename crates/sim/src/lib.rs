@@ -9,8 +9,8 @@
 //!   cycle-stepped register-transfer view in [`sr_pipeline`]) and the
 //!   ERRR cyclic partial-sum memory system (the engine's ring of row
 //!   results) on real fixed-point data, producing actual ofmap values. [`functional`],
-//!   [`network`], [`batch`], and `tfe-serve` are thin entry points over
-//!   the same engine. Tests check it bit-exactly against the reference
+//!   [`network`] and `tfe-serve` are thin entry points over the same
+//!   engine. Tests check it bit-exactly against the reference
 //!   convolution of the *expanded* transferred filters — proving the reuse
 //!   machinery eliminates computation without changing results.
 //! * The **performance model** ([`perf`], [`safm`], [`memory`]) counts
@@ -41,7 +41,6 @@
 )]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod config;
 pub mod counters;
 pub mod engine;

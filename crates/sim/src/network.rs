@@ -10,7 +10,7 @@
 //! engine and caches it inside the network, so repeated calls pay only
 //! the run phase. Use [`FunctionalNetwork::engine`] to drive the
 //! compiled engine by hand (own [`Scratch`](crate::engine::Scratch)
-//! management, batch runners, services).
+//! management, packed batches, services).
 //!
 //! The zoo's ImageNet-scale networks are far too large for value-level
 //! simulation; the tests and examples use purpose-built small networks.
@@ -181,11 +181,6 @@ impl FunctionalNetwork {
             .get_or_init(|| Engine::compile(self, reuse))
             .as_ref()
             .map_err(Clone::clone)
-    }
-
-    /// Warm scratch arenas shared by the wrapper and the batch runner.
-    pub(crate) fn scratch_pool(&self) -> &ScratchPool {
-        &self.cache.scratches
     }
 
     /// Executes the network on a `[batch, N, H, W]` input.

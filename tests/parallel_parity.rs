@@ -1,19 +1,19 @@
-//! Parallel/batched/engine execution parity: the wrapper entry points in
-//! `tfe::sim` (network `run`, `run_batch`) and a hand-driven
-//! [`Engine`] must all be bit-identical — activations AND counters — at
-//! every thread count, every scheme, every reuse ablation, and under
-//! stride, with the merged [`Counters`] equal to the sequential totals
-//! exactly.
+//! Parallel/batched/engine execution parity: the wrapper entry point in
+//! `tfe::sim` (network `run`) and a hand-driven [`Engine`] — one image at
+//! a time, [`Engine::run_batched`] over a packed batch, and
+//! [`Engine::run_packed`] — must all be bit-identical — activations AND
+//! counters — at every worker count, every scheme, every reuse ablation,
+//! and under stride, with the merged [`Counters`] equal to the sequential
+//! totals exactly.
 //!
 //! The guarantee rests on two properties: images are pure functions of
 //! their inputs (one engine pass each), and per-image results — output
 //! tensors and counters — merge in a fixed input order independent of
-//! which thread produced them.
+//! which worker produced them.
 
 use proptest::prelude::*;
-use tfe::sim::batch::{run_batch, run_engine_batch, split_batch, BatchOptions};
 use tfe::sim::counters::Counters;
-use tfe::sim::engine::{Engine, Scratch, ScratchPool};
+use tfe::sim::engine::{BatchedRun, Engine, Scratch, ScratchPool};
 use tfe::sim::functional::run_layer;
 use tfe::sim::network::{FunctionalNetwork, FunctionalStage, NetworkOutput};
 use tfe::sim::output::OutputConfig;
@@ -134,36 +134,51 @@ fn sequential(
     (outputs, total)
 }
 
+/// The single-image inputs packed into one `[B, C, H, W]` batch, in
+/// input order.
+fn pack(inputs: &[Tensor4<Fx16>]) -> Tensor4<Fx16> {
+    let [_, c, h, w] = inputs[0].dims();
+    let data = inputs.iter().flat_map(|t| t.as_slice().iter().copied());
+    Tensor4::from_vec([inputs.len(), c, h, w], data.collect()).unwrap()
+}
+
+/// Image `b`'s `[C, H, W]` activations within a packed run's output.
+fn image_of(run: &BatchedRun, b: usize) -> &[Fx16] {
+    let [_, c, h, w] = run.activations.dims();
+    &run.activations.as_slice()[b * c * h * w..(b + 1) * c * h * w]
+}
+
+/// A packed run against the sequential reference: each image's
+/// activations and counters, then the merged totals.
+fn assert_run_matches(run: &BatchedRun, want: &[NetworkOutput], total: &Counters, cell: &str) {
+    assert_eq!(run.per_image.len(), want.len(), "{cell}");
+    for (b, want) in want.iter().enumerate() {
+        assert_eq!(
+            image_of(run, b),
+            want.activations.as_slice(),
+            "{cell}: activations diverge on image {b}"
+        );
+        assert_eq!(
+            run.per_image[b], want.counters,
+            "{cell}: per-image counters diverge on image {b}"
+        );
+    }
+    assert_eq!(run.counters, *total, "{cell}: merged counters diverge");
+}
+
 #[test]
 fn batched_parallel_is_bit_identical_to_sequential() {
+    let mut scratch = Scratch::new();
     for (scheme, m) in SCHEME_GRID {
         let net = small_net(scheme, m, 41);
         let inputs = images(6, 977);
         let (seq_outputs, seq_total) = sequential(&net, &inputs, ReuseConfig::FULL);
-
-        for threads in [1usize, 2, 3, 4, 8] {
-            let batch = run_batch(
-                &net,
-                &inputs,
-                ReuseConfig::FULL,
-                BatchOptions::with_threads(threads),
-            )
-            .unwrap();
-            assert_eq!(batch.outputs.len(), seq_outputs.len());
-            for (got, want) in batch.outputs.iter().zip(&seq_outputs) {
-                assert_eq!(
-                    got.activations, want.activations,
-                    "{scheme:?}/{m} activations diverge at {threads} threads"
-                );
-                assert_eq!(
-                    got.counters, want.counters,
-                    "{scheme:?}/{m} per-image counters diverge at {threads} threads"
-                );
-            }
-            assert_eq!(
-                batch.counters, seq_total,
-                "{scheme:?}/{m} merged counters diverge at {threads} threads"
-            );
+        let engine = net.engine(ReuseConfig::FULL).unwrap();
+        let batch = pack(&inputs);
+        for workers in [1usize, 2, 3, 4, 8] {
+            let run = engine.run_batched(&batch, &mut scratch, workers).unwrap();
+            let cell = format!("{scheme:?}/{m} at {workers} workers");
+            assert_run_matches(&run, &seq_outputs, &seq_total, &cell);
         }
     }
 }
@@ -175,13 +190,13 @@ fn reuse_ablations_stay_parity_under_parallelism() {
     // just the full configuration.
     let net = small_net(TransferScheme::Scnn, 8, 7);
     let inputs = images(4, 1234);
+    let batch = pack(&inputs);
+    let mut scratch = Scratch::new();
     for reuse in ALL_REUSE {
         let (seq_outputs, seq_total) = sequential(&net, &inputs, reuse);
-        let batch = run_batch(&net, &inputs, reuse, BatchOptions::with_threads(4)).unwrap();
-        for (got, want) in batch.outputs.iter().zip(&seq_outputs) {
-            assert_eq!(got.activations, want.activations);
-        }
-        assert_eq!(batch.counters, seq_total);
+        let engine = net.engine(reuse).unwrap();
+        let run = engine.run_batched(&batch, &mut scratch, 4).unwrap();
+        assert_run_matches(&run, &seq_outputs, &seq_total, &format!("{reuse:?}"));
     }
 }
 
@@ -343,77 +358,40 @@ fn engine_reports_the_same_shape_errors() {
 
 #[test]
 fn engine_batch_is_thread_count_invariant() {
-    // run_engine_batch must match the sequential reference for every
-    // thread count, including more threads than images, with scratch
-    // arenas recycled through the pool.
+    // A hand-compiled engine's packed run must match the sequential
+    // reference at every worker count, including more workers than
+    // images, with one scratch arena reused across the runs.
     for (scheme, m) in SCHEME_GRID {
         let net = small_net(scheme, m, 19);
         let inputs = images(5, 333);
         let (seq_outputs, seq_total) = sequential(&net, &inputs, ReuseConfig::FULL);
         let engine = Engine::compile(&net, ReuseConfig::FULL).unwrap();
-        let scratches = ScratchPool::new();
-        for threads in [1usize, 2, 4, 9] {
-            let batch = run_engine_batch(
-                &engine,
-                &inputs,
-                BatchOptions::with_threads(threads),
-                &scratches,
-            )
-            .unwrap();
-            assert_eq!(batch.outputs.len(), seq_outputs.len());
-            for (got, want) in batch.outputs.iter().zip(&seq_outputs) {
-                assert_eq!(
-                    got.activations, want.activations,
-                    "{scheme:?}/{m} activations diverge at {threads} threads"
-                );
-                assert_eq!(
-                    got.counters, want.counters,
-                    "{scheme:?}/{m} per-image counters diverge at {threads} threads"
-                );
-            }
-            assert_eq!(
-                batch.counters, seq_total,
-                "{scheme:?}/{m} merged counters diverge at {threads} threads"
-            );
+        let batch = pack(&inputs);
+        let mut scratch = Scratch::new();
+        for workers in [1usize, 2, 4, 9] {
+            let run = engine.run_batched(&batch, &mut scratch, workers).unwrap();
+            let cell = format!("{scheme:?}/{m} at {workers} workers");
+            assert_run_matches(&run, &seq_outputs, &seq_total, &cell);
         }
     }
 }
 
 #[test]
 fn geometry_net_is_thread_count_invariant() {
-    // Depthwise, dilated, and grouped stages through both batch runners:
-    // per-image results and merged counters must be bit-identical to the
-    // sequential reference at every thread count and reuse ablation.
+    // Depthwise, dilated, and grouped stages: per-image results and
+    // merged counters of the packed run must be bit-identical to the
+    // sequential reference at every worker count and reuse ablation.
     let net = geometry_net(0x9e0);
     let inputs = images(5, 271);
+    let batch = pack(&inputs);
+    let mut scratch = Scratch::new();
     for reuse in [ReuseConfig::FULL, ReuseConfig::NONE] {
         let (seq_outputs, seq_total) = sequential(&net, &inputs, reuse);
         let engine = Engine::compile(&net, reuse).unwrap();
-        let scratches = ScratchPool::new();
-        for threads in [1usize, 2, 4, 8] {
-            for batch in [
-                run_batch(&net, &inputs, reuse, BatchOptions::with_threads(threads)).unwrap(),
-                run_engine_batch(
-                    &engine,
-                    &inputs,
-                    BatchOptions::with_threads(threads),
-                    &scratches,
-                )
-                .unwrap(),
-            ] {
-                assert_eq!(batch.outputs.len(), seq_outputs.len());
-                for (got, want) in batch.outputs.iter().zip(&seq_outputs) {
-                    assert_eq!(
-                        got.activations, want.activations,
-                        "{reuse:?} geometry activations diverge at {threads} threads"
-                    );
-                    assert_eq!(
-                        got.counters, want.counters,
-                        "{reuse:?} geometry counters diverge at {threads} threads"
-                    );
-                }
-                assert_eq!(batch.counters, seq_total, "{reuse:?} at {threads} threads");
-            }
+        for workers in [1usize, 2, 4, 8] {
+            let run = engine.run_batched(&batch, &mut scratch, workers).unwrap();
+            let cell = format!("{reuse:?} geometry at {workers} workers");
+            assert_run_matches(&run, &seq_outputs, &seq_total, &cell);
         }
     }
 }
@@ -499,21 +477,28 @@ proptest! {
 }
 
 #[test]
-fn split_batch_then_run_batch_matches_multi_batch_tensor() {
+fn packed_singles_match_the_multi_image_tensor() {
     // Feeding a [B, C, H, W] tensor through the network directly and
-    // splitting it into B singleton images for the batch runner must
-    // agree on both values and counter totals.
+    // splitting it into B singleton images that `run_packed` packs back
+    // must agree on both values and counter totals.
     let net = small_net(TransferScheme::DCNN4, 8, 99);
     let mut s = 3141;
     let stacked = Tensor4::from_fn([3, 3, 12, 12], |_| Fx16::from_f32(det(&mut s)));
-    let singles = split_batch(&stacked);
-    assert_eq!(singles.len(), 3);
+    let [batch, ic, ih, iw] = stacked.dims();
+    let singles: Vec<Tensor4<Fx16>> = (0..batch)
+        .map(|b| Tensor4::from_fn([1, ic, ih, iw], |[_, c, y, x]| stacked.get([b, c, y, x])))
+        .collect();
+    assert_eq!(pack(&singles), stacked);
 
     let whole = net.run(&stacked, ReuseConfig::FULL).unwrap();
-    let batch = run_batch(&net, &singles, ReuseConfig::FULL, BatchOptions::default()).unwrap();
+    let engine = net.engine(ReuseConfig::FULL).unwrap();
+    let refs: Vec<&Tensor4<Fx16>> = singles.iter().collect();
+    let outputs = engine.run_packed(&refs, &mut Scratch::new()).unwrap();
+    assert_eq!(outputs.len(), batch);
 
     let [_, c, h, w] = whole.activations.dims();
-    for (b, out) in batch.outputs.iter().enumerate() {
+    let mut merged = Counters::new();
+    for (b, out) in outputs.iter().enumerate() {
         assert_eq!(out.activations.dims(), [1, c, h, w]);
         for ci in 0..c {
             for y in 0..h {
@@ -526,6 +511,7 @@ fn split_batch_then_run_batch_matches_multi_batch_tensor() {
                 }
             }
         }
+        merged.merge(&out.counters);
     }
-    assert_eq!(batch.counters, whole.counters);
+    assert_eq!(merged, whole.counters);
 }

@@ -12,7 +12,6 @@ use std::time::Duration;
 use tfe::fleet::demo::{demo_images, demo_network};
 use tfe::serve::protocol::{roundtrip, WireRequest, WireResponse};
 use tfe::serve::{Rejected, ServeConfig, Service, TcpServer};
-use tfe::sim::batch::{run_batch, BatchOptions};
 use tfe::sim::counters::Counters;
 use tfe::sim::engine::Scratch;
 use tfe::sim::network::FunctionalNetwork;
@@ -279,14 +278,12 @@ proptest! {
     /// Any split of a request stream into micro-batches yields outputs
     /// and summed counters bit-identical to one-image-at-a-time
     /// execution — the invariant the whole serving stack rests on. Each
-    /// split runs through `run_batch` and through the executors' own
-    /// call, `Engine::run_packed` on `workers`.
+    /// split runs through the executors' own call, `Engine::run_packed`.
     #[test]
     fn any_microbatch_split_is_bit_identical(
         count in 1usize..9,
         splits in prop::collection::vec(1usize..5, 8),
         seed in 0u32..500,
-        workers in 1usize..5,
     ) {
         let net = demo_network(seed);
         let images = demo_images(count, seed ^ 0x51ab);
@@ -294,7 +291,6 @@ proptest! {
         let engine = net.engine(ReuseConfig::FULL).expect("compile");
         let mut scratch = Scratch::new();
 
-        let mut outputs = Vec::new();
         let mut packed = Vec::new();
         let mut merged = Counters::default();
         let mut start = 0;
@@ -304,30 +300,18 @@ proptest! {
             }
             prop_assert!(round < count, "splits of >=1 always advance");
             let stop = (start + size).min(count);
-            let batch = run_batch(
-                &net,
-                &images[start..stop],
-                ReuseConfig::FULL,
-                BatchOptions::default(),
-            )
-            .expect("batched run");
-            outputs.extend(batch.outputs);
-            merged.merge(&batch.counters);
             let split: Vec<_> = images[start..stop].iter().collect();
-            packed.extend(
-                engine
-                    .run_packed(&split, &mut scratch, workers)
-                    .expect("packed run"),
-            );
+            let outputs = engine.run_packed(&split, &mut scratch).expect("packed run");
+            for output in &outputs {
+                merged.merge(&output.counters);
+            }
+            packed.extend(outputs);
             start = stop;
         }
 
-        prop_assert_eq!(outputs.len(), count);
         prop_assert_eq!(packed.len(), count);
         let mut expected_total = Counters::default();
-        for ((got, packed), want) in outputs.iter().zip(&packed).zip(&expected) {
-            prop_assert_eq!(&got.activations, &want.activations);
-            prop_assert_eq!(&got.counters, &want.counters);
+        for (packed, want) in packed.iter().zip(&expected) {
             prop_assert_eq!(&packed.activations, &want.activations);
             prop_assert_eq!(&packed.counters, &want.counters);
             expected_total.merge(&want.counters);
